@@ -21,6 +21,19 @@ func BenchmarkCQI(b *testing.B) {
 	}
 }
 
+// BenchmarkSubbandSINRs measures the batch evaluation of one UE's
+// whole CQI report; divide by the 13 subbands to compare with
+// BenchmarkCQI.
+func BenchmarkSubbandSINRs(b *testing.B) {
+	m := Pedestrian().NewUEChannel(2.68e9, rng.New(1))
+	buf := make([]float64, m.NumSubbands())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkF = m.SubbandSINRs(sim.Time(i)*sim.Millisecond, buf)[0]
+	}
+}
+
 var sinkF float64
 
 func BenchmarkSINR(b *testing.B) {

@@ -19,49 +19,50 @@ const speedOfLight = 299792458.0
 // jakes is a deterministic Rayleigh fading process realised as a sum
 // of sinusoids (Jakes' model). The complex gain at time t is a pure
 // function of t, so the process needs no per-tick state updates and
-// can be sampled at arbitrary simulation times.
+// can be sampled at arbitrary simulation times. It is a value type
+// with inline arrays so a Model holds all its oscillators in one
+// allocation.
 type jakes struct {
-	dopplerHz float64
-	phasesI   []float64
-	phasesQ   []float64
-	angles    []float64
+	static   bool    // zero Doppler: the gain is the constant staticDB
+	staticDB float64 // mild static multipath offset in [-3, +3] dB
+	// omega[n] = 2π·f_d·cos(arrival angle n), the oscillator's angular
+	// Doppler frequency. It is stored as that left-to-right product so
+	// omega[n]*ts is the double the unhoisted expression produces.
+	omega   [numOscillators]float64
+	phasesI [numOscillators]float64
+	phasesQ [numOscillators]float64
 }
 
 const numOscillators = 8
 
-func newJakes(dopplerHz float64, r *rng.Source) *jakes {
-	j := &jakes{
-		dopplerHz: dopplerHz,
-		phasesI:   make([]float64, numOscillators),
-		phasesQ:   make([]float64, numOscillators),
-		angles:    make([]float64, numOscillators),
-	}
+func newJakes(dopplerHz float64, r *rng.Source) jakes {
+	j := jakes{static: dopplerHz <= 0}
+	sum := 0.0
 	for n := 0; n < numOscillators; n++ {
 		j.phasesI[n] = 2 * math.Pi * r.Float64()
 		j.phasesQ[n] = 2 * math.Pi * r.Float64()
 		// Random arrival angles give a smoother Doppler spectrum
 		// than the classic deterministic spacing.
-		j.angles[n] = 2 * math.Pi * r.Float64()
+		angle := 2 * math.Pi * r.Float64()
+		j.omega[n] = 2 * math.Pi * dopplerHz * math.Cos(angle)
+		sum += math.Cos(j.phasesI[n]) + math.Cos(j.phasesQ[n])
 	}
+	// Static channel: fixed draw baked into phase 0.
+	j.staticDB = 3 * math.Tanh(sum/4)
 	return j
 }
 
 // gainDB returns the instantaneous fading gain in dB (0 dB average
-// power) at time t.
-func (j *jakes) gainDB(t sim.Time) float64 {
-	if j.dopplerHz <= 0 {
-		// Static channel: fixed draw baked into phase 0.
-		sum := 0.0
-		for n := 0; n < numOscillators; n++ {
-			sum += math.Cos(j.phasesI[n]) + math.Cos(j.phasesQ[n])
-		}
-		// Mild static multipath offset in [-3, +3] dB.
-		return 3 * math.Tanh(sum/4)
+// power) at ts seconds.
+//
+//outran:allocfree
+func (j *jakes) gainDB(ts float64) float64 {
+	if j.static {
+		return j.staticDB
 	}
-	ts := t.Seconds()
 	var i, q float64
 	for n := 0; n < numOscillators; n++ {
-		w := 2 * math.Pi * j.dopplerHz * math.Cos(j.angles[n]) * ts
+		w := j.omega[n] * ts
 		i += math.Cos(w + j.phasesI[n])
 		q += math.Sin(w + j.phasesQ[n])
 	}
@@ -76,13 +77,14 @@ func (j *jakes) gainDB(t sim.Time) float64 {
 // Model is the downlink channel of one UE. Zero value is not usable;
 // construct with New.
 type Model struct {
-	meanSINRdB  float64
-	subbands    []*jakes
-	wideband    *jakes
-	mob         *Mobility
-	plExponent  float64
-	refDistM    float64
-	shadowingDB float64
+	meanSINRdB float64
+	baseDB     float64 // meanSINRdB plus the shadowing draw
+	subbands   []jakes
+	wideband   jakes
+	mob        *Mobility
+	pathLoss   bool // mob != nil && plExponent > 0
+	plExponent float64
+	refDistM   float64
 }
 
 // Config parameterises a UE channel.
@@ -105,38 +107,103 @@ func New(cfg Config, r *rng.Source) *Model {
 	m := &Model{
 		meanSINRdB: cfg.MeanSINRdB,
 		mob:        cfg.Mobility,
+		pathLoss:   cfg.Mobility != nil && cfg.PathLossExp > 0,
 		plExponent: cfg.PathLossExp,
 		refDistM:   100,
 		wideband:   newJakes(doppler, r),
 	}
+	shadowingDB := 0.0
 	if cfg.ShadowingStd > 0 {
-		m.shadowingDB = r.Normal(0, cfg.ShadowingStd)
+		shadowingDB = r.Normal(0, cfg.ShadowingStd)
 	}
-	m.subbands = make([]*jakes, cfg.NumSubbands)
+	m.baseDB = cfg.MeanSINRdB + shadowingDB
+	m.subbands = make([]jakes, cfg.NumSubbands)
 	for i := range m.subbands {
 		m.subbands[i] = newJakes(doppler, r)
 	}
 	return m
 }
 
-// SINRdB returns the instantaneous SINR (dB) on the given subband.
-func (m *Model) SINRdB(t sim.Time, subband int) float64 {
-	if subband < 0 {
-		subband = 0
-	}
-	sb := m.subbands[subband%len(m.subbands)]
-	s := m.meanSINRdB + m.shadowingDB
-	// Wideband fading dominates; subband fading adds frequency
-	// selectivity around it.
-	s += 0.7*m.wideband.gainDB(t) + 0.3*sb.gainDB(t)
-	if m.mob != nil && m.plExponent > 0 {
+// instant holds the terms of a UE's SINR at one time that are the same
+// on every subband, so a batch evaluates them once.
+type instant struct {
+	ts float64 // the time in seconds
+	wb float64 // wideband fading gain, dB
+	lg float64 // log10(distance / reference distance); 0 unless pathLoss
+}
+
+func (m *Model) at(t sim.Time) instant {
+	in := instant{ts: t.Seconds()}
+	in.wb = m.wideband.gainDB(in.ts)
+	if m.pathLoss {
 		d := m.mob.DistanceM(t)
 		if d < 1 {
 			d = 1
 		}
-		s -= 10 * m.plExponent * math.Log10(d/m.refDistM)
+		in.lg = math.Log10(d / m.refDistM)
+	}
+	return in
+}
+
+// sinr is the one SINR formula; SINRdB, SubbandSINRs and MeanSINROver
+// all evaluate it. instant carries values, never partial products:
+// the two expressions below keep the shape they had when every term
+// was computed in place, so a target that fuses multiply-adds fuses
+// the same ones and every result keeps its bit pattern.
+func (m *Model) sinr(in instant, subband int) float64 {
+	if subband < 0 {
+		subband = 0
+	}
+	sb := &m.subbands[subband%len(m.subbands)]
+	s := m.baseDB
+	// Wideband fading dominates; subband fading adds frequency
+	// selectivity around it.
+	s += 0.7*in.wb + 0.3*sb.gainDB(in.ts)
+	if m.pathLoss {
+		s -= 10 * m.plExponent * in.lg
 	}
 	return s
+}
+
+// SINRdB returns the instantaneous SINR (dB) on the given subband.
+func (m *Model) SINRdB(t sim.Time, subband int) float64 {
+	return m.sinr(m.at(t), subband)
+}
+
+// SubbandSINRs writes the instantaneous SINR (dB) of every subband
+// into dst, which must hold NumSubbands values, and returns
+// dst[:NumSubbands()]. The per-UE terms are evaluated once for the
+// whole batch.
+//
+//outran:allocfree
+func (m *Model) SubbandSINRs(t sim.Time, dst []float64) []float64 {
+	dst = dst[:len(m.subbands)]
+	in := m.at(t)
+	for sb := range dst {
+		dst[sb] = m.sinr(in, sb)
+	}
+	return dst
+}
+
+// MeanSINROver returns the instantaneous SINR (dB) averaged over the
+// listed subbands — all subbands when the list is empty — summing in
+// list order.
+//
+//outran:allocfree
+func (m *Model) MeanSINROver(t sim.Time, sbs []int) float64 {
+	in := m.at(t)
+	s := 0.0
+	if len(sbs) == 0 {
+		n := len(m.subbands)
+		for sb := 0; sb < n; sb++ {
+			s += m.sinr(in, sb)
+		}
+		return s / float64(n)
+	}
+	for _, sb := range sbs {
+		s += m.sinr(in, sb)
+	}
+	return s / float64(len(sbs))
 }
 
 // CQI returns the CQI the UE would report for the subband at time t.

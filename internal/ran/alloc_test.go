@@ -46,6 +46,16 @@ func TestCellZeroAllocs(t *testing.T) {
 				t.Errorf("txStatus: %.1f allocs/call, want 0", allocs)
 			}
 		},
+		"(*Cell).reportCQIAt": func(t *testing.T) {
+			cell := backloggedCell(t)
+			now := cell.Eng.Now()
+			allocs := testing.AllocsPerRun(100, func() {
+				cell.reportCQIAt(now)
+			})
+			if allocs != 0 {
+				t.Errorf("reportCQIAt: %.1f allocs/call, want 0", allocs)
+			}
+		},
 		"(*Cell).newTB": func(t *testing.T) {
 			cell := backloggedCell(t)
 			// Warm the free list so the steady-state path is exercised.

@@ -168,6 +168,9 @@ type Cell struct {
 	// It is reused across UEs and TTIs; serveUE copies it into a harqTB
 	// at TB creation, the only point the list outlives the TTI.
 	sbScratch []int
+	// sinrScratch receives one UE's per-subband SINRs inside
+	// reportCQIAt; sized once in NewCell to the widest UE channel.
+	sinrScratch []float64
 
 	// Hot-path arenas (see arena.go): the transport-block free list
 	// and the retired-flow graveyard. Pure dead state — field-reset on
@@ -255,6 +258,9 @@ func NewCell(cfg Config) (*Cell, error) {
 		}
 		c.ues = append(c.ues, ue)
 		c.macUsers = append(c.macUsers, ue.macUser)
+		if n := ue.ch.NumSubbands(); n > len(c.sinrScratch) {
+			c.sinrScratch = make([]float64, n)
+		}
 	}
 	c.blockBits = make([]int64, cfg.NumUEs)
 	c.blockActive = make([]bool, cfg.NumUEs)
@@ -381,9 +387,12 @@ func (c *Cell) wireBearer(ue *ueCtx) error {
 // reportCQI refreshes every UE's reported CQI from its channel.
 func (c *Cell) reportCQI() { c.reportCQIAt(c.Eng.Now()) }
 
+// reportCQIAt is reportCQI at an explicit time (NewCell primes the
+// first report at t = 0, before the engine runs).
+//
+//outran:allocfree
 func (c *Cell) reportCQIAt(now sim.Time) {
 	tPhy := c.prof.Begin()
-	defer c.prof.End(obs.PhasePhy, tPhy)
 	for _, ue := range c.ues {
 		if h := c.hooks.DropCQIReport; h != nil && h(ue.id, now) {
 			continue // report lost: the MAC schedules on the stale CQI
@@ -392,14 +401,14 @@ func (c *Cell) reportCQIAt(now sim.Time) {
 		if h := c.hooks.SINROffsetDB; h != nil {
 			off = h(ue.id, now)
 		}
-		for sb := range ue.macUser.SubbandCQI {
-			if off != 0 {
-				ue.macUser.SubbandCQI[sb] = phy.CQIFromSINR(ue.ch.SINRdB(now, sb) + off)
-			} else {
-				ue.macUser.SubbandCQI[sb] = ue.ch.CQI(now, sb)
-			}
+		// One batch per UE: the channel evaluates its per-UE terms once
+		// for all subbands. off is 0.0 without a fade, and adding +0.0
+		// moves no SINR across a CQI threshold.
+		for sb, sinr := range ue.ch.SubbandSINRs(now, c.sinrScratch) {
+			ue.macUser.SubbandCQI[sb] = phy.CQIFromSINR(sinr + off)
 		}
 	}
+	c.prof.End(obs.PhasePhy, tPhy)
 }
 
 // onTTI runs one scheduling interval.
@@ -657,19 +666,7 @@ func (c *Cell) sinrOver(ue *ueCtx, now sim.Time, sbs []int) float64 {
 	if h := c.hooks.SINROffsetDB; h != nil {
 		off = h(ue.id, now)
 	}
-	if len(sbs) == 0 {
-		n := ue.ch.NumSubbands()
-		s := 0.0
-		for sb := 0; sb < n; sb++ {
-			s += ue.ch.SINRdB(now, sb)
-		}
-		return s/float64(n) + off
-	}
-	s := 0.0
-	for _, sb := range sbs {
-		s += ue.ch.SINRdB(now, sb)
-	}
-	return s/float64(len(sbs)) + off
+	return ue.ch.MeanSINROver(now, sbs) + off
 }
 
 // blerProb maps the SINR margin (dB) above the MCS decode threshold to

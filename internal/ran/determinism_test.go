@@ -1,7 +1,9 @@
 package ran
 
 import (
+	"fmt"
 	"hash/fnv"
+	"runtime"
 	"testing"
 
 	"outran/internal/mac"
@@ -45,8 +47,9 @@ func (s *hashingScheduler) Allocate(now sim.Time, users []*mac.User, grid phy.Gr
 
 // quickstartTrace runs the quickstart scenario (scaled down to keep the
 // test fast) and returns the full per-flow FCT trace, the scheduler
-// decision hash, and the end-of-run stats.
-func quickstartTrace(t *testing.T, sched SchedulerKind) ([]metrics.FCTSample, uint64, Stats) {
+// decision hash, and the end-of-run stats. setup, when non-nil, sees the
+// cell before the run.
+func quickstartTrace(t *testing.T, sched SchedulerKind, setup func(*Cell)) ([]metrics.FCTSample, uint64, Stats) {
 	t.Helper()
 	cfg := DefaultLTEConfig()
 	cfg.NumUEs = 8
@@ -56,6 +59,9 @@ func quickstartTrace(t *testing.T, sched SchedulerKind) ([]metrics.FCTSample, ui
 	cell, err := NewCell(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if setup != nil {
+		setup(cell)
 	}
 	hs := &hashingScheduler{inner: cell.sched}
 	cell.sched = hs
@@ -85,8 +91,8 @@ func TestQuickstartDeterminism(t *testing.T) {
 	for _, sched := range []SchedulerKind{SchedPF, SchedOutRAN} {
 		sched := sched
 		t.Run(string(sched), func(t *testing.T) {
-			fct1, hash1, st1 := quickstartTrace(t, sched)
-			fct2, hash2, st2 := quickstartTrace(t, sched)
+			fct1, hash1, st1 := quickstartTrace(t, sched, nil)
+			fct2, hash2, st2 := quickstartTrace(t, sched, nil)
 
 			if len(fct1) == 0 {
 				t.Fatal("no flows completed; the scenario is not exercising the stack")
@@ -104,6 +110,65 @@ func TestQuickstartDeterminism(t *testing.T) {
 			}
 			if st1 != st2 {
 				t.Fatalf("stats differ:\n run 1: %+v\n run 2: %+v", st1, st2)
+			}
+		})
+	}
+}
+
+// TestParentEquivalentFaultedTrace pins the quickstart scenario, run
+// with HARQ on and the two channel-facing fault hooks installed, to
+// goldens recorded on the commit before the channel's batch evaluation
+// (SubbandSINRs/MeanSINROver) replaced the per-subband SINRdB calls.
+// The same-seed double run above proves only self-consistency; this
+// proves the channel rewrite changed no CQI report and no HARQ decode.
+// The fade hook returns both zero and non-zero offsets so the report
+// path is covered with and without an offset, and the drop hook leaves
+// stale CQIs in place.
+func TestParentEquivalentFaultedTrace(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("goldens recorded on amd64; other targets may fuse multiply-adds in math-heavy code")
+	}
+	hooks := FaultHooks{
+		// A 12 dB fade that visits one UE per 100 ms window, half the time.
+		SINROffsetDB: func(ue int, now sim.Time) float64 {
+			w := int(now / (100 * sim.Millisecond))
+			if w%2 == 1 && w%8 == ue {
+				return -12
+			}
+			return 0
+		},
+		// Every seventh report of each UE is lost.
+		DropCQIReport: func(ue int, now sim.Time) bool {
+			return (int(now/(5*sim.Millisecond))+ue)%7 == 0
+		},
+	}
+	type outcome struct {
+		flows          int
+		fct, sched     uint64
+		harqTx, harqRe uint64
+	}
+	golden := map[SchedulerKind]outcome{
+		SchedPF:     {14, 0xba5a9763fb497e3b, 0xafc9be4ca08a833a, 1104, 42},
+		SchedOutRAN: {14, 0xfbe1381ef8929bf9, 0x41f7bbee85d406f7, 1132, 43},
+	}
+	for _, sched := range []SchedulerKind{SchedPF, SchedOutRAN} {
+		sched := sched
+		t.Run(string(sched), func(t *testing.T) {
+			var cell *Cell
+			fct, schedHash, _ := quickstartTrace(t, sched, func(c *Cell) {
+				cell = c
+				c.SetFaultHooks(hooks)
+			})
+			h := fnv.New64a()
+			for _, s := range fct {
+				fmt.Fprintf(h, "%d %d %d %t\n", s.Size, s.FCT, s.UE, s.Incast)
+			}
+			got := outcome{len(fct), h.Sum64(), schedHash, cell.ctrHARQTx.Value(), cell.ctrHARQRetx.Value()}
+			if got.harqRe == 0 {
+				t.Error("no HARQ retransmission; the decode path is not exercised")
+			}
+			if want := golden[sched]; got != want {
+				t.Errorf("trace differs from the parent commit's:\n got  %+v\n want %+v", got, want)
 			}
 		})
 	}

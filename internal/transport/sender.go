@@ -193,10 +193,13 @@ func (s *Sender) OnAck(ackSeq int64) {
 		if t0, ok := s.sentAt[s.highestAcked]; ok {
 			s.sampleRTT(now - t0)
 		}
-		for seq := range s.sentAt {
-			if seq < ackSeq {
-				delete(s.sentAt, seq)
-			}
+		// Forget the send times below ackSeq. First transmissions
+		// happen only at nextSeq, which strides by the MSS from 0, so
+		// every key is a multiple of the MSS in [highestAcked, nextSeq):
+		// walk that range instead of sweeping the whole map.
+		mss := int64(s.cfg.MSS)
+		for seq := (s.highestAcked + mss - 1) / mss * mss; seq < min(ackSeq, s.nextSeq); seq += mss {
+			delete(s.sentAt, seq)
 		}
 		s.highestAcked = ackSeq
 		s.dupAcks = 0
