@@ -9,10 +9,12 @@ import (
 	"outran/internal/sim"
 )
 
-func benchUsers(n int) []*mac.User {
+// benchUsers builds a deterministic user population reporting nsb
+// subbands each.
+func benchUsers(n, nsb int) []*mac.User {
 	users := make([]*mac.User, n)
 	for i := range users {
-		cqis := make([]phy.CQI, 13)
+		cqis := make([]phy.CQI, nsb)
 		for j := range cqis {
 			cqis[j] = phy.CQI(1 + (i*7+j*3)%15)
 		}
@@ -28,16 +30,16 @@ func benchUsers(n int) []*mac.User {
 	return users
 }
 
-// BenchmarkInterUserVsPF quantifies the cost of OutRAN's second pass
-// relative to plain PF: the paper's claim is it stays within the same
-// O(|U||B|) complexity (§4.3, Fig 14).
-func BenchmarkInterUserAllocate20x50(b *testing.B) {
+// BenchmarkInterUserAllocate* quantify the cost of OutRAN's second
+// pass relative to plain PF (mac's BenchmarkPFAllocate* at the same
+// shapes): the paper's claim is it stays within the complexity of the
+// legacy scheduler (§4.3, Fig 14).
+func benchInterUser(b *testing.B, users []*mac.User, grid phy.Grid) {
+	b.Helper()
 	s, err := NewInterUser(mac.PFMetric, "PF", 0.2)
 	if err != nil {
 		b.Fatal(err)
 	}
-	grid := phy.Grid{Numerology: phy.Mu0, NumRB: 50, CarrierHz: 2.68e9}
-	users := benchUsers(20)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -45,18 +47,17 @@ func BenchmarkInterUserAllocate20x50(b *testing.B) {
 	}
 }
 
+func BenchmarkInterUserAllocate20x50(b *testing.B) {
+	benchInterUser(b, benchUsers(20, 13), phy.Grid{Numerology: phy.Mu0, NumRB: 50, CarrierHz: 2.68e9})
+}
+
 func BenchmarkInterUserAllocate100x100(b *testing.B) {
-	s, err := NewInterUser(mac.PFMetric, "PF", 0.2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	grid := phy.Grid{Numerology: phy.Mu0, NumRB: 100, CarrierHz: 2.68e9}
-	users := benchUsers(100)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Allocate(sim.Time(i)*sim.Millisecond, users, grid)
-	}
+	benchInterUser(b, benchUsers(100, 13), phy.Grid{Numerology: phy.Mu0, NumRB: 100, CarrierHz: 2.68e9})
+}
+
+// The paper's 5G point: 40 UEs on 273 RBs in 9 uneven subbands.
+func BenchmarkInterUserAllocate40x273(b *testing.B) {
+	benchInterUser(b, benchUsers(40, 9), phy.NR100MHz(phy.Mu1))
 }
 
 func BenchmarkMLFQPriorityFor(b *testing.B) {

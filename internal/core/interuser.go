@@ -9,7 +9,7 @@ import (
 )
 
 // InterUser is OutRAN's inter-user flow scheduler (§4.3, Algorithm 1).
-// It wraps any per-RB metric and, for every RB, first finds the best
+// It wraps any metric and, for every RB, first finds the best
 // metric m_max exactly as the legacy scheduler would, then re-selects
 // among the candidate set U' = {u : m_u >= (1-ε)·m_max} the user whose
 // queued flows hold the highest MLFQ priority. Ties on priority keep
@@ -47,8 +47,10 @@ type InterUser struct {
 
 	// Per-TTI scratch reused across Allocate calls (see the
 	// mac.Scheduler ownership contract): the returned allocation, the
-	// per-user metric vector, and the top-K candidate buffer.
+	// run boundaries, the per-user metric vector, and the top-K
+	// candidate buffer.
 	scratch mac.Allocation
+	runs    mac.SubbandRuns
 	metrics []float64
 	cands   []topKCand
 }
@@ -92,21 +94,26 @@ func NewInterUser(inner mac.MetricFunc, innerName string, epsilon float64) (*Int
 // Name implements mac.Scheduler.
 func (s *InterUser) Name() string { return s.name }
 
-// Allocate implements mac.Scheduler with one extra pass per RB,
-// keeping the O(|U||B|) complexity of the legacy scheduler.
+// Allocate implements mac.Scheduler with one extra pass over the users,
+// keeping the complexity of the legacy scheduler. Nothing a decision
+// reads changes within a call and a metric sees an RB only through its
+// subband's CQI, so the selection is made once per subband run
+// (mac.SubbandRuns) and recorded once per RB of the run.
 //
 //outran:allocfree
 //outran:scratch
 func (s *InterUser) Allocate(now sim.Time, users []*mac.User, grid phy.Grid) mac.Allocation {
 	s.scratch.Reset(grid.NumRB)
 	alloc := s.scratch
-	// Metric scratch reused across RBs and TTIs.
+	// Metric scratch reused across runs and TTIs.
 	if cap(s.metrics) < len(users) {
 		//outran:allocok capacity-guarded scratch growth; reruns only when the user population grows
 		s.metrics = make([]float64, len(users))
 	}
 	metrics := s.metrics[:len(users)]
-	for b := 0; b < grid.NumRB; b++ {
+	bounds := s.runs.Of(users, grid.NumRB)
+	for i := 1; i < len(bounds); i++ {
+		lo, hi := bounds[i-1], bounds[i]
 		// First iteration: the legacy selection (lines 4-8).
 		best := -1
 		mMax := 0.0
@@ -115,7 +122,7 @@ func (s *InterUser) Allocate(now sim.Time, users []*mac.User, grid phy.Grid) mac
 			if !u.Buffer.Backlogged() {
 				continue
 			}
-			m := s.Inner(u, b, grid, now)
+			m := s.Inner(u, u.CQIForRB(lo, grid.NumRB), grid, now)
 			metrics[ui] = m
 			if m <= 0 {
 				continue
@@ -153,14 +160,23 @@ func (s *InterUser) Allocate(now sim.Time, users []*mac.User, grid phy.Grid) mac
 				}
 			}
 		}
-		alloc.RBOwner[b] = sel
-		s.decisions++
+		// The audit is per RB. The sacrifice is added RB by RB, not once
+		// times the run length: the running float sum keeps the bits it
+		// had when every RB was decided on its own.
+		sacrifice := 0.0
 		if sel != best {
-			s.overrides++
-			s.sacSum += (mMax - selMetric) / mMax
+			sacrifice = (mMax - selMetric) / mMax
 		}
-		if s.OnDecision != nil {
-			s.OnDecision(now, b, best, sel, mMax, selMetric, selPrio, candidates)
+		for b := lo; b < hi; b++ {
+			alloc.RBOwner[b] = sel
+			s.decisions++
+			if sel != best {
+				s.overrides++
+				s.sacSum += sacrifice
+			}
+			if s.OnDecision != nil {
+				s.OnDecision(now, b, best, sel, mMax, selMetric, selPrio, candidates)
+			}
 		}
 	}
 	return alloc

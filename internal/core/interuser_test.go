@@ -169,11 +169,11 @@ func TestEpsilonGuaranteeProperty(t *testing.T) {
 			}
 			max := 0.0
 			for _, u := range users {
-				if m := mac.PFMetric(u, b, g, 0); m > max {
+				if m := mac.PFMetric(u, u.CQIForRB(b, g.NumRB), g, 0); m > max {
 					max = m
 				}
 			}
-			got := mac.PFMetric(users[o], b, g, 0)
+			got := mac.PFMetric(users[o], users[o].CQIForRB(b, g.NumRB), g, 0)
 			if got < (1-eps)*max-1e-9 {
 				return false
 			}

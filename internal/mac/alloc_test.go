@@ -49,6 +49,17 @@ func TestAllocateZeroAllocs(t *testing.T) {
 		"(*SRJF).Allocate":            probeAllocate(&SRJF{}),
 		"(*PSS).Allocate":             probeAllocate(&PSS{}),
 		"(*CQA).Allocate":             probeAllocate(&CQA{}),
+		"(*SubbandRuns).Of": func(t *testing.T) {
+			users := benchUsers(8, 13)
+			users[3].SubbandCQI = users[3].SubbandCQI[:9] // mixed subband counts
+			var runs SubbandRuns
+			allocs := testing.AllocsPerRun(100, func() {
+				runs.Of(users, 100)
+			})
+			if allocs != 0 {
+				t.Errorf("%.1f allocs/call, want 0", allocs)
+			}
+		},
 	})
 }
 

@@ -7,11 +7,12 @@ import (
 	"outran/internal/sim"
 )
 
-// benchUsers builds a deterministic user population.
-func benchUsers(n int) []*User {
+// benchUsers builds a deterministic user population reporting nsb
+// subbands each.
+func benchUsers(n, nsb int) []*User {
 	users := make([]*User, n)
 	for i := range users {
-		cqis := make([]phy.CQI, 13)
+		cqis := make([]phy.CQI, nsb)
 		for j := range cqis {
 			cqis[j] = phy.CQI(1 + (i*7+j*3)%15)
 		}
@@ -27,20 +28,44 @@ func benchUsers(n int) []*User {
 	return users
 }
 
-func benchAllocate(b *testing.B, s Scheduler, users, rbs int) {
+func lteGrid(rbs int) phy.Grid {
+	return phy.Grid{Numerology: phy.Mu0, NumRB: rbs, CarrierHz: 2.68e9}
+}
+
+func benchAllocate(b *testing.B, s Scheduler, users []*User, grid phy.Grid) {
 	b.Helper()
-	grid := phy.Grid{Numerology: phy.Mu0, NumRB: rbs, CarrierHz: 2.68e9}
-	us := benchUsers(users)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Allocate(sim.Time(i)*sim.Millisecond, us, grid)
+		s.Allocate(sim.Time(i)*sim.Millisecond, users, grid)
 	}
 }
 
-func BenchmarkPFAllocate20x50(b *testing.B)   { benchAllocate(b, NewPF(), 20, 50) }
-func BenchmarkPFAllocate100x100(b *testing.B) { benchAllocate(b, NewPF(), 100, 100) }
-func BenchmarkMTAllocate20x50(b *testing.B)   { benchAllocate(b, NewMT(), 20, 50) }
-func BenchmarkSRJFAllocate20x50(b *testing.B) { benchAllocate(b, &SRJF{}, 20, 50) }
-func BenchmarkPSSAllocate20x50(b *testing.B)  { benchAllocate(b, &PSS{}, 20, 50) }
-func BenchmarkCQAAllocate20x50(b *testing.B)  { benchAllocate(b, &CQA{}, 20, 50) }
+func BenchmarkPFAllocate20x50(b *testing.B) {
+	benchAllocate(b, NewPF(), benchUsers(20, 13), lteGrid(50))
+}
+
+func BenchmarkPFAllocate100x100(b *testing.B) {
+	benchAllocate(b, NewPF(), benchUsers(100, 13), lteGrid(100))
+}
+
+// The paper's 5G point: 40 UEs on 273 RBs in 9 uneven subbands.
+func BenchmarkPFAllocate40x273(b *testing.B) {
+	benchAllocate(b, NewPF(), benchUsers(40, 9), phy.NR100MHz(phy.Mu1))
+}
+
+func BenchmarkMTAllocate20x50(b *testing.B) {
+	benchAllocate(b, NewMT(), benchUsers(20, 13), lteGrid(50))
+}
+
+func BenchmarkSRJFAllocate20x50(b *testing.B) {
+	benchAllocate(b, &SRJF{}, benchUsers(20, 13), lteGrid(50))
+}
+
+func BenchmarkPSSAllocate20x50(b *testing.B) {
+	benchAllocate(b, &PSS{}, benchUsers(20, 13), lteGrid(50))
+}
+
+func BenchmarkCQAAllocate20x50(b *testing.B) {
+	benchAllocate(b, &CQA{}, benchUsers(20, 13), lteGrid(50))
+}

@@ -42,6 +42,67 @@ func TestCQIForRBSubbandMapping(t *testing.T) {
 	if empty.CQIForRB(0, 9) != 0 {
 		t.Fatal("no CQI should map to 0")
 	}
+
+	// The run boundaries partition [0, numRB) and cut exactly where
+	// CQIForRB changes subband, for grids the subband count does not
+	// divide, more subbands than RBs, and degenerate reports. Each
+	// subband reports its own index + 1, so CQIForRB reads back the
+	// mapping.
+	withSubbands := func(nsb int) *User {
+		u := &User{SubbandCQI: make([]phy.CQI, nsb)}
+		for sb := range u.SubbandCQI {
+			u.SubbandCQI[sb] = phy.CQI(sb + 1)
+		}
+		return u
+	}
+	var runs SubbandRuns
+	for _, c := range []struct {
+		numRB int
+		nsbs  []int
+	}{
+		{9, []int{3}}, {273, []int{9}}, {100, []int{13}}, {25, []int{13}},
+		{6, []int{13}}, {25, []int{25}}, {25, []int{0}}, {25, []int{1}},
+		{273, []int{9, 13}}, {100, []int{13, 0, 9, 13, 1}}, {25, []int{13, 40}},
+		{50, nil},
+	} {
+		users := make([]*User, len(c.nsbs))
+		for i, nsb := range c.nsbs {
+			users[i] = withSubbands(nsb)
+		}
+		bounds := runs.Of(users, c.numRB)
+		if bounds[0] != 0 || bounds[len(bounds)-1] != c.numRB {
+			t.Fatalf("%d RBs, subbands %v: bounds %v do not span the grid", c.numRB, c.nsbs, bounds)
+		}
+		for i := 1; i < len(bounds); i++ {
+			lo, hi := bounds[i-1], bounds[i]
+			if lo >= hi {
+				t.Fatalf("%d RBs, subbands %v: bounds %v not ascending", c.numRB, c.nsbs, bounds)
+			}
+			cut := lo == 0
+			for _, u := range users {
+				for b := lo; b < hi; b++ {
+					if got, want := u.CQIForRB(b, c.numRB), u.CQIForRB(lo, c.numRB); got != want {
+						t.Fatalf("%d RBs, %d subbands: CQI %d at RB %d inside run [%d,%d) of CQI %d",
+							c.numRB, len(u.SubbandCQI), got, b, lo, hi, want)
+					}
+					if want := SubbandOfRB(b, len(u.SubbandCQI), c.numRB); int(u.CQIForRB(b, c.numRB)) != want+1 {
+						t.Fatalf("%d RBs, %d subbands: CQIForRB(%d) disagrees with SubbandOfRB = %d",
+							c.numRB, len(u.SubbandCQI), b, want)
+					}
+				}
+				if lo > 0 && u.CQIForRB(lo, c.numRB) != u.CQIForRB(lo-1, c.numRB) {
+					cut = true
+				}
+			}
+			if !cut {
+				t.Fatalf("%d RBs, subbands %v: no user changes subband at boundary %d, run not maximal",
+					c.numRB, c.nsbs, lo)
+			}
+		}
+	}
+	if got := runs.Of([]*User{withSubbands(3)}, 0); len(got) != 0 {
+		t.Fatalf("empty grid has runs %v", got)
+	}
 }
 
 func TestMTSelectsBestChannel(t *testing.T) {

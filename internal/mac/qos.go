@@ -20,6 +20,7 @@ type PSS struct {
 	// scratch is the reusable allocation returned by Allocate; see the
 	// Scheduler ownership contract.
 	scratch Allocation
+	runs    SubbandRuns
 }
 
 // Name implements Scheduler.
@@ -32,14 +33,16 @@ func (*PSS) Name() string { return "PSS" }
 func (s *PSS) Allocate(now sim.Time, users []*User, grid phy.Grid) Allocation {
 	s.scratch.Reset(grid.NumRB)
 	alloc := s.scratch
-	for b := 0; b < grid.NumRB; b++ {
+	bounds := s.runs.Of(users, grid.NumRB)
+	for i := 1; i < len(bounds); i++ {
+		lo, hi := bounds[i-1], bounds[i]
 		best, bestM := -1, 0.0
 		bestQoS := false
 		for ui, u := range users {
 			if !u.Buffer.Backlogged() {
 				continue
 			}
-			m := PFMetric(u, b, grid, now)
+			m := PFMetric(u, u.CQIForRB(lo, grid.NumRB), grid, now)
 			if m <= 0 {
 				continue
 			}
@@ -53,13 +56,15 @@ func (s *PSS) Allocate(now sim.Time, users []*User, grid phy.Grid) Allocation {
 				best, bestM = ui, m
 			}
 		}
-		alloc.RBOwner[b] = best
+		for b := lo; b < hi; b++ {
+			alloc.RBOwner[b] = best
+		}
 	}
 	return alloc
 }
 
 // CQA approximates the Channel and QoS Aware scheduler (Bojovic &
-// Baldo 2014): the per-RB metric is the PF metric weighted by the
+// Baldo 2014): the metric is the PF metric weighted by the
 // head-of-line delay of the user's QoS traffic relative to its delay
 // budget, so QoS packets approaching their budget pre-empt everyone
 // else, channel permitting.
@@ -99,8 +104,8 @@ func cqaWeight(u *User, now sim.Time) float64 {
 func (c *CQA) Allocate(now sim.Time, users []*User, grid phy.Grid) Allocation {
 	if c.ms.Metric == nil {
 		//outran:allocok one-time lazy construction of the wrapped scheduler; never reruns in steady state
-		c.ms = MetricScheduler{SchedName: "CQA", Metric: func(u *User, rb int, grid phy.Grid, t sim.Time) float64 {
-			return PFMetric(u, rb, grid, t) * cqaWeight(u, t)
+		c.ms = MetricScheduler{SchedName: "CQA", Metric: func(u *User, cqi phy.CQI, grid phy.Grid, t sim.Time) float64 {
+			return PFMetric(u, cqi, grid, t) * cqaWeight(u, t)
 		}}
 	}
 	return c.ms.Allocate(now, users, grid)

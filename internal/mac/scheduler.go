@@ -80,13 +80,17 @@ type Scheduler interface {
 	Allocate(now sim.Time, users []*User, grid phy.Grid) Allocation
 }
 
-// MetricFunc is a per-RB scheduling metric m_{u,b}(t) (eq. 1). Higher
-// wins the RB.
-type MetricFunc func(u *User, rb int, grid phy.Grid, now sim.Time) float64
+// MetricFunc is the scheduling metric m_{u,b}(t) (eq. 1) of user u on
+// any RB whose subband u reported at cqi. Higher wins the RB. It takes
+// the CQI and not the RB index: an RB reaches a metric only through its
+// subband's CQI, so a metric cannot vary inside a subband run and the
+// schedulers evaluate it once per run (see SubbandRuns).
+type MetricFunc func(u *User, cqi phy.CQI, grid phy.Grid, now sim.Time) float64
 
-// MetricScheduler is the standard sub-optimal per-RB allocator of
-// §4.1: for each RB it assigns the RB to the backlogged user with the
-// best metric, independently of other RBs — O(|U||B|).
+// MetricScheduler is the standard sub-optimal allocator of §4.1: every
+// RB goes to the backlogged user with the best metric on it,
+// independently of other RBs. The decision is made once per subband
+// run, O(|U|·runs), and written to each RB of the run.
 type MetricScheduler struct {
 	SchedName string
 	Metric    MetricFunc
@@ -94,12 +98,13 @@ type MetricScheduler struct {
 	// scratch is the reusable allocation returned by Allocate; see the
 	// Scheduler ownership contract.
 	scratch Allocation
+	runs    SubbandRuns
 }
 
 // Name implements Scheduler.
 func (s *MetricScheduler) Name() string { return s.SchedName }
 
-// Allocate implements Scheduler. An RB whose metrics are all <= 0 but
+// Allocate implements Scheduler. A run whose metrics are all <= 0 but
 // that has backlogged users falls back to the best backlogged user
 // (ties to the lowest index) instead of idling: a deep fade must
 // degrade a user's rate, not strand queued data on free capacity.
@@ -108,7 +113,9 @@ func (s *MetricScheduler) Name() string { return s.SchedName }
 //outran:scratch
 func (s *MetricScheduler) Allocate(now sim.Time, users []*User, grid phy.Grid) Allocation {
 	s.scratch.Reset(grid.NumRB)
-	for b := 0; b < grid.NumRB; b++ {
+	bounds := s.runs.Of(users, grid.NumRB)
+	for i := 1; i < len(bounds); i++ {
+		lo, hi := bounds[i-1], bounds[i]
 		best := -1
 		bestM := 0.0
 		fallback := -1
@@ -117,7 +124,7 @@ func (s *MetricScheduler) Allocate(now sim.Time, users []*User, grid phy.Grid) A
 			if !u.Buffer.Backlogged() {
 				continue
 			}
-			m := s.Metric(u, b, grid, now)
+			m := s.Metric(u, u.CQIForRB(lo, grid.NumRB), grid, now)
 			if fallback == -1 || m > fallbackM {
 				fallback, fallbackM = ui, m
 			}
@@ -131,19 +138,21 @@ func (s *MetricScheduler) Allocate(now sim.Time, users []*User, grid phy.Grid) A
 		if best == -1 {
 			best = fallback
 		}
-		s.scratch.RBOwner[b] = best
+		for b := lo; b < hi; b++ {
+			s.scratch.RBOwner[b] = best
+		}
 	}
 	return s.scratch
 }
 
-// PFMetric is the Proportional Fair per-RB metric r_{u,b}/R̃_u.
-func PFMetric(u *User, rb int, grid phy.Grid, now sim.Time) float64 {
-	return u.RateForRB(rb, grid) / pfDenominator(u)
+// PFMetric is the Proportional Fair metric r_{u,b}/R̃_u.
+func PFMetric(u *User, cqi phy.CQI, grid phy.Grid, now sim.Time) float64 {
+	return phy.RatePerRB(cqi, grid) / pfDenominator(u)
 }
 
 // MTMetric is the Maximum Throughput metric r_{u,b}.
-func MTMetric(u *User, rb int, grid phy.Grid, now sim.Time) float64 {
-	return u.RateForRB(rb, grid)
+func MTMetric(u *User, cqi phy.CQI, grid phy.Grid, now sim.Time) float64 {
+	return phy.RatePerRB(cqi, grid)
 }
 
 // NewPF returns the de-facto standard Proportional Fair scheduler.
@@ -161,8 +170,8 @@ func NewMT() *MetricScheduler {
 func NewRR() *MetricScheduler {
 	return &MetricScheduler{
 		SchedName: "RR",
-		Metric: func(u *User, rb int, grid phy.Grid, now sim.Time) float64 {
-			if u.CQIForRB(rb, grid.NumRB) == 0 {
+		Metric: func(u *User, cqi phy.CQI, grid phy.Grid, now sim.Time) float64 {
+			if cqi == 0 {
 				return 0
 			}
 			// Older LastServed -> larger metric.

@@ -1,9 +1,10 @@
 // Package mac implements the downlink MAC scheduler of an xNodeB: the
-// per-RB metric allocation framework of §4.1 (eq. 1 / Algorithm 1) and
-// the concrete schedulers the paper evaluates — Proportional Fair,
-// Maximum Throughput, Round Robin, the SRJF oracle, and the QoS-aware
-// PSS and CQA baselines. The OutRAN inter-user scheduler in
-// internal/core wraps any per-RB metric scheduler from this package.
+// metric allocation framework of §4.1 (eq. 1 / Algorithm 1), which
+// decides once per subband run and assigns per RB, and the concrete
+// schedulers the paper evaluates — Proportional Fair, Maximum
+// Throughput, Round Robin, the SRJF oracle, and the QoS-aware PSS and
+// CQA baselines. The OutRAN inter-user scheduler in internal/core wraps
+// any metric from this package.
 package mac
 
 import (
@@ -73,21 +74,13 @@ type User struct {
 	LastServed sim.Time
 }
 
-// CQIForRB maps an RB index to the CQI of the subband containing it.
+// CQIForRB maps an RB index to the CQI of the subband containing it
+// (SubbandOfRB), 0 for a user that has reported none.
 func (u *User) CQIForRB(rb, numRB int) phy.CQI {
 	if len(u.SubbandCQI) == 0 {
 		return 0
 	}
-	sb := rb * len(u.SubbandCQI) / numRB
-	if sb >= len(u.SubbandCQI) {
-		sb = len(u.SubbandCQI) - 1
-	}
-	return u.SubbandCQI[sb]
-}
-
-// RateForRB returns the achievable rate r_{u,b} in bits/s.
-func (u *User) RateForRB(rb int, grid phy.Grid) float64 {
-	return phy.RatePerRB(u.CQIForRB(rb, grid.NumRB), grid)
+	return u.SubbandCQI[SubbandOfRB(rb, len(u.SubbandCQI), numRB)]
 }
 
 // UpdateAvgTput folds one TTI's served bits into the PF average with

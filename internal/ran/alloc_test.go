@@ -84,12 +84,12 @@ func TestCellZeroAllocs(t *testing.T) {
 			for b := range alloc.RBOwner {
 				alloc.RBOwner[b] = 0
 			}
-			bits, nRB, _, _ := cell.rbStats(0, alloc)
-			if bits == 0 || nRB != cell.grid.NumRB {
-				t.Fatalf("rbStats(0) = %d bits over %d RBs; want full-grid grant", bits, nRB)
+			cell.rbStats(alloc)
+			if g := cell.grants[0]; g.bits == 0 || g.numRB != cell.grid.NumRB || len(g.sbs) != len(cell.macUsers[0].SubbandCQI) {
+				t.Fatalf("rbStats: UE 0 got %d bits over %d RBs in subbands %v; want the full grid", g.bits, g.numRB, g.sbs)
 			}
 			allocs := testing.AllocsPerRun(100, func() {
-				cell.rbStats(0, alloc)
+				cell.rbStats(alloc)
 			})
 			if allocs != 0 {
 				t.Errorf("rbStats: %.1f allocs/call, want 0", allocs)

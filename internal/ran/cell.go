@@ -164,10 +164,12 @@ type Cell struct {
 	blockTTIs   int
 	blockTputs  []float64
 
-	// sbScratch backs the per-UE allocated-subband list inside onTTI.
-	// It is reused across UEs and TTIs; serveUE copies it into a harqTB
-	// at TB creation, the only point the list outlives the TTI.
-	sbScratch []int
+	// grants holds every UE's share of the current TTI's allocation,
+	// refilled by rbStats. The subband lists are reused across TTIs;
+	// serveUE copies one into a harqTB at TB creation, the only point
+	// a list outlives the TTI. runs is rbStats' subband-run scratch.
+	grants []ueGrant
+	runs   mac.SubbandRuns
 	// sinrScratch receives one UE's per-subband SINRs inside
 	// reportCQIAt; sized once in NewCell to the widest UE channel.
 	sinrScratch []float64
@@ -261,6 +263,10 @@ func NewCell(cfg Config) (*Cell, error) {
 		if n := ue.ch.NumSubbands(); n > len(c.sinrScratch) {
 			c.sinrScratch = make([]float64, n)
 		}
+	}
+	c.grants = make([]ueGrant, cfg.NumUEs)
+	for i, u := range c.macUsers {
+		c.grants[i].sbs = make([]int, 0, len(u.SubbandCQI))
 	}
 	c.blockBits = make([]int64, cfg.NumUEs)
 	c.blockActive = make([]bool, cfg.NumUEs)
@@ -430,18 +436,19 @@ func (c *Cell) onTTI() {
 	tRlc := c.prof.Begin()
 	totalBits := 0
 	totalUsedRBs := 0
+	c.rbStats(alloc)
 	for i, ue := range c.ues {
-		bits, nAllocRB, sinrReqSum, sbs := c.rbStats(i, alloc)
+		g := &c.grants[i]
 		var used int
-		if bits > 0 {
-			reqSINR := sinrReqSum / float64(nAllocRB)
-			used = c.serveUE(ue, bits, reqSINR, sbs)
+		if g.bits > 0 {
+			reqSINR := g.sinrReqSum / float64(g.numRB)
+			used = c.serveUE(ue, g.bits, reqSINR, g.sbs)
 			if used > 0 {
 				c.macUsers[i].LastServed = now
 				// Count the RBs that actually carried data (partially
 				// filled grants count their filled share).
-				frac := float64(used) / float64(bits)
-				totalUsedRBs += int(frac*float64(nAllocRB) + 0.999)
+				frac := float64(used) / float64(g.bits)
+				totalUsedRBs += int(frac*float64(g.numRB) + 0.999)
 			}
 		}
 		c.macUsers[i].UpdateAvgTput(used, tti, c.cfg.FairnessWindow)
@@ -481,35 +488,55 @@ func (c *Cell) onTTI() {
 	c.prof.OnTTI()
 }
 
-// rbStats aggregates UE i's share of one TTI's allocation: the bits
-// its grant carries, the RB count, the summed SINR decode floor, and
-// the distinct allocated subbands. sbs aliases c.sbScratch and is
-// valid only until the next rbStats call — serveUE copies it when a
-// transport block must outlive the TTI.
+// ueGrant is one UE's share of one TTI's allocation: the bits its
+// grant carries, the RB count, the summed SINR decode floor, and the
+// distinct allocated subbands in ascending order.
+type ueGrant struct {
+	bits, numRB int
+	sinrReqSum  float64
+	sbs         []int
+}
+
+// rbStats folds one TTI's allocation into c.grants in a single pass
+// over the RBs. RBs are visited in ascending order, so each UE's
+// sinrReqSum adds its terms in the order a per-UE scan would, and
+// keeps its bits. Within a subband run an owner's subband and CQI are
+// fixed; they are looked up when the owner changes, not per RB.
 //
 //outran:allocfree
-//outran:scratch
-func (c *Cell) rbStats(i int, alloc mac.Allocation) (bits, nAllocRB int, sinrReqSum float64, sbs []int) {
-	sbs = c.sbScratch[:0]
-	nsb := len(c.macUsers[i].SubbandCQI)
-	for b, owner := range alloc.RBOwner {
-		if owner != i {
-			continue
-		}
-		cqi := c.macUsers[i].CQIForRB(b, c.grid.NumRB)
-		bits += phy.RBBits(cqi)
-		sinrReqSum += cqi.SINRFloorDB()
-		nAllocRB++
-		if nsb > 0 {
-			sb := b * nsb / c.grid.NumRB
-			if len(sbs) == 0 || sbs[len(sbs)-1] != sb {
-				//outran:allocok amortized scratch growth, bounded by the subband count; steady state reuses capacity
-				sbs = append(sbs, sb)
+func (c *Cell) rbStats(alloc mac.Allocation) {
+	for i := range c.grants {
+		g := &c.grants[i]
+		g.bits, g.numRB, g.sinrReqSum, g.sbs = 0, 0, 0, g.sbs[:0]
+	}
+	numRB := len(alloc.RBOwner)
+	bounds := c.runs.Of(c.macUsers, numRB)
+	for i := 1; i < len(bounds); i++ {
+		lo, hi := bounds[i-1], bounds[i]
+		owner := -1
+		var g *ueGrant
+		var cqi phy.CQI
+		for b := lo; b < hi; b++ {
+			o := alloc.RBOwner[b]
+			if o < 0 {
+				continue
 			}
+			if o != owner {
+				owner, g, cqi = o, &c.grants[o], 0
+				u := c.macUsers[o]
+				if sb := mac.SubbandOfRB(lo, len(u.SubbandCQI), numRB); sb >= 0 {
+					cqi = u.SubbandCQI[sb]
+					if n := len(g.sbs); n == 0 || g.sbs[n-1] != sb {
+						//outran:allocok bounded by the capacity NewCell gave the list: one entry per subband of the UE
+						g.sbs = append(g.sbs, sb)
+					}
+				}
+			}
+			g.bits += phy.RBBits(cqi)
+			g.sinrReqSum += cqi.SINRFloorDB()
+			g.numRB++
 		}
 	}
-	c.sbScratch = sbs[:0]
-	return
 }
 
 // harqForceAfter is the number of TTIs a ready retransmission may be

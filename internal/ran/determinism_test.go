@@ -3,9 +3,11 @@ package ran
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"runtime"
 	"testing"
 
+	"outran/internal/core"
 	"outran/internal/mac"
 	"outran/internal/metrics"
 	"outran/internal/phy"
@@ -56,6 +58,14 @@ func quickstartTrace(t *testing.T, sched SchedulerKind, setup func(*Cell)) ([]me
 	cfg.Grid.NumRB = 25
 	cfg.Scheduler = sched
 	cfg.Seed = 42
+	return hashedTrace(t, cfg, workload.LTECellular(), 0.7, 1500*sim.Millisecond, setup)
+}
+
+// hashedTrace runs cfg under Poisson traffic of the given size
+// distribution and load for dur plus a drain, with the scheduler wrapped
+// in a hashingScheduler.
+func hashedTrace(t *testing.T, cfg Config, dist *rng.EmpiricalCDF, load float64, dur sim.Time, setup func(*Cell)) ([]metrics.FCTSample, uint64, Stats) {
+	t.Helper()
 	cell, err := NewCell(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -66,11 +76,10 @@ func quickstartTrace(t *testing.T, sched SchedulerKind, setup func(*Cell)) ([]me
 	hs := &hashingScheduler{inner: cell.sched}
 	cell.sched = hs
 
-	const dur = 1500 * sim.Millisecond
 	src, err := workload.Poisson(workload.PoissonConfig{
-		Dist:            workload.LTECellular(),
+		Dist:            dist,
 		NumUEs:          cfg.NumUEs,
-		Load:            0.7,
+		Load:            load,
 		CellCapacityBps: cell.EffectiveCapacityBps(),
 		Duration:        dur,
 	}, rng.New(7))
@@ -164,6 +173,77 @@ func TestParentEquivalentFaultedTrace(t *testing.T) {
 				fmt.Fprintf(h, "%d %d %d %t\n", s.Size, s.FCT, s.UE, s.Incast)
 			}
 			got := outcome{len(fct), h.Sum64(), schedHash, cell.ctrHARQTx.Value(), cell.ctrHARQRetx.Value()}
+			if got.harqRe == 0 {
+				t.Error("no HARQ retransmission; the decode path is not exercised")
+			}
+			if want := golden[sched]; got != want {
+				t.Errorf("trace differs from the parent commit's:\n got  %+v\n want %+v", got, want)
+			}
+		})
+	}
+}
+
+// TestParentEquivalentNRTrace is the same gate at the paper's 5G point,
+// recorded on the commit before the MAC walked subband runs instead of
+// RBs and the cell folded its per-UE grant stats in one pass: 273 RBs
+// over 9 subbands do not divide evenly, so the runs are 30 or 31 RBs
+// long and any off-by-one at a run boundary moves the per-TTI hash. For
+// OutRAN the decision audit is pinned too, the sacrifice sum by its bit
+// pattern, since it must still be accumulated one RB at a time.
+func TestParentEquivalentNRTrace(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("goldens recorded on amd64; other targets may fuse multiply-adds in math-heavy code")
+	}
+	hooks := FaultHooks{
+		SINROffsetDB: func(ue int, now sim.Time) float64 {
+			w := int(now / (50 * sim.Millisecond))
+			if w%2 == 1 && w%40 == ue {
+				return -12
+			}
+			return 0
+		},
+		DropCQIReport: func(ue int, now sim.Time) bool {
+			return (int(now/(5*sim.Millisecond))+ue)%7 == 0
+		},
+	}
+	type outcome struct {
+		flows                int
+		fct, sched           uint64
+		harqTx, harqRe       uint64
+		decisions, overrides uint64
+		sacBits              uint64
+	}
+	golden := map[SchedulerKind]outcome{
+		SchedPF:     {240, 0x528ef58d6fad4422, 0xccb29d01ce628ea6, 4600, 1185, 0, 0, 0},
+		SchedOutRAN: {240, 0x33343660af83bf89, 0xbdf58cc5251423ee, 4248, 1107, 1023062, 64199, 0x40bb73f24eaff64a},
+	}
+	for _, sched := range []SchedulerKind{SchedPF, SchedOutRAN} {
+		sched := sched
+		t.Run(string(sched), func(t *testing.T) {
+			cfg := Default5GConfig(phy.Mu1)
+			cfg.Scheduler = sched
+			cfg.Seed = 42
+			var cell *Cell
+			var iu *core.InterUser
+			fct, schedHash, _ := hashedTrace(t, cfg, workload.Mirage(), 0.8, 400*sim.Millisecond, func(c *Cell) {
+				cell = c
+				iu, _ = c.sched.(*core.InterUser)
+				c.SetFaultHooks(hooks)
+			})
+			h := fnv.New64a()
+			for _, s := range fct {
+				fmt.Fprintf(h, "%d %d %d %t\n", s.Size, s.FCT, s.UE, s.Incast)
+			}
+			got := outcome{flows: len(fct), fct: h.Sum64(), sched: schedHash,
+				harqTx: cell.ctrHARQTx.Value(), harqRe: cell.ctrHARQRetx.Value()}
+			if iu != nil {
+				var sac float64
+				got.decisions, got.overrides, sac = iu.Audit()
+				got.sacBits = math.Float64bits(sac)
+				if got.overrides == 0 {
+					t.Error("no override; the relaxed re-selection is not exercised")
+				}
+			}
 			if got.harqRe == 0 {
 				t.Error("no HARQ retransmission; the decode path is not exercised")
 			}

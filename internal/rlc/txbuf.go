@@ -280,6 +280,11 @@ func (b *txBuf) status(now sim.Time) mac.BufferStatus {
 		st.QoSHOLArrival = hol.Arrival
 		st.QoSDelayBudget = hol.DelayBudget
 	}
+	if b.bytes == 0 {
+		// bytes is the sum of every flow's queuedBytes, so no entry that
+		// lingers in flows has queued data and the fold below stays -1.
+		return st
+	}
 	//outran:orderfree min fold over per-flow remaining; commutative, order cannot matter
 	for _, fa := range b.flows {
 		if fa.queuedBytes <= 0 || fa.flowSize < 0 {

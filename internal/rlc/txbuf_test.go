@@ -213,6 +213,44 @@ func TestOracleMinRemaining(t *testing.T) {
 	}
 }
 
+// TestOracleMinRemainingEmptiedBuffer covers the idle-UE shortcut in
+// status: a drained buffer whose unfinished flows linger in the flows
+// map reports -1 without folding them, and once refilled it reports the
+// minimum the fold always gave, the lingering dequeued totals included.
+func TestOracleMinRemainingEmptiedBuffer(t *testing.T) {
+	b := newTxBuf(TxBufConfig{Queues: 1, LimitSDUs: 20})
+	s1 := mkSDU(1000, 0, 1)
+	s1.FlowSize = 50000
+	s2 := mkSDU(1000, 0, 2)
+	s2.FlowSize = 8000
+	b.enqueue(s1)
+	b.enqueue(s2)
+	for !b.empty() {
+		if b.buildPDU(1500, 0, nil) == nil {
+			t.Fatal("buffer did not drain")
+		}
+	}
+	if len(b.flows) != 2 {
+		t.Fatalf("%d flow entries linger, want both unfinished flows", len(b.flows))
+	}
+	if st := b.status(0); st.TotalBytes != 0 || st.OracleMinRemaining != -1 {
+		t.Fatalf("emptied buffer reports %d bytes, oracle remaining %d; want 0 and -1",
+			st.TotalBytes, st.OracleMinRemaining)
+	}
+	s3 := mkSDU(1000, 0, 1)
+	s3.FlowSize = 50000
+	b.enqueue(s3)
+	if st := b.status(0); st.OracleMinRemaining != 49000 {
+		t.Fatalf("refilled with flow 1: oracle remaining %d, want 49000", st.OracleMinRemaining)
+	}
+	s4 := mkSDU(1000, 0, 2)
+	s4.FlowSize = 8000
+	b.enqueue(s4)
+	if st := b.status(0); st.OracleMinRemaining != 7000 {
+		t.Fatalf("refilled with flow 2: oracle remaining %d, want 7000", st.OracleMinRemaining)
+	}
+}
+
 func TestQoSTracking(t *testing.T) {
 	b := newTxBuf(TxBufConfig{Queues: 1, LimitSDUs: 20})
 	q := mkSDU(500, 0, 1)
