@@ -291,10 +291,9 @@ func runSingleCheckpointed(cfg ran.Config, load float64, dur sim.Time, ckcfg dep
 		from = at
 	} else {
 		h := ran.Harness{
-			Config:    cfg,
-			Window:    dur,
-			Drain:     drain,
-			Snapshots: true,
+			Config: cfg,
+			Window: dur,
+			Drain:  drain,
 		}
 		var off func() int64
 		if tracePath != "" {

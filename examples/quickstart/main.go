@@ -38,8 +38,8 @@ func run(sched ran.SchedulerKind) (*ran.Cell, error) {
 		return nil, err
 	}
 	cell.ScheduleSource(flows, 0, dur)
-	cell.Eng.At(dur, cell.Tracker.Freeze) // measure SE/fairness over the loaded window
-	cell.Run(dur + 12*sim.Second)         // drain
+	cell.ScheduleTrackerFreeze(dur) // measure SE/fairness over the loaded window
+	cell.Run(dur + 12*sim.Second)   // drain
 	return cell, nil
 }
 

@@ -13,9 +13,9 @@ import (
 //   - make and new (direct heap requests)
 //   - append (may grow its backing array)
 //   - function literals that capture variables (closure allocation)
-//   - interface boxing: a concrete value passed where an interface is
-//     expected (including panic's argument) or converted to an
-//     interface type
+//   - interface boxing: a concrete value that is not pointer-shaped
+//     passed where an interface is expected (including panic's
+//     argument) or converted to an interface type
 //
 // Amortized patterns — capacity-guarded scratch growth, cold error and
 // panic paths — are justified per site with `//outran:allocok` and a
@@ -127,13 +127,18 @@ func checkAllocCall(p *Pass, fi *funcInfo, call *ast.CallExpr, report func(ast.N
 
 // boxes reports whether passing arg where an interface is expected
 // performs an interface conversion that may allocate: the argument's
-// static type is concrete (and not untyped nil).
+// static type is concrete (and not untyped nil) and not pointer-shaped.
+// A pointer, func, map or channel is stored in the interface's data
+// word as it is, so converting one copies nothing to the heap.
 func boxes(pkg *Package, arg ast.Expr) bool {
 	at := pkg.Info.TypeOf(arg)
 	if at == nil || types.IsInterface(at) {
 		return false
 	}
-	if b, ok := at.Underlying().(*types.Basic); ok && b.Kind() == types.UntypedNil {
+	switch u := at.Underlying().(type) {
+	case *types.Basic:
+		return u.Kind() != types.UntypedNil && u.Kind() != types.UnsafePointer
+	case *types.Pointer, *types.Signature, *types.Map, *types.Chan:
 		return false
 	}
 	return true

@@ -19,6 +19,12 @@ func hot(n int, xs []int) int {
 	fn := func() int { return n } // want:allocfree
 	sink(n)                       // want:allocfree
 	_ = any(n)                    // want:allocfree
+	// Pointers and funcs are stored in the interface word as they are;
+	// a struct holding the same pointer twice is copied to the heap.
+	sink(p)
+	sink(fn)
+	_ = any(p)
+	sink(struct{ a, b *int }{p, p}) // want:allocfree
 	if n < 0 {
 		panic(n) // want:allocfree
 	}

@@ -43,8 +43,6 @@ func (cc CheckpointConfig) WithDefaults() CheckpointConfig {
 	return cc
 }
 
-func (cc CheckpointConfig) withDefaults() CheckpointConfig { return cc.WithDefaults() }
-
 // Times returns the checkpoint instants in (0, total), ascending.
 func (cc CheckpointConfig) Times(total sim.Time) []sim.Time {
 	var out []sim.Time
@@ -53,8 +51,6 @@ func (cc CheckpointConfig) Times(total sim.Time) []sim.Time {
 	}
 	return out
 }
-
-func (cc CheckpointConfig) times(total sim.Time) []sim.Time { return cc.Times(total) }
 
 // The checkpoint archive carries the cell's own sections (see
 // ran.Cell.SnapshotTo) plus one deployment section: the cell's trace

@@ -271,7 +271,7 @@ func prepare(cfg Config) (*runState, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	cfg.Checkpoint = cfg.Checkpoint.withDefaults()
+	cfg.Checkpoint = cfg.Checkpoint.WithDefaults()
 	total := cfg.Warmup + cfg.Window + cfg.Tail + cfg.Drain
 	if total <= 0 {
 		return nil, fmt.Errorf("deploy: zero run horizon (set Window and Drain)")
@@ -351,7 +351,7 @@ func prepare(cfg Config) (*runState, error) {
 		res:    &Result{},
 	}
 	if ckOn {
-		for _, t := range cfg.Checkpoint.times(total) {
+		for _, t := range cfg.Checkpoint.Times(total) {
 			rs.ckAt[t] = true
 		}
 	}
@@ -387,12 +387,11 @@ func (rs *runState) cellConfig(i int) ran.Config {
 func (rs *runState) build() error {
 	err := ForEach(rs.n, rs.cfg.Workers, func(i int) error {
 		h := ran.Harness{
-			Config:    rs.cellConfig(i),
-			Warmup:    rs.cfg.Warmup,
-			Window:    rs.cfg.Window,
-			Tail:      rs.cfg.Tail,
-			Drain:     rs.cfg.Drain,
-			Snapshots: rs.cfg.Checkpoint.Enabled(),
+			Config: rs.cellConfig(i),
+			Warmup: rs.cfg.Warmup,
+			Window: rs.cfg.Window,
+			Tail:   rs.cfg.Tail,
+			Drain:  rs.cfg.Drain,
 		}
 		if rs.cfg.TracerFor != nil {
 			h.Tracer = rs.cfg.TracerFor(i)

@@ -46,8 +46,8 @@ func AuditExperiment(opt Options) ([]Table, error) {
 		return nil, err
 	}
 	cell.ScheduleSource(src, 0, arrivalSpan)
-	cell.Eng.At(warmup, cell.Tracker.Reset)
-	cell.Eng.At(warmup+opt.Duration, cell.Tracker.Freeze)
+	cell.ScheduleTrackerReset(warmup)
+	cell.ScheduleTrackerFreeze(warmup + opt.Duration)
 	cell.Run(arrivalSpan + opt.Drain)
 	if err := cell.Tracer().Close(); err != nil {
 		return nil, err

@@ -37,7 +37,6 @@ func WarmStart(opt Options) ([]Table, error) {
 		Tail:         pressureTail,
 		Drain:        opt.Drain,
 		WorkloadSeed: opt.Seed + 7919,
-		Snapshots:    true,
 	}
 	base, err := h.Build()
 	if err != nil {

@@ -35,9 +35,8 @@ type Injector struct {
 	// RLFThreshold overrides DefaultRLFThreshold when > 0.
 	RLFThreshold int
 
-	// plan is the schedule the pending apply/revert events index into;
-	// the external-rebuild hook re-derives each pending closure from it
-	// on snapshot restore.
+	// plan is the schedule the pending apply/revert events index into
+	// by key, in this run or in one restored from a checkpoint.
 	plan Plan
 
 	fadeDB    []float64 // per-UE sum of active fade magnitudes (dB)
@@ -75,8 +74,8 @@ func (in *Injector) Stats() InjectorStats { return in.stats }
 
 // External-event key space: plan transitions are keyed by
 // (plan index << 1 | phase) and deferred RLF re-establishments by
-// (rlfKeyBit | ue). The keys are what a restored run hands back to
-// rebuildExternal to reconstruct the pending closures.
+// (rlfKeyBit | ue). The cell hands the key back through FireExternal
+// when the event fires, also after a checkpoint restore.
 const (
 	phaseApply  = 0
 	phaseRevert = 1
@@ -84,52 +83,51 @@ const (
 )
 
 // Schedule installs the plan's apply/revert transitions on the cell's
-// engine and registers the injector as the cell's external-event
-// rebuilder. Call before the first Run. WorkerCrash events are
-// deployment-level directives and are not scheduled on the engine.
+// engine, with the injector as the cell's external-event handler. Call
+// before the first Run. WorkerCrash events are deployment-level
+// directives and are not scheduled on the engine.
 func (in *Injector) Schedule(plan Plan) {
 	in.PrepareResume(plan)
 	for i, ev := range plan {
 		if ev.Kind == WorkerCrash {
 			continue
 		}
-		ev := ev
-		in.cell.ScheduleExternal(ev.Start, uint64(i)<<1|phaseApply, func() { in.apply(ev) })
+		in.cell.ScheduleExternal(ev.Start, uint64(i)<<1|phaseApply)
 		if ev.Kind != ForceRLF {
-			in.cell.ScheduleExternal(ev.End(), uint64(i)<<1|phaseRevert, func() { in.revert(ev) })
+			in.cell.ScheduleExternal(ev.End(), uint64(i)<<1|phaseRevert)
 		}
 	}
 }
 
-// PrepareResume installs the plan and the external-rebuild hook
-// WITHOUT scheduling anything — the restore path, where the pending
-// transitions come back from the snapshot's registry and only their
-// closures must be re-derived. The plan must be the original run's
-// (re-derive it from the same seed).
+// PrepareResume installs the plan and attaches the injector as the
+// cell's external-event handler WITHOUT scheduling anything — the
+// restore path, where the pending transitions come back from the
+// snapshot. The plan must be the original run's (re-derive it from the
+// same seed).
 func (in *Injector) PrepareResume(plan Plan) {
 	in.plan = plan
-	in.cell.SetExternalRebuild(in.rebuildExternal)
+	in.cell.SetExternalHandler(in)
 }
 
-// rebuildExternal maps a pending external-event key back to its
-// closure; nil for keys outside the injector's space.
-func (in *Injector) rebuildExternal(key uint64) func() {
+// HasExternal reports whether key is inside the injector's key space.
+func (in *Injector) HasExternal(key uint64) bool {
 	if key&rlfKeyBit != 0 {
-		ue := int(key &^ rlfKeyBit)
-		if ue < 0 || ue >= len(in.rlfPending) {
-			return nil
-		}
-		return func() { in.reestablish(ue) }
+		return key&^rlfKeyBit < uint64(len(in.rlfPending))
 	}
-	i := int(key >> 1)
-	if i < 0 || i >= len(in.plan) {
-		return nil
+	return key>>1 < uint64(len(in.plan))
+}
+
+// FireExternal runs the pending transition or re-establishment that
+// was scheduled under key.
+func (in *Injector) FireExternal(key uint64) {
+	switch {
+	case key&rlfKeyBit != 0:
+		in.reestablish(int(key &^ rlfKeyBit))
+	case key&1 == phaseRevert:
+		in.revert(in.plan[key>>1])
+	default:
+		in.apply(in.plan[key>>1])
 	}
-	ev := in.plan[i]
-	if key&1 == phaseRevert {
-		return func() { in.revert(ev) }
-	}
-	return func() { in.apply(ev) }
 }
 
 func (in *Injector) apply(ev Event) {
@@ -177,7 +175,7 @@ func (in *Injector) triggerRLF(ue int) {
 		return
 	}
 	in.rlfPending[ue] = true
-	in.cell.ScheduleExternalAfter(0, rlfKeyBit|uint64(ue), func() { in.reestablish(ue) })
+	in.cell.ScheduleExternal(in.cell.Eng.Now(), rlfKeyBit|uint64(ue))
 }
 
 func (in *Injector) reestablish(ue int) {

@@ -23,8 +23,8 @@ const (
 // SnapshotTo appends the injector's mutable state — accumulators, rng
 // position, RLF bookkeeping, stats — as one section. The plan itself
 // is NOT serialised: it re-derives from the run seed, and the pending
-// apply/revert transitions live in the cell's pending-event registry
-// keyed for rebuildExternal.
+// apply/revert transitions are cell events the cell's own snapshot
+// records by key (see FireExternal).
 func (in *Injector) SnapshotTo(b *snapshot.Builder) {
 	var e snapshot.Encoder
 	e.Mark(tagInjector)
@@ -54,7 +54,7 @@ func (in *Injector) SnapshotTo(b *snapshot.Builder) {
 }
 
 // RestoreFrom overlays a snapshot onto a freshly built injector. Call
-// PrepareResume first (the pending-event rebuild needs the plan), then
+// PrepareResume first (the restored events index into the plan), then
 // ran.Cell.RestoreSnapshot, then this.
 func (in *Injector) RestoreFrom(a *snapshot.Archive) error {
 	d, err := a.Section(SectionInjector)

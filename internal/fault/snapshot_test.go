@@ -51,7 +51,6 @@ func buildChaos(t *testing.T) chaosParts {
 		Window:       chaosDuration,
 		Drain:        chaosDrain,
 		WorkloadSeed: wlSeed,
-		Snapshots:    true,
 		Setup: func(c *ran.Cell) error {
 			p.mon = NewMonitor(c)
 			p.plan = NewPlan(planSeed, PlanConfig{

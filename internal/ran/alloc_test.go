@@ -27,6 +27,22 @@ func backloggedCell(t *testing.T) *Cell {
 	return cell
 }
 
+// scheduleProbe asserts one of the cell's schedule sites allocates
+// nothing in the steady state. The queue is emptied after every call,
+// so each push lands in capacity the warm-up call already grew.
+func scheduleProbe(site func(c *Cell)) func(t *testing.T) {
+	return func(t *testing.T) {
+		cell := backloggedCell(t)
+		allocs := testing.AllocsPerRun(100, func() {
+			site(cell)
+			cell.Eng.DropPending()
+		})
+		if allocs != 0 {
+			t.Errorf("%.1f allocs/call, want 0", allocs)
+		}
+	}
+}
+
 // TestCellZeroAllocs pins the per-TTI cell paths annotated
 // //outran:allocfree with AllocsPerRun probes; probetest.Run fails
 // when the registry and the annotations drift apart.
@@ -78,6 +94,16 @@ func TestCellZeroAllocs(t *testing.T) {
 				t.Errorf("putTB: %.1f allocs/call, want 0", allocs)
 			}
 		},
+		"(*Cell).transmitTB": func(t *testing.T) {
+			tb := &harqTB{bits: 800}
+			scheduleProbe(func(c *Cell) { c.transmitTB(c.ues[0], tb) })(t)
+		},
+		"(*Cell).scheduleArrival": scheduleProbe(func(c *Cell) {
+			c.scheduleArrival(c.Eng.Now()+sim.Second, 1, 5000, true, true)
+		}),
+		"(*Cell).ScheduleTrackerReset":  scheduleProbe(func(c *Cell) { c.ScheduleTrackerReset(c.Eng.Now()) }),
+		"(*Cell).ScheduleTrackerFreeze": scheduleProbe(func(c *Cell) { c.ScheduleTrackerFreeze(c.Eng.Now()) }),
+		"(*Cell).ScheduleExternal":      scheduleProbe(func(c *Cell) { c.ScheduleExternal(c.Eng.Now(), 1<<63|7) }),
 		"(*Cell).rbStats": func(t *testing.T) {
 			cell := backloggedCell(t)
 			alloc := mac.NewAllocation(cell.grid.NumRB)

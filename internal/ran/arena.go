@@ -28,9 +28,9 @@ type deadFlow struct {
 }
 
 // flowHold is how long a retired flow runtime rests before reuse.
-// Uplink ACK events scheduled before the flow completed still capture
-// the sender directly and fire up to Path.UplinkDelay later (a
-// completed sender ignores them); reusing the sender earlier would
+// Uplink ACK events scheduled before the flow completed still point at
+// the runtime and fire up to Path.UplinkDelay later (a completed
+// sender ignores them); reusing the runtime earlier would
 // let a stale ACK land on the next flow's state. One uplink delay is
 // the hard bound; doubled for margin, and reclaimFlow additionally
 // requires strictly later simulation time so same-instant stragglers
@@ -55,8 +55,8 @@ func (c *Cell) newTB() *harqTB {
 
 // putTB retires a terminated transport block to the free list. The
 // caller must hold the only live reference: tbArrive retires a TB
-// only on its two termination paths, after the pending-event registry
-// entry has been deleted at fire time and the TB is off harqPending.
+// only on its two termination paths, after its queue entry has been
+// popped and the TB is off harqPending.
 // PDU pointers are cleared so the free list does not pin delivered
 // PDUs (in AM mode they may still be live in the retransmission
 // window — the window keeps its own references).

@@ -182,17 +182,14 @@ type Cell struct {
 	flowGrave []deadFlow
 	graveHead int
 
-	// Checkpoint/restore plumbing (see snapshot.go). The tickers are
-	// snapshot-aware periodics; snapEnabled gates the pending-event
-	// registry — off (the default) the registry costs nothing and
-	// recorded scheduling degrades to plain Engine.After/At calls.
-	tickTTI     *sim.Periodic
-	tickCQI     *sim.Periodic
-	tickReset   *sim.Periodic
-	snapEnabled bool
-	pending     map[uint64]pendingEvent
-	extRebuild  func(key uint64) func()
-	restored    bool
+	// The construction-time periodics, held so a checkpoint can record
+	// and re-arm their pending ticks (see snapshot.go), and the handler
+	// of the cell's external events (see events.go).
+	tickTTI   *sim.Periodic
+	tickCQI   *sim.Periodic
+	tickReset *sim.Periodic
+	ext       ExternalHandler
+	restored  bool
 }
 
 // retiredCounters carries per-entity counters across re-establishment.
@@ -377,11 +374,7 @@ func (c *Cell) wireBearer(ue *ueCtx) error {
 			}
 		}
 		ue.amRx = rlc.NewAMRx(c.Eng, deliver, func(st *rlc.StatusPDU) {
-			// ue.amTx is read at fire time, so a status in flight across
-			// an RRC re-establishment lands on the rebuilt entity — and
-			// the restore path reconstructs the same late binding.
-			c.recAfter(statusUplinkDelay, pendingEvent{kind: pkAMStatus, ue: ue.id, status: st},
-				func() { ue.amTx.OnStatus(st) })
+			c.after(statusUplinkDelay, sim.Event{Kind: evAMStatus, Idx: int32(ue.id), Ptr: st})
 		})
 	}
 	// Re-establishment rebuilds the entities above, so the trace hooks
@@ -620,14 +613,14 @@ func (c *Cell) serveUE(ue *ueCtx, budgetBits int, reqSINR float64, sbs []int) in
 // combining gain on retransmissions. Fault hooks can corrupt the HARQ
 // feedback the xNodeB sees (decoupling delivery from retransmission)
 // and drop individual RLC PDUs on top of the BLER model.
+//
+//outran:allocfree
 func (c *Cell) transmitTB(ue *ueCtx, tb *harqTB) {
 	c.ctrHARQTx.Inc()
 	if tb.attempts > 0 {
 		c.ctrHARQRetx.Inc()
 	}
-	c.recAfter(c.grid.TTI(), pendingEvent{kind: pkTB, ue: ue.id, tb: tb}, func() {
-		c.tbArrive(ue, tb)
-	})
+	c.after(c.grid.TTI(), sim.Event{Kind: evTB, Idx: int32(ue.id), Ptr: tb})
 }
 
 // tbArrive is the over-the-air arrival of a transport block, one TTI
@@ -670,8 +663,8 @@ func (c *Cell) tbArrive(ue *ueCtx, tb *harqTB) {
 	if fb {
 		// ACK seen (genuine or corrupted): the HARQ process ends.
 		// A false ACK on a failed decode loses the TB silently.
-		// Either way the TB is terminated: the pending-registry entry
-		// was deleted at fire time, so this is the last reference.
+		// Either way the TB is terminated: its queue entry was popped
+		// to fire this arrival, so this is the last reference.
 		c.putTB(tb)
 		return
 	}

@@ -187,16 +187,14 @@ func (c *Cell) wireFlow(u *ueCtx, fr *flowRuntime) {
 			}
 			delay += extra
 		}
-		c.recAfter(delay, pendingEvent{kind: pkPacket, ue: fr.ue, pkt: pkt},
-			func() { c.deliverToXNB(u, pkt) })
+		c.after(delay, sim.Event{Kind: evPacket, Idx: int32(fr.ue), Ptr: &pkt})
 	}
 	recv.SendAck = func(ack int64) {
 		rel := ack - seqBase
 		if rel <= 0 {
 			return
 		}
-		c.recAfter(c.cfg.Path.UplinkDelay, pendingEvent{kind: pkAck, ue: fr.ue, tuple: tuple, rel: rel},
-			func() { sender.OnAck(rel) })
+		c.after(c.cfg.Path.UplinkDelay, sim.Event{Kind: evAck, A: rel, Ptr: fr})
 	}
 	sender.OnComplete = func() {
 		fct := c.Eng.Now() - fr.start
@@ -261,14 +259,7 @@ func (c *Cell) ScheduleSource(src workload.Source, recordFrom, recordUntil sim.T
 		if !ok {
 			return
 		}
-		skip := f.Start < recordFrom || f.Start >= recordUntil
-		opt := FlowOptions{Incast: f.Incast, SkipRecord: skip}
-		c.recAt(f.Start, pendingEvent{kind: pkArrival, ue: f.UE, size: f.Size, incast: f.Incast, skip: skip},
-			func() {
-				if err := c.StartFlow(f.UE%len(c.ues), f.Size, opt); err != nil {
-					panic(err)
-				}
-			})
+		c.scheduleArrival(f.Start, f.UE, f.Size, f.Incast, f.Start < recordFrom || f.Start >= recordUntil)
 	}
 }
 

@@ -58,10 +58,8 @@ type Harness struct {
 	// invariant monitors and custom hooks.
 	Setup func(*Cell) error
 
-	// Snapshots enables the cell's pending-event registry so the run
-	// can be checkpointed and resumed byte-identically (Cell.Snapshot /
-	// Cell.RestoreSnapshot). Off by default: the registry is cheap but
-	// not free, and most runs never checkpoint.
+	// Deprecated: ignored — every cell is checkpointable. Kept only
+	// until benchmark/ stops setting it.
 	Snapshots bool
 }
 
@@ -76,11 +74,6 @@ func (h Harness) Build() (*Cell, error) {
 	cell, err := NewCell(h.Config)
 	if err != nil {
 		return nil, err
-	}
-	if h.Snapshots {
-		// Before anything else is scheduled: the registry must see
-		// every workload arrival and tracker boundary.
-		cell.EnableSnapshots()
 	}
 	if h.Tracer != nil {
 		cell.SetTracer(h.Tracer)

@@ -3,7 +3,6 @@ package ran
 import (
 	"bytes"
 	"fmt"
-	"sort"
 
 	"outran/internal/core"
 	"outran/internal/ip"
@@ -24,154 +23,11 @@ const (
 	tagHarqTB  = 0x2a08
 )
 
-// pendingKind classifies an in-flight scheduled event so a restore can
-// rebuild its closure from serialisable payload. Zero is reserved so a
-// zeroed byte never decodes as a valid kind.
-type pendingKind uint8
-
-const (
-	// pkArrival is a workload flow arrival (ScheduleSource).
-	pkArrival pendingKind = iota + 1
-	// pkPacket is a downlink packet crossing the wired backhaul.
-	pkPacket
-	// pkAck is a transport ACK crossing the uplink path.
-	pkAck
-	// pkTB is a transport block one TTI out on the air interface.
-	pkTB
-	// pkAMStatus is an RLC AM status PDU on the uplink.
-	pkAMStatus
-	// pkTrackerReset / pkTrackerFreeze are the measurement-window
-	// boundaries (ran.Harness).
-	pkTrackerReset
-	pkTrackerFreeze
-	// pkExternal is an opaque event owned by an attached subsystem
-	// (fault injection); its closure is rebuilt from the key by the
-	// function registered with SetExternalRebuild.
-	pkExternal
-)
-
-// pendingEvent is the serialisable description of one scheduled event.
-// It is a fat by-value struct — only the fields its kind documents are
-// meaningful — so recording an event costs a map insert, no allocation.
-type pendingEvent struct {
-	kind   pendingKind
-	at     sim.Time
-	ue     int
-	pkt    ip.Packet
-	tuple  ip.FiveTuple
-	rel    int64
-	tb     *harqTB
-	status *rlc.StatusPDU
-	size   int64
-	incast bool
-	skip   bool
-	key    uint64
-}
-
-// EnableSnapshots turns on the pending-event registry that makes the
-// cell checkpointable. It must be called immediately after NewCell,
-// before any workload, tracker boundary, or external event is
-// scheduled — otherwise those events would be invisible to a
-// checkpoint and silently dropped on restore; the guard panics to make
-// that wiring bug loud. With snapshots off (the default) every
-// recorded-schedule site degrades to a plain Engine.After/At call.
-func (c *Cell) EnableSnapshots() {
-	if c.snapEnabled {
-		return
-	}
-	want := 2 // TTI + CQI periodics from NewCell
-	if c.tickReset != nil {
-		want = 3
-	}
-	if c.Eng.Now() != 0 || c.Eng.Pending() != want {
-		panic("ran: EnableSnapshots must be called immediately after NewCell, before any workload is scheduled")
-	}
-	c.snapEnabled = true
-	c.pending = make(map[uint64]pendingEvent)
-}
-
-// SnapshotsEnabled reports whether the pending-event registry is on.
-func (c *Cell) SnapshotsEnabled() bool { return c.snapEnabled }
-
-// recAfter schedules fn to run d from now, recording the event in the
-// pending registry when snapshots are enabled. The recorded wrapper
-// unregisters the event at fire time via the engine's current seq, so
-// the registry always holds exactly the still-pending set.
+// EnableSnapshots does nothing.
 //
-// The disabled path adds no work beyond the Engine.After call itself —
-// pendingEvent is passed by value and never escapes — which keeps the
-// hot-path alloc contracts intact for every run that never checkpoints.
-func (c *Cell) recAfter(d sim.Time, pe pendingEvent, fn func()) {
-	if !c.snapEnabled {
-		c.Eng.After(d, fn)
-		return
-	}
-	c.Eng.After(d, func() {
-		delete(c.pending, c.Eng.CurSeq())
-		fn()
-	})
-	if d < 0 {
-		d = 0
-	}
-	pe.at = c.Eng.Now() + d
-	c.pending[c.Eng.LastSeq()] = pe
-}
-
-// recAt is recAfter for absolute-time scheduling.
-func (c *Cell) recAt(at sim.Time, pe pendingEvent, fn func()) {
-	if !c.snapEnabled {
-		c.Eng.At(at, fn)
-		return
-	}
-	c.Eng.At(at, func() {
-		delete(c.pending, c.Eng.CurSeq())
-		fn()
-	})
-	pe.at = at
-	c.pending[c.Eng.LastSeq()] = pe
-}
-
-// registerRestored re-registers a snapshotted event with its exact
-// original (at, seq) so same-time tie-breaks replay identically, and
-// puts it back in the registry so a later checkpoint still sees it.
-func (c *Cell) registerRestored(seq uint64, pe pendingEvent, fn func()) {
-	c.Eng.ScheduleExact(pe.at, seq, func() {
-		delete(c.pending, c.Eng.CurSeq())
-		fn()
-	})
-	c.pending[seq] = pe
-}
-
-// ScheduleTrackerReset schedules the measurement-window reset as a
-// recorded event so it survives a checkpoint (ran.Harness uses this
-// instead of a raw Engine.At).
-func (c *Cell) ScheduleTrackerReset(at sim.Time) {
-	c.recAt(at, pendingEvent{kind: pkTrackerReset}, c.Tracker.Reset)
-}
-
-// ScheduleTrackerFreeze schedules the measurement-window freeze as a
-// recorded event.
-func (c *Cell) ScheduleTrackerFreeze(at sim.Time) {
-	c.recAt(at, pendingEvent{kind: pkTrackerFreeze}, c.Tracker.Freeze)
-}
-
-// ScheduleExternal schedules an event owned by an attached subsystem
-// (fault injection) at an absolute time, recorded under an opaque key.
-// On restore the closure is rebuilt by the SetExternalRebuild hook from
-// the same key, after the subsystem has re-attached its own state.
-func (c *Cell) ScheduleExternal(at sim.Time, key uint64, fn func()) {
-	c.recAt(at, pendingEvent{kind: pkExternal, key: key}, fn)
-}
-
-// ScheduleExternalAfter is ScheduleExternal with a relative delay.
-func (c *Cell) ScheduleExternalAfter(d sim.Time, key uint64, fn func()) {
-	c.recAfter(d, pendingEvent{kind: pkExternal, key: key}, fn)
-}
-
-// SetExternalRebuild registers the closure factory RestoreSnapshot uses
-// to reconstruct pkExternal events. A snapshot that holds external
-// events fails to restore until one is registered.
-func (c *Cell) SetExternalRebuild(f func(key uint64) func()) { c.extRebuild = f }
+// Deprecated: every cell is checkpointable at no cost. Kept only until
+// benchmark/ stops calling it.
+func (c *Cell) EnableSnapshots() {}
 
 // configFingerprint renders the effective (defaulted) configuration to
 // a canonical string. Every field is plain data — no maps, pointers or
@@ -181,16 +37,37 @@ func (c *Cell) configFingerprint() []byte {
 	return []byte(fmt.Sprintf("%+v", c.cfg))
 }
 
-// sortedPendingSeqs returns the registry's keys in ascending seq order
-// so the encoded pending set is independent of map iteration order.
-func (c *Cell) sortedPendingSeqs() []uint64 {
-	seqs := make([]uint64, 0, len(c.pending))
-	//outran:orderfree collected seqs are sorted before use
-	for s := range c.pending {
-		seqs = append(seqs, s)
+// cellEvents returns the engine's queued entries the cell handles, in
+// ascending seq order, split by the section that encodes them: a
+// transport block or AM status shares PDU objects with its UE's RLC
+// state and goes in that UE's section, everything else in the pending
+// section. Timers and periodics are recorded by the layer that owns
+// them (only the live arm; stale arms are no-ops and are not carried
+// over). Any other entry is a plain func scheduled with Engine.At/After:
+// a checkpoint cannot serialise it and would silently drop it, so
+// their presence is an error.
+func (c *Cell) cellEvents() (perUE [][]sim.Entry, rest []sim.Entry, err error) {
+	perUE = make([][]sim.Entry, len(c.ues))
+	entries := c.Eng.Entries()
+	rest = entries[:0] // filtered in place: the write index never passes the read index
+	funcs := 0
+	for _, en := range entries {
+		switch en.H.(type) {
+		case *Cell:
+			if en.Ev.Kind == evTB || en.Ev.Kind == evAMStatus {
+				perUE[en.Ev.Idx] = append(perUE[en.Ev.Idx], en)
+			} else {
+				rest = append(rest, en)
+			}
+		case *sim.Timer, *sim.Periodic:
+		default:
+			funcs++
+		}
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	return seqs
+	if funcs > 0 {
+		return nil, nil, fmt.Errorf("ran: %d pending Engine.At/After funcs cannot be checkpointed and would be dropped; schedule checkpointable work as cell events", funcs)
+	}
+	return perUE, rest, nil
 }
 
 func putPeriodic(e *snapshot.Encoder, p *sim.Periodic) {
@@ -261,14 +138,12 @@ func getHarqTB(sd *rlc.SnapDec) *harqTB {
 }
 
 // SnapshotTo appends the cell's complete mid-run state to the builder
-// as the sections config/engine/cell/metrics/ue<i>/pending. The cell
-// must have snapshots enabled; flows started with persistent-connection
-// or completion-callback options cannot be serialised and make the
-// whole snapshot fail (checkpointed runs use the plain workload path).
+// as the sections config/engine/cell/metrics/ue<i>/pending. Flows
+// started with persistent-connection or completion-callback options
+// cannot be serialised and make the whole snapshot fail (checkpointed
+// runs use the plain workload path), as does any pending Engine.At/After
+// func.
 func (c *Cell) SnapshotTo(b *snapshot.Builder) error {
-	if !c.snapEnabled {
-		return fmt.Errorf("ran: snapshots not enabled on this cell (EnableSnapshots before scheduling work)")
-	}
 	for _, ue := range c.ues {
 		//outran:orderfree error check only; no encoding happens in this loop
 		for tuple, fr := range ue.flows {
@@ -277,7 +152,10 @@ func (c *Cell) SnapshotTo(b *snapshot.Builder) error {
 			}
 		}
 	}
-	seqs := c.sortedPendingSeqs()
+	ueEvents, events, err := c.cellEvents()
+	if err != nil {
+		return err
+	}
 
 	var ce snapshot.Encoder
 	ce.Mark(tagConfig)
@@ -349,12 +227,12 @@ func (c *Cell) SnapshotTo(b *snapshot.Builder) error {
 
 	for i, ue := range c.ues {
 		var e snapshot.Encoder
-		c.snapshotUE(&e, ue, seqs)
+		c.snapshotUE(&e, ue, ueEvents[i])
 		b.Add(fmt.Sprintf("ue%d", i), &e)
 	}
 
 	var pe snapshot.Encoder
-	c.snapshotPending(&pe, seqs)
+	c.snapshotPending(&pe, events)
 	b.Add("pending", &pe)
 	return nil
 }
@@ -370,10 +248,11 @@ func (c *Cell) Snapshot() ([]byte, error) {
 
 // snapshotUE encodes one UE: MAC view, PDCP entities, RLC entities,
 // pending HARQ retransmissions, live flows (in canonical tuple order),
-// and the UE's in-flight air-interface events — everything that can
+// and the UE's in-flight air-interface events (events: its transport
+// blocks and AM statuses, in seq order) — everything that can
 // share SDU/PDU objects goes through one rlc.SnapEnc so pointer
 // identity survives the round trip.
-func (c *Cell) snapshotUE(e *snapshot.Encoder, ue *ueCtx, seqs []uint64) {
+func (c *Cell) snapshotUE(e *snapshot.Encoder, ue *ueCtx, events []sim.Entry) {
 	e.Mark(tagUE)
 	e.Int(ue.id)
 	ue.macUser.Snapshot(e)
@@ -412,61 +291,46 @@ func (c *Cell) snapshotUE(e *snapshot.Encoder, ue *ueCtx, seqs []uint64) {
 		fr.sender.Snapshot(e)
 		fr.receiver.Snapshot(e)
 	}
-	var mine []uint64
-	for _, s := range seqs {
-		pe := c.pending[s]
-		if (pe.kind == pkTB || pe.kind == pkAMStatus) && pe.ue == ue.id {
-			mine = append(mine, s)
-		}
-	}
-	e.U32(uint32(len(mine)))
-	for _, s := range mine {
-		pe := c.pending[s]
-		e.U64(s)
-		e.I64(int64(pe.at))
-		e.U8(uint8(pe.kind))
-		if pe.kind == pkTB {
-			putHarqTB(se, pe.tb)
+	e.U32(uint32(len(events)))
+	for _, en := range events {
+		e.U64(en.Seq)
+		e.I64(int64(en.At))
+		e.U8(en.Ev.Kind)
+		if en.Ev.Kind == evTB {
+			putHarqTB(se, en.Ev.Ptr.(*harqTB))
 		} else {
-			rlc.EncodeStatus(e, pe.status)
+			rlc.EncodeStatus(e, en.Ev.Ptr.(*rlc.StatusPDU))
 		}
 	}
 }
 
-// snapshotPending encodes every pending event not owned by a UE
-// section, in ascending seq order.
-func (c *Cell) snapshotPending(e *snapshot.Encoder, seqs []uint64) {
+// snapshotPending encodes every cell event not owned by a UE section,
+// in ascending seq order.
+func (c *Cell) snapshotPending(e *snapshot.Encoder, events []sim.Entry) {
 	e.Mark(tagPending)
-	var rest []uint64
-	for _, s := range seqs {
-		k := c.pending[s].kind
-		if k == pkTB || k == pkAMStatus {
-			continue
-		}
-		rest = append(rest, s)
-	}
-	e.U32(uint32(len(rest)))
-	for _, s := range rest {
-		pe := c.pending[s]
-		e.U64(s)
-		e.I64(int64(pe.at))
-		e.U8(uint8(pe.kind))
-		switch pe.kind {
-		case pkArrival:
-			e.Int(pe.ue)
-			e.I64(pe.size)
-			e.Bool(pe.incast)
-			e.Bool(pe.skip)
-		case pkPacket:
-			e.Int(pe.ue)
-			ip.PutPacket(e, pe.pkt)
-		case pkAck:
-			e.Int(pe.ue)
-			ip.PutTuple(e, pe.tuple)
-			e.I64(pe.rel)
-		case pkTrackerReset, pkTrackerFreeze:
-		case pkExternal:
-			e.U64(pe.key)
+	e.U32(uint32(len(events)))
+	for _, en := range events {
+		ev := en.Ev
+		e.U64(en.Seq)
+		e.I64(int64(en.At))
+		e.U8(ev.Kind)
+		switch ev.Kind {
+		case evArrival:
+			e.Int(int(ev.B))
+			e.I64(ev.A)
+			e.Bool(ev.Idx&arrivalIncast != 0)
+			e.Bool(ev.Idx&arrivalSkipRecord != 0)
+		case evPacket:
+			e.Int(int(ev.Idx))
+			ip.PutPacket(e, *ev.Ptr.(*ip.Packet))
+		case evAck:
+			fr := ev.Ptr.(*flowRuntime)
+			e.Int(fr.ue)
+			ip.PutTuple(e, fr.tuple)
+			e.I64(ev.A)
+		case evTrackerReset, evTrackerFreeze:
+		case evExternal:
+			e.U64(uint64(ev.A))
 		}
 	}
 }
@@ -480,9 +344,9 @@ func (c *Cell) snapshotPending(e *snapshot.Encoder, seqs []uint64) {
 // The target must come straight from NewCell — same Config, clock still
 // at zero, nothing scheduled beyond the construction tickers. Tracers
 // (SetTracerResumed) and fault plumbing (SetFaultHooks,
-// SetExternalRebuild plus the injector's own restore) are re-attached
-// by the caller; external events fail the restore if no rebuild hook
-// is registered.
+// SetExternalHandler plus the injector's own restore) are re-attached
+// by the caller first; external events fail the restore if no handler
+// is attached.
 func (c *Cell) RestoreSnapshot(a *snapshot.Archive) error {
 	if c.restored {
 		return fmt.Errorf("ran: cell already restored from a snapshot once")
@@ -490,7 +354,6 @@ func (c *Cell) RestoreSnapshot(a *snapshot.Archive) error {
 	if now, _, _ := c.Eng.SnapState(); now != 0 {
 		return fmt.Errorf("ran: restore target already ran to %v; restore needs a freshly built cell", now)
 	}
-	c.EnableSnapshots()
 
 	d, err := a.Section("config")
 	if err != nil {
@@ -691,30 +554,19 @@ func (c *Cell) restoreUE(d *snapshot.Decoder, ue *ueCtx) error {
 	for j := 0; j < np && d.Err() == nil; j++ {
 		seq := d.U64()
 		at := sim.Time(d.I64())
-		kind := pendingKind(d.U8())
-		switch kind {
-		case pkTB:
-			tb := getHarqTB(sd)
-			if d.Err() != nil || tb == nil {
-				break
-			}
-			u := ue
-			c.registerRestored(seq, pendingEvent{kind: pkTB, at: at, ue: ue.id, tb: tb},
-				func() { c.tbArrive(u, tb) })
-		case pkAMStatus:
+		ev := sim.Event{Kind: d.U8(), Idx: int32(ue.id)}
+		switch ev.Kind {
+		case evTB:
+			ev.Ptr = getHarqTB(sd)
+		case evAMStatus:
 			if ue.amTx == nil {
 				return fmt.Errorf("%w: AM status event on a UM-mode bearer", snapshot.ErrCorrupt)
 			}
-			st := rlc.DecodeStatus(d)
-			if d.Err() != nil {
-				break
-			}
-			u := ue
-			c.registerRestored(seq, pendingEvent{kind: pkAMStatus, at: at, ue: ue.id, status: st},
-				func() { u.amTx.OnStatus(st) })
+			ev.Ptr = rlc.DecodeStatus(d)
 		default:
-			d.Fail(fmt.Errorf("%w: unexpected pending kind %d in UE section", snapshot.ErrCorrupt, kind))
+			d.Fail(fmt.Errorf("%w: unexpected pending kind %d in UE section", snapshot.ErrCorrupt, ev.Kind))
 		}
+		c.reschedule(d, at, seq, ev)
 	}
 	if err := d.Err(); err != nil {
 		return err
@@ -725,81 +577,77 @@ func (c *Cell) restoreUE(d *snapshot.Decoder, ue *ueCtx) error {
 	return nil
 }
 
+// reschedule puts a decoded event back on the engine with its original
+// (at, seq), so same-time tie-breaks replay identically. It is the value
+// the live run scheduled, dispatched by the same Fire. A decode error
+// or an instant before the snapshot's clock fails the restore.
+func (c *Cell) reschedule(d *snapshot.Decoder, at sim.Time, seq uint64, ev sim.Event) {
+	if d.Err() != nil {
+		return
+	}
+	if at < c.Eng.Now() {
+		d.Fail(fmt.Errorf("%w: pending event at %v, before the snapshot instant %v", snapshot.ErrCorrupt, at, c.Eng.Now()))
+		return
+	}
+	c.Eng.ScheduleExact(at, seq, c, ev)
+}
+
 func (c *Cell) restorePending(d *snapshot.Decoder) error {
 	d.Expect(tagPending)
 	n := d.Count(1 << 24)
 	for j := 0; j < n && d.Err() == nil; j++ {
 		seq := d.U64()
 		at := sim.Time(d.I64())
-		kind := pendingKind(d.U8())
-		switch kind {
-		case pkArrival:
-			rawUE := d.Int()
-			size := d.I64()
+		ev := sim.Event{Kind: d.U8()}
+		switch ev.Kind {
+		case evArrival:
+			ev.B = int64(d.Int())
+			ev.A = d.I64()
 			incast := d.Bool()
-			skip := d.Bool()
-			if d.Err() != nil {
-				break
+			ev.Idx = arrivalFlags(incast, d.Bool())
+			if d.Err() == nil && (ev.B < 0 || ev.A <= 0) {
+				return fmt.Errorf("%w: arrival event for UE %d with size %d", snapshot.ErrCorrupt, ev.B, ev.A)
 			}
-			o := FlowOptions{Incast: incast, SkipRecord: skip}
-			c.registerRestored(seq, pendingEvent{kind: pkArrival, at: at, ue: rawUE, size: size, incast: incast, skip: skip},
-				func() {
-					if err := c.StartFlow(rawUE%len(c.ues), size, o); err != nil {
-						panic(err)
-					}
-				})
-		case pkPacket:
-			ueIdx := d.Int()
+		case evPacket:
+			ue := d.Int()
 			pkt := ip.GetPacket(d)
-			if d.Err() != nil {
-				break
+			if d.Err() == nil && (ue < 0 || ue >= len(c.ues)) {
+				return fmt.Errorf("%w: packet event for UE %d of %d", snapshot.ErrCorrupt, ue, len(c.ues))
 			}
-			if ueIdx < 0 || ueIdx >= len(c.ues) {
-				return fmt.Errorf("%w: packet event for UE %d of %d", snapshot.ErrCorrupt, ueIdx, len(c.ues))
-			}
-			u := c.ues[ueIdx]
-			c.registerRestored(seq, pendingEvent{kind: pkPacket, at: at, ue: ueIdx, pkt: pkt},
-				func() { c.deliverToXNB(u, pkt) })
-		case pkAck:
-			ueIdx := d.Int()
+			ev.Idx, ev.Ptr = int32(ue), &pkt
+		case evAck:
+			ue := d.Int()
 			tuple := ip.GetTuple(d)
-			rel := d.I64()
+			ev.A = d.I64()
 			if d.Err() != nil {
 				break
 			}
-			if ueIdx < 0 || ueIdx >= len(c.ues) {
-				return fmt.Errorf("%w: ack event for UE %d of %d", snapshot.ErrCorrupt, ueIdx, len(c.ues))
+			if ue < 0 || ue >= len(c.ues) {
+				return fmt.Errorf("%w: ack event for UE %d of %d", snapshot.ErrCorrupt, ue, len(c.ues))
 			}
-			u := c.ues[ueIdx]
-			// The live closure held the sender directly; a completed
-			// sender ignores late ACKs, so the torn-down-flow case is
-			// an equivalent no-op here.
-			c.registerRestored(seq, pendingEvent{kind: pkAck, at: at, ue: ueIdx, tuple: tuple, rel: rel},
-				func() {
-					if fr := u.flows[tuple]; fr != nil {
-						fr.sender.OnAck(rel)
-					}
-				})
-		case pkTrackerReset:
-			c.registerRestored(seq, pendingEvent{kind: pkTrackerReset, at: at}, c.Tracker.Reset)
-		case pkTrackerFreeze:
-			c.registerRestored(seq, pendingEvent{kind: pkTrackerFreeze, at: at}, c.Tracker.Freeze)
-		case pkExternal:
+			// The live event points at the runtime it was issued for. A
+			// flow torn down before the snapshot is off the table; its
+			// late ACK was a no-op on the completed sender and stays one
+			// on a runtime that has no sender.
+			fr := c.ues[ue].flows[tuple]
+			if fr == nil {
+				fr = &flowRuntime{ue: ue, tuple: tuple}
+			}
+			ev.Ptr = fr
+		case evTrackerReset, evTrackerFreeze:
+		case evExternal:
 			key := d.U64()
 			if d.Err() != nil {
 				break
 			}
-			if c.extRebuild == nil {
-				return fmt.Errorf("ran: snapshot holds external event %#x but no rebuild hook is registered (SetExternalRebuild before RestoreSnapshot)", key)
+			if c.ext == nil || !c.ext.HasExternal(key) {
+				return fmt.Errorf("%w: external event %#x has no handler (SetExternalHandler before RestoreSnapshot)", snapshot.ErrCorrupt, key)
 			}
-			fn := c.extRebuild(key)
-			if fn == nil {
-				return fmt.Errorf("ran: external rebuild hook returned nil for key %#x", key)
-			}
-			c.registerRestored(seq, pendingEvent{kind: pkExternal, at: at, key: key}, fn)
+			ev.A = int64(key)
 		default:
-			d.Fail(fmt.Errorf("%w: unknown pending kind %d", snapshot.ErrCorrupt, kind))
+			d.Fail(fmt.Errorf("%w: unknown pending kind %d", snapshot.ErrCorrupt, ev.Kind))
 		}
+		c.reschedule(d, at, seq, ev)
 	}
 	if err := d.Err(); err != nil {
 		return err

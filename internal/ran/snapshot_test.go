@@ -2,9 +2,12 @@ package ran
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
+	"outran/internal/ip"
 	"outran/internal/metrics"
 	"outran/internal/obs"
 	"outran/internal/sim"
@@ -27,12 +30,11 @@ func resumeScenario(sched SchedulerKind, rlcMode RLCMode) Harness {
 		cfg.OutRAN.ResetPeriod = 150 * sim.Millisecond
 	}
 	return Harness{
-		Config:    cfg.WithWorkload(workload.PoissonSpec("lte", 0.7)),
-		Warmup:    200 * sim.Millisecond,
-		Window:    600 * sim.Millisecond,
-		Tail:      200 * sim.Millisecond,
-		Drain:     4 * sim.Second,
-		Snapshots: true,
+		Config: cfg.WithWorkload(workload.PoissonSpec("lte", 0.7)),
+		Warmup: 200 * sim.Millisecond,
+		Window: 600 * sim.Millisecond,
+		Tail:   200 * sim.Millisecond,
+		Drain:  4 * sim.Second,
 	}
 }
 
@@ -227,7 +229,6 @@ func TestRestoreRejectsDoubleRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cellC.EnableSnapshots()
 	cellC.Run(10 * sim.Millisecond)
 	if err := cellC.RestoreSnapshot(a); err == nil {
 		t.Fatal("restore into a cell that already ran succeeded; want error")
@@ -245,7 +246,6 @@ func TestSnapshotRefusesUnserialisableFlows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cell.EnableSnapshots()
 	if err := cell.StartFlow(0, 20000, FlowOptions{OnComplete: func(sim.Time) {}}); err != nil {
 		t.Fatal(err)
 	}
@@ -254,17 +254,41 @@ func TestSnapshotRefusesUnserialisableFlows(t *testing.T) {
 	}
 }
 
-// TestSnapshotRequiresEnable: the registry must be on before snapshot.
-func TestSnapshotRequiresEnable(t *testing.T) {
+// TestSnapshotRefusesPendingFuncs: a plain NewCell cell snapshots
+// mid-run with nothing "enabled"; a raw Engine.At func still pending is
+// an event the checkpoint would drop, so the snapshot fails and counts
+// it, and succeeds again once the func has fired.
+func TestSnapshotRefusesPendingFuncs(t *testing.T) {
 	cfg := DefaultLTEConfig()
 	cfg.NumUEs = 2
 	cfg.Grid.NumRB = 15
+	cfg.Seed = 5
 	cell, err := NewCell(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cell.Snapshot(); err == nil {
-		t.Fatal("snapshot without EnableSnapshots succeeded; want error")
+	if err := cell.StartFlow(0, 200000, FlowOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	cell.Run(20 * sim.Millisecond)
+	if _, err := cell.Snapshot(); err != nil {
+		t.Fatalf("mid-run snapshot of a plain NewCell cell: %v", err)
+	}
+	fired := false
+	cell.Eng.At(30*sim.Millisecond, func() { fired = true })
+	_, err = cell.Snapshot()
+	if err == nil {
+		t.Fatal("snapshot with a raw Engine.At func pending succeeded; the func would be dropped on restore")
+	}
+	if !strings.Contains(err.Error(), "1 pending Engine.At/After func") {
+		t.Fatalf("error does not count the pending funcs: %v", err)
+	}
+	cell.Run(30 * sim.Millisecond)
+	if !fired {
+		t.Fatal("the pending func never fired")
+	}
+	if _, err := cell.Snapshot(); err != nil {
+		t.Fatalf("snapshot after the func fired: %v", err)
 	}
 }
 
@@ -289,5 +313,110 @@ func TestRestoreRejectsCorruptSections(t *testing.T) {
 	}
 	if _, err := snapshot.Open(img[:len(img)-9]); err == nil {
 		t.Fatal("truncated snapshot opened cleanly; want error")
+	}
+
+	// One hostile pending-event record per kind, spliced into an
+	// otherwise valid snapshot of an idle cell (no events of its own, so
+	// every UE section ends in a zero event count and the pending section
+	// is empty). Each must fail the restore with ErrCorrupt — at restore
+	// time, not when the event would have fired.
+	idle, err := NewCell(h.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle.Run(10 * sim.Millisecond)
+	img, err = idle.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := int64(idle.Eng.Now())
+	tuple := func(e *snapshot.Encoder) { ip.PutTuple(e, ip.FiveTuple{}) }
+	arrival := func(ue int, size int64) func(*snapshot.Encoder) {
+		return func(e *snapshot.Encoder) { e.Int(ue); e.I64(size); e.Bool(false); e.Bool(false) }
+	}
+	cases := []struct {
+		name    string
+		section string
+		at      int64
+		kind    uint8
+		fields  func(*snapshot.Encoder)
+		ok      bool
+	}{
+		{name: "valid arrival (control)", section: "pending", at: now, kind: evArrival, fields: arrival(1, 1000), ok: true},
+		{name: "ack for a flow already torn down (control)", section: "pending", at: now, kind: evAck,
+			fields: func(e *snapshot.Encoder) { e.Int(0); tuple(e); e.I64(1) }, ok: true},
+		{name: "arrival with negative UE", section: "pending", at: now, kind: evArrival, fields: arrival(-1, 1000)},
+		{name: "arrival with zero size", section: "pending", at: now, kind: evArrival, fields: arrival(1, 0)},
+		{name: "packet for a UE out of range", section: "pending", at: now, kind: evPacket,
+			fields: func(e *snapshot.Encoder) { e.Int(h.Config.NumUEs); ip.PutPacket(e, ip.Packet{}) }},
+		{name: "ack for a negative UE", section: "pending", at: now, kind: evAck,
+			fields: func(e *snapshot.Encoder) { e.Int(-1); tuple(e); e.I64(1) }},
+		{name: "unknown kind", section: "pending", at: now, kind: 99},
+		{name: "zero kind", section: "pending", at: now, kind: 0},
+		{name: "external key with no handler attached", section: "pending", at: now, kind: evExternal,
+			fields: func(e *snapshot.Encoder) { e.U64(2) }},
+		{name: "event before the snapshot instant", section: "pending", at: now - 1, kind: evTrackerReset},
+		{name: "AM status on a UM bearer", section: "ue0", at: now, kind: evAMStatus},
+		{name: "cell-level kind in a UE section", section: "ue0", at: now, kind: evTrackerFreeze},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			a, err := snapshot.Open(img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var b snapshot.Builder
+			for _, name := range a.Names() {
+				d, err := a.Section(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw := make([]byte, d.Remaining())
+				for i := range raw {
+					raw[i] = d.U8()
+				}
+				var e snapshot.Encoder
+				if name != tc.section {
+					e.Raw(raw)
+					b.Add(name, &e)
+					continue
+				}
+				// Both sections end in their (zero) event count.
+				e.Raw(raw[:len(raw)-4])
+				e.U32(1)
+				e.U64(1 << 40) // seq
+				e.I64(tc.at)
+				e.U8(tc.kind)
+				if tc.fields != nil {
+					tc.fields(&e)
+				}
+				b.Add(name, &e)
+			}
+			bad, err := snapshot.Open(b.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := NewCell(h.Config)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = fresh.RestoreSnapshot(bad)
+			if !tc.ok {
+				if !errors.Is(err, snapshot.ErrCorrupt) {
+					t.Fatalf("restore error = %v, want snapshot.ErrCorrupt", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("valid record rejected: %v", err)
+			}
+			// The control records prove the splice itself is well-formed:
+			// they re-encode to the same bytes and fire without incident.
+			again, err := fresh.Snapshot()
+			if err != nil || !bytes.Equal(again, b.Bytes()) {
+				t.Fatalf("restored control record does not re-encode identically (err %v)", err)
+			}
+			fresh.Run(idle.Eng.Now() + 100*sim.Millisecond)
+		})
 	}
 }

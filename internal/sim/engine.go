@@ -7,7 +7,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -35,46 +37,81 @@ func (t Time) String() string {
 	return time.Duration(t).String()
 }
 
-type event struct {
-	at  Time
-	seq uint64 // tie-breaker: FIFO among same-time events
-	fn  func()
+// Handler receives the events scheduled for it. The engine keeps the
+// handler and the event's payload side by side in its queue, so
+// scheduled work is data: it can be enumerated, serialised by whoever
+// owns the kinds, and re-scheduled as the same value.
+type Handler interface {
+	Fire(ev Event)
 }
 
-// eventHeap is a hand-rolled binary min-heap ordered by (at, seq).
-// container/heap would box every event into an interface{} on Push —
+// Event is the by-value payload of one scheduled entry. Only the
+// handler gives the fields meaning; Ptr holds at most one pointer-
+// shaped value, so filling it never allocates.
+type Event struct {
+	Kind uint8
+	Idx  int32
+	A, B int64
+	Ptr  any
+}
+
+// Entry is one queued event: when it fires, its FIFO tie-break
+// sequence number, who handles it and with what payload.
+type Entry struct {
+	At  Time
+	Seq uint64 // tie-breaker: FIFO among same-time events
+	H   Handler
+	Ev  Event
+}
+
+// funcHandler is the handler behind At/After: the func is the handler
+// and the payload is empty. A func value is pointer-shaped, so the
+// conversion to Handler does not allocate.
+type funcHandler func()
+
+func (f funcHandler) Fire(Event) { f() }
+
+// eventHeap is a hand-rolled binary min-heap ordered by (At, Seq).
+// container/heap would box every entry into an interface{} on Push —
 // one heap allocation per scheduled event, on the hottest path of the
 // simulator — so the sift operations are implemented directly on the
-// slice. Pop order is fully determined by the (at, seq) total order,
+// slice. Pop order is fully determined by the (At, Seq) total order,
 // so the heap layout itself never affects the simulated schedule.
-type eventHeap []event
+type eventHeap []Entry
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func before(a, b *Entry) bool {
+	if a.At != b.At {
+		return a.At < b.At
 	}
-	return h[i].seq < h[j].seq
+	return a.Seq < b.Seq
 }
 
-// push appends ev and restores the heap invariant. The backing array
-// is reused across push/pop cycles; it grows only when the pending
-// event count exceeds every previous high-water mark since the last
-// shrink.
+// push appends en and restores the heap invariant, moving parents down
+// into the hole instead of swapping. The backing array is reused across
+// push/pop cycles; it grows only when the pending event count exceeds
+// every previous high-water mark since the last shrink.
 //
 //outran:allocfree
-func (h *eventHeap) push(ev event) {
-	//outran:allocok grows only past the high-water mark; steady-state push/pop reuses the array
-	*h = append(*h, ev)
+func (h *eventHeap) push(en Entry) {
 	s := *h
-	i := len(s) - 1
+	if len(s) == cap(s) {
+		// Double: append's 1.25x policy for large slices would copy a
+		// workload's worth of entries five times over while it is scheduled.
+		//outran:allocok grows only past the high-water mark; steady-state push/pop reuses the array
+		s = append(make([]Entry, 0, max(2*cap(s), 64)), s...)
+	}
+	i := len(s)
+	s = s[:i+1]
+	*h = s
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !s.less(i, parent) {
+		if !before(&en, &s[parent]) {
 			break
 		}
-		s[i], s[parent] = s[parent], s[i]
+		s[i] = s[parent]
 		i = parent
 	}
+	s[i] = en
 }
 
 // shrinkMinCap is the capacity below which the heap never shrinks:
@@ -82,46 +119,49 @@ func (h *eventHeap) push(ev event) {
 // re-allocating.
 const shrinkMinCap = 1024
 
-// pop removes and returns the minimum event. The vacated slot is
-// zeroed so the callback closure is released immediately, and when a
-// large drain leaves the backing array at under a quarter occupancy
-// the storage is compacted — a burst of scheduled events (e.g. a chaos
-// sweep) no longer pins its peak memory for the rest of the run.
+// pop removes and returns the minimum entry. The vacated slot is
+// zeroed so the handler and payload pointer are released immediately,
+// and when a large drain leaves the backing array at under a quarter
+// occupancy the storage is compacted — a burst of scheduled events
+// (e.g. a chaos sweep) no longer pins its peak memory for the rest of
+// the run.
 //
 //outran:allocfree
-func (h *eventHeap) pop() event {
+func (h *eventHeap) pop() Entry {
 	s := *h
 	n := len(s) - 1
-	ev := s[0]
-	s[0] = s[n]
-	s[n] = event{}
+	top := s[0]
+	last := s[n]
+	s[n] = Entry{}
 	s = s[:n]
-	// Sift the relocated root down.
+	// Sift the relocated last entry down from the root.
 	i := 0
 	for {
-		l := 2*i + 1
-		if l >= n {
+		m := 2*i + 1
+		if m >= n {
 			break
 		}
-		m := l
-		if r := l + 1; r < n && s.less(r, l) {
+		if r := m + 1; r < n && before(&s[r], &s[m]) {
 			m = r
 		}
-		if !s.less(m, i) {
+		if !before(&s[m], &last) {
 			break
 		}
-		s[i], s[m] = s[m], s[i]
+		s[i] = s[m]
 		i = m
+	}
+	if n > 0 {
+		s[i] = last
 	}
 	if cap(s) >= shrinkMinCap && n <= cap(s)/4 {
 		// Halve toward the live size; the slack keeps refills cheap.
 		//outran:allocok amortized shrink after a large drain; steady state stays under the occupancy trigger
-		compact := make([]event, n, cap(s)/2)
+		compact := make([]Entry, n, cap(s)/2)
 		copy(compact, s)
 		s = compact
 	}
 	*h = s
-	return ev
+	return top
 }
 
 // Engine is a single-threaded discrete-event simulator.
@@ -130,7 +170,6 @@ type Engine struct {
 	now     Time
 	pq      eventHeap
 	seq     uint64
-	curSeq  uint64
 	stopped bool
 	nEvents uint64
 }
@@ -140,17 +179,6 @@ func (e *Engine) Now() Time { return e.now }
 
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.nEvents }
-
-// LastSeq returns the sequence number assigned to the most recently
-// scheduled event. Snapshot registries read it immediately after
-// At/After to record where a pending event sits in the FIFO tie-break
-// order; the engine is single-threaded, so the pairing is exact.
-func (e *Engine) LastSeq() uint64 { return e.seq }
-
-// CurSeq returns the sequence number of the event currently being
-// executed (zero outside the run loop). Recorded events use it to
-// unregister themselves when they fire.
-func (e *Engine) CurSeq() uint64 { return e.curSeq }
 
 // SnapState exports the engine's restorable counters: the clock, the
 // sequence counter, and the processed-event count.
@@ -166,68 +194,82 @@ func (e *Engine) RestoreState(now Time, seq, nEvents uint64) {
 	e.nEvents = nEvents
 }
 
-// DropPending discards every queued event (slots zeroed so closures
+// DropPending discards every queued event (slots zeroed so handlers
 // are released). Restore paths call it to clear construction-time
 // events before re-registering the snapshot's pending set.
 func (e *Engine) DropPending() {
 	for i := range e.pq {
-		e.pq[i] = event{}
+		e.pq[i] = Entry{}
 	}
 	e.pq = e.pq[:0]
 }
 
-// ScheduleExact re-registers a snapshotted event with its original
-// (at, seq) pair, preserving FIFO tie-break order among same-time
-// events. Unlike At it does not advance the sequence counter — the
-// restored counter already accounts for every event that was ever
-// scheduled. Past-time scheduling still panics.
-func (e *Engine) ScheduleExact(at Time, seq uint64, fn func()) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: restoring event at %v before now %v", at, e.now))
-	}
-	e.pq.push(event{at: at, seq: seq, fn: fn})
+// Entries returns a copy of the queued entries in ascending Seq order —
+// the order they were scheduled in, independent of the heap layout.
+// The queue is the only record of scheduled work; a checkpoint encodes
+// the entries whose handler it owns.
+func (e *Engine) Entries() []Entry {
+	out := slices.Clone([]Entry(e.pq))
+	slices.SortFunc(out, func(a, b Entry) int { return cmp.Compare(a.Seq, b.Seq) })
+	return out
 }
 
-// At schedules fn to run at absolute time t. Scheduling in the past
-// panics: it would silently reorder causality.
+// Schedule queues ev for h at absolute time at and returns the entry's
+// sequence number. Scheduling in the past panics: it would silently
+// reorder causality.
+//
+//outran:allocfree
+func (e *Engine) Schedule(at Time, h Handler, ev Event) uint64 {
+	e.seq++
+	e.ScheduleExact(at, e.seq, h, ev)
+	return e.seq
+}
+
+// ScheduleExact re-registers a snapshotted event with its original
+// (at, seq) pair, preserving FIFO tie-break order among same-time
+// events. Unlike Schedule it does not advance the sequence counter —
+// the restored counter already accounts for every event that was ever
+// scheduled.
+func (e *Engine) ScheduleExact(at Time, seq uint64, h Handler, ev Event) {
+	if at < e.now {
+		//outran:allocok cold panic path; a past-time schedule is a programming error, not steady state
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
+	}
+	e.pq.push(Entry{At: at, Seq: seq, H: h, Ev: ev})
+}
+
+// At schedules fn to run at absolute time t. A func entry cannot be
+// serialised: a checkpoint taken while one is pending fails.
 //
 //outran:allocfree
 func (e *Engine) At(t Time, fn func()) {
-	if t < e.now {
-		//outran:allocok cold panic path; a past-time schedule is a programming error, not steady state
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
-	}
-	e.seq++
-	e.pq.push(event{at: t, seq: e.seq, fn: fn})
+	e.Schedule(t, funcHandler(fn), Event{})
 }
 
 // After schedules fn to run d after the current time.
 func (e *Engine) After(d Time, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	e.At(e.now+d, fn)
+	e.At(e.now+max(d, 0), fn)
 }
 
 // Stop halts the run loop after the currently executing event returns.
 func (e *Engine) Stop() { e.stopped = true }
+
+// step pops the earliest entry, advances the clock to it and fires it.
+func (e *Engine) step() {
+	en := e.pq.pop()
+	e.now = en.At
+	e.nEvents++
+	en.H.Fire(en.Ev)
+}
 
 // RunUntil executes events in timestamp order until the queue empties,
 // Stop is called, or the next event is strictly after deadline. The
 // clock is left at min(deadline, time of last executed event).
 func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
-	for len(e.pq) > 0 && !e.stopped {
-		if e.pq[0].at > deadline {
-			break
-		}
-		ev := e.pq.pop()
-		e.now = ev.at
-		e.nEvents++
-		e.curSeq = ev.seq
-		ev.fn()
+	for len(e.pq) > 0 && !e.stopped && e.pq[0].At <= deadline {
+		e.step()
 	}
-	e.curSeq = 0
 	if e.now < deadline {
 		e.now = deadline
 	}
@@ -237,37 +279,12 @@ func (e *Engine) RunUntil(deadline Time) {
 func (e *Engine) Run() {
 	e.stopped = false
 	for len(e.pq) > 0 && !e.stopped {
-		ev := e.pq.pop()
-		e.now = ev.at
-		e.nEvents++
-		e.curSeq = ev.seq
-		ev.fn()
+		e.step()
 	}
-	e.curSeq = 0
 }
 
 // Pending returns the number of queued events.
 func (e *Engine) Pending() int { return len(e.pq) }
-
-// Ticker invokes fn every period, starting at the next multiple of
-// period after the current time, until the engine stops or cancel is
-// called. It returns the cancel function.
-func (e *Engine) Ticker(period Time, fn func()) (cancel func()) {
-	if period <= 0 {
-		panic("sim: non-positive ticker period")
-	}
-	stopped := false
-	var tick func()
-	tick = func() {
-		if stopped {
-			return
-		}
-		fn()
-		e.After(period, tick)
-	}
-	e.After(period, tick)
-	return func() { stopped = true }
-}
 
 // Timer is a restartable one-shot timer bound to an engine, mirroring
 // the protocol timers in RLC/PDCP (t-Reassembly, t-PollRetransmit, …).
@@ -281,12 +298,14 @@ func (e *Engine) Ticker(period Time, fn func()) (cancel func()) {
 //   - The callback runs at most once per Start and never after Stop;
 //     a Start(0) fires at the current time, after the running event.
 //
-// Cancellation is generation-based (no event-queue surgery), so a
-// stopped timer's stale queue entry simply evaporates when it pops.
+// Cancellation is generation-based (no event-queue surgery): the timer
+// is its own handler and each arm carries its generation as payload,
+// so a stopped timer's stale queue entry simply evaporates when it
+// pops.
 type Timer struct {
 	e       *Engine
 	fn      func()
-	gen     uint64 // invalidates callbacks from older arms
+	gen     uint64 // invalidates entries from older arms
 	running bool
 	expires Time
 	armSeq  uint64 // event seq of the live arm (snapshot/restore)
@@ -298,19 +317,23 @@ func NewTimer(e *Engine, fn func()) *Timer {
 }
 
 // Start (re)arms the timer to fire after d. A running timer is restarted.
+//
+//outran:allocfree
 func (t *Timer) Start(d Time) {
 	t.gen++
-	gen := t.gen
 	t.running = true
-	t.expires = t.e.Now() + d
-	t.e.After(d, func() {
-		if t.gen != gen || !t.running {
-			return
-		}
-		t.running = false
-		t.fn()
-	})
-	t.armSeq = t.e.LastSeq()
+	t.expires = t.e.now + d
+	t.armSeq = t.e.Schedule(t.e.now+max(d, 0), t, Event{A: int64(t.gen)})
+}
+
+// Fire is the expiry of the arm whose generation ev carries; entries
+// of superseded or stopped arms are no-ops.
+func (t *Timer) Fire(ev Event) {
+	if uint64(ev.A) != t.gen || !t.running {
+		return
+	}
+	t.running = false
+	t.fn()
 }
 
 // SnapArm exports the live arm: whether the timer is running, its
@@ -329,17 +352,9 @@ func (t *Timer) RestoreArm(running bool, expires Time, seq uint64) {
 	t.running = running
 	t.expires = expires
 	t.armSeq = seq
-	if !running {
-		return
+	if running {
+		t.e.ScheduleExact(expires, seq, t, Event{A: int64(t.gen)})
 	}
-	gen := t.gen
-	t.e.ScheduleExact(expires, seq, func() {
-		if t.gen != gen || !t.running {
-			return
-		}
-		t.running = false
-		t.fn()
-	})
 }
 
 // Stop cancels the timer if running. Stopping a never-started,

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"outran/internal/analysis/probetest"
 )
@@ -100,14 +101,30 @@ func TestStop(t *testing.T) {
 	}
 }
 
+// TestTicker pins sim.Periodic: fn runs before the next tick is armed
+// (so events fn schedules take earlier seqs than the re-arm), Stop
+// turns the queued tick into a no-op, and a Snap/RestoreArm round trip
+// into a fresh engine continues with the same (at, seq).
 func TestTicker(t *testing.T) {
 	var e Engine
 	var ticks []Time
-	cancel := e.Ticker(10, func() {
+	var inner []uint64 // seq of the event each tick's fn scheduled
+	var p *Periodic
+	p = NewPeriodic(&e, 10, func() {
 		ticks = append(ticks, e.Now())
+		inner = append(inner, e.Schedule(e.Now(), funcHandler(func() {}), Event{}))
 	})
-	e.At(35, func() { cancel() })
-	e.RunUntil(100)
+	e.At(35, func() { p.Stop() })
+	for e.Pending() > 0 {
+		n := len(inner)
+		e.step()
+		if len(inner) == n {
+			continue // not a tick
+		}
+		if _, _, seq := p.Snap(); seq != inner[n]+1 {
+			t.Fatalf("tick %d: fn scheduled seq %d, re-arm took %d; want fn first, re-arm right after", n, inner[n], seq)
+		}
+	}
 	if len(ticks) != 3 {
 		t.Fatalf("got %d ticks %v, want 3", len(ticks), ticks)
 	}
@@ -115,6 +132,45 @@ func TestTicker(t *testing.T) {
 		if tm != Time(10*(i+1)) {
 			t.Fatalf("tick %d at %v", i, tm)
 		}
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("%d events left after Stop; the stopped tick must pop as a no-op and not re-arm", e.Pending())
+	}
+
+	// Round trip: a periodic snapshotted mid-run and re-armed on a fresh
+	// engine fires at the same instants with the same seqs.
+	var a Engine
+	var gotA []Time
+	pa := NewPeriodic(&a, 10, func() { gotA = append(gotA, a.Now()) })
+	a.RunUntil(25)
+	stopped, nextAt, seq := pa.Snap()
+	if stopped || nextAt != 30 {
+		t.Fatalf("Snap = (%v, %v, %d), want running with the next tick at 30", stopped, nextAt, seq)
+	}
+	var b Engine
+	var gotB []Time
+	pb := NewPeriodic(&b, 10, func() { gotB = append(gotB, b.Now()) })
+	b.DropPending()
+	b.RestoreState(a.SnapState())
+	pb.RestoreArm(stopped, nextAt, seq)
+	if en := b.Entries(); len(en) != 1 || en[0].At != nextAt || en[0].Seq != seq || en[0].H != Handler(pb) {
+		t.Fatalf("restored queue %+v, want one tick at (%v, %d)", en, nextAt, seq)
+	}
+	gotA = gotA[:0]
+	a.RunUntil(55)
+	b.RunUntil(55)
+	if len(gotB) != 3 || len(gotA) != 3 {
+		t.Fatalf("after restore: live ticks %v, restored ticks %v, want 3 each", gotA, gotB)
+	}
+	for i := range gotA {
+		if gotA[i] != gotB[i] {
+			t.Fatalf("restored periodic ticks at %v, live at %v", gotB, gotA)
+		}
+	}
+	_, _, seqA := pa.Snap()
+	_, _, seqB := pb.Snap()
+	if seqA != seqB {
+		t.Fatalf("pending tick seq %d live vs %d restored", seqA, seqB)
 	}
 }
 
@@ -311,13 +367,47 @@ func TestHeapPushZeroAlloc(t *testing.T) {
 				t.Fatalf("steady-state schedule+run allocates %.1f/op, want 0", allocs)
 			}
 		},
+		"(*Engine).Schedule": func(t *testing.T) {
+			var e Engine
+			var p Periodic // any pointer-shaped handler
+			ev := Event{Kind: 1, Idx: 2, A: 3, B: 4, Ptr: &p}
+			allocs := testing.AllocsPerRun(1000, func() {
+				e.Schedule(e.Now(), &p, ev)
+				e.pq.pop()
+			})
+			if allocs != 0 {
+				t.Fatalf("Schedule with a full payload allocates %.1f/op, want 0", allocs)
+			}
+		},
+		"(*Timer).Start": func(t *testing.T) {
+			var e Engine
+			tm := NewTimer(&e, func() {})
+			allocs := testing.AllocsPerRun(1000, func() {
+				tm.Start(10)
+				e.Run()
+			})
+			if allocs != 0 {
+				t.Fatalf("timer arm+fire allocates %.1f/op, want 0", allocs)
+			}
+		},
+		"(*Periodic).arm": func(t *testing.T) {
+			var e Engine
+			p := NewPeriodic(&e, 10, func() {})
+			allocs := testing.AllocsPerRun(1000, func() {
+				e.step() // tick: fn, then re-arm
+			})
+			if allocs != 0 {
+				t.Fatalf("periodic tick+re-arm allocates %.1f/op, want 0", allocs)
+			}
+			p.Stop()
+		},
 		"(*eventHeap).push": func(t *testing.T) {
 			var h eventHeap
-			ev := event{fn: func() {}}
+			en := Entry{H: funcHandler(func() {})}
 			// Keep the heap size constant per run so push never has
 			// to grow past the warm-up high-water mark.
 			allocs := testing.AllocsPerRun(1000, func() {
-				h.push(ev)
+				h.push(en)
 				h.pop()
 			})
 			if allocs != 0 {
@@ -328,15 +418,23 @@ func TestHeapPushZeroAlloc(t *testing.T) {
 			var h eventHeap
 			// Pre-grow past a few levels so pop sifts the root down.
 			for i := 0; i < 31; i++ {
-				h.push(event{at: Time(31 - i), seq: uint64(i), fn: func() {}})
+				h.push(Entry{At: Time(31 - i), Seq: uint64(i), H: funcHandler(func() {})})
 			}
 			allocs := testing.AllocsPerRun(1000, func() {
-				ev := h.pop()
-				h.push(ev)
+				en := h.pop()
+				h.push(en)
 			})
 			if allocs != 0 {
 				t.Fatalf("pop/push cycle allocates %.1f/op, want 0", allocs)
 			}
 		},
 	})
+}
+
+// TestEntrySize pins the queue entry at 72 bytes: every sift moves
+// whole entries, so the payload must stay small.
+func TestEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(Entry{}); got > 72 {
+		t.Fatalf("sim.Entry is %d bytes, want <= 72", got)
+	}
 }

@@ -1,16 +1,14 @@
 package sim
 
-// Periodic is a snapshot-aware replacement for Engine.Ticker: it
-// invokes fn every period with identical scheduling order (fn runs,
-// then the next tick is armed, so events scheduled inside fn take
-// earlier sequence numbers than the re-arm — exactly as the closure
-// ticker behaved), but it additionally tracks the (at, seq) of the
-// pending tick so a checkpoint can re-register it bit-exactly.
+// Periodic invokes fn every period. It is its own event handler: fn
+// runs, then the next tick is scheduled, so events scheduled inside fn
+// take earlier sequence numbers than the re-arm. It tracks the
+// (at, seq) of the pending tick so a checkpoint can re-register it
+// bit-exactly.
 type Periodic struct {
 	e       *Engine
 	period  Time
 	fn      func()
-	tickFn  func() // bound once; re-arming reuses it (no per-tick alloc)
 	stopped bool
 	nextAt  Time
 	seq     uint64
@@ -23,18 +21,18 @@ func NewPeriodic(e *Engine, period Time, fn func()) *Periodic {
 		panic("sim: non-positive periodic period")
 	}
 	p := &Periodic{e: e, period: period, fn: fn}
-	p.tickFn = p.tick
 	p.arm()
 	return p
 }
 
+//outran:allocfree
 func (p *Periodic) arm() {
-	p.e.After(p.period, p.tickFn)
-	p.nextAt = p.e.Now() + p.period
-	p.seq = p.e.LastSeq()
+	p.nextAt = p.e.now + p.period
+	p.seq = p.e.Schedule(p.nextAt, p, Event{})
 }
 
-func (p *Periodic) tick() {
+// Fire is one tick.
+func (p *Periodic) Fire(Event) {
 	if p.stopped {
 		return
 	}
@@ -58,8 +56,7 @@ func (p *Periodic) RestoreArm(stopped bool, nextAt Time, seq uint64) {
 	p.stopped = stopped
 	p.nextAt = nextAt
 	p.seq = seq
-	if stopped {
-		return
+	if !stopped {
+		p.e.ScheduleExact(nextAt, seq, p, Event{})
 	}
-	p.e.ScheduleExact(nextAt, seq, p.tickFn)
 }
