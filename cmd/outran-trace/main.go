@@ -133,7 +133,7 @@ func summary(events []obs.Event) {
 }
 
 // printCheckpoints summarises the run's checkpoint writes: cadence,
-// final write count and last snapshot size (see deploy.Checkpointer).
+// final write count and last snapshot size (written by the deploy runtime).
 func printCheckpoints(events []obs.Event) {
 	var n int64
 	var lastSize int64

@@ -105,12 +105,10 @@ func ReadCheckpointMeta(a *snapshot.Archive) (CheckpointMeta, error) {
 	return m, nil
 }
 
-// Checkpointer writes one cell's periodic checkpoints and surfaces
+// checkpointer writes one cell's periodic checkpoints and surfaces
 // the checkpoint cadence, latest snapshot size and write count as
-// registry instruments in the cell's RunSummary. It is the shared
-// building block of the deployment runtime and outran-sim's
-// single-cell -checkpoint-every path.
-type Checkpointer struct {
+// registry instruments in the cell's RunSummary.
+type checkpointer struct {
 	dir    string
 	cell   int
 	every  sim.Time
@@ -124,19 +122,19 @@ type Checkpointer struct {
 	files []string // retained checkpoint paths, oldest first
 }
 
-// NewCheckpointer builds a checkpointer for one cell index.
-func NewCheckpointer(cc CheckpointConfig, cell int) *Checkpointer {
+// newCheckpointer builds a checkpointer for one cell index.
+func newCheckpointer(cc CheckpointConfig, cell int) *checkpointer {
 	cc = cc.WithDefaults()
-	return &Checkpointer{dir: cc.Dir, cell: cell, every: cc.Every, retain: cc.Retain}
+	return &checkpointer{dir: cc.Dir, cell: cell, every: cc.Every, retain: cc.Retain}
 }
 
-// Attach binds the checkpointer to its cell, registers the checkpoint
+// attach binds the checkpointer to its cell, registers the checkpoint
 // instruments, creates the checkpoint directory, and scans it for
 // files left by an earlier incarnation (so retention keeps counting
 // across a resume). traceOffset, when non-nil, reports the cell's
 // absolute trace size in bytes (obs.JSONLSink.BytesWritten plus any
 // resumed-from base).
-func (ck *Checkpointer) Attach(c *ran.Cell, traceOffset func() int64) error {
+func (ck *checkpointer) attach(c *ran.Cell, traceOffset func() int64) error {
 	ck.c = c
 	ck.traceOffset = traceOffset
 	c.Reg.Gauge("checkpoint_period_s").Set(ck.every.Seconds())
@@ -153,12 +151,12 @@ func (ck *Checkpointer) Attach(c *ran.Cell, traceOffset func() int64) error {
 	return nil
 }
 
-// Write takes one checkpoint at the current simulation time. The
+// write takes one checkpoint at the current simulation time. The
 // write counter is bumped BEFORE encoding, so the k-th checkpoint
 // records k writes and a run resumed from it reaches the same final
 // count as an uninterrupted one. The size gauge is set after the
 // write to the finished file's size; restores overwrite it the same
-// way (Restore), so it always reads "bytes of the latest checkpoint
+// way (restore), so it always reads "bytes of the latest checkpoint
 // in this cell's lineage" in every incarnation.
 //
 // kpiOff is the KPI stream's byte offset as of this barrier, or -1
@@ -166,7 +164,7 @@ func (ck *Checkpointer) Attach(c *ran.Cell, traceOffset func() int64) error {
 // through a callback like the trace offset) because the KPI stream is
 // shared by all cells and must be captured once, before the per-cell
 // checkpoint writes fan out.
-func (ck *Checkpointer) Write(handovers, flowsTransferred int, kpiOff int64) error {
+func (ck *checkpointer) write(handovers, flowsTransferred int, kpiOff int64) error {
 	now := ck.c.Eng.Now()
 	ck.writes.Inc()
 	var b snapshot.Builder
@@ -187,7 +185,7 @@ func (ck *Checkpointer) Write(handovers, flowsTransferred int, kpiOff int64) err
 	b.Add(deploySection, &e)
 
 	data := b.Bytes()
-	path := CheckpointPath(ck.dir, ck.cell, now)
+	path := checkpointPath(ck.dir, ck.cell, now)
 	if err := snapshot.WriteFileAtomic(path, data); err != nil {
 		return fmt.Errorf("deploy: checkpoint cell %d at %v: %w", ck.cell, now, err)
 	}
@@ -216,14 +214,14 @@ func (ck *Checkpointer) Write(handovers, flowsTransferred int, kpiOff int64) err
 	return nil
 }
 
-// Restore rebuilds the cell from its checkpoint at the given instant:
+// restore rebuilds the cell from its checkpoint at the given instant:
 // fresh construction from cfg (which must match the snapshotted run's
 // — the archive's config fingerprint is cross-checked), trace file
 // truncated back to the checkpoint's offset (tracePath "" = not
 // tracing), snapshot overlaid, checkpointer bound to the result. The
 // restored cell continues byte-identically to the original.
-func (ck *Checkpointer) Restore(cfg ran.Config, at sim.Time, tracePath string) (*ran.Cell, *TraceFile, CheckpointMeta, error) {
-	path := CheckpointPath(ck.dir, ck.cell, at)
+func (ck *checkpointer) restore(cfg ran.Config, at sim.Time, tracePath string) (*ran.Cell, *traceFile, CheckpointMeta, error) {
+	path := checkpointPath(ck.dir, ck.cell, at)
 	a, err := snapshot.ReadFile(path)
 	if err != nil {
 		return nil, nil, CheckpointMeta{}, err
@@ -243,17 +241,17 @@ func (ck *Checkpointer) Restore(cfg ran.Config, at sim.Time, tracePath string) (
 	if err != nil {
 		return nil, nil, CheckpointMeta{}, err
 	}
-	var tf *TraceFile
+	var tf *traceFile
 	var off func() int64
 	if tracePath != "" {
-		tf, err = ResumeTraceFile(tracePath, meta.TraceOffset)
+		tf, err = resumeTraceFile(tracePath, meta.TraceOffset)
 		if err != nil {
 			return nil, nil, CheckpointMeta{}, err
 		}
 		c.SetTracerResumed(tf.Tracer())
 		off = tf.Offset
 	}
-	if err := ck.Attach(c, off); err != nil {
+	if err := ck.attach(c, off); err != nil {
 		return nil, tf, CheckpointMeta{}, err
 	}
 	// Files newer than the resume instant are stale: this lineage never
@@ -279,9 +277,9 @@ func (ck *Checkpointer) Restore(cfg ran.Config, at sim.Time, tracePath string) (
 }
 
 // pruneNewerThan deletes this cell's checkpoint files taken after the
-// given instant and drops them from the retention list (which Attach
+// given instant and drops them from the retention list (which attach
 // filled oldest-first; removing a suffix keeps it ordered).
-func (ck *Checkpointer) pruneNewerThan(at sim.Time) error {
+func (ck *checkpointer) pruneNewerThan(at sim.Time) error {
 	kept := ck.files[:0]
 	for _, f := range ck.files {
 		t, err := checkpointTime(f)
@@ -300,9 +298,9 @@ func (ck *Checkpointer) pruneNewerThan(at sim.Time) error {
 	return nil
 }
 
-// CheckpointPath names cell's checkpoint at the given instant. The
+// checkpointPath names cell's checkpoint at the given instant. The
 // nanosecond timestamp is zero-padded so lexical order is time order.
-func CheckpointPath(dir string, cell int, at sim.Time) string {
+func checkpointPath(dir string, cell int, at sim.Time) string {
 	return filepath.Join(dir, fmt.Sprintf("cell%d-%019d.ckpt", cell, int64(at)))
 }
 
@@ -347,10 +345,10 @@ func checkpointTime(path string) (sim.Time, error) {
 	return sim.Time(ns), nil
 }
 
-// TraceFile is a runtime-owned JSONL trace file — the form of tracing
+// traceFile is a runtime-owned JSONL trace file — the form of tracing
 // that supports crash recovery, because the runtime can truncate the
 // file back to a checkpoint's offset and append the replayed suffix.
-type TraceFile struct {
+type traceFile struct {
 	path   string
 	file   *os.File
 	sink   *obs.JSONLSink
@@ -358,20 +356,20 @@ type TraceFile struct {
 	base   int64 // bytes present before this sink's writes
 }
 
-// OpenTraceFile starts a fresh trace file.
-func OpenTraceFile(path string) (*TraceFile, error) {
+// openTraceFile starts a fresh trace file.
+func openTraceFile(path string) (*traceFile, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("deploy: trace: %w", err)
 	}
 	sink := obs.NewJSONLSink(f)
-	return &TraceFile{path: path, file: f, sink: sink, tracer: obs.NewTracer(sink)}, nil
+	return &traceFile{path: path, file: f, sink: sink, tracer: obs.NewTracer(sink)}, nil
 }
 
-// ResumeTraceFile truncates the trace file back to off and appends
+// resumeTraceFile truncates the trace file back to off and appends
 // from there — the resumed run re-emits exactly the suffix the
 // uninterrupted run would have written.
-func ResumeTraceFile(path string, off int64) (*TraceFile, error) {
+func resumeTraceFile(path string, off int64) (*traceFile, error) {
 	if off < 0 {
 		return nil, fmt.Errorf("deploy: trace %s: checkpoint has no trace offset (original run was not tracing)", path)
 	}
@@ -384,42 +382,42 @@ func ResumeTraceFile(path string, off int64) (*TraceFile, error) {
 		return nil, fmt.Errorf("deploy: truncating trace %s to %d: %w", path, off, err)
 	}
 	sink := obs.NewJSONLSink(f)
-	return &TraceFile{path: path, file: f, sink: sink, tracer: obs.NewTracer(sink), base: off}, nil
+	return &traceFile{path: path, file: f, sink: sink, tracer: obs.NewTracer(sink), base: off}, nil
 }
 
 // Tracer returns the tracer bound to this file (install via
 // ran.Harness.Tracer or ran.Cell.SetTracerResumed).
-func (tf *TraceFile) Tracer() *obs.Tracer { return tf.tracer }
+func (tf *traceFile) Tracer() *obs.Tracer { return tf.tracer }
 
 // Offset returns the absolute trace size in bytes (flushes first).
-func (tf *TraceFile) Offset() int64 { return tf.base + tf.sink.BytesWritten() }
+func (tf *traceFile) Offset() int64 { return tf.base + tf.sink.BytesWritten() }
 
 // Close flushes and closes the file.
-func (tf *TraceFile) Close() error { return tf.sink.Close() }
+func (tf *traceFile) Close() error { return tf.sink.Close() }
 
-// KPIFile is the runtime-owned KPI JSONL stream — TraceFile's sibling
+// kpiFile is the runtime-owned KPI JSONL stream — traceFile's sibling
 // for live telemetry. One file serves the whole deployment (records
 // carry the cell index), so checkpoints record its offset by value
 // rather than through per-cell callbacks.
-type KPIFile struct {
+type kpiFile struct {
 	sampler *obs.KPISampler
 	base    int64 // bytes present before this sampler's writes
 }
 
-// OpenKPIFile starts a fresh KPI stream with the given sampling
+// openKPIFile starts a fresh KPI stream with the given sampling
 // interval.
-func OpenKPIFile(path string, every sim.Time) (*KPIFile, error) {
+func openKPIFile(path string, every sim.Time) (*kpiFile, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("deploy: kpi: %w", err)
 	}
-	return &KPIFile{sampler: obs.NewKPISampler(f, every)}, nil
+	return &kpiFile{sampler: obs.NewKPISampler(f, every)}, nil
 }
 
-// ResumeKPIFile truncates the KPI stream back to off and appends from
+// resumeKPIFile truncates the KPI stream back to off and appends from
 // there — the resumed run re-emits exactly the suffix the
 // uninterrupted run would have written.
-func ResumeKPIFile(path string, every sim.Time, off int64) (*KPIFile, error) {
+func resumeKPIFile(path string, every sim.Time, off int64) (*kpiFile, error) {
 	if off < 0 {
 		return nil, fmt.Errorf("deploy: kpi %s: checkpoint has no KPI offset (original run emitted no KPI stream)", path)
 	}
@@ -431,14 +429,14 @@ func ResumeKPIFile(path string, every sim.Time, off int64) (*KPIFile, error) {
 		f.Close()
 		return nil, fmt.Errorf("deploy: truncating kpi %s to %d: %w", path, off, err)
 	}
-	return &KPIFile{sampler: obs.NewKPISampler(f, every), base: off}, nil
+	return &kpiFile{sampler: obs.NewKPISampler(f, every), base: off}, nil
 }
 
 // Emit appends one record to the stream.
-func (kf *KPIFile) Emit(rec *obs.KPIRecord) { kf.sampler.Emit(rec) }
+func (kf *kpiFile) Emit(rec *obs.KPIRecord) { kf.sampler.Emit(rec) }
 
 // Offset returns the absolute stream size in bytes (flushes first).
-func (kf *KPIFile) Offset() int64 { return kf.base + kf.sampler.Offset() }
+func (kf *kpiFile) Offset() int64 { return kf.base + kf.sampler.Offset() }
 
 // Close flushes and closes the file.
-func (kf *KPIFile) Close() error { return kf.sampler.Close() }
+func (kf *kpiFile) Close() error { return kf.sampler.Close() }

@@ -6,11 +6,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"outran/internal/deploy"
 	"outran/internal/fault"
-	"outran/internal/obs"
 	"outran/internal/sim"
 )
 
@@ -25,10 +25,16 @@ func checkpointedDeployment(dir string, retain int) deploy.Config {
 		Every:  150 * sim.Millisecond,
 		Retain: retain,
 	}
-	cfg.TracePathFor = func(cell int) string {
+	cfg.TracePathFor = tracePathIn(dir)
+	return cfg
+}
+
+// tracePathIn names per-cell trace files dir/traceN.jsonl, the layout
+// outcomeOf reads back.
+func tracePathIn(dir string) func(int) string {
+	return func(cell int) string {
 		return filepath.Join(dir, fmt.Sprintf("trace%d.jsonl", cell))
 	}
-	return cfg
 }
 
 // deployOutcome flattens a deployment result plus its trace files into
@@ -316,10 +322,6 @@ func TestCheckpointValidation(t *testing.T) {
 		{"ContinueBytes with checkpointing", func(c *deploy.Config) {
 			c.Handovers[0].ContinueBytes = 32 << 10
 		}},
-		{"TracerFor with checkpointing", func(c *deploy.Config) {
-			c.TracePathFor = nil
-			c.TracerFor = func(int) *obs.Tracer { return nil }
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -384,5 +386,66 @@ func TestCheckpointedParallelSerialEquivalence(t *testing.T) {
 				t.Errorf("cell %d checkpoint at %v differs between worker counts", cell, at)
 			}
 		}
+	}
+}
+
+// TestProfileSurvivesResume: Config.Profile installs the phase profiler
+// on build and on restore, so a resumed run reports phases too — and,
+// being host timing only, it leaves summaries and traces byte-identical
+// to the unprofiled run's.
+func TestProfileSurvivesResume(t *testing.T) {
+	dirA := t.TempDir()
+	resA, err := deploy.Run(checkpointedDeployment(dirA, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := resA.Live[0].PhaseProfiler(); p != nil {
+		t.Fatalf("unprofiled run carries a phase profiler: %v", p.NsPerTTI())
+	}
+
+	dirB := t.TempDir()
+	cfgB := checkpointedDeployment(dirB, 100)
+	cfgB.Profile = true
+	if _, err := deploy.Run(cfgB); err != nil {
+		t.Fatal(err)
+	}
+	resB, err := deploy.Resume(cfgB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range resB.Live {
+		if len(c.PhaseProfiler().NsPerTTI()) == 0 {
+			t.Errorf("cell %d lost its phase profiler across Resume", i)
+		}
+	}
+	// The profiled summaries differ from the reference only in the
+	// wall-clock phases block; drop it before comparing.
+	for i := range resB.Cells {
+		resB.Cells[i].Summary.Phases = nil
+	}
+	compareOutcomes(t, outcomeOf(t, dirA, resA), outcomeOf(t, dirB, resB), "profiled resume")
+}
+
+// TestTraceFlushErrorFailsRun: a trace whose final flush fails (the
+// sink's sticky write error surfaces at Close) must fail the run, not
+// return success beside a truncated file.
+func TestTraceFlushErrorFailsRun(t *testing.T) {
+	const full = "/dev/full"
+	if f, err := os.OpenFile(full, os.O_WRONLY, 0); err != nil {
+		t.Skipf("%s not available: %v", full, err)
+	} else {
+		f.Close()
+	}
+	cfg := smallDeployment(1)
+	cfg.TracePathFor = func(cell int) string {
+		if cell == 2 {
+			return full
+		}
+		return ""
+	}
+	if _, err := deploy.Run(cfg); err == nil {
+		t.Fatal("deploy.Run succeeded although cell 2's trace could not be written")
+	} else if !strings.Contains(err.Error(), "cell 2 trace") {
+		t.Fatalf("error does not name the failed trace: %v", err)
 	}
 }

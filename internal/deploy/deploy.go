@@ -11,7 +11,7 @@
 // aggregation folds in cell order after the pool drains — so a
 // deployment run on 1 worker and on GOMAXPROCS workers produces
 // byte-identical per-cell summaries and traces (gated in deploy_test.go
-// and CI).
+// and, through the CLI, in cmd/outran-sim's tests).
 //
 // Inter-cell handover rides on the §7 flow-state transfer: the run is
 // phased at the scripted handover instants; at each barrier every
@@ -81,19 +81,17 @@ type Config struct {
 	// Handovers scripts inter-cell UE migrations, applied in script
 	// order at each shared instant.
 	Handovers []Handover
-	// TracerFor, when non-nil, supplies a per-cell tracer installed
-	// before the cell's first event (nil return = no trace). The
-	// caller owns the tracers and closes them after Run returns.
-	// Mutually exclusive with checkpointing — crash recovery must own
-	// the trace files (use TracePathFor).
-	TracerFor func(cell int) *obs.Tracer
 	// TracePathFor, when non-nil, gives each cell a runtime-owned
-	// JSONL trace file ("" = no trace for that cell). This is the
-	// tracing form that supports checkpointing: on crash or resume the
-	// runtime truncates the file back to the checkpoint's offset and
-	// the replay appends the exact suffix an uninterrupted run would
+	// JSONL trace file ("" = no trace for that cell), installed before
+	// the cell's first event. The runtime owns the file so that on crash
+	// or resume it can truncate it back to the checkpoint's offset and
+	// let the replay append the exact suffix an uninterrupted run would
 	// have written.
 	TracePathFor func(cell int) string
+	// Profile installs a wall-clock phase profiler on every cell, on
+	// build and on every restore. Host timing: it fills
+	// RunSummary.Phases and touches no trace, KPI record or checkpoint.
+	Profile bool
 	// PerCell, when non-nil, may adjust each cell's derived config
 	// (heterogeneous deployments). It must be deterministic in the
 	// cell index.
@@ -107,7 +105,8 @@ type Config struct {
 	WorkloadTracePathFor func(cell int) string
 	// KPIPath, when non-empty, writes the live KPI stream to this JSONL
 	// file: one record per cell per sampling instant (in cell order)
-	// followed by one deployment roll-up record (Cell == -1). Requires
+	// followed, when Cells > 1, by one deployment roll-up record
+	// (Cell == -1). Requires
 	// Cell.KPIEvery > 0; the base Cell config fixes the cadence (a
 	// PerCell hook must not change KPIEvery). The stream derives only
 	// from simulation state, so same-seed runs produce byte-identical
@@ -178,8 +177,8 @@ type runState struct {
 	total sim.Time
 
 	cells  []*ran.Cell
-	traces []*TraceFile
-	cks    []*Checkpointer
+	traces []*traceFile
+	cks    []*checkpointer
 	ckAt   map[sim.Time]bool
 
 	// KPI sampling schedule (multiples of Cell.KPIEvery up to and
@@ -188,7 +187,7 @@ type runState struct {
 	// windowed state evolves identically with or without a file).
 	kpiTimes []sim.Time
 	kpiAt    map[sim.Time]bool
-	kpiFile  *KPIFile
+	kpiFile  *kpiFile
 	kpiBuf   []obs.KPISample // per-barrier scratch, cell order
 
 	res *Result
@@ -201,13 +200,12 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer rs.closeTraces()
-	defer rs.closeKPI()
+	defer rs.closeOutputs()
 	if err := rs.build(); err != nil {
 		return nil, err
 	}
 	if rs.cfg.KPIPath != "" {
-		rs.kpiFile, err = OpenKPIFile(rs.cfg.KPIPath, rs.cfg.Cell.KPIEvery)
+		rs.kpiFile, err = openKPIFile(rs.cfg.KPIPath, rs.cfg.Cell.KPIEvery)
 		if err != nil {
 			return nil, err
 		}
@@ -215,7 +213,7 @@ func Run(cfg Config) (*Result, error) {
 	if err := rs.loop(0); err != nil {
 		return nil, err
 	}
-	if err := rs.closeKPI(); err != nil {
+	if err := rs.closeOutputs(); err != nil {
 		return nil, err
 	}
 	return rs.finish()
@@ -237,14 +235,13 @@ func Resume(cfg Config) (*Result, error) {
 	if !rs.cfg.Checkpoint.Enabled() {
 		return nil, fmt.Errorf("deploy: Resume requires Checkpoint.Dir")
 	}
-	defer rs.closeTraces()
-	defer rs.closeKPI()
+	defer rs.closeOutputs()
 	from, kpiOff, err := rs.restore()
 	if err != nil {
 		return nil, err
 	}
 	if rs.cfg.KPIPath != "" {
-		rs.kpiFile, err = ResumeKPIFile(rs.cfg.KPIPath, rs.cfg.Cell.KPIEvery, kpiOff)
+		rs.kpiFile, err = resumeKPIFile(rs.cfg.KPIPath, rs.cfg.Cell.KPIEvery, kpiOff)
 		if err != nil {
 			return nil, err
 		}
@@ -252,7 +249,7 @@ func Resume(cfg Config) (*Result, error) {
 	if err := rs.loop(from); err != nil {
 		return nil, err
 	}
-	if err := rs.closeKPI(); err != nil {
+	if err := rs.closeOutputs(); err != nil {
 		return nil, err
 	}
 	return rs.finish()
@@ -281,12 +278,6 @@ func prepare(cfg Config) (*runState, error) {
 		if err := os.MkdirAll(cfg.Checkpoint.Dir, 0o755); err != nil {
 			return nil, fmt.Errorf("deploy: checkpoint dir: %w", err)
 		}
-	}
-	if ckOn && cfg.TracerFor != nil {
-		return nil, fmt.Errorf("deploy: checkpointing requires runtime-owned traces; use TracePathFor, not TracerFor")
-	}
-	if cfg.TracerFor != nil && cfg.TracePathFor != nil {
-		return nil, fmt.Errorf("deploy: TracerFor and TracePathFor are mutually exclusive")
 	}
 	if cfg.KPIPath != "" && cfg.Cell.KPIEvery <= 0 {
 		return nil, fmt.Errorf("deploy: KPIPath requires Cell.KPIEvery > 0")
@@ -345,8 +336,8 @@ func prepare(cfg Config) (*runState, error) {
 		seeds:  seeds,
 		total:  total,
 		cells:  make([]*ran.Cell, n),
-		traces: make([]*TraceFile, n),
-		cks:    make([]*Checkpointer, n),
+		traces: make([]*traceFile, n),
+		cks:    make([]*checkpointer, n),
 		ckAt:   make(map[sim.Time]bool),
 		res:    &Result{},
 	}
@@ -393,12 +384,9 @@ func (rs *runState) build() error {
 			Tail:   rs.cfg.Tail,
 			Drain:  rs.cfg.Drain,
 		}
-		if rs.cfg.TracerFor != nil {
-			h.Tracer = rs.cfg.TracerFor(i)
-		}
 		if rs.cfg.TracePathFor != nil {
 			if path := rs.cfg.TracePathFor(i); path != "" {
-				tf, err := OpenTraceFile(path)
+				tf, err := openTraceFile(path)
 				if err != nil {
 					return err
 				}
@@ -430,13 +418,16 @@ func (rs *runState) build() error {
 			return err
 		}
 		rs.cells[i] = cell
+		if rs.cfg.Profile {
+			cell.SetPhaseProfiler(obs.NewPhaseProfiler())
+		}
 		if rs.cfg.Checkpoint.Enabled() {
-			ck := NewCheckpointer(rs.cfg.Checkpoint, i)
+			ck := newCheckpointer(rs.cfg.Checkpoint, i)
 			var off func() int64
 			if rs.traces[i] != nil {
 				off = rs.traces[i].Offset
 			}
-			if err := ck.Attach(cell, off); err != nil {
+			if err := ck.attach(cell, off); err != nil {
 				return err
 			}
 			rs.cks[i] = ck
@@ -495,15 +486,23 @@ func (rs *runState) restoreCell(i int, at sim.Time) (CheckpointMeta, error) {
 	if rs.cfg.TracePathFor != nil {
 		tracePath = rs.cfg.TracePathFor(i)
 	}
-	if rs.traces[i] != nil {
-		rs.traces[i].Close()
+	if tf := rs.traces[i]; tf != nil {
+		// A crashed cell's trace is about to be truncated back to the
+		// checkpoint offset, but a failed flush still means the disk
+		// cannot take the replayed suffix either.
 		rs.traces[i] = nil
+		if err := tf.Close(); err != nil {
+			return CheckpointMeta{}, fmt.Errorf("trace: %w", err)
+		}
 	}
-	ck := NewCheckpointer(rs.cfg.Checkpoint, i)
-	cell, tf, meta, err := ck.Restore(rs.cellConfig(i), at, tracePath)
+	ck := newCheckpointer(rs.cfg.Checkpoint, i)
+	cell, tf, meta, err := ck.restore(rs.cellConfig(i), at, tracePath)
 	rs.traces[i] = tf
 	if err != nil {
 		return CheckpointMeta{}, err
+	}
+	if rs.cfg.Profile {
+		cell.SetPhaseProfiler(obs.NewPhaseProfiler())
 	}
 	rs.cells[i] = cell
 	rs.cks[i] = ck
@@ -551,7 +550,7 @@ func (rs *runState) loop(from sim.Time) error {
 				kpiOff = rs.kpiFile.Offset()
 			}
 			err := ForEach(rs.n, rs.cfg.Workers, func(i int) error {
-				return rs.cks[i].Write(rs.res.Aggregate.HandoversApplied, rs.res.Aggregate.FlowsTransferred, kpiOff)
+				return rs.cks[i].write(rs.res.Aggregate.HandoversApplied, rs.res.Aggregate.FlowsTransferred, kpiOff)
 			})
 			if err != nil {
 				return fmt.Errorf("deploy: checkpoint cell %w", err)
@@ -569,9 +568,10 @@ func (rs *runState) loop(from sim.Time) error {
 
 // sampleKPI closes every KPI-enabled cell's window at the barrier
 // instant — in cell order, after all engines reached it — and appends
-// the per-cell records plus the deployment roll-up to the stream.
-// Sampling happens even without an output file: closing the windows is
-// part of the cells' deterministic state evolution.
+// the per-cell records plus, when more than one cell is aggregated, the
+// deployment roll-up to the stream (a one-cell roll-up would repeat the
+// cell record). Sampling happens even without an output file: closing
+// the windows is part of the cells' deterministic state evolution.
 func (rs *runState) sampleKPI(t sim.Time) {
 	rs.kpiBuf = rs.kpiBuf[:0]
 	for i, c := range rs.cells {
@@ -588,18 +588,34 @@ func (rs *runState) sampleKPI(t sim.Time) {
 	for i := range rs.kpiBuf {
 		rs.kpiFile.Emit(&rs.kpiBuf[i].Rec)
 	}
-	rollup := obs.AggregateKPI(t, rs.kpiBuf)
-	rs.kpiFile.Emit(&rollup)
+	if rs.n > 1 {
+		rollup := obs.AggregateKPI(t, rs.kpiBuf)
+		rs.kpiFile.Emit(&rollup)
+	}
 }
 
-// closeKPI flushes and closes the KPI stream (idempotent).
-func (rs *runState) closeKPI() error {
-	if rs.kpiFile == nil {
-		return nil
+// closeOutputs flushes and closes the KPI stream and every trace file
+// and returns the first error: a failed final flush means a truncated
+// file, which must not pass for a finished run. Idempotent, so Run and
+// Resume call it checked on the success path and deferred for the rest.
+func (rs *runState) closeOutputs() error {
+	var first error
+	if rs.kpiFile != nil {
+		if err := rs.kpiFile.Close(); err != nil {
+			first = fmt.Errorf("deploy: kpi: %w", err)
+		}
+		rs.kpiFile = nil
 	}
-	err := rs.kpiFile.Close()
-	rs.kpiFile = nil
-	return err
+	for i, tf := range rs.traces {
+		if tf == nil {
+			continue
+		}
+		if err := tf.Close(); err != nil && first == nil {
+			first = fmt.Errorf("deploy: cell %d trace: %w", i, err)
+		}
+		rs.traces[i] = nil
+	}
+	return first
 }
 
 // barriers returns the distinct pause instants in (from, total),
@@ -754,15 +770,6 @@ func aggregateFairness(cells []*ran.Cell) (float64, bool) {
 		total += sums[k] * sums[k] / (ns[k] * sumSqs[k])
 	}
 	return total / float64(len(sums)), true
-}
-
-// closeTraces flushes and closes every runtime-owned trace file.
-func (rs *runState) closeTraces() {
-	for _, tf := range rs.traces {
-		if tf != nil {
-			tf.Close()
-		}
-	}
 }
 
 // runAll advances every cell to the given instant across the pool.

@@ -1,12 +1,9 @@
 package deploy_test
 
 import (
-	"bytes"
-	"encoding/json"
 	"testing"
 
 	"outran/internal/deploy"
-	"outran/internal/obs"
 	"outran/internal/ran"
 	"outran/internal/sim"
 	"outran/internal/workload"
@@ -35,73 +32,27 @@ func smallDeployment(workers int) deploy.Config {
 // TestParallelSerialEquivalence is the determinism gate for the
 // deployment runtime: a run on 1 worker and a run on 4 workers must
 // produce byte-identical per-cell summaries, byte-identical per-cell
-// traces, and an identical aggregate. The worker count may change
-// wall-clock time and nothing else.
+// trace files (the trace files open inside the build pool, so this is
+// also the gate for outran-sim -trace at any -parallel), and an
+// identical aggregate. The worker count may change wall-clock time and
+// nothing else.
 func TestParallelSerialEquivalence(t *testing.T) {
-	type outcome struct {
-		cells  [][]byte // per-cell JSON summaries
-		traces [][]byte // per-cell JSONL traces
-		agg    []byte
-	}
-	run := func(workers int) outcome {
+	run := func(workers int) deployOutcome {
+		dir := t.TempDir()
 		cfg := smallDeployment(workers)
-		n := cfg.Cells
-		bufs := make([]*bytes.Buffer, n)
-		tracers := make([]*obs.Tracer, n)
-		for i := range bufs {
-			bufs[i] = &bytes.Buffer{}
-			tracers[i] = obs.NewTracer(obs.NewJSONLSink(bufs[i]))
-		}
-		cfg.TracerFor = func(i int) *obs.Tracer { return tracers[i] }
+		cfg.TracePathFor = tracePathIn(dir)
 		res, err := deploy.Run(cfg)
 		if err != nil {
 			t.Fatalf("deploy.Run(workers=%d): %v", workers, err)
 		}
-		var out outcome
 		for i, c := range res.Cells {
 			if c.Cell != i {
 				t.Fatalf("workers=%d: cell %d reported index %d", workers, i, c.Cell)
 			}
-			b, err := json.Marshal(c.Summary)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out.cells = append(out.cells, b)
 		}
-		for i := range tracers {
-			if err := tracers[i].Close(); err != nil {
-				t.Fatalf("tracer %d: %v", i, err)
-			}
-			out.traces = append(out.traces, bufs[i].Bytes())
-		}
-		b, err := json.Marshal(res.Aggregate)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out.agg = b
-		return out
+		return outcomeOf(t, dir, res)
 	}
-
-	serial := run(1)
-	parallel := run(4)
-
-	for i := range serial.cells {
-		if !bytes.Equal(serial.cells[i], parallel.cells[i]) {
-			t.Errorf("cell %d summary differs between 1 and 4 workers:\n  serial:   %s\n  parallel: %s",
-				i, serial.cells[i], parallel.cells[i])
-		}
-		if !bytes.Equal(serial.traces[i], parallel.traces[i]) {
-			t.Errorf("cell %d trace differs between 1 and 4 workers (%d vs %d bytes)",
-				i, len(serial.traces[i]), len(parallel.traces[i]))
-		}
-		if len(serial.traces[i]) == 0 {
-			t.Errorf("cell %d trace is empty — the gate is vacuous", i)
-		}
-	}
-	if !bytes.Equal(serial.agg, parallel.agg) {
-		t.Errorf("aggregate differs between 1 and 4 workers:\n  serial:   %s\n  parallel: %s",
-			serial.agg, parallel.agg)
-	}
+	compareOutcomes(t, run(1), run(4), "1 vs 4 workers")
 }
 
 // TestDeploymentShape checks the aggregate bookkeeping: cell count,

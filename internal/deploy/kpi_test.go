@@ -91,6 +91,28 @@ func TestKPIWorkerCountByteIdentity(t *testing.T) {
 	}
 }
 
+// TestSingleCellKPINoRollup: a one-cell deployment's stream carries the
+// cell-0 records only — a roll-up over one cell would repeat each of
+// them, and outran-sim's single-cell stream never had one.
+func TestSingleCellKPINoRollup(t *testing.T) {
+	cfg := kpiDeployment(t.TempDir(), 1)
+	cfg.Cells = 1
+	cfg.Handovers = nil
+	if _, err := deploy.Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	_, recs := readKPIFile(t, cfg.KPIPath)
+	// Horizon 700 ms at 100 ms cadence → 7 instants, one record each.
+	if len(recs) != 7 {
+		t.Fatalf("%d records, want 7 (one per instant, no roll-up)", len(recs))
+	}
+	for i, r := range recs {
+		if r.Cell != 0 {
+			t.Errorf("record %d: cell %d, want 0", i, r.Cell)
+		}
+	}
+}
+
 // kpiCheckpointedDeployment adds KPI sampling to the checkpointed
 // fixture shared with the resume tests.
 func kpiCheckpointedDeployment(dir string, retain int) deploy.Config {

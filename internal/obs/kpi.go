@@ -144,9 +144,9 @@ func AggregateKPI(t sim.Time, samples []KPISample) KPIRecord {
 
 // KPISampler owns a KPI JSONL stream: the sampling cadence and the
 // offset-tracked writer. Sampling itself is driven externally by the
-// run loop (deploy barriers or the single-cell segment driver) so the
-// instants are identical across worker counts and across a
-// checkpoint/restore boundary.
+// run loop (the deploy runtime's barriers) so the instants are
+// identical across worker counts and across a checkpoint/restore
+// boundary.
 type KPISampler struct {
 	every sim.Time
 	w     *bufio.Writer

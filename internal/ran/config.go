@@ -85,8 +85,8 @@ type Config struct {
 	// KPIEvery, when > 0, enables live KPI telemetry: the cell keeps
 	// windowed FCT histograms and counters that Cell.SampleKPI folds
 	// into one obs.KPIRecord per interval. Sampling itself is driven
-	// externally (deploy barriers / the outran-sim segment loop) so
-	// the instants are identical across worker counts.
+	// externally (the deploy runtime's barriers) so the instants are
+	// identical across worker counts.
 	KPIEvery sim.Time
 
 	// StreamFCT selects the bounded-memory streaming FCT recorder:

@@ -10,9 +10,9 @@ import (
 	"outran/internal/workload"
 )
 
-// Harness is the single run entry point shared by the binaries, the
-// experiment harnesses, the fault runner and the multi-cell deployment
-// runtime: build the cell, attach the workload, run, summarize. It
+// Harness is the single build path shared by the experiment harnesses,
+// the fault runner and the deployment runtime (which outran-sim runs
+// on): build the cell, attach the workload, run, summarize. It
 // encodes the measurement methodology once — a warm-up transient whose
 // flows are excluded, a recorded main window, and a pressure tail that
 // keeps arrivals flowing so flows recorded near the window's end
