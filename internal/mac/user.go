@@ -63,7 +63,9 @@ func (b BufferStatus) TopPriority() int {
 // cell every TTI (buffer status) and every CQI period (channel).
 type User struct {
 	ID UserID
-	// SubbandCQI is the latest reported CQI per subband.
+	// SubbandCQI is the latest measured CQI report per subband. The
+	// cell keeps it current for backlogged users — the only ones a
+	// scheduler may read it for — and for every user after Cell.Users().
 	SubbandCQI []phy.CQI
 	// AvgTputBps is the exponentially smoothed served throughput
 	// (the PF scheduler's long-term average, eq. 1).

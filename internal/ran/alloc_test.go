@@ -72,6 +72,21 @@ func TestCellZeroAllocs(t *testing.T) {
 				t.Errorf("reportCQIAt: %.1f allocs/call, want 0", allocs)
 			}
 		},
+		"(*Cell).measureCQI": func(t *testing.T) {
+			cell := backloggedCell(t)
+			ue := cell.ues[1]
+			cell.reportCQIAt(cell.Eng.Now())
+			if !ue.cqiDue {
+				t.Fatal("no report outstanding; probe would be vacuous")
+			}
+			allocs := testing.AllocsPerRun(100, func() {
+				ue.cqiDue = true
+				cell.measureCQI(ue)
+			})
+			if allocs != 0 {
+				t.Errorf("measureCQI: %.1f allocs/call, want 0", allocs)
+			}
+		},
 		"(*Cell).newTB": func(t *testing.T) {
 			cell := backloggedCell(t)
 			// Warm the free list so the steady-state path is exercised.

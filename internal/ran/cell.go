@@ -73,6 +73,13 @@ type ueCtx struct {
 	flows       map[ip.FiveTuple]*flowRuntime
 
 	enqueueDrops int
+
+	// The latest CQI report the xNodeB received and has not yet measured
+	// into macUser.SubbandCQI: its instant and the SINR offset injected
+	// at that instant. See Cell.measureCQI.
+	cqiDue bool
+	cqiAt  sim.Time
+	cqiOff float64
 }
 
 // txStatus returns the RLC buffer status plus pending HARQ bytes so
@@ -171,7 +178,7 @@ type Cell struct {
 	grants []ueGrant
 	runs   mac.SubbandRuns
 	// sinrScratch receives one UE's per-subband SINRs inside
-	// reportCQIAt; sized once in NewCell to the widest UE channel.
+	// measureCQI; sized once in NewCell to the widest UE channel.
 	sinrScratch []float64
 
 	// Hot-path arenas (see arena.go): the transport-block free list
@@ -383,31 +390,54 @@ func (c *Cell) wireBearer(ue *ueCtx) error {
 	return nil
 }
 
-// reportCQI refreshes every UE's reported CQI from its channel.
+// reportCQI receives every UE's periodic CQI report.
 func (c *Cell) reportCQI() { c.reportCQIAt(c.Eng.Now()) }
 
 // reportCQIAt is reportCQI at an explicit time (NewCell primes the
-// first report at t = 0, before the engine runs).
+// first report at t = 0, before the engine runs). It records the report
+// without evaluating the channel: the channel is a pure function of
+// time, so measureCQI evaluates the report's instant later, and only
+// for a UE whose CQI is about to be read. The fault hooks do run here,
+// for every UE in UE order: they count drops and read injector state
+// as of the report instant.
 //
 //outran:allocfree
 func (c *Cell) reportCQIAt(now sim.Time) {
-	tPhy := c.prof.Begin()
 	for _, ue := range c.ues {
 		if h := c.hooks.DropCQIReport; h != nil && h(ue.id, now) {
-			continue // report lost: the MAC schedules on the stale CQI
+			continue // report lost: the previous one, measured or not, stays the latest
 		}
 		var off float64
 		if h := c.hooks.SINROffsetDB; h != nil {
 			off = h(ue.id, now)
 		}
-		// One batch per UE: the channel evaluates its per-UE terms once
-		// for all subbands. off is 0.0 without a fade, and adding +0.0
-		// moves no SINR across a CQI threshold.
-		for sb, sinr := range ue.ch.SubbandSINRs(now, c.sinrScratch) {
-			ue.macUser.SubbandCQI[sb] = phy.CQIFromSINR(sinr + off)
-		}
+		ue.cqiDue, ue.cqiAt, ue.cqiOff = true, now, off
 	}
-	c.prof.End(obs.PhasePhy, tPhy)
+}
+
+// measureCQI brings ue.macUser.SubbandCQI up to the UE's latest
+// received report, if that report has not been measured yet.
+//
+//outran:allocfree
+func (c *Cell) measureCQI(ue *ueCtx) {
+	if !ue.cqiDue {
+		return
+	}
+	ue.cqiDue = false
+	// One batch per UE: the channel evaluates its per-UE terms once
+	// for all subbands. cqiOff is 0.0 without a fade, and adding +0.0
+	// moves no SINR across a CQI threshold.
+	for sb, sinr := range ue.ch.SubbandSINRs(ue.cqiAt, c.sinrScratch) {
+		ue.macUser.SubbandCQI[sb] = phy.CQIFromSINR(sinr + ue.cqiOff)
+	}
+}
+
+// measureAllCQI measures every UE's outstanding report — for the
+// points where the whole CQI vector leaves the cell.
+func (c *Cell) measureAllCQI() {
+	for _, ue := range c.ues {
+		c.measureCQI(ue)
+	}
 }
 
 // onTTI runs one scheduling interval.
@@ -424,6 +454,18 @@ func (c *Cell) onTTI() {
 		//outran:scratchsafe consumed within this TTI and overwritten here before the entity's next Status call
 		c.macUsers[i].Buffer = ue.txStatus(now)
 	}
+	c.prof.End(obs.PhaseMac, tMac)
+	// The scheduler and rbStats read the CQI of backlogged users only
+	// (pending HARQ bytes count as backlog), so only their outstanding
+	// reports are measured.
+	tPhy := c.prof.Begin()
+	for i, ue := range c.ues {
+		if c.macUsers[i].Buffer.Backlogged() {
+			c.measureCQI(ue)
+		}
+	}
+	c.prof.End(obs.PhasePhy, tPhy)
+	tMac = c.prof.Begin()
 	alloc := c.sched.Allocate(now, c.macUsers, c.grid)
 	c.prof.End(obs.PhaseMac, tMac)
 	tRlc := c.prof.Begin()
@@ -720,8 +762,13 @@ func (c *Cell) SetPhaseProfiler(p *obs.PhaseProfiler) { c.prof = p }
 // PhaseProfiler returns the installed profiler (nil when disabled).
 func (c *Cell) PhaseProfiler() *obs.PhaseProfiler { return c.prof }
 
-// Users exposes the MAC user states (read-only use).
-func (c *Cell) Users() []*mac.User { return c.macUsers }
+// Users exposes the MAC user states (read-only use). It first brings
+// every UE's SubbandCQI current with its latest received report; between
+// calls only backlogged UEs are kept current (see reportCQIAt).
+func (c *Cell) Users() []*mac.User {
+	c.measureAllCQI()
+	return c.macUsers
+}
 
 // Scheduler returns the active MAC scheduler.
 func (c *Cell) Scheduler() mac.Scheduler { return c.sched }

@@ -2,6 +2,7 @@ package ran
 
 import (
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -50,25 +51,38 @@ func kpiScenario(tb testing.TB, kpiEvery sim.Time, profiled bool) {
 	cell.Run(total)
 }
 
-// gateRatio times the scenario min-of-rounds in both configurations
-// and returns instrumented/baseline.
+// gateRatio times the two configurations in alternation, one run of
+// each per round (the arm that goes first alternates too, so slow drift
+// of the host hits both alike), logs every round, and returns
+// min-of-rounds instrumented / min-of-rounds baseline.
 func gateRatio(t *testing.T, rounds int, baseline, instrumented func()) float64 {
 	t.Helper()
+	//outran:wallclock benchmark timing for the overhead gates; never enters simulation state
 	timeOne := func(fn func()) time.Duration {
-		best := time.Duration(1<<63 - 1)
-		for i := 0; i < rounds; i++ {
-			start := time.Now()
-			fn()
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		return best
+		// Collect first: both arms allocate the same amount per run, so
+		// without this the collector's cycles land in the same arm of
+		// the alternation every round.
+		runtime.GC()
+		start := time.Now()
+		fn()
+		return time.Since(start)
 	}
 	// Warm both paths so neither pays first-run costs.
 	baseline()
 	instrumented()
-	return float64(timeOne(instrumented)) / float64(timeOne(baseline))
+	bestBase, bestInst := time.Duration(1<<63-1), time.Duration(1<<63-1)
+	for i := 0; i < rounds; i++ {
+		var base, inst time.Duration
+		if i%2 == 0 {
+			base, inst = timeOne(baseline), timeOne(instrumented)
+		} else {
+			inst, base = timeOne(instrumented), timeOne(baseline)
+		}
+		t.Logf("round %d: baseline %v, instrumented %v", i, base, inst)
+		bestBase, bestInst = min(bestBase, base), min(bestInst, inst)
+	}
+	t.Logf("min %v / min %v", bestInst, bestBase)
+	return float64(bestInst) / float64(bestBase)
 }
 
 // TestKPIOverheadGate: with OUTRAN_OVERHEAD_GATE=1, KPI state plus

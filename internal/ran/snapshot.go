@@ -156,6 +156,10 @@ func (c *Cell) SnapshotTo(b *snapshot.Builder) error {
 	if err != nil {
 		return err
 	}
+	// An outstanding CQI report is not checkpoint state: measuring it
+	// now writes the SubbandCQI the restored cell would otherwise have
+	// to derive, and keeps the file layout free of it.
+	c.measureAllCQI()
 
 	var ce snapshot.Encoder
 	ce.Mark(tagConfig)
@@ -493,6 +497,9 @@ func (c *Cell) restoreUE(d *snapshot.Decoder, ue *ueCtx) error {
 	if err := ue.macUser.Restore(d); err != nil {
 		return err
 	}
+	// The snapshot's SubbandCQI is fully measured; drop the t = 0 report
+	// NewCell left outstanding so it cannot overwrite it.
+	ue.cqiDue = false
 	if err := ue.pdcpTx.Restore(d); err != nil {
 		return err
 	}

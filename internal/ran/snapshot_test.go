@@ -2,8 +2,11 @@ package ran
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -419,4 +422,136 @@ func TestRestoreRejectsCorruptSections(t *testing.T) {
 			fresh.Run(idle.Eng.Now() + 100*sim.Millisecond)
 		})
 	}
+}
+
+// midCQIGoldenSHA256 is the sha256 of the archive TestSnapshotMidCQIPeriod
+// takes, recorded from the commit before CQI reports became
+// demand-driven (amd64).
+const midCQIGoldenSHA256 = "f721c05104fca63397b42c4ffcdaf16d47e7e0601627e8181b5ece1608fa573a"
+
+// TestSnapshotMidCQIPeriod checkpoints between two CQI ticks, when most
+// UEs are idle and hold a report nobody has read yet. SnapshotTo
+// measures those reports, so the archive is the one an eager cell
+// writes — its digest is pinned to the parent commit's — and the
+// restored cell, which starts with nothing outstanding, continues
+// byte-identically next to the original: trace, KPI stream, summary and
+// a second snapshot at the horizon.
+func TestSnapshotMidCQIPeriod(t *testing.T) {
+	h := resumeScenario(SchedOutRAN, AM)
+	h.Config.KPIEvery = 100 * sim.Millisecond
+	const mid = 432 * sim.Millisecond // 2 ms after the tick at 430 ms
+
+	// drive runs the cell to until, sampling KPIs on the way.
+	drive := func(c *Cell, until sim.Time) []obs.KPIRecord {
+		var recs []obs.KPIRecord
+		every := h.Config.KPIEvery
+		now, _, _ := c.Eng.SnapState()
+		for at := (now/every + 1) * every; at <= until; at += every {
+			c.Run(at)
+			recs = append(recs, c.SampleKPI(at).Rec)
+		}
+		c.Run(until)
+		return recs
+	}
+	outstanding := func(c *Cell) int {
+		n := 0
+		for _, ue := range c.ues {
+			if ue.cqiDue {
+				n++
+			}
+		}
+		return n
+	}
+
+	sinkA := obs.NewRingSink(0)
+	h.Tracer = obs.NewTracer(sinkA)
+	cellA, err := h.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	drive(cellA, mid)
+	if n := outstanding(cellA); 2*n <= len(cellA.ues) {
+		t.Fatalf("only %d of %d UEs hold an unmeasured report at %v; pick an instant where most do", n, len(cellA.ues), mid)
+	}
+	img, err := cellA.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := outstanding(cellA); n != 0 {
+		t.Fatalf("%d reports still outstanding after the snapshot", n)
+	}
+	if runtime.GOARCH == "amd64" {
+		if got := fmt.Sprintf("%x", sha256.Sum256(img)); got != midCQIGoldenSHA256 {
+			t.Errorf("archive digest %s, parent commit wrote %s", got, midCQIGoldenSHA256)
+		}
+	}
+	eventsAtMid := len(sinkA.Events())
+
+	a, err := snapshot.Open(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cellB, err := NewCell(h.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sinkB := obs.NewRingSink(0)
+	cellB.SetTracerResumed(obs.NewTracer(sinkB))
+	if err := cellB.RestoreSnapshot(a); err != nil {
+		t.Fatal(err)
+	}
+	if n := outstanding(cellB); n != 0 {
+		t.Fatalf("restored cell holds %d outstanding reports; the t = 0 one must not survive restore", n)
+	}
+
+	kpiA := drive(cellA, h.Total())
+	kpiB := drive(cellB, h.Total())
+	if len(kpiA) == 0 || !reflect.DeepEqual(kpiA, kpiB) {
+		t.Fatalf("KPI streams differ after the checkpoint (%d vs %d records)", len(kpiA), len(kpiB))
+	}
+	// The original's whole run against its own prefix plus the restored
+	// cell's suffix: FCT samples, trace and summary.
+	compareRuns(t,
+		runResult{summary: cellA.Summary(), fct: cellA.FCT.Samples(), events: sinkA.Events()},
+		runResult{summary: cellB.Summary(), fct: cellB.FCT.Samples(),
+			events: append(sinkA.Events()[:eventsAtMid:eventsAtMid], sinkB.Events()...)})
+	endA, err := cellA.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	endB, err := cellB.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Equal but for the engine's processed-event count: a stale timer arm
+	// fires as a counted no-op in the original and is not carried over a
+	// restore.
+	secA, secB := sectionBytes(t, endA), sectionBytes(t, endB)
+	clear(secA["engine"][20:28]) // after the tag, the clock and the seq counter
+	clear(secB["engine"][20:28])
+	if !reflect.DeepEqual(secA, secB) {
+		t.Fatalf("snapshots at the horizon differ (%d vs %d bytes)", len(endA), len(endB))
+	}
+}
+
+// sectionBytes splits a snapshot image into its sections' payloads.
+func sectionBytes(t *testing.T, img []byte) map[string][]byte {
+	t.Helper()
+	a, err := snapshot.Open(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte)
+	for _, name := range a.Names() {
+		d, err := a.Section(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := make([]byte, 0, d.Remaining())
+		for d.Remaining() > 0 {
+			b = append(b, d.U8())
+		}
+		out[name] = b
+	}
+	return out
 }
