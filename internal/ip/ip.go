@@ -9,8 +9,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"sort"
+	"strconv"
 )
 
 // Protocol numbers used by the simulator.
@@ -26,7 +26,19 @@ type Addr [4]byte
 func AddrFrom(a, b, c, d byte) Addr { return Addr{a, b, c, d} }
 
 func (a Addr) String() string {
-	return fmt.Sprintf("%d.%d.%d.%d", a[0], a[1], a[2], a[3])
+	var buf [15]byte
+	return string(a.appendTo(buf[:0]))
+}
+
+// appendTo appends the dotted-quad form of a to dst.
+func (a Addr) appendTo(dst []byte) []byte {
+	for i, octet := range a {
+		if i > 0 {
+			dst = append(dst, '.')
+		}
+		dst = strconv.AppendUint(dst, uint64(octet), 10)
+	}
+	return dst
 }
 
 // FiveTuple identifies a transport flow. It is comparable and usable
@@ -37,8 +49,21 @@ type FiveTuple struct {
 	Proto            uint8
 }
 
+// String formats the tuple as "src:port>dst:port/proto" — the flow id
+// of the event trace, built once per flow-tagged event, hence without
+// fmt.
 func (ft FiveTuple) String() string {
-	return fmt.Sprintf("%s:%d>%s:%d/%d", ft.Src, ft.SrcPort, ft.Dst, ft.DstPort, ft.Proto)
+	var buf [len("255.255.255.255:65535>255.255.255.255:65535/255")]byte
+	b := ft.Src.appendTo(buf[:0])
+	b = append(b, ':')
+	b = strconv.AppendUint(b, uint64(ft.SrcPort), 10)
+	b = append(b, '>')
+	b = ft.Dst.appendTo(b)
+	b = append(b, ':')
+	b = strconv.AppendUint(b, uint64(ft.DstPort), 10)
+	b = append(b, '/')
+	b = strconv.AppendUint(b, uint64(ft.Proto), 10)
+	return string(b)
 }
 
 // Compare orders five-tuples canonically — lexicographically by

@@ -1,6 +1,8 @@
 package ip
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -154,6 +156,47 @@ func TestStringFormats(t *testing.T) {
 	if ft.String() != "10.0.0.1:443>10.1.0.7:50123/6" {
 		t.Fatalf("tuple string %q", ft.String())
 	}
+}
+
+// TestStringMatchesSprintf compares the strconv-append String methods
+// with the fmt.Sprintf forms they replaced — the flow id is part of the
+// byte-pinned event trace — over the digit-count edges of every field
+// and over random tuples, and pins the single allocation.
+func TestStringMatchesSprintf(t *testing.T) {
+	oldAddr := func(a Addr) string { return fmt.Sprintf("%d.%d.%d.%d", a[0], a[1], a[2], a[3]) }
+	oldTuple := func(ft FiveTuple) string {
+		return fmt.Sprintf("%s:%d>%s:%d/%d", oldAddr(ft.Src), ft.SrcPort, oldAddr(ft.Dst), ft.DstPort, ft.Proto)
+	}
+	check := func(ft FiveTuple) {
+		t.Helper()
+		if got, want := ft.Src.String(), oldAddr(ft.Src); got != want {
+			t.Fatalf("Addr.String() = %q, Sprintf form %q", got, want)
+		}
+		if got, want := ft.String(), oldTuple(ft); got != want {
+			t.Fatalf("FiveTuple.String() = %q, Sprintf form %q", got, want)
+		}
+	}
+	octets := []byte{0, 1, 9, 10, 99, 100, 255}
+	ports := []uint16{0, 9, 10, 99, 100, 999, 1000, 9999, 10000, 65535}
+	for _, o := range octets {
+		for _, p := range ports {
+			check(FiveTuple{Src: AddrFrom(o, 0, 255, o), Dst: AddrFrom(255, o, o, 0), SrcPort: p, DstPort: 65535 - p, Proto: o})
+		}
+	}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 5000; i++ {
+		var ft FiveTuple
+		r.Read(ft.Src[:])
+		r.Read(ft.Dst[:])
+		ft.SrcPort, ft.DstPort, ft.Proto = uint16(r.Uint32()), uint16(r.Uint32()), uint8(r.Uint32())
+		check(ft)
+	}
+	widest := FiveTuple{Src: AddrFrom(255, 255, 255, 255), Dst: AddrFrom(255, 255, 255, 255), SrcPort: 65535, DstPort: 65535, Proto: 255}
+	var sink string
+	if n := testing.AllocsPerRun(100, func() { sink = widest.String() }); n != 1 {
+		t.Errorf("FiveTuple.String() allocates %v times, want 1 (the string itself)", n)
+	}
+	_ = sink
 }
 
 // Property: any packet with valid field ranges survives a round trip.

@@ -131,7 +131,10 @@ type Event struct {
 }
 
 // Sink consumes emitted events. Implementations are called on the
-// single-threaded simulation loop and must not reorder events.
+// single-threaded simulation loop and must not reorder events. The
+// pointer Emit receives is valid only during the call — the tracer
+// reuses one Event for every emission — so a sink that keeps an event
+// copies it (*ev), never the pointer.
 type Sink interface {
 	Emit(ev *Event)
 	Close() error
@@ -142,6 +145,10 @@ type Sink interface {
 // construction with Enabled().
 type Tracer struct {
 	sink Sink
+	// scratch is the one Event every emission is copied into and the
+	// sink is pointed at, so that handing the sink a pointer through
+	// the interface does not put each event on the heap.
+	scratch Event
 }
 
 // NewTracer wraps a sink. A nil sink yields the inert fast path.
@@ -152,11 +159,14 @@ func NewTracer(s Sink) *Tracer { return &Tracer{sink: s} }
 func (t *Tracer) Enabled() bool { return t != nil && t.sink != nil }
 
 // Emit records one event. Safe on a nil tracer or nil sink.
+//
+//outran:allocfree
 func (t *Tracer) Emit(ev Event) {
 	if t == nil || t.sink == nil {
 		return
 	}
-	t.sink.Emit(&ev)
+	t.scratch = ev
+	t.sink.Emit(&t.scratch)
 }
 
 // Close flushes and closes the underlying sink.
@@ -207,15 +217,16 @@ func (r *RingSink) Events() []Event {
 // Dropped returns how many events the ring overwrote.
 func (r *RingSink) Dropped() uint64 { return r.dropped }
 
-// JSONLSink streams events as one JSON object per line. Field order is
-// fixed by the Event struct and all values derive from simulation
-// state, so same-seed runs write byte-identical files.
+// JSONLSink streams events as one JSON object per line, encoded by
+// appendEvent. Field order is fixed by the Event struct and all values
+// derive from simulation state, so same-seed runs write byte-identical
+// files.
 type JSONLSink struct {
-	w   *bufio.Writer
-	cw  *countingWriter
-	c   io.Closer // closed by Close when the writer is also a closer
-	enc *json.Encoder
-	err error
+	w    *bufio.Writer
+	cw   *countingWriter
+	c    io.Closer // closed by Close when the writer is also a closer
+	line []byte    // the current event's line, reused across events
+	err  error
 }
 
 // countingWriter tracks cumulative bytes written through it, giving
@@ -236,7 +247,7 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 func NewJSONLSink(w io.Writer) *JSONLSink {
 	cw := &countingWriter{w: w}
 	bw := bufio.NewWriterSize(cw, 1<<16)
-	s := &JSONLSink{w: bw, cw: cw, enc: json.NewEncoder(bw)}
+	s := &JSONLSink{w: bw, cw: cw}
 	if c, ok := w.(io.Closer); ok {
 		s.c = c
 	}
@@ -255,13 +266,22 @@ func (s *JSONLSink) BytesWritten() int64 {
 	return s.cw.n
 }
 
-// Emit implements Sink. The first encode error sticks and is reported
-// by Close.
+// Emit implements Sink. The first encode or write error sticks and is
+// reported by Close; an event that cannot be encoded (a NaN or an
+// infinity in a float field) writes nothing.
+//
+//outran:allocfree
 func (s *JSONLSink) Emit(ev *Event) {
 	if s.err != nil {
 		return
 	}
-	s.err = s.enc.Encode(ev)
+	var ok bool
+	s.line, ok = appendEvent(s.line[:0], ev)
+	if !ok {
+		_, s.err = json.Marshal(ev) // the library's error for this event
+		return
+	}
+	_, s.err = s.w.Write(s.line)
 }
 
 // Close flushes buffered lines and reports the first error seen.

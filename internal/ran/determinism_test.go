@@ -1,16 +1,21 @@
 package ran
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"hash/fnv"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"outran/internal/core"
 	"outran/internal/mac"
 	"outran/internal/metrics"
+	"outran/internal/obs"
 	"outran/internal/phy"
+	"outran/internal/rlc"
 	"outran/internal/rng"
 	"outran/internal/sim"
 	"outran/internal/workload"
@@ -252,6 +257,105 @@ func TestParentEquivalentNRTrace(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestParentEquivalentJSONLTrace pins the bytes of the JSONL event
+// trace — length and SHA-256 — to goldens recorded with the binary of
+// the commit before obs.JSONLSink stopped encoding through
+// encoding/json: the benchmark's cell-traced shape (12 UEs x 25 RBs,
+// the "mixed" scenario at load 0.7) on a short horizon under OutRAN and
+// PF, and one RLC-AM run with a fade, lost PDUs and lost CQI reports so
+// that every event type the cell emits is on the wire. The
+// differential test in internal/obs proves the encoder equals the
+// library on arbitrary events; this proves it on the events real runs
+// produce, in the order they produce them.
+func TestParentEquivalentJSONLTrace(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("goldens recorded on amd64; other targets may fuse multiply-adds in math-heavy code")
+	}
+	mixed, ok := workload.Scenario("mixed", "lte", 0.7)
+	if !ok {
+		t.Fatal("no mixed scenario")
+	}
+	faults := FaultHooks{
+		SINROffsetDB: func(ue int, now sim.Time) float64 {
+			w := int(now / (100 * sim.Millisecond))
+			if w%2 == 1 && w%12 == ue {
+				return -12
+			}
+			return 0
+		},
+		DropCQIReport: func(ue int, now sim.Time) bool {
+			return (int(now/(5*sim.Millisecond))+ue)%7 == 0
+		},
+		DropRLCPDU: func(ue int, now sim.Time, pdu *rlc.PDU) bool {
+			return (int(now/sim.Millisecond)+ue)%23 == 0
+		},
+	}
+	cases := []struct {
+		name   string
+		sched  SchedulerKind
+		am     bool
+		bytes  int
+		sha256 string
+		types  []string // event types the trace must contain
+	}{
+		{"OutRAN", SchedOutRAN, false, 8460381, "a69d85181ce6832f82c5bef1151b84aa7930f9783ecc67a24c9ed4f8d71375e2",
+			[]string{obs.EvMeta, obs.EvFlowStart, obs.EvFlowEnd, obs.EvPDCPSN, obs.EvMLFQ, obs.EvRLCTx, obs.EvHARQ,
+				obs.EvDeliver, obs.EvTTI, obs.EvDecision, obs.EvSESample, obs.EvTrackerReset, obs.EvTrackerFreeze}},
+		{"PF", SchedPF, false, 757331, "0282de2d2f09382e8d9b29ac3ccdedf0f321928ca204b638d789803df7bdb407",
+			[]string{obs.EvMeta, obs.EvFlowStart, obs.EvFlowEnd, obs.EvPDCPSN, obs.EvRLCTx, obs.EvHARQ, obs.EvDeliver, obs.EvTTI}},
+		{"OutRAN-AM-faulted", SchedOutRAN, true, 8615012, "788514796a073d4e077713503c1451db53b72337420a1368f5967a9bc6d4679d",
+			[]string{obs.EvMeta, obs.EvMLFQ, obs.EvRLCRetx, obs.EvHARQ, obs.EvDecision, obs.EvSESample,
+				obs.EvTrackerReset, obs.EvTrackerFreeze}},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultLTEConfig().WithTopology(12, 25).WithWorkload(mixed).ForScheduler(tc.sched).WithSeed(1)
+			var sb strings.Builder
+			h := Harness{
+				Config: cfg, Warmup: 100 * sim.Millisecond, Window: 1500 * sim.Millisecond, Drain: sim.Second,
+				WorkloadSeed: 3, Tracer: obs.NewTracer(obs.NewJSONLSink(&sb)),
+			}
+			if tc.am {
+				h.Config.RLC = AM
+				h.Setup = func(c *Cell) error { c.SetFaultHooks(faults); return nil }
+			}
+			cell, err := h.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cell.Tracer().Close(); err != nil {
+				t.Fatal(err)
+			}
+			trace := sb.String()
+			for _, typ := range tc.types {
+				if !strings.Contains(trace, `"type":"`+typ+`"`) {
+					t.Errorf("trace has no %s line; the golden does not cover it", typ)
+				}
+			}
+			if tc.am && !harqFailure(trace) {
+				t.Error("trace has no failed HARQ decode (a harq line with ok omitted)")
+			}
+			sum := sha256.Sum256([]byte(trace))
+			if got := hex.EncodeToString(sum[:]); len(trace) != tc.bytes || got != tc.sha256 {
+				t.Errorf("trace differs from the parent binary's:\n got  %d bytes, sha256 %s\n want %d bytes, sha256 %s",
+					len(trace), got, tc.bytes, tc.sha256)
+			}
+		})
+	}
+}
+
+// harqFailure reports whether the trace holds a harq line whose ok
+// field is false, i.e. omitted on the wire.
+func harqFailure(trace string) bool {
+	for _, line := range strings.Split(trace, "\n") {
+		if strings.Contains(line, `"type":"harq"`) && !strings.Contains(line, `"ok":true`) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestDeterminismAcrossRLCModes repeats the double-run check under AM

@@ -7,7 +7,11 @@
 // flows.
 package workload
 
-import "outran/internal/rng"
+import (
+	"sync"
+
+	"outran/internal/rng"
+)
 
 // KB and MB in bytes.
 const (
@@ -15,11 +19,19 @@ const (
 	MB = 1024 * KB
 )
 
+// The presets are shared immutable tables: an EmpiricalCDF has no
+// mutator after construction, and building one integrates its mean
+// over 20 000 quantiles, so each is built once, on first use, and every
+// caller — concurrent cells of a deployment included — gets the same
+// pointer.
+
 // LTECellular is the downlink flow-size distribution measured in
 // real-world LTE eNodeBs (Huang et al., SIGCOMM'13): strongly
 // heavy-tailed, 90% of flows below 35.9 KB while heavy hitters carry
 // most of the volume (Fig 2a).
-func LTECellular() *rng.EmpiricalCDF {
+func LTECellular() *rng.EmpiricalCDF { return lteCellular() }
+
+var lteCellular = sync.OnceValue(func() *rng.EmpiricalCDF {
 	return rng.MustCDF([]rng.CDFPoint{
 		{Value: 0.2 * KB, Prob: 0.07},
 		{Value: 0.6 * KB, Prob: 0.20},
@@ -35,12 +47,14 @@ func LTECellular() *rng.EmpiricalCDF {
 		// tail at 10 MB so bounded-length simulations can realise the
 		// distribution (volume-matched arrivals handle the load).
 	})
-}
+})
 
 // Mirage is the 2019 mobile-app traffic distribution (MIRAGE dataset)
 // used for the paper's 5G simulations: a similar heavy tail with a
 // larger small-flow mass from app telemetry and API calls.
-func Mirage() *rng.EmpiricalCDF {
+func Mirage() *rng.EmpiricalCDF { return mirage() }
+
+var mirage = sync.OnceValue(func() *rng.EmpiricalCDF {
 	return rng.MustCDF([]rng.CDFPoint{
 		{Value: 0.15 * KB, Prob: 0.12},
 		{Value: 0.5 * KB, Prob: 0.30},
@@ -53,12 +67,14 @@ func Mirage() *rng.EmpiricalCDF {
 		{Value: 3 * MB, Prob: 0.996},
 		{Value: 10 * MB, Prob: 1},
 	})
-}
+})
 
 // WebSearch is the DCTCP web-search service distribution used for the
 // background (bulk) traffic of the testbed experiments; its mean is
 // ~1.92 MB as the paper states.
-func WebSearch() *rng.EmpiricalCDF {
+func WebSearch() *rng.EmpiricalCDF { return webSearch() }
+
+var webSearch = sync.OnceValue(func() *rng.EmpiricalCDF {
 	return rng.MustCDF([]rng.CDFPoint{
 		{Value: 6 * KB, Prob: 0.15},
 		{Value: 13 * KB, Prob: 0.28},
@@ -72,7 +88,7 @@ func WebSearch() *rng.EmpiricalCDF {
 		{Value: 10 * MB, Prob: 0.92},
 		{Value: 20 * MB, Prob: 1},
 	})
-}
+})
 
 // ByName resolves a distribution preset.
 func ByName(name string) (*rng.EmpiricalCDF, bool) {

@@ -1,8 +1,9 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"outran/internal/rng"
 	"outran/internal/sim"
@@ -15,6 +16,12 @@ type FlowSpec struct {
 	Size  int64
 	// Incast marks flows from the incast class/generator (§6.3).
 	Incast bool
+}
+
+// sortByStart orders a schedule by start time, keeping the generation
+// order of simultaneous flows (the order is part of workload_digest).
+func sortByStart(flows []FlowSpec) {
+	slices.SortStableFunc(flows, func(a, b FlowSpec) int { return cmp.Compare(a.Start, b.Start) })
 }
 
 // PoissonConfig drives the classic generator: UEs request downlink
@@ -56,7 +63,7 @@ func Poisson(cfg PoissonConfig, r *rng.Source) (Source, error) {
 	if cfg.MaxFlows > 0 && len(flows) > cfg.MaxFlows {
 		flows = flows[:cfg.MaxFlows]
 	}
-	sort.SliceStable(flows, func(i, j int) bool { return flows[i].Start < flows[j].Start })
+	sortByStart(flows)
 	return SliceSource(flows), nil
 }
 

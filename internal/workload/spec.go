@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 	"os"
-	"sort"
 
 	"outran/internal/rng"
 	"outran/internal/sim"
@@ -250,14 +249,14 @@ func (s Spec) Build(env Env, r *rng.Source) (Source, error) {
 			for j := range flows {
 				flows[j].Start = warp.warp(flows[j].Start)
 			}
-			sort.SliceStable(flows, func(a, b int) bool { return flows[a].Start < flows[b].Start })
+			sortByStart(flows)
 			srcs = append(srcs, SliceSource(flows))
 		}
 	}
 	if len(s.Extra) > 0 {
 		extra := make([]FlowSpec, len(s.Extra))
 		copy(extra, s.Extra)
-		sort.SliceStable(extra, func(a, b int) bool { return extra[a].Start < extra[b].Start })
+		sortByStart(extra)
 		srcs = append(srcs, SliceSource(extra))
 	}
 	var src Source

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"outran/internal/rng"
@@ -44,6 +45,47 @@ func TestByName(t *testing.T) {
 	}
 	if _, ok := ByName("bogus"); ok {
 		t.Fatal("bogus name resolved")
+	}
+}
+
+// TestPresetsSharedAcrossGoroutines: every caller of a preset gets the
+// one shared table, and concurrent first use and concurrent sampling —
+// what the cells of a parallel deployment do — are race-free (run under
+// -race in CI).
+func TestPresetsSharedAcrossGoroutines(t *testing.T) {
+	names := []string{"lte", "mirage", "websearch"}
+	const workers = 8
+	got := make([][]*rng.EmpiricalCDF, workers)
+	sums := make([]float64, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			r := rng.New(5) // same stream everywhere: same draws if the table is read-only
+			for _, n := range names {
+				d, _ := ByName(n)
+				got[w] = append(got[w], d)
+				for i := 0; i < 200; i++ {
+					sums[w] += d.Sample(r)
+				}
+				sums[w] += d.Mean()
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := 1; w < workers; w++ {
+		for i, n := range names {
+			if got[w][i] != got[0][i] {
+				t.Errorf("%s: goroutine %d got a different table than goroutine 0", n, w)
+			}
+		}
+		if sums[w] != sums[0] {
+			t.Errorf("goroutine %d drew %v from the shared tables, goroutine 0 drew %v", w, sums[w], sums[0])
+		}
+	}
+	if LTECellular() != got[0][0] || Mirage() != got[0][1] || WebSearch() != got[0][2] {
+		t.Error("the exported constructors and ByName return different tables")
 	}
 }
 
