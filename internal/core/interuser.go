@@ -6,6 +6,7 @@ import (
 	"outran/internal/mac"
 	"outran/internal/phy"
 	"outran/internal/sim"
+	"outran/internal/snapshot"
 )
 
 // InterUser is OutRAN's inter-user flow scheduler (§4.3, Algorithm 1).
@@ -61,10 +62,13 @@ func (s *InterUser) Audit() (decisions, overrides uint64, sacSum float64) {
 	return s.decisions, s.overrides, s.sacSum
 }
 
-// SetAudit overwrites the decision counters — the snapshot-restore
-// path uses it; everything else should only read via Audit.
-func (s *InterUser) SetAudit(decisions, overrides uint64, sacSum float64) {
-	s.decisions, s.overrides, s.sacSum = decisions, overrides, sacSum
+// WalkAudit is the checkpoint layout of the decision counters, the
+// scheduler's only state. The zero InterUser walks as three zeros, which
+// is what a cell whose scheduler is not an InterUser records.
+func (s *InterUser) WalkAudit(w *snapshot.Walker) {
+	w.U64(&s.decisions)
+	w.U64(&s.overrides)
+	w.F64(&s.sacSum)
 }
 
 // topKCand is one entry of the top-K candidate scratch.

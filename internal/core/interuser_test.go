@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -8,6 +9,7 @@ import (
 	"outran/internal/mac"
 	"outran/internal/phy"
 	"outran/internal/rng"
+	"outran/internal/snapshot/snapshottest"
 )
 
 // testUsers builds a set of backlogged users with controllable CQI and
@@ -221,4 +223,28 @@ func TestInterUserZeroAllocs(t *testing.T) {
 			}
 		},
 	})
+}
+
+// TestWalkAuditRoundTrip: the decision counters survive encode ->
+// decode -> encode, and the zero InterUser — what a cell without one
+// walks in its place — encodes to the same 24 bytes, all zero.
+func TestWalkAuditRoundTrip(t *testing.T) {
+	users := testUsers([]phy.CQI{15, 14}, []int{3, 0})
+	s, err := NewInterUser(mac.PFMetric, "PF", 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Allocate(0, users, grid1())
+	if d, o, _ := s.Audit(); d == 0 || o == 0 {
+		t.Fatalf("%d decisions, %d overrides; the round trip would cover nothing", d, o)
+	}
+	var fresh InterUser
+	img := snapshottest.RoundTrip(t, s.WalkAudit, fresh.WalkAudit)
+	if d, o, sac := s.Audit(); fresh.decisions != d || fresh.overrides != o || fresh.sacSum != sac {
+		t.Fatalf("restored counters %d/%d/%g, want %d/%d/%g", fresh.decisions, fresh.overrides, fresh.sacSum, d, o, sac)
+	}
+	zero := snapshottest.RoundTrip(t, new(InterUser).WalkAudit, new(InterUser).WalkAudit)
+	if len(zero) != len(img) || !bytes.Equal(zero, make([]byte, len(zero))) {
+		t.Fatalf("zero InterUser walks to % x, want %d zero bytes", zero, len(img))
+	}
 }

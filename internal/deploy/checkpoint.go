@@ -81,26 +81,21 @@ type CheckpointMeta struct {
 	KPIOffset int64
 }
 
+// walk is the deployment section's layout.
+func (m *CheckpointMeta) walk(w *snapshot.Walker) {
+	w.Mark(tagDeploy)
+	snapshot.I64(w, &m.At)
+	w.I64(&m.TraceOffset)
+	w.Int(&m.HandoversApplied)
+	w.Int(&m.FlowsTransferred)
+	w.I64(&m.KPIOffset)
+}
+
 // ReadCheckpointMeta decodes the deployment section of a checkpoint.
 func ReadCheckpointMeta(a *snapshot.Archive) (CheckpointMeta, error) {
-	d, err := a.Section(deploySection)
-	if err != nil {
+	var m CheckpointMeta
+	if err := a.Walk(deploySection, m.walk); err != nil {
 		return CheckpointMeta{}, fmt.Errorf("deploy: checkpoint meta: %w", err)
-	}
-	d.Expect(tagDeploy)
-	m := CheckpointMeta{
-		At:               sim.Time(d.I64()),
-		TraceOffset:      d.I64(),
-		HandoversApplied: d.Int(),
-		FlowsTransferred: d.Int(),
-		KPIOffset:        d.I64(),
-	}
-	if err := d.Err(); err != nil {
-		return CheckpointMeta{}, fmt.Errorf("deploy: checkpoint meta: %w", err)
-	}
-	if d.Remaining() != 0 {
-		return CheckpointMeta{}, fmt.Errorf("deploy: checkpoint meta: %w: %d trailing bytes",
-			snapshot.ErrCorrupt, d.Remaining())
 	}
 	return m, nil
 }
@@ -171,18 +166,11 @@ func (ck *checkpointer) write(handovers, flowsTransferred int, kpiOff int64) err
 	if err := ck.c.SnapshotTo(&b); err != nil {
 		return fmt.Errorf("deploy: checkpoint cell %d at %v: %w", ck.cell, now, err)
 	}
-	var e snapshot.Encoder
-	e.Mark(tagDeploy)
-	e.I64(int64(now))
-	off := int64(-1)
+	meta := CheckpointMeta{At: now, TraceOffset: -1, HandoversApplied: handovers, FlowsTransferred: flowsTransferred, KPIOffset: kpiOff}
 	if ck.traceOffset != nil {
-		off = ck.traceOffset()
+		meta.TraceOffset = ck.traceOffset()
 	}
-	e.I64(off)
-	e.Int(handovers)
-	e.Int(flowsTransferred)
-	e.I64(kpiOff)
-	b.Add(deploySection, &e)
+	b.Walk(deploySection, meta.walk)
 
 	data := b.Bytes()
 	path := checkpointPath(ck.dir, ck.cell, now)

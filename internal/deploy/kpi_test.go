@@ -2,14 +2,18 @@ package deploy_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"outran/internal/deploy"
 	"outran/internal/fault"
 	"outran/internal/obs"
 	"outran/internal/sim"
+	"outran/internal/snapshot"
 )
 
 const kpiCadence = 100 * sim.Millisecond
@@ -208,5 +212,50 @@ func TestKPIValidation(t *testing.T) {
 	cfg.KPIPath = filepath.Join(t.TempDir(), "kpi.jsonl")
 	if _, err := deploy.Run(cfg); err == nil {
 		t.Fatal("KPIPath without Cell.KPIEvery was accepted")
+	}
+}
+
+// checkpointGoldenSHA256 are the sha256 digests of the two cells'
+// 300 ms checkpoint files TestCheckpointFileGolden writes, recorded on
+// the commit before the snapshot walk was rewritten (amd64).
+var checkpointGoldenSHA256 = [2]string{
+	"5e521dd83a1912d72a97d570f605d1ccaa18970cb4c62877e5dbd5e8a3b250c0",
+	"1d60c40f07c591ff52094f7bf6b3318540df698027da62dcedbc5941e553548a",
+}
+
+// TestCheckpointFileGolden pins the bytes of a deployment checkpoint
+// file — cell sections with the kpi section and the streaming FCT
+// recorder, plus the deploy section carrying a trace and a KPI offset —
+// to the parent's.
+func TestCheckpointFileGolden(t *testing.T) {
+	dir := t.TempDir()
+	cfg := kpiCheckpointedDeployment(dir, 100)
+	cfg.Cells = 2
+	if _, err := deploy.Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	for cell, want := range checkpointGoldenSHA256 {
+		path := mustCheckpointFiles(t, cfg.Checkpoint.Dir, cell)[300*sim.Millisecond]
+		img, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := snapshot.Open(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		meta, err := deploy.ReadCheckpointMeta(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if meta.At != 300*sim.Millisecond || meta.TraceOffset <= 0 || meta.KPIOffset <= 0 || !a.Has("kpi") {
+			t.Fatalf("cell %d: meta %+v, kpi section %v; the file would pin nothing", cell, meta, a.Has("kpi"))
+		}
+		if runtime.GOARCH != "amd64" {
+			continue
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(img)); got != want {
+			t.Errorf("cell %d checkpoint digest %s (%d bytes), parent commit wrote %s", cell, got, len(img), want)
+		}
 	}
 }

@@ -1,13 +1,18 @@
 package fault
 
 import (
+	"crypto/sha256"
+	"errors"
+	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"outran/internal/ran"
 	"outran/internal/rng"
 	"outran/internal/sim"
 	"outran/internal/snapshot"
+	"outran/internal/snapshot/snapshottest"
 	"outran/internal/workload"
 )
 
@@ -163,6 +168,92 @@ func TestChaosResumeEquivalence(t *testing.T) {
 	}
 	if !reflect.DeepEqual(ref.Monitor, res.Monitor) {
 		t.Fatalf("monitor reports differ:\n uninterrupted: %+v\n resumed:       %+v", ref.Monitor, res.Monitor)
+	}
+}
+
+// chaosGoldenSHA256 is the sha256 of the archive TestChaosArchiveGolden
+// takes, recorded on the commit before the snapshot walk was rewritten
+// (amd64).
+const chaosGoldenSHA256 = "78a676dce37a2640e203d9fb53cdc25256b972c33b8676352a81de8c7d5aaccb"
+
+// TestChaosArchiveGolden pins the bytes of a chaos checkpoint — the
+// cell's sections with plan transitions still pending as external
+// events, plus the injector and monitor sections — to the parent's.
+func TestChaosArchiveGolden(t *testing.T) {
+	p := buildChaos(t)
+	const mid = 520 * sim.Millisecond // a CQI blackout is active, PDU drops are behind, most of the plan ahead
+	p.cell.Run(mid)
+	pending := 0
+	for _, ev := range p.plan {
+		if ev.Kind != WorkerCrash && (ev.Start > mid || (ev.Kind != ForceRLF && ev.End() > mid)) {
+			pending++
+		}
+	}
+	if pending == 0 || p.inj.Stats() == (InjectorStats{}) || p.mon.report.Checks == 0 {
+		t.Fatalf("%d plan transitions pending, injector stats %+v, %d monitor checks; the archive would pin nothing",
+			pending, p.inj.Stats(), p.mon.report.Checks)
+	}
+	var b snapshot.Builder
+	if err := p.cell.SnapshotTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	p.inj.SnapshotTo(&b)
+	p.mon.SnapshotTo(&b)
+	img := b.Bytes()
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digest is recorded on amd64")
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(img)); got != chaosGoldenSHA256 {
+		t.Errorf("archive digest %s (%d bytes), parent commit wrote %s", got, len(img), chaosGoldenSHA256)
+	}
+}
+
+// TestWalkRoundTrip: the injector and the monitor of a chaos run caught
+// mid-plan — a violation on the monitor's report included — survive
+// encode -> decode -> encode byte for byte.
+func TestWalkRoundTrip(t *testing.T) {
+	p := buildChaos(t)
+	p.cell.Run(520 * sim.Millisecond)
+	p.mon.violate("test-rule", "a violation, so the report's records are walked too")
+	fresh := buildChaos(t)
+	snapshottest.RoundTrip(t, p.inj.walk, fresh.inj.walk)
+	snapshottest.RoundTrip(t, p.mon.walk, fresh.mon.walk)
+	if !reflect.DeepEqual(p.mon.report, fresh.mon.report) || len(fresh.mon.seen) == 0 {
+		t.Fatalf("restored monitor differs: %+v vs %+v (%d seen)", p.mon.report, fresh.mon.report, len(fresh.mon.seen))
+	}
+}
+
+// TestViolationFieldsWalked: every field of a violation is checkpoint
+// state.
+func TestViolationFieldsWalked(t *testing.T) {
+	snapshottest.Fields(t, (*Violation).walk, nil)
+}
+
+// TestMonitorRejectsCountBeyondInput: a CRC-valid section a few bytes
+// long that claims the maximum number of seen SDU ids fails before
+// anything is sized from the claim.
+func TestMonitorRejectsCountBeyondInput(t *testing.T) {
+	var e snapshot.Encoder
+	e.Mark(tagMonitor)
+	e.I64(0)
+	e.Bool(true)
+	e.U32(1 << 28)
+	var b snapshot.Builder
+	b.Add(SectionMonitor, &e)
+	a, err := snapshot.Open(b.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon := buildChaos(t).mon
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = mon.RestoreFrom(a)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, snapshot.ErrTruncated) {
+		t.Fatalf("restore error = %v, want snapshot.ErrTruncated", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("restore allocated %d bytes on the way to failing, want < 1 MiB", got)
 	}
 }
 

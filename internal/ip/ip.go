@@ -9,7 +9,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"sort"
+	"slices"
 	"strconv"
 )
 
@@ -104,7 +104,7 @@ func (ft FiveTuple) Less(o FiveTuple) bool { return ft.Compare(o) < 0 }
 
 // SortTuples sorts tuples into canonical Compare order in place.
 func SortTuples(tuples []FiveTuple) {
-	sort.Slice(tuples, func(i, j int) bool { return tuples[i].Less(tuples[j]) })
+	slices.SortFunc(tuples, FiveTuple.Compare)
 }
 
 // Reverse returns the tuple of the opposite direction.

@@ -2,50 +2,26 @@ package ip
 
 import "outran/internal/snapshot"
 
-// PutTuple encodes a five-tuple in its canonical 13-byte layout.
-func PutTuple(e *snapshot.Encoder, ft FiveTuple) {
-	e.Raw(ft.Src[:])
-	e.Raw(ft.Dst[:])
-	e.U16(ft.SrcPort)
-	e.U16(ft.DstPort)
-	e.U8(ft.Proto)
+// TupleBytes is the encoded size of a five-tuple, the floor callers
+// quote when they bound a count of tuple-keyed records.
+const TupleBytes = 13
+
+// Walk is the five-tuple's canonical 13-byte checkpoint layout.
+func (ft *FiveTuple) Walk(w *snapshot.Walker) {
+	w.Raw(ft.Src[:])
+	w.Raw(ft.Dst[:])
+	w.U16(&ft.SrcPort)
+	w.U16(&ft.DstPort)
+	w.U8(&ft.Proto)
 }
 
-// GetTuple decodes a five-tuple written by PutTuple.
-func GetTuple(d *snapshot.Decoder) FiveTuple {
-	var ft FiveTuple
-	for i := range ft.Src {
-		ft.Src[i] = d.U8()
-	}
-	for i := range ft.Dst {
-		ft.Dst[i] = d.U8()
-	}
-	ft.SrcPort = d.U16()
-	ft.DstPort = d.U16()
-	ft.Proto = d.U8()
-	return ft
-}
-
-// PutPacket encodes a packet's full header state.
-func PutPacket(e *snapshot.Encoder, p Packet) {
-	PutTuple(e, p.Tuple)
-	e.U32(p.Seq)
-	e.U32(p.Ack)
-	e.Bool(p.ACKFlag)
-	e.Bool(p.SYN)
-	e.Bool(p.FIN)
-	e.Int(p.PayloadLen)
-}
-
-// GetPacket decodes a packet written by PutPacket.
-func GetPacket(d *snapshot.Decoder) Packet {
-	var p Packet
-	p.Tuple = GetTuple(d)
-	p.Seq = d.U32()
-	p.Ack = d.U32()
-	p.ACKFlag = d.Bool()
-	p.SYN = d.Bool()
-	p.FIN = d.Bool()
-	p.PayloadLen = d.Int()
-	return p
+// Walk is the checkpoint layout of a packet's full header state.
+func (p *Packet) Walk(w *snapshot.Walker) {
+	p.Tuple.Walk(w)
+	w.U32(&p.Seq)
+	w.U32(&p.Ack)
+	w.Bool(&p.ACKFlag)
+	w.Bool(&p.SYN)
+	w.Bool(&p.FIN)
+	w.Int(&p.PayloadLen)
 }

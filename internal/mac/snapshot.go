@@ -1,51 +1,30 @@
 package mac
 
 import (
-	"fmt"
-
 	"outran/internal/phy"
-	"outran/internal/sim"
 	"outran/internal/snapshot"
 )
 
 // tagUser is the structural sentinel for one user's MAC state.
 const tagUser = 0x3a01
 
-// Snapshot encodes the user's persistent MAC state: the per-subband
-// CQI view, the PF long-term average (eq. 1), and the RR recency
-// stamp. Buffer is refreshed from RLC every TTI before scheduling and
-// is deliberately excluded — it is per-TTI scratch, not state.
-func (u *User) Snapshot(e *snapshot.Encoder) {
-	e.Mark(tagUser)
-	e.Int(int(u.ID))
-	e.U32(uint32(len(u.SubbandCQI)))
-	for _, q := range u.SubbandCQI {
-		e.U8(uint8(q))
+// Walk is the user's checkpoint layout, its persistent MAC state: the
+// per-subband CQI view, the PF long-term average (eq. 1), and the RR
+// recency stamp. Buffer is refreshed from RLC every TTI before
+// scheduling and is deliberately excluded — it is per-TTI scratch, not
+// state. The id and the subband count must match the constructed user:
+// a mismatch means the snapshot came from a different cell
+// configuration.
+func (u *User) Walk(w *snapshot.Walker) {
+	w.Mark(tagUser)
+	snapshot.Same(w, w.Int, int(u.ID), "user id")
+	if w.FixedLen(len(u.SubbandCQI), 1<<16, "subbands") {
+		for i := range u.SubbandCQI {
+			q := uint8(u.SubbandCQI[i])
+			w.U8(&q)
+			u.SubbandCQI[i] = phy.CQI(q)
+		}
 	}
-	e.F64(u.AvgTputBps)
-	e.I64(int64(u.LastServed))
-}
-
-// Restore overlays a snapshot onto this user. The subband count must
-// match the constructed geometry: a mismatch means the snapshot came
-// from a different cell configuration.
-func (u *User) Restore(d *snapshot.Decoder) error {
-	d.Expect(tagUser)
-	id := d.Int()
-	n := d.Count(1 << 16)
-	if d.Err() == nil && id != int(u.ID) {
-		d.Fail(fmt.Errorf("%w: user id %d in snapshot, %d constructed", snapshot.ErrCorrupt, id, u.ID))
-	}
-	if d.Err() == nil && n != len(u.SubbandCQI) {
-		d.Fail(fmt.Errorf("%w: %d subbands in snapshot, %d constructed", snapshot.ErrCorrupt, n, len(u.SubbandCQI)))
-	}
-	for i := 0; i < n && d.Err() == nil; i++ {
-		u.SubbandCQI[i] = phy.CQI(d.U8())
-	}
-	u.AvgTputBps = d.F64()
-	u.LastServed = sim.Time(d.I64())
-	if err := d.Err(); err != nil {
-		return fmt.Errorf("mac: restoring user %d: %w", u.ID, err)
-	}
-	return nil
+	w.F64(&u.AvgTputBps)
+	snapshot.I64(w, &u.LastServed)
 }

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"outran/internal/sim"
-	"outran/internal/snapshot"
+	"outran/internal/snapshot/snapshottest"
 )
 
 // TestExactRecorderCapDegrades is the regression gate for the
@@ -100,14 +100,9 @@ func TestDegradedRecorderSnapshotRoundTrip(t *testing.T) {
 	if !r.Degraded() {
 		t.Fatal("setup: recorder did not degrade")
 	}
-	var e snapshot.Encoder
-	r.Snapshot(&e)
-
 	restored := &FCTRecorder{} // exact-constructed, as the config would build it
 	restored.SetExactCap(50)
-	if err := restored.Restore(snapshot.NewDecoder(e.Bytes())); err != nil {
-		t.Fatal(err)
-	}
+	snapshottest.RoundTrip(t, r.Walk, restored.Walk)
 	if !restored.Degraded() {
 		t.Fatal("restored recorder lost the degraded flag")
 	}
@@ -129,12 +124,8 @@ func TestExactRecorderSnapshotRoundTrip(t *testing.T) {
 	for _, s := range paperSamples(40, 17) {
 		r.Record(s)
 	}
-	var e snapshot.Encoder
-	r.Snapshot(&e)
 	restored := &FCTRecorder{}
-	if err := restored.Restore(snapshot.NewDecoder(e.Bytes())); err != nil {
-		t.Fatal(err)
-	}
+	snapshottest.RoundTrip(t, r.Walk, restored.Walk)
 	if restored.Degraded() {
 		t.Fatal("exact snapshot restored as degraded")
 	}

@@ -19,170 +19,86 @@ const (
 // metrics objects fresh, so prior state means a wiring bug.
 var errRestoreDirty = fmt.Errorf("metrics: restore target not freshly constructed")
 
-// Snapshot encodes the tracker's complete accumulation state: block
-// clock, running totals, and every folded sample series. Config
-// fields (BandwidthHz, SamplePeriod, RBBandwidthHz, TTISeconds) and
-// the observer hook are re-established at construction and excluded.
-func (c *CellTracker) Snapshot(e *snapshot.Encoder) {
-	e.Mark(tagTracker)
-	e.Int(c.ttiCount)
-	e.I64(c.bitsThisBlock)
-	e.I64(c.rbsThisBlock)
-	e.I64(int64(c.blockStart))
-	e.I64(c.totalBits)
-	putF64s(e, c.seSamples)
-	putF64s(e, c.activeSamples)
-	putF64s(e, c.fairSamples)
-	putF64s(e, c.fairSums)
-	putF64s(e, c.fairSumSqs)
-	putF64s(e, c.fairNs)
-	e.U32(uint32(len(c.seTimes)))
-	for _, t := range c.seTimes {
-		e.I64(int64(t))
-	}
-	e.Bool(c.frozen)
-	e.Bool(c.started)
-}
-
-// Restore overlays a snapshot onto a freshly built tracker.
-func (c *CellTracker) Restore(d *snapshot.Decoder) error {
-	if c.started || len(c.seSamples) != 0 || c.totalBits != 0 {
-		return fmt.Errorf("restoring cell tracker: %w", errRestoreDirty)
-	}
-	d.Expect(tagTracker)
-	c.ttiCount = d.Int()
-	c.bitsThisBlock = d.I64()
-	c.rbsThisBlock = d.I64()
-	c.blockStart = sim.Time(d.I64())
-	c.totalBits = d.I64()
-	c.seSamples = getF64s(d)
-	c.activeSamples = getF64s(d)
-	c.fairSamples = getF64s(d)
-	c.fairSums = getF64s(d)
-	c.fairSumSqs = getF64s(d)
-	c.fairNs = getF64s(d)
-	n := d.Count(1 << 28)
-	for i := 0; i < n && d.Err() == nil; i++ {
-		c.seTimes = append(c.seTimes, sim.Time(d.I64()))
-	}
-	c.frozen = d.Bool()
-	c.started = d.Bool()
-	if err := d.Err(); err != nil {
-		return fmt.Errorf("restoring cell tracker: %w", err)
-	}
-	return nil
-}
-
-// Snapshot encodes the recorder's mode and degradation flags, then
-// either every completed-flow sample (exact path) or the six
-// streaming histograms, plus the started count.
-func (r *FCTRecorder) Snapshot(e *snapshot.Encoder) {
-	e.Mark(tagFCT)
-	e.Bool(r.stream != nil)
-	e.Bool(r.degraded)
-	if r.stream != nil {
-		r.stream.Snapshot(e)
-		e.Int(r.started)
+// Walk is the tracker's checkpoint layout, its complete accumulation
+// state: block clock, running totals, and every folded sample series.
+// Config fields (BandwidthHz, SamplePeriod, RBBandwidthHz, TTISeconds)
+// and the observer hook are re-established at construction and excluded.
+func (c *CellTracker) Walk(w *snapshot.Walker) {
+	if w.Decoding() && (c.started || len(c.seSamples) != 0 || c.totalBits != 0) {
+		w.Fail(fmt.Errorf("restoring cell tracker: %w", errRestoreDirty))
 		return
 	}
-	e.U32(uint32(len(r.samples)))
-	for _, s := range r.samples {
-		e.I64(s.Size)
-		e.I64(int64(s.FCT))
-		e.Int(s.UE)
-		e.Bool(s.Incast)
+	w.Mark(tagTracker)
+	w.Int(&c.ttiCount)
+	w.I64(&c.bitsThisBlock)
+	w.I64(&c.rbsThisBlock)
+	snapshot.I64(w, &c.blockStart)
+	w.I64(&c.totalBits)
+	for _, series := range []*[]float64{&c.seSamples, &c.activeSamples, &c.fairSamples, &c.fairSums, &c.fairSumSqs, &c.fairNs} {
+		snapshot.Slice(w, series, 1<<28, 8, w.F64)
 	}
-	e.Int(r.started)
+	snapshot.Slice(w, &c.seTimes, 1<<28, 8, func(t *sim.Time) { snapshot.I64(w, t) })
+	w.Bool(&c.frozen)
+	w.Bool(&c.started)
 }
 
-// Restore overlays a snapshot onto a freshly built recorder. The
-// snapshot's mode must match the recorder's — the construction path
+// Walk is the recorder's checkpoint layout: its mode and degradation
+// flags, then either every completed-flow sample (exact path) or the
+// six streaming histograms, then the started count.
+//
+// The snapshot's mode must match the recorder's — the construction path
 // (config-driven) decides the mode, never the checkpoint — with one
 // exception: a snapshot taken after a cap degrade (streaming +
-// degraded) restores onto an exact-constructed recorder by replaying
+// degraded) decodes onto an exact-constructed recorder by replaying
 // the degrade first, so a resumed run continues exactly where the
 // crashed one left off.
-func (r *FCTRecorder) Restore(d *snapshot.Decoder) error {
-	if len(r.samples) != 0 || r.started != 0 || (r.stream != nil && r.stream.Completed() != 0) {
-		return fmt.Errorf("restoring fct recorder: %w", errRestoreDirty)
+func (r *FCTRecorder) Walk(w *snapshot.Walker) {
+	if w.Decoding() && (len(r.samples) != 0 || r.started != 0 || (r.stream != nil && r.stream.Completed() != 0)) {
+		w.Fail(fmt.Errorf("restoring fct recorder: %w", errRestoreDirty))
+		return
 	}
-	d.Expect(tagFCT)
-	streaming := d.Bool()
-	degraded := d.Bool()
-	if d.Err() == nil && degraded && r.stream == nil {
-		r.degrade()
-	}
-	if d.Err() == nil && streaming != (r.stream != nil) {
-		return fmt.Errorf("%w: fct recorder mode mismatch: snapshot streaming=%v, target streaming=%v",
-			snapshot.ErrCorrupt, streaming, r.stream != nil)
+	w.Mark(tagFCT)
+	streaming, degraded := r.stream != nil, r.degraded
+	w.Bool(&streaming)
+	w.Bool(&degraded)
+	if w.Decoding() {
+		if w.Err() != nil {
+			return
+		}
+		if degraded && r.stream == nil {
+			r.degrade()
+		}
+		if streaming != (r.stream != nil) {
+			w.Fail(fmt.Errorf("%w: fct recorder mode mismatch: snapshot streaming=%v, target streaming=%v",
+				snapshot.ErrCorrupt, streaming, r.stream != nil))
+			return
+		}
+		r.degraded = degraded
 	}
 	if streaming {
-		r.degraded = degraded
-		if err := r.stream.Restore(d); err != nil {
-			return fmt.Errorf("restoring fct recorder: %w", err)
-		}
-		r.started = d.Int()
-		if err := d.Err(); err != nil {
-			return fmt.Errorf("restoring fct recorder: %w", err)
-		}
-		return nil
+		r.stream.Walk(w)
+	} else {
+		snapshot.Slice(w, &r.samples, 1<<28, 8+8+8+1, func(s *FCTSample) { s.walk(w) })
 	}
-	n := d.Count(1 << 28)
-	for i := 0; i < n && d.Err() == nil; i++ {
-		var s FCTSample
-		s.Size = d.I64()
-		s.FCT = sim.Time(d.I64())
-		s.UE = d.Int()
-		s.Incast = d.Bool()
-		r.samples = append(r.samples, s)
-	}
-	r.started = d.Int()
-	if err := d.Err(); err != nil {
-		return fmt.Errorf("restoring fct recorder: %w", err)
-	}
-	return nil
+	w.Int(&r.started)
 }
 
-// Snapshot encodes the delay accumulators.
-func (d *DelayTracker) Snapshot(e *snapshot.Encoder) {
-	e.Mark(tagDelay)
-	e.I64(int64(d.sum))
-	e.Int(d.count)
-	e.I64(int64(d.sumS))
-	e.Int(d.cntS)
+func (s *FCTSample) walk(w *snapshot.Walker) {
+	w.I64(&s.Size)
+	snapshot.I64(w, &s.FCT)
+	w.Int(&s.UE)
+	w.Bool(&s.Incast)
 }
 
-// Restore overlays a snapshot onto a freshly built tracker.
-func (d *DelayTracker) Restore(dec *snapshot.Decoder) error {
-	if d.count != 0 || d.sum != 0 {
-		return fmt.Errorf("restoring delay tracker: %w", errRestoreDirty)
+// Walk is the checkpoint layout of the delay accumulators.
+func (d *DelayTracker) Walk(w *snapshot.Walker) {
+	if w.Decoding() && (d.count != 0 || d.sum != 0) {
+		w.Fail(fmt.Errorf("restoring delay tracker: %w", errRestoreDirty))
+		return
 	}
-	dec.Expect(tagDelay)
-	d.sum = sim.Time(dec.I64())
-	d.count = dec.Int()
-	d.sumS = sim.Time(dec.I64())
-	d.cntS = dec.Int()
-	if err := dec.Err(); err != nil {
-		return fmt.Errorf("restoring delay tracker: %w", err)
-	}
-	return nil
-}
-
-func putF64s(e *snapshot.Encoder, v []float64) {
-	e.U32(uint32(len(v)))
-	for _, x := range v {
-		e.F64(x)
-	}
-}
-
-func getF64s(d *snapshot.Decoder) []float64 {
-	n := d.Count(1 << 28)
-	if n == 0 || d.Err() != nil {
-		return nil
-	}
-	out := make([]float64, 0, n)
-	for i := 0; i < n && d.Err() == nil; i++ {
-		out = append(out, d.F64())
-	}
-	return out
+	w.Mark(tagDelay)
+	snapshot.I64(w, &d.sum)
+	w.Int(&d.count)
+	snapshot.I64(w, &d.sumS)
+	w.Int(&d.cntS)
 }

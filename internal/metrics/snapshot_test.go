@@ -1,0 +1,66 @@
+package metrics
+
+import (
+	"errors"
+	"runtime"
+	"testing"
+
+	"outran/internal/sim"
+	"outran/internal/snapshot"
+	"outran/internal/snapshot/snapshottest"
+)
+
+// TestWalkRoundTrip: the tracker and the delay accumulators, mid-block
+// with folded samples behind them, survive encode -> decode -> encode
+// byte for byte (the recorder and the stream have their own tests).
+func TestWalkRoundTrip(t *testing.T) {
+	tr := NewCellTracker(5e6)
+	for tti := 0; tti < 3*tr.SamplePeriod+7; tti++ {
+		tr.OnTTI(sim.Time(tti)*sim.Millisecond, 1000+tti, []float64{float64(tti), 2, 0})
+	}
+	if len(tr.seSamples) != 3 || len(tr.seTimes) != 3 || tr.bitsThisBlock == 0 {
+		t.Fatalf("tracker folded %d samples, %d bits in the open block; the round trip would cover nothing", len(tr.seSamples), tr.bitsThisBlock)
+	}
+	snapshottest.RoundTrip(t, tr.Walk, NewCellTracker(5e6).Walk)
+
+	var d DelayTracker
+	d.Record(3*sim.Millisecond, true)
+	d.Record(9*sim.Millisecond, false)
+	snapshottest.RoundTrip(t, d.Walk, new(DelayTracker).Walk)
+}
+
+// TestSampleFieldsWalked: every field of an FCT sample is checkpoint
+// state.
+func TestSampleFieldsWalked(t *testing.T) {
+	snapshottest.Fields(t, (*FCTSample).walk, nil)
+}
+
+// TestTrackerRejectsCountBeyondInput: a CRC-valid section a few dozen
+// bytes long that claims the maximum number of samples fails before
+// anything is sized from the claim.
+func TestTrackerRejectsCountBeyondInput(t *testing.T) {
+	var e snapshot.Encoder
+	e.Mark(tagTracker)
+	e.Int(0)
+	e.I64(0)
+	e.I64(0)
+	e.I64(0)
+	e.I64(0)
+	e.U32(1 << 28)
+	var b snapshot.Builder
+	b.Add("tracker", &e)
+	a, err := snapshot.Open(b.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = a.Walk("tracker", NewCellTracker(5e6).Walk)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, snapshot.ErrTruncated) {
+		t.Fatalf("restore error = %v, want snapshot.ErrTruncated", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("restore allocated %d bytes on the way to failing, want < 1 MiB", got)
+	}
+}

@@ -147,28 +147,13 @@ func (s *FCTStream) IncastStats() Stats { return s.stats(-1, 1) }
 // NonIncastByClass returns stats for one class excluding incast.
 func (s *FCTStream) NonIncastByClass(c SizeClass) Stats { return s.stats(c, 0) }
 
-// Snapshot encodes all six histograms in fixed order.
-func (s *FCTStream) Snapshot(e *snapshot.Encoder) {
-	e.Mark(tagStream)
+// Walk is the stream's checkpoint layout: all six histograms in fixed
+// order.
+func (s *FCTStream) Walk(w *snapshot.Walker) {
+	w.Mark(tagStream)
 	for c := range s.hists {
 		for i := range s.hists[c] {
-			s.hists[c][i].Snapshot(e)
+			s.hists[c][i].Walk(w)
 		}
 	}
-}
-
-// Restore overlays a snapshot onto a freshly built stream.
-func (s *FCTStream) Restore(d *snapshot.Decoder) error {
-	d.Expect(tagStream)
-	for c := range s.hists {
-		for i := range s.hists[c] {
-			if err := s.hists[c][i].RestoreSnapshot(d); err != nil {
-				return fmt.Errorf("restoring fct stream: %w", err)
-			}
-		}
-	}
-	if err := d.Err(); err != nil {
-		return fmt.Errorf("restoring fct stream: %w", err)
-	}
-	return nil
 }

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"outran/internal/sim"
-	"outran/internal/snapshot"
+	"outran/internal/snapshot/snapshottest"
 )
 
 // paperSamples draws a deterministic flow population shaped like the
@@ -129,13 +129,8 @@ func TestStreamSnapshotRoundTrip(t *testing.T) {
 	for _, smp := range paperSamples(1500, 9) {
 		s.Record(smp)
 	}
-	var e snapshot.Encoder
-	s.Snapshot(&e)
 	r := NewFCTStream()
-	d := snapshot.NewDecoder(e.Bytes())
-	if err := r.Restore(d); err != nil {
-		t.Fatal(err)
-	}
+	snapshottest.RoundTrip(t, s.Walk, r.Walk)
 	if got, want := r.Overall(), s.Overall(); got != want {
 		t.Errorf("restored stats %+v != original %+v", got, want)
 	}

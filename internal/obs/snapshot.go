@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 
 	"outran/internal/snapshot"
 )
@@ -13,178 +14,87 @@ const (
 	tagHistogram = 0x0b02
 )
 
-// Snapshot encodes the histogram's full state (layout + counts + sum
-// + count + max) as a standalone section payload.
-func (h *Histogram) Snapshot(e *snapshot.Encoder) {
-	e.Mark(tagHistogram)
-	e.U32(uint32(len(h.bounds)))
-	for _, b := range h.bounds {
-		e.F64(b)
+// Walk is a standalone histogram's checkpoint layout: bucket layout,
+// counts, sum, count and max. The stored layout must match h's exactly.
+func (h *Histogram) Walk(w *snapshot.Walker) {
+	w.Mark(tagHistogram)
+	if w.FixedLen(len(h.bounds), 1<<16, "histogram bounds") {
+		for i, want := range h.bounds {
+			b := want
+			if w.F64(&b); b != want && w.Err() == nil {
+				w.Fail(fmt.Errorf("%w: histogram bucket layout mismatch at bound %d", snapshot.ErrCorrupt, i))
+			}
+		}
 	}
-	for _, c := range h.counts {
-		e.U64(c)
-	}
-	e.F64(h.sum)
-	e.U64(h.count)
-	e.F64(h.max)
+	h.walkCounts(w)
 }
 
-// decodeHistogram reads a standalone histogram payload (after its tag
-// has been consumed) and returns it; nil when the decoder has failed.
-func decodeHistogram(d *snapshot.Decoder) *Histogram {
-	nb := d.Count(1 << 16)
-	bounds := make([]float64, nb)
-	for j := range bounds {
-		bounds[j] = d.F64()
+// walkCounts walks everything a histogram holds beyond its layout.
+func (h *Histogram) walkCounts(w *snapshot.Walker) {
+	for i := range h.counts {
+		w.U64(&h.counts[i])
 	}
-	if d.Err() != nil {
-		return nil
-	}
-	h := NewHistogram(bounds)
-	for j := range h.counts {
-		h.counts[j] = d.U64()
-	}
-	h.sum = d.F64()
-	h.count = d.U64()
-	h.max = d.F64()
-	if d.Err() != nil {
-		return nil
-	}
-	return h
+	w.F64(&h.sum)
+	w.U64(&h.count)
+	w.F64(&h.max)
 }
 
-// RestoreSnapshot overlays a standalone histogram snapshot onto h.
-// The stored bucket layout must match h's exactly.
-func (h *Histogram) RestoreSnapshot(d *snapshot.Decoder) error {
-	d.Expect(tagHistogram)
-	g := decodeHistogram(d)
-	if g == nil {
-		return fmt.Errorf("obs: restoring histogram: %w", d.Err())
-	}
-	if len(g.bounds) != len(h.bounds) {
-		return fmt.Errorf("%w: histogram bucket layout mismatch: %d vs %d bounds",
-			snapshot.ErrCorrupt, len(g.bounds), len(h.bounds))
-	}
-	for i := range h.bounds {
-		if g.bounds[i] != h.bounds[i] {
-			return fmt.Errorf("%w: histogram bucket layout mismatch at bound %d",
-				snapshot.ErrCorrupt, i)
+// Walk is the registry's checkpoint layout: every instrument by sorted
+// name, so same-state registries serialise identically regardless of
+// registration order. Decoding registers instruments on demand, so it
+// works on both an empty registry and one whose construction path has
+// pre-registered (still-zero) instruments; any non-zero counter means
+// state has already accumulated and restoring would silently merge two
+// runs.
+func (r *Registry) Walk(w *snapshot.Walker) {
+	if w.Decoding() {
+		//outran:orderfree any-match guard; no state depends on visit order
+		for name, c := range r.counters {
+			if c.v != 0 {
+				w.Fail(fmt.Errorf("obs: restoring registry: counter %q already non-zero", name))
+				return
+			}
 		}
 	}
-	copy(h.counts, g.counts)
-	h.sum = g.sum
-	h.count = g.count
-	h.max = g.max
-	return nil
-}
-
-// Snapshot encodes every instrument by sorted name so same-state
-// registries serialise identically regardless of registration order.
-func (r *Registry) Snapshot(e *snapshot.Encoder) {
-	e.Mark(tagRegistry)
-	names := make([]string, 0, len(r.counters))
-	//outran:orderfree collected names are sorted before encoding
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	sortStrings(names)
-	e.U32(uint32(len(names)))
-	for _, n := range names {
-		e.String(n)
-		e.U64(r.counters[n].v)
-	}
-	names = names[:0]
-	//outran:orderfree collected names are sorted before encoding
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	sortStrings(names)
-	e.U32(uint32(len(names)))
-	for _, n := range names {
-		e.String(n)
-		e.F64(r.gauges[n].v)
-	}
-	names = names[:0]
-	//outran:orderfree collected names are sorted before encoding
-	for n := range r.histograms {
-		names = append(names, n)
-	}
-	sortStrings(names)
-	e.U32(uint32(len(names)))
-	for _, n := range names {
-		h := r.histograms[n]
-		e.String(n)
-		e.U32(uint32(len(h.bounds)))
-		for _, b := range h.bounds {
-			e.F64(b)
+	w.Mark(tagRegistry)
+	snapshot.Map(w, r.counters, 1<<20, 4+8, slices.Sort, func(name *string, c **Counter) {
+		w.String(name)
+		if w.Decoding() {
+			*c = r.Counter(*name)
 		}
-		for _, c := range h.counts {
-			e.U64(c)
+		w.U64(&(*c).v)
+	})
+	snapshot.Map(w, r.gauges, 1<<20, 4+8, slices.Sort, func(name *string, g **Gauge) {
+		w.String(name)
+		if w.Decoding() {
+			*g = r.Gauge(*name)
 		}
-		e.F64(h.sum)
-		e.U64(h.count)
-		e.F64(h.max)
-	}
-}
-
-// Restore overlays a snapshot onto this registry. Instruments are
-// registered on demand, so restore works on both an empty registry
-// and one whose construction path has pre-registered (still-zero)
-// instruments; any non-zero counter means state has already
-// accumulated and restoring would silently merge two runs.
-func (r *Registry) Restore(d *snapshot.Decoder) error {
-	//outran:orderfree any-match guard; no state depends on visit order
-	for name, c := range r.counters {
-		if c.v != 0 {
-			return fmt.Errorf("obs: restoring registry: counter %q already non-zero", name)
+		w.F64(&(*g).v)
+	})
+	snapshot.Map(w, r.histograms, 1<<20, 4+4+8+8+8+8, slices.Sort, func(name *string, h **Histogram) {
+		w.String(name)
+		var bounds []float64
+		if !w.Decoding() {
+			bounds = (*h).bounds
 		}
-	}
-	d.Expect(tagRegistry)
-	n := d.Count(1 << 20)
-	for i := 0; i < n && d.Err() == nil; i++ {
-		name := d.String()
-		r.Counter(name).v = d.U64()
-	}
-	n = d.Count(1 << 20)
-	for i := 0; i < n && d.Err() == nil; i++ {
-		name := d.String()
-		r.Gauge(name).v = d.F64()
-	}
-	n = d.Count(1 << 20)
-	for i := 0; i < n && d.Err() == nil; i++ {
-		name := d.String()
-		nb := d.Count(1 << 16)
-		bounds := make([]float64, nb)
-		for j := range bounds {
-			bounds[j] = d.F64()
+		snapshot.Slice(w, &bounds, 1<<16, 8, w.F64)
+		if w.Decoding() {
+			for i := 1; i < len(bounds); i++ {
+				if bounds[i] <= bounds[i-1] {
+					w.Fail(fmt.Errorf("%w: histogram %q bounds not ascending at %d", snapshot.ErrCorrupt, *name, i))
+				}
+			}
+			if w.Err() != nil {
+				return
+			}
+			// An instrument the construction path registered keeps its own
+			// layout, which the snapshot's must then fit.
+			*h = r.Histogram(*name, bounds)
+			if len((*h).bounds) != len(bounds) {
+				w.Fail(fmt.Errorf("%w: histogram %q bucket layout mismatch", snapshot.ErrCorrupt, *name))
+				return
+			}
 		}
-		if d.Err() != nil {
-			break
-		}
-		h := r.Histogram(name, bounds)
-		if len(h.bounds) != len(bounds) {
-			d.Fail(fmt.Errorf("%w: histogram %q bucket layout mismatch", snapshot.ErrCorrupt, name))
-			break
-		}
-		for j := range h.counts {
-			h.counts[j] = d.U64()
-		}
-		h.sum = d.F64()
-		h.count = d.U64()
-		h.max = d.F64()
-	}
-	if err := d.Err(); err != nil {
-		return fmt.Errorf("obs: restoring registry: %w", err)
-	}
-	return nil
-}
-
-// sortStrings is an insertion sort: instrument-name lists are short
-// and this keeps the snapshot walk free of sort.Slice closures.
-func sortStrings(v []string) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
+		(*h).walkCounts(w)
+	})
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"outran/internal/ip"
-	"outran/internal/sim"
 	"outran/internal/snapshot"
 )
 
@@ -14,75 +13,48 @@ const (
 	tagRx = 0x7d02
 )
 
-// Snapshot encodes the transmitting entity's full mutable state — the
-// generalisation of ExportFlowState the checkpoint format needs: the
-// cipher COUNT position (nextSN), the complete flow table including
-// last-seen times and traced priority levels, and the stat counters.
-// The cipher block and scratch are reconstruction/products of the key
-// and are not encoded. Flows are written in canonical five-tuple order.
-func (t *Tx) Snapshot(e *snapshot.Encoder) {
-	e.Mark(tagTx)
-	e.U32(t.nextSN)
-	keys := t.sortedFlowKeys()
-	e.U32(uint32(len(keys)))
-	for _, tuple := range keys {
-		fe := t.flows[tuple]
-		ip.PutTuple(e, tuple)
-		e.I64(fe.sentBytes)
-		e.I64(int64(fe.lastSeen))
-		e.Int(fe.prio)
+// Walk is the transmitting entity's checkpoint layout, its full mutable
+// state — the generalisation of ExportFlowState the checkpoint format
+// needs: the cipher COUNT position (nextSN), the complete flow table
+// including last-seen times and traced priority levels, and the stat
+// counters. The cipher block and scratch are reconstruction/products of
+// the key and are not part of it. Flows go in canonical five-tuple
+// order. Decoding into an entity that has already numbered SDUs or
+// tracked flows is an error (double import).
+func (t *Tx) Walk(w *snapshot.Walker) {
+	if w.Decoding() && (t.nextSN != 0 || len(t.flows) != 0 || t.submitted != 0) {
+		w.Fail(fmt.Errorf("pdcp: restoring tx entity: %w", errAlreadyImported))
+		return
 	}
-	e.U64(t.submitted)
-	e.U64(t.inspectErr)
+	w.Mark(tagTx)
+	w.U32(&t.nextSN)
+	snapshot.Map(w, t.flows, 1<<24, ip.TupleBytes+24, ip.SortTuples, func(tuple *ip.FiveTuple, fe **flowEntry) {
+		tuple.Walk(w)
+		if w.Decoding() {
+			*fe = t.newFlowEntry()
+		}
+		(*fe).walk(w)
+	})
+	w.U64(&t.submitted)
+	w.U64(&t.inspectErr)
 }
 
-// Restore overlays a snapshot onto a freshly built entity. Restoring
-// into an entity that has already numbered SDUs or tracked flows is
-// an error (double import).
-func (t *Tx) Restore(d *snapshot.Decoder) error {
-	if t.nextSN != 0 || len(t.flows) != 0 || t.submitted != 0 {
-		return fmt.Errorf("pdcp: restoring tx entity: %w", errAlreadyImported)
-	}
-	d.Expect(tagTx)
-	t.nextSN = d.U32()
-	n := d.Count(1 << 24)
-	for i := 0; i < n && d.Err() == nil; i++ {
-		tuple := ip.GetTuple(d)
-		fe := t.newFlowEntry()
-		fe.sentBytes = d.I64()
-		fe.lastSeen = sim.Time(d.I64())
-		fe.prio = d.Int()
-		t.flows[tuple] = fe
-	}
-	t.submitted = d.U64()
-	t.inspectErr = d.U64()
-	if err := d.Err(); err != nil {
-		return fmt.Errorf("pdcp: restoring tx entity: %w", err)
-	}
-	return nil
+func (fe *flowEntry) walk(w *snapshot.Walker) {
+	w.I64(&fe.sentBytes)
+	snapshot.I64(w, &fe.lastSeen)
+	w.Int(&fe.prio)
 }
 
-// Snapshot encodes the receiving entity: the expected COUNT and the
-// delivery counters. Scratch and the cipher block are rebuilt from
-// config on the restore side.
-func (r *Rx) Snapshot(e *snapshot.Encoder) {
-	e.Mark(tagRx)
-	e.U32(r.next)
-	e.U64(r.delivered)
-	e.U64(r.decipherFail)
-}
-
-// Restore overlays a snapshot onto a freshly built entity.
-func (r *Rx) Restore(d *snapshot.Decoder) error {
-	if r.next != 0 || r.delivered != 0 || r.decipherFail != 0 {
-		return fmt.Errorf("pdcp: restoring rx entity: %w", errAlreadyImported)
+// Walk is the receiving entity's checkpoint layout: the expected COUNT
+// and the delivery counters. Scratch and the cipher block are rebuilt
+// from config on the restore side.
+func (r *Rx) Walk(w *snapshot.Walker) {
+	if w.Decoding() && (r.next != 0 || r.delivered != 0 || r.decipherFail != 0) {
+		w.Fail(fmt.Errorf("pdcp: restoring rx entity: %w", errAlreadyImported))
+		return
 	}
-	d.Expect(tagRx)
-	r.next = d.U32()
-	r.delivered = d.U64()
-	r.decipherFail = d.U64()
-	if err := d.Err(); err != nil {
-		return fmt.Errorf("pdcp: restoring rx entity: %w", err)
-	}
-	return nil
+	w.Mark(tagRx)
+	w.U32(&r.next)
+	w.U64(&r.delivered)
+	w.U64(&r.decipherFail)
 }

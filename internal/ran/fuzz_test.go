@@ -1,0 +1,66 @@
+package ran
+
+import (
+	"runtime"
+	"testing"
+
+	"outran/internal/snapshot"
+)
+
+// FuzzRestoreSnapshot restores cells from archives that are corrupt but
+// CRC-valid: one section of a golden shape's archive is replaced by the
+// fuzzer's bytes and the file re-sealed, so Open accepts it and every
+// defence left is the walk's own. The restore must return — an error or
+// success, never a panic — without allocating past a budget set by the
+// input's size, and a cell that did restore must snapshot again.
+func FuzzRestoreSnapshot(f *testing.F) {
+	type seeded struct {
+		cfg   Config
+		img   []byte
+		names []string
+	}
+	var shapes []seeded
+	for i, s := range archiveShapes {
+		img, err := s.build(f).Snapshot()
+		if err != nil {
+			f.Fatal(err)
+		}
+		names := sectionNames(f, img)
+		shapes = append(shapes, seeded{s.harness().Config, img, names})
+		payloads := sectionBytes(f, img)
+		for j, name := range names {
+			f.Add(uint8(i), uint8(j), payloads[name])
+		}
+	}
+	f.Fuzz(func(t *testing.T, shape, section uint8, payload []byte) {
+		s := shapes[int(shape)%len(shapes)]
+		victim := s.names[int(section)%len(s.names)]
+		a, err := snapshot.Open(reseal(t, s.img, func(name string, raw []byte) []byte {
+			if name == victim {
+				return payload
+			}
+			return raw
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := NewCell(s.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err = fresh.RestoreSnapshot(a)
+		runtime.ReadMemStats(&after)
+		// Every count is bounded by the bytes behind it, so what a restore
+		// can allocate is a small multiple of the file.
+		if got, budget := after.TotalAlloc-before.TotalAlloc, uint64(8<<20+64*len(payload)); got > budget {
+			t.Fatalf("restore of a %d-byte %s section allocated %d bytes, budget %d (err %v)", len(payload), victim, got, budget, err)
+		}
+		if err == nil {
+			if _, err := fresh.Snapshot(); err != nil {
+				t.Fatalf("restored cell does not snapshot: %v", err)
+			}
+		}
+	})
+}

@@ -1,0 +1,157 @@
+package ran
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"runtime"
+	"testing"
+
+	"outran/internal/phy"
+	"outran/internal/sim"
+	"outran/internal/workload"
+)
+
+// archiveShape is one mid-run cell whose checkpoint archive is pinned
+// byte for byte: the golden table's rows and FuzzRestoreSnapshot's seeds.
+type archiveShape struct {
+	name    string
+	harness func() Harness
+	mid     sim.Time
+	// check fails the test when the cell at mid does not hold the state
+	// the shape exists to cover, so a digest can never pin a vacuous file.
+	check func(t *testing.T, c *Cell)
+	// sha256 of the archive, recorded on the commit before the snapshot
+	// walk was rewritten (amd64).
+	sha256 string
+}
+
+// nrShape is OutRAN over RLC AM on the 5G grid, small enough to build
+// quickly, loaded enough that HARQ and AM retransmission state is live.
+func nrShape() Harness {
+	cfg := Default5GConfig(phy.Mu1).ForScheduler(SchedOutRAN)
+	cfg.NumUEs = 8
+	cfg.RLC = AM
+	cfg.Seed = 7
+	return Harness{
+		Config: cfg.WithWorkload(workload.PoissonSpec("mirage", 0.9)),
+		Warmup: 100 * sim.Millisecond,
+		Window: 400 * sim.Millisecond,
+		Drain:  2 * sim.Second,
+	}
+}
+
+// kpiStreamShape is the OutRAN + AM resume scenario with the KPI
+// section and the streaming FCT recorder on.
+func kpiStreamShape() Harness {
+	h := resumeScenario(SchedOutRAN, AM)
+	h.Config.KPIEvery = 100 * sim.Millisecond
+	h.Config.StreamFCT = true
+	return h
+}
+
+var archiveShapes = []archiveShape{
+	{
+		name:    "PF-UM-LTE",
+		harness: func() Harness { return resumeScenario(SchedPF, UM) },
+		mid:     433*sim.Millisecond + 137*sim.Microsecond,
+		check: func(t *testing.T, c *Cell) {
+			if c.ues[0].umTx == nil {
+				t.Fatal("not a UM cell")
+			}
+			flows := 0
+			for _, ue := range c.ues {
+				flows += len(ue.flows)
+			}
+			if flows == 0 {
+				t.Fatal("no live flows at the snapshot instant")
+			}
+		},
+		sha256: "f415b5e540285723fafbd700ce6d3b0b4311f6fc709a308c97766fd420959f92",
+	},
+	{
+		name:    "OutRAN-AM-NR",
+		harness: nrShape,
+		mid:     nrShapeMid,
+		check: func(t *testing.T, c *Cell) {
+			retx, status, onAir := 0, 0, 0
+			var amRetx uint64
+			for _, ue := range c.ues {
+				retx += len(ue.harqPending)
+				amRetx += ue.amTx.RetxBytes()
+			}
+			for _, en := range c.Eng.Entries() {
+				if _, ok := en.H.(*Cell); !ok {
+					continue
+				}
+				switch en.Ev.Kind {
+				case evTB:
+					onAir++
+					if en.Ev.Ptr.(*harqTB).attempts > 0 {
+						retx++
+					}
+				case evAMStatus:
+					status++
+				}
+			}
+			if retx == 0 || status == 0 || onAir == 0 || amRetx == 0 {
+				t.Fatalf("HARQ retransmissions %d, AM statuses in flight %d, transport blocks on the air %d, AM retransmitted bytes %d; all must be non-zero", retx, status, onAir, amRetx)
+			}
+		},
+		sha256: "e61b62a24b47e7e9f419246a01eddf1d8701717f1ecdb666d9fde58227931309",
+	},
+	{
+		name:    "OutRAN-AM-KPI-stream",
+		harness: kpiStreamShape,
+		mid:     432 * sim.Millisecond,
+		check: func(t *testing.T, c *Cell) {
+			if c.kpi == nil || c.kpi.cum.Count() == 0 || c.FCT.Completed() == 0 {
+				t.Fatal("no KPI or streaming-FCT state at the snapshot instant")
+			}
+		},
+		sha256: "0974d9ea790343fb4becb58e539aaaddb08cdd6f0dc45c4b979e876b85442751",
+	},
+}
+
+// nrShapeMid is an instant, half way into a TTI, at which the NR shape
+// holds HARQ retransmissions, a transport block on the air and AM
+// statuses in flight (its check asserts it).
+const nrShapeMid = 168*sim.Millisecond + 250*sim.Microsecond
+
+// build runs the shape to its snapshot instant, sampling KPIs on the
+// way when the cell has them (sampling is part of the cell's state).
+func (s archiveShape) build(t testing.TB) *Cell {
+	h := s.harness()
+	c, err := h.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if every := h.Config.KPIEvery; every > 0 {
+		for at := every; at <= s.mid; at += every {
+			c.Run(at)
+			c.SampleKPI(at)
+		}
+	}
+	c.Run(s.mid)
+	return c
+}
+
+// TestArchiveGoldens pins the checkpoint bytes of every shape to the
+// digest the parent of the walker rewrite wrote.
+func TestArchiveGoldens(t *testing.T) {
+	for _, s := range archiveShapes {
+		t.Run(s.name, func(t *testing.T) {
+			c := s.build(t)
+			s.check(t, c)
+			img, err := c.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if runtime.GOARCH != "amd64" {
+				t.Skip("digests are recorded on amd64")
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(img)); got != s.sha256 {
+				t.Errorf("archive digest %s (%d bytes), parent commit wrote %s", got, len(img), s.sha256)
+			}
+		})
+	}
+}

@@ -1,8 +1,6 @@
 package ran
 
 import (
-	"fmt"
-
 	"outran/internal/core"
 	"outran/internal/mac"
 	"outran/internal/obs"
@@ -166,40 +164,18 @@ func (c *Cell) SampleKPI(now sim.Time) obs.KPISample {
 // section.
 const tagKPI = 0x2a09
 
-// snapshotKPI encodes the KPI accumulation state. The winDone buffer
-// is excluded on purpose: it only carries the previous sample's
-// return value and is recycled (reset) before its content is ever
-// read again.
-func (c *Cell) snapshotKPI(e *snapshot.Encoder) {
-	k := c.kpi
-	e.Mark(tagKPI)
-	k.win.Snapshot(e)
-	k.cum.Snapshot(e)
-	e.I64(int64(k.lastT))
-	e.I64(k.lastBits)
-	e.U64(k.lastHARQTx)
-	e.U64(k.lastHARQRetx)
-	e.U64(k.lastDecisions)
-	e.F64(k.lastSacSum)
-}
-
-func (c *Cell) restoreKPI(d *snapshot.Decoder) error {
-	k := c.kpi
-	d.Expect(tagKPI)
-	if err := k.win.RestoreSnapshot(d); err != nil {
-		return fmt.Errorf("restoring kpi window: %w", err)
-	}
-	if err := k.cum.RestoreSnapshot(d); err != nil {
-		return fmt.Errorf("restoring kpi cumulative: %w", err)
-	}
-	k.lastT = sim.Time(d.I64())
-	k.lastBits = d.I64()
-	k.lastHARQTx = d.U64()
-	k.lastHARQRetx = d.U64()
-	k.lastDecisions = d.U64()
-	k.lastSacSum = d.F64()
-	if err := d.Err(); err != nil {
-		return fmt.Errorf("restoring kpi state: %w", err)
-	}
-	return nil
+// walk is the kpi section: the KPI accumulation state. The winDone
+// buffer is excluded on purpose: it only carries the previous sample's
+// return value and is recycled (reset) before its content is ever read
+// again.
+func (k *kpiState) walk(w *snapshot.Walker) {
+	w.Mark(tagKPI)
+	k.win.Walk(w)
+	k.cum.Walk(w)
+	snapshot.I64(w, &k.lastT)
+	w.I64(&k.lastBits)
+	w.U64(&k.lastHARQTx)
+	w.U64(&k.lastHARQRetx)
+	w.U64(&k.lastDecisions)
+	w.F64(&k.lastSacSum)
 }

@@ -13,8 +13,10 @@ import (
 	"outran/internal/ip"
 	"outran/internal/metrics"
 	"outran/internal/obs"
+	"outran/internal/rlc"
 	"outran/internal/sim"
 	"outran/internal/snapshot"
+	"outran/internal/snapshot/snapshottest"
 	"outran/internal/workload"
 )
 
@@ -333,7 +335,7 @@ func TestRestoreRejectsCorruptSections(t *testing.T) {
 		t.Fatal(err)
 	}
 	now := int64(idle.Eng.Now())
-	tuple := func(e *snapshot.Encoder) { ip.PutTuple(e, ip.FiveTuple{}) }
+	tuple := func(e *snapshot.Encoder) { (&ip.FiveTuple{}).Walk(snapshot.EncodeWalker(e)) }
 	arrival := func(ue int, size int64) func(*snapshot.Encoder) {
 		return func(e *snapshot.Encoder) { e.Int(ue); e.I64(size); e.Bool(false); e.Bool(false) }
 	}
@@ -351,7 +353,7 @@ func TestRestoreRejectsCorruptSections(t *testing.T) {
 		{name: "arrival with negative UE", section: "pending", at: now, kind: evArrival, fields: arrival(-1, 1000)},
 		{name: "arrival with zero size", section: "pending", at: now, kind: evArrival, fields: arrival(1, 0)},
 		{name: "packet for a UE out of range", section: "pending", at: now, kind: evPacket,
-			fields: func(e *snapshot.Encoder) { e.Int(h.Config.NumUEs); ip.PutPacket(e, ip.Packet{}) }},
+			fields: func(e *snapshot.Encoder) { e.Int(h.Config.NumUEs); (&ip.Packet{}).Walk(snapshot.EncodeWalker(e)) }},
 		{name: "ack for a negative UE", section: "pending", at: now, kind: evAck,
 			fields: func(e *snapshot.Encoder) { e.Int(-1); tuple(e); e.I64(1) }},
 		{name: "unknown kind", section: "pending", at: now, kind: 99},
@@ -364,26 +366,11 @@ func TestRestoreRejectsCorruptSections(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			a, err := snapshot.Open(img)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var b snapshot.Builder
-			for _, name := range a.Names() {
-				d, err := a.Section(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				raw := make([]byte, d.Remaining())
-				for i := range raw {
-					raw[i] = d.U8()
+			spliced := reseal(t, img, func(name string, raw []byte) []byte {
+				if name != tc.section {
+					return raw
 				}
 				var e snapshot.Encoder
-				if name != tc.section {
-					e.Raw(raw)
-					b.Add(name, &e)
-					continue
-				}
 				// Both sections end in their (zero) event count.
 				e.Raw(raw[:len(raw)-4])
 				e.U32(1)
@@ -393,9 +380,9 @@ func TestRestoreRejectsCorruptSections(t *testing.T) {
 				if tc.fields != nil {
 					tc.fields(&e)
 				}
-				b.Add(name, &e)
-			}
-			bad, err := snapshot.Open(b.Bytes())
+				return e.Bytes()
+			})
+			bad, err := snapshot.Open(spliced)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -416,10 +403,48 @@ func TestRestoreRejectsCorruptSections(t *testing.T) {
 			// The control records prove the splice itself is well-formed:
 			// they re-encode to the same bytes and fire without incident.
 			again, err := fresh.Snapshot()
-			if err != nil || !bytes.Equal(again, b.Bytes()) {
+			if err != nil || !bytes.Equal(again, spliced) {
 				t.Fatalf("restored control record does not re-encode identically (err %v)", err)
 			}
 			fresh.Run(idle.Eng.Now() + 100*sim.Millisecond)
+		})
+	}
+
+	// One byte appended to a section is input its walk did not write:
+	// every section, not only the ones that used to check, rejects it.
+	kcfg := h.Config
+	kcfg.KPIEvery = 100 * sim.Millisecond // so there is a kpi section too
+	tailed, err := NewCell(kcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tailed.Run(10 * sim.Millisecond)
+	img, err = tailed.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := sectionNames(t, img)
+	if want := []string{"config", "engine", "cell", "metrics", "kpi", "ue0"}; !reflect.DeepEqual(names[:len(want)], want) || names[len(names)-1] != "pending" {
+		t.Fatalf("archive sections %v; the trailing-byte cases assume config, engine, cell, metrics, kpi, ue<i>, pending", names)
+	}
+	for _, victim := range names {
+		t.Run("trailing byte in "+victim, func(t *testing.T) {
+			bad, err := snapshot.Open(reseal(t, img, func(name string, raw []byte) []byte {
+				if name == victim {
+					raw = append(raw, 0)
+				}
+				return raw
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := NewCell(kcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fresh.RestoreSnapshot(bad); !errors.Is(err, snapshot.ErrCorrupt) {
+				t.Fatalf("restore error = %v, want snapshot.ErrCorrupt", err)
+			}
 		})
 	}
 }
@@ -445,7 +470,7 @@ func TestSnapshotMidCQIPeriod(t *testing.T) {
 	drive := func(c *Cell, until sim.Time) []obs.KPIRecord {
 		var recs []obs.KPIRecord
 		every := h.Config.KPIEvery
-		now, _, _ := c.Eng.SnapState()
+		now := c.Eng.Now()
 		for at := (now/every + 1) * every; at <= until; at += every {
 			c.Run(at)
 			recs = append(recs, c.SampleKPI(at).Rec)
@@ -534,24 +559,58 @@ func TestSnapshotMidCQIPeriod(t *testing.T) {
 	}
 }
 
-// sectionBytes splits a snapshot image into its sections' payloads.
-func sectionBytes(t *testing.T, img []byte) map[string][]byte {
+// reseal rebuilds a snapshot image section by section, edit returning
+// the payload to seal under each name — CRC-valid whatever it holds.
+func reseal(t testing.TB, img []byte, edit func(name string, payload []byte) []byte) []byte {
 	t.Helper()
 	a, err := snapshot.Open(img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make(map[string][]byte)
+	var b snapshot.Builder
 	for _, name := range a.Names() {
 		d, err := a.Section(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := make([]byte, 0, d.Remaining())
+		raw := make([]byte, 0, d.Remaining())
 		for d.Remaining() > 0 {
-			b = append(b, d.U8())
+			raw = append(raw, d.U8())
 		}
-		out[name] = b
+		var e snapshot.Encoder
+		e.Raw(edit(name, raw))
+		b.Add(name, &e)
 	}
+	return b.Bytes()
+}
+
+// sectionNames lists a snapshot image's sections in file order.
+func sectionNames(t testing.TB, img []byte) []string {
+	t.Helper()
+	a, err := snapshot.Open(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a.Names()
+}
+
+// sectionBytes splits a snapshot image into its sections' payloads.
+func sectionBytes(t testing.TB, img []byte) map[string][]byte {
+	t.Helper()
+	out := make(map[string][]byte)
+	reseal(t, img, func(name string, payload []byte) []byte {
+		out[name] = payload
+		return payload
+	})
 	return out
+}
+
+// TestHarqTBFieldsWalked: every field of a transport block is checkpoint
+// state.
+func TestHarqTBFieldsWalked(t *testing.T) {
+	snapshottest.Fields(t, func(tb *harqTB, w *snapshot.Walker) {
+		p := tb
+		walkHarqTB(rlc.NewRefs(w), &p)
+		*tb = *p
+	}, nil)
 }

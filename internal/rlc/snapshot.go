@@ -3,10 +3,9 @@ package rlc
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"outran/internal/ip"
-	"outran/internal/sim"
 	"outran/internal/snapshot"
 )
 
@@ -31,556 +30,286 @@ const (
 	refIndex  = 2
 )
 
+// Fewest bytes the records below encode to, quoted where a walk bounds
+// a count of them. RefBytes is a reference to an SDU or PDU: at least a
+// marker and an index.
+const (
+	RefBytes     = 1 + 4
+	segmentBytes = 1 + 8 + 8 + 1
+	partialBytes = 8 + 1 + 8 + 8
+	flowAggBytes = ip.TupleBytes + 8 + 8 + 8 + 8
+)
+
 var errDoubleRestore = errors.New("rlc: entity already restored once")
 
-// SnapEnc threads an encoder together with the identity tables for
-// SDUs and PDUs. One SnapEnc spans everything that can share objects —
-// in practice one UE's bearer plus its in-flight transport blocks.
-type SnapEnc struct {
-	E      *snapshot.Encoder
-	sduIdx map[*SDU]uint32
-	pduIdx map[*PDU]uint32
+// Refs threads a walker together with the identity tables for SDUs and
+// PDUs. One Refs spans everything that can share objects — in practice
+// one UE's bearer plus its in-flight transport blocks.
+type Refs struct {
+	W    *snapshot.Walker
+	sdus refTable[SDU]
+	pdus refTable[PDU]
 }
 
-// NewSnapEnc builds an encoding context over e.
-func NewSnapEnc(e *snapshot.Encoder) *SnapEnc {
-	return &SnapEnc{E: e, sduIdx: make(map[*SDU]uint32), pduIdx: make(map[*PDU]uint32)}
+// refTable numbers the objects of one type in the order the walk first
+// meets them: object to index while encoding, index to the one restored
+// instance while decoding.
+type refTable[T any] struct {
+	idx map[*T]uint32
+	tab []*T
 }
 
-// SDU encodes a reference to s, inlining the full object on first
-// encounter. Nil is representable (absent optional references).
-func (se *SnapEnc) SDU(s *SDU) {
-	if s == nil {
-		se.E.U8(refNil)
-		return
+// NewRefs builds a reference context over w.
+func NewRefs(w *snapshot.Walker) *Refs {
+	return &Refs{W: w, sdus: refTable[SDU]{idx: make(map[*SDU]uint32)}, pdus: refTable[PDU]{idx: make(map[*PDU]uint32)}}
+}
+
+// walk walks one reference, inline walking the object itself where the
+// reference is its first. A nil reference is encodable, but nothing the
+// entities hold is optional, so decoding one is corrupt input.
+func (t *refTable[T]) walk(w *snapshot.Walker, p **T, what string, inline func(*T)) {
+	var marker uint8
+	var at uint32
+	if !w.Decoding() && *p != nil {
+		var seen bool
+		if at, seen = t.idx[*p]; seen {
+			marker = refIndex
+		} else {
+			marker = refInline
+			t.idx[*p] = uint32(len(t.idx))
+		}
 	}
-	if idx, ok := se.sduIdx[s]; ok {
-		se.E.U8(refIndex)
-		se.E.U32(idx)
-		return
-	}
-	idx := uint32(len(se.sduIdx))
-	se.sduIdx[s] = idx
-	se.E.U8(refInline)
-	se.E.Mark(tagSDU)
-	se.E.U64(s.ID)
-	se.E.Int(s.Size)
-	se.E.Int(s.Priority)
-	se.E.I64(int64(s.Arrival))
-	ip.PutTuple(se.E, s.Flow)
-	se.E.I64(s.FlowSize)
-	se.E.Bool(s.QoS)
-	se.E.I64(int64(s.DelayBudget))
-	se.E.U32(s.PDCPSN)
-	se.E.Bytes32(s.Header)
-	ip.PutPacket(se.E, s.Packet)
-	se.E.Int(s.sentOffset)
-	se.E.Bool(s.evicted)
-	se.E.Int(s.reportPrio)
-}
-
-// PDU encodes a reference to p, inlining segments as SDU references
-// so segment sharing across retransmission copies is preserved.
-func (se *SnapEnc) PDU(p *PDU) {
-	if p == nil {
-		se.E.U8(refNil)
-		return
-	}
-	if idx, ok := se.pduIdx[p]; ok {
-		se.E.U8(refIndex)
-		se.E.U32(idx)
-		return
-	}
-	idx := uint32(len(se.pduIdx))
-	se.pduIdx[p] = idx
-	se.E.U8(refInline)
-	se.E.Mark(tagPDU)
-	se.E.U32(p.SN)
-	se.E.U32(uint32(len(p.Segments)))
-	for _, seg := range p.Segments {
-		se.SDU(seg.SDU)
-		se.E.Int(seg.Offset)
-		se.E.Int(seg.Len)
-		se.E.Bool(seg.Last)
-	}
-	se.E.Int(p.Bytes)
-	se.E.Bool(p.Poll)
-	se.E.Bool(p.Retx)
-}
-
-// SnapDec is the decoding counterpart of SnapEnc: table indices
-// resolve back to the one restored instance of each object.
-type SnapDec struct {
-	D    *snapshot.Decoder
-	sdus []*SDU
-	pdus []*PDU
-}
-
-// NewSnapDec builds a decoding context over d.
-func NewSnapDec(d *snapshot.Decoder) *SnapDec {
-	return &SnapDec{D: d}
-}
-
-// SDU decodes a reference written by SnapEnc.SDU.
-func (sd *SnapDec) SDU() *SDU {
-	switch sd.D.U8() {
-	case refNil:
-		return nil
+	w.U8(&marker)
+	switch marker {
 	case refIndex:
-		idx := int(sd.D.U32())
-		if sd.D.Err() != nil {
-			return nil
-		}
-		if idx >= len(sd.sdus) {
-			sd.D.Fail(fmt.Errorf("%w: SDU ref %d beyond table of %d", snapshot.ErrCorrupt, idx, len(sd.sdus)))
-			return nil
-		}
-		return sd.sdus[idx]
+		w.U32(&at)
 	case refInline:
-		sd.D.Expect(tagSDU)
-		s := &SDU{}
-		s.ID = sd.D.U64()
-		s.Size = sd.D.Int()
-		s.Priority = sd.D.Int()
-		s.Arrival = sim.Time(sd.D.I64())
-		s.Flow = ip.GetTuple(sd.D)
-		s.FlowSize = sd.D.I64()
-		s.QoS = sd.D.Bool()
-		s.DelayBudget = sim.Time(sd.D.I64())
-		s.PDCPSN = sd.D.U32()
-		if h := sd.D.Bytes32(); len(h) > 0 {
-			s.Header = append([]byte(nil), h...)
+		if w.Decoding() {
+			*p = new(T)
 		}
-		s.Packet = ip.GetPacket(sd.D)
-		s.sentOffset = sd.D.Int()
-		s.evicted = sd.D.Bool()
-		s.reportPrio = sd.D.Int()
-		if sd.D.Err() != nil {
-			return nil
-		}
-		sd.sdus = append(sd.sdus, s)
-		return s
-	default:
-		sd.D.Fail(fmt.Errorf("%w: unknown SDU reference marker", snapshot.ErrCorrupt))
-		return nil
+		inline(*p)
 	}
-}
-
-// PDU decodes a reference written by SnapEnc.PDU.
-func (sd *SnapDec) PDU() *PDU {
-	switch sd.D.U8() {
-	case refNil:
-		return nil
-	case refIndex:
-		idx := int(sd.D.U32())
-		if sd.D.Err() != nil {
-			return nil
-		}
-		if idx >= len(sd.pdus) {
-			sd.D.Fail(fmt.Errorf("%w: PDU ref %d beyond table of %d", snapshot.ErrCorrupt, idx, len(sd.pdus)))
-			return nil
-		}
-		return sd.pdus[idx]
-	case refInline:
-		sd.D.Expect(tagPDU)
-		p := &PDU{}
-		p.SN = sd.D.U32()
-		n := sd.D.Count(1 << 20)
-		for i := 0; i < n && sd.D.Err() == nil; i++ {
-			var seg Segment
-			seg.SDU = sd.SDU()
-			seg.Offset = sd.D.Int()
-			seg.Len = sd.D.Int()
-			seg.Last = sd.D.Bool()
-			p.Segments = append(p.Segments, seg)
-		}
-		p.Bytes = sd.D.Int()
-		p.Poll = sd.D.Bool()
-		p.Retx = sd.D.Bool()
-		if sd.D.Err() != nil {
-			return nil
-		}
-		sd.pdus = append(sd.pdus, p)
-		return p
-	default:
-		sd.D.Fail(fmt.Errorf("%w: unknown PDU reference marker", snapshot.ErrCorrupt))
-		return nil
-	}
-}
-
-// EncodeStatus writes a status PDU (used both by AM entity state and
-// by the cell's in-flight status-uplink events).
-func EncodeStatus(e *snapshot.Encoder, st *StatusPDU) {
-	e.U32(st.AckSN)
-	e.U32(uint32(len(st.Nacks)))
-	for _, sn := range st.Nacks {
-		e.U32(sn)
-	}
-}
-
-// DecodeStatus reads a status PDU written by EncodeStatus.
-func DecodeStatus(d *snapshot.Decoder) *StatusPDU {
-	st := &StatusPDU{AckSN: d.U32()}
-	n := d.Count(1 << 20)
-	for i := 0; i < n && d.Err() == nil; i++ {
-		st.Nacks = append(st.Nacks, d.U32())
-	}
-	return st
-}
-
-func snapshotDeque(se *SnapEnc, d *deque) {
-	se.E.U32(uint32(d.len()))
-	for i := d.head; i < len(d.items); i++ {
-		se.SDU(d.items[i])
-	}
-}
-
-func restoreDeque(sd *SnapDec, d *deque) {
-	n := sd.D.Count(1 << 24)
-	for i := 0; i < n && sd.D.Err() == nil; i++ {
-		if s := sd.SDU(); s != nil {
-			d.pushBack(s)
-		}
-	}
-}
-
-func (b *txBuf) snapshot(se *SnapEnc) {
-	se.E.Mark(tagTxBuf)
-	se.E.U32(uint32(len(b.queues)))
-	for i := range b.queues {
-		snapshotDeque(se, &b.queues[i])
-	}
-	se.E.Int(b.count)
-	se.E.Int(b.bytes)
-	for _, pb := range b.prioBytes {
-		se.E.Int(pb)
-	}
-	keys := make([]ip.FiveTuple, 0, len(b.flows))
-	for ft := range b.flows {
-		keys = append(keys, ft)
-	}
-	ip.SortTuples(keys)
-	se.E.U32(uint32(len(keys)))
-	for _, ft := range keys {
-		fa := b.flows[ft]
-		ip.PutTuple(se.E, ft)
-		se.E.Int(fa.queuedSDUs)
-		se.E.Int(fa.queuedBytes)
-		se.E.I64(fa.dequeued)
-		se.E.I64(fa.flowSize)
-	}
-	se.E.Int(b.drops)
-	se.E.Int(b.evictions)
-	se.E.Int(b.qosBytes)
-	snapshotDeque(se, &b.qosList)
-}
-
-func (b *txBuf) restore(sd *SnapDec) {
-	sd.D.Expect(tagTxBuf)
-	nq := sd.D.Count(1 << 10)
-	if sd.D.Err() == nil && nq != len(b.queues) {
-		sd.D.Fail(fmt.Errorf("%w: snapshot has %d priority queues, entity configured with %d",
-			snapshot.ErrCorrupt, nq, len(b.queues)))
+	if !w.Decoding() {
 		return
 	}
-	for i := 0; i < nq && sd.D.Err() == nil; i++ {
-		restoreDeque(sd, &b.queues[i])
+	switch {
+	case w.Err() != nil:
+		*p = nil
+	case marker == refInline:
+		t.tab = append(t.tab, *p)
+	case marker == refIndex && int(at) < len(t.tab):
+		*p = t.tab[at]
+	case marker == refIndex:
+		w.Fail(fmt.Errorf("%w: %s ref %d beyond table of %d", snapshot.ErrCorrupt, what, at, len(t.tab)))
+	case marker == refNil:
+		w.Fail(fmt.Errorf("%w: nil %s reference", snapshot.ErrCorrupt, what))
+	default:
+		w.Fail(fmt.Errorf("%w: unknown %s reference marker %d", snapshot.ErrCorrupt, what, marker))
 	}
-	b.count = sd.D.Int()
-	b.bytes = sd.D.Int()
+}
+
+// SDU walks a reference to an SDU.
+func (c *Refs) SDU(p **SDU) {
+	c.sdus.walk(c.W, p, "SDU", func(s *SDU) { s.walk(c.W) })
+}
+
+func (s *SDU) walk(w *snapshot.Walker) {
+	w.Mark(tagSDU)
+	w.U64(&s.ID)
+	w.Int(&s.Size)
+	w.Int(&s.Priority)
+	snapshot.I64(w, &s.Arrival)
+	s.Flow.Walk(w)
+	w.I64(&s.FlowSize)
+	w.Bool(&s.QoS)
+	snapshot.I64(w, &s.DelayBudget)
+	w.U32(&s.PDCPSN)
+	w.Bytes(&s.Header)
+	s.Packet.Walk(w)
+	w.Int(&s.sentOffset)
+	w.Bool(&s.evicted)
+	w.Int(&s.reportPrio)
+}
+
+// PDU walks a reference to a PDU, its segments as SDU references so
+// segment sharing across retransmission copies is preserved.
+func (c *Refs) PDU(p **PDU) {
+	c.pdus.walk(c.W, p, "PDU", func(pdu *PDU) {
+		w := c.W
+		w.Mark(tagPDU)
+		w.U32(&pdu.SN)
+		snapshot.Slice(w, &pdu.Segments, 1<<20, segmentBytes, func(seg *Segment) {
+			c.SDU(&seg.SDU)
+			w.Int(&seg.Offset)
+			w.Int(&seg.Len)
+			w.Bool(&seg.Last)
+		})
+		w.Int(&pdu.Bytes)
+		w.Bool(&pdu.Poll)
+		w.Bool(&pdu.Retx)
+	})
+}
+
+// Walk is a status PDU's checkpoint layout (used both by AM entity
+// state and by the cell's in-flight status-uplink events).
+func (st *StatusPDU) Walk(w *snapshot.Walker) {
+	w.U32(&st.AckSN)
+	snapshot.Slice(w, &st.Nacks, 1<<20, 4, w.U32)
+}
+
+func (c *Refs) deque(d *deque) {
+	live := d.items[d.head:]
+	snapshot.Slice(c.W, &live, 1<<24, RefBytes, c.SDU)
+	if c.W.Decoding() {
+		*d = deque{items: live}
+	}
+}
+
+// held walks a receiver's reordering window in SN order.
+func (c *Refs) held(m map[uint32]*PDU) {
+	snapshot.Map(c.W, m, 1<<20, 4+RefBytes, slices.Sort, func(sn *uint32, p **PDU) {
+		c.W.U32(sn)
+		c.PDU(p)
+	})
+}
+
+// partials walks a receiver's reassembly table in SDU-id order.
+func (c *Refs) partials(m map[uint64]*partialSDU) {
+	w := c.W
+	snapshot.Map(w, m, 1<<24, partialBytes, slices.Sort, func(id *uint64, p **partialSDU) {
+		w.U64(id)
+		if w.Decoding() {
+			*p = &partialSDU{}
+		}
+		c.SDU(&(*p).sdu)
+		w.Int(&(*p).received)
+		snapshot.I64(w, &(*p).lastSeen)
+	})
+}
+
+// counts walks a per-SN counter table in SN order.
+func counts(w *snapshot.Walker, m map[uint32]int) {
+	snapshot.Map(w, m, 1<<20, 4+8, slices.Sort, func(sn *uint32, n *int) {
+		w.U32(sn)
+		w.Int(n)
+	})
+}
+
+func (b *txBuf) walk(c *Refs) {
+	w := c.W
+	w.Mark(tagTxBuf)
+	if w.FixedLen(len(b.queues), 1<<10, "priority queues") {
+		for i := range b.queues {
+			c.deque(&b.queues[i])
+		}
+	}
+	w.Int(&b.count)
+	w.Int(&b.bytes)
 	for i := range b.prioBytes {
-		b.prioBytes[i] = sd.D.Int()
+		w.Int(&b.prioBytes[i])
 	}
-	nf := sd.D.Count(1 << 24)
-	for i := 0; i < nf && sd.D.Err() == nil; i++ {
-		ft := ip.GetTuple(sd.D)
-		fa := &flowAgg{}
-		fa.queuedSDUs = sd.D.Int()
-		fa.queuedBytes = sd.D.Int()
-		fa.dequeued = sd.D.I64()
-		fa.flowSize = sd.D.I64()
-		b.flows[ft] = fa
-	}
-	b.drops = sd.D.Int()
-	b.evictions = sd.D.Int()
-	b.qosBytes = sd.D.Int()
-	restoreDeque(sd, &b.qosList)
+	snapshot.Map(w, b.flows, 1<<24, flowAggBytes, ip.SortTuples, func(ft *ip.FiveTuple, fa **flowAgg) {
+		ft.Walk(w)
+		if w.Decoding() {
+			*fa = &flowAgg{}
+		}
+		(*fa).walk(w)
+	})
+	w.Int(&b.drops)
+	w.Int(&b.evictions)
+	w.Int(&b.qosBytes)
+	c.deque(&b.qosList)
 }
 
-func snapTimer(e *snapshot.Encoder, t *sim.Timer) {
-	running, expires, seq := t.SnapArm()
-	e.Bool(running)
-	e.I64(int64(expires))
-	e.U64(seq)
+func (fa *flowAgg) walk(w *snapshot.Walker) {
+	w.Int(&fa.queuedSDUs)
+	w.Int(&fa.queuedBytes)
+	w.I64(&fa.dequeued)
+	w.I64(&fa.flowSize)
 }
 
-func restoreTimer(d *snapshot.Decoder, t *sim.Timer) {
-	running := d.Bool()
-	expires := sim.Time(d.I64())
-	seq := d.U64()
-	if d.Err() != nil {
+// Walk is the UM transmitter's checkpoint layout: buffer contents and
+// SN state. Like every entity walk it decodes only into a freshly built
+// entity; one that already holds state is an error.
+func (t *UMTx) Walk(c *Refs) {
+	if c.W.Decoding() && (t.buf.count != 0 || t.sn != 0) {
+		c.W.Fail(fmt.Errorf("restoring UM tx entity: %w", errDoubleRestore))
 		return
 	}
-	t.RestoreArm(running, expires, seq)
+	c.W.Mark(tagUMTx)
+	t.buf.walk(c)
+	c.W.U32(&t.sn)
 }
 
-// Snapshot encodes the UM transmitter: buffer contents and SN state.
-func (t *UMTx) Snapshot(se *SnapEnc) {
-	se.E.Mark(tagUMTx)
-	t.buf.snapshot(se)
-	se.E.U32(t.sn)
+// Walk is the UM receiver's checkpoint layout: reordering window,
+// reassembly table, counters, and live timer arms.
+func (r *UMRx) Walk(c *Refs) {
+	w := c.W
+	if w.Decoding() && (r.expected != 0 || len(r.held) != 0 || len(r.partials) != 0) {
+		w.Fail(fmt.Errorf("restoring UM rx entity: %w", errDoubleRestore))
+		return
+	}
+	w.Mark(tagUMRx)
+	snapshot.I64(w, &r.TReassembly)
+	w.U32(&r.expected)
+	c.held(r.held)
+	c.partials(r.partials)
+	w.U64(&r.delivered)
+	w.U64(&r.discarded)
+	w.U64(&r.skipped)
+	r.gapTimer.Walk(w)
+	r.sduTimer.Walk(w)
 }
 
-// Restore overlays a snapshot onto a freshly built entity. Importing
-// into an entity that already holds state is an error.
-func (t *UMTx) Restore(sd *SnapDec) error {
-	if t.buf.count != 0 || t.sn != 0 {
-		return fmt.Errorf("restoring UM tx entity: %w", errDoubleRestore)
-	}
-	sd.D.Expect(tagUMTx)
-	t.buf.restore(sd)
-	t.sn = sd.D.U32()
-	if err := sd.D.Err(); err != nil {
-		return fmt.Errorf("rlc: restoring UM tx entity: %w", err)
-	}
-	return nil
-}
-
-// Snapshot encodes the UM receiver: reordering window, reassembly
-// table, counters, and live timer arms.
-func (r *UMRx) Snapshot(se *SnapEnc) {
-	se.E.Mark(tagUMRx)
-	se.E.I64(int64(r.TReassembly))
-	se.E.U32(r.expected)
-	sns := make([]uint32, 0, len(r.held))
-	for sn := range r.held {
-		sns = append(sns, sn)
-	}
-	sort.Slice(sns, func(i, j int) bool { return sns[i] < sns[j] })
-	se.E.U32(uint32(len(sns)))
-	for _, sn := range sns {
-		se.E.U32(sn)
-		se.PDU(r.held[sn])
-	}
-	ids := sortedPartialIDs(r.partials)
-	se.E.U32(uint32(len(ids)))
-	for _, id := range ids {
-		p := r.partials[id]
-		se.E.U64(id)
-		se.SDU(p.sdu)
-		se.E.Int(p.received)
-		se.E.I64(int64(p.lastSeen))
-	}
-	se.E.U64(r.delivered)
-	se.E.U64(r.discarded)
-	se.E.U64(r.skipped)
-	snapTimer(se.E, r.gapTimer)
-	snapTimer(se.E, r.sduTimer)
-}
-
-// Restore overlays a snapshot onto a freshly built entity and
-// re-registers its timer arms bit-exactly.
-func (r *UMRx) Restore(sd *SnapDec) error {
-	if r.expected != 0 || len(r.held) != 0 || len(r.partials) != 0 {
-		return fmt.Errorf("restoring UM rx entity: %w", errDoubleRestore)
-	}
-	sd.D.Expect(tagUMRx)
-	r.TReassembly = sim.Time(sd.D.I64())
-	r.expected = sd.D.U32()
-	nh := sd.D.Count(1 << 20)
-	for i := 0; i < nh && sd.D.Err() == nil; i++ {
-		sn := sd.D.U32()
-		if p := sd.PDU(); p != nil {
-			r.held[sn] = p
-		}
-	}
-	np := sd.D.Count(1 << 24)
-	for i := 0; i < np && sd.D.Err() == nil; i++ {
-		id := sd.D.U64()
-		p := &partialSDU{}
-		p.sdu = sd.SDU()
-		p.received = sd.D.Int()
-		p.lastSeen = sim.Time(sd.D.I64())
-		r.partials[id] = p
-	}
-	r.delivered = sd.D.U64()
-	r.discarded = sd.D.U64()
-	r.skipped = sd.D.U64()
-	restoreTimer(sd.D, r.gapTimer)
-	restoreTimer(sd.D, r.sduTimer)
-	if err := sd.D.Err(); err != nil {
-		return fmt.Errorf("rlc: restoring UM rx entity: %w", err)
-	}
-	return nil
-}
-
-// Snapshot encodes the AM transmitter: buffer, unacked PDU window,
-// retransmission queue, control queue, polling state, and the
+// Walk is the AM transmitter's checkpoint layout: buffer, unacked PDU
+// window, retransmission queue, control queue, polling state, and the
 // t-PollRetransmit arm.
-func (t *AMTx) Snapshot(se *SnapEnc) {
-	se.E.Mark(tagAMTx)
-	t.buf.snapshot(se)
-	se.E.U32(t.sn)
-	sns := make([]uint32, 0, len(t.txed))
-	for sn := range t.txed {
-		sns = append(sns, sn)
+func (t *AMTx) Walk(c *Refs) {
+	w := c.W
+	if w.Decoding() && (t.sn != 0 || len(t.txed) != 0 || t.buf.count != 0) {
+		w.Fail(fmt.Errorf("restoring AM tx entity: %w", errDoubleRestore))
+		return
 	}
-	sort.Slice(sns, func(i, j int) bool { return sns[i] < sns[j] })
-	se.E.U32(uint32(len(sns)))
-	for _, sn := range sns {
-		se.E.U32(sn)
-		se.PDU(t.txed[sn])
-	}
-	se.E.U32(uint32(len(t.retxQ)))
-	for _, sn := range t.retxQ {
-		se.E.U32(sn)
-	}
-	rcs := make([]uint32, 0, len(t.retxCount))
-	for sn := range t.retxCount {
-		rcs = append(rcs, sn)
-	}
-	sort.Slice(rcs, func(i, j int) bool { return rcs[i] < rcs[j] })
-	se.E.U32(uint32(len(rcs)))
-	for _, sn := range rcs {
-		se.E.U32(sn)
-		se.E.Int(t.retxCount[sn])
-	}
-	se.E.U32(uint32(len(t.ctrlQ)))
-	for _, st := range t.ctrlQ {
-		EncodeStatus(se.E, st)
-	}
-	se.E.Int(t.pollPDU)
-	se.E.Int(t.sincePoll)
-	se.E.U32(t.pollSN)
-	se.E.Bool(t.pollOut)
-	snapTimer(se.E, t.tPollRetx)
-	se.E.Int(t.maxRetx)
-	se.E.U64(t.abandoned)
-	se.E.U64(t.retxBytesSent)
-}
-
-// Restore overlays a snapshot onto a freshly built entity.
-func (t *AMTx) Restore(sd *SnapDec) error {
-	if t.sn != 0 || len(t.txed) != 0 || t.buf.count != 0 {
-		return fmt.Errorf("restoring AM tx entity: %w", errDoubleRestore)
-	}
-	sd.D.Expect(tagAMTx)
-	t.buf.restore(sd)
-	t.sn = sd.D.U32()
-	nt := sd.D.Count(1 << 20)
-	for i := 0; i < nt && sd.D.Err() == nil; i++ {
-		sn := sd.D.U32()
-		if p := sd.PDU(); p != nil {
-			t.txed[sn] = p
+	w.Mark(tagAMTx)
+	t.buf.walk(c)
+	w.U32(&t.sn)
+	c.held(t.txed)
+	snapshot.Slice(w, &t.retxQ, 1<<20, 4, w.U32)
+	counts(w, t.retxCount)
+	snapshot.Slice(w, &t.ctrlQ, 1<<20, 4+4, func(st **StatusPDU) {
+		if w.Decoding() {
+			*st = &StatusPDU{}
 		}
-	}
-	nr := sd.D.Count(1 << 20)
-	for i := 0; i < nr && sd.D.Err() == nil; i++ {
-		t.retxQ = append(t.retxQ, sd.D.U32())
-	}
-	nc := sd.D.Count(1 << 20)
-	for i := 0; i < nc && sd.D.Err() == nil; i++ {
-		sn := sd.D.U32()
-		t.retxCount[sn] = sd.D.Int()
-	}
-	nq := sd.D.Count(1 << 20)
-	for i := 0; i < nq && sd.D.Err() == nil; i++ {
-		t.ctrlQ = append(t.ctrlQ, DecodeStatus(sd.D))
-	}
-	t.pollPDU = sd.D.Int()
-	t.sincePoll = sd.D.Int()
-	t.pollSN = sd.D.U32()
-	t.pollOut = sd.D.Bool()
-	restoreTimer(sd.D, t.tPollRetx)
-	t.maxRetx = sd.D.Int()
-	t.abandoned = sd.D.U64()
-	t.retxBytesSent = sd.D.U64()
-	if err := sd.D.Err(); err != nil {
-		return fmt.Errorf("rlc: restoring AM tx entity: %w", err)
-	}
-	return nil
+		(*st).Walk(w)
+	})
+	w.Int(&t.pollPDU)
+	w.Int(&t.sincePoll)
+	w.U32(&t.pollSN)
+	w.Bool(&t.pollOut)
+	t.tPollRetx.Walk(w)
+	w.Int(&t.maxRetx)
+	w.U64(&t.abandoned)
+	w.U64(&t.retxBytesSent)
 }
 
-// Snapshot encodes the AM receiver: window, reassembly table, NACK
-// bookkeeping, and the three timer arms.
-func (r *AMRx) Snapshot(se *SnapEnc) {
-	se.E.Mark(tagAMRx)
-	ids := sortedPartialIDs(r.partials)
-	se.E.U32(uint32(len(ids)))
-	for _, id := range ids {
-		p := r.partials[id]
-		se.E.U64(id)
-		se.SDU(p.sdu)
-		se.E.Int(p.received)
-		se.E.I64(int64(p.lastSeen))
+// Walk is the AM receiver's checkpoint layout: window, reassembly
+// table, NACK bookkeeping, and the three timer arms.
+func (r *AMRx) Walk(c *Refs) {
+	w := c.W
+	if w.Decoding() && (r.floor != 0 || r.highest != 0 || len(r.held) != 0) {
+		w.Fail(fmt.Errorf("restoring AM rx entity: %w", errDoubleRestore))
+		return
 	}
-	sns := make([]uint32, 0, len(r.held))
-	for sn := range r.held {
-		sns = append(sns, sn)
-	}
-	sort.Slice(sns, func(i, j int) bool { return sns[i] < sns[j] })
-	se.E.U32(uint32(len(sns)))
-	for _, sn := range sns {
-		se.E.U32(sn)
-		se.PDU(r.held[sn])
-	}
-	se.E.U32(r.floor)
-	se.E.U32(r.highest)
-	nts := make([]uint32, 0, len(r.nackTry))
-	for sn := range r.nackTry {
-		nts = append(nts, sn)
-	}
-	sort.Slice(nts, func(i, j int) bool { return nts[i] < nts[j] })
-	se.E.U32(uint32(len(nts)))
-	for _, sn := range nts {
-		se.E.U32(sn)
-		se.E.Int(r.nackTry[sn])
-	}
-	snapTimer(se.E, r.prohibit)
-	snapTimer(se.E, r.gapTimer)
-	snapTimer(se.E, r.sduTimer)
-	se.E.Bool(r.pending)
-	se.E.U64(r.delivered)
-	se.E.U64(r.discarded)
-}
-
-// Restore overlays a snapshot onto a freshly built entity.
-func (r *AMRx) Restore(sd *SnapDec) error {
-	if r.floor != 0 || r.highest != 0 || len(r.held) != 0 {
-		return fmt.Errorf("restoring AM rx entity: %w", errDoubleRestore)
-	}
-	sd.D.Expect(tagAMRx)
-	np := sd.D.Count(1 << 24)
-	for i := 0; i < np && sd.D.Err() == nil; i++ {
-		id := sd.D.U64()
-		p := &partialSDU{}
-		p.sdu = sd.SDU()
-		p.received = sd.D.Int()
-		p.lastSeen = sim.Time(sd.D.I64())
-		r.partials[id] = p
-	}
-	nh := sd.D.Count(1 << 20)
-	for i := 0; i < nh && sd.D.Err() == nil; i++ {
-		sn := sd.D.U32()
-		if p := sd.PDU(); p != nil {
-			r.held[sn] = p
-		}
-	}
-	r.floor = sd.D.U32()
-	r.highest = sd.D.U32()
-	nn := sd.D.Count(1 << 20)
-	for i := 0; i < nn && sd.D.Err() == nil; i++ {
-		sn := sd.D.U32()
-		r.nackTry[sn] = sd.D.Int()
-	}
-	restoreTimer(sd.D, r.prohibit)
-	restoreTimer(sd.D, r.gapTimer)
-	restoreTimer(sd.D, r.sduTimer)
-	r.pending = sd.D.Bool()
-	r.delivered = sd.D.U64()
-	r.discarded = sd.D.U64()
-	if err := sd.D.Err(); err != nil {
-		return fmt.Errorf("rlc: restoring AM rx entity: %w", err)
-	}
-	return nil
+	w.Mark(tagAMRx)
+	c.partials(r.partials)
+	c.held(r.held)
+	w.U32(&r.floor)
+	w.U32(&r.highest)
+	counts(w, r.nackTry)
+	r.prohibit.Walk(w)
+	r.gapTimer.Walk(w)
+	r.sduTimer.Walk(w)
+	w.Bool(&r.pending)
+	w.U64(&r.delivered)
+	w.U64(&r.discarded)
 }

@@ -4,7 +4,11 @@
 // identical streams on every platform and Go release.
 package rng
 
-import "math"
+import (
+	"math"
+
+	"outran/internal/snapshot"
+)
 
 // Source is a deterministic pseudo-random source. It is not safe for
 // concurrent use; the simulator is single-threaded by design.
@@ -36,15 +40,14 @@ func (r *Source) Fork() *Source {
 	return New(r.Uint64())
 }
 
-// State exports the generator's full position (the four xoshiro256**
-// words). Together with SetState it lets a checkpoint capture and
-// resume a stream bit-exactly; no variate method caches anything
-// outside these words.
-func (r *Source) State() [4]uint64 { return r.s }
-
-// SetState overwrites the generator position with a value previously
-// returned by State.
-func (r *Source) SetState(s [4]uint64) { r.s = s }
+// Walk is the generator's checkpoint layout: its full position, the
+// four xoshiro256** words. No variate method caches anything outside
+// them, so a restored stream resumes bit-exactly.
+func (r *Source) Walk(w *snapshot.Walker) {
+	for i := range r.s {
+		w.U64(&r.s[i])
+	}
+}
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 

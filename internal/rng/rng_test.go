@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"outran/internal/snapshot/snapshottest"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -171,5 +173,20 @@ func TestShuffleIsPermutation(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWalkResumesStream: a source decoded from another's walk continues
+// that source's stream bit for bit, whatever it was seeded with.
+func TestWalkResumesStream(t *testing.T) {
+	a, b := New(42), New(7)
+	for i := 0; i < 100; i++ {
+		a.Normal(0, 1)
+	}
+	snapshottest.RoundTrip(t, a.Walk, b.Walk)
+	for i := 0; i < 1000; i++ {
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("restored stream diverges at %d", i)
+		}
 	}
 }

@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"slices"
 	"time"
+
+	"outran/internal/snapshot"
 )
 
 // Time is a simulation timestamp in nanoseconds since simulation start.
@@ -180,23 +182,36 @@ func (e *Engine) Now() Time { return e.now }
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.nEvents }
 
-// SnapState exports the engine's restorable counters: the clock, the
-// sequence counter, and the processed-event count.
-func (e *Engine) SnapState() (now Time, seq, nEvents uint64) {
-	return e.now, e.seq, e.nEvents
+// Walk is the engine's checkpoint layout: the clock, the sequence
+// counter and the processed-event count. The queue is not part of it —
+// each entry is walked by the layer that owns its handler and comes
+// back through Reschedule — so decoding first discards whatever the
+// target's construction queued.
+func (e *Engine) Walk(w *snapshot.Walker) {
+	if w.Decoding() {
+		e.DropPending()
+	}
+	snapshot.I64(w, &e.now)
+	w.U64(&e.seq)
+	w.U64(&e.nEvents)
 }
 
-// RestoreState overwrites the clock and counters from a snapshot.
-// Callers re-register pending events afterwards via ScheduleExact.
-func (e *Engine) RestoreState(now Time, seq, nEvents uint64) {
-	e.now = now
-	e.seq = seq
-	e.nEvents = nEvents
+// Reschedule puts a decoded entry back on the queue with its original
+// (at, seq), so same-time tie-breaks replay identically (ScheduleExact).
+// It does nothing once the walk has failed, and an instant before the
+// restored clock — which ScheduleExact would panic on — fails the walk.
+func (e *Engine) Reschedule(w *snapshot.Walker, at Time, seq uint64, h Handler, ev Event) {
+	switch {
+	case w.Err() != nil:
+	case at < e.now:
+		w.Fail(fmt.Errorf("%w: pending event at %v, before the snapshot instant %v", snapshot.ErrCorrupt, at, e.now))
+	default:
+		e.ScheduleExact(at, seq, h, ev)
+	}
 }
 
 // DropPending discards every queued event (slots zeroed so handlers
-// are released). Restore paths call it to clear construction-time
-// events before re-registering the snapshot's pending set.
+// are released).
 func (e *Engine) DropPending() {
 	for i := range e.pq {
 		e.pq[i] = Entry{}
@@ -336,24 +351,20 @@ func (t *Timer) Fire(ev Event) {
 	t.fn()
 }
 
-// SnapArm exports the live arm: whether the timer is running, its
-// absolute expiry, and the event seq of the pending fire. Stale arms
-// from earlier Start/Stop cycles are gen-guarded no-ops and need not
-// be snapshotted.
-func (t *Timer) SnapArm() (running bool, expires Time, seq uint64) {
-	return t.running, t.expires, t.armSeq
-}
-
-// RestoreArm re-registers a snapshotted arm with its exact original
-// (expires, seq) so same-time tie-breaks replay identically. Restoring
-// a stopped timer is a no-op when running is false.
-func (t *Timer) RestoreArm(running bool, expires Time, seq uint64) {
-	t.gen++
-	t.running = running
-	t.expires = expires
-	t.armSeq = seq
-	if running {
-		t.e.ScheduleExact(expires, seq, t, Event{A: int64(t.gen)})
+// Walk is the timer's checkpoint layout, the one arm codec the protocol
+// layers share: whether the timer is running, its absolute expiry and
+// the seq of the pending fire. Stale arms from earlier Start/Stop
+// cycles are gen-guarded no-ops and are not carried over. Decoding
+// re-registers a running arm with its exact original (expires, seq).
+func (t *Timer) Walk(w *snapshot.Walker) {
+	w.Bool(&t.running)
+	snapshot.I64(w, &t.expires)
+	w.U64(&t.armSeq)
+	if w.Decoding() {
+		t.gen++
+		if t.running {
+			t.e.Reschedule(w, t.expires, t.armSeq, t, Event{A: int64(t.gen)})
+		}
 	}
 }
 

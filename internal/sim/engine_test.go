@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 	"unsafe"
 
 	"outran/internal/analysis/probetest"
+	"outran/internal/snapshot"
 )
 
 func TestEventOrdering(t *testing.T) {
@@ -103,8 +105,8 @@ func TestStop(t *testing.T) {
 
 // TestTicker pins sim.Periodic: fn runs before the next tick is armed
 // (so events fn schedules take earlier seqs than the re-arm), Stop
-// turns the queued tick into a no-op, and a Snap/RestoreArm round trip
-// into a fresh engine continues with the same (at, seq).
+// turns the queued tick into a no-op, and an encode/decode round trip
+// of the walk into a fresh engine continues with the same (at, seq).
 func TestTicker(t *testing.T) {
 	var e Engine
 	var ticks []Time
@@ -121,7 +123,7 @@ func TestTicker(t *testing.T) {
 		if len(inner) == n {
 			continue // not a tick
 		}
-		if _, _, seq := p.Snap(); seq != inner[n]+1 {
+		if seq := p.seq; seq != inner[n]+1 {
 			t.Fatalf("tick %d: fn scheduled seq %d, re-arm took %d; want fn first, re-arm right after", n, inner[n], seq)
 		}
 	}
@@ -143,16 +145,22 @@ func TestTicker(t *testing.T) {
 	var gotA []Time
 	pa := NewPeriodic(&a, 10, func() { gotA = append(gotA, a.Now()) })
 	a.RunUntil(25)
-	stopped, nextAt, seq := pa.Snap()
+	stopped, nextAt, seq := pa.stopped, pa.nextAt, pa.seq
 	if stopped || nextAt != 30 {
-		t.Fatalf("Snap = (%v, %v, %d), want running with the next tick at 30", stopped, nextAt, seq)
+		t.Fatalf("pending tick (%v, %v, %d), want running with the next tick at 30", stopped, nextAt, seq)
 	}
+	var enc snapshot.Encoder
+	a.Walk(snapshot.EncodeWalker(&enc))
+	pa.Walk(snapshot.EncodeWalker(&enc))
 	var b Engine
 	var gotB []Time
 	pb := NewPeriodic(&b, 10, func() { gotB = append(gotB, b.Now()) })
-	b.DropPending()
-	b.RestoreState(a.SnapState())
-	pb.RestoreArm(stopped, nextAt, seq)
+	dec := snapshot.DecodeWalker(snapshot.NewDecoder(enc.Bytes()))
+	b.Walk(dec)
+	pb.Walk(dec)
+	if err := dec.Err(); err != nil {
+		t.Fatal(err)
+	}
 	if en := b.Entries(); len(en) != 1 || en[0].At != nextAt || en[0].Seq != seq || en[0].H != Handler(pb) {
 		t.Fatalf("restored queue %+v, want one tick at (%v, %d)", en, nextAt, seq)
 	}
@@ -167,9 +175,7 @@ func TestTicker(t *testing.T) {
 			t.Fatalf("restored periodic ticks at %v, live at %v", gotB, gotA)
 		}
 	}
-	_, _, seqA := pa.Snap()
-	_, _, seqB := pb.Snap()
-	if seqA != seqB {
+	if seqA, seqB := pa.seq, pb.seq; seqA != seqB {
 		t.Fatalf("pending tick seq %d live vs %d restored", seqA, seqB)
 	}
 }
@@ -436,5 +442,51 @@ func TestHeapPushZeroAlloc(t *testing.T) {
 func TestEntrySize(t *testing.T) {
 	if got := unsafe.Sizeof(Entry{}); got > 72 {
 		t.Fatalf("sim.Entry is %d bytes, want <= 72", got)
+	}
+}
+
+// TestTimerWalk: a running timer's arm survives encode -> decode into a
+// fresh engine with its (expiry, seq) and fires there; a stopped timer
+// re-arms nothing; an arm before the restored clock is corrupt input,
+// not ScheduleExact's panic.
+func TestTimerWalk(t *testing.T) {
+	var a Engine
+	ta := NewTimer(&a, func() {})
+	stoppedA := NewTimer(&a, func() {})
+	stoppedA.Start(5)
+	stoppedA.Stop()
+	a.RunUntil(10)
+	ta.Start(30)
+
+	var enc snapshot.Encoder
+	for _, walk := range []func(*snapshot.Walker){a.Walk, ta.Walk, stoppedA.Walk} {
+		walk(snapshot.EncodeWalker(&enc))
+	}
+	var b Engine
+	fired := 0
+	tb := NewTimer(&b, func() { fired++ })
+	stoppedB := NewTimer(&b, func() { t.Error("a stopped timer fired after restore") })
+	dec := snapshot.DecodeWalker(snapshot.NewDecoder(enc.Bytes()))
+	for _, walk := range []func(*snapshot.Walker){b.Walk, tb.Walk, stoppedB.Walk} {
+		walk(dec)
+	}
+	if err := dec.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if en := b.Entries(); len(en) != 1 || en[0].At != 40 || en[0].Seq != ta.armSeq || !tb.Running() || tb.Expires() != 40 {
+		t.Fatalf("restored queue %+v, want the one live arm at (40, %d)", en, ta.armSeq)
+	}
+	b.Run()
+	if fired != 1 || b.Now() != 40 {
+		t.Fatalf("restored timer fired %d times, clock at %v", fired, b.Now())
+	}
+
+	// The same arm read back under a clock already past its expiry.
+	var late Engine
+	late.RunUntil(50)
+	dec = snapshot.DecodeWalker(snapshot.NewDecoder(enc.Bytes()[24:])) // past the engine's three words
+	NewTimer(&late, func() {}).Walk(dec)
+	if !errors.Is(dec.Err(), snapshot.ErrCorrupt) {
+		t.Fatalf("arm before the clock: decode error %v, want snapshot.ErrCorrupt", dec.Err())
 	}
 }

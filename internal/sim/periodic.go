@@ -1,5 +1,7 @@
 package sim
 
+import "outran/internal/snapshot"
+
 // Periodic invokes fn every period. It is its own event handler: fn
 // runs, then the next tick is scheduled, so events scheduled inside fn
 // take earlier sequence numbers than the re-arm. It tracks the
@@ -44,19 +46,14 @@ func (p *Periodic) Fire(Event) {
 // no-op when it pops.
 func (p *Periodic) Stop() { p.stopped = true }
 
-// Snap exports the pending tick: stopped flag, absolute fire time,
-// and event seq.
-func (p *Periodic) Snap() (stopped bool, nextAt Time, seq uint64) {
-	return p.stopped, p.nextAt, p.seq
-}
-
-// RestoreArm re-registers the pending tick with its exact original
-// (at, seq). For a stopped periodic it only restores the flag.
-func (p *Periodic) RestoreArm(stopped bool, nextAt Time, seq uint64) {
-	p.stopped = stopped
-	p.nextAt = nextAt
-	p.seq = seq
-	if !stopped {
-		p.e.ScheduleExact(nextAt, seq, p, Event{})
+// Walk is the periodic's checkpoint layout: the stopped flag and the
+// pending tick's absolute fire time and seq. Decoding re-registers the
+// tick of a running periodic with its exact original (at, seq).
+func (p *Periodic) Walk(w *snapshot.Walker) {
+	w.Bool(&p.stopped)
+	snapshot.I64(w, &p.nextAt)
+	w.U64(&p.seq)
+	if w.Decoding() && !p.stopped {
+		p.e.Reschedule(w, p.nextAt, p.seq, p, Event{})
 	}
 }

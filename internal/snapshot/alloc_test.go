@@ -6,8 +6,9 @@ import (
 	"outran/internal/analysis/probetest"
 )
 
-// TestZeroAllocs pins every //outran:allocfree encode helper with an
-// AllocsPerRun probe; probetest.Run fails when the probe registry and
+// TestZeroAllocs pins every //outran:allocfree encode helper — the
+// encoder's, and the walker's fixed-width methods in encode mode — with
+// an AllocsPerRun probe; probetest.Run fails when the probe registry and
 // the annotations drift apart. Each probe reuses one pre-sized encoder
 // and truncates between runs, so the amortized append growth justified
 // at the //outran:allocok site never fires during measurement.
@@ -24,7 +25,30 @@ func TestZeroAllocs(t *testing.T) {
 			}
 		}
 	}
+	walked := func(f func(w *Walker)) func(t *testing.T) {
+		return fixed(func(e *Encoder) { f(&Walker{enc: e}) })
+	}
+	var (
+		u8  uint8   = 0x7f
+		b           = true
+		u16 uint16  = 0xbeef
+		u32 uint32  = 0xdeadbeef
+		u64 uint64  = 1 << 60
+		i64 int64   = -42
+		i           = 7
+		f64 float64 = 3.14159
+	)
 	probetest.Run(t, ".", map[string]func(t *testing.T){
+		"(*Walker).U8":   walked(func(w *Walker) { w.U8(&u8) }),
+		"(*Walker).Bool": walked(func(w *Walker) { w.Bool(&b) }),
+		"(*Walker).U16":  walked(func(w *Walker) { w.U16(&u16) }),
+		"(*Walker).U32":  walked(func(w *Walker) { w.U32(&u32) }),
+		"(*Walker).U64":  walked(func(w *Walker) { w.U64(&u64) }),
+		"(*Walker).I64":  walked(func(w *Walker) { w.I64(&i64) }),
+		"(*Walker).Int":  walked(func(w *Walker) { w.Int(&i) }),
+		"(*Walker).F64":  walked(func(w *Walker) { w.F64(&f64) }),
+		"(*Walker).Mark": walked(func(w *Walker) { w.Mark(0x4d01) }),
+
 		"(*Encoder).U8":   fixed(func(e *Encoder) { e.U8(0x7f) }),
 		"(*Encoder).Bool": fixed(func(e *Encoder) { e.Bool(true) }),
 		"(*Encoder).U16":  fixed(func(e *Encoder) { e.U16(0xbeef) }),

@@ -156,8 +156,8 @@ func (d *Decoder) Offset() int { return d.off }
 
 func (d *Decoder) fail(want int) {
 	if d.err == nil {
-		d.err = fmt.Errorf("%w: need %d bytes at offset %d, have %d",
-			ErrTruncated, want, d.off, len(d.buf)-d.off)
+		//outran:allocok cold error path; the first failure of a decode, never the encode side the walker's contract covers
+		d.err = fmt.Errorf("%w: need %d bytes at offset %d, have %d", ErrTruncated, want, d.off, len(d.buf)-d.off)
 	}
 }
 
@@ -240,8 +240,8 @@ func (d *Decoder) Expect(tag uint32) {
 	at := d.off
 	got := d.U32()
 	if d.err == nil && got != tag^0x5eed5eed {
-		d.err = fmt.Errorf("%w: sentinel mismatch at offset %d (want tag %#x)",
-			ErrCorrupt, at, tag)
+		//outran:allocok cold error path; the first failure of a decode, never the encode side the walker's contract covers
+		d.err = fmt.Errorf("%w: sentinel mismatch at offset %d (want tag %#x)", ErrCorrupt, at, tag)
 	}
 }
 
@@ -289,7 +289,11 @@ func (b *Builder) Add(name string, enc *Encoder) {
 // Bytes assembles the file: magic, version, sections, trailing CRC32
 // (IEEE) over everything before it.
 func (b *Builder) Bytes() []byte {
-	var e Encoder
+	size := len(magic) + 2 + 4 + 4
+	for _, s := range b.sections {
+		size += 4 + len(s.name) + 4 + len(s.data)
+	}
+	e := Encoder{buf: make([]byte, 0, size)}
 	e.Raw(magic[:])
 	e.U16(Version)
 	e.U32(uint32(len(b.sections)))
@@ -327,7 +331,7 @@ func Open(data []byte) (*Archive, error) {
 		return nil, fmt.Errorf("%w: file version %d, this build reads %d", ErrVersion, v, Version)
 	}
 	n := d.Count(1 << 20)
-	a := &Archive{sections: make(map[string][]byte, n)}
+	a := &Archive{sections: make(map[string][]byte)} // not sized from n, which nothing has checked against the input yet
 	for i := 0; i < n; i++ {
 		name := d.String()
 		payload := d.Bytes32()

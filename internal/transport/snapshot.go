@@ -1,140 +1,61 @@
 package transport
 
 import (
-	"fmt"
-	"sort"
+	"slices"
 
 	"outran/internal/sim"
 	"outran/internal/snapshot"
 )
 
-// Snapshot section tags (see snapshot.Encoder.Mark).
+// Snapshot section tags (see snapshot.Walker.Mark).
 const (
 	tagSender   = 0x7301
 	tagReceiver = 0x7302
 )
 
-// Snapshot encodes the sender's full mutable state, including the
-// congestion controller, the RTT estimator, the Karn send-time map
-// (in sorted seq order so encoding is deterministic), and the live
-// RTO timer arm. Construction inputs (cfg, tuple, size, callbacks)
-// are not encoded: the restore side rebuilds the sender from the same
-// flow metadata and overlays this state.
-func (s *Sender) Snapshot(e *snapshot.Encoder) {
-	e.Mark(tagSender)
-	e.I64(s.nextSeq)
-	e.I64(s.highestAcked)
-	e.F64(s.cwnd)
-	e.F64(s.ssthresh)
-	e.F64(s.cubic.wMax)
-	e.I64(int64(s.cubic.epochStart))
-	e.F64(s.cubic.k)
-	e.F64(s.cubic.ackCount)
-	e.Bool(s.cubic.started)
-	e.Int(s.dupAcks)
-	e.Bool(s.inRecovery)
-	e.I64(s.recoverSeq)
-	e.I64(s.rtoRecover)
-	e.I64(int64(s.srtt))
-	e.I64(int64(s.rttvar))
-	e.I64(int64(s.rto))
-	running, expires, seq := s.rtoTimer.SnapArm()
-	e.Bool(running)
-	e.I64(int64(expires))
-	e.U64(seq)
-	keys := make([]int64, 0, len(s.sentAt))
-	for k := range s.sentAt {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	e.U32(uint32(len(keys)))
-	for _, k := range keys {
-		e.I64(k)
-		e.I64(int64(s.sentAt[k]))
-	}
-	e.Bool(s.completed)
-	e.Int(s.retransmits)
-	e.Int(s.timeouts)
-	e.Int(s.segsSent)
+// Walk is the sender's checkpoint layout: its full mutable state,
+// including the congestion controller, the RTT estimator, the live RTO
+// timer arm and the Karn send-time map (in sorted seq order so encoding
+// is deterministic). Construction inputs (cfg, tuple, size, callbacks)
+// are not part of it: the restore side rebuilds the sender from the same
+// flow metadata and decodes this state over it.
+func (s *Sender) Walk(w *snapshot.Walker) {
+	w.Mark(tagSender)
+	w.I64(&s.nextSeq)
+	w.I64(&s.highestAcked)
+	w.F64(&s.cwnd)
+	w.F64(&s.ssthresh)
+	w.F64(&s.cubic.wMax)
+	snapshot.I64(w, &s.cubic.epochStart)
+	w.F64(&s.cubic.k)
+	w.F64(&s.cubic.ackCount)
+	w.Bool(&s.cubic.started)
+	w.Int(&s.dupAcks)
+	w.Bool(&s.inRecovery)
+	w.I64(&s.recoverSeq)
+	w.I64(&s.rtoRecover)
+	snapshot.I64(w, &s.srtt)
+	snapshot.I64(w, &s.rttvar)
+	snapshot.I64(w, &s.rto)
+	s.rtoTimer.Walk(w)
+	snapshot.Map(w, s.sentAt, 1<<24, 16, slices.Sort, func(seq *int64, at *sim.Time) {
+		w.I64(seq)
+		snapshot.I64(w, at)
+	})
+	w.Bool(&s.completed)
+	w.Int(&s.retransmits)
+	w.Int(&s.timeouts)
+	w.Int(&s.segsSent)
 }
 
-// Restore overlays snapshotted state onto a freshly constructed
-// sender and re-registers the RTO timer arm with its exact original
-// (expiry, seq). It returns the decoder's sticky error, if any.
-func (s *Sender) Restore(d *snapshot.Decoder) error {
-	d.Expect(tagSender)
-	s.nextSeq = d.I64()
-	s.highestAcked = d.I64()
-	s.cwnd = d.F64()
-	s.ssthresh = d.F64()
-	s.cubic.wMax = d.F64()
-	s.cubic.epochStart = sim.Time(d.I64())
-	s.cubic.k = d.F64()
-	s.cubic.ackCount = d.F64()
-	s.cubic.started = d.Bool()
-	s.dupAcks = d.Int()
-	s.inRecovery = d.Bool()
-	s.recoverSeq = d.I64()
-	s.rtoRecover = d.I64()
-	s.srtt = sim.Time(d.I64())
-	s.rttvar = sim.Time(d.I64())
-	s.rto = sim.Time(d.I64())
-	running := d.Bool()
-	expires := sim.Time(d.I64())
-	armSeq := d.U64()
-	n := d.Count(1 << 24)
-	for i := 0; i < n; i++ {
-		k := d.I64()
-		v := sim.Time(d.I64())
-		if d.Err() != nil {
-			break
-		}
-		s.sentAt[k] = v
-	}
-	s.completed = d.Bool()
-	s.retransmits = d.Int()
-	s.timeouts = d.Int()
-	s.segsSent = d.Int()
-	if err := d.Err(); err != nil {
-		return fmt.Errorf("transport: restoring sender: %w", err)
-	}
-	s.rtoTimer.RestoreArm(running, expires, armSeq)
-	return nil
-}
-
-// Snapshot encodes the receiver's reassembly state.
-func (r *Receiver) Snapshot(e *snapshot.Encoder) {
-	e.Mark(tagReceiver)
-	e.U32(uint32(len(r.ooo)))
-	for _, iv := range r.ooo {
-		e.I64(iv.lo)
-		e.I64(iv.hi)
-	}
-	e.I64(r.cumAck)
-	e.I64(r.bytesRecvd)
-	e.I64(int64(r.lastData))
-}
-
-// Restore overlays snapshotted reassembly state.
-func (r *Receiver) Restore(d *snapshot.Decoder) error {
-	d.Expect(tagReceiver)
-	n := d.Count(1 << 24)
-	if n > 0 {
-		r.ooo = make([]interval, 0, n)
-	}
-	for i := 0; i < n; i++ {
-		lo := d.I64()
-		hi := d.I64()
-		if d.Err() != nil {
-			break
-		}
-		r.ooo = append(r.ooo, interval{lo, hi})
-	}
-	r.cumAck = d.I64()
-	r.bytesRecvd = d.I64()
-	r.lastData = sim.Time(d.I64())
-	if err := d.Err(); err != nil {
-		return fmt.Errorf("transport: restoring receiver: %w", err)
-	}
-	return nil
+// Walk is the receiver's checkpoint layout: its reassembly state.
+func (r *Receiver) Walk(w *snapshot.Walker) {
+	w.Mark(tagReceiver)
+	snapshot.Slice(w, &r.ooo, 1<<24, 16, func(iv *interval) {
+		w.I64(&iv.lo)
+		w.I64(&iv.hi)
+	})
+	w.I64(&r.cumAck)
+	w.I64(&r.bytesRecvd)
+	snapshot.I64(w, &r.lastData)
 }
