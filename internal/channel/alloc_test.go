@@ -28,6 +28,14 @@ func TestZeroAllocs(t *testing.T) {
 				t.Errorf("gainDB: %.1f allocs/call, want 0", allocs)
 			}
 		},
+		"trigKernel": func(t *testing.T) {
+			allocs := testing.AllocsPerRun(100, func() {
+				sinkF = cos(at.Seconds()) + sin(-at.Seconds()) + cos(2*trigMax) + sin(2*trigMax)
+			})
+			if allocs != 0 {
+				t.Errorf("cos + sin: %.1f allocs/call, want 0", allocs)
+			}
+		},
 		"(*Model).SubbandSINRs": func(t *testing.T) {
 			buf := make([]float64, m.NumSubbands())
 			allocs := testing.AllocsPerRun(100, func() {

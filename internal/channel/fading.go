@@ -63,8 +63,8 @@ func (j *jakes) gainDB(ts float64) float64 {
 	var i, q float64
 	for n := 0; n < numOscillators; n++ {
 		w := j.omega[n] * ts
-		i += math.Cos(w + j.phasesI[n])
-		q += math.Sin(w + j.phasesQ[n])
+		i += cos(w + j.phasesI[n])
+		q += sin(w + j.phasesQ[n])
 	}
 	norm := float64(numOscillators)
 	p := (i*i + q*q) / norm // unit mean power
