@@ -368,8 +368,10 @@ func TestGateCapacity(t *testing.T) {
 // TestGoldenJSON pins the -json bytes of one tiny single-cell and one
 // 2-cell run. The digests were recorded from the binary of the commit
 // before the CLI moved onto deploy.Run, so they also prove that move
-// changed nothing. amd64 only: other targets may fuse float operations
-// differently.
+// changed nothing. The SRJF run was recorded from the commit before the
+// RLC buffer stopped folding OracleMinRemaining for schedulers that
+// never read it; at load 0.9 its digest moves if SRJF loses the oracle.
+// amd64 only: other targets may fuse float operations differently.
 func TestGoldenJSON(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("goldens recorded on amd64, running on %s", runtime.GOARCH)
@@ -380,6 +382,7 @@ func TestGoldenJSON(t *testing.T) {
 	}{
 		{"single cell", "14a2e379717e967c601d3b381ede751f2972a1cdd31df51597073e6a07b44d0b", with(small, "-json")},
 		{"two cells", "9db11560ab6f5b08b832f529fc0778c728ffdf0e7604e0db6744a57cf4f99b3a", with(small, "-cells", "2", "-json")},
+		{"SRJF", "b19103b5722c797be06db908c7cb14c9f37a97cbd761f289022ae701258b5a7a", with(small, "-dur", "3s", "-load", "0.9", "-sched", "SRJF", "-json")},
 	} {
 		sum := sha256.Sum256(simRun(t, tc.args...))
 		if got := hex.EncodeToString(sum[:]); got != tc.want {

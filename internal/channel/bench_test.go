@@ -66,15 +66,22 @@ func BenchmarkSINR(b *testing.B) {
 	}
 }
 
-// BenchmarkGainDB measures one Jakes evaluation: 8 cos + 8 sin.
+// BenchmarkGainDB measures one Jakes evaluation, 8 cos + 8 sin, on
+// each trig path: the four-lane kernel where the CPU has it, and the
+// scalar loop it falls back to.
 func BenchmarkGainDB(b *testing.B) {
 	m := Pedestrian().NewUEChannel(2.68e9, rng.New(1))
 	j := &m.subbands[0]
 	ts := benchInstants()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkF = j.gainDB(ts[i&(len(ts)-1)].Seconds())
+	for _, path := range trigPaths {
+		b.Run(path.name, func(b *testing.B) {
+			setTrigPath(b, path.avx2)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkF = j.gainDB(ts[i&(len(ts)-1)].Seconds())
+			}
+		})
 	}
 }
 

@@ -61,10 +61,21 @@ func (j *jakes) gainDB(ts float64) float64 {
 		return j.staticDB
 	}
 	var i, q float64
-	for n := 0; n < numOscillators; n++ {
-		w := j.omega[n] * ts
-		i += cos(w + j.phasesI[n])
-		q += sin(w + j.phasesQ[n])
+	// The vector kernel returns the sixteen terms, cosines then sines,
+	// and declines a call it cannot reduce; summing them here in
+	// oscillator order gives the sums the scalar loop's bits.
+	var cs [2 * numOscillators]float64
+	if useAVX2 && trigJakesAVX2(ts, j, &cs) {
+		for n := 0; n < numOscillators; n++ {
+			i += cs[n]
+			q += cs[numOscillators+n]
+		}
+	} else {
+		for n := 0; n < numOscillators; n++ {
+			w := j.omega[n] * ts
+			i += cos(w + j.phasesI[n])
+			q += sin(w + j.phasesQ[n])
+		}
 	}
 	norm := float64(numOscillators)
 	p := (i*i + q*q) / norm // unit mean power

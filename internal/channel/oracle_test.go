@@ -150,8 +150,13 @@ func oraclePair(s Scenario, carrierHz float64, seed uint64) (*Model, *refModel) 
 
 // TestBitIdenticalToPerSubbandFormula asserts that SINRdB,
 // SubbandSINRs and MeanSINROver return the float64 bit patterns of the
-// frozen per-subband formula.
+// frozen per-subband formula. TestTrigPathsAgree repeats the check on
+// each of gainDB's trig paths.
 func TestBitIdenticalToPerSubbandFormula(t *testing.T) {
+	checkBitIdenticalToPerSubbandFormula(t)
+}
+
+func checkBitIdenticalToPerSubbandFormula(t *testing.T) {
 	cases := []struct {
 		name    string
 		s       Scenario

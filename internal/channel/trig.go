@@ -63,7 +63,9 @@ var trigCoef = [2][6]float64{
 }
 
 // trigKernel returns sin(x + shift·π/2), shift 0 or 1, with the bits
-// math.Sin(x) and math.Cos(x) have.
+// math.Sin(x) and math.Cos(x) have. trig_amd64.s runs the same
+// operations four lanes at a time; a change here is a change there,
+// and TestTrigVecMatchesMath holds both to math.
 //
 //outran:allocfree
 func trigKernel(x float64, shift uint64) float64 {

@@ -50,6 +50,17 @@ func trigEdges() []float64 {
 // (9 m/s) on the 28 GHz carrier after an hour of simulated time.
 var trigMaxModelArg = 2*math.Pi*(9/speedOfLight*28e9)*3600 + 2*math.Pi
 
+// drawTrigArg draws an argument as the model produces them: signed, up
+// to trigMaxModelArg; every fourth draw is log-uniform instead, so
+// small magnitudes are covered too.
+func drawTrigArg(r *rng.Source, i int) float64 {
+	x := (2*r.Float64() - 1) * trigMaxModelArg
+	if i%4 == 3 {
+		x = math.Copysign(r.LogUniform(1e-12, trigMax), x)
+	}
+	return x
+}
+
 // TestTrigKernelMatchesMath is the kernel's oracle: cos and sin return
 // math.Cos's and math.Sin's bits. On a target that fuses multiply-adds
 // (arm64, ppc64, s390x, GOAMD64=v3) this is the test to run before
@@ -69,20 +80,14 @@ func TestTrigKernelMatchesMath(t *testing.T) {
 		}
 	}
 
-	// Arguments as the model produces them: signed, up to
-	// trigMaxModelArg; every fourth draw is log-uniform instead, so
-	// small magnitudes are covered too.
+	// Arguments as the model produces them.
 	n := 10_000_000
 	if testing.Short() {
 		n = 1_000_000
 	}
 	r := rng.New(20)
 	for i := 0; i < n && !t.Failed(); i++ {
-		x := (2*r.Float64() - 1) * trigMaxModelArg
-		if i%4 == 3 {
-			x = math.Copysign(r.LogUniform(1e-12, trigMax), x)
-		}
-		checkTrig(t, x)
+		checkTrig(t, drawTrigArg(r, i))
 	}
 }
 

@@ -354,6 +354,7 @@ func (c *Cell) wireBearer(ue *ueCtx) error {
 		Queues:           queues,
 		LimitSDUs:        c.cfg.BufferSDUs,
 		SegmentPromotion: promote,
+		OracleRemaining:  c.cfg.Scheduler == SchedSRJF,
 	}
 	deliver := func(s *rlc.SDU) {
 		if c.tracer.Enabled() {

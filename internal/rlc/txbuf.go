@@ -17,6 +17,10 @@ type TxBufConfig struct {
 	// SegmentPromotion moves a partially sent SDU's remainder to the
 	// head of the top priority queue (§4.4).
 	SegmentPromotion bool
+	// OracleRemaining makes status report OracleMinRemaining, a fold
+	// over every queued flow that only the clairvoyant SRJF baseline
+	// reads; without it the field stays -1 (unknown).
+	OracleRemaining bool
 }
 
 // DefaultLimitSDUs is the srsENB default UM buffer capacity.
@@ -280,7 +284,7 @@ func (b *txBuf) status(now sim.Time) mac.BufferStatus {
 		st.QoSHOLArrival = hol.Arrival
 		st.QoSDelayBudget = hol.DelayBudget
 	}
-	if b.bytes == 0 {
+	if !b.cfg.OracleRemaining || b.bytes == 0 {
 		// bytes is the sum of every flow's queuedBytes, so no entry that
 		// lingers in flows has queued data and the fold below stays -1.
 		return st

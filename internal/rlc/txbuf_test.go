@@ -193,23 +193,30 @@ func TestStatusAccounting(t *testing.T) {
 	}
 }
 
+// TestOracleMinRemaining checks the clairvoyant fold, and that a buffer
+// whose scheduler never reads it reports unknown without folding.
 func TestOracleMinRemaining(t *testing.T) {
-	b := newTxBuf(TxBufConfig{Queues: 1, LimitSDUs: 20})
-	s1 := mkSDU(1000, 0, 1)
-	s1.FlowSize = 50000
-	s2 := mkSDU(1000, 0, 2)
-	s2.FlowSize = 8000
-	b.enqueue(s1)
-	b.enqueue(s2)
-	st := b.status(0)
-	if st.OracleMinRemaining != 8000 {
-		t.Fatalf("oracle remaining %d, want 8000", st.OracleMinRemaining)
-	}
-	// Serving flow 1 reduces its remaining.
-	b.buildPDU(1002, 0, nil) // drains s1 fully
-	st = b.status(0)
-	if st.OracleMinRemaining != 8000 {
-		t.Fatalf("oracle remaining %d after drain", st.OracleMinRemaining)
+	for _, tc := range []struct {
+		oracle bool
+		want   int64
+	}{{true, 8000}, {false, -1}} {
+		b := newTxBuf(TxBufConfig{Queues: 1, LimitSDUs: 20, OracleRemaining: tc.oracle})
+		s1 := mkSDU(1000, 0, 1)
+		s1.FlowSize = 50000
+		s2 := mkSDU(1000, 0, 2)
+		s2.FlowSize = 8000
+		b.enqueue(s1)
+		b.enqueue(s2)
+		st := b.status(0)
+		if st.OracleMinRemaining != tc.want {
+			t.Fatalf("oracle %v: remaining %d, want %d", tc.oracle, st.OracleMinRemaining, tc.want)
+		}
+		// Serving flow 1 reduces its remaining.
+		b.buildPDU(1002, 0, nil) // drains s1 fully
+		st = b.status(0)
+		if st.OracleMinRemaining != tc.want {
+			t.Fatalf("oracle %v: remaining %d after drain, want %d", tc.oracle, st.OracleMinRemaining, tc.want)
+		}
 	}
 }
 
@@ -218,7 +225,7 @@ func TestOracleMinRemaining(t *testing.T) {
 // map reports -1 without folding them, and once refilled it reports the
 // minimum the fold always gave, the lingering dequeued totals included.
 func TestOracleMinRemainingEmptiedBuffer(t *testing.T) {
-	b := newTxBuf(TxBufConfig{Queues: 1, LimitSDUs: 20})
+	b := newTxBuf(TxBufConfig{Queues: 1, LimitSDUs: 20, OracleRemaining: true})
 	s1 := mkSDU(1000, 0, 1)
 	s1.FlowSize = 50000
 	s2 := mkSDU(1000, 0, 2)
@@ -382,7 +389,7 @@ func TestStatusFlowIterationDeterministic(t *testing.T) {
 		qos        int
 	}
 	replay := func() []step {
-		b := newTxBuf(TxBufConfig{Queues: 4, LimitSDUs: 512})
+		b := newTxBuf(TxBufConfig{Queues: 4, LimitSDUs: 512, OracleRemaining: true})
 		id := uint64(0)
 		mk := func(size int, prio int, flow uint16, flowSize int64) *SDU {
 			id++
@@ -443,7 +450,7 @@ func TestOracleMinRemainingInsertionOrderInvariant(t *testing.T) {
 	// arrival interleaving of the same flow set must report the same
 	// OracleMinRemaining.
 	build := func(order []uint16) *txBuf {
-		b := newTxBuf(TxBufConfig{Queues: 1, LimitSDUs: 128})
+		b := newTxBuf(TxBufConfig{Queues: 1, LimitSDUs: 128, OracleRemaining: true})
 		id := uint64(0)
 		for _, f := range order {
 			id++
