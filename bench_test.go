@@ -7,51 +7,28 @@ import (
 	"outran/internal/experiments"
 )
 
-// The Benchmark* functions below regenerate every table and figure of
-// the paper at a reduced but shape-preserving scale (Scale 0.25: fewer
-// UEs, shorter arrival windows, single seed). Run the full-scale
+// BenchmarkExperiments regenerates every registered table and figure at
+// a reduced but shape-preserving scale (Scale 0.25: fewer UEs, shorter
+// arrival windows, single seed), one sub-benchmark per id:
+// `go test -run '^$' -bench 'Experiments/fig15$' .`. Run the full-scale
 // versions with `go run ./cmd/outran-bench all`.
-
-// benchOpt is the reduced scale used for the per-figure benches.
-func benchOpt() experiments.Options {
-	return experiments.Options{Scale: 0.25, Seed: 1}
-}
-
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	f, ok := experiments.Lookup(id)
-	if !ok {
-		b.Fatalf("experiment %q not registered", id)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tables, err := f(benchOpt())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tables) == 0 {
-			b.Fatal("no tables produced")
-		}
-		for _, t := range tables {
-			t.Fprint(io.Discard)
-		}
+func BenchmarkExperiments(b *testing.B) {
+	for _, id := range experiments.IDs() {
+		f, _ := experiments.Lookup(id)
+		b.Run(id, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tables, err := f(experiments.Options{Scale: 0.25, Seed: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(tables) == 0 {
+					b.Fatal("no tables produced")
+				}
+				for _, t := range tables {
+					t.Fprint(io.Discard)
+				}
+			}
+		})
 	}
 }
-
-func BenchmarkTable1(b *testing.B)         { runExperiment(b, "table1") }
-func BenchmarkTable2(b *testing.B)         { runExperiment(b, "table2") }
-func BenchmarkFig3(b *testing.B)           { runExperiment(b, "fig3") }
-func BenchmarkFig4(b *testing.B)           { runExperiment(b, "fig4") }
-func BenchmarkFig7(b *testing.B)           { runExperiment(b, "fig7") }
-func BenchmarkFig8(b *testing.B)           { runExperiment(b, "fig8") }
-func BenchmarkFig12(b *testing.B)          { runExperiment(b, "fig12") }
-func BenchmarkFig13FlowScale(b *testing.B) { runExperiment(b, "fig13") }
-func BenchmarkFig14RBScale(b *testing.B)   { runExperiment(b, "fig14") }
-func BenchmarkFig15(b *testing.B)          { runExperiment(b, "fig15") }
-func BenchmarkFig16(b *testing.B)          { runExperiment(b, "fig16") }
-func BenchmarkFig17(b *testing.B)          { runExperiment(b, "fig17") }
-func BenchmarkFig18b(b *testing.B)         { runExperiment(b, "fig18b") }
-func BenchmarkFig18c(b *testing.B)         { runExperiment(b, "fig18c") }
-func BenchmarkFig18d(b *testing.B)         { runExperiment(b, "fig18d") }
-func BenchmarkFig19(b *testing.B)          { runExperiment(b, "fig19") }
-func BenchmarkFig20(b *testing.B)          { runExperiment(b, "fig20") }

@@ -5,16 +5,19 @@
 //	outran-bench [-scale 0.5] [-seed 1] [-ues 30] [-rbs 50] [-dur 6s] <id>...
 //	outran-bench list
 //	outran-bench all
-//	outran-bench perf [-json BENCH_outran.json] [-baseline BENCH_outran.json] [-gate 0.10]
 //
 // Each id is a table/figure from the paper (fig3, fig4, fig7, fig8,
 // fig12, fig13, fig14, fig15, fig16, fig17, fig18a-d, fig19, fig20,
-// table1, table2). See DESIGN.md for the per-experiment index.
+// table1, table2). See DESIGN.md for the per-experiment index. The
+// simulator's own speed is measured by benchmark/ (bash benchmark/run.sh),
+// not here.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -25,53 +28,69 @@ import (
 	"outran/internal/sim"
 )
 
+// errUsage marks a command line that could not be understood (exit
+// status 2, like the flag package's own failures).
+var errUsage = errors.New("usage")
+
 func main() {
-	// The perf subcommand has its own flag set; dispatch before the
-	// experiment flags are parsed.
-	if len(os.Args) > 1 && os.Args[1] == "perf" {
-		runPerf(os.Args[2:])
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
 		return
 	}
-	scale := flag.Float64("scale", 1, "scale factor for UEs and duration (benches use <1)")
-	seed := flag.Uint64("seed", 1, "simulation seed")
-	seeds := flag.Int("seeds", 0, "repetitions aggregated per data point (0 = default)")
-	csvDir := flag.String("csv", "", "also write each table as CSV into this directory")
-	ues := flag.Int("ues", 0, "override UE count (0 = experiment default)")
-	rbs := flag.Int("rbs", 0, "override resource blocks (0 = experiment default)")
-	dur := flag.Duration("dur", 0, "override arrival window (0 = experiment default)")
-	parallel := flag.Int("parallel", 0, "max runs executing concurrently (0 = GOMAXPROCS); never changes results")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file")
-	flag.Parse()
-	args := flag.Args()
-	if len(args) == 0 {
-		usage()
+	fmt.Fprintln(os.Stderr, err)
+	if errors.Is(err, errUsage) {
 		os.Exit(2)
+	}
+	os.Exit(1)
+}
+
+// run is the whole program: flags -> experiments.Options -> each id's
+// harness -> its tables on stdout. Both profiles are finished on every
+// return path, so a failed run still leaves readable pprof files.
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("outran-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scale := fs.Float64("scale", 1, "scale factor for UEs and duration (benches use <1)")
+	seed := fs.Uint64("seed", 1, "simulation seed")
+	seeds := fs.Int("seeds", 0, "repetitions aggregated per data point (0 = default)")
+	csvDir := fs.String("csv", "", "also write each table as CSV into this directory")
+	ues := fs.Int("ues", 0, "override UE count (0 = experiment default)")
+	rbs := fs.Int("rbs", 0, "override resource blocks (0 = experiment default)")
+	dur := fs.Duration("dur", 0, "override arrival window (0 = experiment default)")
+	parallel := fs.Int("parallel", 0, "max runs executing concurrently (0 = GOMAXPROCS); never changes results")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this file")
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: outran-bench [flags] <experiment-id>... | all | list")
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return fmt.Errorf("%w: %v", errUsage, err)
+	}
+	ids := fs.Args()
+	if len(ids) == 0 {
+		fs.Usage()
+		return fmt.Errorf("%w: no experiment id", errUsage)
 	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
+		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		defer pprof.StopCPUProfile()
 	}
 	if *memProfile != "" {
 		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return
+			if perr := writeHeapProfile(*memProfile); err == nil {
+				err = perr
 			}
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			}
-			f.Close()
 		}()
 	}
 	opt := experiments.Options{
@@ -85,46 +104,51 @@ func main() {
 	if *dur > 0 {
 		opt.Duration = sim.Time(*dur)
 	}
-	ids := args
-	switch args[0] {
+	switch ids[0] {
 	case "list":
 		for _, id := range experiments.IDs() {
-			fmt.Println(id)
+			fmt.Fprintln(stdout, id)
 		}
-		return
+		return nil
 	case "all":
 		ids = experiments.IDs()
 	}
 	for _, id := range ids {
 		f, ok := experiments.Lookup(id)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (try 'outran-bench list')\n", id)
-			os.Exit(2)
+			return fmt.Errorf("%w: unknown experiment %q (try 'outran-bench list')", errUsage, id)
 		}
 		//outran:wallclock progress timer for the operator; never enters results
 		start := time.Now()
 		tables, err := f(opt)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
-			os.Exit(1)
+			return fmt.Errorf("%s: %w", id, err)
 		}
 		for _, t := range tables {
-			t.Fprint(os.Stdout)
+			t.Fprint(stdout)
 			if *csvDir != "" {
 				if err := writeCSV(*csvDir, id, t); err != nil {
-					fmt.Fprintf(os.Stderr, "%s: csv: %v\n", id, err)
-					os.Exit(1)
+					return fmt.Errorf("%s: csv: %w", id, err)
 				}
 			}
 		}
 		//outran:wallclock progress timer for the operator; never enters results
-		fmt.Printf("[%s completed in %v]\n\n", id, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "[%s completed in %v]\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
+	return nil
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: outran-bench [flags] <experiment-id>... | all | list")
-	flag.PrintDefaults()
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func writeCSV(dir, id string, t experiments.Table) error {

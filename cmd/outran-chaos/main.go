@@ -27,8 +27,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -79,20 +81,45 @@ type job struct {
 	err         error
 }
 
+// errUsage marks a command line that could not be understood (exit
+// status 2, like the flag package's own failures).
+var errUsage = errors.New("usage")
+
 func main() {
-	seeds := flag.Int("seeds", 20, "number of seeds per scheduler")
-	seed := flag.Uint64("seed", 1, "first seed")
-	ues := flag.Int("ues", 10, "UE count")
-	rbs := flag.Int("rbs", 25, "resource blocks")
-	dur := flag.Duration("dur", 2*time.Second, "workload arrival window")
-	load := flag.Float64("load", 0.6, "offered load vs. effective capacity")
-	intensity := flag.Float64("intensity", 1, "fault plan intensity (arrival-rate scale)")
-	scenario := flag.String("scenario", "", "workload scenario: "+strings.Join(workload.ScenarioNames(), " | ")+" (default: steady poisson at -load)")
-	um := flag.Bool("um", false, "RLC UM instead of AM")
-	parallel := flag.Int("parallel", 0, "max runs executing concurrently (0 = GOMAXPROCS); never changes results")
-	verbose := flag.Bool("v", false, "per-seed detail")
-	jsonOut := flag.Bool("json", false, "emit one JSON record per run (stdout) instead of the text report")
-	flag.Parse()
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	fmt.Fprintln(os.Stderr, err)
+	if errors.Is(err, errUsage) {
+		os.Exit(2)
+	}
+	os.Exit(1)
+}
+
+// run is the whole program: flags -> the (scheduler, seed) sweep ->
+// report. Any invariant violation comes back as an error.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("outran-chaos", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	seeds := fs.Int("seeds", 20, "number of seeds per scheduler")
+	seed := fs.Uint64("seed", 1, "first seed")
+	ues := fs.Int("ues", 10, "UE count")
+	rbs := fs.Int("rbs", 25, "resource blocks")
+	dur := fs.Duration("dur", 2*time.Second, "workload arrival window")
+	load := fs.Float64("load", 0.6, "offered load vs. effective capacity")
+	intensity := fs.Float64("intensity", 1, "fault plan intensity (arrival-rate scale)")
+	scenario := fs.String("scenario", "", "workload scenario: "+strings.Join(workload.ScenarioNames(), " | ")+" (default: steady poisson at -load)")
+	um := fs.Bool("um", false, "RLC UM instead of AM")
+	parallel := fs.Int("parallel", 0, "max runs executing concurrently (0 = GOMAXPROCS); never changes results")
+	verbose := fs.Bool("v", false, "per-seed detail")
+	jsonOut := fs.Bool("json", false, "emit one JSON record per run (stdout) instead of the text report")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return fmt.Errorf("%w: %v", errUsage, err)
+	}
 
 	mode := ran.AM
 	if *um {
@@ -102,9 +129,8 @@ func main() {
 	if *scenario != "" {
 		var ok bool
 		if spec, ok = workload.Scenario(*scenario, "lte", *load); !ok {
-			fmt.Fprintf(os.Stderr, "unknown workload scenario %q (have: %s)\n",
-				*scenario, strings.Join(workload.ScenarioNames(), " "))
-			os.Exit(2)
+			return fmt.Errorf("%w: unknown workload scenario %q (have: %s)",
+				errUsage, *scenario, strings.Join(workload.ScenarioNames(), " "))
 		}
 	}
 	if !*jsonOut {
@@ -112,7 +138,7 @@ func main() {
 		if *scenario != "" {
 			wl = *scenario
 		}
-		fmt.Printf("chaos sweep: %d seeds x {PF, OutRAN}, %d UEs, %d RBs, %v window, load %.2f, workload %s, intensity %.2f, RLC %v\n\n",
+		fmt.Fprintf(stdout, "chaos sweep: %d seeds x {PF, OutRAN}, %d UEs, %d RBs, %v window, load %.2f, workload %s, intensity %.2f, RLC %v\n\n",
 			*seeds, *ues, *rbs, *dur, *load, wl, *intensity, mode)
 	}
 
@@ -138,45 +164,48 @@ func main() {
 		return j.err
 	})
 
+	// Violations go next to the text report, or to stderr when stdout
+	// carries JSON and must stay parseable.
+	violOut := stdout
+	if *jsonOut {
+		violOut = stderr
+	}
 	violations := 0
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(stdout)
 	for s, sched := range scheds {
 		var agg aggregate
 		for _, j := range jobs[s*ns : (s+1)*ns] {
 			if j.err != nil {
-				fmt.Fprintf(os.Stderr, "%s seed %d: %v\n", j.sched, j.seed, j.err)
-				os.Exit(1)
+				return fmt.Errorf("%s seed %d: %w", j.sched, j.seed, j.err)
 			}
 			agg.add(j.base, j.chaos)
-			violations += reportViolations(j.sched, j.seed, "baseline", j.base.Monitor, *jsonOut)
-			violations += reportViolations(j.sched, j.seed, "chaos", j.chaos.Monitor, *jsonOut)
+			violations += reportViolations(violOut, j.sched, j.seed, "baseline", j.base.Monitor)
+			violations += reportViolations(violOut, j.sched, j.seed, "chaos", j.chaos.Monitor)
 			if *jsonOut {
 				if err := enc.Encode(record(j.sched, j.seed, "baseline", j.base)); err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
+					return err
 				}
 				if err := enc.Encode(record(j.sched, j.seed, "chaos", j.chaos)); err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
+					return err
 				}
 			} else if *verbose {
-				fmt.Printf("  %-6s seed %-3d baseline FCT %-12v chaos FCT %-12v rlf=%d abandoned=%d events=%d\n",
+				fmt.Fprintf(stdout, "  %-6s seed %-3d baseline FCT %-12v chaos FCT %-12v rlf=%d abandoned=%d events=%d\n",
 					j.sched, j.seed, j.base.MeanFCT(), j.chaos.MeanFCT(),
 					j.chaos.Stats.Reestablishments, j.chaos.Stats.AMAbandoned, len(j.chaos.Plan))
 			}
 		}
 		if !*jsonOut {
-			agg.print(string(sched), *seeds)
+			agg.print(stdout, string(sched), *seeds)
 		}
 	}
 
 	if violations > 0 {
-		fmt.Fprintf(os.Stderr, "FAIL: %d invariant violation(s)\n", violations)
-		os.Exit(1)
+		return fmt.Errorf("FAIL: %d invariant violation(s)", violations)
 	}
 	if !*jsonOut {
-		fmt.Println("\nall invariants held")
+		fmt.Fprintln(stdout, "\nall invariants held")
 	}
+	return nil
 }
 
 func runOne(sched ran.SchedulerKind, mode ran.RLCMode, spec workload.Spec, ues, rbs int, dur sim.Time, load, intensity float64, seed uint64) (fault.Result, error) {
@@ -194,13 +223,9 @@ func runOne(sched ran.SchedulerKind, mode ran.RLCMode, spec workload.Spec, ues, 
 	})
 }
 
-func reportViolations(sched ran.SchedulerKind, seed uint64, phase string, rep fault.Report, jsonOut bool) int {
+func reportViolations(out io.Writer, sched ran.SchedulerKind, seed uint64, phase string, rep fault.Report) int {
 	if rep.Clean() {
 		return 0
-	}
-	out := os.Stdout
-	if jsonOut {
-		out = os.Stderr // keep stdout parseable
 	}
 	fmt.Fprintf(out, "  %s seed %d (%s): %d VIOLATION(S)\n", sched, seed, phase, rep.Violated)
 	for _, v := range rep.Violations {
@@ -234,16 +259,16 @@ func (a *aggregate) add(base, chaos fault.Result) {
 	a.deliveries += base.Monitor.Deliveries + chaos.Monitor.Deliveries
 }
 
-func (a *aggregate) print(name string, seeds int) {
+func (a *aggregate) print(w io.Writer, name string, seeds int) {
 	n := sim.Time(seeds)
 	baseline, chaos := a.baseFCT/n, a.chaosFCT/n
 	degr := 0.0
 	if baseline > 0 {
 		degr = 100 * (float64(chaos)/float64(baseline) - 1)
 	}
-	fmt.Printf("%-7s mean FCT %v -> %v (%+.1f%%), flows %d -> %d\n",
+	fmt.Fprintf(w, "%-7s mean FCT %v -> %v (%+.1f%%), flows %d -> %d\n",
 		name, baseline, chaos, degr, a.baseFlows, a.chaosFlows)
-	fmt.Printf("        faults: rlf=%d amAbandoned=%d cqiDrops=%d harqFlips=%d pduDrops=%d backhaulDrops=%d\n",
+	fmt.Fprintf(w, "        faults: rlf=%d amAbandoned=%d cqiDrops=%d harqFlips=%d pduDrops=%d backhaulDrops=%d\n",
 		a.rlfs, a.abandoned, a.cqiDrops, a.harqFlips, a.pduDrops, a.bhDrops)
-	fmt.Printf("        monitor: %d TTI checks, %d deliveries observed\n\n", a.checks, a.deliveries)
+	fmt.Fprintf(w, "        monitor: %d TTI checks, %d deliveries observed\n\n", a.checks, a.deliveries)
 }

@@ -363,6 +363,12 @@ func TestGateCapacity(t *testing.T) {
 	sameBytes(t, "16-cell JSON at -parallel 1 vs 4",
 		simRun(t, with(base, "-parallel", "1")...),
 		simRun(t, with(base, "-parallel", "4")...))
+	// The city-scale memory budget (DESIGN.md): this deployment fits in
+	// 512 MiB. The test binary's lifetime peak bounds the deployment's
+	// from above.
+	if rss := deploy.PeakRSSBytes(); rss >= 512<<20 {
+		t.Errorf("peak RSS %.1f MiB after the 16-cell x 12-UE deployment, budget 512 MiB", float64(rss)/(1<<20))
+	}
 }
 
 // TestGoldenJSON pins the -json bytes of one tiny single-cell and one

@@ -19,6 +19,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -30,35 +31,56 @@ import (
 	"outran/internal/obs"
 )
 
+// errUsage marks a command line that could not be understood (exit
+// status 2, like the flag package's own failures).
+var errUsage = errors.New("usage")
+
 func main() {
-	refresh := flag.Duration("refresh", time.Second, "refresh interval (wall clock)")
-	once := flag.Bool("once", false, "render a single frame from the current file contents and exit")
-	history := flag.Int("history", 32, "sparkline length (number of recent windows)")
-	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: outran-top [-refresh d] [-once] [-history n] <kpi.jsonl>")
-		flag.PrintDefaults()
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return
 	}
-	flag.Parse()
-	if flag.NArg() != 1 {
-		flag.Usage()
+	fmt.Fprintln(os.Stderr, err)
+	if errors.Is(err, errUsage) {
 		os.Exit(2)
+	}
+	os.Exit(1)
+}
+
+// run is the whole program: flags -> tail the KPI file -> render. It
+// returns after one frame with -once, and otherwise only on an error.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("outran-top", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	refresh := fs.Duration("refresh", time.Second, "refresh interval (wall clock)")
+	once := fs.Bool("once", false, "render a single frame from the current file contents and exit")
+	history := fs.Int("history", 32, "sparkline length (number of recent windows)")
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: outran-top [-refresh d] [-once] [-history n] <kpi.jsonl>")
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return fmt.Errorf("%w: %v", errUsage, err)
+	}
+	if fs.NArg() != 1 {
+		fs.Usage()
+		return fmt.Errorf("%w: want exactly one KPI file", errUsage)
 	}
 	if *history < 2 {
 		*history = 2
 	}
-	v := newViewer(flag.Arg(0), *history)
-	if *once {
-		if err := v.poll(); err != nil {
-			fatal(err)
-		}
-		v.render(os.Stdout, false)
-		return
-	}
+	v := newViewer(fs.Arg(0), *history)
 	for {
 		if err := v.poll(); err != nil {
-			fatal(err)
+			return err
 		}
-		v.render(os.Stdout, true)
+		v.render(stdout, !*once)
+		if *once {
+			return nil
+		}
 		//outran:simtime live-view refresh pacing; reads files written by a run, never enters results
 		time.Sleep(*refresh)
 	}
@@ -218,9 +240,4 @@ func sparkline(vals []float64) string {
 		b.WriteRune(ramp[i])
 	}
 	return b.String()
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"sort"
 
 	"outran/internal/obs"
@@ -11,9 +12,9 @@ import (
 // the deployment (or single-cell) series over time, and the worst
 // cells ranked by cumulative tail FCT. The stream interleaves cells at
 // each instant, so the records are first split by cell index.
-func kpi(recs []obs.KPIRecord) {
+func kpi(w io.Writer, recs []obs.KPIRecord) {
 	if len(recs) == 0 {
-		fmt.Println("kpi stream: no records")
+		fmt.Fprintln(w, "kpi stream: no records")
 		return
 	}
 	byCell := map[int][]obs.KPIRecord{}
@@ -29,16 +30,16 @@ func kpi(recs []obs.KPIRecord) {
 	sort.Ints(cells)
 
 	first, last := recs[0].T, recs[len(recs)-1].T
-	fmt.Printf("kpi stream     %d records, %d cells, %d instants, %.1fs..%.1fs\n",
+	fmt.Fprintf(w, "kpi stream     %d records, %d cells, %d instants, %.1fs..%.1fs\n",
 		len(recs), len(cells), len(byCell[cells[0]]), first.Seconds(), last.Seconds())
 
-	fmt.Println("\nfinal state (cumulative over the run)")
-	fmt.Printf("  %4s %9s %11s %11s %7s %7s %7s %9s %6s %9s\n",
+	fmt.Fprintln(w, "\nfinal state (cumulative over the run)")
+	fmt.Fprintf(w, "  %4s %9s %11s %11s %7s %7s %7s %9s %6s %9s\n",
 		"cell", "flows", "p50 ms", "p99 ms", "se", "fair", "active", "queue B", "retx", "sacrifice")
 	for _, c := range cells {
 		s := byCell[c]
 		r := s[len(s)-1]
-		fmt.Printf("  %4d %9d %11.2f %11.2f %7.3f %7.3f %7d %9d %5.1f%% %9.5f\n",
+		fmt.Fprintf(w, "  %4d %9d %11.2f %11.2f %7.3f %7.3f %7d %9d %5.1f%% %9.5f\n",
 			c, r.CumFlows, r.CumP50Ms, r.CumP99Ms, r.SE, r.Fairness,
 			r.ActiveFlows, sumQueue(r), 100*r.HARQRetxRate, r.Sacrifice)
 	}
@@ -51,17 +52,17 @@ func kpi(recs []obs.KPIRecord) {
 		series = byCell[cells[0]]
 		label = fmt.Sprintf("cell %d", cells[0])
 	}
-	fmt.Printf("\nwindow series (%s)\n", label)
-	fmt.Printf("  %8s %9s %11s %11s %7s %7s %7s %9s %6s\n",
+	fmt.Fprintf(w, "\nwindow series (%s)\n", label)
+	fmt.Fprintf(w, "  %8s %9s %11s %11s %7s %7s %7s %9s %6s\n",
 		"t", "flows", "p50 ms", "p99 ms", "se", "fair", "active", "queue B", "retx")
 	for _, r := range series {
-		fmt.Printf("  %7.1fs %9d %11.2f %11.2f %7.3f %7.3f %7d %9d %5.1f%%\n",
+		fmt.Fprintf(w, "  %7.1fs %9d %11.2f %11.2f %7.3f %7.3f %7d %9d %5.1f%%\n",
 			r.T.Seconds(), r.WinFlows, r.WinP50Ms, r.WinP99Ms, r.SE, r.Fairness,
 			r.ActiveFlows, sumQueue(r), 100*r.HARQRetxRate)
 	}
 
 	if len(cells) > 1 {
-		fmt.Println("\nworst cells by cumulative p99 FCT")
+		fmt.Fprintln(w, "\nworst cells by cumulative p99 FCT")
 		rank := make([]obs.KPIRecord, 0, len(cells))
 		for _, c := range cells {
 			s := byCell[c]
@@ -79,7 +80,7 @@ func kpi(recs []obs.KPIRecord) {
 		}
 		for i := 0; i < n; i++ {
 			r := rank[i]
-			fmt.Printf("  #%d cell %-3d p99 %9.2fms  p50 %9.2fms  fair %.3f  retx %.1f%%\n",
+			fmt.Fprintf(w, "  #%d cell %-3d p99 %9.2fms  p50 %9.2fms  fair %.3f  retx %.1f%%\n",
 				i+1, r.Cell, r.CumP99Ms, r.CumP50Ms, r.Fairness, 100*r.HARQRetxRate)
 		}
 	}

@@ -19,7 +19,9 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 
@@ -27,83 +29,90 @@ import (
 	"outran/internal/sim"
 )
 
-func main() {
-	if len(os.Args) < 3 {
-		usage()
-		os.Exit(2)
-	}
-	cmd, path := os.Args[1], os.Args[2]
-	f, err := os.Open(path)
-	if err != nil {
-		fatal(err)
-	}
-	// The KPI stream is its own JSONL schema, not an event trace —
-	// branch before the trace decoder sees it.
-	if cmd == "kpi" {
-		recs, err := obs.ReadKPI(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-		kpi(recs)
-		return
-	}
-	events, err := obs.ReadTrace(f)
-	f.Close()
-	if err != nil {
-		fatal(err)
-	}
-	switch cmd {
-	case "summary":
-		summary(events)
-	case "audit":
-		audit(events)
-	case "flow":
-		if len(os.Args) < 4 {
-			usage()
-			os.Exit(2)
-		}
-		flow(events, os.Args[3])
-	case "slow":
-		n := 10
-		if len(os.Args) >= 4 {
-			if v, err := strconv.Atoi(os.Args[3]); err == nil && v > 0 {
-				n = v
-			}
-		}
-		slow(events, n)
-	default:
-		usage()
-		os.Exit(2)
-	}
-}
-
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: outran-trace <summary|audit|flow|slow> <trace.jsonl> [arg]
+// errUsage is a command line that could not be understood (exit
+// status 2); its text is the synopsis.
+var errUsage = errors.New(`usage: outran-trace <summary|audit|flow|slow> <trace.jsonl> [arg]
   summary <trace>         run overview and event counts
   audit   <trace>         scheduler decision audit (§5.4 SE cost)
   flow    <trace> <flow>  one flow's timeline ("src:port>dst:port/proto")
   slow    <trace> [n]     n slowest flows with per-layer residency
   kpi     <kpi.jsonl>     KPI time-series report (written by outran-sim -kpi)`)
-}
 
-func fatal(err error) {
+func main() {
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	if err == nil {
+		return
+	}
 	fmt.Fprintln(os.Stderr, err)
+	if errors.Is(err, errUsage) {
+		os.Exit(2)
+	}
 	os.Exit(1)
 }
 
-func printMeta(events []obs.Event) {
+// run is the whole program: <cmd> <file> [arg] -> read the trace or KPI
+// stream -> print the report. Nothing but main writes to stderr; the
+// parameter keeps the signature of the other commands' run.
+func run(args []string, stdout, _ io.Writer) error {
+	if len(args) < 2 {
+		return errUsage
+	}
+	cmd, path := args[0], args[1]
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	// The KPI stream is its own JSONL schema, not an event trace —
+	// branch before the trace decoder sees it.
+	if cmd == "kpi" {
+		recs, err := obs.ReadKPI(f)
+		if err != nil {
+			return err
+		}
+		kpi(stdout, recs)
+		return nil
+	}
+	events, err := obs.ReadTrace(f)
+	if err != nil {
+		return err
+	}
+	switch cmd {
+	case "summary":
+		summary(stdout, events)
+	case "audit":
+		audit(stdout, events)
+	case "flow":
+		if len(args) < 3 {
+			return errUsage
+		}
+		return flow(stdout, events, args[2])
+	case "slow":
+		n := 10
+		if len(args) >= 3 {
+			if v, err := strconv.Atoi(args[2]); err == nil && v > 0 {
+				n = v
+			}
+		}
+		slow(stdout, events, n)
+	default:
+		return errUsage
+	}
+	return nil
+}
+
+func printMeta(w io.Writer, events []obs.Event) {
 	meta, err := obs.FindMeta(events)
 	if err != nil {
-		fmt.Println("run            (no meta event in trace)")
+		fmt.Fprintln(w, "run            (no meta event in trace)")
 		return
 	}
-	fmt.Printf("run            %s, %d UEs, %d RBs, seed %d, TTI %v, sample period %d TTIs\n",
+	fmt.Fprintf(w, "run            %s, %d UEs, %d RBs, seed %d, TTI %v, sample period %d TTIs\n",
 		meta.Sched, meta.UEs, meta.RBs, meta.Seed, meta.TTINanos, meta.SamplePeriod)
 }
 
-func summary(events []obs.Event) {
-	printMeta(events)
+func summary(w io.Writer, events []obs.Event) {
+	printMeta(w, events)
 	tl := obs.Timelines(events)
 	completed := 0
 	var res obs.Residency
@@ -119,22 +128,22 @@ func summary(events []obs.Event) {
 			withRes++
 		}
 	}
-	fmt.Printf("flows          %d seen, %d completed\n", len(tl), completed)
-	printCheckpoints(events)
+	fmt.Fprintf(w, "flows          %d seen, %d completed\n", len(tl), completed)
+	printCheckpoints(w, events)
 	if withRes > 0 {
 		n := sim.Time(withRes)
-		fmt.Printf("residency      ingress %v  air %v  drain %v (mean over %d flows)\n",
+		fmt.Fprintf(w, "residency      ingress %v  air %v  drain %v (mean over %d flows)\n",
 			res.Ingress/n, res.Air/n, res.Drain/n, withRes)
 	}
-	fmt.Println("events:")
+	fmt.Fprintln(w, "events:")
 	for _, tc := range obs.CountByType(events) {
-		fmt.Printf("  %-14s %d\n", tc.Type, tc.Count)
+		fmt.Fprintf(w, "  %-14s %d\n", tc.Type, tc.Count)
 	}
 }
 
 // printCheckpoints summarises the run's checkpoint writes: cadence,
 // final write count and last snapshot size (written by the deploy runtime).
-func printCheckpoints(events []obs.Event) {
+func printCheckpoints(w io.Writer, events []obs.Event) {
 	var n int64
 	var lastSize int64
 	var firstT, lastT sim.Time
@@ -158,78 +167,78 @@ func printCheckpoints(events []obs.Event) {
 	if n > 1 {
 		cadence = (lastT - firstT) / sim.Time(n-1)
 	}
-	fmt.Printf("checkpoints    %d written, every %v, last snapshot %d bytes\n", n, cadence, lastSize)
+	fmt.Fprintf(w, "checkpoints    %d written, every %v, last snapshot %d bytes\n", n, cadence, lastSize)
 }
 
-func audit(events []obs.Event) {
-	printMeta(events)
+func audit(w io.Writer, events []obs.Event) {
+	printMeta(w, events)
 	a := obs.ComputeAudit(events)
-	fmt.Printf("ttis           %d (%d RB allocations, %d used RB-TTIs, %d served bits)\n",
+	fmt.Fprintf(w, "ttis           %d (%d RB allocations, %d used RB-TTIs, %d served bits)\n",
 		a.TTIs, a.AllocRBs, a.UsedRBs, a.ServedBits)
 	if a.Decisions == 0 {
-		fmt.Println("decisions      none (not an ε-relaxation scheduler, or tracing started late)")
+		fmt.Fprintln(w, "decisions      none (not an ε-relaxation scheduler, or tracing started late)")
 	} else {
-		fmt.Printf("decisions      %d records, %d overrides (%.2f%%), mean candidate set %.2f\n",
+		fmt.Fprintf(w, "decisions      %d records, %d overrides (%.2f%%), mean candidate set %.2f\n",
 			a.Decisions, a.Overrides,
 			100*float64(a.Overrides)/float64(a.Decisions), a.CandMean)
-		fmt.Printf("SE sacrifice   %.6f mean relative metric loss per decision (§5.4)\n", a.SacrificeMean)
-		fmt.Printf("override lvls  %v (by winning MLFQ level)\n", a.OverridesByLevel)
+		fmt.Fprintf(w, "SE sacrifice   %.6f mean relative metric loss per decision (§5.4)\n", a.SacrificeMean)
+		fmt.Fprintf(w, "override lvls  %v (by winning MLFQ level)\n", a.OverridesByLevel)
 	}
-	fmt.Printf("spectral eff   %.6f bit/s/Hz over %d samples (trace replay)\n", a.MeanSE, a.Samples)
-	fmt.Printf("fairness       %.6f (Jain, trace replay)\n", a.MeanFairness)
+	fmt.Fprintf(w, "spectral eff   %.6f bit/s/Hz over %d samples (trace replay)\n", a.MeanSE, a.Samples)
+	fmt.Fprintf(w, "fairness       %.6f (Jain, trace replay)\n", a.MeanFairness)
 	if a.MeanActiveSE > 0 {
-		fmt.Printf("active SE      %.6f bit/s/Hz over used RBs\n", a.MeanActiveSE)
+		fmt.Fprintf(w, "active SE      %.6f bit/s/Hz over used RBs\n", a.MeanActiveSE)
 	}
 }
 
-func flow(events []obs.Event, id string) {
+func flow(w io.Writer, events []obs.Event, id string) error {
 	for _, f := range obs.Timelines(events) {
 		if f.Flow != id {
 			continue
 		}
-		fmt.Printf("flow %s  ue=%d size=%d\n", f.Flow, f.UE, f.Size)
+		fmt.Fprintf(w, "flow %s  ue=%d size=%d\n", f.Flow, f.UE, f.Size)
 		if f.End >= 0 {
-			fmt.Printf("  completed in %v", f.FCT)
+			fmt.Fprintf(w, "  completed in %v", f.FCT)
 			if r, ok := f.Residency(); ok {
-				fmt.Printf("  (ingress %v, air %v, drain %v)", r.Ingress, r.Air, r.Drain)
+				fmt.Fprintf(w, "  (ingress %v, air %v, drain %v)", r.Ingress, r.Air, r.Drain)
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		} else {
-			fmt.Println("  incomplete within trace")
+			fmt.Fprintln(w, "  incomplete within trace")
 		}
 		for _, ev := range f.Events {
-			fmt.Printf("  %12v  %-10s", ev.T, ev.Type)
+			fmt.Fprintf(w, "  %12v  %-10s", ev.T, ev.Type)
 			switch ev.Type {
 			case obs.EvMLFQ:
-				fmt.Printf(" level=%d sent=%d threshold=%d", ev.Level, ev.Sent, ev.Threshold)
+				fmt.Fprintf(w, " level=%d sent=%d threshold=%d", ev.Level, ev.Sent, ev.Threshold)
 			case obs.EvPDCPSN, obs.EvDeliver:
-				fmt.Printf(" sn=%d", ev.SN)
+				fmt.Fprintf(w, " sn=%d", ev.SN)
 			case obs.EvFlowEnd:
-				fmt.Printf(" fct=%v", ev.FCT)
+				fmt.Fprintf(w, " fct=%v", ev.FCT)
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
-		return
+		return nil
 	}
-	fatal(fmt.Errorf("flow %q not in trace", id))
+	return fmt.Errorf("flow %q not in trace", id)
 }
 
-func slow(events []obs.Event, n int) {
+func slow(w io.Writer, events []obs.Event, n int) {
 	tl := obs.SlowestFlows(obs.Timelines(events), n)
 	if len(tl) == 0 {
-		fmt.Println("no completed flows in trace")
+		fmt.Fprintln(w, "no completed flows in trace")
 		return
 	}
-	fmt.Printf("%-40s %6s %12s %12s %12s %12s %5s\n",
+	fmt.Fprintf(w, "%-40s %6s %12s %12s %12s %12s %5s\n",
 		"flow", "ue", "fct", "ingress", "air", "drain", "level")
 	for _, f := range tl {
 		r, ok := f.Residency()
 		if !ok {
-			fmt.Printf("%-40s %6d %12v %12s %12s %12s %5d\n",
+			fmt.Fprintf(w, "%-40s %6d %12v %12s %12s %12s %5d\n",
 				f.Flow, f.UE, f.FCT, "-", "-", "-", f.FinalLevel)
 			continue
 		}
-		fmt.Printf("%-40s %6d %12v %12v %12v %12v %5d\n",
+		fmt.Fprintf(w, "%-40s %6d %12v %12v %12v %12v %5d\n",
 			f.Flow, f.UE, f.FCT, r.Ingress, r.Air, r.Drain, f.FinalLevel)
 	}
 }

@@ -40,13 +40,7 @@ func Fig19(opt Options) ([]Table, error) {
 			for _, sched := range []ran.SchedulerKind{ran.SchedPF, ran.SchedOutRAN} {
 				agg := &metrics.FCTRecorder{}
 				for cellIdx := 0; cellIdx < numCells; cellIdx++ {
-					cfg := ran.DefaultLTEConfig()
-					cfg.Grid = phy.Colosseum()
-					cfg.Scenario = sc.sc
-					cfg.NumUEs = 4
-					cfg.Scheduler = sched
-					cfg.Seed = opt.Seed + uint64(cellIdx)*101
-					res, err := runCell(cfg, workload.PoissonSpec("lte", load), opt)
+					res, err := fig19Cell(opt, sc.sc, load, sched, cellIdx)
 					if err != nil {
 						return nil, err
 					}
@@ -70,4 +64,17 @@ func Fig19(opt Options) ([]Table, error) {
 		}
 	}
 	return []Table{t}, nil
+}
+
+// fig19Cell runs one cell of the four. Each cell is its own seed —
+// channel and arrivals both — carried by the Options copy, because
+// runCell seeds every run from opt.Seed.
+func fig19Cell(opt Options, sc channel.Scenario, load float64, sched ran.SchedulerKind, cellIdx int) (*runResult, error) {
+	cfg := ran.DefaultLTEConfig()
+	cfg.Grid = phy.Colosseum()
+	cfg.Scenario = sc
+	cfg.NumUEs = 4
+	cfg.Scheduler = sched
+	opt.Seed += uint64(cellIdx) * 101
+	return runCell(cfg, workload.PoissonSpec("lte", load), opt)
 }

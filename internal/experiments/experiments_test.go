@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"outran/internal/channel"
+	"outran/internal/ran"
 	"outran/internal/sim"
 )
 
@@ -190,5 +193,33 @@ func TestMeasureDeployment(t *testing.T) {
 	}
 	if pt.PeakRSS == 0 || pt.UEsPerGB <= 0 {
 		t.Fatalf("RSS headlines missing: %+v", pt)
+	}
+}
+
+// TestFig19CellsAreIndependent: the four Colosseum cells are four
+// seeds, not one run recorded four times, and a cell is still a pure
+// function of (seed, index).
+func TestFig19CellsAreIndependent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a simulation")
+	}
+	opt := Options{Duration: sim.Second, Drain: 4 * sim.Second, Seeds: 1}.withDefaults()
+	cell := func(idx int) string {
+		res, err := fig19Cell(opt, channel.ColosseumRome(), 0.4, ran.SchedPF, idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := res.FCT.Overall()
+		if all.Count == 0 {
+			t.Fatalf("cell %d completed no flows", idx)
+		}
+		return fmt.Sprintf("n=%d mean=%v p95=%v", all.Count, all.Mean, all.P95)
+	}
+	c0, c1 := cell(0), cell(1)
+	if c0 == c1 {
+		t.Errorf("cells 0 and 1 are the same run: %s", c0)
+	}
+	if again := cell(0); again != c0 {
+		t.Errorf("cell 0 rerun at the same seed: %s, then %s", c0, again)
 	}
 }

@@ -42,7 +42,7 @@ func Fig17(opt Options) ([]Table, error) {
 					cfg := ran.Default5GConfig(mu)
 					cfg.NumUEs = max(4, opt.UEs*2/3)
 					cfg.Scheduler = sched
-					cfg.Seed = opt.Seed
+					cfg.Seed = opt.Seed // the probe below sizes the window on it; runCell reseeds the runs
 					cfg.Path.WiredDelay = srv.delay
 					cfg.Path.UplinkDelay = srv.delay + 4*sim.Millisecond
 					// Scale RB count with the option's RB fraction to
@@ -108,7 +108,7 @@ func Fig20(opt Options) ([]Table, error) {
 			cfg := ran.Default5GConfig(phy.Mu1)
 			cfg.NumUEs = max(4, opt.UEs*2/3)
 			cfg.Scheduler = s
-			cfg.Seed = opt.Seed
+			cfg.Seed = opt.Seed // the probe below sizes the window on it; runCell reseeds the runs
 			cfg.Grid.NumRB = cfg.Grid.NumRB * opt.RBs / 100
 			if cfg.Grid.NumRB < 10 {
 				cfg.Grid.NumRB = 10
