@@ -3,8 +3,9 @@
 //
 //	go run ./cmd/outran-vet ./...
 //
-// It prints one line per finding and exits 1 when anything is flagged,
-// 0 on a clean tree — the contract the CI gate relies on. Arguments
+// It prints one line per finding and exits 1 when anything is flagged
+// or fails, 2 on a command line it cannot parse, and 0 on a clean tree —
+// the contract the CI gate relies on. Arguments
 // are accepted for `go vet`-style invocation symmetry, but the suite
 // always analyzes the whole module enclosing the working directory:
 // determinism and allocation discipline are whole-program properties.
@@ -25,11 +26,14 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 
 	"outran/internal/analysis"
 )
@@ -63,54 +67,80 @@ type baselineResult struct {
 	Diffs []string `json:"diffs,omitempty"`
 }
 
+// errUsage marks a command line that could not be understood (exit
+// status 2, like the flag package's own failures).
+var errUsage = errors.New("usage")
+
 func main() {
-	list := flag.Bool("list", false, "list the analyzers and exit")
-	escape := flag.Bool("escape", true, "run the compiler escape-analysis check over //outran:allocfree functions")
-	jsonOut := flag.String("json", "", "write a machine-readable report to `file` ('-' for stdout)")
-	baseline := flag.String("baseline", "", "compare the //outran: directive inventory against baseline `file`")
-	writeBaseline := flag.String("write-baseline", "", "regenerate baseline `file` from the tree and exit")
-	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: outran-vet [-list] [-escape=false] [-json file] [-baseline file] [-write-baseline file] [./...]")
-		flag.PrintDefaults()
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return
 	}
-	flag.Parse()
+	fmt.Fprintln(os.Stderr, err)
+	if errors.Is(err, errUsage) {
+		os.Exit(2)
+	}
+	os.Exit(1)
+}
+
+// run is the whole program: flags -> load the module enclosing the
+// working directory -> analyze -> report. Findings and a baseline
+// mismatch are an error, like any failure to load or write.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("outran-vet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	list := fs.Bool("list", false, "list the analyzers and exit")
+	escape := fs.Bool("escape", true, "run the compiler escape-analysis check over //outran:allocfree functions")
+	jsonOut := fs.String("json", "", "write a machine-readable report to `file` ('-' for stdout)")
+	baseline := fs.String("baseline", "", "compare the //outran: directive inventory against baseline `file`")
+	writeBaseline := fs.String("write-baseline", "", "regenerate baseline `file` from the tree and exit")
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: outran-vet [-list] [-escape=false] [-json file] [-baseline file] [-write-baseline file] [./...]")
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return fmt.Errorf("%w: %v", errUsage, err)
+	}
 
 	analyzers := analysis.DefaultAnalyzers()
 	if *list {
 		for _, a := range analyzers {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
 		}
-		fmt.Printf("%-12s %s\n", "escape", "drives go build -gcflags='-m -l' over //outran:allocfree functions (disable with -escape=false)")
-		return
+		fmt.Fprintf(stdout, "%-12s %s\n", "escape", "drives go build -gcflags='-m -l' over //outran:allocfree functions (disable with -escape=false)")
+		return nil
 	}
 
 	wd, err := os.Getwd()
 	if err != nil {
-		fatal(err)
+		return fmt.Errorf("outran-vet: %w", err)
 	}
 	pkgs, err := analysis.LoadModule(wd)
 	if err != nil {
-		fatal(err)
+		return fmt.Errorf("outran-vet: %w", err)
 	}
 	inventory := analysis.DirectiveInventory(wd, pkgs)
 
 	if *writeBaseline != "" {
 		data, err := json.MarshalIndent(inventory, "", "  ")
 		if err != nil {
-			fatal(err)
+			return fmt.Errorf("outran-vet: %w", err)
 		}
 		if err := os.WriteFile(*writeBaseline, append(data, '\n'), 0o644); err != nil {
-			fatal(err)
+			return fmt.Errorf("outran-vet: %w", err)
 		}
-		fmt.Fprintf(os.Stderr, "outran-vet: wrote %s (%d files with directives)\n", *writeBaseline, len(inventory))
-		return
+		fmt.Fprintf(stderr, "outran-vet: wrote %s (%d files with directives)\n", *writeBaseline, len(inventory))
+		return nil
 	}
 
 	findings := analysis.RunAnalyzers(pkgs, analyzers)
 	if *escape {
 		ef, err := analysis.RunEscapeCheck(wd, pkgs)
 		if err != nil {
-			fatal(err)
+			return fmt.Errorf("outran-vet: %w", err)
 		}
 		findings = append(findings, ef...)
 	}
@@ -138,34 +168,33 @@ func main() {
 	if *jsonOut != "" {
 		data, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
-			fatal(err)
+			return fmt.Errorf("outran-vet: %w", err)
 		}
 		data = append(data, '\n')
 		if *jsonOut == "-" {
-			os.Stdout.Write(data)
+			stdout.Write(data)
 		} else if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-			fatal(err)
+			return fmt.Errorf("outran-vet: %w", err)
 		}
 	}
 
 	for _, f := range rep.Findings {
-		fmt.Printf("%s:%d:%d: [%s] %s\n", f.File, f.Line, f.Column, f.Analyzer, f.Message)
+		fmt.Fprintf(stdout, "%s:%d:%d: [%s] %s\n", f.File, f.Line, f.Column, f.Analyzer, f.Message)
 	}
-	fail := false
+	var failed []string
 	if len(findings) > 0 {
-		fmt.Fprintf(os.Stderr, "outran-vet: %d finding(s)\n", len(findings))
-		fail = true
+		failed = append(failed, fmt.Sprintf("%d finding(s)", len(findings)))
 	}
 	if blResult != nil && !blResult.Match {
 		for _, d := range blResult.Diffs {
-			fmt.Fprintln(os.Stderr, "outran-vet: baseline:", d)
+			fmt.Fprintln(stderr, "outran-vet: baseline:", d)
 		}
-		fmt.Fprintf(os.Stderr, "outran-vet: directive inventory differs from %s; review and regenerate with -write-baseline\n", *baseline)
-		fail = true
+		failed = append(failed, fmt.Sprintf("directive inventory differs from %s; review and regenerate with -write-baseline", *baseline))
 	}
-	if fail {
-		os.Exit(1)
+	if len(failed) > 0 {
+		return fmt.Errorf("outran-vet: %s", strings.Join(failed, "; "))
 	}
+	return nil
 }
 
 // compareBaseline diffs the observed inventory against the committed
@@ -225,9 +254,4 @@ func relPath(root, path string) string {
 		return filepath.ToSlash(rel)
 	}
 	return path
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "outran-vet:", err)
-	os.Exit(2)
 }

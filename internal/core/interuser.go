@@ -48,11 +48,13 @@ type InterUser struct {
 
 	// Per-TTI scratch reused across Allocate calls (see the
 	// mac.Scheduler ownership contract): the returned allocation, the
-	// run boundaries, the per-user metric vector, and the top-K
-	// candidate buffer.
+	// run boundaries, the backlogged user indices, the per-user metric
+	// vector and MLFQ level, and the top-K candidate buffer.
 	scratch mac.Allocation
 	runs    mac.SubbandRuns
+	active  []int
 	metrics []float64
+	prios   []int
 	cands   []topKCand
 }
 
@@ -102,30 +104,41 @@ func (s *InterUser) Name() string { return s.name }
 // keeping the complexity of the legacy scheduler. Nothing a decision
 // reads changes within a call and a metric sees an RB only through its
 // subband's CQI, so the selection is made once per subband run
-// (mac.SubbandRuns) and recorded once per RB of the run.
+// (mac.SubbandRuns) and recorded once per RB of the run. Both passes
+// walk the backlogged users only (mac.BackloggedUsers), in index order.
 //
 //outran:allocfree
 //outran:scratch
 func (s *InterUser) Allocate(now sim.Time, users []*mac.User, grid phy.Grid) mac.Allocation {
 	s.scratch.Reset(grid.NumRB)
 	alloc := s.scratch
-	// Metric scratch reused across runs and TTIs.
+	s.active = mac.BackloggedUsers(s.active, users)
+	if len(s.active) == 0 {
+		return alloc
+	}
+	// Per-user scratch reused across runs and TTIs. An idle user's
+	// metric is 0 for the whole call, which is what top-K reads; a
+	// backlogged user's MLFQ level is read once per call, not per run.
 	if cap(s.metrics) < len(users) {
 		//outran:allocok capacity-guarded scratch growth; reruns only when the user population grows
 		s.metrics = make([]float64, len(users))
+		//outran:allocok same guard
+		s.prios = make([]int, len(users))
 	}
 	metrics := s.metrics[:len(users)]
+	prios := s.prios[:len(users)]
+	clear(metrics)
+	for _, ui := range s.active {
+		prios[ui] = users[ui].Buffer.TopPriority()
+	}
 	bounds := s.runs.Of(users, grid.NumRB)
 	for i := 1; i < len(bounds); i++ {
 		lo, hi := bounds[i-1], bounds[i]
 		// First iteration: the legacy selection (lines 4-8).
 		best := -1
 		mMax := 0.0
-		for ui, u := range users {
-			metrics[ui] = 0
-			if !u.Buffer.Backlogged() {
-				continue
-			}
+		for _, ui := range s.active {
+			u := users[ui]
 			m := s.Inner(u, u.CQIForRB(lo, grid.NumRB), grid, now)
 			metrics[ui] = m
 			if m <= 0 {
@@ -141,11 +154,11 @@ func (s *InterUser) Allocate(now sim.Time, users []*mac.User, grid phy.Grid) mac
 		// Second iteration: re-selection among the relaxed candidate
 		// set (lines 11-16).
 		sel := best
-		selPrio := users[best].Buffer.TopPriority()
+		selPrio := prios[best]
 		selMetric := mMax
 		candidates := 1
 		if s.TopK > 0 {
-			sel, selPrio, selMetric = s.topKSelect(users, metrics, best)
+			sel, selPrio, selMetric = s.topKSelect(metrics, prios, best)
 			candidates = s.TopK
 			if candidates > len(users) {
 				candidates = len(users)
@@ -153,12 +166,12 @@ func (s *InterUser) Allocate(now sim.Time, users []*mac.User, grid phy.Grid) mac
 		} else if s.Epsilon > 0 {
 			candidates = 0
 			floor := (1 - s.Epsilon) * mMax
-			for ui, u := range users {
+			for _, ui := range s.active {
 				if metrics[ui] <= 0 || metrics[ui] < floor {
 					continue
 				}
 				candidates++
-				p := u.Buffer.TopPriority()
+				p := prios[ui]
 				if p < selPrio || (p == selPrio && metrics[ui] > selMetric) {
 					sel, selPrio, selMetric = ui, p, metrics[ui]
 				}
@@ -189,13 +202,13 @@ func (s *InterUser) Allocate(now sim.Time, users []*mac.User, grid phy.Grid) mac
 // topKSelect implements the alternative candidate set for the
 // ablation: the K users with the highest metrics, regardless of how
 // far below m_max they fall.
-func (s *InterUser) topKSelect(users []*mac.User, metrics []float64, best int) (int, int, float64) {
-	if cap(s.cands) < len(users) {
+func (s *InterUser) topKSelect(metrics []float64, prios []int, best int) (int, int, float64) {
+	if cap(s.cands) < len(metrics) {
 		//outran:allocok capacity-guarded scratch growth; reruns only when the user population grows
-		s.cands = make([]topKCand, 0, len(users))
+		s.cands = make([]topKCand, 0, len(metrics))
 	}
 	cands := s.cands[:0]
-	for ui := range users {
+	for ui := range metrics {
 		if metrics[ui] > 0 {
 			//outran:allocok bounded by the guard above: at most len(users) appends into cap >= len(users)
 			cands = append(cands, topKCand{ui, metrics[ui]})
@@ -216,11 +229,10 @@ func (s *InterUser) topKSelect(users []*mac.User, metrics []float64, best int) (
 		cands[i], cands[maxJ] = cands[maxJ], cands[i]
 	}
 	sel := best
-	selPrio := users[best].Buffer.TopPriority()
+	selPrio := prios[best]
 	selMetric := metrics[best]
 	for i := 0; i < k; i++ {
-		u := users[cands[i].ui]
-		p := u.Buffer.TopPriority()
+		p := prios[cands[i].ui]
 		if p < selPrio || (p == selPrio && cands[i].m > selMetric) {
 			sel, selPrio, selMetric = cands[i].ui, p, cands[i].m
 		}

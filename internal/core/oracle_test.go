@@ -238,13 +238,60 @@ func oracleCase(r *rng.Source) (sim.Time, []*mac.User, phy.Grid) {
 	return now, users, grid
 }
 
+// idleHeavyCase draws a 40-user population of which only `backlogged`
+// users have data, as at the paper's operating points. The backlogged
+// users share one subband count and spread over the MLFQ levels; the
+// idle ones report other counts (none, one, a coarser or a finer
+// split), so the runs are cut finer than any backlogged user needs.
+func idleHeavyCase(r *rng.Source, backlogged int) (sim.Time, []*mac.User, phy.Grid) {
+	now, users, grid := oracleCase(r)
+	for len(users) < 40 {
+		users = append(users, &mac.User{ID: mac.UserID(len(users)), AvgTputBps: r.Float64() * 2e7})
+	}
+	for _, u := range users {
+		u.Buffer.TotalBytes, u.Buffer.PerPriority = 0, nil
+		u.SubbandCQI = make([]phy.CQI, []int{0, 1, 9, grid.NumRB + 7}[r.Intn(4)])
+	}
+	order := make([]int, len(users))
+	for i := range order {
+		order[i] = i
+	}
+	r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	for _, ui := range order[:backlogged] {
+		u := users[ui]
+		u.Buffer.TotalBytes = 1 + r.Intn(1<<16)
+		u.Buffer.PerPriority = make([]int, 4)
+		u.Buffer.PerPriority[r.Intn(4)] = u.Buffer.TotalBytes
+		u.SubbandCQI = make([]phy.CQI, 13)
+	}
+	for _, u := range users {
+		for sb := range u.SubbandCQI {
+			u.SubbandCQI[sb] = phy.CQI(r.Intn(16))
+		}
+	}
+	return now, users, grid
+}
+
+// resizeSubbands gives one random user a new subband count, keeping
+// the population and its backlog: the memoised runs must be recut.
+func resizeSubbands(r *rng.Source, users []*mac.User, numRB int) {
+	u := users[r.Intn(len(users))]
+	u.SubbandCQI = make([]phy.CQI, []int{0, 1, 3, 9, 13, numRB, numRB + 7}[r.Intn(7)])
+	for sb := range u.SubbandCQI {
+		u.SubbandCQI[sb] = phy.CQI(1 + r.Intn(15))
+	}
+}
+
 // TestRunWalkMatchesPerRBOracle drives InterUser and its frozen per-RB
 // twin over the same random problems for every candidate-set mode and
 // metric, and demands the same RBOwner, the same ordered OnDecision
 // stream, and the same audit with the sacrifice sum compared by its bit
 // pattern. One scheduler pair per configuration serves all cases, so
-// the audit accumulates over thousands of additions and the scratch is
-// reused across changing grid widths and populations.
+// the audit accumulates over thousands of additions and the scratch and
+// memoised runs are reused across changing grid widths and populations.
+// After the general cases come idle-heavy ones: 0, 1 or 2 of 40 users
+// backlogged, each population then re-allocated with one user's subband
+// count changed between calls.
 func TestRunWalkMatchesPerRBOracle(t *testing.T) {
 	metrics := []struct {
 		name   string
@@ -282,8 +329,8 @@ func TestRunWalkMatchesPerRBOracle(t *testing.T) {
 		}
 	}
 	r := rng.New(20260928)
-	for c := 0; c < 2500; c++ {
-		now, users, grid := oracleCase(r)
+	checkCase := func(c int, now sim.Time, users []*mac.User, grid phy.Grid) {
+		t.Helper()
 		for _, p := range pairs {
 			p.got, p.want = p.got[:0], p.want[:0]
 			got := p.run.Allocate(now, users, grid).RBOwner
@@ -312,6 +359,18 @@ func TestRunWalkMatchesPerRBOracle(t *testing.T) {
 				t.Fatalf("case %d %s: audit (%d, %d, %#x), per-RB oracle has (%d, %d, %#x)", c, p.name,
 					d, o, math.Float64bits(sac), p.oracle.decisions, p.oracle.overrides, math.Float64bits(p.oracle.sacSum))
 			}
+		}
+	}
+	for c := 0; c < 2500; c++ {
+		now, users, grid := oracleCase(r)
+		checkCase(c, now, users, grid)
+	}
+	for c := 2500; c < 3100; c++ {
+		now, users, grid := idleHeavyCase(r, c%3)
+		checkCase(c, now, users, grid)
+		for k := 0; k < 3; k++ {
+			resizeSubbands(r, users, grid.NumRB)
+			checkCase(c, now, users, grid)
 		}
 	}
 	for _, p := range pairs {

@@ -156,10 +156,55 @@ func oracleCase(r *rng.Source) (sim.Time, []*User, phy.Grid) {
 	return now, users, grid
 }
 
+// idleHeavyCase draws a 40-user population of which only `backlogged`
+// users have data, as at the paper's operating points. The backlogged
+// users share one subband count; the idle ones report others (none,
+// one, a coarser or a finer split), so the runs are cut finer than any
+// backlogged user needs.
+func idleHeavyCase(r *rng.Source, backlogged int) (sim.Time, []*User, phy.Grid) {
+	now, users, grid := oracleCase(r)
+	for len(users) < 40 {
+		users = append(users, &User{ID: UserID(len(users)), AvgTputBps: r.Float64() * 2e7})
+	}
+	for _, u := range users {
+		u.Buffer.TotalBytes = 0
+		u.SubbandCQI = make([]phy.CQI, []int{0, 1, 9, grid.NumRB + 7}[r.Intn(4)])
+	}
+	order := make([]int, len(users))
+	for i := range order {
+		order[i] = i
+	}
+	r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	for _, ui := range order[:backlogged] {
+		u := users[ui]
+		u.Buffer.TotalBytes = 1 + r.Intn(1<<16)
+		u.SubbandCQI = make([]phy.CQI, 13)
+	}
+	for _, u := range users {
+		for sb := range u.SubbandCQI {
+			u.SubbandCQI[sb] = phy.CQI(r.Intn(16))
+		}
+	}
+	return now, users, grid
+}
+
+// resizeSubbands gives one random user a new subband count, keeping
+// the population and its backlog: the memoised runs must be recut.
+func resizeSubbands(r *rng.Source, users []*User, numRB int) {
+	u := users[r.Intn(len(users))]
+	u.SubbandCQI = make([]phy.CQI, []int{0, 1, 3, 9, 13, numRB, numRB + 7}[r.Intn(7)])
+	for sb := range u.SubbandCQI {
+		u.SubbandCQI[sb] = phy.CQI(1 + r.Intn(15))
+	}
+}
+
 // TestRunWalkMatchesPerRBOracle drives every run-walking scheduler and
 // its frozen per-RB twin over the same random problems. One scheduler
-// instance serves all cases, so its scratch is reused across changing
-// grid widths and populations as a cell's would be.
+// instance serves all cases, so its scratch and memoised runs are
+// reused across changing grid widths and populations as a cell's
+// would be. After the general cases come idle-heavy ones: 0, 1 or 2
+// of 40 users backlogged, each population then re-allocated with one
+// user's subband count changed between calls.
 func TestRunWalkMatchesPerRBOracle(t *testing.T) {
 	metricScheds := []struct {
 		s      Scheduler
@@ -169,8 +214,8 @@ func TestRunWalkMatchesPerRBOracle(t *testing.T) {
 	}
 	pss := &PSS{}
 	r := rng.New(20260928)
-	for c := 0; c < 2500; c++ {
-		now, users, grid := oracleCase(r)
+	checkCase := func(c int, now sim.Time, users []*User, grid phy.Grid) {
+		t.Helper()
 		check := func(name string, got Allocation, want []int) {
 			t.Helper()
 			if len(got.RBOwner) != len(want) {
@@ -187,5 +232,17 @@ func TestRunWalkMatchesPerRBOracle(t *testing.T) {
 			check(m.s.Name(), m.s.Allocate(now, users, grid), perRBMetricAllocate(m.oracle, now, users, grid))
 		}
 		check("PSS", pss.Allocate(now, users, grid), perRBPSSAllocate(now, users, grid))
+	}
+	for c := 0; c < 2500; c++ {
+		now, users, grid := oracleCase(r)
+		checkCase(c, now, users, grid)
+	}
+	for c := 2500; c < 3100; c++ {
+		now, users, grid := idleHeavyCase(r, c%3)
+		checkCase(c, now, users, grid)
+		for k := 0; k < 3; k++ {
+			resizeSubbands(r, users, grid.NumRB)
+			checkCase(c, now, users, grid)
+		}
 	}
 }

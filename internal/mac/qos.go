@@ -21,6 +21,7 @@ type PSS struct {
 	// Scheduler ownership contract.
 	scratch Allocation
 	runs    SubbandRuns
+	active  []int // BackloggedUsers scratch
 }
 
 // Name implements Scheduler.
@@ -33,15 +34,17 @@ func (*PSS) Name() string { return "PSS" }
 func (s *PSS) Allocate(now sim.Time, users []*User, grid phy.Grid) Allocation {
 	s.scratch.Reset(grid.NumRB)
 	alloc := s.scratch
+	s.active = BackloggedUsers(s.active, users)
+	if len(s.active) == 0 {
+		return alloc
+	}
 	bounds := s.runs.Of(users, grid.NumRB)
 	for i := 1; i < len(bounds); i++ {
 		lo, hi := bounds[i-1], bounds[i]
 		best, bestM := -1, 0.0
 		bestQoS := false
-		for ui, u := range users {
-			if !u.Buffer.Backlogged() {
-				continue
-			}
+		for _, ui := range s.active {
+			u := users[ui]
 			m := PFMetric(u, u.CQIForRB(lo, grid.NumRB), grid, now)
 			if m <= 0 {
 				continue

@@ -17,9 +17,16 @@ func SubbandOfRB(rb, nsb, numRB int) int {
 // scheduler decides for the first RB of a run holds for the whole run.
 // When all users report the same subband count the runs are the
 // subbands themselves.
+//
+// The partition depends only on the grid width and each user's subband
+// count, which a cell fixes at attach time, so Of memoises it on exactly
+// that key and recuts only when the key changes.
 type SubbandRuns struct {
 	starts []bool // starts[b]: some user's subband changes between RB b-1 and b
 	bounds []int
+	runs   []int // the memoised result, a prefix of bounds
+	numRB  int   // the key runs was cut for: the grid width
+	nsbs   []int // and every user's subband count, in user order
 }
 
 // Of returns the run boundaries 0 = b_0 < b_1 < … < b_n = numRB for the
@@ -32,6 +39,38 @@ func (r *SubbandRuns) Of(users []*User, numRB int) []int {
 	if numRB <= 0 {
 		return nil
 	}
+	if r.keyed(users, numRB) {
+		return r.runs
+	}
+	if cap(r.nsbs) < len(users) {
+		//outran:allocok capacity-guarded scratch growth; reruns only when the user population grows
+		r.nsbs = make([]int, len(users))
+	}
+	r.nsbs = r.nsbs[:len(users)]
+	for i, u := range users {
+		r.nsbs[i] = len(u.SubbandCQI)
+	}
+	r.numRB = numRB
+	r.runs = r.cut(numRB)
+	return r.runs
+}
+
+// keyed reports whether the memoised runs were cut for this grid width
+// and these subband counts.
+func (r *SubbandRuns) keyed(users []*User, numRB int) bool {
+	if numRB != r.numRB || len(users) != len(r.nsbs) {
+		return false
+	}
+	for i, u := range users {
+		if len(u.SubbandCQI) != r.nsbs[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// cut computes the partition for the key Of just stored.
+func (r *SubbandRuns) cut(numRB int) []int {
 	if cap(r.starts) < numRB {
 		//outran:allocok capacity-guarded scratch growth; reruns only when the grid widens
 		r.starts = make([]bool, numRB)
@@ -43,8 +82,7 @@ func (r *SubbandRuns) Of(users []*User, numRB int) []int {
 		starts[b] = false
 	}
 	marked := 0 // subband count of the last user marked; users mostly share one
-	for _, u := range users {
-		nsb := len(u.SubbandCQI)
+	for _, nsb := range r.nsbs {
 		if nsb == marked || nsb < 2 {
 			continue
 		}
@@ -73,4 +111,25 @@ func (r *SubbandRuns) Of(users []*User, numRB int) []int {
 	}
 	bounds[n] = numRB
 	return bounds[:n+1]
+}
+
+// BackloggedUsers returns the indices of the users with queued data, in
+// ascending order, in dst's storage (grown to len(users) when short).
+// The schedulers build it once per Allocate and walk it in every
+// subband run, so a run costs the backlogged users, not the attached
+// ones; the ascending order keeps every first-max tie-break.
+func BackloggedUsers(dst []int, users []*User) []int {
+	if cap(dst) < len(users) {
+		//outran:allocok capacity-guarded scratch growth; reruns only when the user population grows
+		dst = make([]int, len(users))
+	}
+	dst = dst[:len(users)]
+	n := 0
+	for ui, u := range users {
+		if u.Buffer.Backlogged() {
+			dst[n] = ui
+			n++
+		}
+	}
+	return dst[:n]
 }

@@ -90,7 +90,7 @@ type MetricFunc func(u *User, cqi phy.CQI, grid phy.Grid, now sim.Time) float64
 // MetricScheduler is the standard sub-optimal allocator of §4.1: every
 // RB goes to the backlogged user with the best metric on it,
 // independently of other RBs. The decision is made once per subband
-// run, O(|U|·runs), and written to each RB of the run.
+// run, O(|backlogged U|·runs), and written to each RB of the run.
 type MetricScheduler struct {
 	SchedName string
 	Metric    MetricFunc
@@ -99,6 +99,7 @@ type MetricScheduler struct {
 	// Scheduler ownership contract.
 	scratch Allocation
 	runs    SubbandRuns
+	active  []int // BackloggedUsers scratch
 }
 
 // Name implements Scheduler.
@@ -113,6 +114,10 @@ func (s *MetricScheduler) Name() string { return s.SchedName }
 //outran:scratch
 func (s *MetricScheduler) Allocate(now sim.Time, users []*User, grid phy.Grid) Allocation {
 	s.scratch.Reset(grid.NumRB)
+	s.active = BackloggedUsers(s.active, users)
+	if len(s.active) == 0 {
+		return s.scratch
+	}
 	bounds := s.runs.Of(users, grid.NumRB)
 	for i := 1; i < len(bounds); i++ {
 		lo, hi := bounds[i-1], bounds[i]
@@ -120,10 +125,8 @@ func (s *MetricScheduler) Allocate(now sim.Time, users []*User, grid phy.Grid) A
 		bestM := 0.0
 		fallback := -1
 		fallbackM := 0.0
-		for ui, u := range users {
-			if !u.Buffer.Backlogged() {
-				continue
-			}
+		for _, ui := range s.active {
+			u := users[ui]
 			m := s.Metric(u, u.CQIForRB(lo, grid.NumRB), grid, now)
 			if fallback == -1 || m > fallbackM {
 				fallback, fallbackM = ui, m

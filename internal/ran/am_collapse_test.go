@@ -1,0 +1,70 @@
+package ran
+
+import (
+	"fmt"
+	"testing"
+
+	"outran/internal/metrics"
+	"outran/internal/sim"
+	"outran/internal/workload"
+)
+
+// amCollapseRun runs benchmark/'s flow-churn shape — 12 UEs x 100 RBs,
+// the voice / IoT / web mix at load 0.25, OutRAN, cell seed 1, 0.5 s
+// warm-up + 50 s window + 8 s drain — at one traffic seed, with the RLC
+// in the given mode.
+func amCollapseRun(t *testing.T, mode RLCMode, trafficSeed uint64) metrics.RunSummary {
+	t.Helper()
+	cfg := DefaultLTEConfig().WithTopology(12, 100).WithWorkload(workload.Spec{
+		Load: 0.25,
+		Classes: []workload.ClassSpec{
+			{Kind: workload.ClassVoice, Share: 0.4},
+			{Kind: workload.ClassIoT, Share: 0.1},
+			{Kind: workload.ClassWeb, Dist: "mirage", Share: 0.5},
+		},
+	}).ForScheduler(SchedOutRAN).WithSeed(1)
+	cfg.RLC = mode
+	cell, err := Harness{
+		Config: cfg, WorkloadSeed: trafficSeed,
+		Warmup: 500 * sim.Millisecond, Window: 50 * sim.Second, Drain: 8 * sim.Second,
+	}.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cell.Summary()
+}
+
+// TestRLCAMCollapse reproduces ROADMAP item 3's RLC-AM collapse under
+// flow churn (step a): at these two traffic seeds the same cell and the
+// same offered flows are unremarkable under UM and collapse under AM —
+// a short-flow p99 of seconds instead of ~150 ms and an order of
+// magnitude more buffer drops. Measured when written, AM vs UM: seed
+// 7031611932980406429 p99 15.1 s vs 206 ms, 34 701 vs 840 drops (1 089
+// AM flows unfinished, none under UM); seed 7218738570589545383 p99
+// 7.4 s vs 141 ms, 13 636 vs 588 drops.
+//
+// The assertions pin the collapse, not a tolerance around it. Item 3's
+// fix (or its bound) must flip them — AM within a small factor of UM —
+// not delete them: this test is the regression that fix needs.
+func TestRLCAMCollapse(t *testing.T) {
+	if testing.Short() {
+		t.Skip("four 58.5 s simulated runs")
+	}
+	for _, seed := range []uint64{7031611932980406429, 7218738570589545383} {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			t.Parallel()
+			am, um := amCollapseRun(t, AM, seed), amCollapseRun(t, UM, seed)
+			amP99, umP99 := am.FCTShort.P99, um.FCTShort.P99
+			amDrops, umDrops := am.Counters.BufferDrops, um.Counters.BufferDrops
+			t.Logf("seed %d: short-flow p50 %v / %v, p99 %v / %v, buffer drops %d / %d, unfinished %d / %d (AM / UM)",
+				seed, am.FCTShort.P50, um.FCTShort.P50, amP99, umP99, amDrops, umDrops,
+				am.Counters.FlowsStarted-am.Counters.FlowsCompleted, um.Counters.FlowsStarted-um.Counters.FlowsCompleted)
+			if amP99 < 20*umP99 {
+				t.Errorf("seed %d: AM short-flow p99 %v is under 20x UM's %v: the collapse no longer reproduces", seed, amP99, umP99)
+			}
+			if amDrops < 15*umDrops {
+				t.Errorf("seed %d: AM buffer drops %d are under 15x UM's %d: the collapse no longer reproduces", seed, amDrops, umDrops)
+			}
+		})
+	}
+}

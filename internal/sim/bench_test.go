@@ -18,6 +18,52 @@ func BenchmarkEventThroughput(b *testing.B) {
 	e.Run()
 }
 
+// BenchmarkArrivalHeavy is the engine under a workload's shape: 20 000
+// pre-scheduled arrivals wait while 40 entries churn in flight, about
+// the mix at t = 20 s of benchmark/'s flow-churn. A fired arrival is
+// re-queued behind the last one and an in-flight entry re-arms 0.1-1.6
+// ms ahead, so both populations stay constant; one op is one event.
+func BenchmarkArrivalHeavy(b *testing.B) {
+	const inFlight = 40
+	e := &Engine{}
+	c := &churn{e: e}
+	for i := 0; i < arrivals; i++ {
+		e.Schedule(Time(i)*arrivalGap, c, Event{Kind: arrival})
+	}
+	for i := 0; i < inFlight; i++ {
+		e.Schedule(Time(i)*Microsecond, c, Event{B: int64(i)})
+	}
+	c.limit = b.N
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+}
+
+const (
+	arrival    = 1 // BenchmarkArrivalHeavy's arrival kind
+	arrivals   = 20000
+	arrivalGap = 50 * Microsecond
+)
+
+// churn is BenchmarkArrivalHeavy's handler; it stops the engine after
+// limit events.
+type churn struct {
+	e            *Engine
+	fired, limit int
+}
+
+func (c *churn) Fire(ev Event) {
+	if c.fired++; c.fired == c.limit {
+		c.e.Stop()
+	}
+	if ev.Kind == arrival {
+		c.e.Schedule(c.e.Now()+arrivals*arrivalGap, c, ev)
+		return
+	}
+	ev.B = ev.B*6364136223846793005 + 1442695040888963407 // LCG step: the next hop's delay
+	c.e.Schedule(c.e.Now()+Time(100+uint64(ev.B)>>53%1500)*Microsecond, c, ev)
+}
+
 func BenchmarkTimerRestart(b *testing.B) {
 	var e Engine
 	tm := NewTimer(&e, func() {})

@@ -81,11 +81,14 @@ func (f funcHandler) Fire(Event) { f() }
 // so the heap layout itself never affects the simulated schedule.
 type eventHeap []Entry
 
-func before(a, b *Entry) bool {
-	if a.At != b.At {
-		return a.At < b.At
+func before(a, b *Entry) bool { return precedes(a.At, a.Seq, b.At, b.Seq) }
+
+// precedes is the (At, Seq) order on bare keys.
+func precedes(at Time, seq uint64, at2 Time, seq2 uint64) bool {
+	if at != at2 {
+		return at < at2
 	}
-	return a.Seq < b.Seq
+	return seq < seq2
 }
 
 // push appends en and restores the heap invariant, moving parents down
@@ -100,7 +103,7 @@ func (h *eventHeap) push(en Entry) {
 		// Double: append's 1.25x policy for large slices would copy a
 		// workload's worth of entries five times over while it is scheduled.
 		//outran:allocok grows only past the high-water mark; steady-state push/pop reuses the array
-		s = append(make([]Entry, 0, max(2*cap(s), 64)), s...)
+		s = append(make([]Entry, 0, max(2*cap(s), minCap)), s...)
 	}
 	i := len(s)
 	s = s[:i+1]
@@ -116,10 +119,15 @@ func (h *eventHeap) push(en Entry) {
 	s[i] = en
 }
 
-// shrinkMinCap is the capacity below which the heap never shrinks:
-// steady-state simulations oscillate freely under it without ever
-// re-allocating.
-const shrinkMinCap = 1024
+// Storage rules. minCap is the smallest array the heap allocates and
+// shrinkMinCap the capacity below which it never shrinks: steady-state
+// simulations oscillate freely under it without ever re-allocating.
+// The lane halves all the way down to laneMinCap (see lane.pop).
+const (
+	minCap       = 64
+	shrinkMinCap = 1024
+	laneMinCap   = 8
+)
 
 // pop removes and returns the minimum entry. The vacated slot is
 // zeroed so the handler and payload pointer are released immediately,
@@ -166,11 +174,85 @@ func (h *eventHeap) pop() Entry {
 	return top
 }
 
+// lane is the FIFO beside the heap: entries that were scheduled in
+// (At, Seq) order — a workload's arrivals loaded at build, or a
+// restore's — wait here and pop in O(1) without sifting. s[head:] are
+// the live entries; the slots before head are popped and zeroed.
+type lane struct {
+	s    []Entry
+	head int
+}
+
+func (l *lane) len() int { return len(l.s) - l.head }
+
+// push appends en, which must sort at or after the lane's tail. A full
+// array first slides its live entries over the popped prefix when that
+// frees at least half of it, and otherwise doubles, as the heap does.
+//
+//outran:allocfree
+func (l *lane) push(en Entry) {
+	if n := len(l.s); n == cap(l.s) {
+		if live := n - l.head; l.head > 0 && live <= n/2 {
+			copy(l.s, l.s[l.head:])
+			clear(l.s[live:])
+			l.s = l.s[:live]
+		} else {
+			//outran:allocok grows only past the high-water mark, as the heap does; steady-state push/pop reuses the array
+			s := make([]Entry, live, max(2*n, laneMinCap))
+			copy(s, l.s[l.head:])
+			l.s = s
+		}
+		l.head = 0
+	}
+	l.s = l.s[:len(l.s)+1]
+	l.s[len(l.s)-1] = en
+}
+
+// pop removes and returns the head entry, zeroing its slot. As the
+// lane drains, a lane at a quarter occupancy moves to an array of half
+// the capacity — the heap's rule, applied down to laneMinCap rather
+// than shrinkMinCap. Once the workload's last arrival is queued, the
+// in-flight entries that sort after it keep landing in the lane, so a
+// drained lane rarely empties: it lives on as a FIFO of a few long
+// timers and periodic ticks, in an array sized to them rather than to
+// the spent workload's last few hundred slots.
+//
+//outran:allocfree
+func (l *lane) pop() Entry {
+	en := l.s[l.head]
+	l.s[l.head] = Entry{}
+	l.head++
+	switch live := l.len(); {
+	case live == 0:
+		l.s, l.head = l.s[:0], 0
+	case cap(l.s) > laneMinCap && live <= cap(l.s)/4:
+		//outran:allocok amortized shrink as the lane drains; a steady few-entry lane sits at laneMinCap and never triggers it
+		s := make([]Entry, live, cap(l.s)/2)
+		copy(s, l.s[l.head:])
+		l.s, l.head = s, 0
+	}
+	return en
+}
+
 // Engine is a single-threaded discrete-event simulator.
 // The zero value is ready to use.
+//
+// Pending entries live in one of two queues, both ordered by (At, Seq):
+// the lane, which takes every entry that sorts at or after its tail
+// (and, while empty, one that sorts at or after every heap entry), and
+// the binary heap, which takes the rest. The next entry to fire is the
+// smaller of the two fronts, and (At, Seq) is a total order, so which
+// queue holds an entry does not change when it fires: the split shows
+// only in the cost of a pop. The heap holds the work in flight, the
+// lane the pre-scheduled workload.
 type Engine struct {
-	now     Time
-	pq      eventHeap
+	now  Time
+	pq   eventHeap
+	lane lane
+	// maxAt, maxSeq bound every heap entry from above: the largest
+	// (At, Seq) pushed since the heap was last empty.
+	maxAt   Time
+	maxSeq  uint64
 	seq     uint64
 	stopped bool
 	nEvents uint64
@@ -211,20 +293,22 @@ func (e *Engine) Reschedule(w *snapshot.Walker, at Time, seq uint64, h Handler, 
 }
 
 // DropPending discards every queued event (slots zeroed so handlers
-// are released).
+// are released). Both queues keep their arrays for the refill a
+// restore brings.
 func (e *Engine) DropPending() {
-	for i := range e.pq {
-		e.pq[i] = Entry{}
-	}
+	clear(e.pq)
 	e.pq = e.pq[:0]
+	clear(e.lane.s)
+	e.lane.s, e.lane.head = e.lane.s[:0], 0
 }
 
 // Entries returns a copy of the queued entries in ascending Seq order —
-// the order they were scheduled in, independent of the heap layout.
-// The queue is the only record of scheduled work; a checkpoint encodes
-// the entries whose handler it owns.
+// the order they were scheduled in, independent of which queue holds
+// them and of the heap layout. The queue is the only record of
+// scheduled work; a checkpoint encodes the entries whose handler it
+// owns.
 func (e *Engine) Entries() []Entry {
-	out := slices.Clone([]Entry(e.pq))
+	out := slices.Concat([]Entry(e.pq), e.lane.s[e.lane.head:])
 	slices.SortFunc(out, func(a, b Entry) int { return cmp.Compare(a.Seq, b.Seq) })
 	return out
 }
@@ -250,7 +334,26 @@ func (e *Engine) ScheduleExact(at Time, seq uint64, h Handler, ev Event) {
 		//outran:allocok cold panic path; a past-time schedule is a programming error, not steady state
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
 	}
-	e.pq.push(Entry{At: at, Seq: seq, H: h, Ev: ev})
+	en := Entry{At: at, Seq: seq, H: h, Ev: ev}
+	if e.laneTakes(at, seq) {
+		e.lane.push(en)
+		return
+	}
+	if len(e.pq) == 0 || precedes(e.maxAt, e.maxSeq, at, seq) {
+		e.maxAt, e.maxSeq = at, seq
+	}
+	e.pq.push(en)
+}
+
+// laneTakes reports whether an entry keyed (at, seq) goes to the lane:
+// it sorts after the lane's tail or, when the lane is empty, after every
+// heap entry.
+func (e *Engine) laneTakes(at Time, seq uint64) bool {
+	if n := len(e.lane.s); n > e.lane.head {
+		tail := &e.lane.s[n-1]
+		return !precedes(at, seq, tail.At, tail.Seq)
+	}
+	return len(e.pq) == 0 || !precedes(at, seq, e.maxAt, e.maxSeq)
 }
 
 // At schedules fn to run at absolute time t. A func entry cannot be
@@ -269,9 +372,30 @@ func (e *Engine) After(d Time, fn func()) {
 // Stop halts the run loop after the currently executing event returns.
 func (e *Engine) Stop() { e.stopped = true }
 
+// next returns the earliest queued entry — the smaller of the lane's
+// head and the heap's top — and whether it is the lane's; nil when
+// nothing is queued.
+func (e *Engine) next() (en *Entry, fromLane bool) {
+	if e.lane.head < len(e.lane.s) {
+		en = &e.lane.s[e.lane.head]
+		if len(e.pq) == 0 || before(en, &e.pq[0]) {
+			return en, true
+		}
+	}
+	if len(e.pq) == 0 {
+		return nil, false
+	}
+	return &e.pq[0], false
+}
+
 // step pops the earliest entry, advances the clock to it and fires it.
-func (e *Engine) step() {
-	en := e.pq.pop()
+func (e *Engine) step(fromLane bool) {
+	var en Entry
+	if fromLane {
+		en = e.lane.pop()
+	} else {
+		en = e.pq.pop()
+	}
 	e.now = en.At
 	e.nEvents++
 	en.H.Fire(en.Ev)
@@ -282,8 +406,12 @@ func (e *Engine) step() {
 // clock is left at min(deadline, time of last executed event).
 func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
-	for len(e.pq) > 0 && !e.stopped && e.pq[0].At <= deadline {
-		e.step()
+	for !e.stopped {
+		en, fromLane := e.next()
+		if en == nil || en.At > deadline {
+			break
+		}
+		e.step(fromLane)
 	}
 	if e.now < deadline {
 		e.now = deadline
@@ -293,13 +421,17 @@ func (e *Engine) RunUntil(deadline Time) {
 // Run executes all pending events until the queue drains or Stop is called.
 func (e *Engine) Run() {
 	e.stopped = false
-	for len(e.pq) > 0 && !e.stopped {
-		e.step()
+	for !e.stopped {
+		en, fromLane := e.next()
+		if en == nil {
+			break
+		}
+		e.step(fromLane)
 	}
 }
 
 // Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.pq) }
+func (e *Engine) Pending() int { return len(e.pq) + e.lane.len() }
 
 // Timer is a restartable one-shot timer bound to an engine, mirroring
 // the protocol timers in RLC/PDCP (t-Reassembly, t-PollRetransmit, …).
