@@ -7,7 +7,7 @@
 //	outran-trace summary <trace.jsonl>          run overview + event counts
 //	outran-trace audit   <trace.jsonl>          per-TTI scheduler decision audit
 //	outran-trace flow    <trace.jsonl> <flow>   one flow's full timeline
-//	outran-trace slow    <trace.jsonl> [n]      n slowest flows with per-layer residency
+//	outran-trace slow    <trace.jsonl> [n]      n (default 10) slowest flows with per-layer residency
 //	outran-trace kpi     <kpi.jsonl>            KPI time-series report (outran-sim -kpi)
 //
 // The audit subcommand replays the trace's decision records into the
@@ -35,7 +35,7 @@ var errUsage = errors.New(`usage: outran-trace <summary|audit|flow|slow> <trace.
   summary <trace>         run overview and event counts
   audit   <trace>         scheduler decision audit (§5.4 SE cost)
   flow    <trace> <flow>  one flow's timeline ("src:port>dst:port/proto")
-  slow    <trace> [n]     n slowest flows with per-layer residency
+  slow    <trace> [n]     n (default 10) slowest flows with per-layer residency
   kpi     <kpi.jsonl>     KPI time-series report (written by outran-sim -kpi)`)
 
 func main() {
@@ -90,9 +90,11 @@ func run(args []string, stdout, _ io.Writer) error {
 	case "slow":
 		n := 10
 		if len(args) >= 3 {
-			if v, err := strconv.Atoi(args[2]); err == nil && v > 0 {
-				n = v
+			v, err := strconv.Atoi(args[2])
+			if err != nil || v <= 0 {
+				return fmt.Errorf("slow: count %q is not a positive integer: %w", args[2], errUsage)
 			}
+			n = v
 		}
 		slow(stdout, events, n)
 	default:

@@ -4,6 +4,8 @@ import (
 	"math"
 	"strconv"
 	"unicode/utf8"
+
+	"outran/internal/sim"
 )
 
 // appendEvent appends ev's JSONL line to dst: the bytes an
@@ -18,15 +20,29 @@ import (
 // differential and fuzz tests in encode_test.go, which also fail when
 // Event gains a field this function does not write.
 //
-//outran:allocfree
-//outran:allocok appends to the caller's buffer; the sink reuses one, which stops growing once it has held the longest line
+// appendEvent keeps no state. JSONLSink builds each line from the same
+// pieces through its lineMemo, and the stream tests hold the sink's
+// output to the concatenation of appendEvent's lines.
 func appendEvent(dst []byte, ev *Event) (line []byte, ok bool) {
-	ok = true
+	dst = appendPrefix(dst, ev)
+	dst = appendHead(dst, ev)
+	dst = intField(dst, rbKey, int64(ev.RB))
+	return appendTail(dst, ev, nil)
+}
+
+// appendPrefix appends `{"t":T,"type":"X"`, the part of a line that
+// (T, Type) alone decides.
+//
+//outran:allocok appends to the sink's reused buffers, which stop growing once they have held the longest line
+func appendPrefix(dst []byte, ev *Event) []byte {
 	dst = append(dst, `{"t":`...)
 	dst = strconv.AppendInt(dst, int64(ev.T), 10)
 	dst = append(dst, `,"type":`...)
-	dst = appendString(dst, ev.Type)
+	return appendString(dst, ev.Type)
+}
 
+// appendHead appends the fields between type and rb.
+func appendHead(dst []byte, ev *Event) []byte {
 	dst = intField(dst, `,"ue":`, int64(ev.UE))
 	dst = stringField(dst, `,"flow":`, ev.Flow)
 	dst = intField(dst, `,"size":`, ev.Size)
@@ -46,28 +62,28 @@ func appendEvent(dst []byte, ev *Event) (line []byte, ok bool) {
 
 	dst = intField(dst, `,"served_bits":`, int64(ev.ServedBits))
 	dst = intField(dst, `,"used_rbs":`, int64(ev.UsedRBs))
-	dst = intField(dst, `,"alloc_rbs":`, int64(ev.AllocRBs))
+	return intField(dst, `,"alloc_rbs":`, int64(ev.AllocRBs))
+}
 
-	dst = intField(dst, `,"rb":`, int64(ev.RB))
+// rbKey opens the rb field, the one span the decision-line memo
+// splices.
+const rbKey = `,"rb":`
+
+// appendTail appends the fields after rb and closes the line, taking
+// float digits from floats when it is non-nil. ok is as appendEvent's.
+//
+//outran:allocok as appendPrefix: the sink's reused buffers
+func appendTail(dst []byte, ev *Event, floats *floatMemo) (line []byte, ok bool) {
+	ok = true
 	dst = intField(dst, `,"best":`, int64(ev.Best))
 	dst = intField(dst, `,"sel":`, int64(ev.Sel))
-	// Without an override sel_m is best_m, the same number: format it
-	// once and copy the digits (float formatting is the encoder's
-	// largest cost, and decision records are most of a trace).
-	const bestKey, selKey = `,"best_m":`, `,"sel_m":`
-	mark := len(dst) + len(bestKey)
-	dst, ok = floatField(dst, bestKey, ev.BestM, ok)
-	if end := len(dst); end > mark && math.Float64bits(ev.SelM) == math.Float64bits(ev.BestM) {
-		dst = append(dst, selKey...)
-		dst = append(dst, dst[mark:end]...)
-	} else {
-		dst, ok = floatField(dst, selKey, ev.SelM, ok)
-	}
+	dst, ok = floatField(dst, `,"best_m":`, ev.BestM, ok, floats)
+	dst, ok = floatField(dst, `,"sel_m":`, ev.SelM, ok, floats)
 	dst = intField(dst, `,"cands":`, int64(ev.Cands))
 
-	dst, ok = floatField(dst, `,"se":`, ev.SE, ok)
-	dst, ok = floatField(dst, `,"fairness":`, ev.Fairness, ok)
-	dst, ok = floatField(dst, `,"active_se":`, ev.ActiveSE, ok)
+	dst, ok = floatField(dst, `,"se":`, ev.SE, ok, floats)
+	dst, ok = floatField(dst, `,"fairness":`, ev.Fairness, ok, floats)
+	dst, ok = floatField(dst, `,"active_se":`, ev.ActiveSE, ok, floats)
 
 	dst = stringField(dst, `,"sched":`, ev.Sched)
 	dst = intField(dst, `,"ues":`, int64(ev.UEs))
@@ -76,14 +92,119 @@ func appendEvent(dst []byte, ev *Event) (line []byte, ok bool) {
 		dst = append(dst, `,"seed":`...)
 		dst = strconv.AppendUint(dst, ev.Seed, 10)
 	}
-	dst, ok = floatField(dst, `,"bandwidth_hz":`, ev.BandwidthHz, ok)
+	dst, ok = floatField(dst, `,"bandwidth_hz":`, ev.BandwidthHz, ok, floats)
 	dst = intField(dst, `,"tti_ns":`, int64(ev.TTINanos))
 	dst = intField(dst, `,"sample_period":`, int64(ev.SamplePeriod))
 
 	return append(dst, '}', '\n'), ok
 }
 
-//outran:allocok as appendEvent: the sink's reused line buffer
+// lineMemo is what a JSONLSink remembers so that a line costs a copy
+// rather than a format. Each memo is keyed on exactly the inputs its
+// bytes are a function of, so every line it returns is appendEvent's:
+//
+//   - The last decision line, with the span of its `,"rb":N` field
+//     (empty when RB is 0). The scheduler grants a user a run of RBs in
+//     one subband with one metric, so a decision often equals the last
+//     one in every field but RB; it copies that line and splices in its
+//     own rb.
+//   - The `{"t":T,"type":"X"` prefix, reused while (T, Type) holds.
+//   - Float digits (floatMemo).
+type lineMemo struct {
+	buf []byte // the line being built when it is not a decision miss
+
+	prefix   []byte
+	prefT    sim.Time
+	prefType string
+
+	dec         Event  // the event decLine encodes, RB aside
+	decLine     []byte // empty until the first decision is encoded
+	rbAt, rbEnd int    // decLine[rbAt:rbEnd] is its rb field
+
+	floats floatMemo
+}
+
+// line returns ev's line, valid until the next call. ok is as
+// appendEvent's; the sink's error is sticky, so after a !ok the memo is
+// not read again.
+//
+// Struct == is an exact key: fields that compare equal encode to equal
+// bytes. The one pair of floats equal with different bits, ±0, are
+// both omitted, and a NaN equals nothing.
+//
+//outran:allocok as appendPrefix: the sink's reused buffers
+func (m *lineMemo) line(ev *Event) (line []byte, ok bool) {
+	if ev.Type != EvDecision {
+		m.buf, _, _, ok = m.encode(m.buf[:0], ev)
+		return m.buf, ok
+	}
+	m.dec.RB = ev.RB // so that == compares every other field
+	if len(m.decLine) > 0 && *ev == m.dec {
+		m.buf = append(m.buf[:0], m.decLine[:m.rbAt]...)
+		m.buf = intField(m.buf, rbKey, int64(ev.RB))
+		m.buf = append(m.buf, m.decLine[m.rbEnd:]...)
+		return m.buf, true
+	}
+	m.decLine, m.rbAt, m.rbEnd, ok = m.encode(m.decLine[:0], ev)
+	m.dec = *ev
+	return m.decLine, ok
+}
+
+// encode is appendEvent through the prefix and float memos; it also
+// reports where the rb field lies.
+//
+//outran:allocok as appendPrefix: the sink's reused buffers
+func (m *lineMemo) encode(dst []byte, ev *Event) (line []byte, rbAt, rbEnd int, ok bool) {
+	if len(m.prefix) == 0 || ev.T != m.prefT || ev.Type != m.prefType {
+		m.prefix = appendPrefix(m.prefix[:0], ev)
+		m.prefT, m.prefType = ev.T, ev.Type
+	}
+	dst = append(dst, m.prefix...)
+	dst = appendHead(dst, ev)
+	rbAt = len(dst)
+	dst = intField(dst, rbKey, int64(ev.RB))
+	rbEnd = len(dst)
+	dst, ok = appendTail(dst, ev, &m.floats)
+	return dst, rbAt, rbEnd, ok
+}
+
+// floatMemoBits sizes floatMemo: 2^8 slots of 40 bytes.
+const floatMemoBits = 8
+
+// floatMemo is a direct-mapped cache of float digits keyed on
+// math.Float64bits. A user's metric is the best_m of every RB the user
+// is the best on in a TTI, and without an override it is the sel_m too,
+// so most numbers a trace writes were formatted a moment before.
+type floatMemo [1 << floatMemoBits]struct {
+	bits uint64
+	n    uint8
+	text [31]byte // the longest form, e.g. -0.0000012345678901234567, is 25 bytes
+}
+
+// appendFloat appends formatFloat's digits for f, copied from f's slot
+// when the slot holds them. A nil memo formats every time. f is never
+// zero (floatField omits both zeros), so the zero bits of a slot never
+// written match nothing.
+//
+//outran:allocok as appendPrefix: the sink's reused buffers
+func (m *floatMemo) appendFloat(dst []byte, f float64) []byte {
+	if m == nil {
+		return formatFloat(dst, f)
+	}
+	bits := math.Float64bits(f)
+	slot := &m[bits*0x9e3779b97f4a7c15>>(64-floatMemoBits)]
+	if slot.bits == bits {
+		return append(dst, slot.text[:slot.n]...)
+	}
+	start := len(dst)
+	dst = formatFloat(dst, f)
+	if n := copy(slot.text[:], dst[start:]); n == len(dst)-start {
+		slot.bits, slot.n = bits, uint8(n)
+	}
+	return dst
+}
+
+//outran:allocok as appendPrefix: the sink's reused buffers
 func intField(dst []byte, key string, v int64) []byte {
 	if v == 0 {
 		return dst
@@ -92,7 +213,7 @@ func intField(dst []byte, key string, v int64) []byte {
 	return strconv.AppendInt(dst, v, 10)
 }
 
-//outran:allocok as appendEvent: the sink's reused line buffer
+//outran:allocok as appendPrefix: the sink's reused buffers
 func boolField(dst []byte, key string, v bool) []byte {
 	if !v {
 		return dst
@@ -101,7 +222,7 @@ func boolField(dst []byte, key string, v bool) []byte {
 	return append(dst, "true"...)
 }
 
-//outran:allocok as appendEvent: the sink's reused line buffer
+//outran:allocok as appendPrefix: the sink's reused buffers
 func stringField(dst []byte, key, v string) []byte {
 	if v == "" {
 		return dst
@@ -110,14 +231,11 @@ func stringField(dst []byte, key, v string) []byte {
 	return appendString(dst, v)
 }
 
-// floatField appends a non-zero float the way encoding/json does: the
-// shortest decimal that round-trips, in 'f' form unless the magnitude
-// is below 1e-6 or at least 1e21, then in 'e' form with a one-digit
-// negative exponent not zero-padded (e-07 becomes e-7). Both zeros
+// floatField appends a non-zero float's key and digits. Both zeros
 // count as empty. It returns ok && f is finite.
 //
-//outran:allocok as appendEvent: the sink's reused line buffer
-func floatField(dst []byte, key string, f float64, ok bool) ([]byte, bool) {
+//outran:allocok as appendPrefix: the sink's reused buffers
+func floatField(dst []byte, key string, f float64, ok bool, m *floatMemo) ([]byte, bool) {
 	if f == 0 {
 		return dst, ok
 	}
@@ -125,6 +243,16 @@ func floatField(dst []byte, key string, f float64, ok bool) ([]byte, bool) {
 		return dst, false
 	}
 	dst = append(dst, key...)
+	return m.appendFloat(dst, f), ok
+}
+
+// formatFloat appends a finite float the way encoding/json does: the
+// shortest decimal that round-trips, in 'f' form unless the magnitude
+// is below 1e-6 or at least 1e21, then in 'e' form with a one-digit
+// negative exponent not zero-padded (e-07 becomes e-7).
+//
+//outran:allocok as appendPrefix: the sink's reused buffers
+func formatFloat(dst []byte, f float64) []byte {
 	format := byte('f')
 	if abs := math.Abs(f); abs < 1e-6 || abs >= 1e21 {
 		format = 'e'
@@ -134,7 +262,7 @@ func floatField(dst []byte, key string, f float64, ok bool) ([]byte, bool) {
 		dst[n-2] = dst[n-1]
 		dst = dst[:n-1]
 	}
-	return dst, ok
+	return dst
 }
 
 const hexDigits = "0123456789abcdef"
@@ -144,7 +272,7 @@ const hexDigits = "0123456789abcdef"
 // control bytes and the HTML-sensitive < > & as \u00XX (every flow id
 // has a '>'), invalid UTF-8 as \ufffd, and U+2028/U+2029 escaped.
 //
-//outran:allocok as appendEvent: the sink's reused line buffer
+//outran:allocok as appendPrefix: the sink's reused buffers
 func appendString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	start := 0

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -263,6 +264,194 @@ func FuzzEventEncoding(f *testing.F) {
 	})
 }
 
+// streamOracle is what a JSONLSink must write for evs: appendEvent's
+// lines up to the first event JSON cannot carry, and for that event the
+// library's error.
+func streamOracle(evs []Event) (want []byte, wantErr error) {
+	for i := range evs {
+		line, ok := appendEvent(nil, &evs[i])
+		if !ok {
+			_, err := json.Marshal(&evs[i])
+			return want, err
+		}
+		want = append(want, line...)
+	}
+	return want, nil
+}
+
+// checkStream feeds evs through one JSONLSink, behind a Tracer as in a
+// run (so the sink sees one reused *Event), and compares its bytes and
+// its Close error with streamOracle's.
+func checkStream(t testing.TB, evs []Event) {
+	t.Helper()
+	want, wantErr := streamOracle(evs)
+	var buf bytes.Buffer
+	tr := NewTracer(NewJSONLSink(&buf))
+	for _, ev := range evs {
+		tr.Emit(ev)
+	}
+	err := tr.Close()
+	if (err == nil) != (wantErr == nil) || err != nil && (reflect.TypeOf(err) != reflect.TypeOf(wantErr) || err.Error() != wantErr.Error()) {
+		t.Fatalf("Close() = %v, want %v", err, wantErr)
+	}
+	if got := buf.Bytes(); !bytes.Equal(got, want) {
+		gl, wl := bytes.SplitAfter(got, []byte("\n")), bytes.SplitAfter(want, []byte("\n"))
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if !bytes.Equal(gl[i], wl[i]) {
+				t.Fatalf("line %d of %d events differs:\n sink        %s appendEvent %s", i+1, len(evs), gl[i], wl[i])
+			}
+		}
+		t.Fatalf("sink wrote %d lines, appendEvent %d", len(gl), len(wl))
+	}
+}
+
+// Palettes the stream generator draws field values from: small enough
+// that values repeat, so the sink's memos hit, and wide enough to carry
+// every edge value of the differential test.
+var (
+	streamInts    = append([]int64{0, 1, 2, 3, 7, 9, 10, 24, 25}, edgeInts...)
+	streamUints   = []uint64{0, 1, 42, math.MaxUint64}
+	streamFloats  = append([]float64{0.5, 1.0 / 3.0, 2.5e-7}, edgeFloats...)
+	streamStrings = append([]string{EvDecision, EvTTI, EvSESample, EvHARQ}, edgeStrings...)
+)
+
+// streamFrom decodes bytes into an event stream, two bytes a step. A
+// step either emits the current event or sets one of its fields (picked
+// by reflection, so a new Event field is covered) to a palette value;
+// value bytes 254 and 255 give a float field NaN and +Inf, which end
+// the stream's output. The stream starts from a decision, so a run of
+// steps that set only rb is a decision run.
+func streamFrom(data []byte) []Event {
+	ev := Event{T: 1, Type: EvDecision}
+	v := reflect.ValueOf(&ev).Elem()
+	var out []Event
+	for ; len(data) >= 2; data = data[2:] {
+		k, x := int(data[0])%(v.NumField()+1), int(data[1])
+		if k == v.NumField() {
+			out = append(out, ev)
+			continue
+		}
+		f := streamFloats[x%len(streamFloats)]
+		switch x {
+		case 254:
+			f = math.NaN()
+		case 255:
+			f = math.Inf(1)
+		}
+		setByKind(v.Field(k), streamInts[x%len(streamInts)], streamUints[x%len(streamUints)],
+			f, streamStrings[x%len(streamStrings)], x%2 == 1)
+	}
+	return out
+}
+
+// TestJSONLSinkStreamMatchesAppendEvent is the oracle for the sink's
+// memos: whatever the event sequence, one JSONLSink writes exactly the
+// concatenation of appendEvent's lines for it.
+func TestJSONLSinkStreamMatchesAppendEvent(t *testing.T) {
+	dec := func(tm sim.Time, rb, best, sel int, bestM, selM float64) Event {
+		return Event{T: tm, Type: EvDecision, RB: rb, Best: best, Sel: sel, BestM: bestM, SelM: selM, Level: 1, Cands: 2}
+	}
+	var run []Event
+	// Decision runs that differ only in rb, starting and ending at rb 0
+	// (no rb key), and crossing a digit boundary.
+	for _, rb := range []int{0, 1, 2, 9, 10, 11, 0, 99, 100, 0} {
+		run = append(run, dec(7, rb, 2, 3, 1.0/3.0, 0.3141592653589793))
+	}
+	// The memo outlives other events in between.
+	run = append(run, Event{T: 7, Type: EvTTI, UsedRBs: 25}, dec(7, 5, 2, 3, 1.0/3.0, 0.3141592653589793))
+	// Runs that end in a change of sel, t, best, level and cands, flow.
+	run = append(run, dec(7, 12, 2, 2, 1.0/3.0, 1.0/3.0), dec(7, 13, 2, 2, 1.0/3.0, 1.0/3.0))
+	run = append(run, dec(8, 13, 2, 2, 1.0/3.0, 1.0/3.0), dec(8, 14, 4, 2, 1.0/3.0, 1.0/3.0))
+	lvl := dec(8, 14, 4, 2, 1.0/3.0, 1.0/3.0)
+	lvl.Level, lvl.Cands = 0, 0
+	run = append(run, lvl)
+	flow := lvl
+	flow.Flow = "10.0.0.1:443>10.1.0.7:50123/6"
+	run = append(run, flow, flow)
+
+	cases := map[string][]Event{
+		"decision runs": run,
+		// The zero event first: the memos start empty, not keyed on it.
+		"zero event first": {{}, {}, {Type: EvDecision}, {Type: EvDecision}, {RB: 1}, {}},
+		// The (t, type) prefix memo: one t, several types, back and forth.
+		"same t, other type": {
+			{T: 5, Type: EvTTI, UsedRBs: 3}, {T: 5, Type: EvHARQ, UE: 1, OK: true}, dec(5, 1, 0, 0, 2, 2),
+			{T: 5, Type: EvTTI, UsedRBs: 4}, {T: 6, Type: EvTTI, UsedRBs: 4}, {T: 5, Type: EvTTI, UsedRBs: 4},
+			{T: 5, Type: ""}, {T: 0, Type: ""}, {T: 0, Type: EvTTI},
+		},
+		// The float memo: one number in different fields and records,
+		// with other numbers in between.
+		"equal floats apart": {
+			{T: 1, Type: EvSESample, SE: 0.9008568660968663, Fairness: 0.5},
+			dec(2, 3, 1, 1, 1.5, 1.5),
+			dec(2, 4, 1, 2, 0.9008568660968663, 0.5),
+			{T: 3, Type: EvSESample, SE: 0.5, Fairness: 0.9008568660968663, ActiveSE: 1.5},
+			{T: 4, Type: EvMeta, BandwidthHz: 0.9008568660968663},
+		},
+		"e form and -0": {
+			dec(1, 1, 1, 1, 1e-7, 1e-7), dec(1, 2, 1, 1, 1e-7, 1e-7),
+			dec(1, 3, 1, 2, 1e21, math.Copysign(0, -1)), dec(1, 4, 1, 2, 1e21, 0),
+			dec(1, 5, 1, 2, -1.5e-10, 1e-100), {T: 2, Type: EvSESample, SE: 1e-100, Fairness: -1e21, ActiveSE: math.Copysign(0, -1)},
+			dec(1, 6, 1, 2, 2.2250738585072014e-308, -0.0000012345678901234567),
+		},
+		"NaN mid-stream": {
+			dec(1, 1, 1, 1, 2, 2), dec(1, 2, 1, 1, 2, 2),
+			dec(1, 3, 1, 1, math.NaN(), 2),
+			dec(1, 4, 1, 1, 2, 2), {T: 2, Type: EvTTI, UsedRBs: 25},
+		},
+		"Inf after a hit": {
+			{T: 1, Type: EvSESample, SE: 0.5}, dec(1, 1, 1, 1, 2, 2), dec(1, 2, 1, 1, 2, 2),
+			{T: 1, Type: EvSESample, SE: 0.5, Fairness: math.Inf(-1)}, dec(1, 3, 1, 1, 2, 2),
+		},
+	}
+	// More distinct numbers than the float memo has slots, then the same
+	// numbers again in reverse: every slot is evicted and refilled.
+	var evict []Event
+	for i := 0; i < 3*len(floatMemo{}); i++ {
+		evict = append(evict, Event{T: 9, Type: EvSESample, SE: 1 + float64(i)/7})
+	}
+	for i := len(evict) - 1; i >= 0; i-- {
+		evict = append(evict, evict[i])
+	}
+	cases["float memo eviction"] = evict
+	// Random streams from the fuzz generator.
+	r := rand.New(rand.NewSource(1))
+	for n := 0; n < 20; n++ {
+		data := make([]byte, 2000)
+		r.Read(data)
+		cases[fmt.Sprint("random ", n)] = streamFrom(data)
+	}
+
+	for name, evs := range cases {
+		evs := evs
+		t.Run(strings.ReplaceAll(name, " ", "_"), func(t *testing.T) { checkStream(t, evs) })
+	}
+}
+
+// FuzzJSONLSinkStream lets the fuzzer write the event stream (see
+// streamFrom) and holds the sink to appendEvent's lines.
+func FuzzJSONLSinkStream(f *testing.F) {
+	typ := reflect.TypeOf(Event{})
+	emit := []byte{byte(typ.NumField()), 0}
+	set := func(field string, x byte) []byte {
+		sf, _ := typ.FieldByName(field)
+		return []byte{byte(sf.Index[0]), x}
+	}
+	var run, types []byte
+	for _, rb := range []byte{0, 1, 2, 0, 3} { // a decision run through rb 0
+		run = append(append(run, set("RB", rb)...), emit...)
+	}
+	for _, x := range []byte{1, 2, 3} { // one t, three types
+		types = append(append(types, set("Type", x)...), emit...)
+	}
+	f.Add(run)
+	f.Add(types)
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkStream(t, streamFrom(data))
+	})
+}
+
 // hotEvents is one representative event of each type the traced hot
 // path emits, as the cell's emit sites populate them.
 var hotEvents = []Event{
@@ -275,8 +464,10 @@ var hotEvents = []Event{
 }
 
 // TestEmitAllocFree pins the traced path's allocation count: after the
-// first event has sized the line buffer, Tracer.Emit through a
-// JSONLSink allocates nothing, whatever the event type.
+// first events have sized the sink's buffers, Tracer.Emit through a
+// JSONLSink allocates nothing, whatever the event type, whether the
+// sink's memos hit (one event again and again) or miss (a new t and new
+// numbers on every line).
 func TestEmitAllocFree(t *testing.T) {
 	tr := NewTracer(NewJSONLSink(io.Discard))
 	for _, ev := range hotEvents {
@@ -287,6 +478,17 @@ func TestEmitAllocFree(t *testing.T) {
 		if n := testing.AllocsPerRun(200, func() { tr.Emit(ev) }); n != 0 {
 			t.Errorf("%s: Tracer.Emit allocates %v times per event, want 0", ev.Type, n)
 		}
+	}
+	step := 0
+	if n := testing.AllocsPerRun(200, func() {
+		step++
+		for _, ev := range hotEvents {
+			ev.T += sim.Time(step)
+			ev.BestM += float64(step)
+			tr.Emit(ev)
+		}
+	}); n != 0 {
+		t.Errorf("memo misses: Tracer.Emit allocates %v times per %d events, want 0", n, len(hotEvents))
 	}
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
@@ -325,6 +527,8 @@ func TestTracerScratchNotAliased(t *testing.T) {
 
 // BenchmarkJSONLSinkEmit prices one traced event, tracer front end
 // included: ns/op is ns/event, and B/event is what reaches the writer.
+// It re-emits one event, so past the first it times the sink's memo
+// hits; BenchmarkTraceReplay in internal/ran prices a real run's mix.
 func BenchmarkJSONLSinkEmit(b *testing.B) {
 	for _, ev := range hotEvents {
 		switch ev.Type {

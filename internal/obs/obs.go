@@ -217,15 +217,15 @@ func (r *RingSink) Events() []Event {
 // Dropped returns how many events the ring overwrote.
 func (r *RingSink) Dropped() uint64 { return r.dropped }
 
-// JSONLSink streams events as one JSON object per line, encoded by
-// appendEvent. Field order is fixed by the Event struct and all values
-// derive from simulation state, so same-seed runs write byte-identical
-// files.
+// JSONLSink streams events as one JSON object per line, appendEvent's
+// bytes built through a lineMemo. Field order is fixed by the Event
+// struct and all values derive from simulation state, so same-seed runs
+// write byte-identical files.
 type JSONLSink struct {
 	w    *bufio.Writer
 	cw   *countingWriter
 	c    io.Closer // closed by Close when the writer is also a closer
-	line []byte    // the current event's line, reused across events
+	memo lineMemo  // the line buffers and what they already hold
 	err  error
 }
 
@@ -275,13 +275,12 @@ func (s *JSONLSink) Emit(ev *Event) {
 	if s.err != nil {
 		return
 	}
-	var ok bool
-	s.line, ok = appendEvent(s.line[:0], ev)
+	line, ok := s.memo.line(ev)
 	if !ok {
 		_, s.err = json.Marshal(ev) // the library's error for this event
 		return
 	}
-	_, s.err = s.w.Write(s.line)
+	_, s.err = s.w.Write(line)
 }
 
 // Close flushes buffered lines and reports the first error seen.

@@ -212,7 +212,8 @@ func meanFloat(v []float64) float64 {
 }
 
 // SlowestFlows returns the n completed flows with the largest FCT,
-// slowest first, ties broken by flow id for determinism.
+// slowest first, ties broken by flow id for determinism. n < 0 counts
+// as 0.
 func SlowestFlows(timelines []*FlowTimeline, n int) []*FlowTimeline {
 	done := make([]*FlowTimeline, 0, len(timelines))
 	for _, f := range timelines {
@@ -226,10 +227,7 @@ func SlowestFlows(timelines []*FlowTimeline, n int) []*FlowTimeline {
 		}
 		return done[i].Flow < done[j].Flow
 	})
-	if n > len(done) {
-		n = len(done)
-	}
-	return done[:n]
+	return done[:max(0, min(n, len(done)))]
 }
 
 // CountByType tallies a trace's events per type, returned as sorted
