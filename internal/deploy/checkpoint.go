@@ -115,6 +115,9 @@ type checkpointer struct {
 	traceOffset func() int64 // nil when the cell is not tracing
 
 	files []string // retained checkpoint paths, oldest first
+	// b is reused by every write: an archive is encoded into the buffer
+	// the last one left, so a steady run stops allocating it.
+	b snapshot.Builder
 }
 
 // newCheckpointer builds a checkpointer for one cell index.
@@ -162,8 +165,9 @@ func (ck *checkpointer) attach(c *ran.Cell, traceOffset func() int64) error {
 func (ck *checkpointer) write(handovers, flowsTransferred int, kpiOff int64) error {
 	now := ck.c.Eng.Now()
 	ck.writes.Inc()
-	var b snapshot.Builder
-	if err := ck.c.SnapshotTo(&b); err != nil {
+	b := &ck.b
+	b.Reset()
+	if err := ck.c.SnapshotTo(b); err != nil {
 		return fmt.Errorf("deploy: checkpoint cell %d at %v: %w", ck.cell, now, err)
 	}
 	meta := CheckpointMeta{At: now, TraceOffset: -1, HandoversApplied: handovers, FlowsTransferred: flowsTransferred, KPIOffset: kpiOff}

@@ -6,7 +6,7 @@
 package ip
 
 import (
-	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"slices"
@@ -66,37 +66,48 @@ func (ft FiveTuple) String() string {
 	return string(b)
 }
 
+// TupleKey is a five-tuple packed into two words, Src‖Dst and
+// SrcPort‖DstPort‖Proto, both big-endian, so that the unsigned order of
+// (Hi, Lo) is Compare's: a table ordered by tuple compares two integers
+// per probe instead of walking bytes.
+type TupleKey struct{ Hi, Lo uint64 }
+
+// Key packs the tuple (see TupleKey).
+func (ft FiveTuple) Key() TupleKey {
+	return TupleKey{
+		Hi: uint64(binary.BigEndian.Uint32(ft.Src[:]))<<32 | uint64(binary.BigEndian.Uint32(ft.Dst[:])),
+		Lo: uint64(ft.SrcPort)<<24 | uint64(ft.DstPort)<<8 | uint64(ft.Proto),
+	}
+}
+
+// Tuple unpacks the key. Bits of Lo above the 40 a tuple fills are
+// dropped.
+func (k TupleKey) Tuple() FiveTuple {
+	var ft FiveTuple
+	binary.BigEndian.PutUint32(ft.Src[:], uint32(k.Hi>>32))
+	binary.BigEndian.PutUint32(ft.Dst[:], uint32(k.Hi))
+	ft.SrcPort = uint16(k.Lo >> 24)
+	ft.DstPort = uint16(k.Lo >> 8)
+	ft.Proto = uint8(k.Lo)
+	return ft
+}
+
+// Less reports whether k orders before o.
+func (k TupleKey) Less(o TupleKey) bool {
+	return k.Hi < o.Hi || k.Hi == o.Hi && k.Lo < o.Lo
+}
+
 // Compare orders five-tuples canonically — lexicographically by
 // (Src, Dst, SrcPort, DstPort, Proto) — returning -1, 0 or +1. This is
 // the iteration order every flow-table walk in the simulator uses so
 // that same-seed runs visit flows identically (map order is
 // randomized by the runtime; see outran-vet's maprange analyzer).
 func (ft FiveTuple) Compare(o FiveTuple) int {
-	if c := bytes.Compare(ft.Src[:], o.Src[:]); c != 0 {
+	a, b := ft.Key(), o.Key()
+	if c := cmp.Compare(a.Hi, b.Hi); c != 0 {
 		return c
 	}
-	if c := bytes.Compare(ft.Dst[:], o.Dst[:]); c != 0 {
-		return c
-	}
-	if ft.SrcPort != o.SrcPort {
-		if ft.SrcPort < o.SrcPort {
-			return -1
-		}
-		return 1
-	}
-	if ft.DstPort != o.DstPort {
-		if ft.DstPort < o.DstPort {
-			return -1
-		}
-		return 1
-	}
-	if ft.Proto != o.Proto {
-		if ft.Proto < o.Proto {
-			return -1
-		}
-		return 1
-	}
-	return 0
+	return cmp.Compare(a.Lo, b.Lo)
 }
 
 // Less reports whether ft orders before o (see Compare).

@@ -30,6 +30,42 @@ func BenchmarkSubmit(b *testing.B) {
 	}
 }
 
+// BenchmarkSubmitAfterPortWrap prices Submit on new flows after the
+// cell's port counter has wrapped, when every new flow's key lands mid-
+// table: the table holds the lap before the wrap on even ports, and each
+// new flow takes the next odd port. It grows from 4 096 to 8 192 tracked
+// flows, then is rebuilt off the clock; compare BenchmarkSubmit, whose
+// 1 000 flows are all tracked already.
+func BenchmarkSubmitAfterPortWrap(b *testing.B) {
+	const lap = 4096
+	var tx *Tx
+	fill := func() {
+		var err error
+		var seq uint64
+		if tx, err = NewTx(&sim.Engine{}, TxConfig{SNBits: 12, Bearer: 6}, mlfqCls{core.DefaultMLFQ()}, &seq); err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < lap; i++ {
+			tx.Submit(testPkt(uint16(10000+2*i), 0, 1400), FlowMeta{FlowSize: -1})
+		}
+	}
+	fill()
+	pkt := testPkt(0, 0, 1400)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%lap == 0 && i > 0 {
+			b.StopTimer()
+			fill()
+			b.StartTimer()
+		}
+		pkt.Tuple.DstPort = uint16(10001 + 2*(i%lap))
+		if tx.Submit(pkt, FlowMeta{FlowSize: -1}) == nil {
+			b.Fatal("submit failed")
+		}
+	}
+}
+
 // BenchmarkSubmitDelayedSN isolates the inspection path (ciphering
 // deferred to transmission).
 func BenchmarkSubmitDelayedSN(b *testing.B) {

@@ -39,10 +39,10 @@ const flowRecordLen = FlowRecordLen
 // everything downstream of it, byte budgets included — is identical
 // across same-seed runs.
 func (t *Tx) ExportFlowState() []byte {
-	out := make([]byte, 0, len(t.flows)*flowRecordLen)
+	out := make([]byte, 0, t.flows.len()*flowRecordLen)
 	var rec [flowRecordLen]byte
-	for _, tuple := range t.sortedFlowKeys() {
-		fe := t.flows[tuple]
+	t.flows.each(func(fe *flowEntry) {
+		tuple := fe.key.Tuple()
 		for i := range rec {
 			rec[i] = 0
 		}
@@ -57,7 +57,7 @@ func (t *Tx) ExportFlowState() []byte {
 		}
 		binary.BigEndian.PutUint32(rec[37:41], uint32(sent))
 		out = append(out, rec[:]...)
-	}
+	})
 	return out
 }
 
@@ -82,11 +82,12 @@ func (t *Tx) ImportFlowState(data []byte) error {
 		tuple.SrcPort = binary.BigEndian.Uint16(rec[8:10])
 		tuple.DstPort = binary.BigEndian.Uint16(rec[10:12])
 		tuple.Proto = rec[12]
-		sent := int64(binary.BigEndian.Uint32(rec[37:41]))
-		fe := t.newFlowEntry()
-		fe.sentBytes = sent
-		fe.lastSeen = now
-		t.flows[tuple] = fe
+		key := tuple.Key()
+		fe, at := t.flows.find(key)
+		if fe == nil {
+			fe = t.flows.insert(at, key)
+		}
+		*fe = flowEntry{key: key, sentBytes: int64(binary.BigEndian.Uint32(rec[37:41])), lastSeen: now}
 	}
 	return nil
 }

@@ -37,19 +37,6 @@ type FlowMeta struct {
 	DelayBudget sim.Time
 }
 
-type flowEntry struct {
-	sentBytes int64
-	lastSeen  sim.Time
-	prio      int // last classified priority, for level-change tracing
-}
-
-// maxFlowEntries bounds the flow table; beyond it, entries idle for
-// more than flowIdleEviction are swept.
-const (
-	maxFlowEntries   = 8192
-	flowIdleEviction = 10 * sim.Second
-)
-
 // ctrState is the per-entity AES-CTR scratch. The stdlib
 // cipher.NewCTR allocates a stream object on every call; on the
 // per-SDU ciphering path that is one garbage object per packet, so
@@ -119,8 +106,7 @@ type Tx struct {
 	classifier Classifier
 	block      cipher.Block
 	nextSN     uint32
-	flows      map[ip.FiveTuple]*flowEntry
-	feFree     []*flowEntry // entries swept by evictIdle, recycled by newFlowEntry
+	flows      flowTable
 	sduSeq     *uint64
 	ctr        ctrState
 	arena      []byte // header-buffer arena; see headerArenaChunk
@@ -157,7 +143,6 @@ func NewTx(eng *sim.Engine, cfg TxConfig, classifier Classifier, sduSeq *uint64)
 		cfg:        cfg,
 		classifier: classifier,
 		block:      block,
-		flows:      make(map[ip.FiveTuple]*flowEntry),
 		sduSeq:     sduSeq,
 	}, nil
 }
@@ -188,13 +173,14 @@ func (t *Tx) Submit(pkt ip.Packet, meta FlowMeta) *rlc.SDU {
 		return nil
 	}
 	now := t.eng.Now()
-	fe := t.flows[tuple]
+	key := tuple.Key()
+	fe, at := t.flows.find(key)
 	if fe == nil {
-		if len(t.flows) >= maxFlowEntries {
-			t.evictIdle(now)
+		if t.flows.len() >= maxFlowEntries {
+			t.flows.evictIdle(now)
+			_, at = t.flows.find(key)
 		}
-		fe = t.newFlowEntry()
-		t.flows[tuple] = fe
+		fe = t.flows.insert(at, key)
 	}
 	prio := 0
 	if t.classifier != nil {
@@ -255,65 +241,26 @@ func (t *Tx) applyKeystream(count uint32, data []byte) {
 // ResetFlowStates zeroes every flow's sent-bytes, boosting all flows
 // back to the top MLFQ priority (§6.3 "priority reset").
 func (t *Tx) ResetFlowStates() {
-	//outran:orderfree every entry is zeroed; visit order cannot matter
-	for _, fe := range t.flows {
-		fe.sentBytes = 0
-	}
-}
-
-// sortedFlowKeys returns the flow-table keys in canonical five-tuple
-// order: the deterministic iteration order for any walk whose effects
-// are order-sensitive.
-func (t *Tx) sortedFlowKeys() []ip.FiveTuple {
-	keys := make([]ip.FiveTuple, 0, len(t.flows))
-	for tuple := range t.flows {
-		keys = append(keys, tuple)
-	}
-	ip.SortTuples(keys)
-	return keys
+	t.flows.each(func(fe *flowEntry) { fe.sentBytes = 0 })
 }
 
 // FlowCount returns the number of tracked flows.
-func (t *Tx) FlowCount() int { return len(t.flows) }
+func (t *Tx) FlowCount() int { return t.flows.len() }
 
 // FlowTuples returns the tracked flow five-tuples in canonical order —
 // the same order ExportFlowState emits records in.
-func (t *Tx) FlowTuples() []ip.FiveTuple { return t.sortedFlowKeys() }
+func (t *Tx) FlowTuples() []ip.FiveTuple {
+	out := make([]ip.FiveTuple, 0, t.flows.len())
+	t.flows.each(func(fe *flowEntry) { out = append(out, fe.key.Tuple()) })
+	return out
+}
 
 // SentBytes returns the tracked sent-bytes of a flow (testing/metrics).
 func (t *Tx) SentBytes(tuple ip.FiveTuple) int64 {
-	if fe := t.flows[tuple]; fe != nil {
+	if fe, _ := t.flows.find(tuple.Key()); fe != nil {
 		return fe.sentBytes
 	}
 	return 0
-}
-
-// evictIdle sweeps entries idle past the eviction horizon. The walk
-// runs in canonical tuple order so the discard sequence — visible to
-// anything observing the table, e.g. a concurrent export — is stable
-// across same-seed runs.
-func (t *Tx) evictIdle(now sim.Time) {
-	for _, k := range t.sortedFlowKeys() {
-		if now-t.flows[k].lastSeen > flowIdleEviction {
-			t.feFree = append(t.feFree, t.flows[k])
-			delete(t.flows, k)
-		}
-	}
-}
-
-// newFlowEntry returns a zeroed flow-table entry, recycling one swept
-// by evictIdle when available — at city scale the flow table churns
-// through millions of short flows, and the sweep feeds them straight
-// back instead of leaving a garbage trail.
-func (t *Tx) newFlowEntry() *flowEntry {
-	if n := len(t.feFree); n > 0 {
-		fe := t.feFree[n-1]
-		t.feFree[n-1] = nil
-		t.feFree = t.feFree[:n-1]
-		*fe = flowEntry{}
-		return fe
-	}
-	return &flowEntry{}
 }
 
 // Rx is the receiving PDCP entity at the UE. It infers the full COUNT

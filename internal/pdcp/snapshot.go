@@ -22,24 +22,41 @@ const (
 // order. Decoding into an entity that has already numbered SDUs or
 // tracked flows is an error (double import).
 func (t *Tx) Walk(w *snapshot.Walker) {
-	if w.Decoding() && (t.nextSN != 0 || len(t.flows) != 0 || t.submitted != 0) {
+	if w.Decoding() && (t.nextSN != 0 || t.flows.len() != 0 || t.submitted != 0) {
 		w.Fail(fmt.Errorf("pdcp: restoring tx entity: %w", errAlreadyImported))
 		return
 	}
 	w.Mark(tagTx)
 	w.U32(&t.nextSN)
-	snapshot.Map(w, t.flows, 1<<24, ip.TupleBytes+24, ip.SortTuples, func(tuple *ip.FiveTuple, fe **flowEntry) {
-		tuple.Walk(w)
-		if w.Decoding() {
-			*fe = t.newFlowEntry()
-		}
-		(*fe).walk(w)
-	})
+	t.flows.walk(w)
 	w.U64(&t.submitted)
 	w.U64(&t.inspectErr)
 }
 
+// walk is the flow table's layout: the entry count, then every entry in
+// key order. Decoding rebuilds the array from it and rejects a table
+// whose keys are not strictly increasing — one the encoder cannot have
+// written.
+func (ft *flowTable) walk(w *snapshot.Walker) {
+	n := w.Len(ft.len(), 1<<24, ip.TupleBytes+24)
+	if !w.Decoding() {
+		ft.each(func(fe *flowEntry) { fe.walk(w) })
+		return
+	}
+	a := make([]flowEntry, n)
+	for i := 0; i < n && w.Err() == nil; i++ {
+		a[i].walk(w)
+		if i > 0 && w.Err() == nil && !a[i-1].key.Less(a[i].key) {
+			w.Fail(fmt.Errorf("%w: PDCP flow %v does not follow %v in key order", snapshot.ErrCorrupt, a[i].key.Tuple(), a[i-1].key.Tuple()))
+		}
+	}
+	*ft = flowTable{a: a, lo: n, hi: n}
+}
+
 func (fe *flowEntry) walk(w *snapshot.Walker) {
+	tuple := fe.key.Tuple()
+	tuple.Walk(w)
+	fe.key = tuple.Key()
 	w.I64(&fe.sentBytes)
 	snapshot.I64(w, &fe.lastSeen)
 	w.Int(&fe.prio)

@@ -1,9 +1,11 @@
 package pdcp
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
+	"outran/internal/ip"
 	"outran/internal/snapshot"
 	"outran/internal/snapshot/snapshottest"
 )
@@ -28,6 +30,39 @@ func TestWalkRoundTrip(t *testing.T) {
 	w := snapshot.DecodeWalker(snapshot.NewDecoder(img))
 	if tx2.Walk(w); !errors.Is(w.Err(), errAlreadyImported) {
 		t.Fatalf("second decode into the same Tx: %v, want errAlreadyImported", w.Err())
+	}
+}
+
+// TestWalkRejectsUnsortedFlowTable: the encoder writes flows in strictly
+// increasing key order, so a table with two entries swapped, or one
+// entry twice, is corrupt input — not a table whose later entry silently
+// wins.
+func TestWalkRejectsUnsortedFlowTable(t *testing.T) {
+	_, tx, _, _ := newPair(t, defaultCfg(), nil)
+	for port := uint16(5000); port < 5003; port++ {
+		tx.Submit(testPkt(port, 0, 1400), FlowMeta{})
+	}
+	var e snapshot.Encoder
+	tx.Walk(snapshot.EncodeWalker(&e))
+	img := e.Bytes()
+	const at, rec = 4 + 4 + 4, ip.TupleBytes + 24 // after the tag, nextSN and the count
+	entry := func(b []byte, i int) []byte { return b[at+i*rec : at+(i+1)*rec] }
+	swapped := bytes.Clone(img)
+	copy(entry(swapped, 1), entry(img, 2))
+	copy(entry(swapped, 2), entry(img, 1))
+	repeated := bytes.Clone(img)
+	copy(entry(repeated, 1), entry(img, 0))
+	for name, bad := range map[string][]byte{"swapped": swapped, "repeated": repeated} {
+		_, fresh, _, _ := newPair(t, defaultCfg(), nil)
+		w := snapshot.DecodeWalker(snapshot.NewDecoder(bad))
+		if fresh.Walk(w); !errors.Is(w.Err(), snapshot.ErrCorrupt) {
+			t.Errorf("%s entries: decode error %v, want snapshot.ErrCorrupt", name, w.Err())
+		}
+	}
+	_, fresh, _, _ := newPair(t, defaultCfg(), nil)
+	w := snapshot.DecodeWalker(snapshot.NewDecoder(img))
+	if fresh.Walk(w); w.Err() != nil || fresh.FlowCount() != 3 {
+		t.Fatalf("the intact image: error %v, %d flows", w.Err(), fresh.FlowCount())
 	}
 }
 

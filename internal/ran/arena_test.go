@@ -76,8 +76,12 @@ func TestArenaHoldBlocksImmediateReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tuple, err := cell.allocTuple(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cell.retireFlow(&flowRuntime{
-		sender:   transport.NewSender(cell.Eng, cell.cfg.Transport, cell.allocTuple(0), 1),
+		sender:   transport.NewSender(cell.Eng, cell.cfg.Transport, tuple, 1),
 		receiver: &transport.Receiver{},
 	})
 	if got := cell.reclaimFlow(); got != nil {

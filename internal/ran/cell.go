@@ -114,6 +114,9 @@ type Cell struct {
 	Eng  *sim.Engine
 	cfg  Config
 	grid phy.Grid
+	// fingerprint is configFingerprint(cfg), the checkpoint's config
+	// section, rendered once.
+	fingerprint []byte
 
 	sched    mac.Scheduler
 	ues      []*ueCtx
@@ -236,6 +239,7 @@ func NewCell(cfg Config) (*Cell, error) {
 		r:        rng.New(cfg.Seed),
 		nextPort: 10000,
 	}
+	c.fingerprint = configFingerprint(cfg)
 	if cfg.KPIEvery > 0 {
 		c.kpi = newKPIState()
 	}

@@ -48,7 +48,11 @@ func (c *Cell) NewConn(ue int) (*Conn, error) {
 	if ue < 0 || ue >= len(c.ues) {
 		return nil, fmt.Errorf("ran: no UE %d", ue)
 	}
-	return &Conn{UE: ue, Tuple: c.allocTuple(ue), cell: c}, nil
+	tuple, err := c.allocTuple(ue)
+	if err != nil {
+		return nil, err
+	}
+	return &Conn{UE: ue, Tuple: tuple, cell: c}, nil
 }
 
 // AdoptConn returns a persistent connection bound to an explicit
@@ -63,18 +67,30 @@ func (c *Cell) AdoptConn(ue int, tuple ip.FiveTuple) (*Conn, error) {
 	return &Conn{UE: ue, Tuple: tuple, cell: c}, nil
 }
 
-func (c *Cell) allocTuple(ue int) ip.FiveTuple {
-	c.nextPort++
-	if c.nextPort == 0 {
-		c.nextPort = 10000
+// allocTuple gives a new flow to the UE the next port of the cell-wide
+// counter, which wraps from 65535 to 10000. Once it has wrapped, a port
+// can still be carrying a long flow of the same UE; such ports are
+// skipped, since two live flows on one tuple would share a flow-table
+// entry and receive each other's packets.
+func (c *Cell) allocTuple(ue int) (ip.FiveTuple, error) {
+	u := c.ues[ue]
+	for range 1 << 16 {
+		c.nextPort++
+		if c.nextPort == 0 {
+			c.nextPort = 10000
+		}
+		tuple := ip.FiveTuple{
+			Src:     serverAddr,
+			Dst:     u.addr,
+			SrcPort: 443,
+			DstPort: c.nextPort,
+			Proto:   ip.ProtoTCP,
+		}
+		if u.flows[tuple] == nil {
+			return tuple, nil
+		}
 	}
-	return ip.FiveTuple{
-		Src:     serverAddr,
-		Dst:     c.ues[ue].addr,
-		SrcPort: 443,
-		DstPort: c.nextPort,
-		Proto:   ip.ProtoTCP,
-	}
+	return ip.FiveTuple{}, fmt.Errorf("ran: UE %d has a live flow on every port", ue)
 }
 
 // StartFlow launches a size-byte downlink flow to UE ue at the current
@@ -97,7 +113,10 @@ func (c *Cell) StartFlow(ue int, size int64, opt FlowOptions) error {
 		seqBase = opt.Conn.nextSeq
 		opt.Conn.nextSeq += size
 	} else {
-		tuple = c.allocTuple(ue)
+		var err error
+		if tuple, err = c.allocTuple(ue); err != nil {
+			return err
+		}
 	}
 
 	// Recycle a retired runtime (sender, receiver and the struct

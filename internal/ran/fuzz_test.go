@@ -1,9 +1,13 @@
 package ran
 
 import (
+	"bytes"
+	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
+	"outran/internal/ip"
 	"outran/internal/snapshot"
 )
 
@@ -32,6 +36,8 @@ func FuzzRestoreSnapshot(f *testing.F) {
 			f.Add(uint8(i), uint8(j), payloads[name])
 		}
 	}
+	section, payload := unsortedFlowTable(f, archiveShapes[0].build(f))
+	f.Add(uint8(0), uint8(slices.Index(shapes[0].names, section)), payload)
 	f.Fuzz(func(t *testing.T, shape, section uint8, payload []byte) {
 		s := shapes[int(shape)%len(shapes)]
 		victim := s.names[int(section)%len(s.names)]
@@ -63,4 +69,39 @@ func FuzzRestoreSnapshot(f *testing.F) {
 			}
 		}
 	})
+}
+
+// unsortedFlowTable snapshots c and returns the first UE section whose
+// PDCP flow table holds two flows, with those two swapped: a payload the
+// encoder cannot have written, which a restore must reject.
+func unsortedFlowTable(t testing.TB, c *Cell) (section string, payload []byte) {
+	t.Helper()
+	img, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := sectionBytes(t, img)
+	for i, ue := range c.ues {
+		if ue.pdcpTx.FlowCount() < 2 {
+			continue
+		}
+		var e snapshot.Encoder
+		ue.pdcpTx.Walk(snapshot.EncodeWalker(&e))
+		section = fmt.Sprintf("ue%d", i)
+		payload = bytes.Clone(sections[section])
+		at := bytes.Index(payload, e.Bytes())
+		if at < 0 {
+			t.Fatalf("UE %d's PDCP walk is not in its section", i)
+		}
+		// The entries follow the tag, nextSN and the count.
+		const first, rec = 4 + 4 + 4, ip.TupleBytes + 24
+		a := payload[at+first : at+first+rec]
+		b := payload[at+first+rec : at+first+2*rec]
+		tmp := bytes.Clone(a)
+		copy(a, b)
+		copy(b, tmp)
+		return section, payload
+	}
+	t.Fatal("no UE tracks two PDCP flows")
+	return "", nil
 }

@@ -135,6 +135,66 @@ func (s archiveShape) build(t testing.TB) *Cell {
 	return c
 }
 
+// cityOpsShape is one city-ops cell: the benchmark's 12-UE × 25-RB
+// mixed-traffic OutRAN cell, sampling KPIs every 100 ms into the
+// streaming FCT recorder, at a fixed seed.
+func cityOpsShape() Harness {
+	mixed, _ := workload.Scenario("mixed", "lte", 0.7)
+	cfg := DefaultLTEConfig().WithTopology(12, 25).WithWorkload(mixed).ForScheduler(SchedOutRAN)
+	cfg.KPIEvery = 100 * sim.Millisecond
+	cfg.StreamFCT = true
+	return Harness{
+		Config: cfg.WithSeed(3),
+		Warmup: 500 * sim.Millisecond, Window: 5 * sim.Second, Drain: 3 * sim.Second,
+	}
+}
+
+// cityOpsGoldens pin the city-ops cell's archive, and UE 0's handover
+// blob, at two checkpoint instants, each with hundreds of PDCP flows
+// tracked. Recorded on the commit before the PDCP flow table became a
+// sorted slice (amd64).
+var cityOpsGoldens = []struct {
+	at              sim.Time
+	archive, export string
+}{
+	{2 * sim.Second,
+		"de67b31d67381cf3e4bdd932591540b5c2f7e5b43447d9317509406aa835b1a5",
+		"9a0d7ef4116b7c917395613d90ca12ef950be45398091198c7e6f1008e836705"},
+	{4 * sim.Second,
+		"0724fa3843c879d2e18c0f945591842514a20fdc4638ee56d70989dcab6ad1dc",
+		"4159e10ef6ff658bfb277aceb82945a72593ae274055a7d8904d5b5dd177bc27"},
+}
+
+// TestCityOpsArchiveGoldens: the checkpoint file and the flow-state
+// export are byte-for-byte the ones the map-backed flow table wrote.
+func TestCityOpsArchiveGoldens(t *testing.T) {
+	for _, g := range cityOpsGoldens {
+		t.Run(g.at.String(), func(t *testing.T) {
+			c := archiveShape{harness: cityOpsShape, mid: g.at}.build(t)
+			flows := 0
+			for _, ue := range c.ues {
+				flows += ue.pdcpTx.FlowCount()
+			}
+			if flows < 400 {
+				t.Fatalf("%d PDCP flows tracked at %v; the digest would pin too small a table", flows, g.at)
+			}
+			img, err := c.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if runtime.GOARCH != "amd64" {
+				t.Skip("digests are recorded on amd64")
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(img)); got != g.archive {
+				t.Errorf("archive digest %s (%d bytes, %d flows), parent commit wrote %s", got, len(img), flows, g.archive)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(c.ues[0].pdcpTx.ExportFlowState())); got != g.export {
+				t.Errorf("UE 0 flow-state digest %s, parent commit wrote %s", got, g.export)
+			}
+		})
+	}
+}
+
 // TestArchiveGoldens pins the checkpoint bytes of every shape to the
 // digest the parent of the walker rewrite wrote.
 func TestArchiveGoldens(t *testing.T) {

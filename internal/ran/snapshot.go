@@ -33,8 +33,9 @@ func (c *Cell) EnableSnapshots() {}
 // a canonical string. Every field is plain data — no maps, pointers or
 // function values — so the rendering is byte-stable across processes;
 // restore compares it wholesale rather than diffing field by field.
-func (c *Cell) configFingerprint() []byte {
-	return []byte(fmt.Sprintf("%+v", c.cfg))
+// NewCell renders it once: the configuration never changes after.
+func configFingerprint(cfg Config) []byte {
+	return []byte(fmt.Sprintf("%+v", cfg))
 }
 
 // cellEvents returns the engine's queued entries the cell handles, in
@@ -186,7 +187,7 @@ func (c *Cell) RestoreSnapshot(a *snapshot.Archive) error {
 // configuration, which a restore target must share.
 func (c *Cell) walkConfig(w *snapshot.Walker) {
 	w.Mark(tagConfig)
-	want := c.configFingerprint()
+	want := c.fingerprint
 	fp := want
 	w.Bytes(&fp)
 	if w.Decoding() && w.Err() == nil && !bytes.Equal(fp, want) {

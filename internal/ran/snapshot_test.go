@@ -449,6 +449,35 @@ func TestRestoreRejectsCorruptSections(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsUnsortedFlowTable: a CRC-valid archive whose PDCP
+// flow table has two entries out of key order fails the restore with
+// ErrCorrupt (FuzzRestoreSnapshot carries the same archive as a seed).
+func TestRestoreRejectsUnsortedFlowTable(t *testing.T) {
+	s := archiveShapes[0]
+	c := s.build(t)
+	img, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim, payload := unsortedFlowTable(t, c)
+	bad, err := snapshot.Open(reseal(t, img, func(name string, raw []byte) []byte {
+		if name == victim {
+			return payload
+		}
+		return raw
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewCell(s.harness().Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.RestoreSnapshot(bad); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Fatalf("restore error = %v, want snapshot.ErrCorrupt", err)
+	}
+}
+
 // midCQIGoldenSHA256 is the sha256 of the archive TestSnapshotMidCQIPeriod
 // takes, recorded from the commit before CQI reports became
 // demand-driven (amd64).

@@ -307,10 +307,37 @@ func (e *Engine) DropPending() {
 // them and of the heap layout. The queue is the only record of
 // scheduled work; a checkpoint encodes the entries whose handler it
 // owns.
+//
+// Only the heap is sorted. The lane is merged in as it lies whenever it
+// is already in seq order, which it is unless a restore refilled it:
+// every other entry reaches it through Schedule, in seq order, at the
+// tail. The heap is sorted as (seq, index) pairs, which hold no
+// pointers, so every entry is copied once, straight to its place.
 func (e *Engine) Entries() []Entry {
-	out := slices.Concat([]Entry(e.pq), e.lane.s[e.lane.head:])
-	slices.SortFunc(out, func(a, b Entry) int { return cmp.Compare(a.Seq, b.Seq) })
-	return out
+	lane := e.lane.s[e.lane.head:]
+	out := make([]Entry, 0, len(lane)+len(e.pq))
+	if !slices.IsSortedFunc(lane, func(a, b Entry) int { return cmp.Compare(a.Seq, b.Seq) }) {
+		out = append(append(out, e.pq...), lane...)
+		slices.SortFunc(out, func(a, b Entry) int { return cmp.Compare(a.Seq, b.Seq) })
+		return out
+	}
+	type seqAt struct {
+		seq uint64
+		i   int
+	}
+	heap := make([]seqAt, len(e.pq))
+	for i := range e.pq {
+		heap[i] = seqAt{e.pq[i].Seq, i}
+	}
+	slices.SortFunc(heap, func(a, b seqAt) int { return cmp.Compare(a.seq, b.seq) })
+	i := 0
+	for _, h := range heap {
+		for ; i < len(lane) && lane[i].Seq < h.seq; i++ {
+			out = append(out, lane[i])
+		}
+		out = append(out, e.pq[h.i])
+	}
+	return append(out, lane[i:]...)
 }
 
 // Schedule queues ev for h at absolute time at and returns the entry's

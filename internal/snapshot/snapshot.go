@@ -18,6 +18,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 )
 
 // Format constants. Version bumps whenever the byte layout of any
@@ -55,12 +56,24 @@ func (e *Encoder) Bytes() []byte { return e.buf }
 // Len returns the number of bytes encoded so far.
 func (e *Encoder) Len() int { return len(e.buf) }
 
+// grow extends the payload by n bytes and returns them for the caller to
+// fill. A full buffer doubles: append's quarter steps would copy a large
+// payload about four times over while it grows. Otherwise only the
+// length moves, so the buffer's pointer is rewritten — a write barrier
+// while the collector runs — only when the buffer does.
+func (e *Encoder) grow(n int) []byte {
+	l := len(e.buf)
+	if cap(e.buf)-l < n {
+		e.buf = slices.Grow(e.buf, max(n, l))
+	}
+	e.buf = e.buf[:l+n]
+	return e.buf[l:]
+}
+
 // U8 appends a byte.
 //
 //outran:allocfree
-func (e *Encoder) U8(v uint8) {
-	e.buf = append(e.buf, v) //outran:allocok amortized buffer growth; callers reuse encoders or pre-size
-}
+func (e *Encoder) U8(v uint8) { e.grow(1)[0] = v }
 
 // Bool appends a boolean as one byte.
 //
@@ -76,23 +89,17 @@ func (e *Encoder) Bool(v bool) {
 // U16 appends a little-endian uint16.
 //
 //outran:allocfree
-func (e *Encoder) U16(v uint16) {
-	e.buf = binary.LittleEndian.AppendUint16(e.buf, v)
-}
+func (e *Encoder) U16(v uint16) { binary.LittleEndian.PutUint16(e.grow(2), v) }
 
 // U32 appends a little-endian uint32.
 //
 //outran:allocfree
-func (e *Encoder) U32(v uint32) {
-	e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
-}
+func (e *Encoder) U32(v uint32) { binary.LittleEndian.PutUint32(e.grow(4), v) }
 
 // U64 appends a little-endian uint64.
 //
 //outran:allocfree
-func (e *Encoder) U64(v uint64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
-}
+func (e *Encoder) U64(v uint64) { binary.LittleEndian.PutUint64(e.grow(8), v) }
 
 // I64 appends a little-endian int64.
 //
@@ -114,17 +121,17 @@ func (e *Encoder) F64(v float64) { e.U64(math.Float64bits(v)) }
 // Bytes32 appends a length-prefixed byte slice (u32 length).
 func (e *Encoder) Bytes32(b []byte) {
 	e.U32(uint32(len(b)))
-	e.buf = append(e.buf, b...)
+	e.Raw(b)
 }
 
 // String appends a length-prefixed UTF-8 string.
 func (e *Encoder) String(s string) {
 	e.U32(uint32(len(s)))
-	e.buf = append(e.buf, s...)
+	copy(e.grow(len(s)), s)
 }
 
 // Raw appends b with no length prefix (the caller owns framing).
-func (e *Encoder) Raw(b []byte) { e.buf = append(e.buf, b...) }
+func (e *Encoder) Raw(b []byte) { copy(e.grow(len(b)), b) }
 
 // Mark appends a structural sentinel. Decoders verify it with Expect;
 // a mismatch pinpoints where a walk went out of sync instead of
@@ -269,42 +276,60 @@ func (d *Decoder) Count(max int) int {
 	return n
 }
 
-// Builder assembles a snapshot file from named sections.
+// Builder assembles a snapshot file from named sections, encoding each
+// in place: a section writes its name and a length placeholder, then its
+// payload, then patches the length, so a file is built in one buffer
+// with no per-section copy. The zero value is ready to use; Reset keeps
+// the buffer for the next file.
 type Builder struct {
-	sections []struct {
-		name string
-		data []byte
+	e        Encoder // the file so far, from the magic to the last section
+	sections uint32
+}
+
+// header starts the file unless it is started: the magic, the version
+// and a section count placeholder.
+func (b *Builder) header() {
+	if b.e.Len() == 0 {
+		b.e.Raw(magic[:])
+		b.e.U16(Version)
+		b.e.U32(0)
 	}
+}
+
+// begin writes a section's name and length placeholder and returns the
+// placeholder's offset.
+func (b *Builder) begin(name string) int {
+	b.header()
+	b.e.String(name)
+	b.e.U32(0)
+	return b.e.Len() - 4
+}
+
+// end patches the length of the section whose placeholder is at at.
+func (b *Builder) end(at int) {
+	binary.LittleEndian.PutUint32(b.e.buf[at:], uint32(b.e.Len()-at-4))
+	b.sections++
 }
 
 // Add appends a named section with the encoder's payload. Section
 // names must be unique within a file; duplicates are caught by Open.
 func (b *Builder) Add(name string, enc *Encoder) {
-	b.sections = append(b.sections, struct {
-		name string
-		data []byte
-	}{name, enc.Bytes()})
+	at := b.begin(name)
+	b.e.Raw(enc.Bytes())
+	b.end(at)
 }
 
-// Bytes assembles the file: magic, version, sections, trailing CRC32
-// (IEEE) over everything before it.
+// Bytes finishes the file: magic, version, sections, trailing CRC32
+// (IEEE) over everything before it. The result aliases the builder's
+// buffer and is valid until the builder's next Add, Walk or Reset.
 func (b *Builder) Bytes() []byte {
-	size := len(magic) + 2 + 4 + 4
-	for _, s := range b.sections {
-		size += 4 + len(s.name) + 4 + len(s.data)
-	}
-	e := Encoder{buf: make([]byte, 0, size)}
-	e.Raw(magic[:])
-	e.U16(Version)
-	e.U32(uint32(len(b.sections)))
-	for _, s := range b.sections {
-		e.String(s.name)
-		e.Bytes32(s.data)
-	}
-	sum := crc32.ChecksumIEEE(e.Bytes())
-	e.U32(sum)
-	return e.Bytes()
+	b.header()
+	binary.LittleEndian.PutUint32(b.e.buf[len(magic)+2:], b.sections)
+	return binary.LittleEndian.AppendUint32(b.e.buf, crc32.ChecksumIEEE(b.e.buf))
 }
+
+// Reset empties the builder for the next file, keeping its buffer.
+func (b *Builder) Reset() { b.e.buf, b.sections = b.e.buf[:0], 0 }
 
 // Archive is a parsed, checksum-verified snapshot file.
 type Archive struct {

@@ -1,7 +1,9 @@
 package snapshot
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
@@ -123,6 +125,58 @@ func buildArchive(t *testing.T) []byte {
 	b.Add("meta", &s1)
 	b.Add("cell0", &s2)
 	return b.Bytes()
+}
+
+// assemble is the file layout Builder writes, assembled the way it was
+// before sections were encoded in place: every payload encoded on its
+// own, then copied behind the header, then the CRC.
+func assemble(names []string, payloads [][]byte) []byte {
+	var e Encoder
+	e.Raw(magic[:])
+	e.U16(Version)
+	e.U32(uint32(len(names)))
+	for i, name := range names {
+		e.String(name)
+		e.Bytes32(payloads[i])
+	}
+	e.U32(crc32.ChecksumIEEE(e.Bytes()))
+	return e.Bytes()
+}
+
+// TestBuilderMatchesAssembledFile: sections walked or added in place,
+// into a fresh builder or one reset after an earlier file, come out as
+// the separately assembled file — also with no sections, and when Bytes
+// is asked twice.
+func TestBuilderMatchesAssembledFile(t *testing.T) {
+	var b Builder
+	if got, want := b.Bytes(), assemble(nil, nil); !bytes.Equal(got, want) {
+		t.Fatalf("empty builder wrote % x, want % x", got, want)
+	}
+	for round := 0; round < 3; round++ {
+		b.Reset()
+		var names []string
+		var payloads [][]byte
+		for i := 0; i <= round*4; i++ {
+			name := fmt.Sprintf("s%d", i)
+			var e Encoder
+			for j := 0; j < i*i*37; j++ {
+				e.U8(byte(j))
+			}
+			if i%2 == 0 {
+				b.Walk(name, func(w *Walker) { w.Raw(e.Bytes()) })
+			} else {
+				b.Add(name, &e)
+			}
+			names, payloads = append(names, name), append(payloads, e.Bytes())
+		}
+		want := assemble(names, payloads)
+		if got := b.Bytes(); !bytes.Equal(got, want) {
+			t.Fatalf("round %d: builder wrote %d bytes, the assembled file has %d", round, len(got), len(want))
+		}
+		if got := b.Bytes(); !bytes.Equal(got, want) {
+			t.Fatalf("round %d: a second Bytes differs from the first", round)
+		}
+	}
 }
 
 func TestArchiveRoundTrip(t *testing.T) {

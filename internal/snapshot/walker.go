@@ -275,11 +275,12 @@ func Map[K comparable, V any](w *Walker, m map[K]V, max, minBytes int, sortKeys 
 	}
 }
 
-// Walk encodes one named section by running walk over a fresh encoder.
+// Walk encodes one named section by running walk straight into the
+// file's buffer.
 func (b *Builder) Walk(name string, walk func(*Walker)) {
-	var e Encoder
-	walk(EncodeWalker(&e))
-	b.Add(name, &e)
+	at := b.begin(name)
+	walk(EncodeWalker(&b.e))
+	b.end(at)
 }
 
 // Walk decodes one named section by running walk over its payload. It
