@@ -1,6 +1,7 @@
 package ran
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"runtime"
@@ -8,6 +9,7 @@ import (
 
 	"outran/internal/phy"
 	"outran/internal/sim"
+	"outran/internal/snapshot"
 	"outran/internal/workload"
 )
 
@@ -21,7 +23,9 @@ type archiveShape struct {
 	// the shape exists to cover, so a digest can never pin a vacuous file.
 	check func(t *testing.T, c *Cell)
 	// sha256 of the archive, recorded on the commit before the snapshot
-	// walk was rewritten (amd64).
+	// walk was rewritten (amd64). PF-UM-LTE's and OutRAN-AM-KPI-stream's
+	// were re-recorded once when each armed timer came to own one queue
+	// entry: only the engine section's processed count moved.
 	sha256 string
 }
 
@@ -66,7 +70,7 @@ var archiveShapes = []archiveShape{
 				t.Fatal("no live flows at the snapshot instant")
 			}
 		},
-		sha256: "f415b5e540285723fafbd700ce6d3b0b4311f6fc709a308c97766fd420959f92",
+		sha256: "b1fb87af2ba9b27b11149ec690d8515ef62f086b7f8277a57c546cacbc10bafc",
 	},
 	{
 		name:    "OutRAN-AM-NR",
@@ -108,7 +112,7 @@ var archiveShapes = []archiveShape{
 				t.Fatal("no KPI or streaming-FCT state at the snapshot instant")
 			}
 		},
-		sha256: "0974d9ea790343fb4becb58e539aaaddb08cdd6f0dc45c4b979e876b85442751",
+		sha256: "d983dadaec313787e49ff9f8ea8dae5f7f8c9e55e607aa899aee7630960aa64f",
 	},
 }
 
@@ -152,21 +156,24 @@ func cityOpsShape() Harness {
 // cityOpsGoldens pin the city-ops cell's archive, and UE 0's handover
 // blob, at two checkpoint instants, each with hundreds of PDCP flows
 // tracked. Recorded on the commit before the PDCP flow table became a
-// sorted slice (amd64).
+// sorted slice (amd64); the archives were re-recorded once when each
+// armed timer came to own one queue entry, which moved only the engine
+// section's processed count.
 var cityOpsGoldens = []struct {
 	at              sim.Time
 	archive, export string
 }{
 	{2 * sim.Second,
-		"de67b31d67381cf3e4bdd932591540b5c2f7e5b43447d9317509406aa835b1a5",
+		"bde45226165c24bfa2018d71a1545f681d80eb4d6c5ad0d45d575ab739709332",
 		"9a0d7ef4116b7c917395613d90ca12ef950be45398091198c7e6f1008e836705"},
 	{4 * sim.Second,
-		"0724fa3843c879d2e18c0f945591842514a20fdc4638ee56d70989dcab6ad1dc",
+		"5cc6ff7d10ffaa3932bb48dd0b65fb454c7b8c0ecab598461a4d74295b024e83",
 		"4159e10ef6ff658bfb277aceb82945a72593ae274055a7d8904d5b5dd177bc27"},
 }
 
 // TestCityOpsArchiveGoldens: the checkpoint file and the flow-state
-// export are byte-for-byte the ones the map-backed flow table wrote.
+// export are byte-for-byte the ones the map-backed flow table wrote,
+// but for the processed count (cityOpsGoldens).
 func TestCityOpsArchiveGoldens(t *testing.T) {
 	for _, g := range cityOpsGoldens {
 		t.Run(g.at.String(), func(t *testing.T) {
@@ -192,6 +199,49 @@ func TestCityOpsArchiveGoldens(t *testing.T) {
 				t.Errorf("UE 0 flow-state digest %s, parent commit wrote %s", got, g.export)
 			}
 		})
+	}
+}
+
+// TestResumedCheckpointMatchesUninterrupted: the city-ops cell
+// checkpointed at 2 s and restored into a fresh cell writes at 4 s the
+// very archive the uninterrupted cell writes there, engine counters
+// included — no event may fire in one run and not in the other, as the
+// stale timer arms a checkpoint does not carry once did.
+func TestResumedCheckpointMatchesUninterrupted(t *testing.T) {
+	const mid, end = 2 * sim.Second, 4 * sim.Second
+	h := cityOpsShape()
+	// finish samples KPIs from mid to end and takes the checkpoint there.
+	finish := func(c *Cell) []byte {
+		for at := mid + h.Config.KPIEvery; at <= end; at += h.Config.KPIEvery {
+			c.Run(at)
+			c.SampleKPI(at)
+		}
+		img, err := c.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return img
+	}
+	uninterrupted := archiveShape{harness: cityOpsShape, mid: mid}.build(t)
+	img, err := uninterrupted.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := snapshot.Open(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := NewCell(h.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := resumed.RestoreSnapshot(a); err != nil {
+		t.Fatal(err)
+	}
+	want, got := finish(uninterrupted), finish(resumed)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("at %v the resumed cell's archive (%d bytes, %d events processed) differs from the uninterrupted cell's (%d bytes, %d processed)",
+			end, len(got), resumed.Eng.Processed(), len(want), uninterrupted.Eng.Processed())
 	}
 }
 

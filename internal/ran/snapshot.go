@@ -43,8 +43,8 @@ func configFingerprint(cfg Config) []byte {
 // transport block or AM status shares PDU objects with its UE's RLC
 // state and goes in that UE's section, everything else in the pending
 // section. Timers and periodics are recorded by the layer that owns
-// them (only the live arm; stale arms are no-ops and are not carried
-// over). Any other entry is a plain func scheduled with Engine.At/After:
+// them (a timer's one queued entry is its arm, which Timer.Walk
+// carries). Any other entry is a plain func scheduled with Engine.At/After:
 // a checkpoint cannot serialise it and would silently drop it, so
 // their presence is an error.
 func (c *Cell) cellEvents() (perUE [][]sim.Entry, rest []sim.Entry, err error) {

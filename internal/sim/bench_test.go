@@ -64,16 +64,30 @@ func (c *churn) Fire(ev Event) {
 	c.e.Schedule(c.e.Now()+Time(100+uint64(ev.B)>>53%1500)*Microsecond, c, ev)
 }
 
+// BenchmarkTimerRestart is the transport RTO's pattern at a busy cell's
+// scale: 2 000 armed timers, of which a 1 ms TTI tick re-arms the next
+// 200 round-robin, each 200 ms ahead, as an ACK re-arms its flow's RTO.
+// No timer expires. One op is one re-arm, and the tick that does it.
 func BenchmarkTimerRestart(b *testing.B) {
+	const timers, perTTI, rto = 2000, 200, 200 * Millisecond
 	var e Engine
-	tm := NewTimer(&e, func() {})
+	ts := make([]*Timer, timers)
+	for i := range ts {
+		ts[i] = NewTimer(&e, func() { b.Fatal("an RTO expired") })
+		ts[i].Start(rto)
+	}
+	next, armed := 0, 0
+	NewPeriodic(&e, Millisecond, func() {
+		for k := 0; k < perTTI && armed < b.N; k++ {
+			ts[next].Start(rto + Time(next%7)*Microsecond)
+			next = (next + 1) % timers
+			armed++
+		}
+		if armed == b.N {
+			e.Stop()
+		}
+	})
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tm.Start(10)
-		if e.Pending() > 1024 {
-			tm.Stop()
-			e.Run()
-		}
-	}
+	e.Run()
 }

@@ -119,14 +119,16 @@ func (h *eventHeap) push(en Entry) {
 	s[i] = en
 }
 
-// Storage rules. minCap is the smallest array the heap allocates and
-// shrinkMinCap the capacity below which it never shrinks: steady-state
+// Storage rules. minCap is the smallest array the heaps allocate and
+// shrinkMinCap the capacity below which they never shrink: steady-state
 // simulations oscillate freely under it without ever re-allocating.
-// The lane halves all the way down to laneMinCap (see lane.pop).
+// The lane shrinks all the way down to laneMinCap, judging its
+// occupancy over windows of laneWindow pops (see lane.pop).
 const (
 	minCap       = 64
 	shrinkMinCap = 1024
 	laneMinCap   = 8
+	laneWindow   = 256
 )
 
 // pop removes and returns the minimum entry. The vacated slot is
@@ -181,6 +183,9 @@ func (h *eventHeap) pop() Entry {
 type lane struct {
 	s    []Entry
 	head int
+	// The storage rule's record, counted in pops: the last push, and
+	// the current window's start and the most entries live in it.
+	pops, lastPush, winStart, winPeak int
 }
 
 func (l *lane) len() int { return len(l.s) - l.head }
@@ -206,28 +211,51 @@ func (l *lane) push(en Entry) {
 	}
 	l.s = l.s[:len(l.s)+1]
 	l.s[len(l.s)-1] = en
+	l.lastPush = l.pops
+	l.winPeak = max(l.winPeak, l.len())
 }
 
-// pop removes and returns the head entry, zeroing its slot. As the
-// lane drains, a lane at a quarter occupancy moves to an array of half
-// the capacity — the heap's rule, applied down to laneMinCap rather
-// than shrinkMinCap. Once the workload's last arrival is queued, the
-// in-flight entries that sort after it keep landing in the lane, so a
-// drained lane rarely empties: it lives on as a FIFO of a few long
-// timers and periodic ticks, in an array sized to them rather than to
-// the spent workload's last few hundred slots.
+// pop removes and returns the head entry, zeroing its slot, and moves a
+// lane that holds an eighth of its array or less to one of a quarter of
+// the capacity, down to laneMinCap: twice what it held, the heap's
+// margin, in half the copies halving would take. What the lane holds is
+// judged by how it is used:
+//
+//   - A lane that is being refilled shrinks only when no moment of a
+//     whole window of laneWindow pops saw it above an eighth. Once the
+//     clock passes the workload's last arrival, the in-flight entries
+//     that sort after the lane's tail keep landing in it, and it lives
+//     on as a FIFO whose occupancy swings tenfold within a few hundred
+//     pops (15 to 150 entries and back on the nr-dense shape); judged
+//     pop by pop, it would shrink at every trough and grow again at
+//     every crest.
+//   - A lane that no push has reached for a whole window is draining —
+//     the spent workload's arrivals, a burst — and shrinks the moment it
+//     falls to an eighth, so it keeps an array sized to what it holds
+//     and a drained lane is back at laneMinCap.
 //
 //outran:allocfree
 func (l *lane) pop() Entry {
 	en := l.s[l.head]
 	l.s[l.head] = Entry{}
 	l.head++
-	switch live := l.len(); {
-	case live == 0:
+	l.pops++
+	live := l.len()
+	if live == 0 {
 		l.s, l.head = l.s[:0], 0
-	case cap(l.s) > laneMinCap && live <= cap(l.s)/4:
-		//outran:allocok amortized shrink as the lane drains; a steady few-entry lane sits at laneMinCap and never triggers it
-		s := make([]Entry, live, cap(l.s)/2)
+	}
+	eighth := cap(l.s) / 8
+	shrink := false
+	switch {
+	case l.pops-l.winStart >= laneWindow:
+		shrink = l.winPeak <= eighth
+		l.winStart, l.winPeak = l.pops, live
+	case l.pops-l.lastPush >= laneWindow:
+		shrink = live <= eighth
+	}
+	if shrink && cap(l.s) > laneMinCap {
+		//outran:allocok amortized shrink of a lane that holds an eighth of its array or less; a refilled lane is judged over a whole window, so it does not shrink at every trough
+		s := make([]Entry, live, max(cap(l.s)/4, laneMinCap))
 		copy(s, l.s[l.head:])
 		l.s, l.head = s, 0
 	}
@@ -237,18 +265,20 @@ func (l *lane) pop() Entry {
 // Engine is a single-threaded discrete-event simulator.
 // The zero value is ready to use.
 //
-// Pending entries live in one of two queues, both ordered by (At, Seq):
-// the lane, which takes every entry that sorts at or after its tail
-// (and, while empty, one that sorts at or after every heap entry), and
-// the binary heap, which takes the rest. The next entry to fire is the
-// smaller of the two fronts, and (At, Seq) is a total order, so which
-// queue holds an entry does not change when it fires: the split shows
-// only in the cost of a pop. The heap holds the work in flight, the
-// lane the pre-scheduled workload.
+// Pending entries live in one of three queues, all ordered by (At, Seq):
+// the timer queue, which holds one entry per armed Timer; the lane,
+// which takes every other entry that sorts at or after its tail (and,
+// while empty, one that sorts at or after every heap entry); and the
+// binary heap, which takes the rest. The next entry to fire is the
+// smallest of the three fronts, and (At, Seq) is a total order, so
+// which queue holds an entry does not change when it fires: the split
+// shows only in the cost of a pop. The heap holds the work in flight,
+// the lane the pre-scheduled workload.
 type Engine struct {
-	now  Time
-	pq   eventHeap
-	lane lane
+	now    Time
+	pq     eventHeap
+	lane   lane
+	timers timerHeap
 	// maxAt, maxSeq bound every heap entry from above: the largest
 	// (At, Seq) pushed since the heap was last empty.
 	maxAt   Time
@@ -257,6 +287,16 @@ type Engine struct {
 	stopped bool
 	nEvents uint64
 }
+
+// Queues an entry can wait in; noQueue when nothing is pending.
+type queue uint8
+
+const (
+	noQueue queue = iota
+	laneQueue
+	heapQueue
+	timerQueue
+)
 
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
@@ -267,8 +307,8 @@ func (e *Engine) Processed() uint64 { return e.nEvents }
 // Walk is the engine's checkpoint layout: the clock, the sequence
 // counter and the processed-event count. The queue is not part of it —
 // each entry is walked by the layer that owns its handler and comes
-// back through Reschedule — so decoding first discards whatever the
-// target's construction queued.
+// back through Reschedule (a timer's arm through Timer.Walk) — so
+// decoding first discards whatever the target's construction queued.
 func (e *Engine) Walk(w *snapshot.Walker) {
 	if w.Decoding() {
 		e.DropPending()
@@ -283,59 +323,87 @@ func (e *Engine) Walk(w *snapshot.Walker) {
 // It does nothing once the walk has failed, and an instant before the
 // restored clock — which ScheduleExact would panic on — fails the walk.
 func (e *Engine) Reschedule(w *snapshot.Walker, at Time, seq uint64, h Handler, ev Event) {
-	switch {
-	case w.Err() != nil:
-	case at < e.now:
-		w.Fail(fmt.Errorf("%w: pending event at %v, before the snapshot instant %v", snapshot.ErrCorrupt, at, e.now))
-	default:
+	if e.restorable(w, at) {
 		e.ScheduleExact(at, seq, h, ev)
 	}
 }
 
+// restorable reports whether a decoded arm at at may be queued: the walk
+// has not failed, and at is not before the restored clock, which fails
+// the walk.
+func (e *Engine) restorable(w *snapshot.Walker, at Time) bool {
+	if w.Err() != nil {
+		return false
+	}
+	if at < e.now {
+		w.Fail(fmt.Errorf("%w: pending event at %v, before the snapshot instant %v", snapshot.ErrCorrupt, at, e.now))
+		return false
+	}
+	return true
+}
+
 // DropPending discards every queued event (slots zeroed so handlers
-// are released). Both queues keep their arrays for the refill a
-// restore brings.
+// are released) and so disarms every timer. The queues keep their
+// arrays for the refill a restore brings.
 func (e *Engine) DropPending() {
 	clear(e.pq)
 	e.pq = e.pq[:0]
 	clear(e.lane.s)
 	e.lane.s, e.lane.head = e.lane.s[:0], 0
+	for _, k := range e.timers {
+		k.t.slot = 0
+	}
+	clear(e.timers)
+	e.timers = e.timers[:0]
 }
 
 // Entries returns a copy of the queued entries in ascending Seq order —
 // the order they were scheduled in, independent of which queue holds
-// them and of the heap layout. The queue is the only record of
+// them and of the heaps' layouts. The queue is the only record of
 // scheduled work; a checkpoint encodes the entries whose handler it
-// owns.
+// owns. An armed timer is listed as its one arm: (expires, armSeq), the
+// timer as handler, an empty payload.
 //
-// Only the heap is sorted. The lane is merged in as it lies whenever it
-// is already in seq order, which it is unless a restore refilled it:
+// Only the heaps are sorted. The lane is merged in as it lies whenever
+// it is already in seq order, which it is unless a restore refilled it:
 // every other entry reaches it through Schedule, in seq order, at the
-// tail. The heap is sorted as (seq, index) pairs, which hold no
+// tail. The heaps are sorted as (seq, index) pairs, which hold no
 // pointers, so every entry is copied once, straight to its place.
 func (e *Engine) Entries() []Entry {
 	lane := e.lane.s[e.lane.head:]
-	out := make([]Entry, 0, len(lane)+len(e.pq))
+	out := make([]Entry, 0, len(lane)+len(e.pq)+len(e.timers))
 	if !slices.IsSortedFunc(lane, func(a, b Entry) int { return cmp.Compare(a.Seq, b.Seq) }) {
 		out = append(append(out, e.pq...), lane...)
+		for _, k := range e.timers {
+			out = append(out, k.entry())
+		}
 		slices.SortFunc(out, func(a, b Entry) int { return cmp.Compare(a.Seq, b.Seq) })
 		return out
 	}
+	// Index i < len(pq) names a heap entry, any other one the timer
+	// at i - len(pq).
 	type seqAt struct {
 		seq uint64
 		i   int
 	}
-	heap := make([]seqAt, len(e.pq))
+	heaps := make([]seqAt, 0, len(e.pq)+len(e.timers))
 	for i := range e.pq {
-		heap[i] = seqAt{e.pq[i].Seq, i}
+		heaps = append(heaps, seqAt{e.pq[i].Seq, i})
 	}
-	slices.SortFunc(heap, func(a, b seqAt) int { return cmp.Compare(a.seq, b.seq) })
+	for i, k := range e.timers {
+		heaps = append(heaps, seqAt{k.seq, len(e.pq) + i})
+	}
+	slices.SortFunc(heaps, func(a, b seqAt) int { return cmp.Compare(a.seq, b.seq) })
 	i := 0
-	for _, h := range heap {
+	for _, h := range heaps {
 		for ; i < len(lane) && lane[i].Seq < h.seq; i++ {
 			out = append(out, lane[i])
 		}
-		out = append(out, e.pq[h.i])
+		if h.i < len(e.pq) {
+			out = append(out, e.pq[h.i])
+		} else {
+			out = append(out, e.timers[h.i-len(e.pq)].entry())
+		}
 	}
 	return append(out, lane[i:]...)
 }
@@ -399,26 +467,35 @@ func (e *Engine) After(d Time, fn func()) {
 // Stop halts the run loop after the currently executing event returns.
 func (e *Engine) Stop() { e.stopped = true }
 
-// next returns the earliest queued entry — the smaller of the lane's
-// head and the heap's top — and whether it is the lane's; nil when
-// nothing is queued.
-func (e *Engine) next() (en *Entry, fromLane bool) {
+// next returns the instant of the earliest queued entry — the smallest
+// of the lane's head, the heap's top and the timer queue's top — and
+// the queue it fronts; noQueue when nothing is queued.
+func (e *Engine) next() (at Time, q queue) {
+	var seq uint64
 	if e.lane.head < len(e.lane.s) {
-		en = &e.lane.s[e.lane.head]
-		if len(e.pq) == 0 || before(en, &e.pq[0]) {
-			return en, true
-		}
+		en := &e.lane.s[e.lane.head]
+		at, seq, q = en.At, en.Seq, laneQueue
 	}
-	if len(e.pq) == 0 {
-		return nil, false
+	if len(e.pq) > 0 && (q == noQueue || precedes(e.pq[0].At, e.pq[0].Seq, at, seq)) {
+		at, seq, q = e.pq[0].At, e.pq[0].Seq, heapQueue
 	}
-	return &e.pq[0], false
+	if len(e.timers) > 0 && (q == noQueue || precedes(e.timers[0].at, e.timers[0].seq, at, seq)) {
+		at, q = e.timers[0].at, timerQueue
+	}
+	return at, q
 }
 
-// step pops the earliest entry, advances the clock to it and fires it.
-func (e *Engine) step(fromLane bool) {
+// step pops the front of q, advances the clock to it and fires it.
+func (e *Engine) step(q queue) {
+	if q == timerQueue {
+		t := e.timers.remove(0)
+		e.now = t.expires
+		e.nEvents++
+		t.Fire(Event{})
+		return
+	}
 	var en Entry
-	if fromLane {
+	if q == laneQueue {
 		en = e.lane.pop()
 	} else {
 		en = e.pq.pop()
@@ -434,11 +511,11 @@ func (e *Engine) step(fromLane bool) {
 func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
 	for !e.stopped {
-		en, fromLane := e.next()
-		if en == nil || en.At > deadline {
+		at, q := e.next()
+		if q == noQueue || at > deadline {
 			break
 		}
-		e.step(fromLane)
+		e.step(q)
 	}
 	if e.now < deadline {
 		e.now = deadline
@@ -449,94 +526,14 @@ func (e *Engine) RunUntil(deadline Time) {
 func (e *Engine) Run() {
 	e.stopped = false
 	for !e.stopped {
-		en, fromLane := e.next()
-		if en == nil {
+		_, q := e.next()
+		if q == noQueue {
 			break
 		}
-		e.step(fromLane)
+		e.step(q)
 	}
 }
 
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.pq) + e.lane.len() }
-
-// Timer is a restartable one-shot timer bound to an engine, mirroring
-// the protocol timers in RLC/PDCP (t-Reassembly, t-PollRetransmit, …).
-//
-// Semantics:
-//   - Start (re)arms the timer; on a running timer it acts as a reset
-//     — the earlier arm never fires. There is no separate Reset.
-//   - Stop is always safe: on a running timer it cancels the pending
-//     fire; on a never-started, already-stopped, or already-expired
-//     timer it is a no-op.
-//   - The callback runs at most once per Start and never after Stop;
-//     a Start(0) fires at the current time, after the running event.
-//
-// Cancellation is generation-based (no event-queue surgery): the timer
-// is its own handler and each arm carries its generation as payload,
-// so a stopped timer's stale queue entry simply evaporates when it
-// pops.
-type Timer struct {
-	e       *Engine
-	fn      func()
-	gen     uint64 // invalidates entries from older arms
-	running bool
-	expires Time
-	armSeq  uint64 // event seq of the live arm (snapshot/restore)
-}
-
-// NewTimer returns a stopped timer that runs fn on expiry.
-func NewTimer(e *Engine, fn func()) *Timer {
-	return &Timer{e: e, fn: fn}
-}
-
-// Start (re)arms the timer to fire after d. A running timer is restarted.
-//
-//outran:allocfree
-func (t *Timer) Start(d Time) {
-	t.gen++
-	t.running = true
-	t.expires = t.e.now + d
-	t.armSeq = t.e.Schedule(t.e.now+max(d, 0), t, Event{A: int64(t.gen)})
-}
-
-// Fire is the expiry of the arm whose generation ev carries; entries
-// of superseded or stopped arms are no-ops.
-func (t *Timer) Fire(ev Event) {
-	if uint64(ev.A) != t.gen || !t.running {
-		return
-	}
-	t.running = false
-	t.fn()
-}
-
-// Walk is the timer's checkpoint layout, the one arm codec the protocol
-// layers share: whether the timer is running, its absolute expiry and
-// the seq of the pending fire. Stale arms from earlier Start/Stop
-// cycles are gen-guarded no-ops and are not carried over. Decoding
-// re-registers a running arm with its exact original (expires, seq).
-func (t *Timer) Walk(w *snapshot.Walker) {
-	w.Bool(&t.running)
-	snapshot.I64(w, &t.expires)
-	w.U64(&t.armSeq)
-	if w.Decoding() {
-		t.gen++
-		if t.running {
-			t.e.Reschedule(w, t.expires, t.armSeq, t, Event{A: int64(t.gen)})
-		}
-	}
-}
-
-// Stop cancels the timer if running. Stopping a never-started,
-// already-stopped, or already-expired timer is a safe no-op, so
-// teardown paths may call it unconditionally.
-func (t *Timer) Stop() {
-	t.gen++
-	t.running = false
-}
-
-// Running reports whether the timer is armed.
-func (t *Timer) Running() bool { return t.running }
-
-// Expires returns the absolute expiry time of the last arm.
-func (t *Timer) Expires() Time { return t.expires }
+// Pending returns the number of queued events, each armed timer's one
+// arm among them.
+func (e *Engine) Pending() int { return len(e.pq) + e.lane.len() + len(e.timers) }

@@ -185,10 +185,15 @@ func TestTimerRestart(t *testing.T) {
 	fired := 0
 	tm := NewTimer(&e, func() { fired++ })
 	tm.Start(10)
-	e.At(5, func() { tm.Start(20) }) // restart: should fire at 25 only
+	e.At(5, func() {
+		tm.Start(20) // restart: should fire at 25 only
+		if n := e.Pending(); n != 1 {
+			t.Errorf("%d entries queued after the restart, want the timer's one", n)
+		}
+	})
 	e.RunUntil(100)
-	if fired != 1 {
-		t.Fatalf("timer fired %d times, want 1", fired)
+	if fired != 1 || e.Processed() != 2 {
+		t.Fatalf("timer fired %d times in %d events, want once in 2", fired, e.Processed())
 	}
 }
 
@@ -321,13 +326,14 @@ func TestEventOrderProperty(t *testing.T) {
 
 // stepNext fires the earliest pending entry.
 func stepNext(e *Engine) {
-	_, fromLane := e.next()
-	e.step(fromLane)
+	_, q := e.next()
+	e.step(q)
 }
 
-// popNext removes the earliest pending entry without firing it.
+// popNext removes the earliest pending entry, which is not a timer's
+// arm, without firing it.
 func popNext(e *Engine) Entry {
-	if _, fromLane := e.next(); fromLane {
+	if _, q := e.next(); q == laneQueue {
 		return e.lane.pop()
 	}
 	return e.pq.pop()
@@ -561,5 +567,35 @@ func TestTimerWalk(t *testing.T) {
 	NewTimer(&late, func() {}).Walk(dec)
 	if !errors.Is(dec.Err(), snapshot.ErrCorrupt) {
 		t.Fatalf("arm before the clock: decode error %v, want snapshot.ErrCorrupt", dec.Err())
+	}
+}
+
+// TestTimerNegativeDelay: Start with a negative delay arms at the
+// current instant and Expires says so — the expiry and the arm are one
+// instant — so a checkpoint taken with that arm pending restores and
+// fires it at the same instant.
+func TestTimerNegativeDelay(t *testing.T) {
+	var a Engine
+	a.RunUntil(10)
+	ta := NewTimer(&a, func() {})
+	ta.Start(-5)
+	if ta.Expires() != 10 {
+		t.Fatalf("Start(-5) at 10 expires at %v, want 10", ta.Expires())
+	}
+	var enc snapshot.Encoder
+	a.Walk(snapshot.EncodeWalker(&enc))
+	ta.Walk(snapshot.EncodeWalker(&enc))
+	var b Engine
+	var fired []Time
+	tb := NewTimer(&b, func() { fired = append(fired, b.Now()) })
+	dec := snapshot.DecodeWalker(snapshot.NewDecoder(enc.Bytes()))
+	b.Walk(dec)
+	tb.Walk(dec)
+	if err := dec.Err(); err != nil {
+		t.Fatal(err)
+	}
+	b.Run()
+	if len(fired) != 1 || fired[0] != 10 {
+		t.Fatalf("restored arm fired at %v, want once at 10", fired)
 	}
 }

@@ -2,19 +2,25 @@ package sim
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
 
 	"outran/internal/rng"
+	"outran/internal/snapshot"
 )
 
 // The differential oracle: a frozen copy of the engine as it stood
 // before the lane, when one binary heap held every pending entry, and
-// of the timer bound to it. FuzzEngineOrder and
+// of the generation-guarded timer bound to it, whose re-arms and stops
+// left their old entries queued to pop as no-ops. FuzzEngineOrder and
 // TestEngineMatchesHeapOracle drive it and the live engine through the
-// same operations and demand bitwise-equal results. Do not "modernise"
-// it.
+// same operations and demand bitwise-equal results once the oracle's
+// dead arms are filtered out: the fired sequence, the clock, Processed
+// less the no-op fires, Pending and Entries() less the dead arms. Do
+// not "modernise" it; the noops counter, refTimer.dead and
+// refTimer.restore (the old Timer.Walk's decode) are the only additions.
 
 type refHeap []Entry
 
@@ -77,6 +83,7 @@ type refEngine struct {
 	seq     uint64
 	stopped bool
 	nEvents uint64
+	noops   uint64 // dead timer arms popped
 }
 
 func (e *refEngine) Now() Time         { return e.now }
@@ -144,11 +151,24 @@ func (t *refTimer) Start(d Time) {
 }
 
 func (t *refTimer) Fire(ev Event) {
-	if uint64(ev.A) != t.gen || !t.running {
+	if t.dead(ev) {
+		t.e.noops++
 		return
 	}
 	t.running = false
 	t.fn()
+}
+
+// dead reports whether ev is an arm of t that pops as a no-op.
+func (t *refTimer) dead(ev Event) bool { return uint64(ev.A) != t.gen || !t.running }
+
+// restore is the old Timer.Walk's decode.
+func (t *refTimer) restore(running bool, expires Time, armSeq uint64) {
+	t.running, t.expires, t.armSeq = running, expires, armSeq
+	t.gen++
+	if t.running {
+		t.e.ScheduleExact(t.expires, t.armSeq, t, Event{A: int64(t.gen)})
+	}
 }
 
 func (t *refTimer) Stop() {
@@ -196,7 +216,8 @@ type side struct {
 		Start(Time)
 		Stop()
 	}
-	timerOf map[Handler]int
+	timerOf  map[Handler]int
+	expiries int // timer expiries seen so far
 }
 
 func (s *side) Fire(ev Event) {
@@ -212,39 +233,59 @@ func (s *side) Fire(ev Event) {
 	}
 }
 
+// timerFired logs timer i's expiry of the arm seq, then now and again
+// starts a timer from inside the callback: expiry 6k restarts the
+// expiring timer with Start(0), at this very instant, and expiry 6k+3
+// starts the next timer.
+func (s *side) timerFired(i int, seq uint64) {
+	s.fired = append(s.fired, fired{s.e.Now(), seq, timerFired, int64(i), 0})
+	s.expiries++
+	switch s.expiries % 6 {
+	case 0:
+		s.timers[i].Start(0)
+	case 3:
+		s.timers[(i+1)%len(s.timers)].Start(Time(s.expiries % 50))
+	}
+}
+
 func newSide(e engineUnderTest) *side {
 	return &side{e: e, seqOf: map[int64]uint64{}, timerOf: map[Handler]int{}}
 }
 
-// numTimers is how many timers each side's driver exercises.
-const numTimers = 4
+// numTimers is how many timers each side's driver exercises: enough for
+// the timer queue to be a heap several levels deep.
+const numTimers = 12
 
-func liveSide() *side {
+func liveSide() (*side, []*Timer) {
 	e := &Engine{}
 	s := newSide(e)
+	var timers []*Timer
 	for i := 0; i < numTimers; i++ {
 		tm := NewTimer(e, nil)
-		tm.fn = func() { s.fired = append(s.fired, fired{e.Now(), tm.armSeq, timerFired, int64(i), 0}) }
+		tm.fn = func() { s.timerFired(i, tm.armSeq) }
 		s.timers = append(s.timers, tm)
 		s.timerOf[tm] = i
+		timers = append(timers, tm)
 	}
-	return s
+	return s, timers
 }
 
-func refSide() *side {
+func refSide() (*side, []*refTimer) {
 	e := &refEngine{}
 	s := newSide(e)
+	var timers []*refTimer
 	for i := 0; i < numTimers; i++ {
 		tm := &refTimer{e: e}
-		tm.fn = func() { s.fired = append(s.fired, fired{e.Now(), tm.armSeq, timerFired, int64(i), 0}) }
+		tm.fn = func() { s.timerFired(i, tm.armSeq) }
 		s.timers = append(s.timers, tm)
 		s.timerOf[tm] = i
+		timers = append(timers, tm)
 	}
-	return s
+	return s, timers
 }
 
 // entryKey is an Entries() element with its handler named: -1 for the
-// recorder, the index for a timer.
+// recorder, the index for a timer, whose arm carries no payload.
 type entryKey struct {
 	at      Time
 	seq     uint64
@@ -253,16 +294,81 @@ type entryKey struct {
 	handler int
 }
 
+// entries lists the queue; the oracle's dead timer arms are left out.
 func (s *side) entries() []entryKey {
 	var out []entryKey
 	for _, en := range s.e.Entries() {
-		h := -1
-		if i, ok := s.timerOf[en.H]; ok {
-			h = i
+		i, ok := s.timerOf[en.H]
+		switch {
+		case !ok:
+			out = append(out, entryKey{en.At, en.Seq, en.Ev.Kind, en.Ev.A, en.Ev.B, -1})
+		case !isDeadArm(en):
+			out = append(out, entryKey{at: en.At, seq: en.Seq, handler: i})
 		}
-		out = append(out, entryKey{en.At, en.Seq, en.Ev.Kind, en.Ev.A, en.Ev.B, h})
 	}
 	return out
+}
+
+// isDeadArm reports whether en is an oracle timer's arm that pops as a
+// no-op.
+func isDeadArm(en Entry) bool {
+	rt, ok := en.H.(*refTimer)
+	return ok && rt.dead(en.Ev)
+}
+
+// processed is the count of fired events, the oracle's less its no-op
+// fires.
+func (s *side) processed() uint64 {
+	if r, ok := s.e.(*refEngine); ok {
+		return r.nEvents - r.noops
+	}
+	return s.e.Processed()
+}
+
+// pending is the count of queued events, the oracle's less its dead
+// timer arms.
+func (s *side) pending() int {
+	r, ok := s.e.(*refEngine)
+	if !ok {
+		return s.e.Pending()
+	}
+	n := 0
+	for _, en := range r.pq {
+		if !isDeadArm(en) {
+			n++
+		}
+	}
+	return n
+}
+
+// checkTimerQueue fails unless the live engine's timer queue holds
+// exactly its running timers: one entry each, keyed (expires, armSeq),
+// whose index the timer's slot names, in heap order.
+func checkTimerQueue(t testing.TB, n int, e *Engine, timers []*Timer) {
+	running := 0
+	for i, tm := range timers {
+		if !tm.Running() {
+			continue
+		}
+		running++
+		if tm.slot > len(e.timers) || e.timers[tm.slot-1].t != tm {
+			t.Fatalf("op %d: running timer %d names slot %d of %d, which is not its entry", n, i, tm.slot, len(e.timers))
+		}
+		if k := e.timers[tm.slot-1]; k.at != tm.expires || k.seq != tm.armSeq {
+			t.Fatalf("op %d: timer %d queued at (%v, %d), armed at (%v, %d)", n, i, k.at, k.seq, tm.expires, tm.armSeq)
+		}
+	}
+	if running != len(e.timers) {
+		t.Fatalf("op %d: %d running timers, %d timer entries queued", n, running, len(e.timers))
+	}
+	for i, k := range e.timers {
+		if k.t.slot != i+1 {
+			t.Fatalf("op %d: timer entry %d is named by slot %d", n, i, k.t.slot)
+		}
+		if p := (i - 1) / 2; i > 0 && precedes(k.at, k.seq, e.timers[p].at, e.timers[p].seq) {
+			t.Fatalf("op %d: timer entry %d (%v, %d) sorts before its parent (%v, %d)", n, i, k.at, k.seq, e.timers[p].at, e.timers[p].seq)
+		}
+	}
 }
 
 // opStream reads the driver's choices from bytes; past the end it
@@ -293,10 +399,12 @@ func (o *opStream) span() Time {
 
 // driveEngines runs the byte-coded operations on the live engine and
 // on the frozen heap-only copy and fails at the first operation after
-// which they differ. It returns the number of operations run and how
-// many of them began with both the lane and the heap holding entries.
+// which they differ, or after which a live timer's queue entry is not
+// its one arm. It returns the number of operations run and how many of
+// them began with both the lane and the heap holding entries.
 func driveEngines(t testing.TB, program []byte) (n, mixed int) {
-	live, ref := liveSide(), refSide()
+	live, liveTimers := liveSide()
+	ref, refTimers := refSide()
 	sides := [2]*side{live, ref}
 	ops := &opStream{b: program}
 	var id int64       // next driver payload id
@@ -372,21 +480,54 @@ func driveEngines(t testing.TB, program []byte) (n, mixed int) {
 			for _, s := range sides {
 				s.e.RunUntil(d)
 			}
-		case 7: // drop everything mid-run
+		case 7: // drop everything mid-run, then restore some timers' arms through Timer.Walk
 			for _, en := range live.e.Entries() {
 				if _, ok := live.timerOf[en.H]; !ok {
 					spare = append(spare, en.Seq)
 				}
 			}
+			type arm struct {
+				running bool
+				expires Time
+				seq     uint64
+				img     []byte
+			}
+			arms := make([]arm, numTimers)
+			for i, tm := range liveTimers {
+				var enc snapshot.Encoder
+				tm.Walk(snapshot.EncodeWalker(&enc))
+				arms[i] = arm{tm.Running(), tm.expires, tm.armSeq, enc.Bytes()}
+			}
 			for _, s := range sides {
 				s.e.DropPending()
 				clear(s.seqOf)
 			}
+			for i, a := range arms {
+				if ops.next()%2 == 0 {
+					continue // dropped and not restored: the live timer is stopped, the oracle's a zombie
+				}
+				dec := snapshot.DecodeWalker(snapshot.NewDecoder(a.img))
+				liveTimers[i].Walk(dec)
+				// A Stop event cuts RunUntil short and still moves the clock to
+				// the deadline, so an arm can lie behind it: corrupt input.
+				if late := a.running && a.expires < le.Now(); late != errors.Is(dec.Err(), snapshot.ErrCorrupt) {
+					t.Fatalf("op %d: restoring timer %d armed at %v, clock at %v: error %v", n, i, a.expires, le.Now(), dec.Err())
+				} else if !late {
+					refTimers[i].restore(a.running, a.expires, a.seq)
+				}
+			}
 		case 8: // timer start / stop / restart
-			i, d := ops.next()%numTimers, ops.span()
-			stop := ops.next()%3 == 0
+			i, d, mode := ops.next()%numTimers, ops.span(), ops.next()%6
+			switch mode {
+			case 2:
+				d = 0
+			case 3: // tie with the earliest pending entry, whichever queue holds it
+				if at, q := le.next(); q != noQueue {
+					d = at - le.Now()
+				}
+			}
 			for _, s := range sides {
-				if stop {
+				if mode < 2 { // on a running, expired, stopped or never-started timer alike
 					s.timers[i].Stop()
 				} else {
 					s.timers[i].Start(d)
@@ -407,20 +548,21 @@ func driveEngines(t testing.TB, program []byte) (n, mixed int) {
 			t.Fatalf("op %d (kind %d): fired sequences differ at %d:\n lane+heap %v\n heap only %v", n, op,
 				firstDiff(live.fired, ref.fired), tail(live.fired), tail(ref.fired))
 		}
-		if live.e.Now() != ref.e.Now() || live.e.Pending() != ref.e.Pending() || live.e.Processed() != ref.e.Processed() {
+		if live.e.Now() != ref.e.Now() || live.pending() != ref.pending() || live.processed() != ref.processed() {
 			t.Fatalf("op %d (kind %d): (now, pending, processed) = (%v, %d, %d), heap only (%v, %d, %d)", n, op,
-				live.e.Now(), live.e.Pending(), live.e.Processed(), ref.e.Now(), ref.e.Pending(), ref.e.Processed())
+				live.e.Now(), live.pending(), live.processed(), ref.e.Now(), ref.pending(), ref.processed())
 		}
+		checkTimerQueue(t, n, le, liveTimers)
 	}
 	// Drain what is left and compare the whole run once more.
 	for _, s := range sides {
-		for s.e.Pending() > 0 {
+		for s.pending() > 0 {
 			s.e.RunUntil(s.e.Now() + 1<<40)
 		}
 	}
-	if !slices.Equal(live.fired, ref.fired) || live.e.Now() != ref.e.Now() || live.e.Processed() != ref.e.Processed() {
+	if !slices.Equal(live.fired, ref.fired) || live.e.Now() != ref.e.Now() || live.processed() != ref.processed() {
 		t.Fatalf("after the final drain: %d fired at %v (%d processed), heap only %d at %v (%d processed)",
-			len(live.fired), live.e.Now(), live.e.Processed(), len(ref.fired), ref.e.Now(), ref.e.Processed())
+			len(live.fired), live.e.Now(), live.processed(), len(ref.fired), ref.e.Now(), ref.processed())
 	}
 	return n, mixed
 }
@@ -462,6 +604,10 @@ func FuzzEngineOrder(f *testing.F) {
 	f.Add([]byte{0, 10, 3, 5, 5, 200, 1, 9})
 	f.Add([]byte{0, 1, 0, 63, 1, 2, 3, 7, 5, 255, 0, 4, 2, 1, 8, 9})
 	f.Add([]byte{8, 1, 10, 1, 8, 2, 30, 0, 7, 0, 5, 40, 0, 4, 3, 4, 9, 6, 255, 1})
+	// Timers: restarts earlier and later, Start(0), a tie with the queue's
+	// front, stops, a drop with walks, then a run through the expiries.
+	f.Add([]byte{0, 5, 1, 20, 8, 3, 200, 1, 2, 8, 4, 90, 1, 2, 8, 3, 10, 1, 2, 8, 5, 0, 0, 3,
+		8, 6, 0, 1, 4, 8, 3, 0, 0, 0, 9, 7, 1, 0, 1, 1, 9, 5, 250, 1, 9})
 	f.Fuzz(func(t *testing.T, program []byte) {
 		driveEngines(t, program)
 	})

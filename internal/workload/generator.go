@@ -18,10 +18,49 @@ type FlowSpec struct {
 	Incast bool
 }
 
+// startKey is sortByStart's sort key: a flow's start and its index in
+// generation order.
+type startKey struct {
+	start sim.Time
+	i     int32 // -1 once the flow is in place
+}
+
 // sortByStart orders a schedule by start time, keeping the generation
 // order of simultaneous flows (the order is part of workload_digest).
-func sortByStart(flows []FlowSpec) {
-	slices.SortStableFunc(flows, func(a, b FlowSpec) int { return cmp.Compare(a.Start, b.Start) })
+// (Start, generation index) is a total order, so an unstable sort of
+// those keys gives the stable order by construction; each flow then
+// moves once, along the permutation's cycles. A stable sort of the
+// flows themselves spends O(n log² n) moves in its merges and rotations.
+// keys is scratch for the keys, grown as needed and returned, so a
+// caller sorting several schedules allocates it once.
+func sortByStart(flows []FlowSpec, keys []startKey) []startKey {
+	order := slices.Grow(keys[:0], len(flows))[:len(flows)] // order[j] names the flow that goes to j
+	for i, f := range flows {
+		order[i] = startKey{f.Start, int32(i)}
+	}
+	slices.SortFunc(order, func(a, b startKey) int {
+		if c := cmp.Compare(a.start, b.start); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.i, b.i)
+	})
+	for j := range order {
+		if order[j].i < 0 {
+			continue // placed with an earlier cycle
+		}
+		first, k := flows[j], j
+		for {
+			from := int(order[k].i)
+			order[k].i = -1
+			if from == j {
+				flows[k] = first
+				break
+			}
+			flows[k] = flows[from]
+			k = from
+		}
+	}
+	return order
 }
 
 // PoissonConfig drives the classic generator: UEs request downlink
@@ -63,7 +102,7 @@ func Poisson(cfg PoissonConfig, r *rng.Source) (Source, error) {
 	if cfg.MaxFlows > 0 && len(flows) > cfg.MaxFlows {
 		flows = flows[:cfg.MaxFlows]
 	}
-	sortByStart(flows)
+	sortByStart(flows, nil)
 	return SliceSource(flows), nil
 }
 

@@ -239,6 +239,7 @@ func (s Spec) Build(env Env, r *rng.Source) (Source, error) {
 		totalVol := int64(s.Load * env.CapacityBps / 8 * env.Span.Seconds())
 		shares := normalizeShares(s.Classes)
 		warp := newWarper(s.Envelope, env.Span)
+		var keys []startKey
 		for i, c := range s.Classes {
 			cr := r.Fork() // class order fixes the stream assignment
 			vol := int64(float64(totalVol) * shares[i])
@@ -249,14 +250,14 @@ func (s Spec) Build(env Env, r *rng.Source) (Source, error) {
 			for j := range flows {
 				flows[j].Start = warp.warp(flows[j].Start)
 			}
-			sortByStart(flows)
+			keys = sortByStart(flows, keys)
 			srcs = append(srcs, SliceSource(flows))
 		}
 	}
 	if len(s.Extra) > 0 {
 		extra := make([]FlowSpec, len(s.Extra))
 		copy(extra, s.Extra)
-		sortByStart(extra)
+		sortByStart(extra, nil)
 		srcs = append(srcs, SliceSource(extra))
 	}
 	var src Source

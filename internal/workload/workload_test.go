@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -352,5 +354,27 @@ func TestLimit(t *testing.T) {
 	}
 	if n := len(Collect(Limit(SliceSource(flows), 0))); n != 3 {
 		t.Fatalf("Limit(0) yielded %d", n)
+	}
+}
+
+// TestSortByStartMatchesStableSort: sortByStart orders any schedule —
+// these are heavy with simultaneous flows — exactly as a stable sort by
+// start time does.
+func TestSortByStartMatchesStableSort(t *testing.T) {
+	r := rng.New(20261015)
+	var keys []startKey // reused, as Spec.Build reuses it across classes
+	for c := 0; c < 500; c++ {
+		n := r.Intn(400)
+		flows := make([]FlowSpec, n)
+		for i := range flows {
+			// Few distinct instants, so most flows tie; UE tells them apart.
+			flows[i] = FlowSpec{Start: sim.Time(r.Intn(1 + n/(1+r.Intn(16)))), UE: i, Size: int64(r.Intn(1000))}
+		}
+		want := slices.Clone(flows)
+		slices.SortStableFunc(want, func(a, b FlowSpec) int { return cmp.Compare(a.Start, b.Start) })
+		keys = sortByStart(flows, keys)
+		if !slices.Equal(flows, want) {
+			t.Fatalf("case %d (%d flows): sortByStart\n %v\nstable sort\n %v", c, n, flows, want)
+		}
 	}
 }
