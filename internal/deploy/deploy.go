@@ -395,8 +395,9 @@ func (rs *runState) build() error {
 			}
 		}
 		// The workload trace is fully written during Build (the harness
-		// drains the source while scheduling), so the file closes here —
-		// no lifetime to manage across the run.
+		// walks the whole schedule into it before the cell pulls its
+		// first flow), so the file closes here — no lifetime to manage
+		// across the run.
 		var wt *os.File
 		if rs.cfg.WorkloadTracePathFor != nil {
 			if path := rs.cfg.WorkloadTracePathFor(i); path != "" {

@@ -219,10 +219,13 @@ func TestKPIValidation(t *testing.T) {
 // 300 ms checkpoint files TestCheckpointFileGolden writes, recorded on
 // the commit before the snapshot walk was rewritten (amd64). Cell 1's
 // was re-recorded once when each armed timer came to own one queue
-// entry: only its engine section's processed count moved.
+// entry: only its engine section's processed count moved. Both were
+// re-recorded for snapshot version 2: the version and the pending
+// section moved, and with the files' sizes the checkpoint_bytes gauge
+// in the metrics section.
 var checkpointGoldenSHA256 = [2]string{
-	"5e521dd83a1912d72a97d570f605d1ccaa18970cb4c62877e5dbd5e8a3b250c0",
-	"3dff9ee2e6d602fd2147eb55d9f2833f56296e0733ad2a70ad427f54155a78c6",
+	"5d92a210160690c4881728fcec29ce9dba861ea569befcf93be10e40ef325a25",
+	"581158c99395aedd8e11e37951f58eb507a9b4367d33fb6fae9d51cce4fe17dc",
 }
 
 // TestCheckpointFileGolden pins the bytes of a deployment checkpoint

@@ -7,6 +7,7 @@ import (
 	"outran/internal/mac"
 	"outran/internal/rlc"
 	"outran/internal/sim"
+	"outran/internal/workload"
 )
 
 // backloggedCell builds a cell with one large in-flight flow and runs
@@ -113,9 +114,21 @@ func TestCellZeroAllocs(t *testing.T) {
 			tb := &harqTB{bits: 800}
 			scheduleProbe(func(c *Cell) { c.transmitTB(c.ues[0], tb) })(t)
 		},
-		"(*Cell).scheduleArrival": scheduleProbe(func(c *Cell) {
-			c.scheduleArrival(c.Eng.Now()+sim.Second, 1, 5000, true, true)
-		}),
+		"(*arrivalCursor).queue": func(t *testing.T) {
+			flows := make([]workload.FlowSpec, 200)
+			for i := range flows {
+				flows[i] = workload.FlowSpec{Start: sim.Second + sim.Time(i), UE: 1, Size: 5000, Incast: true}
+			}
+			var cur *arrivalCursor
+			scheduleProbe(func(c *Cell) {
+				if cur == nil {
+					c.ScheduleSource(workload.SliceSource(flows), 0, 0)
+					cur = c.cursors[0]
+					return
+				}
+				cur.arrived(c)
+			})(t)
+		},
 		"(*Cell).ScheduleTrackerReset":  scheduleProbe(func(c *Cell) { c.ScheduleTrackerReset(c.Eng.Now()) }),
 		"(*Cell).ScheduleTrackerFreeze": scheduleProbe(func(c *Cell) { c.ScheduleTrackerFreeze(c.Eng.Now()) }),
 		"(*Cell).ScheduleExternal":      scheduleProbe(func(c *Cell) { c.ScheduleExternal(c.Eng.Now(), 1<<63|7) }),

@@ -200,6 +200,10 @@ type Cell struct {
 	tickReset *sim.Periodic
 	ext       ExternalHandler
 	restored  bool
+
+	// cursors are the workload sources feeding the cell, in the order
+	// they were scheduled (see arrivals.go).
+	cursors []*arrivalCursor
 }
 
 // retiredCounters carries per-entity counters across re-establishment.

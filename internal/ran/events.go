@@ -15,7 +15,7 @@ import (
 // valid kind.
 //
 //	kind             Idx     A      B       Ptr
-//	evArrival        flags   size   raw UE  -
+//	evArrival        flags   size   raw UE  *arrivalCursor
 //	evPacket         UE      -      -       *ip.Packet
 //	evAck            -       rel    -       *flowRuntime
 //	evTB             UE      -      -       *harqTB
@@ -24,7 +24,8 @@ import (
 //	evTrackerFreeze  -       -      -       -
 //	evExternal       -       key    -       -
 const (
-	// evArrival is a workload flow arrival (ScheduleSource).
+	// evArrival is a workload flow arrival (ScheduleSource). A
+	// checkpoint records it through its cursor, not as an entry.
 	evArrival uint8 = iota + 1
 	// evPacket is a downlink packet crossing the wired backhaul.
 	evPacket
@@ -87,6 +88,9 @@ func (c *Cell) Fire(ev sim.Event) {
 		if err := c.StartFlow(int(ev.B)%len(c.ues), ev.A, opt); err != nil {
 			panic(err)
 		}
+		if cur, _ := ev.Ptr.(*arrivalCursor); cur != nil {
+			cur.arrived(c)
+		}
 	case evPacket:
 		c.deliverToXNB(c.ues[ev.Idx], *ev.Ptr.(*ip.Packet))
 	case evAck:
@@ -111,15 +115,6 @@ func (c *Cell) Fire(ev sim.Event) {
 // after schedules ev for the cell d from now.
 func (c *Cell) after(d sim.Time, ev sim.Event) {
 	c.Eng.Schedule(c.Eng.Now()+max(d, 0), c, ev)
-}
-
-// scheduleArrival queues one workload flow; skip excludes it from the
-// FCT recorder. The UE index is kept raw and reduced modulo the UE
-// count when the flow starts.
-//
-//outran:allocfree
-func (c *Cell) scheduleArrival(at sim.Time, ue int, size int64, incast, skip bool) {
-	c.Eng.Schedule(at, c, sim.Event{Kind: evArrival, Idx: arrivalFlags(incast, skip), A: size, B: int64(ue)})
 }
 
 // ScheduleTrackerReset schedules the measurement-window reset.

@@ -9,7 +9,6 @@ import (
 	"outran/internal/pdcp"
 	"outran/internal/sim"
 	"outran/internal/transport"
-	"outran/internal/workload"
 )
 
 // serverAddr is the application server behind the P-GW.
@@ -261,24 +260,6 @@ func (c *Cell) deliverToXNB(ue *ueCtx, pkt ip.Packet) {
 	}
 	if !ue.enqueue(sdu) {
 		ue.enqueueDrops++
-	}
-}
-
-// ScheduleSource drains a workload source and registers every flow's
-// arrival, in pull order. Flows starting outside [recordFrom,
-// recordUntil) are scheduled but excluded from the FCT recorder —
-// warm-up transient and pressure-tail traffic. The source must yield
-// flows in non-decreasing start order (the Source contract); pull order
-// then equals time order, so the event sequence numbers — and with
-// them every downstream tie-break — are reproducible across runs and
-// across trace replay.
-func (c *Cell) ScheduleSource(src workload.Source, recordFrom, recordUntil sim.Time) {
-	for {
-		f, ok := src.Next()
-		if !ok {
-			return
-		}
-		c.scheduleArrival(f.Start, f.UE, f.Size, f.Incast, f.Start < recordFrom || f.Start >= recordUntil)
 	}
 }
 

@@ -2,13 +2,17 @@ package ran
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"testing"
 
 	"outran/internal/ip"
 	"outran/internal/snapshot"
+	"outran/internal/workload"
 )
 
 // FuzzRestoreSnapshot restores cells from archives that are corrupt but
@@ -38,6 +42,20 @@ func FuzzRestoreSnapshot(f *testing.F) {
 	}
 	section, payload := unsortedFlowTable(f, archiveShapes[0].build(f))
 	f.Add(uint8(0), uint8(slices.Index(shapes[0].names, section)), payload)
+	// A cell replaying a trace file, and its cursor's hostile edits.
+	trace := traceShape(f, f.TempDir())
+	img, err := trace.Snapshot()
+	if err != nil {
+		f.Fatal(err)
+	}
+	names := sectionNames(f, img)
+	shapes = append(shapes, seeded{trace.cfg, img, names})
+	for _, payload := range cursorSeeds(f, trace, traceCursorEdits...) {
+		f.Add(uint8(len(shapes)-1), uint8(slices.Index(names, "pending")), payload)
+	}
+	for _, payload := range cursorSeeds(f, archiveShapes[0].build(f), inflateCursor) {
+		f.Add(uint8(0), uint8(slices.Index(shapes[0].names, "pending")), payload)
+	}
 	f.Fuzz(func(t *testing.T, shape, section uint8, payload []byte) {
 		s := shapes[int(shape)%len(shapes)]
 		victim := s.names[int(section)%len(s.names)]
@@ -104,4 +122,103 @@ func unsortedFlowTable(t testing.TB, c *Cell) (section string, payload []byte) {
 	}
 	t.Fatal("no UE tracks two PDCP flows")
 	return "", nil
+}
+
+// traceShape is the PF-UM-LTE shape replaying its own workload from a
+// trace file written to dir, at its snapshot instant.
+func traceShape(t testing.TB, dir string) *Cell {
+	h := resumeScenario(SchedPF, UM)
+	path := filepath.Join(dir, "workload.jsonl")
+	var trace bytes.Buffer
+	h.WorkloadTrace = &trace
+	if _, err := h.Build(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, trace.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	h.WorkloadTrace = nil
+	h.Config = h.Config.WithWorkload(workload.ReplaySpec(path))
+	return archiveShape{harness: func() Harness { return h }, mid: archiveShapes[0].mid}.build(t)
+}
+
+// traceCursorEdits are three edits of a trace-file replay's cursor a
+// restore must reject with ErrCorrupt: more flows consumed than the
+// schedule holds, a queued flow the rebuilt schedule does not hold
+// there, and the digest of another trace file.
+var traceCursorEdits = []func(cur *arrivalCursor){
+	func(cur *arrivalCursor) { cur.fired = cur.n + 1 },
+	func(cur *arrivalCursor) { cur.next.Size++ },
+	func(cur *arrivalCursor) { cur.gen.traceSum[0] ^= 1 },
+}
+
+// inflateCursor grows a generated schedule's length by 2^40 and its span
+// 2^30 times, a record whose rebuild would never finish: a restore must
+// reject it with ErrCorrupt before generating anything.
+func inflateCursor(cur *arrivalCursor) {
+	cur.n += 1 << 40
+	cur.gen.span <<= 30
+}
+
+// cursorSeeds returns c's pending section with its first arrival cursor
+// changed by each edit in turn.
+func cursorSeeds(t testing.TB, c *Cell, edits ...func(cur *arrivalCursor)) [][]byte {
+	var out [][]byte
+	for _, edit := range edits {
+		cur := c.cursors[0]
+		saved, gen := *cur, *cur.gen
+		edit(cur)
+		img, err := c.Snapshot()
+		*cur, *saved.gen = saved, gen
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, sectionBytes(t, img)["pending"])
+	}
+	return out
+}
+
+// TestRestoreRejectsCorruptCursors: FuzzRestoreSnapshot's cursor seeds
+// each fail the restore with ErrCorrupt, and the unedited archives
+// restore.
+func TestRestoreRejectsCorruptCursors(t *testing.T) {
+	t.Run("trace", func(t *testing.T) {
+		checkCursorSeeds(t, traceShape(t, t.TempDir()), traceCursorEdits...)
+	})
+	t.Run("generated", func(t *testing.T) {
+		checkCursorSeeds(t, archiveShapes[0].build(t), inflateCursor)
+	})
+}
+
+// checkCursorSeeds restores c's archive unedited, which must succeed,
+// and with each of cursorSeeds(edits), which must fail with ErrCorrupt.
+func checkCursorSeeds(t *testing.T, c *Cell, edits ...func(cur *arrivalCursor)) {
+	img, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restore := func(pending []byte) error {
+		a, err := snapshot.Open(reseal(t, img, func(name string, raw []byte) []byte {
+			if name == "pending" && pending != nil {
+				return pending
+			}
+			return raw
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := NewCell(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fresh.RestoreSnapshot(a)
+	}
+	if err := restore(nil); err != nil {
+		t.Fatalf("unedited archive: %v", err)
+	}
+	for i, pending := range cursorSeeds(t, c, edits...) {
+		if err := restore(pending); !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Errorf("seed %d: restore error %v, want ErrCorrupt", i, err)
+		}
+	}
 }

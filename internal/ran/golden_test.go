@@ -25,7 +25,9 @@ type archiveShape struct {
 	// sha256 of the archive, recorded on the commit before the snapshot
 	// walk was rewritten (amd64). PF-UM-LTE's and OutRAN-AM-KPI-stream's
 	// were re-recorded once when each armed timer came to own one queue
-	// entry: only the engine section's processed count moved.
+	// entry: only the engine section's processed count moved. All three
+	// were re-recorded once more for snapshot version 2, when arrivals
+	// became cursors: only the version and the pending section moved.
 	sha256 string
 }
 
@@ -70,7 +72,7 @@ var archiveShapes = []archiveShape{
 				t.Fatal("no live flows at the snapshot instant")
 			}
 		},
-		sha256: "b1fb87af2ba9b27b11149ec690d8515ef62f086b7f8277a57c546cacbc10bafc",
+		sha256: "1c793161bde4dde9b77754a78e89f5da684afb394282a9cfbd6723de9d551a15",
 	},
 	{
 		name:    "OutRAN-AM-NR",
@@ -101,7 +103,7 @@ var archiveShapes = []archiveShape{
 				t.Fatalf("HARQ retransmissions %d, AM statuses in flight %d, transport blocks on the air %d, AM retransmitted bytes %d; all must be non-zero", retx, status, onAir, amRetx)
 			}
 		},
-		sha256: "e61b62a24b47e7e9f419246a01eddf1d8701717f1ecdb666d9fde58227931309",
+		sha256: "45dde6af14a8204a6ffcb11bdc5658095e3050e36ec4ca6f15b6836af526d8bf",
 	},
 	{
 		name:    "OutRAN-AM-KPI-stream",
@@ -112,7 +114,7 @@ var archiveShapes = []archiveShape{
 				t.Fatal("no KPI or streaming-FCT state at the snapshot instant")
 			}
 		},
-		sha256: "d983dadaec313787e49ff9f8ea8dae5f7f8c9e55e607aa899aee7630960aa64f",
+		sha256: "8e4c8d2eb7659d36ed96876f4ff1a1d73b383beb7d9e8742d3960cc1ed86b5a5",
 	},
 }
 
@@ -158,22 +160,24 @@ func cityOpsShape() Harness {
 // tracked. Recorded on the commit before the PDCP flow table became a
 // sorted slice (amd64); the archives were re-recorded once when each
 // armed timer came to own one queue entry, which moved only the engine
-// section's processed count.
+// section's processed count, and once for snapshot version 2, which
+// moved only the version and the pending section.
 var cityOpsGoldens = []struct {
 	at              sim.Time
 	archive, export string
 }{
 	{2 * sim.Second,
-		"bde45226165c24bfa2018d71a1545f681d80eb4d6c5ad0d45d575ab739709332",
+		"395d45a9372d9c86ed8c981f3ed2fd72dbb451223c5fb7fe6b97aa5f9e80727c",
 		"9a0d7ef4116b7c917395613d90ca12ef950be45398091198c7e6f1008e836705"},
 	{4 * sim.Second,
-		"5cc6ff7d10ffaa3932bb48dd0b65fb454c7b8c0ecab598461a4d74295b024e83",
+		"0e660676ec657c95eb22891f2391e340ca8dbf0c773a015d1642bc724c7bae19",
 		"4159e10ef6ff658bfb277aceb82945a72593ae274055a7d8904d5b5dd177bc27"},
 }
 
 // TestCityOpsArchiveGoldens: the checkpoint file and the flow-state
 // export are byte-for-byte the ones the map-backed flow table wrote,
-// but for the processed count (cityOpsGoldens).
+// but for the processed count, the version and the pending section
+// (cityOpsGoldens).
 func TestCityOpsArchiveGoldens(t *testing.T) {
 	for _, g := range cityOpsGoldens {
 		t.Run(g.at.String(), func(t *testing.T) {

@@ -5,9 +5,7 @@ import (
 	"io"
 
 	"outran/internal/obs"
-	"outran/internal/rng"
 	"outran/internal/sim"
-	"outran/internal/workload"
 )
 
 // Harness is the single build path shared by the experiment harnesses,
@@ -19,11 +17,13 @@ import (
 // complete under sustained load.
 //
 // The traffic itself is declared on Config.Workload (a workload.Spec):
-// the harness instantiates it against the cell's effective capacity and
-// the arrival span, pulls the resulting Source, and schedules every
-// flow. Keeping the spec on the Config means one value pins the whole
-// run — topology, scheduler, seed and offered traffic — and the
-// checkpoint fingerprint covers it.
+// the harness generates its schedule against the cell's effective
+// capacity and the arrival span and hands it to the cell, which queues
+// one arrival at a time as the run reaches it. Keeping the spec on the
+// Config means one value pins the whole run — topology, scheduler, seed
+// and offered traffic — and the checkpoint fingerprint covers it; a
+// checkpoint records the workload seed and span besides, so a restore
+// regenerates the schedule instead of carrying it.
 type Harness struct {
 	// Config describes the cell and its workload. NewCell defaults and
 	// validates it.
@@ -43,10 +43,11 @@ type Harness struct {
 	WorkloadSeed uint64
 
 	// WorkloadTrace, when non-nil, receives the exact flow schedule the
-	// run offered as a versioned JSONL trace (workload.TraceWriter), in
-	// pull order. Replaying it via Spec.TraceFile reproduces the run
-	// byte-identically. Deliberately not part of Config: io.Writer is
-	// not plain data and must stay out of the checkpoint fingerprint.
+	// run offers as a versioned JSONL trace (workload.TraceWriter), in
+	// pull order, whole by the time Build returns. Replaying it via
+	// Spec.TraceFile reproduces the run byte-identically. Deliberately
+	// not part of Config: io.Writer is not plain data and must stay out
+	// of the checkpoint fingerprint.
 	WorkloadTrace io.Writer
 
 	// Tracer, when non-nil, is installed on the cell before any event
@@ -90,25 +91,19 @@ func (h Harness) Build() (*Cell, error) {
 		if seed == 0 {
 			seed = cell.Config().Seed + 7919
 		}
-		src, err := spec.Build(workload.Env{
-			NumUEs:      cell.Config().NumUEs,
-			CapacityBps: cell.EffectiveCapacityBps(),
-			Span:        span,
-		}, rng.New(seed))
+		sch, err := cell.generate(seed, span, 0)
 		if err != nil {
 			return nil, fmt.Errorf("ran: harness workload: %w", err)
 		}
-		var tw *workload.TraceWriter
 		if h.WorkloadTrace != nil {
-			tw = workload.NewTraceWriter(h.WorkloadTrace)
-			src = workload.Tee(src, tw)
-		}
-		cell.ScheduleSource(src, h.Warmup, h.Warmup+h.Window)
-		if tw != nil {
-			if err := tw.Flush(); err != nil {
+			// The cell pulls the schedule as the run reaches it; the trace
+			// walks it whole now, so it is complete when Build returns.
+			if err := sch.WriteTrace(h.WorkloadTrace); err != nil {
 				return nil, fmt.Errorf("ran: harness workload trace: %w", err)
 			}
 		}
+		gen := &scheduleGen{seed: seed, span: span, traceSum: sch.TraceSum}
+		cell.scheduleSource(sch.Source(), gen, h.Warmup, h.Warmup+h.Window)
 	}
 	if h.Warmup > 0 {
 		cell.ScheduleTrackerReset(h.Warmup)

@@ -7,11 +7,12 @@ import (
 	"outran/internal/workload"
 )
 
-// BenchmarkHarnessBuild prices one set-up — NewCell, Spec.Build and
+// BenchmarkHarnessBuild prices one set-up — NewCell, Spec.Generate and
 // ScheduleSource, what the repository benchmark reports as setup_s — on
-// the two benchmark shapes where it is largest per cell: cell-traced
-// (the mixed scenario on a 12 x 25 cell, also city-ops's cell) and
-// flow-churn (~60 000 tiny flows to sort).
+// the benchmark shapes where it is largest per cell: cell-traced (the
+// mixed scenario on a 12 x 25 cell over a 40.5 s span), city-ops (the
+// same cell over the deployment's 5.5 s span, built sixteen times a
+// run) and flow-churn (~60 000 tiny flows to sort).
 func BenchmarkHarnessBuild(b *testing.B) {
 	mixed, _ := workload.Scenario("mixed", "lte", 0.7)
 	shapes := []struct {
@@ -22,6 +23,7 @@ func BenchmarkHarnessBuild(b *testing.B) {
 			Config: DefaultLTEConfig().WithTopology(12, 25).WithWorkload(mixed),
 			Warmup: 500 * sim.Millisecond, Window: 40 * sim.Second, Drain: 6 * sim.Second,
 		}},
+		{"city-ops", cityOpsShape()},
 		{"flow-churn", Harness{
 			Config: DefaultLTEConfig().WithTopology(12, 100).WithWorkload(workload.Spec{
 				Load: 0.25,

@@ -21,6 +21,7 @@ const (
 	tagFlow    = 0x2a06
 	tagPending = 0x2a07
 	tagHarqTB  = 0x2a08
+	tagCursor  = 0x2a09
 )
 
 // EnableSnapshots does nothing.
@@ -44,9 +45,10 @@ func configFingerprint(cfg Config) []byte {
 // state and goes in that UE's section, everything else in the pending
 // section. Timers and periodics are recorded by the layer that owns
 // them (a timer's one queued entry is its arm, which Timer.Walk
-// carries). Any other entry is a plain func scheduled with Engine.At/After:
-// a checkpoint cannot serialise it and would silently drop it, so
-// their presence is an error.
+// carries), and workload arrivals by their cursors. Any other entry is
+// a plain func scheduled with Engine.At/After: a checkpoint cannot
+// serialise it and would silently drop it, so their presence is an
+// error.
 func (c *Cell) cellEvents() (perUE [][]sim.Entry, rest []sim.Entry, err error) {
 	perUE = make([][]sim.Entry, len(c.ues))
 	entries := c.Eng.Entries()
@@ -55,9 +57,11 @@ func (c *Cell) cellEvents() (perUE [][]sim.Entry, rest []sim.Entry, err error) {
 	for _, en := range entries {
 		switch en.H.(type) {
 		case *Cell:
-			if en.Ev.Kind == evTB || en.Ev.Kind == evAMStatus {
+			switch en.Ev.Kind {
+			case evArrival:
+			case evTB, evAMStatus:
 				perUE[en.Ev.Idx] = append(perUE[en.Ev.Idx], en)
-			} else {
+			default:
 				rest = append(rest, en)
 			}
 		case *sim.Timer, *sim.Periodic:
@@ -121,9 +125,15 @@ func (c *Cell) sections(ueEvents [][]sim.Entry, rest []sim.Entry) []section {
 // as the sections config/engine/cell/metrics/ue<i>/pending. Flows
 // started with persistent-connection or completion-callback options
 // cannot be serialised and make the whole snapshot fail (checkpointed
-// runs use the plain workload path), as does any pending Engine.At/After
-// func.
+// runs use the plain workload path), as do any pending Engine.At/After
+// func and flows still to come from a source the caller scheduled with
+// ScheduleSource.
 func (c *Cell) SnapshotTo(b *snapshot.Builder) error {
+	for _, cur := range c.cursors {
+		if err := cur.checkpointable(); err != nil {
+			return err
+		}
+	}
 	for _, ue := range c.ues {
 		//outran:orderfree error check only; no encoding happens in this loop
 		for tuple, fr := range ue.flows {
@@ -363,7 +373,7 @@ func (c *Cell) walkEvents(w *snapshot.Walker, events []sim.Entry, payload func(*
 }
 
 // walkPending is the pending section: every cell event not owned by a
-// UE section.
+// UE section or an arrival cursor, then the cursors.
 func (c *Cell) walkPending(w *snapshot.Walker, events []sim.Entry) {
 	w.Mark(tagPending)
 	// ueIndex walks a UE index, which must name one of the cell's UEs.
@@ -375,16 +385,6 @@ func (c *Cell) walkPending(w *snapshot.Walker, events []sim.Entry) {
 	}
 	c.walkEvents(w, events, func(ev *sim.Event) {
 		switch ev.Kind {
-		case evArrival:
-			w.I64(&ev.B)
-			w.I64(&ev.A)
-			incast, skip := ev.Idx&arrivalIncast != 0, ev.Idx&arrivalSkipRecord != 0
-			w.Bool(&incast)
-			w.Bool(&skip)
-			ev.Idx = arrivalFlags(incast, skip)
-			if w.Decoding() && w.Err() == nil && (ev.B < 0 || ev.A <= 0) {
-				w.Fail(fmt.Errorf("%w: arrival event for UE %d with size %d", snapshot.ErrCorrupt, ev.B, ev.A))
-			}
 		case evPacket:
 			ue := int(ev.Idx)
 			ueIndex(&ue, "packet")
@@ -423,4 +423,5 @@ func (c *Cell) walkPending(w *snapshot.Walker, events []sim.Entry) {
 			w.Fail(fmt.Errorf("%w: unknown pending kind %d", snapshot.ErrCorrupt, ev.Kind))
 		}
 	})
+	c.walkCursors(w)
 }

@@ -66,3 +66,35 @@ func BenchmarkCellSnapshot(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCellRestore prices one restore of the city-ops cell as the
+// deployment pays it — NewCell, snapshot.Open, RestoreSnapshot — from a
+// checkpoint taken mid-arrivals (2 s, the schedule rebuilt and skipped
+// to its queued flow) and one taken after the last arrival (8 s,
+// nothing rebuilt).
+func BenchmarkCellRestore(b *testing.B) {
+	for _, at := range []sim.Time{2 * sim.Second, 8 * sim.Second} {
+		b.Run(at.String(), func(b *testing.B) {
+			h := cityOpsShape()
+			img, err := archiveShape{harness: cityOpsShape, mid: at}.build(b).Snapshot()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.SetBytes(int64(len(img)))
+			for i := 0; i < b.N; i++ {
+				c, err := NewCell(h.Config)
+				if err != nil {
+					b.Fatal(err)
+				}
+				a, err := snapshot.Open(img)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := c.RestoreSnapshot(a); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

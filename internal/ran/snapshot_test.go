@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -320,24 +321,57 @@ func TestRestoreRejectsCorruptSections(t *testing.T) {
 		t.Fatal("truncated snapshot opened cleanly; want error")
 	}
 
-	// One hostile pending-event record per kind, spliced into an
-	// otherwise valid snapshot of an idle cell (no events of its own, so
-	// every UE section ends in a zero event count and the pending section
-	// is empty). Each must fail the restore with ErrCorrupt — at restore
-	// time, not when the event would have fired.
+	// One hostile pending-event record per kind, and arrival cursors,
+	// spliced into an otherwise valid snapshot of an idle cell (no events
+	// of its own, so every UE section ends in a zero event count and the
+	// pending section in a zero event count and a zero cursor count).
+	// Each must fail the restore with ErrCorrupt — at restore time, not
+	// when the event would have fired.
 	idle, err := NewCell(h.Config)
 	if err != nil {
 		t.Fatal(err)
 	}
-	idle.Run(10 * sim.Millisecond)
+	idle.Run(100 * sim.Millisecond)
+	// An arrival is its source's cursor: the cell's workload generated at
+	// seed 1 over one second, on a seq band the idle cell reserves before
+	// its snapshot, queued at its first flow after the snapshot instant;
+	// fix edits the record first.
+	const span = sim.Second
+	sch, err := idle.generate(1, span, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flows := workload.Collect(sch.Source())
+	base := idle.Eng.Reserve(len(flows))
 	img, err = idle.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
 	now := int64(idle.Eng.Now())
 	tuple := func(e *snapshot.Encoder) { (&ip.FiveTuple{}).Walk(snapshot.EncodeWalker(e)) }
-	arrival := func(ue int, size int64) func(*snapshot.Encoder) {
-		return func(e *snapshot.Encoder) { e.Int(ue); e.I64(size); e.Bool(false); e.Bool(false) }
+	fired := slices.IndexFunc(flows, func(f workload.FlowSpec) bool { return f.Start >= sim.Time(now) })
+	if fired < 1 {
+		t.Fatalf("no flow of %d queued across the snapshot instant", len(flows))
+	}
+	arrival := func(fix func(c *arrivalCursor)) func(*snapshot.Encoder) {
+		return func(e *snapshot.Encoder) {
+			c := &arrivalCursor{until: span, base: base, fired: fired, n: len(flows), next: flows[fired], gen: &scheduleGen{seed: 1, span: span}}
+			fix(c)
+			w := snapshot.EncodeWalker(e)
+			w.Mark(tagCursor)
+			snapshot.I64(w, &c.from)
+			snapshot.I64(w, &c.until)
+			w.U64(&c.base)
+			w.Int(&c.fired)
+			w.Int(&c.n)
+			w.U64(&c.gen.seed)
+			snapshot.I64(w, &c.gen.span)
+			w.Raw(c.gen.traceSum[:])
+			snapshot.I64(w, &c.next.Start)
+			w.Int(&c.next.UE)
+			w.I64(&c.next.Size)
+			w.Bool(&c.next.Incast)
+		}
 	}
 	cases := []struct {
 		name    string
@@ -345,13 +379,24 @@ func TestRestoreRejectsCorruptSections(t *testing.T) {
 		at      int64
 		kind    uint8
 		fields  func(*snapshot.Encoder)
+		cursor  func(*snapshot.Encoder) // in place of an event
 		ok      bool
 	}{
-		{name: "valid arrival (control)", section: "pending", at: now, kind: evArrival, fields: arrival(1, 1000), ok: true},
+		{name: "valid arrival (control)", section: "pending", cursor: arrival(func(*arrivalCursor) {}), ok: true},
 		{name: "ack for a flow already torn down (control)", section: "pending", at: now, kind: evAck,
 			fields: func(e *snapshot.Encoder) { e.Int(0); tuple(e); e.I64(1) }, ok: true},
-		{name: "arrival with negative UE", section: "pending", at: now, kind: evArrival, fields: arrival(-1, 1000)},
-		{name: "arrival with zero size", section: "pending", at: now, kind: evArrival, fields: arrival(1, 0)},
+		{name: "arrival with negative UE", section: "pending", cursor: arrival(func(c *arrivalCursor) { c.next.UE = -1 })},
+		{name: "arrival with zero size", section: "pending", cursor: arrival(func(c *arrivalCursor) { c.next.Size = 0 })},
+		{name: "arrival past its schedule's end", section: "pending", cursor: arrival(func(c *arrivalCursor) { c.fired = c.n + 1 })},
+		{name: "arrival cursor of another schedule length", section: "pending", cursor: arrival(func(c *arrivalCursor) { c.n-- })},
+		{name: "arrival cursor of another seed", section: "pending", cursor: arrival(func(c *arrivalCursor) { c.gen.seed++ })},
+		{name: "arrival cursor of a 2^20 times longer span", section: "pending", cursor: arrival(func(c *arrivalCursor) { c.gen.span <<= 20 })},
+		{name: "arrival cursor with a trace digest and no trace", section: "pending", cursor: arrival(func(c *arrivalCursor) { c.gen.traceSum[0] = 1 })},
+		{name: "arrival cursor whose seq band starts past the engine's counter", section: "pending", cursor: arrival(func(c *arrivalCursor) { c.base += 1 << 30 })},
+		{name: "arrival cursor whose seq band runs past the engine's counter", section: "pending", cursor: arrival(func(c *arrivalCursor) { c.n++ })},
+		{name: "arrival cursor of a 2^40 longer schedule over a 2^30 times longer span", section: "pending", cursor: arrival(inflateCursor)},
+		{name: "arrival queued after its span", section: "pending", cursor: arrival(func(c *arrivalCursor) { c.gen.span = c.next.Start - 1 })},
+		{name: "arrival before the snapshot instant", section: "pending", cursor: arrival(func(c *arrivalCursor) { c.fired--; c.next = flows[c.fired] })},
 		{name: "packet for a UE out of range", section: "pending", at: now, kind: evPacket,
 			fields: func(e *snapshot.Encoder) { e.Int(h.Config.NumUEs); (&ip.Packet{}).Walk(snapshot.EncodeWalker(e)) }},
 		{name: "ack for a negative UE", section: "pending", at: now, kind: evAck,
@@ -371,14 +416,27 @@ func TestRestoreRejectsCorruptSections(t *testing.T) {
 					return raw
 				}
 				var e snapshot.Encoder
-				// Both sections end in their (zero) event count.
+				// Both sections end in their (zero) event count, the
+				// pending section then in its (zero) cursor count.
+				if name == "pending" {
+					raw = raw[:len(raw)-4]
+				}
 				e.Raw(raw[:len(raw)-4])
+				if tc.cursor != nil {
+					e.U32(0)
+					e.U32(1)
+					tc.cursor(&e)
+					return e.Bytes()
+				}
 				e.U32(1)
 				e.U64(1 << 40) // seq
 				e.I64(tc.at)
 				e.U8(tc.kind)
 				if tc.fields != nil {
 					tc.fields(&e)
+				}
+				if name == "pending" {
+					e.U32(0)
 				}
 				return e.Bytes()
 			})
@@ -481,8 +539,10 @@ func TestRestoreRejectsUnsortedFlowTable(t *testing.T) {
 // midCQIGoldenSHA256 is the sha256 of the archive TestSnapshotMidCQIPeriod
 // takes, recorded from the commit before CQI reports became
 // demand-driven (amd64). Re-recorded once when each armed timer came to
-// own one queue entry: only the engine section's processed count moved.
-const midCQIGoldenSHA256 = "bdd747bc570bc4368fec9996e319737f8658d2fa5b830a0e4bf7a86aee4cb7c4"
+// own one queue entry: only the engine section's processed count moved;
+// and once for snapshot version 2: only the version and the pending
+// section moved.
+const midCQIGoldenSHA256 = "54af265a0ccbeebe1899595ae6dd29fe5b59cf3faee7748838e89baf330a03da"
 
 // TestSnapshotMidCQIPeriod checkpoints between two CQI ticks, when most
 // UEs are idle and hold a report nobody has read yet. SnapshotTo

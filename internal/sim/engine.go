@@ -176,9 +176,9 @@ func (h *eventHeap) pop() Entry {
 	return top
 }
 
-// lane is the FIFO beside the heap: entries that were scheduled in
-// (At, Seq) order — a workload's arrivals loaded at build, or a
-// restore's — wait here and pop in O(1) without sifting. s[head:] are
+// lane is the FIFO beside the heap: entries that land in (At, Seq)
+// order — a restore's refill, in-flight work that sorts after
+// everything queued — wait here and pop in O(1) without sifting. s[head:] are
 // the live entries; the slots before head are popped and zeroed.
 type lane struct {
 	s    []Entry
@@ -222,15 +222,14 @@ func (l *lane) push(en Entry) {
 // judged by how it is used:
 //
 //   - A lane that is being refilled shrinks only when no moment of a
-//     whole window of laneWindow pops saw it above an eighth. Once the
-//     clock passes the workload's last arrival, the in-flight entries
-//     that sort after the lane's tail keep landing in it, and it lives
-//     on as a FIFO whose occupancy swings tenfold within a few hundred
-//     pops (15 to 150 entries and back on the nr-dense shape); judged
-//     pop by pop, it would shrink at every trough and grow again at
-//     every crest.
+//     whole window of laneWindow pops saw it above an eighth. In-flight
+//     entries that sort after the lane's tail keep landing in it, and
+//     it lives as a FIFO whose occupancy swings tenfold within a few
+//     hundred pops (15 to 150 entries and back on the nr-dense shape);
+//     judged pop by pop, it would shrink at every trough and grow again
+//     at every crest.
 //   - A lane that no push has reached for a whole window is draining —
-//     the spent workload's arrivals, a burst — and shrinks the moment it
+//     a restore's refill, a burst — and shrinks the moment it
 //     falls to an eighth, so it keeps an array sized to what it holds
 //     and a drained lane is back at laneMinCap.
 //
@@ -272,8 +271,9 @@ func (l *lane) pop() Entry {
 // binary heap, which takes the rest. The next entry to fire is the
 // smallest of the three fronts, and (At, Seq) is a total order, so
 // which queue holds an entry does not change when it fires: the split
-// shows only in the cost of a pop. The heap holds the work in flight,
-// the lane the pre-scheduled workload.
+// shows only in the cost of a pop. The heap holds the work in flight
+// that lands out of order, the lane what lands in order: a restore's
+// refill, and entries that keep sorting after its tail.
 type Engine struct {
 	now    Time
 	pq     eventHeap
@@ -365,9 +365,10 @@ func (e *Engine) DropPending() {
 // timer as handler, an empty payload.
 //
 // Only the heaps are sorted. The lane is merged in as it lies whenever
-// it is already in seq order, which it is unless a restore refilled it:
-// every other entry reaches it through Schedule, in seq order, at the
-// tail. The heaps are sorted as (seq, index) pairs, which hold no
+// it is already in seq order — every entry that reaches it through
+// Schedule does, at the tail — and everything is sorted when a
+// restore's refill or an entry queued under a reserved seq broke that
+// order. The heaps are sorted as (seq, index) pairs, which hold no
 // pointers, so every entry is copied once, straight to its place.
 func (e *Engine) Entries() []Entry {
 	lane := e.lane.s[e.lane.head:]
@@ -417,6 +418,19 @@ func (e *Engine) Schedule(at Time, h Handler, ev Event) uint64 {
 	e.seq++
 	e.ScheduleExact(at, e.seq, h, ev)
 	return e.seq
+}
+
+// Seq returns the last sequence number issued, by Schedule or Reserve.
+func (e *Engine) Seq() uint64 { return e.seq }
+
+// Reserve sets aside n consecutive sequence numbers, [first, first+n),
+// for entries the caller queues later with ScheduleExact: a source of
+// pre-sorted events can then queue each one only when the one before it
+// fires, under the seq eager scheduling would have given it.
+func (e *Engine) Reserve(n int) (first uint64) {
+	first = e.seq + 1
+	e.seq += uint64(n)
+	return first
 }
 
 // ScheduleExact re-registers a snapshotted event with its original
@@ -503,6 +517,26 @@ func (e *Engine) step(q queue) {
 	e.now = en.At
 	e.nEvents++
 	en.H.Fire(en.Ev)
+}
+
+// Step fires the earliest queued entry and returns it — an armed
+// timer's as Entries lists it — or false when nothing is queued. It is
+// RunUntil one event at a time, for callers that watch each one.
+func (e *Engine) Step() (Entry, bool) {
+	_, q := e.next()
+	var en Entry
+	switch q {
+	case noQueue:
+		return Entry{}, false
+	case laneQueue:
+		en = e.lane.s[e.lane.head]
+	case heapQueue:
+		en = e.pq[0]
+	case timerQueue:
+		en = e.timers[0].entry()
+	}
+	e.step(q)
+	return en, true
 }
 
 // RunUntil executes events in timestamp order until the queue empties,

@@ -24,9 +24,11 @@ import (
 // Format constants. Version bumps whenever the byte layout of any
 // section changes; readers reject mismatches outright rather than
 // guessing (a wrong-version restore that "mostly works" would silently
-// break byte-identical continuation).
+// break byte-identical continuation). Version 2 records a cell's
+// workload arrivals as one cursor per source — its place in a schedule
+// a restore rebuilds — where version 1 listed every future arrival.
 const (
-	Version = 1
+	Version = 2
 )
 
 // magic identifies a snapshot file ("OutRAN SNaPshot").

@@ -1,8 +1,9 @@
 package workload
 
 import (
-	"cmp"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 
 	"outran/internal/rng"
@@ -25,25 +26,39 @@ type startKey struct {
 	i     int32 // -1 once the flow is in place
 }
 
+// Radix sort geometry: 11-bit digits, so a schedule whose starts span
+// 2^33 ns (8.6 s) sorts in three counting passes over a 2048-bucket
+// table.
+const (
+	radixBits = 11
+	radixMask = 1<<radixBits - 1
+)
+
 // sortByStart orders a schedule by start time, keeping the generation
 // order of simultaneous flows (the order is part of workload_digest).
-// (Start, generation index) is a total order, so an unstable sort of
-// those keys gives the stable order by construction; each flow then
-// moves once, along the permutation's cycles. A stable sort of the
-// flows themselves spends O(n log² n) moves in its merges and rotations.
-// keys is scratch for the keys, grown as needed and returned, so a
-// caller sorting several schedules allocates it once.
+// The (start, generation index) keys are ordered by an LSD radix sort
+// on the start alone: the keys enter in index order and every pass is
+// stable, so ties keep it. Each pass sorts on one 11-bit digit of the
+// start's offset from the earliest start, taken as unsigned — any
+// int64 start, negative ones included, sorts this way — and a digit
+// every key shares is skipped. Each flow then moves once, along the
+// permutation's cycles; a stable sort of the flows themselves spends
+// O(n log² n) moves in its merges and rotations.
+// keys is scratch for two key arrays, grown as needed and returned, so
+// a caller sorting several schedules allocates it once.
 func sortByStart(flows []FlowSpec, keys []startKey) []startKey {
-	order := slices.Grow(keys[:0], len(flows))[:len(flows)] // order[j] names the flow that goes to j
+	n := len(flows)
+	keys = slices.Grow(keys[:0], 2*n)[:2*n]
+	order := keys[:n] // order[j] names the flow that goes to j
+	if n == 0 {
+		return keys
+	}
+	lo, hi := flows[0].Start, flows[0].Start
 	for i, f := range flows {
 		order[i] = startKey{f.Start, int32(i)}
+		lo, hi = min(lo, f.Start), max(hi, f.Start)
 	}
-	slices.SortFunc(order, func(a, b startKey) int {
-		if c := cmp.Compare(a.start, b.start); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.i, b.i)
-	})
+	order = radixSortKeys(order, keys[n:], uint64(lo), uint64(hi)-uint64(lo))
 	for j := range order {
 		if order[j].i < 0 {
 			continue // placed with an earlier cycle
@@ -60,7 +75,36 @@ func sortByStart(flows []FlowSpec, keys []startKey) []startKey {
 			k = from
 		}
 	}
-	return order
+	return keys
+}
+
+// radixSortKeys stably sorts keys by start, whose offsets from lo
+// (unsigned, so the subtraction cannot overflow) are at most span,
+// using tmp, of the same length, as the other buffer. It returns
+// whichever of the two holds the result.
+func radixSortKeys(keys, tmp []startKey, lo, span uint64) []startKey {
+	var count [1 << radixBits]int
+	for shift := 0; shift < bits.Len64(span); shift += radixBits {
+		clear(count[:])
+		for _, k := range keys {
+			count[(uint64(k.start)-lo)>>shift&radixMask]++
+		}
+		if count[(uint64(keys[0].start)-lo)>>shift&radixMask] == len(keys) {
+			continue // every key has this digit: the pass would copy
+		}
+		at := 0
+		for d, c := range count {
+			count[d] = at
+			at += c
+		}
+		for _, k := range keys {
+			d := (uint64(k.start) - lo) >> shift & radixMask
+			tmp[count[d]] = k
+			count[d]++
+		}
+		keys, tmp = tmp, keys
+	}
+	return keys
 }
 
 // PoissonConfig drives the classic generator: UEs request downlink
@@ -98,7 +142,7 @@ func Poisson(cfg PoissonConfig, r *rng.Source) (Source, error) {
 		return nil, fmt.Errorf("workload: invalid Poisson config %+v", cfg)
 	}
 	targetVol := int64(cfg.Load * cfg.CellCapacityBps / 8 * cfg.Duration.Seconds())
-	flows := drawPoisson(cfg.Dist, cfg.NumUEs, targetVol, 0, cfg.Duration, r)
+	flows, _ := drawPoisson(cfg.Dist, cfg.NumUEs, targetVol, 0, cfg.Duration, r, math.MaxInt)
 	if cfg.MaxFlows > 0 && len(flows) > cfg.MaxFlows {
 		flows = flows[:cfg.MaxFlows]
 	}
@@ -135,7 +179,7 @@ func Incast(cfg IncastConfig, r *rng.Source) (Source, error) {
 	if period <= 0 {
 		return nil, fmt.Errorf("workload: degenerate incast period")
 	}
-	var flows []FlowSpec
+	flows := make([]FlowSpec, 0, steps(period, cfg.Duration, period)*cfg.BurstSize)
 	for t := period; t < cfg.Duration; t += period {
 		for i := 0; i < cfg.BurstSize; i++ {
 			flows = append(flows, FlowSpec{

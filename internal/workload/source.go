@@ -4,14 +4,44 @@ package workload
 // ordered stream of flow arrivals. Next returns flows in non-decreasing
 // Start order until the stream is exhausted. Implementations may
 // materialize their schedule internally; the contract is about the
-// consumption side — the harness pulls one flow at a time and installs
-// it as a recorded arrival event, never retaining a slice of its own.
+// consumption side — a cell pulls one flow at a time, as the run
+// reaches the previous one's arrival, and holds one queued arrival per
+// source, never a slice of its own. A Source whose start goes backwards
+// makes the cell panic, naming both flows.
 //
 // Determinism contract: a Source built from the same spec, environment
 // and rng seed yields the same flow sequence on every platform, run
 // and worker count.
 type Source interface {
 	Next() (FlowSpec, bool)
+}
+
+// Len reports how many flows src has yet to yield, for the sources this
+// package builds — SliceSource, MergeSources, Limit, Build and
+// Schedule.Source, over sources of the same kinds — and false for any
+// other Source.
+func Len(src Source) (int, bool) {
+	switch s := src.(type) {
+	case *sliceSource:
+		return len(s.flows) - s.i, true
+	case *mergeSource:
+		n := 0
+		for i, in := range s.srcs {
+			k, ok := Len(in)
+			if !ok {
+				return 0, false
+			}
+			if s.ok[i] {
+				k++ // the head, pulled already
+			}
+			n += k
+		}
+		return n, true
+	case *limitSource:
+		k, ok := Len(s.src)
+		return min(k, max(s.n, 0)), ok
+	}
+	return 0, false
 }
 
 // sliceSource streams a pre-sorted schedule.
@@ -111,25 +141,4 @@ func Limit(src Source, n int) Source {
 		return src
 	}
 	return &limitSource{src: src, n: n}
-}
-
-// teeSource copies every pulled flow to a trace writer.
-type teeSource struct {
-	src Source
-	tw  *TraceWriter
-}
-
-func (t *teeSource) Next() (FlowSpec, bool) {
-	f, ok := t.src.Next()
-	if ok {
-		t.tw.Emit(f)
-	}
-	return f, ok
-}
-
-// Tee mirrors every flow pulled from src into tw, in pull order — the
-// emission side of trace replay. Write errors stick in the writer and
-// surface from its Flush/Close.
-func Tee(src Source, tw *TraceWriter) Source {
-	return &teeSource{src: src, tw: tw}
 }

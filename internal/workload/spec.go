@@ -1,8 +1,14 @@
 package workload
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"errors"
 	"fmt"
+	"io"
+	"math"
 	"os"
+	"slices"
 
 	"outran/internal/rng"
 	"outran/internal/sim"
@@ -120,6 +126,11 @@ type Env struct {
 	NumUEs      int
 	CapacityBps float64  // effective cell capacity the load calibrates to
 	Span        sim.Time // arrival span (warmup + window + tail)
+	// Flows, when non-zero, is the length the schedule must have: a
+	// restore that rebuilds a checkpointed schedule sets it from the
+	// checkpoint, so a corrupt record fails Generate early instead of
+	// costing an unbounded build.
+	Flows int
 }
 
 // Enabled reports whether the spec describes any traffic at all.
@@ -205,29 +216,63 @@ func (c ClassSpec) validate() error {
 	return nil
 }
 
-// Build instantiates the spec against a cell environment: one sorted
-// Source covering every class (each on its own forked rng stream, in
-// class order), warped through the envelope, merged with Extra. The
-// same (spec, env, seed) triple always yields the same stream.
+// Build instantiates the spec against a cell environment as one sorted
+// Source: Generate's schedule, streamed from its first flow.
 func (s Spec) Build(env Env, r *rng.Source) (Source, error) {
+	sch, err := s.Generate(env, r)
+	if err != nil {
+		return nil, err
+	}
+	return sch.Source(), nil
+}
+
+// Generate instantiates the spec against a cell environment: every
+// class on its own forked rng stream, in class order, warped through
+// the envelope and sorted; the trace file's flows; Extra. The same
+// (spec, env, seed) triple always yields the same schedule. With
+// env.Flows set, a schedule of any other length is an error, and
+// generation stops as soon as it can tell.
+func (s Spec) Generate(env Env, r *rng.Source) (*Schedule, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	if env.NumUEs <= 0 {
 		return nil, fmt.Errorf("workload: Env.NumUEs = %d, want > 0", env.NumUEs)
 	}
-	var srcs []Source
+	if env.Flows < 0 {
+		return nil, fmt.Errorf("workload: Env.Flows = %d, want >= 0", env.Flows)
+	}
+	// budget bounds the flows the parts may hold together. MaxFlows cuts
+	// the merged stream, not the parts, so a schedule cut at MaxFlows
+	// says nothing about how many flows the parts hold.
+	budget := math.MaxInt
+	if env.Flows > 0 && (s.MaxFlows == 0 || env.Flows < s.MaxFlows) {
+		budget = env.Flows
+	}
+	sch := &Schedule{max: s.MaxFlows}
+	add := func(flows []FlowSpec) error {
+		if len(flows) > budget {
+			return errBudget
+		}
+		budget -= len(flows)
+		if len(flows) > 0 {
+			sch.parts = append(sch.parts, flows)
+		}
+		return nil
+	}
 	if s.TraceFile != "" {
-		f, err := os.Open(s.TraceFile)
+		data, err := os.ReadFile(s.TraceFile)
 		if err != nil {
 			return nil, fmt.Errorf("workload: Spec.TraceFile: %w", err)
 		}
-		flows, err := ReadTrace(f)
-		f.Close()
+		flows, err := ReadTrace(bytes.NewReader(data))
 		if err != nil {
 			return nil, fmt.Errorf("workload: Spec.TraceFile %s: %w", s.TraceFile, err)
 		}
-		srcs = append(srcs, SliceSource(flows))
+		sch.TraceSum = sha256.Sum256(data)
+		if err := add(flows); err != nil {
+			return nil, err
+		}
 	}
 	if len(s.Classes) > 0 {
 		if env.CapacityBps <= 0 {
@@ -243,7 +288,7 @@ func (s Spec) Build(env Env, r *rng.Source) (Source, error) {
 		for i, c := range s.Classes {
 			cr := r.Fork() // class order fixes the stream assignment
 			vol := int64(float64(totalVol) * shares[i])
-			flows, err := c.generate(vol, env, cr)
+			flows, err := c.generate(vol, env, cr, budget)
 			if err != nil {
 				return nil, fmt.Errorf("workload: Spec.Classes[%d] (%s): %w", i, c.Kind, err)
 			}
@@ -251,25 +296,82 @@ func (s Spec) Build(env Env, r *rng.Source) (Source, error) {
 				flows[j].Start = warp.warp(flows[j].Start)
 			}
 			keys = sortByStart(flows, keys)
-			srcs = append(srcs, SliceSource(flows))
+			if err := add(flows); err != nil {
+				return nil, err
+			}
 		}
 	}
 	if len(s.Extra) > 0 {
-		extra := make([]FlowSpec, len(s.Extra))
-		copy(extra, s.Extra)
+		extra := slices.Clone(s.Extra)
 		sortByStart(extra, nil)
-		srcs = append(srcs, SliceSource(extra))
+		if err := add(extra); err != nil {
+			return nil, err
+		}
 	}
+	if n := sch.Len(); env.Flows > 0 && n != env.Flows {
+		return nil, fmt.Errorf("workload: schedule has %d flows, Env.Flows expects %d", n, env.Flows)
+	}
+	return sch, nil
+}
+
+// errBudget reports a part that would take the schedule past the flow
+// count Env.Flows expects.
+var errBudget = errors.New("workload: schedule has more flows than Env.Flows expects")
+
+// Schedule is a Spec instantiated by Generate: the flows of each part —
+// the trace file, each class, Extra — in arrays of their own, each
+// sorted by start. Source streams them as one; the arrays are the only
+// copy of the schedule, so nothing collects it whole.
+type Schedule struct {
+	parts [][]FlowSpec
+	max   int // Spec.MaxFlows
+	// TraceSum is the SHA-256 of the trace file the schedule replays, or
+	// zero without one. A checkpoint records it, so a restore that reads
+	// the file again fails on a file that has changed since.
+	TraceSum [sha256.Size]byte
+}
+
+// Len returns how many flows Source yields.
+func (s *Schedule) Len() int {
+	n := 0
+	for _, p := range s.parts {
+		n += len(p)
+	}
+	if s.max > 0 {
+		n = min(n, s.max)
+	}
+	return n
+}
+
+// Source streams the schedule from its first flow: the parts merged by
+// start, simultaneous flows in part order, cut at Spec.MaxFlows. Each
+// call starts over on the same arrays.
+func (s *Schedule) Source() Source {
 	var src Source
-	switch len(srcs) {
+	switch len(s.parts) {
 	case 0:
 		src = SliceSource(nil)
 	case 1:
-		src = srcs[0]
+		src = SliceSource(s.parts[0])
 	default:
+		srcs := make([]Source, len(s.parts))
+		for i, p := range s.parts {
+			srcs[i] = SliceSource(p)
+		}
 		src = MergeSources(srcs...)
 	}
-	return Limit(src, s.MaxFlows), nil
+	return Limit(src, s.max)
+}
+
+// WriteTrace writes the schedule as a versioned JSONL trace: the flows
+// Source yields, in its order.
+func (s *Schedule) WriteTrace(w io.Writer) error {
+	tw := NewTraceWriter(w)
+	src := s.Source()
+	for f, ok := src.Next(); ok; f, ok = src.Next() {
+		tw.Emit(f)
+	}
+	return tw.Flush()
 }
 
 // normalizeShares resolves the per-class volume fractions: explicit
@@ -327,9 +429,13 @@ func (c ClassSpec) window(span sim.Time) (begin, end sim.Time) {
 // generate produces the class's nominal (pre-warp) schedule for the
 // given byte volume. Schedules need not be sorted; Build sorts after
 // warping.
-func (c ClassSpec) generate(vol int64, env Env, r *rng.Source) ([]FlowSpec, error) {
+// More than budget flows fail with errBudget.
+func (c ClassSpec) generate(vol int64, env Env, r *rng.Source, budget int) ([]FlowSpec, error) {
 	if vol <= 0 {
 		return nil, nil
+	}
+	if budget < 0 {
+		return nil, errBudget
 	}
 	begin, end := c.window(env.Span)
 	switch c.Kind {
@@ -343,15 +449,15 @@ func (c ClassSpec) generate(vol int64, env Env, r *rng.Source) ([]FlowSpec, erro
 			}
 		}
 		dist, _ := ByName(name) // Validate already vetted the preset
-		return drawPoisson(dist, env.NumUEs, vol, begin, end, r), nil
+		return drawPoisson(dist, env.NumUEs, vol, begin, end, r, budget)
 	case ClassVideo:
-		return c.periodicSessions(vol, env, begin, end, defaultVideoSegment, defaultVideoEvery, r), nil
+		return c.periodicSessions(vol, env, begin, end, defaultVideoSegment, defaultVideoEvery, r, budget)
 	case ClassIoT:
-		return c.periodicSessions(vol, env, begin, end, defaultIoTSize, defaultIoTEvery, r), nil
+		return c.periodicSessions(vol, env, begin, end, defaultIoTSize, defaultIoTEvery, r, budget)
 	case ClassVoice:
-		return c.periodicSessions(vol, env, begin, end, defaultVoiceSize, defaultVoiceEvery, r), nil
+		return c.periodicSessions(vol, env, begin, end, defaultVoiceSize, defaultVoiceEvery, r, budget)
 	case ClassIncast:
-		return c.incastBursts(vol, env, begin, end, r), nil
+		return c.incastBursts(vol, env, begin, end, r, budget)
 	}
 	return nil, fmt.Errorf("unknown class %q", c.Kind)
 }
@@ -360,7 +466,10 @@ func (c ClassSpec) generate(vol int64, env Env, r *rng.Source) ([]FlowSpec, erro
 // size-byte unit every cadence tick, phase-offset at random, until the
 // class volume is met. This is the shared shape of video segments, IoT
 // keepalives and voice spurts — only the unit size and cadence differ.
-func (c ClassSpec) periodicSessions(vol int64, env Env, begin, end sim.Time, defSize int64, defEvery sim.Time, r *rng.Source) []FlowSpec {
+// A session draws its UE and phase and nothing else, so a pass over a
+// copy of the stream counts the flows before the array is made; a
+// count over budget fails there.
+func (c ClassSpec) periodicSessions(vol int64, env Env, begin, end sim.Time, defSize int64, defEvery sim.Time, r *rng.Source, budget int) ([]FlowSpec, error) {
 	size, every := c.Size, c.Every
 	if size <= 0 {
 		size = defSize
@@ -370,7 +479,7 @@ func (c ClassSpec) periodicSessions(vol int64, env Env, begin, end sim.Time, def
 	}
 	window := end - begin
 	if window <= 0 {
-		return nil
+		return nil, nil
 	}
 	ticks := int64(window / every)
 	if ticks < 1 {
@@ -381,8 +490,23 @@ func (c ClassSpec) periodicSessions(vol int64, env Env, begin, end sim.Time, def
 	if sessions < 1 {
 		sessions = 1
 	}
-	var flows []FlowSpec
+	n := 0
+	count := *r
 	var emitted int64
+	for s := 0; s < sessions && emitted < vol; s++ {
+		count.Intn(env.NumUEs)
+		first := begin + sim.Time(count.Float64()*float64(every))
+		// The session's ticks in [first, end), cut at the flow that
+		// meets the volume.
+		k := min(int64(steps(first, end, every)), (vol-emitted+size-1)/size)
+		n += int(k)
+		emitted += k * size
+		if n > budget {
+			return nil, errBudget
+		}
+	}
+	flows := make([]FlowSpec, 0, n)
+	emitted = 0
 	for s := 0; s < sessions && emitted < vol; s++ {
 		ue := r.Intn(env.NumUEs)
 		phase := sim.Time(r.Float64() * float64(every))
@@ -391,12 +515,20 @@ func (c ClassSpec) periodicSessions(vol int64, env Env, begin, end sim.Time, def
 			emitted += size
 		}
 	}
-	return flows
+	return flows, nil
+}
+
+// steps counts the instants from, from+every, ... before end.
+func steps(from, end, every sim.Time) int {
+	if from >= end {
+		return 0
+	}
+	return int((end-from-1)/every) + 1
 }
 
 // incastBursts schedules periodic synchronized bursts of identical
 // short flows, sized so the bursts carry the class volume.
-func (c ClassSpec) incastBursts(vol int64, env Env, begin, end sim.Time, r *rng.Source) []FlowSpec {
+func (c ClassSpec) incastBursts(vol int64, env Env, begin, end sim.Time, r *rng.Source, budget int) ([]FlowSpec, error) {
 	size, burst := c.Size, c.Burst
 	if size <= 0 {
 		size = defaultIncastSize
@@ -406,7 +538,7 @@ func (c ClassSpec) incastBursts(vol int64, env Env, begin, end sim.Time, r *rng.
 	}
 	window := end - begin
 	if window <= 0 {
-		return nil
+		return nil, nil
 	}
 	bytesPerBurst := size * int64(burst)
 	bursts := vol / bytesPerBurst
@@ -417,27 +549,38 @@ func (c ClassSpec) incastBursts(vol int64, env Env, begin, end sim.Time, r *rng.
 	if period <= 0 {
 		period = sim.Millisecond
 	}
-	var flows []FlowSpec
+	k := steps(begin+period, end, period)
+	if k > budget/burst {
+		return nil, errBudget
+	}
+	flows := make([]FlowSpec, 0, k*burst)
 	for t := begin + period; t < end; t += period {
 		for i := 0; i < burst; i++ {
 			flows = append(flows, FlowSpec{Start: t, UE: r.Intn(env.NumUEs), Size: size, Incast: true})
 		}
 	}
-	return flows
+	return flows, nil
 }
 
 // drawPoisson is the volume-matched arrival core shared by the web and
 // bulk classes and the Poisson adapter: sizes are drawn until their
 // sum reaches the target, arrival instants are placed uniformly over
-// the window (a Poisson process conditioned on its count).
-func drawPoisson(dist *rng.EmpiricalCDF, numUEs int, targetVol int64, begin, end sim.Time, r *rng.Source) []FlowSpec {
+// the window (a Poisson process conditioned on its count). The count is
+// known only once the sizes are drawn, so the array starts at the
+// count the distribution's mean predicts, with a margin; drawing past
+// budget flows fails.
+func drawPoisson(dist *rng.EmpiricalCDF, numUEs int, targetVol int64, begin, end sim.Time, r *rng.Source, budget int) ([]FlowSpec, error) {
 	window := end - begin
 	if window <= 0 || targetVol <= 0 {
-		return nil
+		return nil, nil
 	}
-	var flows []FlowSpec
+	expect := float64(targetVol) / dist.Mean()
+	flows := make([]FlowSpec, 0, int(min(expect+4*math.Sqrt(expect)+16, float64(budget))))
 	var vol int64
 	for vol < targetVol {
+		if len(flows) == budget {
+			return nil, errBudget
+		}
 		size := int64(dist.Sample(r))
 		if size < 1 {
 			size = 1
@@ -454,7 +597,7 @@ func drawPoisson(dist *rng.EmpiricalCDF, numUEs int, targetVol int64, begin, end
 		})
 		vol += size
 	}
-	return flows
+	return flows, nil
 }
 
 // PoissonSpec is the paper's baseline workload as a Spec: one web
