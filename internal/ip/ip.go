@@ -154,7 +154,26 @@ var (
 	ErrNotTCP = errors.New("ip: not a TCP packet")
 	// ErrBadVersion reports a non-IPv4 version nibble.
 	ErrBadVersion = errors.New("ip: not IPv4")
+	// ErrBadIHL reports an IPv4 header length other than the 20 bytes
+	// Marshal writes: options are not decoded, and both decoders read
+	// the TCP header at that fixed offset.
+	ErrBadIHL = errors.New("ip: IPv4 header length is not 20 bytes")
 )
+
+// checkHeader is the check both decoders make before reading a field:
+// buf holds the headers, the version nibble says IPv4 and the IHL says
+// a 20-byte IPv4 header.
+func checkHeader(buf []byte) error {
+	switch {
+	case len(buf) < HeadersLen:
+		return ErrShortPacket
+	case buf[0]>>4 != 4:
+		return ErrBadVersion
+	case buf[0]&0x0f != IPv4HeaderLen/4:
+		return ErrBadIHL
+	}
+	return nil
+}
 
 // Marshal serialises the IPv4+TCP headers into buf, which must be at
 // least HeadersLen bytes. It returns the number of header bytes
@@ -204,13 +223,10 @@ func (p *Packet) Marshal(buf []byte) (int, error) {
 // Unmarshal parses and verifies the IPv4+TCP headers in buf.
 func Unmarshal(buf []byte) (Packet, error) {
 	var p Packet
-	if len(buf) < HeadersLen {
-		return p, ErrShortPacket
+	if err := checkHeader(buf); err != nil {
+		return p, err
 	}
 	ipb := buf[:IPv4HeaderLen]
-	if ipb[0]>>4 != 4 {
-		return p, ErrBadVersion
-	}
 	if checksum(ipb) != 0 {
 		return p, ErrBadChecksum
 	}
@@ -240,26 +256,20 @@ func Unmarshal(buf []byte) (Packet, error) {
 }
 
 // ParseFiveTuple extracts just the five-tuple without verifying
-// checksums. This is the hot path of the PDCP header inspection; it
+// checksums; on any buffer Unmarshal accepts it returns Unmarshal's
+// tuple. This is the hot path of the PDCP header inspection; it
 // touches only the fields it needs, mirroring how a production
 // classifier avoids full reassembly.
 func ParseFiveTuple(buf []byte) (FiveTuple, error) {
 	var ft FiveTuple
-	if len(buf) < HeadersLen {
-		return ft, ErrShortPacket
-	}
-	if buf[0]>>4 != 4 {
-		return ft, ErrBadVersion
+	if err := checkHeader(buf); err != nil {
+		return ft, err
 	}
 	ft.Proto = buf[9]
 	copy(ft.Src[:], buf[12:16])
 	copy(ft.Dst[:], buf[16:20])
-	ihl := int(buf[0]&0x0f) * 4
-	if len(buf) < ihl+4 {
-		return ft, ErrShortPacket
-	}
-	ft.SrcPort = binary.BigEndian.Uint16(buf[ihl : ihl+2])
-	ft.DstPort = binary.BigEndian.Uint16(buf[ihl+2 : ihl+4])
+	ft.SrcPort = binary.BigEndian.Uint16(buf[IPv4HeaderLen : IPv4HeaderLen+2])
+	ft.DstPort = binary.BigEndian.Uint16(buf[IPv4HeaderLen+2 : IPv4HeaderLen+4])
 	return ft, nil
 }
 

@@ -3,8 +3,10 @@ package ip
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -118,6 +120,73 @@ func TestParseFiveTupleErrors(t *testing.T) {
 	if _, err := ParseFiveTuple(buf); err != ErrBadVersion {
 		t.Fatal("bad version accepted")
 	}
+	// A header length other than 20 bytes, with the checksum fixed so the
+	// header is otherwise valid, is refused by both decoders alike: with
+	// IHL 6 the ports would lie past a 4-byte option, with IHL 0 inside
+	// the IP header itself.
+	p := samplePacket()
+	for _, ihl := range []byte{0, 1, 4, 6, 15} {
+		buf := make([]byte, HeadersLen+4*15)
+		if _, err := p.Marshal(buf); err != nil {
+			t.Fatal(err)
+		}
+		buf[0] = 0x40 | ihl
+		withChecksum(buf)
+		if _, err := ParseFiveTuple(buf); err != ErrBadIHL {
+			t.Errorf("IHL %d: ParseFiveTuple error %v, want ErrBadIHL", ihl, err)
+		}
+		if _, err := Unmarshal(buf); err != ErrBadIHL {
+			t.Errorf("IHL %d: Unmarshal error %v, want ErrBadIHL", ihl, err)
+		}
+	}
+}
+
+// withChecksum rewrites the IPv4 header checksum of buf to match its
+// other header bytes.
+func withChecksum(buf []byte) {
+	buf[10], buf[11] = 0, 0
+	binary.BigEndian.PutUint16(buf[10:12], checksum(buf[:IPv4HeaderLen]))
+}
+
+// FuzzIPHeaders: neither decoder panics on any buffer; on every buffer
+// Unmarshal accepts, ParseFiveTuple returns the same tuple; and a packet
+// built from the fuzzer's fields survives Marshal then Unmarshal.
+func FuzzIPHeaders(f *testing.F) {
+	p := samplePacket()
+	buf := make([]byte, HeadersLen)
+	if _, err := p.Marshal(buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf, uint64(0), uint32(0), uint32(0), uint8(0), uint16(0))
+	for _, ihl := range []byte{0, 6} {
+		c := append(slices.Clone(buf), make([]byte, 4)...)
+		c[0] = 0x40 | ihl
+		withChecksum(c)
+		f.Add(c, uint64(1)<<40|443, uint32(7), uint32(9), uint8(7), uint16(1400))
+	}
+	f.Fuzz(func(t *testing.T, buf []byte, addrs uint64, ports, seq uint32, flags uint8, payload uint16) {
+		ft, ftErr := ParseFiveTuple(buf)
+		if pkt, err := Unmarshal(buf); err == nil && (ftErr != nil || ft != pkt.Tuple) {
+			t.Fatalf("Unmarshal accepts %x with tuple %v; ParseFiveTuple returns %v, %v", buf, pkt.Tuple, ft, ftErr)
+		}
+		p := Packet{
+			Tuple: FiveTuple{
+				Src:     AddrFrom(byte(addrs>>56), byte(addrs>>48), byte(addrs>>40), byte(addrs>>32)),
+				Dst:     AddrFrom(byte(addrs>>24), byte(addrs>>16), byte(addrs>>8), byte(addrs)),
+				SrcPort: uint16(ports >> 16), DstPort: uint16(ports), Proto: ProtoTCP,
+			},
+			Seq: seq, Ack: ^seq,
+			ACKFlag: flags&1 != 0, SYN: flags&2 != 0, FIN: flags&4 != 0,
+			PayloadLen: int(payload) % (1<<16 - HeadersLen),
+		}
+		out := make([]byte, HeadersLen)
+		if _, err := p.Marshal(out); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := Unmarshal(out); err != nil || got != p {
+			t.Fatalf("Marshal then Unmarshal of %+v: %+v, %v", p, got, err)
+		}
+	})
 }
 
 func TestReverse(t *testing.T) {

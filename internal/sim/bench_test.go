@@ -18,17 +18,23 @@ func BenchmarkEventThroughput(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkArrivalHeavy is the engine under a workload's shape: 20 000
-// pre-scheduled arrivals wait while 40 entries churn in flight, about
-// the mix at t = 20 s of benchmark/'s flow-churn. A fired arrival is
-// re-queued behind the last one and an in-flight entry re-arms 0.1-1.6
-// ms ahead, so both populations stay constant; one op is one event.
-func BenchmarkArrivalHeavy(b *testing.B) {
-	const inFlight = 40
+// BenchmarkArrivalCursors is the engine under a cell's shape: each of
+// four workload sources keeps its one next arrival queued, under a seq
+// it reserved (Reserve, then ScheduleExact), while 100 entries churn in
+// flight — inside the 26-282 entries benchmark/'s workloads keep
+// pending. A fired arrival queues its source's next one 400 us later
+// under the band's next seq, and an in-flight entry re-arms 0.1-1.6 ms
+// ahead, so both populations stay constant and about one event in
+// thirteen is an arrival; one op is one event.
+func BenchmarkArrivalCursors(b *testing.B) {
+	const sources, inFlight = 4, 100
 	e := &Engine{}
 	c := &churn{e: e}
-	for i := 0; i < arrivals; i++ {
-		e.Schedule(Time(i)*arrivalGap, c, Event{Kind: arrival})
+	for i := 0; i < sources; i++ {
+		// A band wide enough for every event of the run to be this
+		// source's arrival; reserving it allocates nothing.
+		base := e.Reserve(b.N + 1)
+		e.ScheduleExact(Time(i)*arrivalGap/sources, base, c, Event{Kind: arrival, A: int64(base)})
 	}
 	for i := 0; i < inFlight; i++ {
 		e.Schedule(Time(i)*Microsecond, c, Event{B: int64(i)})
@@ -40,12 +46,11 @@ func BenchmarkArrivalHeavy(b *testing.B) {
 }
 
 const (
-	arrival    = 1 // BenchmarkArrivalHeavy's arrival kind
-	arrivals   = 20000
-	arrivalGap = 50 * Microsecond
+	arrival    = 1 // BenchmarkArrivalCursors' arrival kind; A is its seq
+	arrivalGap = 400 * Microsecond
 )
 
-// churn is BenchmarkArrivalHeavy's handler; it stops the engine after
+// churn is BenchmarkArrivalCursors' handler; it stops the engine after
 // limit events.
 type churn struct {
 	e            *Engine
@@ -57,7 +62,8 @@ func (c *churn) Fire(ev Event) {
 		c.e.Stop()
 	}
 	if ev.Kind == arrival {
-		c.e.Schedule(c.e.Now()+arrivals*arrivalGap, c, ev)
+		ev.A++
+		c.e.ScheduleExact(c.e.Now()+arrivalGap, uint64(ev.A), c, ev)
 		return
 	}
 	ev.B = ev.B*6364136223846793005 + 1442695040888963407 // LCG step: the next hop's delay

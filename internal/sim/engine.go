@@ -122,13 +122,9 @@ func (h *eventHeap) push(en Entry) {
 // Storage rules. minCap is the smallest array the heaps allocate and
 // shrinkMinCap the capacity below which they never shrink: steady-state
 // simulations oscillate freely under it without ever re-allocating.
-// The lane shrinks all the way down to laneMinCap, judging its
-// occupancy over windows of laneWindow pops (see lane.pop).
 const (
 	minCap       = 64
 	shrinkMinCap = 1024
-	laneMinCap   = 8
-	laneWindow   = 256
 )
 
 // pop removes and returns the minimum entry. The vacated slot is
@@ -176,113 +172,18 @@ func (h *eventHeap) pop() Entry {
 	return top
 }
 
-// lane is the FIFO beside the heap: entries that land in (At, Seq)
-// order — a restore's refill, in-flight work that sorts after
-// everything queued — wait here and pop in O(1) without sifting. s[head:] are
-// the live entries; the slots before head are popped and zeroed.
-type lane struct {
-	s    []Entry
-	head int
-	// The storage rule's record, counted in pops: the last push, and
-	// the current window's start and the most entries live in it.
-	pops, lastPush, winStart, winPeak int
-}
-
-func (l *lane) len() int { return len(l.s) - l.head }
-
-// push appends en, which must sort at or after the lane's tail. A full
-// array first slides its live entries over the popped prefix when that
-// frees at least half of it, and otherwise doubles, as the heap does.
-//
-//outran:allocfree
-func (l *lane) push(en Entry) {
-	if n := len(l.s); n == cap(l.s) {
-		if live := n - l.head; l.head > 0 && live <= n/2 {
-			copy(l.s, l.s[l.head:])
-			clear(l.s[live:])
-			l.s = l.s[:live]
-		} else {
-			//outran:allocok grows only past the high-water mark, as the heap does; steady-state push/pop reuses the array
-			s := make([]Entry, live, max(2*n, laneMinCap))
-			copy(s, l.s[l.head:])
-			l.s = s
-		}
-		l.head = 0
-	}
-	l.s = l.s[:len(l.s)+1]
-	l.s[len(l.s)-1] = en
-	l.lastPush = l.pops
-	l.winPeak = max(l.winPeak, l.len())
-}
-
-// pop removes and returns the head entry, zeroing its slot, and moves a
-// lane that holds an eighth of its array or less to one of a quarter of
-// the capacity, down to laneMinCap: twice what it held, the heap's
-// margin, in half the copies halving would take. What the lane holds is
-// judged by how it is used:
-//
-//   - A lane that is being refilled shrinks only when no moment of a
-//     whole window of laneWindow pops saw it above an eighth. In-flight
-//     entries that sort after the lane's tail keep landing in it, and
-//     it lives as a FIFO whose occupancy swings tenfold within a few
-//     hundred pops (15 to 150 entries and back on the nr-dense shape);
-//     judged pop by pop, it would shrink at every trough and grow again
-//     at every crest.
-//   - A lane that no push has reached for a whole window is draining —
-//     a restore's refill, a burst — and shrinks the moment it
-//     falls to an eighth, so it keeps an array sized to what it holds
-//     and a drained lane is back at laneMinCap.
-//
-//outran:allocfree
-func (l *lane) pop() Entry {
-	en := l.s[l.head]
-	l.s[l.head] = Entry{}
-	l.head++
-	l.pops++
-	live := l.len()
-	if live == 0 {
-		l.s, l.head = l.s[:0], 0
-	}
-	eighth := cap(l.s) / 8
-	shrink := false
-	switch {
-	case l.pops-l.winStart >= laneWindow:
-		shrink = l.winPeak <= eighth
-		l.winStart, l.winPeak = l.pops, live
-	case l.pops-l.lastPush >= laneWindow:
-		shrink = live <= eighth
-	}
-	if shrink && cap(l.s) > laneMinCap {
-		//outran:allocok amortized shrink of a lane that holds an eighth of its array or less; a refilled lane is judged over a whole window, so it does not shrink at every trough
-		s := make([]Entry, live, max(cap(l.s)/4, laneMinCap))
-		copy(s, l.s[l.head:])
-		l.s, l.head = s, 0
-	}
-	return en
-}
-
 // Engine is a single-threaded discrete-event simulator.
 // The zero value is ready to use.
 //
-// Pending entries live in one of three queues, all ordered by (At, Seq):
-// the timer queue, which holds one entry per armed Timer; the lane,
-// which takes every other entry that sorts at or after its tail (and,
-// while empty, one that sorts at or after every heap entry); and the
-// binary heap, which takes the rest. The next entry to fire is the
-// smallest of the three fronts, and (At, Seq) is a total order, so
-// which queue holds an entry does not change when it fires: the split
-// shows only in the cost of a pop. The heap holds the work in flight
-// that lands out of order, the lane what lands in order: a restore's
-// refill, and entries that keep sorting after its tail.
+// Pending entries live in one of two queues, both ordered by (At, Seq):
+// the timer queue, which holds one entry per armed Timer, and the
+// binary heap, which holds every other entry. The next entry to fire is
+// the smaller of the two fronts, and (At, Seq) is a total order, so
+// which queue holds an entry does not change when it fires.
 type Engine struct {
-	now    Time
-	pq     eventHeap
-	lane   lane
-	timers timerHeap
-	// maxAt, maxSeq bound every heap entry from above: the largest
-	// (At, Seq) pushed since the heap was last empty.
-	maxAt   Time
-	maxSeq  uint64
+	now     Time
+	pq      eventHeap
+	timers  timerHeap
 	seq     uint64
 	stopped bool
 	nEvents uint64
@@ -293,7 +194,6 @@ type queue uint8
 
 const (
 	noQueue queue = iota
-	laneQueue
 	heapQueue
 	timerQueue
 )
@@ -348,8 +248,6 @@ func (e *Engine) restorable(w *snapshot.Walker, at Time) bool {
 func (e *Engine) DropPending() {
 	clear(e.pq)
 	e.pq = e.pq[:0]
-	clear(e.lane.s)
-	e.lane.s, e.lane.head = e.lane.s[:0], 0
 	for _, k := range e.timers {
 		k.t.slot = 0
 	}
@@ -363,50 +261,14 @@ func (e *Engine) DropPending() {
 // scheduled work; a checkpoint encodes the entries whose handler it
 // owns. An armed timer is listed as its one arm: (expires, armSeq), the
 // timer as handler, an empty payload.
-//
-// Only the heaps are sorted. The lane is merged in as it lies whenever
-// it is already in seq order — every entry that reaches it through
-// Schedule does, at the tail — and everything is sorted when a
-// restore's refill or an entry queued under a reserved seq broke that
-// order. The heaps are sorted as (seq, index) pairs, which hold no
-// pointers, so every entry is copied once, straight to its place.
 func (e *Engine) Entries() []Entry {
-	lane := e.lane.s[e.lane.head:]
-	out := make([]Entry, 0, len(lane)+len(e.pq)+len(e.timers))
-	if !slices.IsSortedFunc(lane, func(a, b Entry) int { return cmp.Compare(a.Seq, b.Seq) }) {
-		out = append(append(out, e.pq...), lane...)
-		for _, k := range e.timers {
-			out = append(out, k.entry())
-		}
-		slices.SortFunc(out, func(a, b Entry) int { return cmp.Compare(a.Seq, b.Seq) })
-		return out
+	out := make([]Entry, 0, len(e.pq)+len(e.timers))
+	out = append(out, e.pq...)
+	for _, k := range e.timers {
+		out = append(out, k.entry())
 	}
-	// Index i < len(pq) names a heap entry, any other one the timer
-	// at i - len(pq).
-	type seqAt struct {
-		seq uint64
-		i   int
-	}
-	heaps := make([]seqAt, 0, len(e.pq)+len(e.timers))
-	for i := range e.pq {
-		heaps = append(heaps, seqAt{e.pq[i].Seq, i})
-	}
-	for i, k := range e.timers {
-		heaps = append(heaps, seqAt{k.seq, len(e.pq) + i})
-	}
-	slices.SortFunc(heaps, func(a, b seqAt) int { return cmp.Compare(a.seq, b.seq) })
-	i := 0
-	for _, h := range heaps {
-		for ; i < len(lane) && lane[i].Seq < h.seq; i++ {
-			out = append(out, lane[i])
-		}
-		if h.i < len(e.pq) {
-			out = append(out, e.pq[h.i])
-		} else {
-			out = append(out, e.timers[h.i-len(e.pq)].entry())
-		}
-	}
-	return append(out, lane[i:]...)
+	slices.SortFunc(out, func(a, b Entry) int { return cmp.Compare(a.Seq, b.Seq) })
+	return out
 }
 
 // Schedule queues ev for h at absolute time at and returns the entry's
@@ -443,26 +305,7 @@ func (e *Engine) ScheduleExact(at Time, seq uint64, h Handler, ev Event) {
 		//outran:allocok cold panic path; a past-time schedule is a programming error, not steady state
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
 	}
-	en := Entry{At: at, Seq: seq, H: h, Ev: ev}
-	if e.laneTakes(at, seq) {
-		e.lane.push(en)
-		return
-	}
-	if len(e.pq) == 0 || precedes(e.maxAt, e.maxSeq, at, seq) {
-		e.maxAt, e.maxSeq = at, seq
-	}
-	e.pq.push(en)
-}
-
-// laneTakes reports whether an entry keyed (at, seq) goes to the lane:
-// it sorts after the lane's tail or, when the lane is empty, after every
-// heap entry.
-func (e *Engine) laneTakes(at Time, seq uint64) bool {
-	if n := len(e.lane.s); n > e.lane.head {
-		tail := &e.lane.s[n-1]
-		return !precedes(at, seq, tail.At, tail.Seq)
-	}
-	return len(e.pq) == 0 || !precedes(at, seq, e.maxAt, e.maxSeq)
+	e.pq.push(Entry{At: at, Seq: seq, H: h, Ev: ev})
 }
 
 // At schedules fn to run at absolute time t. A func entry cannot be
@@ -481,22 +324,20 @@ func (e *Engine) After(d Time, fn func()) {
 // Stop halts the run loop after the currently executing event returns.
 func (e *Engine) Stop() { e.stopped = true }
 
-// next returns the instant of the earliest queued entry — the smallest
-// of the lane's head, the heap's top and the timer queue's top — and
-// the queue it fronts; noQueue when nothing is queued.
+// next returns the instant of the earliest queued entry — the smaller
+// of the heap's top and the timer queue's top — and the queue it
+// fronts; noQueue when nothing is queued.
 func (e *Engine) next() (at Time, q queue) {
-	var seq uint64
-	if e.lane.head < len(e.lane.s) {
-		en := &e.lane.s[e.lane.head]
-		at, seq, q = en.At, en.Seq, laneQueue
+	if len(e.timers) > 0 {
+		k := &e.timers[0]
+		if len(e.pq) == 0 || precedes(k.at, k.seq, e.pq[0].At, e.pq[0].Seq) {
+			return k.at, timerQueue
+		}
 	}
-	if len(e.pq) > 0 && (q == noQueue || precedes(e.pq[0].At, e.pq[0].Seq, at, seq)) {
-		at, seq, q = e.pq[0].At, e.pq[0].Seq, heapQueue
+	if len(e.pq) > 0 {
+		return e.pq[0].At, heapQueue
 	}
-	if len(e.timers) > 0 && (q == noQueue || precedes(e.timers[0].at, e.timers[0].seq, at, seq)) {
-		at, q = e.timers[0].at, timerQueue
-	}
-	return at, q
+	return 0, noQueue
 }
 
 // step pops the front of q, advances the clock to it and fires it.
@@ -508,12 +349,7 @@ func (e *Engine) step(q queue) {
 		t.Fire(Event{})
 		return
 	}
-	var en Entry
-	if q == laneQueue {
-		en = e.lane.pop()
-	} else {
-		en = e.pq.pop()
-	}
+	en := e.pq.pop()
 	e.now = en.At
 	e.nEvents++
 	en.H.Fire(en.Ev)
@@ -528,8 +364,6 @@ func (e *Engine) Step() (Entry, bool) {
 	switch q {
 	case noQueue:
 		return Entry{}, false
-	case laneQueue:
-		en = e.lane.s[e.lane.head]
 	case heapQueue:
 		en = e.pq[0]
 	case timerQueue:
@@ -570,4 +404,4 @@ func (e *Engine) Run() {
 
 // Pending returns the number of queued events, each armed timer's one
 // arm among them.
-func (e *Engine) Pending() int { return len(e.pq) + e.lane.len() + len(e.timers) }
+func (e *Engine) Pending() int { return len(e.pq) + len(e.timers) }

@@ -330,58 +330,45 @@ func stepNext(e *Engine) {
 	e.step(q)
 }
 
-// popNext removes the earliest pending entry, which is not a timer's
-// arm, without firing it.
-func popNext(e *Engine) Entry {
-	if _, q := e.next(); q == laneQueue {
-		return e.lane.pop()
-	}
-	return e.pq.pop()
-}
-
 // TestHeapShrinksAfterDrain is the regression test for the event queue
 // pinning its peak capacity: after a large burst of events drains, the
 // backing array must be compacted instead of holding the high-water
-// mark for the rest of the run — for the heap (a burst scheduled out of
-// order) and for the lane (the same burst in order, a workload's
-// arrivals), mid-drain and at the end, where the lane is back at its
-// minimum array.
+// mark for the rest of the run — for a burst scheduled out of order and
+// for the same burst in order, mid-drain and at the end.
 func TestHeapShrinksAfterDrain(t *testing.T) {
 	const burst = 8192
 	for _, c := range []struct {
-		name    string
-		at      func(i int) Time
-		cap     func(e *Engine) int
-		drained int // the most capacity a drained queue may keep
+		name string
+		at   func(i int) Time
 	}{
-		{"heap", func(i int) Time { return Time(burst - i) }, func(e *Engine) int { return cap(e.pq) }, shrinkMinCap / 2},
-		{"lane", func(i int) Time { return Time(i) }, func(e *Engine) int { return cap(e.lane.s) }, laneMinCap},
+		{"heap", func(i int) Time { return Time(burst - i) }},
+		{"in-order", func(i int) Time { return Time(i) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var e Engine
 			for i := 0; i < burst; i++ {
 				e.At(c.at(i), func() {})
 			}
-			peak := c.cap(&e)
-			if peak < burst-1 {
-				t.Fatalf("capacity %d below burst size %d: the burst went to the other queue", peak, burst)
+			peak := cap(e.pq)
+			if peak < burst {
+				t.Fatalf("capacity %d below burst size %d", peak, burst)
 			}
 			e.RunUntil(Time(burst - burst/8))
-			if got := c.cap(&e); got > peak/2 || got < e.Pending() {
+			if got := cap(e.pq); got > peak/2 || got < e.Pending() {
 				t.Fatalf("%d of %d pending: cap %d, want at most half the peak %d", e.Pending(), burst, got, peak)
 			}
 			e.Run()
 			if e.Pending() != 0 {
 				t.Fatalf("queue not drained: %d pending", e.Pending())
 			}
-			if got := c.cap(&e); got > c.drained {
-				t.Fatalf("did not shrink after drain: cap %d (peak %d), want at most %d", got, peak, c.drained)
+			if got := cap(e.pq); got > shrinkMinCap/2 {
+				t.Fatalf("did not shrink after drain: cap %d (peak %d), want at most %d", got, peak, shrinkMinCap/2)
 			}
 		})
 	}
-	// Steady state: small queues under shrinkMinCap never shrink, so
-	// push/pop cycles reuse both arrays without reallocating — 16 entries
-	// in order (the lane) and 16 out of order (the heap).
+	// Steady state: a small heap under shrinkMinCap never shrinks, so
+	// push/pop cycles reuse its array without reallocating — 16 entries
+	// in order and 16 out of order.
 	var e Engine
 	fill := func() {
 		for i := 0; i < 16; i++ {
@@ -390,23 +377,19 @@ func TestHeapShrinksAfterDrain(t *testing.T) {
 		}
 	}
 	fill()
-	heapCap, laneCap := cap(e.pq), cap(e.lane.s)
-	if heapCap == 0 || laneCap == 0 {
-		t.Fatalf("steady-state fill left a queue unused: heap cap %d, lane cap %d", heapCap, laneCap)
-	}
+	heapCap := cap(e.pq)
 	for i := 0; i < 4; i++ {
 		e.Run()
 		fill()
-		if cap(e.pq) != heapCap || cap(e.lane.s) != laneCap {
-			t.Fatalf("small queues reallocated: heap cap %d -> %d, lane cap %d -> %d",
-				heapCap, cap(e.pq), laneCap, cap(e.lane.s))
+		if cap(e.pq) != heapCap {
+			t.Fatalf("small heap reallocated: cap %d -> %d", heapCap, cap(e.pq))
 		}
 	}
 }
 
 // TestHeapPushZeroAlloc pins the tentpole property: steady-state
 // scheduling does not allocate. After warm-up, a push/pop cycle on a
-// pre-grown heap or lane must be allocation-free. The probe registry is keyed
+// pre-grown heap must be allocation-free. The probe registry is keyed
 // by //outran:allocfree annotation (probetest.Run enforces the match).
 func TestHeapPushZeroAlloc(t *testing.T) {
 	probetest.Run(t, ".", map[string]func(t *testing.T){
@@ -427,7 +410,7 @@ func TestHeapPushZeroAlloc(t *testing.T) {
 			ev := Event{Kind: 1, Idx: 2, A: 3, B: 4, Ptr: &p}
 			allocs := testing.AllocsPerRun(1000, func() {
 				e.Schedule(e.Now(), &p, ev)
-				popNext(&e)
+				e.pq.pop()
 			})
 			if allocs != 0 {
 				t.Fatalf("Schedule with a full payload allocates %.1f/op, want 0", allocs)
@@ -477,37 +460,6 @@ func TestHeapPushZeroAlloc(t *testing.T) {
 			allocs := testing.AllocsPerRun(1000, func() {
 				en := h.pop()
 				h.push(en)
-			})
-			if allocs != 0 {
-				t.Fatalf("pop/push cycle allocates %.1f/op, want 0", allocs)
-			}
-		},
-		// The lane's head marches through the array; a full array slides
-		// its few live entries down instead of growing.
-		"(*lane).push": func(t *testing.T) {
-			var l lane
-			var at Time
-			for ; at < 3; at++ {
-				l.push(Entry{At: at})
-			}
-			allocs := testing.AllocsPerRun(1000, func() {
-				l.push(Entry{At: at})
-				at++
-				l.pop()
-			})
-			if allocs != 0 {
-				t.Fatalf("in-order push/pop cycle allocates %.1f/op, want 0", allocs)
-			}
-		},
-		"(*lane).pop": func(t *testing.T) {
-			var l lane
-			for i := 0; i < 31; i++ {
-				l.push(Entry{At: Time(i), H: funcHandler(func() {})})
-			}
-			allocs := testing.AllocsPerRun(1000, func() {
-				en := l.pop()
-				en.At += 31
-				l.push(en)
 			})
 			if allocs != 0 {
 				t.Fatalf("pop/push cycle allocates %.1f/op, want 0", allocs)

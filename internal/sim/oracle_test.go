@@ -12,15 +12,16 @@ import (
 )
 
 // The differential oracle: a frozen copy of the engine as it stood
-// before the lane, when one binary heap held every pending entry, and
-// of the generation-guarded timer bound to it, whose re-arms and stops
-// left their old entries queued to pop as no-ops. FuzzEngineOrder and
-// TestEngineMatchesHeapOracle drive it and the live engine through the
-// same operations and demand bitwise-equal results once the oracle's
-// dead arms are filtered out: the fired sequence, the clock, Processed
-// less the no-op fires, Pending and Entries() less the dead arms. Do
-// not "modernise" it; the noops counter, refTimer.dead and
-// refTimer.restore (the old Timer.Walk's decode) are the only additions.
+// before the timer queue, when one binary heap held every pending entry,
+// timer arms included, and of the generation-guarded timer bound to it,
+// whose re-arms and stops left their old entries queued to pop as
+// no-ops. FuzzEngineOrder and TestEngineMatchesHeapOracle drive it and
+// the live engine through the same operations and demand bitwise-equal
+// results once the oracle's dead arms are filtered out: the fired
+// sequence, the clock, Processed less the no-op fires, Pending and
+// Entries() less the dead arms. Do not "modernise" it; the noops
+// counter, refTimer.dead and refTimer.restore (the old Timer.Walk's
+// decode) are the only additions.
 
 type refHeap []Entry
 
@@ -401,7 +402,7 @@ func (o *opStream) span() Time {
 // on the frozen heap-only copy and fails at the first operation after
 // which they differ, or after which a live timer's queue entry is not
 // its one arm. It returns the number of operations run and how many of
-// them began with both the lane and the heap holding entries.
+// them began with both the heap and the timer queue holding entries.
 func driveEngines(t testing.TB, program []byte) (n, mixed int) {
 	live, liveTimers := liveSide()
 	ref, refTimers := refSide()
@@ -443,7 +444,7 @@ func driveEngines(t testing.TB, program []byte) (n, mixed int) {
 	}
 	le := live.e.(*Engine)
 	for ; ops.more(); n++ {
-		if le.lane.len() > 0 && len(le.pq) > 0 {
+		if len(le.pq) > 0 && len(le.timers) > 0 {
 			mixed++
 		}
 		firedBefore := len(live.fired)
@@ -535,7 +536,7 @@ func driveEngines(t testing.TB, program []byte) (n, mixed int) {
 			}
 		case 9: // Entries() snapshot
 			if got, want := live.entries(), ref.entries(); !slices.Equal(got, want) {
-				t.Fatalf("op %d: Entries() differ:\n lane+heap %v\n heap only %v", n, got, want)
+				t.Fatalf("op %d: Entries() differ:\n engine %v\n heap only %v", n, got, want)
 			}
 		}
 		for _, f := range live.fired[firedBefore:] {
@@ -545,7 +546,7 @@ func driveEngines(t testing.TB, program []byte) (n, mixed int) {
 		}
 		// Everything before firedBefore was compared after earlier ops.
 		if len(live.fired) != len(ref.fired) || !slices.Equal(live.fired[firedBefore:], ref.fired[firedBefore:]) {
-			t.Fatalf("op %d (kind %d): fired sequences differ at %d:\n lane+heap %v\n heap only %v", n, op,
+			t.Fatalf("op %d (kind %d): fired sequences differ at %d:\n engine %v\n heap only %v", n, op,
 				firstDiff(live.fired, ref.fired), tail(live.fired), tail(ref.fired))
 		}
 		if live.e.Now() != ref.e.Now() || live.pending() != ref.pending() || live.processed() != ref.processed() {
@@ -580,7 +581,7 @@ func tail(f []fired) []fired { return f[max(0, len(f)-4):] }
 
 // TestEngineMatchesHeapOracle runs the differential oracle over seeded
 // random programs, over 10^5 operations in all, and checks that the
-// programs really interleave the two queues.
+// programs really interleave the heap and the timer queue.
 func TestEngineMatchesHeapOracle(t *testing.T) {
 	r := rng.New(20261015)
 	ops, mixed := 0, 0

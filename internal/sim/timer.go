@@ -90,7 +90,7 @@ type timerKey struct {
 // entry is the arm as Engine.Entries lists it.
 func (k timerKey) entry() Entry { return Entry{At: k.at, Seq: k.seq, H: k.t} }
 
-// timerHeap is the engine's third queue: a binary min-heap of armed
+// timerHeap is the engine's second queue: a binary min-heap of armed
 // timers ordered by (at, seq), in which every timer records its index
 // (Timer.slot). It shares the event heap's storage rules.
 type timerHeap []timerKey
