@@ -8,9 +8,11 @@
 //
 // Each id is a table/figure from the paper (fig3, fig4, fig7, fig8,
 // fig12, fig13, fig14, fig15, fig16, fig17, fig18a-d, fig19, fig20,
-// table1, table2). See DESIGN.md for the per-experiment index. The
-// simulator's own speed is measured by benchmark/ (bash benchmark/run.sh),
-// not here.
+// table1, table2). See DESIGN.md for the per-experiment index. `chaos`
+// is the fault-injection sweep; a monitor violation makes it exit 1.
+// A negative -seeds, -ues, -rbs, -dur or -scale is a usage error (exit
+// 2). The simulator's own speed is measured by benchmark/ (bash
+// benchmark/run.sh), not here.
 package main
 
 import (
@@ -22,27 +24,15 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
+	"outran/internal/cli"
 	"outran/internal/experiments"
 	"outran/internal/sim"
 )
 
-// errUsage marks a command line that could not be understood (exit
-// status 2, like the flag package's own failures).
-var errUsage = errors.New("usage")
-
-func main() {
-	err := run(os.Args[1:], os.Stdout, os.Stderr)
-	if err == nil || errors.Is(err, flag.ErrHelp) {
-		return
-	}
-	fmt.Fprintln(os.Stderr, err)
-	if errors.Is(err, errUsage) {
-		os.Exit(2)
-	}
-	os.Exit(1)
-}
+func main() { cli.Main(run) }
 
 // run is the whole program: flags -> experiments.Options -> each id's
 // harness -> its tables on stdout. Both profiles are finished on every
@@ -68,12 +58,18 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		if errors.Is(err, flag.ErrHelp) {
 			return err
 		}
-		return fmt.Errorf("%w: %v", errUsage, err)
+		return fmt.Errorf("%w: %v", cli.ErrUsage, err)
+	}
+	// A negative size would make a sweep run nothing and report it clean.
+	for _, name := range []string{"seeds", "ues", "rbs", "dur", "scale"} {
+		if v := fs.Lookup(name).Value.String(); strings.HasPrefix(v, "-") {
+			return fmt.Errorf("%w: -%s %s is negative", cli.ErrUsage, name, v)
+		}
 	}
 	ids := fs.Args()
 	if len(ids) == 0 {
 		fs.Usage()
-		return fmt.Errorf("%w: no experiment id", errUsage)
+		return fmt.Errorf("%w: no experiment id", cli.ErrUsage)
 	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -116,14 +112,13 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	for _, id := range ids {
 		f, ok := experiments.Lookup(id)
 		if !ok {
-			return fmt.Errorf("%w: unknown experiment %q (try 'outran-bench list')", errUsage, id)
+			return fmt.Errorf("%w: unknown experiment %q (try 'outran-bench list')", cli.ErrUsage, id)
 		}
 		//outran:wallclock progress timer for the operator; never enters results
 		start := time.Now()
+		// An experiment may fail after building its tables (a chaos
+		// sweep that saw a violation); they are printed all the same.
 		tables, err := f(opt)
-		if err != nil {
-			return fmt.Errorf("%s: %w", id, err)
-		}
 		for _, t := range tables {
 			t.Fprint(stdout)
 			if *csvDir != "" {
@@ -131,6 +126,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 					return fmt.Errorf("%s: csv: %w", id, err)
 				}
 			}
+		}
+		if err != nil {
+			return fmt.Errorf("%s: %w", id, err)
 		}
 		//outran:wallclock progress timer for the operator; never enters results
 		fmt.Fprintf(stdout, "[%s completed in %v]\n\n", id, time.Since(start).Round(time.Millisecond))

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"outran/internal/cli"
 	"outran/internal/experiments"
 )
 
@@ -69,12 +70,29 @@ func TestProfilesFlushedOnError(t *testing.T) {
 	dir := t.TempDir()
 	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
 	err := run([]string{"-cpuprofile", cpu, "-memprofile", mem, "table1", "fig99"}, io.Discard, io.Discard)
-	if !errors.Is(err, errUsage) || !strings.Contains(err.Error(), `"fig99"`) {
+	if !errors.Is(err, cli.ErrUsage) || !strings.Contains(err.Error(), `"fig99"`) {
 		t.Fatalf("unknown id: err = %v, want a usage error naming it", err)
 	}
 	for _, prof := range []string{cpu, mem} {
 		if st, err := os.Stat(prof); err != nil || st.Size() == 0 {
 			t.Errorf("profile not flushed: %v, %v", st, err)
+		}
+	}
+}
+
+// TestNegativeSizes: a negative size flag is a usage error (exit
+// status 2); before, -seeds -1 made chaos run nothing and report clean.
+func TestNegativeSizes(t *testing.T) {
+	for _, neg := range [][]string{
+		{"-seeds", "-1"},
+		{"-ues", "-4"},
+		{"-rbs", "-25"},
+		{"-dur", "-1s"},
+		{"-scale", "-0.5"},
+	} {
+		args := append(neg, "chaos")
+		if err := run(args, io.Discard, io.Discard); !errors.Is(err, cli.ErrUsage) || !strings.Contains(err.Error(), neg[0]+" "+neg[1]) {
+			t.Errorf("outran-bench %s: err = %v, want a usage error naming the flag", strings.Join(args, " "), err)
 		}
 	}
 }

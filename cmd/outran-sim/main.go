@@ -30,6 +30,7 @@ import (
 	"sort"
 	"strings"
 
+	"outran/internal/cli"
 	"outran/internal/deploy"
 	"outran/internal/metrics"
 	"outran/internal/pdcp"
@@ -42,21 +43,7 @@ import (
 // drain is the post-arrival run time that lets in-flight flows finish.
 const drain = 12 * sim.Second
 
-// errUsage marks a command line that could not be understood (exit
-// status 2, like the flag package's own failures).
-var errUsage = errors.New("usage")
-
-func main() {
-	err := run(os.Args[1:], os.Stdout, os.Stderr)
-	if err == nil || errors.Is(err, flag.ErrHelp) {
-		return
-	}
-	fmt.Fprintln(os.Stderr, err)
-	if errors.Is(err, errUsage) {
-		os.Exit(2)
-	}
-	os.Exit(1)
-}
+func main() { cli.Main(run) }
 
 // options is one parsed command line: the deployment to run and how to
 // report it.
@@ -155,7 +142,7 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 	resume := fs.Bool("resume", false, "resume a killed checkpointed run from -checkpoint-dir (pass the SAME flags as the original run)")
 	tracePath := fs.String("trace", "", "write a JSONL event trace to this file (per cell with -cells: name.cellN.ext)")
 	kpiEvery := fs.Duration("kpi-every", 0, "sample per-cell KPI records at this sim-time cadence (0 = off)")
-	kpiPath := fs.String("kpi", "", "write the KPI time-series JSONL to this file (needs -kpi-every; read with outran-trace kpi or outran-top)")
+	kpiPath := fs.String("kpi", "", "write the KPI time-series JSONL to this file (needs -kpi-every; read with outran-trace kpi or outran-trace top)")
 	profileRun := fs.Bool("profile", false, "attribute wall ns/TTI to phy/mac/rlc/pdcp/obs phases (single cell; shown in the summary, never in byte-compared outputs)")
 	streamFCT := fs.Bool("stream-fct", false, "record FCTs into bounded-memory streaming histograms instead of retaining per-flow samples")
 	exactFCT := fs.Bool("exact-fct", false, "with -cells > 1: opt back into exact per-flow FCT samples (capped per cell; deployments stream by default)")
@@ -166,11 +153,11 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 		if errors.Is(err, flag.ErrHelp) {
 			return options{}, err
 		}
-		return options{}, fmt.Errorf("%w: %v", errUsage, err)
+		return options{}, fmt.Errorf("%w: %v", cli.ErrUsage, err)
 	}
 
 	if _, ok := workload.ByName(*distName); !ok {
-		return options{}, fmt.Errorf("%w: unknown distribution %q", errUsage, *distName)
+		return options{}, fmt.Errorf("%w: unknown distribution %q", cli.ErrUsage, *distName)
 	}
 	var base ran.Config
 	if *mu > 0 {

@@ -15,6 +15,7 @@ import (
 	"strings"
 	"testing"
 
+	"outran/internal/cli"
 	"outran/internal/deploy"
 	"outran/internal/obs"
 	"outran/internal/ran"
@@ -179,8 +180,8 @@ func TestFlagMapping(t *testing.T) {
 			if err == nil {
 				t.Fatal("accepted")
 			}
-			if errors.Is(err, errUsage) != tc.usage {
-				t.Errorf("usage error = %v, want %v (%v)", errors.Is(err, errUsage), tc.usage, err)
+			if errors.Is(err, cli.ErrUsage) != tc.usage {
+				t.Errorf("usage error = %v, want %v (%v)", errors.Is(err, cli.ErrUsage), tc.usage, err)
 			}
 		})
 	}

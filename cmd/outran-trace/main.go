@@ -1,6 +1,6 @@
 // Command outran-trace analyzes JSONL event traces written by the
 // simulator's tracing layer (internal/obs, enabled with
-// outran-sim -trace).
+// outran-sim -trace), and the KPI stream outran-sim -kpi writes.
 //
 // Usage:
 //
@@ -9,6 +9,8 @@
 //	outran-trace flow    <trace.jsonl> <flow>   one flow's full timeline
 //	outran-trace slow    <trace.jsonl> [n]      n (default 10) slowest flows with per-layer residency
 //	outran-trace kpi     <kpi.jsonl>            KPI time-series report (outran-sim -kpi)
+//	outran-trace top [-once] [-refresh d] [-history n] <kpi.jsonl>
+//	                                            live per-cell KPI view, following the file
 //
 // The audit subcommand replays the trace's decision records into the
 // §5.4 numbers: the override rate (how often ε-relaxation picked a
@@ -19,46 +21,55 @@
 package main
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"os"
 	"strconv"
 
+	"outran/internal/cli"
 	"outran/internal/obs"
 	"outran/internal/sim"
 )
 
 // errUsage is a command line that could not be understood (exit
 // status 2); its text is the synopsis.
-var errUsage = errors.New(`usage: outran-trace <summary|audit|flow|slow> <trace.jsonl> [arg]
+var errUsage = fmt.Errorf(`%w: outran-trace <summary|audit|flow|slow|kpi|top> <file> [arg]
   summary <trace>         run overview and event counts
   audit   <trace>         scheduler decision audit (§5.4 SE cost)
   flow    <trace> <flow>  one flow's timeline ("src:port>dst:port/proto")
   slow    <trace> [n]     n (default 10) slowest flows with per-layer residency
-  kpi     <kpi.jsonl>     KPI time-series report (written by outran-sim -kpi)`)
+  kpi     <kpi.jsonl>     KPI time-series report (written by outran-sim -kpi)
+  top [-once] [-refresh d] [-history n] <kpi.jsonl>
+                          live per-cell KPI view, following the file`, cli.ErrUsage)
 
-func main() {
-	err := run(os.Args[1:], os.Stdout, os.Stderr)
-	if err == nil {
-		return
-	}
-	fmt.Fprintln(os.Stderr, err)
-	if errors.Is(err, errUsage) {
-		os.Exit(2)
-	}
-	os.Exit(1)
-}
+func main() { cli.Main(run) }
 
 // run is the whole program: <cmd> <file> [arg] -> read the trace or KPI
-// stream -> print the report. Nothing but main writes to stderr; the
-// parameter keeps the signature of the other commands' run.
-func run(args []string, stdout, _ io.Writer) error {
-	if len(args) < 2 {
+// stream -> print the report. The subcommand and its arguments are
+// checked before the file is opened.
+func run(args []string, stdout, stderr io.Writer) error {
+	if len(args) == 0 {
 		return errUsage
 	}
-	cmd, path := args[0], args[1]
-	f, err := os.Open(path)
+	cmd, args := args[0], args[1:]
+	if cmd == "top" {
+		return top(args, stdout, stderr)
+	}
+	n := 10 // slow's count
+	switch {
+	case (cmd == "summary" || cmd == "audit" || cmd == "kpi" || cmd == "slow") && len(args) == 1,
+		cmd == "flow" && len(args) == 2:
+		// well-formed; nothing to parse
+	case cmd == "slow" && len(args) == 2:
+		v, err := strconv.Atoi(args[1])
+		if err != nil || v <= 0 {
+			return fmt.Errorf("slow: count %q is not a positive integer: %w", args[1], errUsage)
+		}
+		n = v
+	default:
+		return errUsage
+	}
+	f, err := os.Open(args[0])
 	if err != nil {
 		return err
 	}
@@ -83,22 +94,9 @@ func run(args []string, stdout, _ io.Writer) error {
 	case "audit":
 		audit(stdout, events)
 	case "flow":
-		if len(args) < 3 {
-			return errUsage
-		}
-		return flow(stdout, events, args[2])
+		return flow(stdout, events, args[1])
 	case "slow":
-		n := 10
-		if len(args) >= 3 {
-			v, err := strconv.Atoi(args[2])
-			if err != nil || v <= 0 {
-				return fmt.Errorf("slow: count %q is not a positive integer: %w", args[2], errUsage)
-			}
-			n = v
-		}
 		slow(stdout, events, n)
-	default:
-		return errUsage
 	}
 	return nil
 }

@@ -36,6 +36,7 @@ import (
 	"strings"
 
 	"outran/internal/analysis"
+	"outran/internal/cli"
 )
 
 // report is the machine-readable -json output: what ran, what it
@@ -67,21 +68,7 @@ type baselineResult struct {
 	Diffs []string `json:"diffs,omitempty"`
 }
 
-// errUsage marks a command line that could not be understood (exit
-// status 2, like the flag package's own failures).
-var errUsage = errors.New("usage")
-
-func main() {
-	err := run(os.Args[1:], os.Stdout, os.Stderr)
-	if err == nil || errors.Is(err, flag.ErrHelp) {
-		return
-	}
-	fmt.Fprintln(os.Stderr, err)
-	if errors.Is(err, errUsage) {
-		os.Exit(2)
-	}
-	os.Exit(1)
-}
+func main() { cli.Main(run) }
 
 // run is the whole program: flags -> load the module enclosing the
 // working directory -> analyze -> report. Findings and a baseline
@@ -102,7 +89,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if errors.Is(err, flag.ErrHelp) {
 			return err
 		}
-		return fmt.Errorf("%w: %v", errUsage, err)
+		return fmt.Errorf("%w: %v", cli.ErrUsage, err)
 	}
 
 	analyzers := analysis.DefaultAnalyzers()

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"outran/internal/cli"
 )
 
 // inModule runs the rest of the test from testdata/<name>, a fixture
@@ -37,7 +39,7 @@ func TestFindings(t *testing.T) {
 	report := filepath.Join(t.TempDir(), "report.json")
 	var stdout, stderr bytes.Buffer
 	err := run([]string{"-json", report, "./..."}, &stdout, &stderr)
-	if err == nil || errors.Is(err, errUsage) {
+	if err == nil || errors.Is(err, cli.ErrUsage) {
 		t.Fatalf("run = %v, want a findings error (exit status 1)\nstderr:\n%s", err, stderr.String())
 	}
 	if !strings.Contains(err.Error(), "3 finding(s)") {
@@ -84,7 +86,7 @@ func TestBaselineRoundTrip(t *testing.T) {
 	}
 	stderr.Reset()
 	err := run([]string{"-escape=false", "-baseline", bl, "./..."}, io.Discard, &stderr)
-	if err == nil || errors.Is(err, errUsage) || !strings.Contains(err.Error(), "directive inventory differs") {
+	if err == nil || errors.Is(err, cli.ErrUsage) || !strings.Contains(err.Error(), "directive inventory differs") {
 		t.Fatalf("baseline drift: run = %v, want a baseline mismatch (exit status 1)", err)
 	}
 	if !strings.Contains(stderr.String(), "internal/sim/clock.go: //outran:allocfree count 1, baseline has 0") {
@@ -92,11 +94,11 @@ func TestBaselineRoundTrip(t *testing.T) {
 	}
 }
 
-// TestUsage: a flag error is errUsage (exit status 2); -h is not an
+// TestUsage: a flag error is cli.ErrUsage (exit status 2); -h is not an
 // error at all.
 func TestUsage(t *testing.T) {
-	if err := run([]string{"-no-such-flag"}, io.Discard, io.Discard); !errors.Is(err, errUsage) {
-		t.Fatalf("unknown flag: run = %v, want errUsage (exit status 2)", err)
+	if err := run([]string{"-no-such-flag"}, io.Discard, io.Discard); !errors.Is(err, cli.ErrUsage) {
+		t.Fatalf("unknown flag: run = %v, want cli.ErrUsage (exit status 2)", err)
 	}
 	if err := run([]string{"-h"}, io.Discard, io.Discard); !errors.Is(err, flag.ErrHelp) {
 		t.Fatalf("-h: run = %v, want flag.ErrHelp (exit status 0)", err)

@@ -13,8 +13,8 @@ import (
 // run to completion (a failed cell never cancels its siblings, so
 // partial results stay deterministic).
 //
-// This is the one worker pool shared by the deployment runtime, the
-// experiment sweeps and the chaos tool. The determinism contract:
+// This is the one worker pool shared by the deployment runtime and the
+// experiment sweeps, the chaos sweep among them. The determinism contract:
 // fn(i) must touch only state owned by index i (each cell/run has its
 // own sim.Engine and rng streams), results must be written to
 // index-addressed slots, and every fold over those slots must happen

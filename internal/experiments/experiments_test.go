@@ -1,11 +1,14 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
 	"outran/internal/channel"
+	"outran/internal/cli"
+	"outran/internal/fault"
 	"outran/internal/ran"
 	"outran/internal/sim"
 )
@@ -221,5 +224,61 @@ func TestFig19CellsAreIndependent(t *testing.T) {
 	}
 	if again := cell(0); again != c0 {
 		t.Errorf("cell 0 rerun at the same seed: %s, then %s", c0, again)
+	}
+}
+
+// TestChaosWorkers: the chaos sweep's jobs run across the worker pool
+// and fold in job order, so its table is the same at one worker and at
+// two, and a clean sweep is no error.
+func TestChaosWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a simulation")
+	}
+	sweep := func(workers int) string {
+		tables, err := Chaos(Options{UEs: 4, RBs: 25, Duration: sim.Second, Drain: 2 * sim.Second, Seeds: 2, Workers: workers})
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		var sb strings.Builder
+		for _, tb := range tables {
+			tb.Fprint(&sb)
+		}
+		return sb.String()
+	}
+	one, two := sweep(1), sweep(2)
+	if one != two {
+		t.Errorf("chaos table differs between 1 and 2 workers:\n%s\n%s", one, two)
+	}
+	if strings.Count(one, " clean\n") != len(chaosScheds)*len(chaosIntensities) {
+		t.Errorf("sweep not clean:\n%s", one)
+	}
+}
+
+// TestChaosTableViolation: the chaos fold turns a monitor violation
+// into an error that names the run's scheduler, intensity and seed and
+// its violations, and is not a usage error (outran-bench exits 1).
+func TestChaosTableViolation(t *testing.T) {
+	opt := Options{Seed: 5, Seeds: 2}
+	res := make([]fault.Result, len(chaosScheds)*len(chaosIntensities)*opt.Seeds)
+	// Job 9: OutRAN (jobs 6..11), intensity 0.30 (jobs 8, 9), seed 5+1.
+	res[9].Monitor = fault.Report{Violated: 1, Violations: []fault.Violation{{At: sim.Second, Rule: "rb-grid", Detail: "RB 3 owned twice"}}}
+	tb, err := chaosTable(opt, res)
+	if err == nil {
+		t.Fatal("violation folded into no error")
+	}
+	for _, want := range []string{"OutRAN intensity 0.30 seed 6: 1 violation(s)", "[rb-grid] RB 3 owned twice"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error lacks %q:\n%v", want, err)
+		}
+	}
+	if errors.Is(err, cli.ErrUsage) {
+		t.Errorf("violation is a usage error: %v", err)
+	}
+	if got := tb.Rows[4][len(tb.Header)-1]; got != "1 VIOLATED" {
+		t.Errorf("OutRAN 0.30 verdict %q, want 1 VIOLATED", got)
+	}
+	res[9].Monitor = fault.Report{}
+	if _, err := chaosTable(opt, res); err != nil {
+		t.Errorf("clean results: %v", err)
 	}
 }

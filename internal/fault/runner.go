@@ -14,17 +14,13 @@ import (
 // pins the run.
 type RunConfig struct {
 	Cell     ran.Config
-	Load     float64  // offered load vs. effective capacity
+	Load     float64  // Poisson LTE workload's offered load vs. effective capacity (default 0.7)
 	Duration sim.Time // workload arrival window
 	Drain    sim.Time // extra run time after the last arrival (default 6 s)
-	// Workload overrides the default Poisson LTE spec; the zero value
-	// offers workload.PoissonSpec("lte", Load).
-	Workload workload.Spec
 	// Intensity scales the fault plan; 0 disables injection entirely
 	// (monitor-only baseline).
-	Intensity    float64
-	RLFThreshold int // 0 = DefaultRLFThreshold
-	Seed         uint64
+	Intensity float64
+	Seed      uint64
 }
 
 // Result bundles everything a chaos run produces.
@@ -58,9 +54,6 @@ func Run(rc RunConfig) (Result, error) {
 	if rc.Load <= 0 {
 		rc.Load = 0.7
 	}
-	if !rc.Workload.Enabled() {
-		rc.Workload = workload.PoissonSpec("lte", rc.Load)
-	}
 	master := rng.New(rc.Seed)
 	cellSeed := master.Uint64()
 	wlSeed := master.Uint64()
@@ -71,7 +64,7 @@ func Run(rc RunConfig) (Result, error) {
 	var mon *Monitor
 	var inj *Injector
 	cell, err := ran.Harness{
-		Config:       rc.Cell.WithSeed(cellSeed).WithWorkload(rc.Workload),
+		Config:       rc.Cell.WithSeed(cellSeed).WithWorkload(workload.PoissonSpec("lte", rc.Load)),
 		Window:       rc.Duration,
 		Drain:        rc.Drain,
 		WorkloadSeed: wlSeed,
@@ -86,7 +79,6 @@ func Run(rc RunConfig) (Result, error) {
 					Intensity: rc.Intensity,
 				})
 				inj = NewInjector(c, injSeed)
-				inj.RLFThreshold = rc.RLFThreshold
 			}
 			Attach(c, res.Plan, inj, mon)
 			return nil

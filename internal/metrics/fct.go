@@ -176,8 +176,8 @@ func (r *FCTRecorder) fctsOf(class SizeClass, incastOnly bool) []sim.Time {
 }
 
 // Stats summarises a set of FCTs. The JSON field names are part of the
-// run-summary schema (see RunSummary) shared by outran-bench,
-// outran-chaos and the trace tooling.
+// run-summary schema (see RunSummary) shared by outran-sim, outran-bench
+// and the trace tooling.
 type Stats struct {
 	Count int      `json:"count"`
 	Mean  sim.Time `json:"mean_ns"`

@@ -31,7 +31,7 @@ type RunCounters struct {
 
 // RunSummary is the complete JSON-exportable summary of one run: the
 // configuration line, the counter schema, and the FCT distribution per
-// size class. outran-sim -json and outran-chaos -json emit it; the
+// size class. outran-sim -json emits it; the
 // decision-audit tooling cross-checks trace-derived aggregates against
 // it.
 type RunSummary struct {

@@ -816,8 +816,8 @@ func (c *Cell) EffectiveCapacityBps() float64 {
 
 // Stats bundles end-of-run counters not covered by the recorders. It
 // is the metrics.RunCounters schema — the one JSON-exportable counter
-// set shared by outran-sim, outran-bench, outran-chaos and the trace
-// tooling.
+// set shared by outran-sim, outran-bench (its chaos sweep included)
+// and the trace tooling.
 type Stats = metrics.RunCounters
 
 // CollectStats summarises the run.

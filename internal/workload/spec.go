@@ -612,8 +612,8 @@ func ReplaySpec(path string) Spec {
 }
 
 // Scenario resolves a named workload scenario preset against a size
-// distribution and load. The names are the -workload vocabulary of
-// outran-sim and outran-chaos.
+// distribution and load. The names are outran-sim's -workload
+// vocabulary.
 func Scenario(name, dist string, load float64) (Spec, bool) {
 	switch name {
 	case "", "poisson", "static":
