@@ -114,7 +114,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		if !ok {
 			return fmt.Errorf("%w: unknown experiment %q (try 'outran-bench list')", cli.ErrUsage, id)
 		}
-		//outran:wallclock progress timer for the operator; never enters results
+		// Wall clock: progress timer for the operator; never enters results
 		start := time.Now()
 		// An experiment may fail after building its tables (a chaos
 		// sweep that saw a violation); they are printed all the same.
@@ -130,7 +130,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		if err != nil {
 			return fmt.Errorf("%s: %w", id, err)
 		}
-		//outran:wallclock progress timer for the operator; never enters results
+		// Wall clock: progress timer for the operator; never enters results
 		fmt.Fprintf(stdout, "[%s completed in %v]\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
 	return nil

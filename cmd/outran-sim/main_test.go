@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -430,5 +431,29 @@ func TestCPUProfileFlushedOnError(t *testing.T) {
 	}
 	if st, err := os.Stat(prof); err != nil || st.Size() == 0 {
 		t.Fatalf("CPU profile not flushed: %v, %v", st, err)
+	}
+}
+
+// TestNonFiniteFlags: a NaN or infinite -load, or a NaN -eps, fails
+// the run (exit 1) with an error naming the config field, instead of
+// running an empty simulation or one with relaxation silently off.
+func TestNonFiniteFlags(t *testing.T) {
+	for _, tc := range []struct{ flag, value, field string }{
+		{"-load", "NaN", "Spec.Load"},
+		{"-load", "Inf", "Spec.Load"},
+		{"-eps", "NaN", "epsilon"},
+	} {
+		var stdout bytes.Buffer
+		err := run(with(small, tc.flag, tc.value), &stdout, io.Discard)
+		if err == nil || errors.Is(err, flag.ErrHelp) {
+			t.Errorf("%s %s: run returned %v, want an error", tc.flag, tc.value, err)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s %s: error %q does not name %s", tc.flag, tc.value, err, tc.field)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s %s: a rejected run wrote a summary:\n%s", tc.flag, tc.value, stdout.String())
+		}
 	}
 }

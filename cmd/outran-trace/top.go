@@ -49,7 +49,7 @@ func top(args []string, stdout, stderr io.Writer) error {
 		if *once {
 			return nil
 		}
-		//outran:simtime live-view refresh pacing; reads files written by a run, never enters results
+		// Real time: live-view refresh pacing; reads files written by a run, never enters results
 		time.Sleep(*refresh)
 	}
 }

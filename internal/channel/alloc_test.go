@@ -3,7 +3,7 @@ package channel
 import (
 	"testing"
 
-	"outran/internal/analysis/probetest"
+	"outran/internal/probetest"
 	"outran/internal/rng"
 	"outran/internal/sim"
 )

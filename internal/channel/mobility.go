@@ -53,7 +53,7 @@ func (m *Mobility) appendLeg(start sim.Time, x0, y0 float64) {
 	if dur < sim.Millisecond {
 		dur = sim.Millisecond
 	}
-	//outran:allocok lazy leg extension: one leg per waypoint reached (seconds to minutes of sim time apart), none when re-sampling a time already covered
+	// Not a steady-state allocation: lazy leg extension: one leg per waypoint reached (seconds to minutes of sim time apart), none when re-sampling a time already covered
 	m.legs = append(m.legs, leg{start: start, end: start + dur, x0: x0, y0: y0, x1: x1, y1: y1})
 }
 

@@ -51,7 +51,7 @@ func DefaultConfig() Config {
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
-	if c.Epsilon < 0 || c.Epsilon > 1 {
+	if !(c.Epsilon >= 0 && c.Epsilon <= 1) { // NaN fails too
 		return fmt.Errorf("core: epsilon %g outside [0,1]", c.Epsilon)
 	}
 	if c.Queues < 2 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -139,6 +140,10 @@ func TestConfigValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Error("epsilon > 1 accepted")
 	}
+	bad.Epsilon = math.NaN()
+	if bad.Validate() == nil {
+		t.Error("NaN epsilon accepted")
+	}
 	bad = good
 	bad.Queues = 1
 	if bad.Validate() == nil {
@@ -188,6 +193,9 @@ func TestNewInterUserValidation(t *testing.T) {
 	}
 	if _, err := NewInterUser(mac.PFMetric, "PF", 1.1); err == nil {
 		t.Error("epsilon > 1 accepted")
+	}
+	if _, err := NewInterUser(mac.PFMetric, "PF", math.NaN()); err == nil {
+		t.Error("NaN epsilon accepted")
 	}
 	s, err := NewInterUser(mac.PFMetric, "PF", 0.2)
 	if err != nil {

@@ -84,7 +84,7 @@ type DecisionFunc func(now sim.Time, rb, best, sel int, bestM, selM float64, sel
 
 // NewInterUser wraps the given metric with relaxation ε in [0, 1].
 func NewInterUser(inner mac.MetricFunc, innerName string, epsilon float64) (*InterUser, error) {
-	if epsilon < 0 || epsilon > 1 {
+	if !(epsilon >= 0 && epsilon <= 1) { // NaN fails too
 		return nil, fmt.Errorf("core: epsilon %g outside [0,1]", epsilon)
 	}
 	if inner == nil {
@@ -108,7 +108,6 @@ func (s *InterUser) Name() string { return s.name }
 // walk the backlogged users only (mac.BackloggedUsers), in index order.
 //
 //outran:allocfree
-//outran:scratch
 func (s *InterUser) Allocate(now sim.Time, users []*mac.User, grid phy.Grid) mac.Allocation {
 	s.scratch.Reset(grid.NumRB)
 	alloc := s.scratch
@@ -120,9 +119,9 @@ func (s *InterUser) Allocate(now sim.Time, users []*mac.User, grid phy.Grid) mac
 	// metric is 0 for the whole call, which is what top-K reads; a
 	// backlogged user's MLFQ level is read once per call, not per run.
 	if cap(s.metrics) < len(users) {
-		//outran:allocok capacity-guarded scratch growth; reruns only when the user population grows
+		// Not a steady-state allocation: capacity-guarded scratch growth; reruns only when the user population grows
 		s.metrics = make([]float64, len(users))
-		//outran:allocok same guard
+		// Not a steady-state allocation: same guard
 		s.prios = make([]int, len(users))
 	}
 	metrics := s.metrics[:len(users)]
@@ -204,13 +203,13 @@ func (s *InterUser) Allocate(now sim.Time, users []*mac.User, grid phy.Grid) mac
 // far below m_max they fall.
 func (s *InterUser) topKSelect(metrics []float64, prios []int, best int) (int, int, float64) {
 	if cap(s.cands) < len(metrics) {
-		//outran:allocok capacity-guarded scratch growth; reruns only when the user population grows
+		// Not a steady-state allocation: capacity-guarded scratch growth; reruns only when the user population grows
 		s.cands = make([]topKCand, 0, len(metrics))
 	}
 	cands := s.cands[:0]
 	for ui := range metrics {
 		if metrics[ui] > 0 {
-			//outran:allocok bounded by the guard above: at most len(users) appends into cap >= len(users)
+			// Not a steady-state allocation: bounded by the guard above: at most len(users) appends into cap >= len(users)
 			cands = append(cands, topKCand{ui, metrics[ui]})
 		}
 	}

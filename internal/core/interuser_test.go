@@ -5,10 +5,11 @@ import (
 	"testing"
 	"testing/quick"
 
-	"outran/internal/analysis/probetest"
 	"outran/internal/mac"
 	"outran/internal/phy"
+	"outran/internal/probetest"
 	"outran/internal/rng"
+	"outran/internal/sim"
 	"outran/internal/snapshot/snapshottest"
 )
 
@@ -189,31 +190,45 @@ func TestEpsilonGuaranteeProperty(t *testing.T) {
 
 // TestInterUserZeroAllocs pins the zero-allocation hot path for the
 // OutRAN inter-user scheduler in all three candidate-set modes: the
-// ε relaxation, the top-K ablation, and strict MLFQ. After the first
-// TTI grows the scratch (AllocsPerRun's warm-up call), steady-state
-// Allocate must not allocate. The probe registry is keyed by
-// //outran:allocfree annotation (probetest.Run enforces the match).
+// ε relaxation, the top-K ablation, and strict MLFQ; with a decision
+// hook attached; with no backlogged user; and with every backlogged
+// user in a deep fade. After the first TTI grows the scratch
+// (AllocsPerRun's warm-up call), steady-state Allocate must not
+// allocate. The probe registry is keyed by //outran:allocfree
+// annotation (probetest.Run enforces the match).
 func TestInterUserZeroAllocs(t *testing.T) {
 	probetest.Run(t, ".", map[string]func(t *testing.T){
 		"(*InterUser).Allocate": func(t *testing.T) {
 			users := testUsers([]phy.CQI{15, 10, 5, 0, 8}, []int{3, 0, 2, 1, 0})
+			faded := testUsers([]phy.CQI{0, 0}, []int{0, 1})
+			idle := testUsers([]phy.CQI{15, 10}, []int{0, 0})
+			for _, u := range idle {
+				u.Buffer = mac.BufferStatus{}
+			}
 			g := grid1()
-			eps, err := NewInterUser(mac.PFMetric, "PF", 0.2)
-			if err != nil {
-				t.Fatal(err)
+			newEps := func() *InterUser {
+				s, err := NewInterUser(mac.PFMetric, "PF", 0.2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
 			}
 			topK, err := NewInterUser(mac.PFMetric, "PF", 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			topK.TopK = 2
+			hooked := newEps()
+			hooked.OnDecision = func(sim.Time, int, int, int, float64, float64, int, int) {}
 			for _, c := range []struct {
-				name string
-				s    *InterUser
+				name  string
+				s     *InterUser
+				users []*mac.User
 			}{
-				{"epsilon", eps}, {"topK", topK}, {"strictMLFQ", StrictMLFQ()},
+				{"epsilon", newEps(), users}, {"topK", topK, users}, {"strictMLFQ", StrictMLFQ(), users},
+				{"OnDecision", hooked, users}, {"idle", newEps(), idle}, {"deepFade", newEps(), faded},
 			} {
-				s := c.s
+				s, users := c.s, c.users
 				allocs := testing.AllocsPerRun(100, func() {
 					s.Allocate(0, users, g)
 				})

@@ -631,16 +631,16 @@ func (rs *runState) barriers(from sim.Time) []sim.Time {
 	for _, ev := range rs.cfg.Crashes {
 		set[ev.Start] = true
 	}
-	//outran:orderfree set union; the result is sorted below
+	// Order-free: set union; the result is sorted below
 	for t := range rs.ckAt {
 		set[t] = true
 	}
-	//outran:orderfree set union; the result is sorted below
+	// Order-free: set union; the result is sorted below
 	for t := range rs.kpiAt {
 		set[t] = true
 	}
 	times := make([]sim.Time, 0, len(set))
-	//outran:orderfree set membership collection; sorted below
+	// Order-free: set membership collection; sorted below
 	for t := range set {
 		if t > from && t < rs.total {
 			times = append(times, t)

@@ -99,13 +99,13 @@ func MeasureDeployment(spec CapacitySpec) (CapacityPoint, error) {
 		Drain:   spec.Drain,
 		Seed:    spec.Seed,
 	}
-	//outran:wallclock measures deployment throughput (cells/core); never enters simulated results
+	// Wall clock: measures deployment throughput (cells/core); never enters simulated results
 	start := time.Now()
 	res, err := deploy.Run(dcfg)
 	if err != nil {
 		return CapacityPoint{}, fmt.Errorf("capacity: %d cells at load %.2f: %w", spec.Cells, spec.Load, err)
 	}
-	//outran:wallclock measures deployment throughput (cells/core); never enters simulated results
+	// Wall clock: measures deployment throughput (cells/core); never enters simulated results
 	wall := time.Since(start).Seconds()
 	workers := spec.effectiveWorkers()
 	simSec := (capWarmup + spec.Window + spec.Drain).Seconds()

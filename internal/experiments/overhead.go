@@ -56,7 +56,7 @@ func Fig13(opt Options) ([]Table, error) {
 // measureInspect times PDCP Submit (header inspection + flow table +
 // MLFQ tagging + ciphering) over nFlows concurrent flows.
 //
-//outran:wallclock measures real per-SDU CPU cost (Table 2), not simulated time
+// Wall clock: measures real per-SDU CPU cost (Table 2), not simulated time
 func measureInspect(nFlows int) (nsPerSDU float64, tableKB int, err error) {
 	eng := &sim.Engine{}
 	var seq uint64
@@ -130,7 +130,7 @@ func Fig14(opt Options) ([]Table, error) {
 
 // measureSched times Allocate in microseconds per TTI.
 //
-//outran:wallclock measures real scheduler CPU cost (Fig 14), not simulated time
+// Wall clock: measures real scheduler CPU cost (Fig 14), not simulated time
 func measureSched(s mac.Scheduler, nUsers, nRB int) float64 {
 	grid := phy.Grid{Numerology: phy.Mu0, NumRB: nRB, CarrierHz: 2.68e9}
 	r := rng.New(7)

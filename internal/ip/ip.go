@@ -101,7 +101,8 @@ func (k TupleKey) Less(o TupleKey) bool {
 // (Src, Dst, SrcPort, DstPort, Proto) — returning -1, 0 or +1. This is
 // the iteration order every flow-table walk in the simulator uses so
 // that same-seed runs visit flows identically (map order is
-// randomized by the runtime; see outran-vet's maprange analyzer).
+// randomized by the runtime, and the same-seed digests catch a walk
+// that leaks it).
 func (ft FiveTuple) Compare(o FiveTuple) int {
 	a, b := ft.Key(), o.Key()
 	if c := cmp.Compare(a.Hi, b.Hi); c != 0 {
@@ -299,7 +300,7 @@ func tcpChecksum(ft FiveTuple, tcp []byte, payloadLen int) uint16 {
 	pseudo[9] = ft.Proto
 	binary.BigEndian.PutUint16(pseudo[10:12], uint16(TCPHeaderLen+payloadLen))
 	var sum uint32
-	//outran:allocok non-escaping local closure; the compiler keeps it (and sum) on the stack
+	// Not a steady-state allocation: non-escaping local closure; the compiler keeps it (and sum) on the stack
 	add := func(b []byte) {
 		for i := 0; i+1 < len(b); i += 2 {
 			sum += uint32(binary.BigEndian.Uint16(b[i : i+2]))

@@ -3,16 +3,16 @@ package mac
 import (
 	"testing"
 
-	"outran/internal/analysis/probetest"
+	"outran/internal/probetest"
 )
 
 // allocUsers is the shared workload for the zero-alloc probes: a mix
-// that exercises the all-zero-metric fallback and an empty buffer.
+// with a faded user and an empty buffer.
 func allocUsers() []*User {
 	users := []*User{
 		user(0, 10, 1e6, 1000),
 		user(1, 4, 2e6, 500),
-		user(2, 0, 1e5, 800), // exercises the all-zero-metric fallback
+		user(2, 0, 1e5, 800), // faded
 		user(3, 15, 5e5, 0),  // empty buffer
 	}
 	users[0].Buffer.QoSBytes = 200
@@ -20,19 +20,29 @@ func allocUsers() []*User {
 }
 
 // probeAllocate builds a steady-state zero-alloc probe over the given
-// schedulers. AllocsPerRun's warm-up call covers the first-TTI scratch
-// growth.
+// schedulers, each on three populations: allocUsers' mix, every
+// backlogged user faded (the all-zero-metric fallback), and no
+// backlogged user (the early return). AllocsPerRun's warm-up call
+// covers the first-TTI scratch growth.
 func probeAllocate(scheds ...Scheduler) func(t *testing.T) {
 	return func(t *testing.T) {
-		users := allocUsers()
 		g := grid()
-		for _, s := range scheds {
-			s := s
-			allocs := testing.AllocsPerRun(100, func() {
-				s.Allocate(0, users, g)
-			})
-			if allocs != 0 {
-				t.Errorf("%s: %.1f allocs/TTI, want 0", s.Name(), allocs)
+		for _, pop := range []struct {
+			name  string
+			users []*User
+		}{
+			{"mixed", allocUsers()},
+			{"faded", []*User{user(0, 0, 1e6, 1000), user(1, 0, 2e6, 500)}},
+			{"idle", []*User{user(0, 10, 1e6, 0), user(1, 4, 2e6, 0)}},
+		} {
+			for _, s := range scheds {
+				users := pop.users
+				allocs := testing.AllocsPerRun(100, func() {
+					s.Allocate(0, users, g)
+				})
+				if allocs != 0 {
+					t.Errorf("%s, %s users: %.1f allocs/TTI, want 0", s.Name(), pop.name, allocs)
+				}
 			}
 		}
 	}

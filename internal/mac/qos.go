@@ -30,7 +30,6 @@ func (*PSS) Name() string { return "PSS" }
 // Allocate implements Scheduler.
 //
 //outran:allocfree
-//outran:scratch
 func (s *PSS) Allocate(now sim.Time, users []*User, grid phy.Grid) Allocation {
 	s.scratch.Reset(grid.NumRB)
 	alloc := s.scratch
@@ -103,10 +102,9 @@ func cqaWeight(u *User, now sim.Time) float64 {
 // Allocate implements Scheduler.
 //
 //outran:allocfree
-//outran:scratch
 func (c *CQA) Allocate(now sim.Time, users []*User, grid phy.Grid) Allocation {
 	if c.ms.Metric == nil {
-		//outran:allocok one-time lazy construction of the wrapped scheduler; never reruns in steady state
+		// Not a steady-state allocation: one-time lazy construction of the wrapped scheduler; never reruns in steady state
 		c.ms = MetricScheduler{SchedName: "CQA", Metric: func(u *User, cqi phy.CQI, grid phy.Grid, t sim.Time) float64 {
 			return PFMetric(u, cqi, grid, t) * cqaWeight(u, t)
 		}}

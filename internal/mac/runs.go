@@ -34,7 +34,6 @@ type SubbandRuns struct {
 // run. The slice is valid until the next call.
 //
 //outran:allocfree
-//outran:scratch
 func (r *SubbandRuns) Of(users []*User, numRB int) []int {
 	if numRB <= 0 {
 		return nil
@@ -43,7 +42,7 @@ func (r *SubbandRuns) Of(users []*User, numRB int) []int {
 		return r.runs
 	}
 	if cap(r.nsbs) < len(users) {
-		//outran:allocok capacity-guarded scratch growth; reruns only when the user population grows
+		// Not a steady-state allocation: capacity-guarded scratch growth; reruns only when the user population grows
 		r.nsbs = make([]int, len(users))
 	}
 	r.nsbs = r.nsbs[:len(users)]
@@ -72,9 +71,9 @@ func (r *SubbandRuns) keyed(users []*User, numRB int) bool {
 // cut computes the partition for the key Of just stored.
 func (r *SubbandRuns) cut(numRB int) []int {
 	if cap(r.starts) < numRB {
-		//outran:allocok capacity-guarded scratch growth; reruns only when the grid widens
+		// Not a steady-state allocation: capacity-guarded scratch growth; reruns only when the grid widens
 		r.starts = make([]bool, numRB)
-		//outran:allocok same guard: a grid of numRB RBs has at most numRB+1 boundaries
+		// Not a steady-state allocation: same guard: a grid of numRB RBs has at most numRB+1 boundaries
 		r.bounds = make([]int, numRB+1)
 	}
 	starts := r.starts[:numRB]
@@ -120,7 +119,7 @@ func (r *SubbandRuns) cut(numRB int) []int {
 // ones; the ascending order keeps every first-max tie-break.
 func BackloggedUsers(dst []int, users []*User) []int {
 	if cap(dst) < len(users) {
-		//outran:allocok capacity-guarded scratch growth; reruns only when the user population grows
+		// Not a steady-state allocation: capacity-guarded scratch growth; reruns only when the user population grows
 		dst = make([]int, len(users))
 	}
 	dst = dst[:len(users)]

@@ -24,7 +24,7 @@ func NewAllocation(numRB int) Allocation {
 // scheduling path performs no allocation.
 func (a *Allocation) Reset(numRB int) {
 	if cap(a.RBOwner) < numRB {
-		//outran:allocok capacity-guarded scratch growth; first TTI only, steady state reuses the array
+		// Not a steady-state allocation: capacity-guarded scratch growth; first TTI only, steady state reuses the array
 		a.RBOwner = make([]int, numRB)
 	}
 	a.RBOwner = a.RBOwner[:numRB]
@@ -74,9 +74,7 @@ type Scheduler interface {
 	Name() string
 	// Allocate assigns the grid's RBs for one TTI. The returned
 	// Allocation aliases scheduler-owned scratch (see the ownership
-	// contract above); the scratchown vet pass checks every call site.
-	//
-	//outran:scratch
+	// contract above).
 	Allocate(now sim.Time, users []*User, grid phy.Grid) Allocation
 }
 
@@ -111,7 +109,6 @@ func (s *MetricScheduler) Name() string { return s.SchedName }
 // degrade a user's rate, not strand queued data on free capacity.
 //
 //outran:allocfree
-//outran:scratch
 func (s *MetricScheduler) Allocate(now sim.Time, users []*User, grid phy.Grid) Allocation {
 	s.scratch.Reset(grid.NumRB)
 	s.active = BackloggedUsers(s.active, users)

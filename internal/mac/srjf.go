@@ -23,7 +23,6 @@ func (*SRJF) Name() string { return "SRJF" }
 // Allocate implements Scheduler.
 //
 //outran:allocfree
-//outran:scratch
 func (s *SRJF) Allocate(now sim.Time, users []*User, grid phy.Grid) Allocation {
 	s.scratch.Reset(grid.NumRB)
 	alloc := s.scratch

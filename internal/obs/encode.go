@@ -33,7 +33,7 @@ func appendEvent(dst []byte, ev *Event) (line []byte, ok bool) {
 // appendPrefix appends `{"t":T,"type":"X"`, the part of a line that
 // (T, Type) alone decides.
 //
-//outran:allocok appends to the sink's reused buffers, which stop growing once they have held the longest line
+// Not a steady-state allocation: appends to the sink's reused buffers, which stop growing once they have held the longest line
 func appendPrefix(dst []byte, ev *Event) []byte {
 	dst = append(dst, `{"t":`...)
 	dst = strconv.AppendInt(dst, int64(ev.T), 10)
@@ -72,7 +72,7 @@ const rbKey = `,"rb":`
 // appendTail appends the fields after rb and closes the line, taking
 // float digits from floats when it is non-nil. ok is as appendEvent's.
 //
-//outran:allocok as appendPrefix: the sink's reused buffers
+// Not a steady-state allocation: as appendPrefix: the sink's reused buffers
 func appendTail(dst []byte, ev *Event, floats *floatMemo) (line []byte, ok bool) {
 	ok = true
 	dst = intField(dst, `,"best":`, int64(ev.Best))
@@ -132,7 +132,7 @@ type lineMemo struct {
 // bytes. The one pair of floats equal with different bits, ±0, are
 // both omitted, and a NaN equals nothing.
 //
-//outran:allocok as appendPrefix: the sink's reused buffers
+// Not a steady-state allocation: as appendPrefix: the sink's reused buffers
 func (m *lineMemo) line(ev *Event) (line []byte, ok bool) {
 	if ev.Type != EvDecision {
 		m.buf, _, _, ok = m.encode(m.buf[:0], ev)
@@ -153,7 +153,7 @@ func (m *lineMemo) line(ev *Event) (line []byte, ok bool) {
 // encode is appendEvent through the prefix and float memos; it also
 // reports where the rb field lies.
 //
-//outran:allocok as appendPrefix: the sink's reused buffers
+// Not a steady-state allocation: as appendPrefix: the sink's reused buffers
 func (m *lineMemo) encode(dst []byte, ev *Event) (line []byte, rbAt, rbEnd int, ok bool) {
 	if len(m.prefix) == 0 || ev.T != m.prefT || ev.Type != m.prefType {
 		m.prefix = appendPrefix(m.prefix[:0], ev)
@@ -186,7 +186,7 @@ type floatMemo [1 << floatMemoBits]struct {
 // zero (floatField omits both zeros), so the zero bits of a slot never
 // written match nothing.
 //
-//outran:allocok as appendPrefix: the sink's reused buffers
+// Not a steady-state allocation: as appendPrefix: the sink's reused buffers
 func (m *floatMemo) appendFloat(dst []byte, f float64) []byte {
 	if m == nil {
 		return formatFloat(dst, f)
@@ -204,7 +204,7 @@ func (m *floatMemo) appendFloat(dst []byte, f float64) []byte {
 	return dst
 }
 
-//outran:allocok as appendPrefix: the sink's reused buffers
+// Not a steady-state allocation: as appendPrefix: the sink's reused buffers
 func intField(dst []byte, key string, v int64) []byte {
 	if v == 0 {
 		return dst
@@ -213,7 +213,7 @@ func intField(dst []byte, key string, v int64) []byte {
 	return strconv.AppendInt(dst, v, 10)
 }
 
-//outran:allocok as appendPrefix: the sink's reused buffers
+// Not a steady-state allocation: as appendPrefix: the sink's reused buffers
 func boolField(dst []byte, key string, v bool) []byte {
 	if !v {
 		return dst
@@ -222,7 +222,7 @@ func boolField(dst []byte, key string, v bool) []byte {
 	return append(dst, "true"...)
 }
 
-//outran:allocok as appendPrefix: the sink's reused buffers
+// Not a steady-state allocation: as appendPrefix: the sink's reused buffers
 func stringField(dst []byte, key, v string) []byte {
 	if v == "" {
 		return dst
@@ -234,7 +234,7 @@ func stringField(dst []byte, key, v string) []byte {
 // floatField appends a non-zero float's key and digits. Both zeros
 // count as empty. It returns ok && f is finite.
 //
-//outran:allocok as appendPrefix: the sink's reused buffers
+// Not a steady-state allocation: as appendPrefix: the sink's reused buffers
 func floatField(dst []byte, key string, f float64, ok bool, m *floatMemo) ([]byte, bool) {
 	if f == 0 {
 		return dst, ok
@@ -251,7 +251,7 @@ func floatField(dst []byte, key string, f float64, ok bool, m *floatMemo) ([]byt
 // is below 1e-6 or at least 1e21, then in 'e' form with a one-digit
 // negative exponent not zero-padded (e-07 becomes e-7).
 //
-//outran:allocok as appendPrefix: the sink's reused buffers
+// Not a steady-state allocation: as appendPrefix: the sink's reused buffers
 func formatFloat(dst []byte, f float64) []byte {
 	format := byte('f')
 	if abs := math.Abs(f); abs < 1e-6 || abs >= 1e21 {
@@ -272,7 +272,7 @@ const hexDigits = "0123456789abcdef"
 // control bytes and the HTML-sensitive < > & as \u00XX (every flow id
 // has a '>'), invalid UTF-8 as \ufffd, and U+2028/U+2029 escaped.
 //
-//outran:allocok as appendPrefix: the sink's reused buffers
+// Not a steady-state allocation: as appendPrefix: the sink's reused buffers
 func appendString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	start := 0

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"outran/internal/probetest"
 	"outran/internal/sim"
 )
 
@@ -467,32 +468,46 @@ var hotEvents = []Event{
 // first events have sized the sink's buffers, Tracer.Emit through a
 // JSONLSink allocates nothing, whatever the event type, whether the
 // sink's memos hit (one event again and again) or miss (a new t and new
-// numbers on every line).
+// numbers on every line); nor does Emit on a nil tracer or one without
+// a sink, the untraced run's path. The probe registry is keyed by
+// //outran:allocfree annotation (probetest.Run enforces the match).
 func TestEmitAllocFree(t *testing.T) {
-	tr := NewTracer(NewJSONLSink(io.Discard))
-	for _, ev := range hotEvents {
-		tr.Emit(ev)
-	}
-	for _, ev := range hotEvents {
-		ev := ev
-		if n := testing.AllocsPerRun(200, func() { tr.Emit(ev) }); n != 0 {
-			t.Errorf("%s: Tracer.Emit allocates %v times per event, want 0", ev.Type, n)
-		}
-	}
-	step := 0
-	if n := testing.AllocsPerRun(200, func() {
-		step++
+	emit := func(t *testing.T, emit func(Event), close func() error) {
 		for _, ev := range hotEvents {
-			ev.T += sim.Time(step)
-			ev.BestM += float64(step)
-			tr.Emit(ev)
+			emit(ev)
 		}
-	}); n != 0 {
-		t.Errorf("memo misses: Tracer.Emit allocates %v times per %d events, want 0", n, len(hotEvents))
+		for _, ev := range hotEvents {
+			if n := testing.AllocsPerRun(200, func() { emit(ev) }); n != 0 {
+				t.Errorf("%s: Emit allocates %v times per event, want 0", ev.Type, n)
+			}
+		}
+		step := 0
+		if n := testing.AllocsPerRun(200, func() {
+			step++
+			for _, ev := range hotEvents {
+				ev.T += sim.Time(step)
+				ev.BestM += float64(step)
+				emit(ev)
+			}
+		}); n != 0 {
+			t.Errorf("memo misses: Emit allocates %v times per %d events, want 0", n, len(hotEvents))
+		}
+		if err := close(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
+	probetest.Run(t, ".", map[string]func(t *testing.T){
+		"(*Tracer).Emit": func(t *testing.T) {
+			for _, tr := range []*Tracer{NewTracer(NewJSONLSink(io.Discard)), nil, NewTracer(nil)} {
+				emit(t, tr.Emit, tr.Close)
+			}
+		},
+		"(*JSONLSink).Emit": func(t *testing.T) {
+			sink := NewJSONLSink(io.Discard)
+			var scratch Event // as Tracer does: the sink's argument stays off the heap
+			emit(t, func(ev Event) { scratch = ev; sink.Emit(&scratch) }, sink.Close)
+		},
+	})
 }
 
 // TestTracerScratchNotAliased guards the bug the Sink contract invites:

@@ -42,7 +42,7 @@ func (p *PhaseProfiler) Begin() time.Time {
 	if p == nil {
 		return time.Time{}
 	}
-	//outran:wallclock phase profiling measures wall cost; results never enter simulated state
+	// Wall clock: phase profiling measures wall cost; results never enter simulated state
 	return time.Now()
 }
 
@@ -51,7 +51,7 @@ func (p *PhaseProfiler) End(ph Phase, start time.Time) {
 	if p == nil {
 		return
 	}
-	//outran:wallclock phase profiling measures wall cost; results never enter simulated state
+	// Wall clock: phase profiling measures wall cost; results never enter simulated state
 	p.ns[ph] += time.Since(start).Nanoseconds()
 }
 

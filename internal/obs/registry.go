@@ -266,15 +266,15 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 // compared across same-seed runs.
 func (r *Registry) Flatten() map[string]float64 {
 	out := make(map[string]float64, len(r.counters)+len(r.gauges)+8*len(r.histograms))
-	//outran:orderfree each instrument writes distinct keys; visit order cannot matter
+	// Order-free: each instrument writes distinct keys; visit order cannot matter
 	for name, c := range r.counters {
 		out[name] = float64(c.v)
 	}
-	//outran:orderfree each instrument writes distinct keys; visit order cannot matter
+	// Order-free: each instrument writes distinct keys; visit order cannot matter
 	for name, g := range r.gauges {
 		out[name] = g.v
 	}
-	//outran:orderfree each instrument writes distinct keys; visit order cannot matter
+	// Order-free: each instrument writes distinct keys; visit order cannot matter
 	for name, h := range r.histograms {
 		out[name+"_sum"] = h.sum
 		out[name+"_count"] = float64(h.count)
@@ -302,15 +302,15 @@ func formatBound(b float64) string {
 // deterministic iteration by exporters and tests.
 func (r *Registry) Names() []string {
 	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.histograms))
-	//outran:orderfree collected names are sorted before returning
+	// Order-free: collected names are sorted before returning
 	for n := range r.counters {
 		names = append(names, n)
 	}
-	//outran:orderfree collected names are sorted before returning
+	// Order-free: collected names are sorted before returning
 	for n := range r.gauges {
 		names = append(names, n)
 	}
-	//outran:orderfree collected names are sorted before returning
+	// Order-free: collected names are sorted before returning
 	for n := range r.histograms {
 		names = append(names, n)
 	}

@@ -48,7 +48,7 @@ func (h *Histogram) walkCounts(w *snapshot.Walker) {
 // runs.
 func (r *Registry) Walk(w *snapshot.Walker) {
 	if w.Decoding() {
-		//outran:orderfree any-match guard; no state depends on visit order
+		// Order-free: any-match guard; no state depends on visit order
 		for name, c := range r.counters {
 			if c.v != 0 {
 				w.Fail(fmt.Errorf("obs: restoring registry: counter %q already non-zero", name))

@@ -241,7 +241,7 @@ func CountByType(events []Event) []struct {
 		m[events[i].Type]++
 	}
 	keys := make([]string, 0, len(m))
-	//outran:orderfree keys are sorted before use
+	// Order-free: keys are sorted before use
 	for k := range m {
 		keys = append(keys, k)
 	}

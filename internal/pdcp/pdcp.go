@@ -326,7 +326,7 @@ func (r *Rx) inferCount(sn uint32) uint32 {
 func (r *Rx) OnSDU(s *rlc.SDU) {
 	count := r.inferCount(s.PDCPSN)
 	if cap(r.hdr) < len(s.Header) {
-		//outran:allocok capacity-guarded scratch growth; header sizes are fixed per config
+		// Not a steady-state allocation: capacity-guarded scratch growth; header sizes are fixed per config
 		r.hdr = make([]byte, len(s.Header))
 	}
 	hdr := r.hdr[:len(s.Header)]

@@ -7,9 +7,9 @@ import (
 	"encoding/binary"
 	"testing"
 
-	"outran/internal/analysis/probetest"
 	"outran/internal/core"
 	"outran/internal/ip"
+	"outran/internal/probetest"
 	"outran/internal/rlc"
 	"outran/internal/sim"
 )
@@ -319,13 +319,16 @@ func TestCipherPathsZeroAlloc(t *testing.T) {
 		},
 		"(*Tx).AssignSN": func(t *testing.T) {
 			tx, _, sdu, hdr := cipherPair(t)
-			allocs := testing.AllocsPerRun(100, func() {
-				copy(sdu.Header, hdr)
-				tx.nextSN = 0 // keep COUNT fixed so each run ciphers identically
-				tx.AssignSN(sdu)
-			})
-			if allocs != 0 {
-				t.Errorf("AssignSN: %.1f allocs/SDU, want 0", allocs)
+			for _, hook := range []func(ip.FiveTuple, uint32){nil, func(ip.FiveTuple, uint32) {}} {
+				tx.OnSNAssign = hook
+				allocs := testing.AllocsPerRun(100, func() {
+					copy(sdu.Header, hdr)
+					tx.nextSN = 0 // keep COUNT fixed so each run ciphers identically
+					tx.AssignSN(sdu)
+				})
+				if allocs != 0 {
+					t.Errorf("AssignSN (hook %v): %.1f allocs/SDU, want 0", hook != nil, allocs)
+				}
 			}
 		},
 		"(*Rx).OnSDU": func(t *testing.T) {
@@ -333,12 +336,15 @@ func TestCipherPathsZeroAlloc(t *testing.T) {
 			copy(sdu.Header, hdr)
 			tx.nextSN = 0
 			tx.AssignSN(sdu)
-			allocs := testing.AllocsPerRun(100, func() {
-				rx.next = 0
-				rx.OnSDU(sdu)
-			})
-			if allocs != 0 {
-				t.Errorf("OnSDU: %.1f allocs/SDU, want 0", allocs)
+			for _, deliver := range []func(ip.Packet){nil, func(ip.Packet) {}} {
+				rx.Deliver = deliver
+				allocs := testing.AllocsPerRun(100, func() {
+					rx.next = 0
+					rx.OnSDU(sdu)
+				})
+				if allocs != 0 {
+					t.Errorf("OnSDU (deliver %v): %.1f allocs/SDU, want 0", deliver != nil, allocs)
+				}
 			}
 			if rx.DecipherFailures() > 0 {
 				t.Fatalf("decipher failures: %d", rx.DecipherFailures())

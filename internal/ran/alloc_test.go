@@ -3,8 +3,8 @@ package ran
 import (
 	"testing"
 
-	"outran/internal/analysis/probetest"
 	"outran/internal/mac"
+	"outran/internal/probetest"
 	"outran/internal/rlc"
 	"outran/internal/sim"
 	"outran/internal/workload"
@@ -128,6 +128,14 @@ func TestCellZeroAllocs(t *testing.T) {
 				}
 				cur.arrived(c)
 			})(t)
+			// After its last flow, a cursor drops its source.
+			cell := backloggedCell(t)
+			cell.ScheduleSource(workload.SliceSource(flows[:1]), 0, 0)
+			last := cell.cursors[len(cell.cursors)-1]
+			last.fired = last.n
+			if allocs := testing.AllocsPerRun(100, func() { last.queue(cell) }); allocs != 0 || last.src != nil {
+				t.Errorf("exhausted cursor: %.1f allocs/call, source kept %v; want 0, false", allocs, last.src != nil)
+			}
 		},
 		"(*Cell).ScheduleTrackerReset":  scheduleProbe(func(c *Cell) { c.ScheduleTrackerReset(c.Eng.Now()) }),
 		"(*Cell).ScheduleTrackerFreeze": scheduleProbe(func(c *Cell) { c.ScheduleTrackerFreeze(c.Eng.Now()) }),

@@ -13,7 +13,7 @@ import "outran/internal/sim"
 // Recycling changes memory identity only, never simulated values:
 // every recycled object is field-reset to exactly the state a fresh
 // allocation would have, and every map walk that could observe
-// pointer identity is already //outran:orderfree or sorted. Traces,
+// pointer identity is already order-free or sorted. Traces,
 // KPI streams and checkpoints stay byte-identical.
 //
 // The arenas themselves are dead state — they hold only terminated
@@ -49,7 +49,7 @@ func (c *Cell) newTB() *harqTB {
 		c.tbFree = c.tbFree[:n-1]
 		return tb
 	}
-	//outran:allocok cold path: the free list grows to the in-flight TB population once, then every TB recycles
+	// Not a steady-state allocation: cold path: the free list grows to the in-flight TB population once, then every TB recycles
 	return &harqTB{}
 }
 
@@ -73,7 +73,7 @@ func (c *Cell) putTB(tb *harqTB) {
 	tb.reqSINR = 0
 	tb.subbands = tb.subbands[:0]
 	tb.waited = 0
-	//outran:allocok amortized free-list growth, bounded by the in-flight TB population; steady state reuses capacity
+	// Not a steady-state allocation: amortized free-list growth, bounded by the in-flight TB population; steady state reuses capacity
 	c.tbFree = append(c.tbFree, tb)
 }
 

@@ -100,11 +100,11 @@ func (cur *arrivalCursor) queue(c *Cell) {
 	}
 	f, ok := cur.src.Next()
 	if !ok {
-		//outran:allocok cold panic path; a source shorter than its length is a programming error
+		// Not a steady-state allocation: cold panic path; a source shorter than its length is a programming error
 		panic(fmt.Sprintf("ran: workload source %d ended after %d of its %d flows", cur.idx, cur.fired, cur.n))
 	}
 	if cur.fired > 0 && f.Start < cur.next.Start {
-		//outran:allocok cold panic path; an out-of-order source is a programming error
+		// Not a steady-state allocation: cold panic path; an out-of-order source is a programming error
 		panic(fmt.Sprintf("ran: workload source %d yields flow %d at %v after flow %d at %v; a Source must yield flows in start order", cur.idx, cur.fired, f.Start, cur.fired-1, cur.next.Start))
 	}
 	cur.next = f

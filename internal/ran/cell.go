@@ -84,11 +84,10 @@ type ueCtx struct {
 
 // txStatus returns the RLC buffer status plus pending HARQ bytes so
 // the MAC keeps scheduling a UE that only has retransmissions left.
-// The status aliases RLC-entity scratch (see rlc.UMTx.Status); the
-// annotation propagates that contract to txStatus's own callers.
+// The status aliases RLC-entity scratch (see rlc.UMTx.Status), so it
+// is valid only until the entity's next Status call.
 //
 //outran:allocfree
-//outran:scratch
 func (u *ueCtx) txStatus(now sim.Time) mac.BufferStatus {
 	var st mac.BufferStatus
 	if u.umTx != nil {
@@ -460,7 +459,7 @@ func (c *Cell) onTTI() {
 	// consumed within this TTI.
 	tMac := c.prof.Begin()
 	for i, ue := range c.ues {
-		//outran:scratchsafe consumed within this TTI and overwritten here before the entity's next Status call
+		// Retaining scratch is safe: consumed within this TTI and overwritten here before the entity's next Status call
 		c.macUsers[i].Buffer = ue.txStatus(now)
 	}
 	c.prof.End(obs.PhaseMac, tMac)
@@ -571,7 +570,7 @@ func (c *Cell) rbStats(alloc mac.Allocation) {
 				if sb := mac.SubbandOfRB(lo, len(u.SubbandCQI), numRB); sb >= 0 {
 					cqi = u.SubbandCQI[sb]
 					if n := len(g.sbs); n == 0 || g.sbs[n-1] != sb {
-						//outran:allocok bounded by the capacity NewCell gave the list: one entry per subband of the UE
+						// Not a steady-state allocation: bounded by the capacity NewCell gave the list: one entry per subband of the UE
 						g.sbs = append(g.sbs, sb)
 					}
 				}

@@ -360,8 +360,8 @@ func harqFailure(trace string) bool {
 
 // TestDeterminismAcrossRLCModes repeats the double-run check under AM
 // mode, whose status-PDU and retransmission machinery exercises the
-// map-backed paths (txed table sweeps, reassembly drains) that the
-// maprange analyzer polices.
+// map-backed paths (txed table sweeps, reassembly drains) whose walks
+// must not leak Go's randomized map order.
 func TestDeterminismAcrossRLCModes(t *testing.T) {
 	run := func() ([]metrics.FCTSample, Stats) {
 		cfg := smallConfig(SchedPF)

@@ -59,7 +59,7 @@ func kpiScenario(tb testing.TB, kpiEvery sim.Time, profiled bool) {
 // per-round durations of each arm.
 func timeArms(t *testing.T, rounds int, baseline, instrumented func()) (base, inst []time.Duration) {
 	t.Helper()
-	//outran:wallclock benchmark timing for the overhead gates; never enters simulation state
+	// Wall clock: benchmark timing for the overhead gates; never enters simulation state
 	timeOne := func(fn func()) time.Duration {
 		// Collect first: both arms allocate the same amount per run, so
 		// without this the collector's cycles land in the same arm of

@@ -135,7 +135,7 @@ func (c *Cell) SnapshotTo(b *snapshot.Builder) error {
 		}
 	}
 	for _, ue := range c.ues {
-		//outran:orderfree error check only; no encoding happens in this loop
+		// Order-free: error check only; no encoding happens in this loop
 		for tuple, fr := range ue.flows {
 			if fr.onComplete != nil || fr.keep || fr.seqBase != 0 {
 				return fmt.Errorf("ran: flow %v on UE %d uses persistent-connection or completion-callback options and cannot be checkpointed", tuple, ue.id)

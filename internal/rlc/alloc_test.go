@@ -3,7 +3,7 @@ package rlc
 import (
 	"testing"
 
-	"outran/internal/analysis/probetest"
+	"outran/internal/probetest"
 	"outran/internal/sim"
 )
 

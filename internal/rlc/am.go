@@ -169,7 +169,7 @@ func (t *AMTx) OnStatus(st *StatusPDU) {
 	for _, sn := range st.Nacks {
 		nacked[sn] = true
 	}
-	//outran:orderfree each acked SN is deleted independently; no visit-order effect
+	// Order-free: each acked SN is deleted independently; no visit-order effect
 	for sn := range t.txed {
 		if sn < st.AckSN && !nacked[sn] {
 			delete(t.txed, sn)
@@ -215,7 +215,6 @@ func (t *AMTx) inRetxQ(sn uint32) bool {
 // only until the next Status call; copy to retain.
 //
 //outran:allocfree
-//outran:scratch
 func (t *AMTx) Status(now sim.Time) mac.BufferStatus {
 	st := t.buf.status(now)
 	extra := 0
@@ -257,7 +256,7 @@ func (t *AMTx) Audit() error {
 		}
 	}
 	maxTxed := int64(-1)
-	//outran:orderfree max fold; commutative, no visit-order effect
+	// Order-free: max fold; commutative, no visit-order effect
 	for sn := range t.txed {
 		if int64(sn) > maxTxed {
 			maxTxed = int64(sn)
@@ -267,7 +266,7 @@ func (t *AMTx) Audit() error {
 		return fmt.Errorf("rlc: unacked SN %d at or beyond next new SN %d", maxTxed, t.sn)
 	}
 	bad := int64(-1)
-	//outran:orderfree min fold; commutative, no visit-order effect
+	// Order-free: min fold; commutative, no visit-order effect
 	for sn, n := range t.retxCount {
 		if (t.txed[sn] == nil || n < 1 || n > t.maxRetx) && (bad < 0 || int64(sn) < bad) {
 			bad = int64(sn)
@@ -498,7 +497,7 @@ func (r *AMRx) Audit() error {
 		return fmt.Errorf("rlc: AM rx holds %d PDUs in a window of %d", len(r.held), window)
 	}
 	bad := int64(-1)
-	//outran:orderfree min fold; commutative, no visit-order effect
+	// Order-free: min fold; commutative, no visit-order effect
 	for sn := range r.held {
 		if (sn < r.floor || sn >= r.highest) && (bad < 0 || int64(sn) < bad) {
 			bad = int64(sn)

@@ -79,7 +79,7 @@ func (h *wireHeader) encode() ([]byte, error) {
 // allows; callers own dst before and after.
 func appendWireHeader(dst []byte, sn uint32, firstCont, lastPartial bool, nSeg int, segLen func(int) int) ([]byte, error) {
 	if sn > maxWireSN {
-		//outran:allocok cold error path; the encode loop never runs after it
+		// Not a steady-state allocation: cold error path; the encode loop never runs after it
 		return dst, fmt.Errorf("rlc: SN %d exceeds 13-bit field", sn)
 	}
 	var fi byte
@@ -89,15 +89,15 @@ func appendWireHeader(dst []byte, sn uint32, firstCont, lastPartial bool, nSeg i
 	if lastPartial {
 		fi |= 0x1
 	}
-	//outran:allocok grows only when the caller-owned dst lacks capacity; steady-state callers reuse a sized buffer
+	// Not a steady-state allocation: grows only when the caller-owned dst lacks capacity; steady-state callers reuse a sized buffer
 	dst = append(dst, fi<<6|byte(sn>>8), byte(sn))
 	for i := 0; i < nSeg; i++ {
 		l := segLen(i)
 		if l <= 0 || l > MaxSegmentLen {
-			//outran:allocok cold error path; malformed segments abort the encode
+			// Not a steady-state allocation: cold error path; malformed segments abort the encode
 			return dst, fmt.Errorf("rlc: segment length %d out of range", l)
 		}
-		//outran:allocok grows only when the caller-owned dst lacks capacity; steady-state callers reuse a sized buffer
+		// Not a steady-state allocation: grows only when the caller-owned dst lacks capacity; steady-state callers reuse a sized buffer
 		dst = append(dst, byte(l>>8), byte(l))
 	}
 	return dst, nil
@@ -139,7 +139,7 @@ func (p *PDU) AppendWireHeader(dst []byte) ([]byte, error) {
 		p.Segments[0].Offset > 0,
 		!p.Segments[len(p.Segments)-1].Last,
 		len(p.Segments),
-		//outran:allocok non-escaping closure over p; the compiler keeps it off the heap (AllocsPerRun holds it to zero)
+		// Not a steady-state allocation: non-escaping closure over p; the compiler keeps it off the heap (AllocsPerRun holds it to zero)
 		func(i int) int { return p.Segments[i].Len })
 }
 

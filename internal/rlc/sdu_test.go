@@ -2,8 +2,7 @@ package rlc
 
 import "testing"
 
-// TestDequeCompactionInPlace pins the popFront compaction fix found
-// by the allocfree pass: once the head passes the compaction
+// TestDequeCompactionInPlace pins the popFront compaction fix: once the head passes the compaction
 // threshold the live tail slides down inside the same backing array —
 // no allocation — FIFO order survives, and the vacated slots are
 // nil'd so popped SDUs stay collectable.

@@ -258,7 +258,6 @@ func (b *txBuf) finishSDUFlow(s *SDU) {
 // it longer must copy.
 //
 //outran:allocfree
-//outran:scratch
 func (b *txBuf) status(now sim.Time) mac.BufferStatus {
 	st := mac.BufferStatus{
 		TotalBytes:         b.bytes,
@@ -266,7 +265,7 @@ func (b *txBuf) status(now sim.Time) mac.BufferStatus {
 	}
 	if len(b.queues) > 1 {
 		if cap(b.prioScratch) < len(b.prioBytes) {
-			//outran:allocok capacity-guarded scratch growth; priority count is fixed per config
+			// Not a steady-state allocation: capacity-guarded scratch growth; priority count is fixed per config
 			b.prioScratch = make([]int, len(b.prioBytes))
 		}
 		st.PerPriority = b.prioScratch[:len(b.prioBytes)]
@@ -289,7 +288,7 @@ func (b *txBuf) status(now sim.Time) mac.BufferStatus {
 		// lingers in flows has queued data and the fold below stays -1.
 		return st
 	}
-	//outran:orderfree min fold over per-flow remaining; commutative, order cannot matter
+	// Order-free: min fold over per-flow remaining; commutative, order cannot matter
 	for _, fa := range b.flows {
 		if fa.queuedBytes <= 0 || fa.flowSize < 0 {
 			continue

@@ -446,7 +446,7 @@ func TestStatusFlowIterationDeterministic(t *testing.T) {
 
 func TestOracleMinRemainingInsertionOrderInvariant(t *testing.T) {
 	// The min over per-flow remaining bytes is a commutative fold (the
-	// //outran:orderfree justification on the status() walk): any
+	// order-free map walk in status()): any
 	// arrival interleaving of the same flow set must report the same
 	// OracleMinRemaining.
 	build := func(order []uint16) *txBuf {

@@ -44,7 +44,6 @@ func (t *UMTx) Pull(grant int) *PDU {
 // until the next Status call; copy to retain.
 //
 //outran:allocfree
-//outran:scratch
 func (t *UMTx) Status(now sim.Time) mac.BufferStatus { return t.buf.status(now) }
 
 // QueuedSDUs returns the buffered SDU count.
@@ -167,7 +166,7 @@ func (r *UMRx) drain() {
 func (r *UMRx) skipGap() {
 	lowest := uint32(0)
 	first := true
-	//outran:orderfree min fold over the keys; commutative, order cannot matter
+	// Order-free: min fold over the keys; commutative, order cannot matter
 	for sn := range r.held {
 		if first || sn < lowest {
 			lowest = sn

@@ -102,7 +102,7 @@ func (h *eventHeap) push(en Entry) {
 	if len(s) == cap(s) {
 		// Double: append's 1.25x policy for large slices would copy a
 		// workload's worth of entries five times over while it is scheduled.
-		//outran:allocok grows only past the high-water mark; steady-state push/pop reuses the array
+		// Not a steady-state allocation: grows only past the high-water mark; steady-state push/pop reuses the array
 		s = append(make([]Entry, 0, max(2*cap(s), minCap)), s...)
 	}
 	i := len(s)
@@ -163,7 +163,7 @@ func (h *eventHeap) pop() Entry {
 	}
 	if cap(s) >= shrinkMinCap && n <= cap(s)/4 {
 		// Halve toward the live size; the slack keeps refills cheap.
-		//outran:allocok amortized shrink after a large drain; steady state stays under the occupancy trigger
+		// Not a steady-state allocation: amortized shrink after a large drain; steady state stays under the occupancy trigger
 		compact := make([]Entry, n, cap(s)/2)
 		copy(compact, s)
 		s = compact
@@ -302,7 +302,7 @@ func (e *Engine) Reserve(n int) (first uint64) {
 // scheduled.
 func (e *Engine) ScheduleExact(at Time, seq uint64, h Handler, ev Event) {
 	if at < e.now {
-		//outran:allocok cold panic path; a past-time schedule is a programming error, not steady state
+		// Not a steady-state allocation: cold panic path; a past-time schedule is a programming error, not steady state
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
 	}
 	e.pq.push(Entry{At: at, Seq: seq, H: h, Ev: ev})

@@ -6,7 +6,7 @@ import (
 	"testing/quick"
 	"unsafe"
 
-	"outran/internal/analysis/probetest"
+	"outran/internal/probetest"
 	"outran/internal/snapshot"
 )
 
@@ -440,12 +440,15 @@ func TestHeapPushZeroAlloc(t *testing.T) {
 		},
 		"(*eventHeap).push": func(t *testing.T) {
 			var h eventHeap
-			en := Entry{H: funcHandler(func() {})}
-			// Keep the heap size constant per run so push never has
-			// to grow past the warm-up high-water mark.
+			fn := funcHandler(func() {})
+			// Refill from empty on the same array each run, so push never
+			// grows past the warm-up high-water mark. The second push
+			// stops below its parent, the third sifts up to the root.
 			allocs := testing.AllocsPerRun(1000, func() {
-				h.push(en)
-				h.pop()
+				h = h[:0]
+				h.push(Entry{At: 20, H: fn})
+				h.push(Entry{At: 30, H: fn})
+				h.push(Entry{At: 10, H: fn})
 			})
 			if allocs != 0 {
 				t.Fatalf("push/pop cycle allocates %.1f/op, want 0", allocs)

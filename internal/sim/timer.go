@@ -109,7 +109,7 @@ func (h *timerHeap) arm(t *Timer) {
 	if t.slot == 0 {
 		s := *h
 		if len(s) == cap(s) {
-			//outran:allocok grows only past the high-water mark of armed timers; steady-state re-arms reuse the array
+			// Not a steady-state allocation: grows only past the high-water mark of armed timers; steady-state re-arms reuse the array
 			s = append(make([]timerKey, 0, max(2*cap(s), minCap)), s...)
 		}
 		*h = s[:len(s)+1]

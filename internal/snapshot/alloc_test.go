@@ -3,15 +3,16 @@ package snapshot
 import (
 	"testing"
 
-	"outran/internal/analysis/probetest"
+	"outran/internal/probetest"
 )
 
-// TestZeroAllocs pins every //outran:allocfree encode helper — the
-// encoder's, and the walker's fixed-width methods in encode mode — with
-// an AllocsPerRun probe; probetest.Run fails when the probe registry and
-// the annotations drift apart. Each probe reuses one pre-sized encoder
-// and truncates between runs, so the amortized append growth justified
-// at the //outran:allocok site never fires during measurement.
+// TestZeroAllocs pins every //outran:allocfree helper — the encoder's,
+// and the walker's fixed-width methods in both directions — with an
+// AllocsPerRun probe; probetest.Run fails when the probe registry and
+// the annotations drift apart. Each encode probe reuses one pre-sized
+// encoder and truncates between runs, so the encoder's amortized append
+// growth never fires during measurement; each decode probe rewinds one
+// decoder over what the encode wrote.
 func TestZeroAllocs(t *testing.T) {
 	fixed := func(f func(e *Encoder)) func(t *testing.T) {
 		return func(t *testing.T) {
@@ -26,7 +27,20 @@ func TestZeroAllocs(t *testing.T) {
 		}
 	}
 	walked := func(f func(w *Walker)) func(t *testing.T) {
-		return fixed(func(e *Encoder) { f(&Walker{enc: e}) })
+		return func(t *testing.T) {
+			fixed(func(e *Encoder) { f(&Walker{enc: e}) })(t)
+			e := &Encoder{}
+			f(&Walker{enc: e})
+			d := NewDecoder(e.buf)
+			w := &Walker{dec: d}
+			allocs := testing.AllocsPerRun(100, func() {
+				d.off = 0
+				f(w)
+			})
+			if allocs != 0 || d.Err() != nil || d.Remaining() != 0 {
+				t.Errorf("decode: %.1f allocs/call, error %v, %d bytes left; want 0, nil, 0", allocs, d.Err(), d.Remaining())
+			}
+		}
 	}
 	var (
 		u8  uint8   = 0x7f
@@ -50,7 +64,7 @@ func TestZeroAllocs(t *testing.T) {
 		"(*Walker).Mark": walked(func(w *Walker) { w.Mark(0x4d01) }),
 
 		"(*Encoder).U8":   fixed(func(e *Encoder) { e.U8(0x7f) }),
-		"(*Encoder).Bool": fixed(func(e *Encoder) { e.Bool(true) }),
+		"(*Encoder).Bool": fixed(func(e *Encoder) { e.Bool(true); e.Bool(false) }),
 		"(*Encoder).U16":  fixed(func(e *Encoder) { e.U16(0xbeef) }),
 		"(*Encoder).U32":  fixed(func(e *Encoder) { e.U32(0xdeadbeef) }),
 		"(*Encoder).U64":  fixed(func(e *Encoder) { e.U64(1 << 60) }),

@@ -165,7 +165,7 @@ func (d *Decoder) Offset() int { return d.off }
 
 func (d *Decoder) fail(want int) {
 	if d.err == nil {
-		//outran:allocok cold error path; the first failure of a decode, never the encode side the walker's contract covers
+		// Not a steady-state allocation: cold error path; the first failure of a decode, never the encode side the walker's contract covers
 		d.err = fmt.Errorf("%w: need %d bytes at offset %d, have %d", ErrTruncated, want, d.off, len(d.buf)-d.off)
 	}
 }
@@ -249,7 +249,7 @@ func (d *Decoder) Expect(tag uint32) {
 	at := d.off
 	got := d.U32()
 	if d.err == nil && got != tag^0x5eed5eed {
-		//outran:allocok cold error path; the first failure of a decode, never the encode side the walker's contract covers
+		// Not a steady-state allocation: cold error path; the first failure of a decode, never the encode side the walker's contract covers
 		d.err = fmt.Errorf("%w: sentinel mismatch at offset %d (want tag %#x)", ErrCorrupt, at, tag)
 	}
 }

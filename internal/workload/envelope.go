@@ -63,23 +63,28 @@ func (e Envelope) validate() error {
 	if e.Period < 0 {
 		return fmt.Errorf("workload: Envelope.Period = %v, want >= 0", e.Period)
 	}
-	if e.Depth < 0 || e.Depth > 1 {
+	// Every range check is written so that NaN fails it.
+	if !(e.Depth >= 0 && e.Depth <= 1) {
 		return fmt.Errorf("workload: Envelope.Depth = %v, want 0..1", e.Depth)
 	}
-	if e.At < 0 || e.At >= 1 {
+	if !(e.At >= 0 && e.At < 1) {
 		return fmt.Errorf("workload: Envelope.At = %v, want 0..1", e.At)
 	}
-	if e.Width < 0 || e.Width > 1 {
+	if !(e.Width >= 0 && e.Width <= 1) {
 		return fmt.Errorf("workload: Envelope.Width = %v, want 0..1", e.Width)
 	}
-	if e.Gain < 0 {
-		return fmt.Errorf("workload: Envelope.Gain = %v, want >= 0", e.Gain)
+	if !(e.Gain >= 0 && e.Gain <= maxRate) {
+		return fmt.Errorf("workload: Envelope.Gain = %v, want 0..%g", e.Gain, maxRate)
 	}
-	if e.From < 0 || e.To < 0 {
-		return fmt.Errorf("workload: Envelope.From/To = %v/%v, want >= 0", e.From, e.To)
+	if !(e.From >= 0 && e.From <= maxRate) || !(e.To >= 0 && e.To <= maxRate) {
+		return fmt.Errorf("workload: Envelope.From/To = %v/%v, want 0..%g", e.From, e.To, maxRate)
 	}
 	return nil
 }
+
+// maxRate bounds the rate multipliers, so the warp's cumulative rate
+// integral stays finite for any span.
+const maxRate = 1e6
 
 // rateFloor keeps the instantaneous rate strictly positive so the
 // cumulative integral is strictly increasing and invertible.

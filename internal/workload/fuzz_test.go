@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/binary"
+	"math"
 	"slices"
 	"testing"
+	"time"
 
+	"outran/internal/rng"
 	"outran/internal/sim"
 )
 
@@ -102,6 +105,72 @@ func FuzzWorkloadReadTrace(f *testing.F) {
 				t.Fatalf("accepted rows %d and %d swapped", i-1, i)
 			}
 			break
+		}
+	})
+}
+
+// FuzzSpecValidate drives Validate and Generate over a one-class spec
+// with every float and int field free. Validate never panics; a spec it
+// accepts has only finite floats; Generate, for a 2 s span that must
+// hold 64 flows, returns promptly with a schedule or an error and never
+// panics; and every flow it returns starts within the span and carries
+// at least one byte.
+func FuzzSpecValidate(f *testing.F) {
+	f.Add(uint8(0), uint8(0), 0.6, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, int64(0), int64(0), 0, int64(0))
+	f.Add(uint8(1), uint8(1), 0.9, 0.3, 0.1, 0.9, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 64, int64(1000), int64(sim.Millisecond), 0, int64(sim.Second))
+	f.Add(uint8(5), uint8(2), 0.5, 0.0, 0.0, 0.0, 0.0, 0.4, 0.2, 4.0, 0.0, 0.0, 0, int64(8<<10), int64(0), 30, int64(0))
+	f.Add(uint8(2), uint8(3), 0.7, 1.0, 0.25, 0.5, 0.0, 0.0, 0.0, 0.0, 0.25, 1.75, 0, int64(128), int64(5*sim.Second), 0, int64(0))
+	f.Add(uint8(4), uint8(0), math.NaN(), math.Inf(1), 0.0, 0.0, math.NaN(), 0.0, 0.0, math.Inf(1), 0.0, 0.0, -1, int64(-1), int64(-1), -1, int64(-1))
+	// Units and bursts at their bounds: products that overflowed int64
+	// before the bounds and the overflow-free ceilings.
+	f.Add(uint8(4), uint8(0), 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, int64(1<<40), int64(1), 0, int64(0))
+	f.Add(uint8(5), uint8(0), 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, int64(1<<40), int64(0), 1<<20, int64(0))
+	f.Add(uint8(0), uint8(2), 1e9, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1e6, 0.0, 0.0, 0, int64(0), int64(0), 0, int64(0))
+	kinds := []ClassKind{ClassWeb, ClassVideo, ClassIoT, ClassBulk, ClassVoice, ClassIncast}
+	envs := []EnvelopeKind{EnvNone, EnvDiurnal, EnvFlashCrowd, EnvRamp}
+	f.Fuzz(func(t *testing.T, kind, envKind uint8, load, share, begin, end, depth, at, width, gain, from, to float64,
+		maxFlows int, size, every int64, burst int, period int64) {
+		s := Spec{
+			Load:     load,
+			MaxFlows: maxFlows,
+			Classes: []ClassSpec{{
+				Kind: kinds[int(kind)%len(kinds)], Share: share, Begin: begin, End: end,
+				Size: size, Every: sim.Time(every), Burst: burst,
+			}},
+			Envelope: Envelope{
+				Kind: envs[int(envKind)%len(envs)], Period: sim.Time(period),
+				Depth: depth, At: at, Width: width, Gain: gain, From: from, To: to,
+			},
+		}
+		if s.Validate() != nil {
+			return
+		}
+		for _, v := range []float64{load, share, begin, end, depth, at, width, gain, from, to} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("accepted a spec with a non-finite float: %+v", s)
+			}
+		}
+		env := Env{NumUEs: 4, CapacityBps: 10e6, Span: 2 * sim.Second, Flows: 64}
+		if s.MaxFlows == env.Flows {
+			// The schedule is cut at MaxFlows, so its length says nothing
+			// about its parts' and Env.Flows cannot bound the build: it
+			// costs what the spec's own run costs (see Generate), which
+			// a large Load makes arbitrarily long.
+			return
+		}
+		began := time.Now()
+		sch, err := s.Generate(env, rng.New(1))
+		if took := time.Since(began); took > 2*time.Second {
+			t.Fatalf("Generate took %v: %+v", took, s)
+		}
+		if err != nil {
+			return
+		}
+		src := sch.Source()
+		for fl, ok := src.Next(); ok; fl, ok = src.Next() {
+			if fl.Start < 0 || fl.Start > env.Span || fl.Size <= 0 {
+				t.Fatalf("flow %+v outside [0, %v] or empty: %+v", fl, env.Span, s)
+			}
 		}
 	})
 }

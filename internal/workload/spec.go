@@ -77,6 +77,14 @@ type ClassSpec struct {
 	Burst int
 }
 
+// Bounds on the class fields, far past any real app's: with them and
+// a volume under maxVolume, no product the generators form overflows.
+const (
+	maxUnit   = 1 << 40 // ClassSpec.Size, bytes
+	maxBurst  = 1 << 20 // ClassSpec.Burst, flows
+	maxVolume = 1 << 62 // the spec's offered bytes
+)
+
 // Per-kind unit defaults.
 const (
 	defaultVideoSegment = 384 * KB
@@ -152,6 +160,9 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("workload: Spec.Envelope.Kind = %q, want none with TraceFile (the trace fixes the timing)", s.Envelope.Kind)
 		}
 	}
+	if math.IsNaN(s.Load) || math.IsInf(s.Load, 0) {
+		return fmt.Errorf("workload: Spec.Load = %v, want a finite fraction of capacity", s.Load)
+	}
 	if len(s.Classes) > 0 && s.Load <= 0 {
 		return fmt.Errorf("workload: Spec.Load = %v, want > 0 with Classes", s.Load)
 	}
@@ -187,7 +198,8 @@ func (c ClassSpec) validate() error {
 	default:
 		return fmt.Errorf("Kind: unknown class %q", c.Kind)
 	}
-	if c.Share < 0 || c.Share > 1 {
+	// The range checks are written so that NaN fails them.
+	if !(c.Share >= 0 && c.Share <= 1) {
 		return fmt.Errorf("Share = %v, want 0..1", c.Share)
 	}
 	if c.Dist != "" {
@@ -198,20 +210,20 @@ func (c ClassSpec) validate() error {
 			return fmt.Errorf("Dist: unknown preset %q", c.Dist)
 		}
 	}
-	if c.Begin < 0 || c.Begin >= 1 {
+	if !(c.Begin >= 0 && c.Begin < 1) {
 		return fmt.Errorf("Begin = %v, want 0..1", c.Begin)
 	}
-	if c.End < 0 || c.End > 1 || (c.End != 0 && c.End <= c.Begin) {
+	if !(c.End >= 0 && c.End <= 1) || (c.End != 0 && c.End <= c.Begin) {
 		return fmt.Errorf("End = %v, want (Begin, 1]", c.End)
 	}
-	if c.Size < 0 {
-		return fmt.Errorf("Size = %d, want >= 0", c.Size)
+	if c.Size < 0 || c.Size > maxUnit {
+		return fmt.Errorf("Size = %d, want 0..%d", c.Size, int64(maxUnit))
 	}
 	if c.Every < 0 {
 		return fmt.Errorf("Every = %v, want >= 0", c.Every)
 	}
-	if c.Burst < 0 {
-		return fmt.Errorf("Burst = %d, want >= 0", c.Burst)
+	if c.Burst < 0 || c.Burst > maxBurst {
+		return fmt.Errorf("Burst = %d, want 0..%d", c.Burst, maxBurst)
 	}
 	return nil
 }
@@ -241,6 +253,9 @@ func (s Spec) Generate(env Env, r *rng.Source) (*Schedule, error) {
 	}
 	if env.Flows < 0 {
 		return nil, fmt.Errorf("workload: Env.Flows = %d, want >= 0", env.Flows)
+	}
+	if s.MaxFlows > 0 && env.Flows > s.MaxFlows {
+		return nil, fmt.Errorf("workload: Env.Flows = %d, more than Spec.MaxFlows %d", env.Flows, s.MaxFlows)
 	}
 	// budget bounds the flows the parts may hold together. MaxFlows cuts
 	// the merged stream, not the parts, so a schedule cut at MaxFlows
@@ -281,7 +296,11 @@ func (s Spec) Generate(env Env, r *rng.Source) (*Schedule, error) {
 		if env.Span <= 0 {
 			return nil, fmt.Errorf("workload: Env.Span = %v, want > 0", env.Span)
 		}
-		totalVol := int64(s.Load * env.CapacityBps / 8 * env.Span.Seconds())
+		vol := s.Load * env.CapacityBps / 8 * env.Span.Seconds()
+		if vol > maxVolume {
+			return nil, fmt.Errorf("workload: Spec.Load = %v offers %g bytes, more than %g", s.Load, vol, float64(maxVolume))
+		}
+		totalVol := int64(vol)
 		shares := normalizeShares(s.Classes)
 		warp := newWarper(s.Envelope, env.Span)
 		var keys []startKey
@@ -485,8 +504,11 @@ func (c ClassSpec) periodicSessions(vol int64, env Env, begin, end sim.Time, def
 	if ticks < 1 {
 		ticks = 1
 	}
+	// Capped so perSession fits in int64; a session that long already
+	// holds more than maxVolume, so the count stays one.
+	ticks = min(ticks, math.MaxInt64/size)
 	perSession := size * ticks
-	sessions := int((vol + perSession - 1) / perSession)
+	sessions := int((vol-1)/perSession + 1) // vol > 0: ceil without overflow
 	if sessions < 1 {
 		sessions = 1
 	}
@@ -498,7 +520,7 @@ func (c ClassSpec) periodicSessions(vol int64, env Env, begin, end sim.Time, def
 		first := begin + sim.Time(count.Float64()*float64(every))
 		// The session's ticks in [first, end), cut at the flow that
 		// meets the volume.
-		k := min(int64(steps(first, end, every)), (vol-emitted+size-1)/size)
+		k := min(int64(steps(first, end, every)), (vol-emitted-1)/size+1)
 		n += int(k)
 		emitted += k * size
 		if n > budget {

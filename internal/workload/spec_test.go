@@ -41,6 +41,31 @@ func TestSpecValidateFieldErrors(t *testing.T) {
 		{"trace plus envelope", Spec{TraceFile: "x.jsonl", Envelope: Envelope{Kind: EnvDiurnal}}, "Envelope"},
 		{"bad extra", Spec{Extra: []FlowSpec{{Start: sim.Second}}}, "Extra[0].Size"},
 	}
+	// NaN fails every comparison, so each float field gets a NaN row,
+	// and the fields with an open upper bound an Inf row too.
+	nan, inf := math.NaN(), math.Inf(1)
+	web := func(c ClassSpec) Spec { c.Kind = ClassWeb; return Spec{Load: 0.5, Classes: []ClassSpec{c}} }
+	env := func(e Envelope) Spec { return Spec{Load: 0.5, Classes: []ClassSpec{{Kind: ClassWeb}}, Envelope: e} }
+	cases = append(cases, []struct {
+		name string
+		spec Spec
+		want string
+	}{
+		{"NaN load", Spec{Load: nan, Classes: []ClassSpec{{Kind: ClassWeb}}}, "Spec.Load"},
+		{"Inf load", Spec{Load: inf, Classes: []ClassSpec{{Kind: ClassWeb}}}, "Spec.Load"},
+		{"-Inf load", Spec{Load: -inf, Classes: []ClassSpec{{Kind: ClassWeb}}}, "Spec.Load"},
+		{"NaN load without classes", Spec{Load: nan}, "Spec.Load"},
+		{"NaN share", web(ClassSpec{Share: nan}), "Share"},
+		{"NaN begin", web(ClassSpec{Begin: nan}), "Begin"},
+		{"NaN end", web(ClassSpec{End: nan}), "End"},
+		{"NaN depth", env(Envelope{Kind: EnvDiurnal, Depth: nan}), "Envelope.Depth"},
+		{"NaN at", env(Envelope{Kind: EnvFlashCrowd, At: nan}), "Envelope.At"},
+		{"NaN width", env(Envelope{Kind: EnvFlashCrowd, Width: nan}), "Envelope.Width"},
+		{"NaN gain", env(Envelope{Kind: EnvFlashCrowd, Gain: nan}), "Envelope.Gain"},
+		{"Inf gain", env(Envelope{Kind: EnvFlashCrowd, Gain: inf}), "Envelope.Gain"},
+		{"NaN from", env(Envelope{Kind: EnvRamp, From: nan}), "Envelope.From"},
+		{"Inf to", env(Envelope{Kind: EnvRamp, To: inf}), "Envelope.From/To"},
+	}...)
 	for _, c := range cases {
 		err := c.spec.Validate()
 		if err == nil {
