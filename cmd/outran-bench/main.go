@@ -42,7 +42,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs.SetOutput(stderr)
 	scale := fs.Float64("scale", 1, "scale factor for UEs and duration (benches use <1)")
 	seed := fs.Uint64("seed", 1, "simulation seed")
-	seeds := fs.Int("seeds", 0, "repetitions aggregated per data point (0 = default)")
+	seeds := fs.Int("seeds", 0, "repetitions aggregated per data point, honoured at any -scale (0 = 2, or 1 below -scale 1)")
 	csvDir := fs.String("csv", "", "also write each table as CSV into this directory")
 	ues := fs.Int("ues", 0, "override UE count (0 = experiment default)")
 	rbs := fs.Int("rbs", 0, "override resource blocks (0 = experiment default)")

@@ -26,29 +26,30 @@ func init() {
 // from a trace file written by `outran-sim -trace`.
 func AuditExperiment(opt Options) ([]Table, error) {
 	opt = opt.withDefaults()
-	cfg := baseLTE(opt, ran.SchedOutRAN)
-	cell, err := ran.NewCell(cfg)
-	if err != nil {
-		return nil, err
-	}
 	ring := obs.NewRingSink(0)
-	cell.SetTracer(obs.NewTracer(ring))
-
-	arrivalSpan := warmup + opt.Duration + pressureTail
-	src, err := workload.Poisson(workload.PoissonConfig{
-		Dist:            workload.LTECellular(),
-		NumUEs:          cfg.NumUEs,
-		Load:            0.7,
-		CellCapacityBps: cell.EffectiveCapacityBps(),
-		Duration:        arrivalSpan,
-	}, rng.New(opt.Seed+7919))
+	// The arrivals come from a Poisson source scheduled by hand over the
+	// whole span, every flow recorded, not from a workload spec.
+	h := harness(baseLTE(opt, ran.SchedOutRAN), workload.Spec{}, opt)
+	h.Tracer = obs.NewTracer(ring)
+	span := h.Warmup + h.Window + h.Tail
+	h.Setup = func(cell *ran.Cell) error {
+		src, err := workload.Poisson(workload.PoissonConfig{
+			Dist:            workload.LTECellular(),
+			NumUEs:          cell.Config().NumUEs,
+			Load:            0.7,
+			CellCapacityBps: cell.EffectiveCapacityBps(),
+			Duration:        span,
+		}, rng.New(opt.Seed+7919))
+		if err != nil {
+			return err
+		}
+		cell.ScheduleSource(src, 0, span)
+		return nil
+	}
+	cell, err := h.Run()
 	if err != nil {
 		return nil, err
 	}
-	cell.ScheduleSource(src, 0, arrivalSpan)
-	cell.ScheduleTrackerReset(warmup)
-	cell.ScheduleTrackerFreeze(warmup + opt.Duration)
-	cell.Run(arrivalSpan + opt.Drain)
 	if err := cell.Tracer().Close(); err != nil {
 		return nil, err
 	}

@@ -32,23 +32,24 @@ func Fig18a(opt Options) ([]Table, error) {
 		Title:  "Fig 18(a): PF frontier across fairness windows T_f",
 		Header: []string{"T_f", "SE_bit/s/Hz", "fairness"},
 	}
+	var pts []point
 	for _, tf := range fairnessWindows {
 		cfg := baseLTE(opt, ran.SchedPF)
 		cfg.FairnessWindow = tf
-		res, err := runCell(cfg, spec, opt)
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{
-			tf.String(), f3(res.Stats.MeanSpectralEff), f3(res.Stats.MeanFairnessIndex),
-		})
+		pts = append(pts, point{cfg, spec, opt})
 	}
-	cfgMT := baseLTE(opt, ran.SchedMT)
-	res, err := runCell(cfgMT, spec, opt)
+	pts = append(pts, point{baseLTE(opt, ran.SchedMT), spec, opt})
+	res, err := runPoints(opt, pts)
 	if err != nil {
 		return nil, err
 	}
-	t.Rows = append(t.Rows, []string{"MT", f3(res.Stats.MeanSpectralEff), f3(res.Stats.MeanFairnessIndex)})
+	for i, r := range res {
+		label := "MT"
+		if i < len(fairnessWindows) {
+			label = fairnessWindows[i].String()
+		}
+		t.Rows = append(t.Rows, []string{label, f3(r.Stats.MeanSpectralEff), f3(r.Stats.MeanFairnessIndex)})
+	}
 	return []Table{t}, nil
 }
 
@@ -62,73 +63,33 @@ func Fig18b(opt Options) ([]Table, error) {
 		Title:  "Fig 18(b): ablation — normalized avg FCT (legacy / +intra-user / full OutRAN)",
 		Header: []string{"T_f", "legacy_ms", "intra_ms", "outran_ms", "intra_norm", "outran_norm"},
 	}
-	type variantCfg func() ran.Config
-	run := func(mk variantCfg) (sim.Time, error) {
-		res, err := runCell(mk(), spec, opt)
-		if err != nil {
-			return 0, err
-		}
-		return res.FCT.Overall().Mean, nil
-	}
-	addRow := func(label string, legacy, intra, full variantCfg) error {
-		l, err := run(legacy)
-		if err != nil {
-			return err
-		}
-		i, err := run(intra)
-		if err != nil {
-			return err
-		}
-		f, err := run(full)
-		if err != nil {
-			return err
-		}
-		norm := func(v sim.Time) string {
-			if l == 0 {
-				return "n/a"
-			}
-			return f3(float64(v) / float64(l))
-		}
-		t.Rows = append(t.Rows, []string{label, ms(l), ms(i), ms(f), norm(i), norm(f)})
-		return nil
+	// Each row is three points: legacy, + intra-user only (eps=0), and
+	// full OutRAN configured by set — PF at every fairness window, then
+	// OutRAN wrapping the MT metric.
+	var pts []point
+	var labels []string
+	row := func(label string, legacy ran.Config, set func(*ran.Config)) {
+		full := baseLTE(opt, ran.SchedOutRAN)
+		set(&full)
+		intra := full
+		intra.OutRAN.Epsilon = 0
+		pts = append(pts, point{legacy, spec, opt}, point{intra, spec, opt}, point{full, spec, opt})
+		labels = append(labels, label)
 	}
 	for _, tf := range fairnessWindows {
-		tf := tf
-		legacy := func() ran.Config {
-			c := baseLTE(opt, ran.SchedPF)
-			c.FairnessWindow = tf
-			return c
-		}
-		intra := func() ran.Config {
-			c := baseLTE(opt, ran.SchedOutRAN)
-			c.FairnessWindow = tf
-			c.OutRAN.Epsilon = 0
-			return c
-		}
-		full := func() ran.Config {
-			c := baseLTE(opt, ran.SchedOutRAN)
-			c.FairnessWindow = tf
-			return c
-		}
-		if err := addRow(tf.String(), legacy, intra, full); err != nil {
-			return nil, err
-		}
+		legacy := baseLTE(opt, ran.SchedPF)
+		legacy.FairnessWindow = tf
+		row(tf.String(), legacy, func(c *ran.Config) { c.FairnessWindow = tf })
 	}
-	// MT row: OutRAN wrapping the MT metric.
-	legacyMT := func() ran.Config { return baseLTE(opt, ran.SchedMT) }
-	intraMT := func() ran.Config {
-		c := baseLTE(opt, ran.SchedOutRAN)
-		c.InnerScheduler = ran.SchedMT
-		c.OutRAN.Epsilon = 0
-		return c
-	}
-	fullMT := func() ran.Config {
-		c := baseLTE(opt, ran.SchedOutRAN)
-		c.InnerScheduler = ran.SchedMT
-		return c
-	}
-	if err := addRow("MT", legacyMT, intraMT, fullMT); err != nil {
+	row("MT", baseLTE(opt, ran.SchedMT), func(c *ran.Config) { c.InnerScheduler = ran.SchedMT })
+
+	res, err := runPoints(opt, pts)
+	if err != nil {
 		return nil, err
+	}
+	for i, label := range labels {
+		l, in, f := res[3*i].FCT.Overall().Mean, res[3*i+1].FCT.Overall().Mean, res[3*i+2].FCT.Overall().Mean
+		t.Rows = append(t.Rows, []string{label, ms(l), ms(in), ms(f), ratio(in, l), ratio(f, l)})
 	}
 	return []Table{t}, nil
 }
@@ -142,7 +103,7 @@ func Fig18c(opt Options) ([]Table, error) {
 		Title:  "Fig 18(c): RLC AM vs UM mode, PF vs OutRAN",
 		Header: []string{"mode+sched", "S_mean_ms", "S_p95_ms", "S_p99_ms", "SE", "fairness", "retx_KB"},
 	}
-	for _, v := range []struct {
+	variants := []struct {
 		name  string
 		mode  ran.RLCMode
 		sched ran.SchedulerKind
@@ -151,18 +112,23 @@ func Fig18c(opt Options) ([]Table, error) {
 		{"AM+OutRAN", ran.AM, ran.SchedOutRAN},
 		{"UM+PF", ran.UM, ran.SchedPF},
 		{"UM+OutRAN", ran.UM, ran.SchedOutRAN},
-	} {
+	}
+	var pts []point
+	for _, v := range variants {
 		cfg := baseLTE(opt, v.sched)
 		cfg.RLC = v.mode
-		res, err := runCell(cfg, spec, opt)
-		if err != nil {
-			return nil, err
-		}
-		s := res.FCT.ByClass(metrics.Short)
+		pts = append(pts, point{cfg, spec, opt})
+	}
+	res, err := runPoints(opt, pts)
+	if err != nil {
+		return nil, err
+	}
+	for i, r := range res {
+		s := r.FCT.ByClass(metrics.Short)
 		t.Rows = append(t.Rows, []string{
-			v.name, ms(s.Mean), ms(s.P95), ms(s.P99),
-			f3(res.Stats.MeanSpectralEff), f3(res.Stats.MeanFairnessIndex),
-			fmt.Sprintf("%d", res.Stats.AMRetxBytes/1024),
+			variants[i].name, ms(s.Mean), ms(s.P95), ms(s.P99),
+			f3(r.Stats.MeanSpectralEff), f3(r.Stats.MeanFairnessIndex),
+			fmt.Sprintf("%d", r.Stats.AMRetxBytes/1024),
 		})
 	}
 	return []Table{t}, nil
@@ -188,22 +154,6 @@ func Fig18d(opt Options) ([]Table, error) {
 			{Kind: workload.ClassIncast, Share: 0.1, Size: 8 * 1024, Burst: 12},
 		},
 	}
-	run := func(cfg ran.Config) (*runResult, error) {
-		return runCell(cfg, spec, opt)
-	}
-
-	pf, err := run(baseLTE(opt, ran.SchedPF))
-	if err != nil {
-		return nil, err
-	}
-	pfS := pf.FCT.ByClass(metrics.Short).Mean
-	pfL := pf.FCT.ByClass(metrics.Long).Mean
-	norm := func(v, base sim.Time) string {
-		if base == 0 {
-			return "n/a"
-		}
-		return f3(float64(v) / float64(base))
-	}
 	resets := []struct {
 		label  string
 		period sim.Time
@@ -215,17 +165,24 @@ func Fig18d(opt Options) ([]Table, error) {
 		{"200ms", 200 * sim.Millisecond},
 		{"100ms", 100 * sim.Millisecond},
 	}
+	pts := []point{{baseLTE(opt, ran.SchedPF), spec, opt}}
 	for _, rs := range resets {
 		cfg := baseLTE(opt, ran.SchedOutRAN)
 		cfg.OutRAN.ResetPeriod = rs.period
-		res, err := run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		s := res.FCT.ByClass(metrics.Short)
-		l := res.FCT.ByClass(metrics.Long)
+		pts = append(pts, point{cfg, spec, opt})
+	}
+	res, err := runPoints(opt, pts)
+	if err != nil {
+		return nil, err
+	}
+	pf := res[0]
+	pfS := pf.FCT.ByClass(metrics.Short).Mean
+	pfL := pf.FCT.ByClass(metrics.Long).Mean
+	for i, rs := range resets {
+		s := res[1+i].FCT.ByClass(metrics.Short)
+		l := res[1+i].FCT.ByClass(metrics.Long)
 		t.Rows = append(t.Rows, []string{
-			rs.label, norm(s.Mean, pfS), norm(l.Mean, pfL), ms(s.Mean), ms(l.Mean), ms(s.P95),
+			rs.label, ratio(s.Mean, pfS), ratio(l.Mean, pfL), ms(s.Mean), ms(l.Mean), ms(s.P95),
 		})
 	}
 	t.Rows = append(t.Rows, []string{"PF", "1.000", "1.000", ms(pfS), ms(pfL),

@@ -8,6 +8,7 @@ import (
 	"outran/internal/fault"
 	"outran/internal/ran"
 	"outran/internal/sim"
+	"outran/internal/workload"
 )
 
 func init() {
@@ -43,12 +44,17 @@ func Chaos(opt Options) ([]Table, error) {
 		sched, intensity, seed := chaosJob(opt, i)
 		cfg := baseLTE(opt, sched)
 		cfg.RLC = ran.AM
-		var err error
-		res[i], err = fault.Run(fault.RunConfig{
-			Cell: cfg, Load: 0.6, Duration: opt.Duration, Drain: opt.Drain,
+		h, ch := fault.RunConfig{
+			Cell:     cfg.WithWorkload(workload.PoissonSpec("lte", 0.6)),
+			Duration: opt.Duration, Drain: opt.Drain,
 			Intensity: intensity, Seed: seed,
-		})
-		return err
+		}.Harness()
+		cell, err := h.Run()
+		if err != nil {
+			return err
+		}
+		res[i] = ch.Result(cell)
+		return nil
 	})
 	if err != nil {
 		return nil, err

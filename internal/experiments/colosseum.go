@@ -35,46 +35,54 @@ func Fig19(opt Options) ([]Table, error) {
 		{"Boston (close, fast)", channel.ColosseumBoston()},
 		{"POWDER (medium, static)", channel.ColosseumPOWDER()},
 	}
+	// One row per (scenario, load, scheduler), each numCells points.
+	var rows [][]string
+	var pts []point
 	for _, sc := range scenarios {
 		for _, load := range []float64{0.2, 0.4, 0.6} {
 			for _, sched := range []ran.SchedulerKind{ran.SchedPF, ran.SchedOutRAN} {
-				agg := &metrics.FCTRecorder{}
-				for cellIdx := 0; cellIdx < numCells; cellIdx++ {
-					res, err := fig19Cell(opt, sc.sc, load, sched, cellIdx)
-					if err != nil {
-						return nil, err
-					}
-					for _, s := range res.FCT.Samples() {
-						agg.Record(s)
-					}
-				}
 				name := "srsRAN(PF)"
 				if sched == ran.SchedOutRAN {
 					name = "OutRAN"
 				}
-				t.Rows = append(t.Rows, []string{
-					sc.name, f2(load), name,
-					ms(agg.Overall().Mean),
-					ms(agg.ByClass(metrics.Short).Mean),
-					ms(agg.ByClass(metrics.Short).P95),
-					ms(agg.ByClass(metrics.Medium).Mean),
-					ms(agg.ByClass(metrics.Long).Mean),
-				})
+				rows = append(rows, []string{sc.name, f2(load), name})
+				for cellIdx := 0; cellIdx < numCells; cellIdx++ {
+					pts = append(pts, fig19Point(opt, sc.sc, load, sched, cellIdx))
+				}
 			}
 		}
+	}
+	res, err := runPoints(opt, pts)
+	if err != nil {
+		return nil, err
+	}
+	for i, row := range rows {
+		agg := &metrics.FCTRecorder{}
+		for _, r := range res[i*numCells : (i+1)*numCells] {
+			for _, s := range r.FCT.Samples() {
+				agg.Record(s)
+			}
+		}
+		t.Rows = append(t.Rows, append(row,
+			ms(agg.Overall().Mean),
+			ms(agg.ByClass(metrics.Short).Mean),
+			ms(agg.ByClass(metrics.Short).P95),
+			ms(agg.ByClass(metrics.Medium).Mean),
+			ms(agg.ByClass(metrics.Long).Mean),
+		))
 	}
 	return []Table{t}, nil
 }
 
-// fig19Cell runs one cell of the four. Each cell is its own seed —
-// channel and arrivals both — carried by the Options copy, because
-// runCell seeds every run from opt.Seed.
-func fig19Cell(opt Options, sc channel.Scenario, load float64, sched ran.SchedulerKind, cellIdx int) (*runResult, error) {
+// fig19Point is one cell of the four. Each cell is its own seed —
+// channel and arrivals both — carried by the point's Options, because
+// runPoints seeds every run from the point's opt.Seed.
+func fig19Point(opt Options, sc channel.Scenario, load float64, sched ran.SchedulerKind, cellIdx int) point {
 	cfg := ran.DefaultLTEConfig()
 	cfg.Grid = phy.Colosseum()
 	cfg.Scenario = sc
 	cfg.NumUEs = 4
 	cfg.Scheduler = sched
 	opt.Seed += uint64(cellIdx) * 101
-	return runCell(cfg, workload.PoissonSpec("lte", load), opt)
+	return point{cfg, workload.PoissonSpec("lte", load), opt}
 }

@@ -60,13 +60,13 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Seeds == 0 {
 		o.Seeds = 2
+		if o.Scale > 0 && o.Scale < 1 {
+			o.Seeds = 1 // a reduced run takes one seed unless asked for more
+		}
 	}
 	if o.Scale > 0 && o.Scale != 1 {
 		o.UEs = max(2, int(float64(o.UEs)*o.Scale))
 		o.Duration = sim.Time(float64(o.Duration) * o.Scale)
-		if o.Scale < 1 {
-			o.Seeds = 1
-		}
 	}
 	return o
 }
@@ -149,8 +149,8 @@ func (t Table) Fprint(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// runResult aggregates a data point over opt.Seeds independent runs:
-// FCT samples are merged, scalar metrics averaged, counters summed.
+// runResult is a data point aggregated over opt.Seeds independent runs
+// (or, before the fold, one seed's run).
 type runResult struct {
 	FCT           *metrics.FCTRecorder
 	SESamples     []float64
@@ -177,43 +177,69 @@ const (
 	pressureTail = 8 * sim.Second
 )
 
-// runCell aggregates opt.Seeds repetitions of runOnce. The seeds run
-// across the shared worker pool; aggregation folds in seed order after
-// the pool drains, so the worker count never changes the result.
-func runCell(cfg ran.Config, spec workload.Spec, opt Options) (*runResult, error) {
-	agg := &runResult{FCT: &metrics.FCTRecorder{}}
-	n := opt.Seeds
-	if n < 1 {
-		n = 1
-	}
-	cells := make([]*ran.Cell, n)
-	err := deploy.ForEach(n, opt.Workers, func(s int) error {
-		o := opt
-		o.Seed = opt.Seed + uint64(s)*1009
-		c := cfg.WithSeed(o.Seed)
-		var runErr error
-		cells[s], runErr = runOnce(c, spec, o)
-		return runErr
+// point is one data point of a figure: the cell, its workload, and
+// the options whose Seed, Duration and Drain its runs take.
+type point struct {
+	cfg  ran.Config
+	spec workload.Spec
+	opt  Options
+}
+
+// runPoints runs opt.Seeds repetitions of every point, all (point,
+// seed) jobs on one worker pool, and folds each point's seeds in seed
+// order after the pool drains, so the worker count never changes a
+// result. A job reduces its cell to that seed's runResult before it
+// returns, so at most opt.Workers cells are alive at once.
+func runPoints(opt Options, pts []point) ([]*runResult, error) {
+	n := max(opt.Seeds, 1)
+	runs := make([]runResult, len(pts)*n)
+	err := deploy.ForEach(len(runs), opt.Workers, func(j int) error {
+		p := pts[j/n]
+		o := p.opt
+		o.Seed = p.opt.Seed + uint64(j%n)*1009
+		cell, err := harness(p.cfg.WithSeed(o.Seed), p.spec, o).Run()
+		if err != nil {
+			return err
+		}
+		tr := cell.Tracker
+		runs[j] = runResult{
+			FCT:           cell.FCT,
+			SESamples:     tr.SpectralEfficiencySamples(),
+			ActiveSamples: tr.ActiveSESamples(),
+			FairSamples:   tr.FairnessSamples(),
+			SampleTimes:   tr.SampleTimes(),
+			Stats:         cell.CollectStats(),
+			DelayMean:     cell.Delay.Mean(),
+			DelayShort:    cell.Delay.MeanShort(),
+		}
+		return nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("experiments: seed %w", err)
+		return nil, fmt.Errorf("experiments: run %w", err)
 	}
+	out := make([]*runResult, len(pts))
+	for i := range out {
+		out[i] = fold(runs[i*n : (i+1)*n])
+	}
+	return out, nil
+}
+
+// fold aggregates one point's single-seed runs: FCT samples are
+// merged, scalar metrics averaged, counters summed.
+func fold(runs []runResult) *runResult {
+	agg := &runResult{FCT: &metrics.FCTRecorder{}, SampleTimes: runs[0].SampleTimes}
 	var delaySum, delayShortSum, srttSum sim.Time
-	for s := 0; s < n; s++ {
-		cell := cells[s]
-		st := cell.CollectStats()
-		for _, smp := range cell.FCT.Samples() {
+	for _, r := range runs {
+		for _, smp := range r.FCT.Samples() {
 			agg.FCT.Record(smp)
 		}
-		for i := 0; i < cell.FCT.Started(); i++ {
+		for i := 0; i < r.FCT.Started(); i++ {
 			agg.FCT.FlowStarted()
 		}
-		agg.SESamples = append(agg.SESamples, cell.Tracker.SpectralEfficiencySamples()...)
-		agg.ActiveSamples = append(agg.ActiveSamples, cell.Tracker.ActiveSESamples()...)
-		agg.FairSamples = append(agg.FairSamples, cell.Tracker.FairnessSamples()...)
-		if s == 0 {
-			agg.SampleTimes = cell.Tracker.SampleTimes()
-		}
+		agg.SESamples = append(agg.SESamples, r.SESamples...)
+		agg.ActiveSamples = append(agg.ActiveSamples, r.ActiveSamples...)
+		agg.FairSamples = append(agg.FairSamples, r.FairSamples...)
+		st := r.Stats
 		agg.Stats.BufferDrops += st.BufferDrops
 		agg.Stats.DecipherFailures += st.DecipherFailures
 		agg.Stats.ReassemblyDrops += st.ReassemblyDrops
@@ -224,21 +250,23 @@ func runCell(cfg ran.Config, spec workload.Spec, opt Options) (*runResult, error
 		agg.Stats.FlowsCompleted += st.FlowsCompleted
 		agg.Stats.TTIs += st.TTIs
 		srttSum += st.MeanSRTT
-		delaySum += cell.Delay.Mean()
-		delayShortSum += cell.Delay.MeanShort()
+		delaySum += r.DelayMean
+		delayShortSum += r.DelayShort
 	}
+	n := sim.Time(len(runs))
 	agg.Stats.MeanSpectralEff = metrics.MeanFloat(agg.SESamples)
 	agg.ActiveSE = metrics.MeanFloat(agg.ActiveSamples)
 	agg.Stats.MeanFairnessIndex = metrics.MeanFloat(agg.FairSamples)
-	agg.Stats.MeanSRTT = srttSum / sim.Time(n)
-	agg.DelayMean = delaySum / sim.Time(n)
-	agg.DelayShort = delayShortSum / sim.Time(n)
-	return agg, nil
+	agg.Stats.MeanSRTT = srttSum / n
+	agg.DelayMean = delaySum / n
+	agg.DelayShort = delayShortSum / n
+	return agg
 }
 
-// runOnce runs one cell through the shared ran.Harness entry point
-// (warmup + opt.Duration recorded + pressure tail, then drain).
-func runOnce(cfg ran.Config, spec workload.Spec, opt Options) (*ran.Cell, error) {
+// harness builds one run under the shared method: warmup, opt.Duration
+// recorded, pressure tail, then opt.Drain, with the workload seeded
+// from opt.Seed.
+func harness(cfg ran.Config, spec workload.Spec, opt Options) ran.Harness {
 	return ran.Harness{
 		Config:       cfg.WithWorkload(spec),
 		Warmup:       warmup,
@@ -246,7 +274,7 @@ func runOnce(cfg ran.Config, spec workload.Spec, opt Options) (*ran.Cell, error)
 		Tail:         pressureTail,
 		Drain:        opt.Drain,
 		WorkloadSeed: opt.Seed + 7919,
-	}.Run()
+	}
 }
 
 // baseLTE builds the standard LTE config for an experiment through the
@@ -263,6 +291,14 @@ func ms(t sim.Time) string { return fmt.Sprintf("%.1f", t.Milliseconds()) }
 
 // f3 formats a float with 3 decimals.
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
+
+// ratio formats a/b with 3 decimals, or "n/a" when b is 0.
+func ratio[T float64 | sim.Time](a, b T) string {
+	if b == 0 {
+		return "n/a"
+	}
+	return f3(float64(a) / float64(b))
+}
 
 // f2 formats a float with 2 decimals.
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }

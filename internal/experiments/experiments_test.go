@@ -71,6 +71,9 @@ func TestOptionsDefaultsAndScaling(t *testing.T) {
 	if s.Seeds != 1 {
 		t.Fatal("reduced scale should run a single seed")
 	}
+	if got := (Options{Scale: 0.5, Seeds: 4}).withDefaults().Seeds; got != 4 {
+		t.Fatalf("reduced scale with Seeds 4 runs %d seeds, want the 4 asked for", got)
+	}
 	tiny := Options{Scale: 0.01}.withDefaults()
 	if tiny.UEs < 2 {
 		t.Fatal("UE floor violated")
@@ -125,8 +128,8 @@ func TestOverheadExperiments(t *testing.T) {
 	}
 }
 
-// TestTinySimExperiment exercises the shared runCell machinery through
-// one real (but very small) figure harness.
+// TestTinySimExperiment exercises the shared runPoints machinery
+// through one real (but very small) figure harness.
 func TestTinySimExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a simulation")
@@ -207,23 +210,50 @@ func TestFig19CellsAreIndependent(t *testing.T) {
 		t.Skip("runs a simulation")
 	}
 	opt := Options{Duration: sim.Second, Drain: 4 * sim.Second, Seeds: 1}.withDefaults()
-	cell := func(idx int) string {
-		res, err := fig19Cell(opt, channel.ColosseumRome(), 0.4, ran.SchedPF, idx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		all := res.FCT.Overall()
+	cell := func(idx int) point { return fig19Point(opt, channel.ColosseumRome(), 0.4, ran.SchedPF, idx) }
+	res, err := runPoints(opt, []point{cell(0), cell(1), cell(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for idx, r := range res {
+		all := r.FCT.Overall()
 		if all.Count == 0 {
-			t.Fatalf("cell %d completed no flows", idx)
+			t.Fatalf("point %d completed no flows", idx)
 		}
-		return fmt.Sprintf("n=%d mean=%v p95=%v", all.Count, all.Mean, all.P95)
+		got = append(got, fmt.Sprintf("n=%d mean=%v p95=%v", all.Count, all.Mean, all.P95))
 	}
-	c0, c1 := cell(0), cell(1)
-	if c0 == c1 {
-		t.Errorf("cells 0 and 1 are the same run: %s", c0)
+	if got[0] == got[1] {
+		t.Errorf("cells 0 and 1 are the same run: %s", got[0])
 	}
-	if again := cell(0); again != c0 {
-		t.Errorf("cell 0 rerun at the same seed: %s, then %s", c0, again)
+	if got[2] != got[0] {
+		t.Errorf("cell 0 rerun at the same seed: %s, then %s", got[0], got[2])
+	}
+}
+
+// TestRunPointsWorkers: every (point, seed) job of a figure shares one
+// worker pool and the fold runs in (point, seed) order, so a figure's
+// tables are the same at one, two and three workers.
+func TestRunPointsWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a simulation")
+	}
+	figure := func(workers int) string {
+		tables, err := Fig18c(Options{UEs: 4, RBs: 15, Duration: 500 * sim.Millisecond, Drain: 2 * sim.Second, Seeds: 2, Workers: workers})
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		var sb strings.Builder
+		for _, tb := range tables {
+			tb.Fprint(&sb)
+		}
+		return sb.String()
+	}
+	one := figure(1)
+	for _, workers := range []int{2, 3} {
+		if got := figure(workers); got != one {
+			t.Errorf("table differs between 1 and %d workers:\n%s\n%s", workers, one, got)
+		}
 	}
 }
 

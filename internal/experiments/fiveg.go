@@ -21,7 +21,6 @@ func init() {
 // for PF vs OutRAN.
 func Fig17(opt Options) ([]Table, error) {
 	opt = opt.withDefaults()
-	dist := workload.Mirage()
 	t := Table{
 		Title: "Fig 17: impact of OutRAN in 5G RAN (PF vs OutRAN)",
 		Header: []string{"server", "mu/slot_us", "load",
@@ -35,61 +34,65 @@ func Fig17(opt Options) ([]Table, error) {
 		{"MEC(5ms)", 5 * sim.Millisecond},
 		{"Remote(20ms)", 20 * sim.Millisecond},
 	}
+	// One row per (server, numerology, load): its PF and OutRAN points.
+	var rows [][]string
+	var pts []point
 	for _, srv := range servers {
 		for mu := phy.Mu0; mu <= phy.Mu3; mu++ {
 			for _, load := range []float64{0.1, 0.6} {
-				run := func(sched ran.SchedulerKind) (*runResult, error) {
+				rows = append(rows, []string{srv.name, fmt.Sprintf("%d/%d", int(mu), mu.SlotDuration()/sim.Microsecond), f2(load)})
+				for _, sched := range []ran.SchedulerKind{ran.SchedPF, ran.SchedOutRAN} {
 					cfg := ran.Default5GConfig(mu)
-					cfg.NumUEs = max(4, opt.UEs*2/3)
 					cfg.Scheduler = sched
-					cfg.Seed = opt.Seed // the probe below sizes the window on it; runCell reseeds the runs
 					cfg.Path.WiredDelay = srv.delay
 					cfg.Path.UplinkDelay = srv.delay + 4*sim.Millisecond
-					// Scale RB count with the option's RB fraction to
-					// keep runtimes bounded.
-					cfg.Grid.NumRB = cfg.Grid.NumRB * opt.RBs / 100
-					if cfg.Grid.NumRB < 10 {
-						cfg.Grid.NumRB = 10
-					}
-					// 5G capacity is large; size the window by flow
-					// count instead of wall time.
-					probe, err := ran.NewCell(cfg)
+					p, err := fiveGPoint(opt, cfg, load)
 					if err != nil {
 						return nil, err
 					}
-					o := opt
-					o.Duration = durationForFlows(300, load, probe.EffectiveCapacityBps(), dist.Mean())
-					o.Drain = 8 * sim.Second
-					return runCell(cfg, workload.PoissonSpec("mirage", load), o)
+					pts = append(pts, p)
 				}
-				pf, err := run(ran.SchedPF)
-				if err != nil {
-					return nil, err
-				}
-				or, err := run(ran.SchedOutRAN)
-				if err != nil {
-					return nil, err
-				}
-				t.Rows = append(t.Rows, []string{
-					srv.name,
-					fmt.Sprintf("%d/%d", int(mu), mu.SlotDuration()/sim.Microsecond),
-					f2(load),
-					ms(pf.Stats.MeanSRTT), ms(or.Stats.MeanSRTT),
-					ms(pf.DelayMean), ms(or.DelayMean),
-					ms(pf.DelayShort), ms(or.DelayShort),
-					ms(shortP95(pf)), ms(shortP95(or)),
-				})
 			}
 		}
 	}
+	res, err := runPoints(opt, pts)
+	if err != nil {
+		return nil, err
+	}
+	for i, row := range rows {
+		pf, or := res[2*i], res[2*i+1]
+		t.Rows = append(t.Rows, append(row,
+			ms(pf.Stats.MeanSRTT), ms(or.Stats.MeanSRTT),
+			ms(pf.DelayMean), ms(or.DelayMean),
+			ms(pf.DelayShort), ms(or.DelayShort),
+			ms(shortP95(pf)), ms(shortP95(or)),
+		))
+	}
 	return []Table{t}, nil
+}
+
+// fiveGPoint completes a 5G point: a UE count and RB width scaled from
+// the options, and — 5G capacity being large — an arrival window sized
+// for ~300 flows at the load instead of opt.Duration.
+func fiveGPoint(opt Options, cfg ran.Config, load float64) (point, error) {
+	cfg.NumUEs = max(4, opt.UEs*2/3)
+	cfg.Seed = opt.Seed // the probe below sizes the window on it; runPoints reseeds the runs
+	// Scale RB count with the option's RB fraction to keep runtimes
+	// bounded.
+	cfg.Grid.NumRB = max(10, cfg.Grid.NumRB*opt.RBs/100)
+	probe, err := ran.NewCell(cfg)
+	if err != nil {
+		return point{}, err
+	}
+	opt.Duration = durationForFlows(300, load, probe.EffectiveCapacityBps(), workload.Mirage().Mean())
+	opt.Drain = 8 * sim.Second
+	return point{cfg, workload.PoissonSpec("mirage", load), opt}, nil
 }
 
 // Fig20 reproduces the 5G FCT-vs-load curves and the SE/fairness
 // comparison under the MIRAGE mobile-app workload.
 func Fig20(opt Options) ([]Table, error) {
 	opt = opt.withDefaults()
-	dist := workload.Mirage()
 	scheds := []ran.SchedulerKind{ran.SchedPF, ran.SchedSRJF, ran.SchedOutRAN}
 	loads := []float64{0.4, 0.5, 0.6, 0.7, 0.8}
 
@@ -101,42 +104,32 @@ func Fig20(opt Options) ([]Table, error) {
 	for _, s := range scheds {
 		fct.Header = append(fct.Header, string(s))
 	}
-	results := map[ran.SchedulerKind]map[float64]*runResult{}
+	var pts []point
 	for _, s := range scheds {
-		results[s] = map[float64]*runResult{}
 		for _, load := range loads {
 			cfg := ran.Default5GConfig(phy.Mu1)
-			cfg.NumUEs = max(4, opt.UEs*2/3)
 			cfg.Scheduler = s
-			cfg.Seed = opt.Seed // the probe below sizes the window on it; runCell reseeds the runs
-			cfg.Grid.NumRB = cfg.Grid.NumRB * opt.RBs / 100
-			if cfg.Grid.NumRB < 10 {
-				cfg.Grid.NumRB = 10
-			}
-			probe, err := ran.NewCell(cfg)
+			p, err := fiveGPoint(opt, cfg, load)
 			if err != nil {
 				return nil, err
 			}
-			o := opt
-			o.Duration = durationForFlows(300, load, probe.EffectiveCapacityBps(), dist.Mean())
-			o.Drain = 8 * sim.Second
-			res, err := runCell(cfg, workload.PoissonSpec("mirage", load), o)
-			if err != nil {
-				return nil, err
-			}
-			results[s][load] = res
+			pts = append(pts, p)
 		}
 	}
-	for _, load := range loads {
+	res, err := runPoints(opt, pts)
+	if err != nil {
+		return nil, err
+	}
+	for j, load := range loads {
 		row := []string{f2(load)}
-		for _, s := range scheds {
-			row = append(row, ms(results[s][load].FCT.Overall().Mean))
+		for i := range scheds {
+			row = append(row, ms(res[i*len(loads)+j].FCT.Overall().Mean))
 		}
 		fct.Rows = append(fct.Rows, row)
 	}
-	for _, s := range scheds {
-		for _, load := range loads {
-			r := results[s][load]
+	for i, s := range scheds {
+		for j, load := range loads {
+			r := res[i*len(loads)+j]
 			sys.Rows = append(sys.Rows, []string{
 				string(s), f2(load), f3(r.Stats.MeanSpectralEff), f3(r.Stats.MeanFairnessIndex),
 			})

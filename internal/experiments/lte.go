@@ -21,26 +21,26 @@ var lteLoads = []float64{0.4, 0.5, 0.6, 0.7, 0.8}
 
 // lteSweepCache memoises the scheduler x load grid shared by fig15 and
 // fig16 (both figures come from the same runs in the paper too).
-var lteSweepCache = map[Options]map[ran.SchedulerKind]map[float64]*runResult{}
+var lteSweepCache = map[Options][]*runResult{}
 
-// lteSweep runs (or recalls) the full scheduler x load grid.
-func lteSweep(opt Options) (map[ran.SchedulerKind]map[float64]*runResult, error) {
+// lteSweep runs (or recalls) the full scheduler x load grid, point
+// (scheduler i, load j) at index i*len(lteLoads)+j.
+func lteSweep(opt Options) ([]*runResult, error) {
 	if got, ok := lteSweepCache[opt]; ok {
 		return got, nil
 	}
-	out := make(map[ran.SchedulerKind]map[float64]*runResult)
+	var pts []point
 	for _, sched := range lteSchedulers {
-		out[sched] = make(map[float64]*runResult)
 		for _, load := range lteLoads {
-			res, err := runCell(baseLTE(opt, sched), workload.PoissonSpec("lte", load), opt)
-			if err != nil {
-				return nil, err
-			}
-			out[sched][load] = res
+			pts = append(pts, point{baseLTE(opt, sched), workload.PoissonSpec("lte", load), opt})
 		}
 	}
-	lteSweepCache[opt] = out
-	return out, nil
+	res, err := runPoints(opt, pts)
+	if err != nil {
+		return nil, err
+	}
+	lteSweepCache[opt] = res
+	return res, nil
 }
 
 // Fig15 reproduces the LTE FCT-vs-load curves: overall average, short
@@ -57,10 +57,10 @@ func Fig15(opt Options) ([]Table, error) {
 		for _, s := range lteSchedulers {
 			t.Header = append(t.Header, string(s))
 		}
-		for _, load := range lteLoads {
+		for j, load := range lteLoads {
 			row := []string{f2(load)}
-			for _, s := range lteSchedulers {
-				row = append(row, get(sweep[s][load]))
+			for i := range lteSchedulers {
+				row = append(row, get(sweep[i*len(lteLoads)+j]))
 			}
 			t.Rows = append(t.Rows, row)
 		}
@@ -94,9 +94,9 @@ func Fig16(opt Options) ([]Table, error) {
 		Title:  "Fig 16: spectral efficiency vs fairness across cell loads",
 		Header: []string{"scheduler", "load", "SE_bit/s/Hz", "SE_active", "fairness"},
 	}
-	for _, s := range lteSchedulers {
-		for _, load := range lteLoads {
-			r := sweep[s][load]
+	for i, s := range lteSchedulers {
+		for j, load := range lteLoads {
+			r := sweep[i*len(lteLoads)+j]
 			t.Rows = append(t.Rows, []string{
 				string(s), f2(load), f3(r.Stats.MeanSpectralEff), f3(r.ActiveSE), f3(r.Stats.MeanFairnessIndex),
 			})

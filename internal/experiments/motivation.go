@@ -20,27 +20,19 @@ func Fig3(opt Options) ([]Table, error) {
 	opt = opt.withDefaults()
 	spec := workload.PoissonSpec("lte", 0.6)
 
-	run := func(sched ran.SchedulerKind, bufMul int) (*runResult, error) {
-		cfg := baseLTE(opt, sched)
-		cfg.BufferSDUs = 128 * bufMul
-		return runCell(cfg, spec, opt)
+	var pts []point
+	for _, bufMul := range []int{1, 5} {
+		for _, sched := range []ran.SchedulerKind{ran.SchedPF, ran.SchedSRJF} {
+			cfg := baseLTE(opt, sched)
+			cfg.BufferSDUs = 128 * bufMul
+			pts = append(pts, point{cfg, spec, opt})
+		}
 	}
-	pf1, err := run(ran.SchedPF, 1)
+	res, err := runPoints(opt, pts)
 	if err != nil {
 		return nil, err
 	}
-	srjf1, err := run(ran.SchedSRJF, 1)
-	if err != nil {
-		return nil, err
-	}
-	pf5, err := run(ran.SchedPF, 5)
-	if err != nil {
-		return nil, err
-	}
-	srjf5, err := run(ran.SchedSRJF, 5)
-	if err != nil {
-		return nil, err
-	}
+	pf1, srjf1, pf5, srjf5 := res[0], res[1], res[2], res[3]
 
 	a := Table{
 		Title:  "Fig 3(a): short flow (<10KB) FCT, SRJF vs PF (normalized to PF)",
@@ -48,15 +40,9 @@ func Fig3(opt Options) ([]Table, error) {
 	}
 	pfS := pf1.FCT.ByClass(metrics.Short)
 	srjfS := srjf1.FCT.ByClass(metrics.Short)
-	norm := func(a, b float64) string {
-		if b == 0 {
-			return "n/a"
-		}
-		return f3(a / b)
-	}
 	a.Rows = append(a.Rows,
 		[]string{"SRJF", ms(srjfS.Mean), ms(srjfS.P99),
-			norm(float64(srjfS.Mean), float64(pfS.Mean)), norm(float64(srjfS.P99), float64(pfS.P99))},
+			ratio(srjfS.Mean, pfS.Mean), ratio(srjfS.P99, pfS.P99)},
 		[]string{"PF", ms(pfS.Mean), ms(pfS.P99), "1.000", "1.000"},
 	)
 
@@ -64,12 +50,11 @@ func Fig3(opt Options) ([]Table, error) {
 		Title:  "Fig 3(b): short flow FCT vs per-user buffer size (normalized to PF x1)",
 		Header: []string{"buffer", "SRJF_avg_ms", "PF_avg_ms", "SRJF_norm", "PF_norm"},
 	}
-	base := float64(pfS.Mean)
 	s5 := srjf5.FCT.ByClass(metrics.Short)
 	p5 := pf5.FCT.ByClass(metrics.Short)
 	b.Rows = append(b.Rows,
-		[]string{"x1", ms(srjfS.Mean), ms(pfS.Mean), norm(float64(srjfS.Mean), base), "1.000"},
-		[]string{"x5", ms(s5.Mean), ms(p5.Mean), norm(float64(s5.Mean), base), norm(float64(p5.Mean), base)},
+		[]string{"x1", ms(srjfS.Mean), ms(pfS.Mean), ratio(srjfS.Mean, pfS.Mean), "1.000"},
+		[]string{"x5", ms(s5.Mean), ms(p5.Mean), ratio(s5.Mean, pfS.Mean), ratio(p5.Mean, pfS.Mean)},
 	)
 	return []Table{a, b}, nil
 }
@@ -79,29 +64,23 @@ func Fig3(opt Options) ([]Table, error) {
 func Fig4(opt Options) ([]Table, error) {
 	opt = opt.withDefaults()
 	spec := workload.PoissonSpec("lte", 0.6)
-	pf, err := runCell(baseLTE(opt, ran.SchedPF), spec, opt)
+	res, err := runPoints(opt, []point{
+		{baseLTE(opt, ran.SchedPF), spec, opt},
+		{baseLTE(opt, ran.SchedSRJF), spec, opt},
+	})
 	if err != nil {
 		return nil, err
 	}
-	srjf, err := runCell(baseLTE(opt, ran.SchedSRJF), spec, opt)
-	if err != nil {
-		return nil, err
-	}
+	pf, srjf := res[0], res[1]
 	summary := Table{
 		Title:  "Fig 4: side-effects of SRJF flow scheduling (means over the loaded window)",
 		Header: []string{"scheduler", "spectral_eff_bit/s/Hz", "SE_active", "fairness_index", "SE_active_vs_PF", "fair_vs_PF"},
 	}
-	rel := func(a, b float64) string {
-		if b == 0 {
-			return "n/a"
-		}
-		return f3(a / b)
-	}
 	summary.Rows = append(summary.Rows,
 		[]string{"PF", f3(pf.Stats.MeanSpectralEff), f3(pf.ActiveSE), f3(pf.Stats.MeanFairnessIndex), "1.000", "1.000"},
 		[]string{"SRJF", f3(srjf.Stats.MeanSpectralEff), f3(srjf.ActiveSE), f3(srjf.Stats.MeanFairnessIndex),
-			rel(srjf.ActiveSE, pf.ActiveSE),
-			rel(srjf.Stats.MeanFairnessIndex, pf.Stats.MeanFairnessIndex)},
+			ratio(srjf.ActiveSE, pf.ActiveSE),
+			ratio(srjf.Stats.MeanFairnessIndex, pf.Stats.MeanFairnessIndex)},
 	)
 	series := Table{
 		Title:  "Fig 4 time series: SE and fairness per 50-TTI block",

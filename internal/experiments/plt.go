@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"outran/internal/deploy"
 	"outran/internal/ran"
 	"outran/internal/rng"
 	"outran/internal/sim"
@@ -16,15 +17,16 @@ func init() {
 	register("table2", Table2)
 }
 
-// pltRun loads each catalogue page several times on a cell where the
-// measuring UE competes with websearch background traffic (the §6.1
-// setup: interactive browsing vs heavy background flows), and returns
-// the per-page PLT and mean sub-flow FCT.
+// pltStats is one page's load times and sub-flow FCTs.
 type pltStats struct {
 	plts []sim.Time
 	fcts []sim.Time
 }
 
+// pltRun loads each catalogue page several times on a cell where the
+// measuring UE competes with websearch background traffic (the §6.1
+// setup: interactive browsing vs heavy background flows), and returns
+// the per-page PLT and mean sub-flow FCT.
 func pltRun(opt Options, sched ran.SchedulerKind, pages []webpage.Page, runs int) (map[string]*pltStats, error) {
 	cfg := ran.DefaultLTEConfig()
 	cfg.Grid.NumRB = opt.RBs
@@ -92,6 +94,7 @@ func pltRun(opt Options, sched ran.SchedulerKind, pages []webpage.Page, runs int
 	return out, nil
 }
 
+// meanT is the mean of v, 0 when empty.
 func meanT(v []sim.Time) sim.Time {
 	if len(v) == 0 {
 		return 0
@@ -114,14 +117,17 @@ func Fig12(opt Options) ([]Table, error) {
 		runs = 1
 		pages = pages[:max(3, int(float64(len(pages))*opt.Scale))]
 	}
-	pf, err := pltRun(opt, ran.SchedPF, pages, runs)
+	scheds := []ran.SchedulerKind{ran.SchedPF, ran.SchedOutRAN}
+	stats := make([]map[string]*pltStats, len(scheds))
+	err := deploy.ForEach(len(scheds), opt.Workers, func(i int) error {
+		var err error
+		stats[i], err = pltRun(opt, scheds[i], pages, runs)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	or, err := pltRun(opt, ran.SchedOutRAN, pages, runs)
-	if err != nil {
-		return nil, err
-	}
+	pf, or := stats[0], stats[1]
 	t := Table{
 		Title:  "Fig 12/21: page load time, srsRAN(PF) vs OutRAN",
 		Header: []string{"page", "PLT_PF_ms", "PLT_OR_ms", "PLT_gain", "FCT_PF_ms", "FCT_OR_ms", "FCT_gain"},

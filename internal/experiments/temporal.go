@@ -3,7 +3,9 @@ package experiments
 import (
 	"fmt"
 
+	"outran/internal/deploy"
 	"outran/internal/metrics"
+	"outran/internal/obs"
 	"outran/internal/ran"
 	"outran/internal/sim"
 	"outran/internal/workload"
@@ -31,57 +33,43 @@ func Diurnal(opt Options) ([]Table, error) {
 		every = 500 * sim.Millisecond
 	}
 
-	type point struct {
-		t     sim.Time
-		flows int64
-		p99   float64
-	}
-	run := func(sched ran.SchedulerKind) ([]point, *ran.Cell, error) {
-		cfg := baseLTE(opt, sched)
+	// PF and OutRAN run on the worker pool, each into its own slot.
+	scheds := []ran.SchedulerKind{ran.SchedPF, ran.SchedOutRAN}
+	samples := make([][]obs.KPIRecord, len(scheds))
+	cells := make([]*ran.Cell, len(scheds))
+	err := deploy.ForEach(len(scheds), opt.Workers, func(i int) error {
+		cfg := baseLTE(opt, scheds[i])
 		cfg.KPIEvery = every
-		h := ran.Harness{
-			Config:       cfg.WithWorkload(spec),
-			Warmup:       warmup,
-			Window:       opt.Duration,
-			Tail:         pressureTail,
-			Drain:        opt.Drain,
-			WorkloadSeed: opt.Seed + 7919,
-		}
+		h := harness(cfg, spec, opt)
 		cell, err := h.Build()
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
-		var pts []point
 		// Drive the cell in KPI segments through the recorded window
 		// (the envelope warps arrivals over the whole warmup+window+tail
 		// span; sampling windows cut the recorded part of the swing).
 		for t := warmup + every; t <= warmup+opt.Duration; t += every {
 			cell.Run(t)
-			s := cell.SampleKPI(t)
-			pts = append(pts, point{t: t - warmup, flows: s.Rec.WinFlows, p99: s.Rec.WinP99Ms})
+			samples[i] = append(samples[i], cell.SampleKPI(t).Rec)
 		}
 		cell.Run(h.Total())
-		return pts, cell, nil
-	}
-
-	pf, pfCell, err := run(ran.SchedPF)
+		cells[i] = cell
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	or, orCell, err := run(ran.SchedOutRAN)
-	if err != nil {
-		return nil, err
-	}
+	pf, or := samples[0], samples[1]
 
 	series := Table{
 		Title:  "Diurnal swing: per-interval completed flows and FCT p99, PF vs OutRAN",
 		Header: []string{"t_s", "flows_PF", "flows_OR", "p99_PF_ms", "p99_OR_ms"},
 	}
 	for i := range pf {
-		row := []string{f2(pf[i].t.Seconds()), fmt.Sprint(pf[i].flows), "-", f2(pf[i].p99), "-"}
+		row := []string{f2((pf[i].T - warmup).Seconds()), fmt.Sprint(pf[i].WinFlows), "-", f2(pf[i].WinP99Ms), "-"}
 		if i < len(or) {
-			row[2] = fmt.Sprint(or[i].flows)
-			row[4] = f2(or[i].p99)
+			row[2] = fmt.Sprint(or[i].WinFlows)
+			row[4] = f2(or[i].WinP99Ms)
 		}
 		series.Rows = append(series.Rows, row)
 	}
@@ -90,15 +78,12 @@ func Diurnal(opt Options) ([]Table, error) {
 		Title:  "Diurnal swing: whole-run comparison (identical arrival sequences)",
 		Header: []string{"scheduler", "flows", "S_p95_ms", "S_p99_ms", "overall_p99_ms", "SE_bit/s/Hz", "fairness"},
 	}
-	for _, v := range []struct {
-		name string
-		c    *ran.Cell
-	}{{"PF", pfCell}, {"OutRAN", orCell}} {
-		st := v.c.CollectStats()
-		s := v.c.FCT.ByClass(metrics.Short)
+	for i, c := range cells {
+		st := c.CollectStats()
+		s := c.FCT.ByClass(metrics.Short)
 		sum.Rows = append(sum.Rows, []string{
-			v.name, fmt.Sprint(st.FlowsCompleted),
-			ms(s.P95), ms(s.P99), ms(v.c.FCT.Overall().P99),
+			string(scheds[i]), fmt.Sprint(st.FlowsCompleted),
+			ms(s.P95), ms(s.P99), ms(c.FCT.Overall().P99),
 			f3(st.MeanSpectralEff), f3(st.MeanFairnessIndex),
 		})
 	}

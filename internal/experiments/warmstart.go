@@ -25,19 +25,11 @@ func init() { register("warmstart", WarmStart) }
 // probe burst is the only difference between the points.
 func WarmStart(opt Options) ([]Table, error) {
 	opt = opt.withDefaults()
-	// The workload spec lives on the config so the probe forks rebuild
-	// an identical cell: snapshot restore demands a matching fingerprint.
-	cfg := baseLTE(opt, ran.SchedOutRAN).WithWorkload(workload.PoissonSpec("lte", 0.6))
-
-	// One warmed-up cell, snapshotted at the end of the transient.
-	h := ran.Harness{
-		Config:       cfg,
-		Warmup:       warmup,
-		Window:       opt.Duration,
-		Tail:         pressureTail,
-		Drain:        opt.Drain,
-		WorkloadSeed: opt.Seed + 7919,
-	}
+	// One warmed-up cell, snapshotted at the end of the transient. The
+	// workload spec lives on the config so the probe forks rebuild an
+	// identical cell: snapshot restore demands a matching fingerprint.
+	h := harness(baseLTE(opt, ran.SchedOutRAN), workload.PoissonSpec("lte", 0.6), opt)
+	cfg := h.Config
 	base, err := h.Build()
 	if err != nil {
 		return nil, fmt.Errorf("experiments: warmstart: %w", err)
@@ -48,7 +40,7 @@ func WarmStart(opt Options) ([]Table, error) {
 		return nil, fmt.Errorf("experiments: warmstart snapshot: %w", err)
 	}
 	img := b.Bytes()
-	total := warmup + opt.Duration + pressureTail + opt.Drain
+	total := h.Total()
 
 	bursts := []int{0, 2, 4, 8, 16, 32}
 	const probeBytes = 64 << 10 // short-class probes: the paper's FCT focus
@@ -82,7 +74,7 @@ func WarmStart(opt Options) ([]Table, error) {
 			}
 		}
 		c.Run(total)
-		results[i] = probeResult{fcts: fcts, p95: shortP95ForCell(c)}
+		results[i] = probeResult{fcts: fcts, p95: c.FCT.ByClass(metrics.Short).P95}
 		return nil
 	})
 	if err != nil {
@@ -95,29 +87,17 @@ func WarmStart(opt Options) ([]Table, error) {
 	}
 	for i, burst := range bursts {
 		r := results[i]
-		var sum, maxFCT sim.Time
+		var maxFCT sim.Time
 		for _, f := range r.fcts {
-			sum += f
-			if f > maxFCT {
-				maxFCT = f
-			}
-		}
-		mean := sim.Time(0)
-		if len(r.fcts) > 0 {
-			mean = sum / sim.Time(len(r.fcts))
+			maxFCT = max(maxFCT, f)
 		}
 		tbl.Rows = append(tbl.Rows, []string{
 			fmt.Sprintf("%d", burst),
 			fmt.Sprintf("%d", len(r.fcts)),
-			ms(mean),
+			ms(meanT(r.fcts)),
 			ms(maxFCT),
 			ms(r.p95),
 		})
 	}
 	return []Table{tbl}, nil
-}
-
-// shortP95ForCell reads the short-class FCT p95 straight off a cell.
-func shortP95ForCell(c *ran.Cell) sim.Time {
-	return c.FCT.ByClass(metrics.Short).P95
 }

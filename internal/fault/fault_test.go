@@ -6,6 +6,7 @@ import (
 
 	"outran/internal/ran"
 	"outran/internal/sim"
+	"outran/internal/workload"
 )
 
 // smallCell is the scaled-down cell every fault test runs on.
@@ -16,6 +17,22 @@ func smallCell(sched ran.SchedulerKind, mode ran.RLCMode) ran.Config {
 	cfg.Scheduler = sched
 	cfg.RLC = mode
 	return cfg
+}
+
+// chaosCell is smallCell with the chaos runs' workload declared on it.
+func chaosCell(sched ran.SchedulerKind, mode ran.RLCMode) ran.Config {
+	return smallCell(sched, mode).WithWorkload(workload.PoissonSpec("lte", 0.6))
+}
+
+// runChaos runs rc through its harness to the end and collects it.
+func runChaos(t *testing.T, rc RunConfig) Result {
+	t.Helper()
+	h, ch := rc.Harness()
+	cell, err := h.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ch.Result(cell)
 }
 
 func TestPlanDeterminism(t *testing.T) {
@@ -49,18 +66,13 @@ func TestChaosDeterminism(t *testing.T) {
 		sched := sched
 		t.Run(string(sched), func(t *testing.T) {
 			run := func() Result {
-				res, err := Run(RunConfig{
-					Cell:      smallCell(sched, ran.AM),
-					Load:      0.6,
+				return runChaos(t, RunConfig{
+					Cell:      chaosCell(sched, ran.AM),
 					Duration:  800 * sim.Millisecond,
 					Drain:     4 * sim.Second,
 					Intensity: 1,
 					Seed:      42,
 				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res
 			}
 			r1, r2 := run(), run()
 			if !reflect.DeepEqual(r1.Plan, r2.Plan) {
@@ -99,16 +111,12 @@ func TestMonitorCleanBaseline(t *testing.T) {
 		for _, sched := range []ran.SchedulerKind{ran.SchedPF, ran.SchedOutRAN} {
 			mode, sched := mode, sched
 			t.Run(mode.String()+"/"+string(sched), func(t *testing.T) {
-				res, err := Run(RunConfig{
-					Cell:     smallCell(sched, mode),
-					Load:     0.6,
+				res := runChaos(t, RunConfig{
+					Cell:     chaosCell(sched, mode),
 					Duration: 600 * sim.Millisecond,
 					Drain:    4 * sim.Second,
 					Seed:     7,
 				})
-				if err != nil {
-					t.Fatal(err)
-				}
 				if !res.Monitor.Clean() {
 					t.Fatalf("baseline run violated invariants: %v", res.Monitor.Violations)
 				}
@@ -138,17 +146,13 @@ func TestChaosSweepNoViolations(t *testing.T) {
 	// the workload engine's arrival stream.
 	for _, sched := range []ran.SchedulerKind{ran.SchedPF, ran.SchedOutRAN} {
 		for seed := uint64(10); seed <= 13; seed++ {
-			res, err := Run(RunConfig{
-				Cell:      smallCell(sched, ran.AM),
-				Load:      0.6,
+			res := runChaos(t, RunConfig{
+				Cell:      chaosCell(sched, ran.AM),
 				Duration:  800 * sim.Millisecond,
 				Drain:     4 * sim.Second,
 				Intensity: 1.5,
 				Seed:      seed,
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			if !res.Monitor.Clean() {
 				t.Fatalf("%s seed %d: invariant violations: %v", sched, seed, res.Monitor.Violations)
 			}

@@ -172,10 +172,18 @@ func (m *Monitor) Finalize() Report {
 // and monitor (may be nil) into one merged hook set on the cell, and
 // schedules the plan's transitions. Call once, before the first Run.
 func Attach(cell *ran.Cell, plan Plan, inj *Injector, mon *Monitor) {
+	if inj != nil {
+		inj.Schedule(plan)
+	}
+	wire(cell, inj, mon)
+}
+
+// wire merges the injector's and the monitor's hooks (either may be
+// nil) into one hook set on the cell.
+func wire(cell *ran.Cell, inj *Injector, mon *Monitor) {
 	var h ran.FaultHooks
 	if inj != nil {
 		h = inj.hooks()
-		inj.Schedule(plan)
 	}
 	if mon != nil {
 		h.OnTTI = mon.onTTI

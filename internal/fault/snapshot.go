@@ -27,9 +27,9 @@ const (
 // records by key (see FireExternal).
 func (in *Injector) SnapshotTo(b *snapshot.Builder) { b.Walk(SectionInjector, in.walk) }
 
-// RestoreFrom overlays a snapshot onto a freshly built injector. Call
-// PrepareResume first (the restored events index into the plan), then
-// ran.Cell.RestoreSnapshot, then this.
+// RestoreFrom overlays a snapshot onto a freshly built injector, after
+// PrepareResume (the restored events index into the plan) and
+// ran.Cell.RestoreSnapshot, as Chaos.Resume calls them.
 func (in *Injector) RestoreFrom(a *snapshot.Archive) error {
 	if err := a.Walk(SectionInjector, in.walk); err != nil {
 		return fmt.Errorf("fault: restoring injector: %w", err)

@@ -9,82 +9,46 @@ import (
 	"testing"
 
 	"outran/internal/ran"
-	"outran/internal/rng"
 	"outran/internal/sim"
 	"outran/internal/snapshot"
 	"outran/internal/snapshot/snapshottest"
-	"outran/internal/workload"
 )
 
-// chaosParts is one chaos run's moving parts, built exactly as
-// fault.Run builds them but with the snapshot registry enabled.
+// chaosParts is one chaos run: the built cell and the handles the
+// chaos harness attached to it.
 type chaosParts struct {
 	cell *ran.Cell
-	mon  *Monitor
-	inj  *Injector
-	plan Plan
+	*Chaos
 }
 
 const (
-	chaosSeed     = uint64(42)
 	chaosDuration = 800 * sim.Millisecond
 	chaosDrain    = 4 * sim.Second
 )
 
-// chaosCellConfig is the full cell configuration of the chaos scenario,
-// workload included — restore rebuilds from it, and the snapshot
-// fingerprint covers the workload spec.
-func chaosCellConfig(cellSeed uint64) ran.Config {
-	return smallCell(ran.SchedOutRAN, ran.AM).
-		WithSeed(cellSeed).
-		WithWorkload(workload.PoissonSpec("lte", 0.6))
+// chaosConfig is the snapshot scenario: OutRAN, AM, intensity 1.
+var chaosConfig = RunConfig{
+	Cell:      chaosCell(ran.SchedOutRAN, ran.AM),
+	Duration:  chaosDuration,
+	Drain:     chaosDrain,
+	Intensity: 1,
+	Seed:      42,
 }
 
-// buildChaos mirrors fault.Run's seed derivation and assembly for a
-// snapshot-enabled chaos run (OutRAN, AM, intensity 1).
+// buildChaos builds the snapshot scenario's cell, not yet run.
 func buildChaos(t *testing.T) chaosParts {
 	t.Helper()
-	master := rng.New(chaosSeed)
-	cellSeed := master.Uint64()
-	wlSeed := master.Uint64()
-	planSeed := master.Uint64()
-	injSeed := master.Uint64()
-
-	var p chaosParts
-	cell, err := ran.Harness{
-		Config:       chaosCellConfig(cellSeed),
-		Window:       chaosDuration,
-		Drain:        chaosDrain,
-		WorkloadSeed: wlSeed,
-		Setup: func(c *ran.Cell) error {
-			p.mon = NewMonitor(c)
-			p.plan = NewPlan(planSeed, PlanConfig{
-				NumUEs:    c.Config().NumUEs,
-				Horizon:   chaosDuration + chaosDrain/2,
-				Intensity: 1,
-			})
-			p.inj = NewInjector(c, injSeed)
-			Attach(c, p.plan, p.inj, p.mon)
-			return nil
-		},
-	}.Build()
+	h, ch := chaosConfig.Harness()
+	cell, err := h.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.cell = cell
-	return p
+	return chaosParts{cell, ch}
 }
 
-func (p chaosParts) finish(t *testing.T) Result {
-	t.Helper()
+func (p chaosParts) finish() Result {
 	p.cell.Run(chaosDuration + chaosDrain)
-	return Result{
-		Samples:  p.cell.FCT.Samples(),
-		Stats:    p.cell.CollectStats(),
-		Monitor:  p.mon.Finalize(),
-		Injector: p.inj.Stats(),
-		Plan:     p.plan,
-	}
+	return p.Result(p.cell)
 }
 
 // TestChaosResumeEquivalence extends the resume-equivalence gate to
@@ -95,7 +59,7 @@ func (p chaosParts) finish(t *testing.T) Result {
 // apply/revert transitions and the injector's rng position all cross
 // the checkpoint.
 func TestChaosResumeEquivalence(t *testing.T) {
-	ref := buildChaos(t).finish(t)
+	ref := buildChaos(t).finish()
 	if len(ref.Samples) == 0 {
 		t.Fatal("no flows completed under chaos")
 	}
@@ -111,46 +75,20 @@ func TestChaosResumeEquivalence(t *testing.T) {
 	if err := p.cell.SnapshotTo(&b); err != nil {
 		t.Fatalf("cell snapshot: %v", err)
 	}
-	p.inj.SnapshotTo(&b)
-	p.mon.SnapshotTo(&b)
+	p.Injector.SnapshotTo(&b)
+	p.Monitor.SnapshotTo(&b)
 	a, err := snapshot.Open(b.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Fresh process: rebuild from config + seeds, overlay the snapshot.
-	master := rng.New(chaosSeed)
-	cellSeed := master.Uint64()
-	_ = master.Uint64() // workload seed: arrivals come back via the registry
-	planSeed := master.Uint64()
-	injSeed := master.Uint64()
-	cell2, err := ran.NewCell(chaosCellConfig(cellSeed))
+	_, ch := chaosConfig.Harness()
+	cell2, err := ch.Resume(a)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("resume: %v", err)
 	}
-	mon2 := NewMonitor(cell2)
-	inj2 := NewInjector(cell2, injSeed)
-	plan2 := NewPlan(planSeed, PlanConfig{
-		NumUEs:    cell2.Config().NumUEs,
-		Horizon:   chaosDuration + chaosDrain/2,
-		Intensity: 1,
-	})
-	h := inj2.hooks()
-	h.OnTTI = mon2.onTTI
-	h.OnDeliver = mon2.onDeliver
-	h.OnReestablish = mon2.onReestablish
-	cell2.SetFaultHooks(h)
-	inj2.PrepareResume(plan2)
-	if err := cell2.RestoreSnapshot(a); err != nil {
-		t.Fatalf("cell restore: %v", err)
-	}
-	if err := inj2.RestoreFrom(a); err != nil {
-		t.Fatalf("injector restore: %v", err)
-	}
-	if err := mon2.RestoreFrom(a); err != nil {
-		t.Fatalf("monitor restore: %v", err)
-	}
-	res := chaosParts{cell: cell2, mon: mon2, inj: inj2, plan: plan2}.finish(t)
+	res := chaosParts{cell2, ch}.finish()
 
 	if len(ref.Samples) != len(res.Samples) {
 		t.Fatalf("uninterrupted chaos run completed %d flows, resumed %d", len(ref.Samples), len(res.Samples))
@@ -187,21 +125,21 @@ func TestChaosArchiveGolden(t *testing.T) {
 	const mid = 520 * sim.Millisecond // a CQI blackout is active, PDU drops are behind, most of the plan ahead
 	p.cell.Run(mid)
 	pending := 0
-	for _, ev := range p.plan {
+	for _, ev := range p.Plan {
 		if ev.Kind != WorkerCrash && (ev.Start > mid || (ev.Kind != ForceRLF && ev.End() > mid)) {
 			pending++
 		}
 	}
-	if pending == 0 || p.inj.Stats() == (InjectorStats{}) || p.mon.report.Checks == 0 {
+	if pending == 0 || p.Injector.Stats() == (InjectorStats{}) || p.Monitor.report.Checks == 0 {
 		t.Fatalf("%d plan transitions pending, injector stats %+v, %d monitor checks; the archive would pin nothing",
-			pending, p.inj.Stats(), p.mon.report.Checks)
+			pending, p.Injector.Stats(), p.Monitor.report.Checks)
 	}
 	var b snapshot.Builder
 	if err := p.cell.SnapshotTo(&b); err != nil {
 		t.Fatal(err)
 	}
-	p.inj.SnapshotTo(&b)
-	p.mon.SnapshotTo(&b)
+	p.Injector.SnapshotTo(&b)
+	p.Monitor.SnapshotTo(&b)
 	img := b.Bytes()
 	if runtime.GOARCH != "amd64" {
 		t.Skip("digest is recorded on amd64")
@@ -217,12 +155,12 @@ func TestChaosArchiveGolden(t *testing.T) {
 func TestWalkRoundTrip(t *testing.T) {
 	p := buildChaos(t)
 	p.cell.Run(520 * sim.Millisecond)
-	p.mon.violate("test-rule", "a violation, so the report's records are walked too")
+	p.Monitor.violate("test-rule", "a violation, so the report's records are walked too")
 	fresh := buildChaos(t)
-	snapshottest.RoundTrip(t, p.inj.walk, fresh.inj.walk)
-	snapshottest.RoundTrip(t, p.mon.walk, fresh.mon.walk)
-	if !reflect.DeepEqual(p.mon.report, fresh.mon.report) || len(fresh.mon.seen) == 0 {
-		t.Fatalf("restored monitor differs: %+v vs %+v (%d seen)", p.mon.report, fresh.mon.report, len(fresh.mon.seen))
+	snapshottest.RoundTrip(t, p.Injector.walk, fresh.Injector.walk)
+	snapshottest.RoundTrip(t, p.Monitor.walk, fresh.Monitor.walk)
+	if !reflect.DeepEqual(p.Monitor.report, fresh.Monitor.report) || len(fresh.Monitor.seen) == 0 {
+		t.Fatalf("restored monitor differs: %+v vs %+v (%d seen)", p.Monitor.report, fresh.Monitor.report, len(fresh.Monitor.seen))
 	}
 }
 
@@ -247,7 +185,7 @@ func TestMonitorRejectsCountBeyondInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon := buildChaos(t).mon
+	mon := buildChaos(t).Monitor
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	err = mon.RestoreFrom(a)
@@ -266,8 +204,8 @@ func TestInjectorRestoreErrors(t *testing.T) {
 	p := buildChaos(t)
 	p.cell.Run(100 * sim.Millisecond)
 	var b snapshot.Builder
-	p.inj.SnapshotTo(&b)
-	p.mon.SnapshotTo(&b)
+	p.Injector.SnapshotTo(&b)
+	p.Monitor.SnapshotTo(&b)
 	a, err := snapshot.Open(b.Bytes())
 	if err != nil {
 		t.Fatal(err)
