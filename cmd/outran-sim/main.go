@@ -144,8 +144,7 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 	kpiEvery := fs.Duration("kpi-every", 0, "sample per-cell KPI records at this sim-time cadence (0 = off)")
 	kpiPath := fs.String("kpi", "", "write the KPI time-series JSONL to this file (needs -kpi-every; read with outran-trace kpi or outran-trace top)")
 	profileRun := fs.Bool("profile", false, "attribute wall ns/TTI to phy/mac/rlc/pdcp/obs phases (single cell; shown in the summary, never in byte-compared outputs)")
-	streamFCT := fs.Bool("stream-fct", false, "record FCTs into bounded-memory streaming histograms instead of retaining per-flow samples")
-	exactFCT := fs.Bool("exact-fct", false, "with -cells > 1: opt back into exact per-flow FCT samples (capped per cell; deployments stream by default)")
+	streamFCT := fs.Bool("stream-fct", false, "record FCTs into bounded-memory streaming histograms instead of retaining per-flow samples (always on with -cells > 1)")
 	jsonOut := fs.Bool("json", false, "print the run summary as JSON instead of text")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file")
@@ -154,6 +153,12 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 			return options{}, err
 		}
 		return options{}, fmt.Errorf("%w: %v", cli.ErrUsage, err)
+	}
+	// A negative size or instant would be silently replaced or ignored.
+	for _, name := range []string{"ues", "rbs", "dur", "cells", "handover", "checkpoint-every"} {
+		if v := fs.Lookup(name).Value.String(); strings.HasPrefix(v, "-") {
+			return options{}, fmt.Errorf("%w: -%s %s is negative", cli.ErrUsage, name, v)
+		}
 	}
 
 	if _, ok := workload.ByName(*distName); !ok {
@@ -174,6 +179,7 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 		cfg.RLC = ran.AM
 	}
 	cfg.KPIEvery = sim.Time(*kpiEvery)
+	cfg.StreamFCT = *streamFCT
 
 	// The workload rides on the config: a scenario spec, a plain Poisson
 	// spec, or a trace replay. The harness pulls from the built Source.
@@ -205,59 +211,30 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 	switch {
 	case *kpiPath != "" && *kpiEvery <= 0:
 		return options{}, fmt.Errorf("-kpi needs -kpi-every > 0")
-	case *exactFCT && *streamFCT:
-		return options{}, fmt.Errorf("-exact-fct and -stream-fct are mutually exclusive")
 	case *profileRun && !single:
 		return options{}, fmt.Errorf("-profile needs -cells 1 (phase timings are per-cell wall clock)")
 	case *handover > 0 && single:
 		return options{}, fmt.Errorf("-handover needs -cells >= 2")
 	}
 
-	// perCell names each cell's file of a per-cell output: the path as
-	// given for a single cell, run.jsonl -> run.cellN.jsonl otherwise.
-	perCell := func(path string) func(int) string {
-		switch {
-		case path == "":
-			return nil
-		case single:
-			return func(int) string { return path }
-		}
-		return func(i int) string { return cellTracePath(path, i) }
-	}
 	dcfg := deploy.Config{
-		Cells:   max(*cells, 1),
-		Workers: *parallel,
-		Cell:    cfg,
-		Window:  sim.Time(*durFlag),
-		Drain:   drain,
-		Seed:    *seed,
-		// A single cell keeps per-flow FCT samples unless told to stream;
-		// deployments stream unless told to keep them.
-		ExactFCT:             (single || *exactFCT) && !*streamFCT,
-		Checkpoint:           deploy.CheckpointConfig{Every: sim.Time(*ckEvery)},
-		KPIPath:              *kpiPath,
-		Profile:              *profileRun,
-		TracePathFor:         perCell(*tracePath),
-		WorkloadTracePathFor: perCell(*traceOut),
+		Cells:             max(*cells, 1),
+		Workers:           *parallel,
+		Cell:              cfg,
+		Window:            sim.Time(*durFlag),
+		Drain:             drain,
+		Seed:              *seed,
+		Checkpoint:        deploy.CheckpointConfig{Every: sim.Time(*ckEvery)},
+		KPIPath:           *kpiPath,
+		Profile:           *profileRun,
+		TracePath:         *tracePath,
+		WorkloadTracePath: *traceOut,
 	}
 	if dcfg.Window <= 0 {
 		dcfg.Window = 8 * sim.Second
 	}
 	if *ckEvery > 0 || *resume {
 		dcfg.Checkpoint.Dir = *ckDir
-	}
-	// Each cell replays its own trace file, the ones a -trace-out run
-	// of the same shape wrote; a single cell runs on -seed itself, not
-	// on the first draw of the deployment's master stream.
-	replay := perCell(*workloadTrace)
-	dcfg.PerCell = func(i int, c ran.Config) ran.Config {
-		if single {
-			c = c.WithSeed(*seed)
-		}
-		if replay != nil {
-			c = c.WithWorkload(workload.ReplaySpec(replay(i)))
-		}
-		return c
 	}
 	if *handover > 0 {
 		dcfg.Handovers = []deploy.Handover{{
@@ -285,13 +262,6 @@ func writeJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(v)
-}
-
-// cellTracePath derives the per-cell trace filename: run.jsonl ->
-// run.cell0.jsonl.
-func cellTracePath(path string, cell int) string {
-	ext := filepath.Ext(path)
-	return fmt.Sprintf("%s.cell%d%s", strings.TrimSuffix(path, ext), cell, ext)
 }
 
 func printDeployment(w io.Writer, res *deploy.Result, o options) {

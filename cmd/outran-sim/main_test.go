@@ -27,22 +27,6 @@ import (
 // TestFlagMapping pins flags -> deploy.Config: everything the run does
 // is decided here, so this table is the CLI's contract.
 func TestFlagMapping(t *testing.T) {
-	wantPaths := func(t *testing.T, what string, f func(int) string, want ...string) {
-		t.Helper()
-		if f == nil {
-			t.Fatalf("%s: no per-cell path function", what)
-		}
-		for i, w := range want {
-			if got := f(i); got != w {
-				t.Errorf("%s path of cell %d = %q, want %q", what, i, got, w)
-			}
-		}
-	}
-	// replayPath reads back the trace file the PerCell hook points each
-	// cell's workload at.
-	replayPath := func(o options) func(int) string {
-		return func(i int) string { return o.deploy.PerCell(i, o.deploy.Cell).Workload.TraceFile }
-	}
 	cases := []struct {
 		name  string
 		args  string
@@ -50,15 +34,15 @@ func TestFlagMapping(t *testing.T) {
 	}{
 		{"defaults are one exact-FCT cell on -seed", "", func(t *testing.T, o options) {
 			d := o.deploy
-			if d.Cells != 1 || d.Workers != 0 || d.Window != 8*sim.Second || d.Drain != drain {
-				t.Errorf("cells %d workers %d window %v drain %v", d.Cells, d.Workers, d.Window, d.Drain)
+			if d.Cells != 1 || d.Workers != 0 || d.Window != 8*sim.Second || d.Drain != drain || d.Seed != 1 {
+				t.Errorf("cells %d workers %d window %v drain %v seed %d", d.Cells, d.Workers, d.Window, d.Drain, d.Seed)
 			}
-			if !d.ExactFCT || d.Profile || d.KPIPath != "" || d.TracePathFor != nil || d.WorkloadTracePathFor != nil {
-				t.Errorf("ExactFCT %v Profile %v KPIPath %q trace %v workload trace %v",
-					d.ExactFCT, d.Profile, d.KPIPath, d.TracePathFor != nil, d.WorkloadTracePathFor != nil)
+			if d.Cell.StreamFCT || d.Profile || d.KPIPath != "" || d.TracePath != "" || d.WorkloadTracePath != "" {
+				t.Errorf("StreamFCT %v Profile %v KPIPath %q trace %q workload trace %q",
+					d.Cell.StreamFCT, d.Profile, d.KPIPath, d.TracePath, d.WorkloadTracePath)
 			}
-			if d.Checkpoint.Enabled() || len(d.Handovers) != 0 || o.resume || o.jsonOut {
-				t.Errorf("checkpoint %+v handovers %v resume %v json %v", d.Checkpoint, d.Handovers, o.resume, o.jsonOut)
+			if d.Checkpoint.Enabled() || len(d.Handovers) != 0 || len(d.Crashes) != 0 || o.resume || o.jsonOut {
+				t.Errorf("checkpoint %+v handovers %v crashes %v resume %v json %v", d.Checkpoint, d.Handovers, d.Crashes, o.resume, o.jsonOut)
 			}
 			if d.Cell.Scheduler != ran.SchedOutRAN || d.Cell.NumUEs != 20 || d.Cell.Grid.NumRB != 50 || d.Cell.RLC != ran.UM {
 				t.Errorf("cell config %v/%d/%d/%v", d.Cell.Scheduler, d.Cell.NumUEs, d.Cell.Grid.NumRB, d.Cell.RLC)
@@ -68,46 +52,44 @@ func TestFlagMapping(t *testing.T) {
 			}
 		}},
 		{"single cell pins the cell seed", "-seed 7", func(t *testing.T, o options) {
-			// deploy hands PerCell the master stream's first draw; the
-			// single-cell run must come back on -seed itself.
-			if got := o.deploy.PerCell(0, o.deploy.Cell.WithSeed(12345)).Seed; got != 7 {
-				t.Errorf("cell seed %d, want 7", got)
+			// deploy runs a single cell on the deployment seed itself.
+			if o.deploy.Seed != 7 || o.deploy.Cell.Seed != 7 {
+				t.Errorf("seed %d, cell seed %d, want 7", o.deploy.Seed, o.deploy.Cell.Seed)
 			}
 		}},
 		{"deployment keeps derived seeds and streams", "-cells 3 -seed 7 -parallel 2", func(t *testing.T, o options) {
-			if got := o.deploy.PerCell(1, o.deploy.Cell.WithSeed(12345)).Seed; got != 12345 {
-				t.Errorf("cell seed %d, want the derived 12345", got)
-			}
-			if o.deploy.Seed != 7 || o.deploy.Cells != 3 || o.deploy.Workers != 2 || o.deploy.ExactFCT {
-				t.Errorf("seed %d cells %d workers %d ExactFCT %v", o.deploy.Seed, o.deploy.Cells, o.deploy.Workers, o.deploy.ExactFCT)
+			// deploy derives the cell seeds from Seed and streams every
+			// cell's FCTs; the flags set only the plain fields.
+			if o.deploy.Seed != 7 || o.deploy.Cells != 3 || o.deploy.Workers != 2 || o.deploy.Cell.StreamFCT {
+				t.Errorf("seed %d cells %d workers %d StreamFCT %v", o.deploy.Seed, o.deploy.Cells, o.deploy.Workers, o.deploy.Cell.StreamFCT)
 			}
 		}},
 		{"-stream-fct turns exact off for one cell", "-stream-fct", func(t *testing.T, o options) {
-			if o.deploy.ExactFCT {
-				t.Error("ExactFCT set")
-			}
-		}},
-		{"-exact-fct turns exact on for a deployment", "-cells 2 -exact-fct", func(t *testing.T, o options) {
-			if !o.deploy.ExactFCT {
-				t.Error("ExactFCT not set")
+			if !o.deploy.Cell.StreamFCT {
+				t.Error("StreamFCT not set")
 			}
 		}},
 		{"single-cell outputs use the path as given", "-trace run.jsonl -trace-out w.jsonl", func(t *testing.T, o options) {
-			wantPaths(t, "trace", o.deploy.TracePathFor, "run.jsonl")
-			wantPaths(t, "workload trace", o.deploy.WorkloadTracePathFor, "w.jsonl")
+			if o.deploy.TracePath != "run.jsonl" || o.deploy.WorkloadTracePath != "w.jsonl" {
+				t.Errorf("trace %q workload trace %q", o.deploy.TracePath, o.deploy.WorkloadTracePath)
+			}
 		}},
 		{"deployment outputs are per cell", "-cells 2 -trace run.jsonl -trace-out out/w.jsonl", func(t *testing.T, o options) {
-			wantPaths(t, "trace", o.deploy.TracePathFor, "run.cell0.jsonl", "run.cell1.jsonl")
-			wantPaths(t, "workload trace", o.deploy.WorkloadTracePathFor, "out/w.cell0.jsonl", "out/w.cell1.jsonl")
+			// deploy names the per-cell files (TestPerCellPaths).
+			if o.deploy.TracePath != "run.jsonl" || o.deploy.WorkloadTracePath != "out/w.jsonl" {
+				t.Errorf("trace %q workload trace %q", o.deploy.TracePath, o.deploy.WorkloadTracePath)
+			}
 		}},
 		{"single-cell replay reads the path as given", "-workload-trace w.jsonl", func(t *testing.T, o options) {
-			wantPaths(t, "replay", replayPath(o), "w.jsonl")
-			if o.wlDesc != "trace:w.jsonl" {
-				t.Errorf("wlDesc %q", o.wlDesc)
+			if !reflect.DeepEqual(o.deploy.Cell.Workload, workload.ReplaySpec("w.jsonl")) || o.wlDesc != "trace:w.jsonl" {
+				t.Errorf("workload %+v desc %q", o.deploy.Cell.Workload, o.wlDesc)
 			}
 		}},
 		{"deployment replay is per cell", "-cells 2 -workload-trace w.jsonl", func(t *testing.T, o options) {
-			wantPaths(t, "replay", replayPath(o), "w.cell0.jsonl", "w.cell1.jsonl")
+			// deploy names the per-cell files (TestPerCellPaths).
+			if !reflect.DeepEqual(o.deploy.Cell.Workload, workload.ReplaySpec("w.jsonl")) || o.deploy.Cells != 2 {
+				t.Errorf("workload %+v cells %d", o.deploy.Cell.Workload, o.deploy.Cells)
+			}
 		}},
 		{"scenario workload", "-workload diurnal -dist websearch -load 0.8", func(t *testing.T, o options) {
 			want, _ := workload.Scenario("diurnal", "websearch", 0.8)
@@ -169,7 +151,6 @@ func TestFlagMapping(t *testing.T) {
 		{"-kpi without -kpi-every", "-kpi k.jsonl", false},
 		{"-handover with one cell", "-handover 3s", false},
 		{"-profile with a deployment", "-cells 2 -profile", false},
-		{"-exact-fct with -stream-fct", "-cells 2 -exact-fct -stream-fct", false},
 		{"unknown -workload", "-workload nope", false},
 		{"unknown -sched", "-sched nope", false},
 		{"unknown -dist", "-dist nope", true},
@@ -454,6 +435,31 @@ func TestNonFiniteFlags(t *testing.T) {
 		}
 		if stdout.Len() != 0 {
 			t.Errorf("%s %s: a rejected run wrote a summary:\n%s", tc.flag, tc.value, stdout.String())
+		}
+	}
+}
+
+// TestNegativeSizes: a negative size or instant is a usage error (exit
+// status 2). Before, each of these ran and exited 0: -ues -3 ran 1 UE,
+// -rbs -15 ran 100 RBs, -dur -1s ran 8 s, -cells -2 ran one cell,
+// -handover -1s applied no handover and -checkpoint-every -1s wrote no
+// checkpoint.
+func TestNegativeSizes(t *testing.T) {
+	for _, neg := range [][]string{
+		{"-ues", "-3"},
+		{"-rbs", "-15"},
+		{"-dur", "-1s"},
+		{"-cells", "-2"},
+		{"-handover", "-1s", "-cells", "2"},
+		{"-checkpoint-every", "-1s"},
+	} {
+		var stdout bytes.Buffer
+		err := run(with(small, neg...), &stdout, io.Discard)
+		if !errors.Is(err, cli.ErrUsage) || !strings.Contains(err.Error(), neg[0]+" "+neg[1]) {
+			t.Errorf("outran-sim %s: err = %v, want a usage error naming the flag", strings.Join(neg, " "), err)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("outran-sim %s: a rejected run wrote a summary", strings.Join(neg, " "))
 		}
 	}
 }

@@ -127,25 +127,40 @@ func newCheckpointer(cc CheckpointConfig, cell int) *checkpointer {
 }
 
 // attach binds the checkpointer to its cell, registers the checkpoint
-// instruments, creates the checkpoint directory, and scans it for
-// files left by an earlier incarnation (so retention keeps counting
-// across a resume). traceOffset, when non-nil, reports the cell's
-// absolute trace size in bytes (obs.JSONLSink.BytesWritten plus any
-// resumed-from base).
-func (ck *checkpointer) attach(c *ran.Cell, traceOffset func() int64) error {
+// instruments, and takes over the cell's files in the checkpoint
+// directory: those taken at or before keep are this lineage's and count
+// toward Retain (so retention keeps counting across a resume); newer
+// ones are removed. A fresh run passes keep = -1 and so starts with
+// none — files an earlier run left must never pass for its own. A
+// resume passes its restore instant: a cell that was "a file ahead" at
+// kill time still carries checkpoints its resumed lineage never
+// produced and re-writes. traceOffset, when non-nil, reports the
+// cell's absolute trace size in bytes (obs.JSONLSink.BytesWritten plus
+// any resumed-from base).
+func (ck *checkpointer) attach(c *ran.Cell, traceOffset func() int64, keep sim.Time) error {
 	ck.c = c
 	ck.traceOffset = traceOffset
 	c.Reg.Gauge("checkpoint_period_s").Set(ck.every.Seconds())
 	ck.writes = c.Reg.Counter("checkpoint_writes")
 	ck.bytes = c.Reg.Gauge("checkpoint_bytes")
-	if err := os.MkdirAll(ck.dir, 0o755); err != nil {
-		return fmt.Errorf("deploy: checkpoint dir: %w", err)
-	}
 	files, err := checkpointFiles(ck.dir, ck.cell)
 	if err != nil {
 		return err
 	}
-	ck.files = files
+	ck.files = files[:0]
+	for _, f := range files {
+		t, err := checkpointTime(f)
+		if err != nil {
+			return err
+		}
+		if t > keep {
+			if err := os.Remove(f); err != nil && !os.IsNotExist(err) {
+				return fmt.Errorf("deploy: removing stale checkpoint: %w", err)
+			}
+			continue
+		}
+		ck.files = append(ck.files, f)
+	}
 	return nil
 }
 
@@ -236,22 +251,14 @@ func (ck *checkpointer) restore(cfg ran.Config, at sim.Time, tracePath string) (
 	var tf *traceFile
 	var off func() int64
 	if tracePath != "" {
-		tf, err = resumeTraceFile(tracePath, meta.TraceOffset)
+		tf, err = openTraceFile(tracePath, true, meta.TraceOffset)
 		if err != nil {
 			return nil, nil, CheckpointMeta{}, err
 		}
 		c.SetTracerResumed(tf.Tracer())
 		off = tf.Offset
 	}
-	if err := ck.attach(c, off); err != nil {
-		return nil, tf, CheckpointMeta{}, err
-	}
-	// Files newer than the resume instant are stale: this lineage never
-	// produced them (the deployment resumes every cell from the oldest
-	// shared barrier, so a cell that was "a file ahead" at kill time
-	// still carries the newer checkpoints). They must be removed, not
-	// counted toward Retain — the resumed run re-writes those instants.
-	if err := ck.pruneNewerThan(at); err != nil {
+	if err := ck.attach(c, off, at); err != nil {
 		return nil, tf, CheckpointMeta{}, err
 	}
 	if err := c.RestoreSnapshot(a); err != nil {
@@ -266,28 +273,6 @@ func (ck *checkpointer) restore(cfg ran.Config, at sim.Time, tracePath string) (
 	// emission, and the write counter came back from the snapshot.
 	c.Tracer().Emit(obs.Event{T: meta.At, Type: obs.EvCheckpoint, Size: st.Size(), Sent: int64(ck.writes.Value())})
 	return c, tf, meta, nil
-}
-
-// pruneNewerThan deletes this cell's checkpoint files taken after the
-// given instant and drops them from the retention list (which attach
-// filled oldest-first; removing a suffix keeps it ordered).
-func (ck *checkpointer) pruneNewerThan(at sim.Time) error {
-	kept := ck.files[:0]
-	for _, f := range ck.files {
-		t, err := checkpointTime(f)
-		if err != nil {
-			return err
-		}
-		if t > at {
-			if err := os.Remove(f); err != nil && !os.IsNotExist(err) {
-				return fmt.Errorf("deploy: pruning stale checkpoint: %w", err)
-			}
-			continue
-		}
-		kept = append(kept, f)
-	}
-	ck.files = kept
-	return nil
 }
 
 // checkpointPath names cell's checkpoint at the given instant. The
@@ -337,44 +322,50 @@ func checkpointTime(path string) (sim.Time, error) {
 	return sim.Time(ns), nil
 }
 
+// openOutput opens a runtime-owned output file. A fresh run creates
+// it; a resumed run reopens it truncated back to off, the checkpoint's
+// offset, and appends from there — re-emitting exactly the suffix the
+// uninterrupted run would have written. what names the file in errors;
+// missing is the error's reason when a resume has no offset (off < 0).
+func openOutput(what, path string, resume bool, off int64, missing string) (*os.File, error) {
+	if !resume {
+		f, err := os.Create(path)
+		if err != nil {
+			return nil, fmt.Errorf("deploy: %s: %w", what, err)
+		}
+		return f, nil
+	}
+	if off < 0 {
+		return nil, fmt.Errorf("deploy: %s %s: checkpoint has no %s", what, path, missing)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("deploy: %s: %w", what, err)
+	}
+	if err := f.Truncate(off); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("deploy: truncating %s %s to %d: %w", what, path, off, err)
+	}
+	return f, nil
+}
+
 // traceFile is a runtime-owned JSONL trace file — the form of tracing
 // that supports crash recovery, because the runtime can truncate the
 // file back to a checkpoint's offset and append the replayed suffix.
 type traceFile struct {
-	path   string
-	file   *os.File
 	sink   *obs.JSONLSink
 	tracer *obs.Tracer
 	base   int64 // bytes present before this sink's writes
 }
 
-// openTraceFile starts a fresh trace file.
-func openTraceFile(path string) (*traceFile, error) {
-	f, err := os.Create(path)
+// openTraceFile starts a trace file, or resumes one at off (openOutput).
+func openTraceFile(path string, resume bool, off int64) (*traceFile, error) {
+	f, err := openOutput("trace", path, resume, off, "trace offset (original run was not tracing)")
 	if err != nil {
-		return nil, fmt.Errorf("deploy: trace: %w", err)
+		return nil, err
 	}
 	sink := obs.NewJSONLSink(f)
-	return &traceFile{path: path, file: f, sink: sink, tracer: obs.NewTracer(sink)}, nil
-}
-
-// resumeTraceFile truncates the trace file back to off and appends
-// from there — the resumed run re-emits exactly the suffix the
-// uninterrupted run would have written.
-func resumeTraceFile(path string, off int64) (*traceFile, error) {
-	if off < 0 {
-		return nil, fmt.Errorf("deploy: trace %s: checkpoint has no trace offset (original run was not tracing)", path)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("deploy: trace: %w", err)
-	}
-	if err := f.Truncate(off); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("deploy: truncating trace %s to %d: %w", path, off, err)
-	}
-	sink := obs.NewJSONLSink(f)
-	return &traceFile{path: path, file: f, sink: sink, tracer: obs.NewTracer(sink), base: off}, nil
+	return &traceFile{sink: sink, tracer: obs.NewTracer(sink), base: off}, nil
 }
 
 // Tracer returns the tracer bound to this file (install via
@@ -396,32 +387,13 @@ type kpiFile struct {
 	base    int64 // bytes present before this sampler's writes
 }
 
-// openKPIFile starts a fresh KPI stream with the given sampling
-// interval.
-func openKPIFile(path string, every sim.Time) (*kpiFile, error) {
-	f, err := os.Create(path)
+// openKPIFile starts a KPI stream, or resumes one at off (openOutput).
+func openKPIFile(path string, resume bool, off int64) (*kpiFile, error) {
+	f, err := openOutput("kpi", path, resume, off, "KPI offset (original run emitted no KPI stream)")
 	if err != nil {
-		return nil, fmt.Errorf("deploy: kpi: %w", err)
+		return nil, err
 	}
-	return &kpiFile{sampler: obs.NewKPISampler(f, every)}, nil
-}
-
-// resumeKPIFile truncates the KPI stream back to off and appends from
-// there — the resumed run re-emits exactly the suffix the
-// uninterrupted run would have written.
-func resumeKPIFile(path string, every sim.Time, off int64) (*kpiFile, error) {
-	if off < 0 {
-		return nil, fmt.Errorf("deploy: kpi %s: checkpoint has no KPI offset (original run emitted no KPI stream)", path)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("deploy: kpi: %w", err)
-	}
-	if err := f.Truncate(off); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("deploy: truncating kpi %s to %d: %w", path, off, err)
-	}
-	return &kpiFile{sampler: obs.NewKPISampler(f, every), base: off}, nil
+	return &kpiFile{sampler: obs.NewKPISampler(f), base: off}, nil
 }
 
 // Emit appends one record to the stream.

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"outran/internal/deploy"
-	"outran/internal/fault"
 	"outran/internal/sim"
 )
 
@@ -25,17 +24,13 @@ func checkpointedDeployment(dir string, retain int) deploy.Config {
 		Every:  150 * sim.Millisecond,
 		Retain: retain,
 	}
-	cfg.TracePathFor = tracePathIn(dir)
+	cfg.TracePath = tracePathIn(dir)
 	return cfg
 }
 
-// tracePathIn names per-cell trace files dir/traceN.jsonl, the layout
-// outcomeOf reads back.
-func tracePathIn(dir string) func(int) string {
-	return func(cell int) string {
-		return filepath.Join(dir, fmt.Sprintf("trace%d.jsonl", cell))
-	}
-}
+// tracePathIn is the TracePath whose per-cell files
+// (dir/trace.cellN.jsonl) outcomeOf reads back.
+func tracePathIn(dir string) string { return filepath.Join(dir, "trace.jsonl") }
 
 // deployOutcome flattens a deployment result plus its trace files into
 // comparable bytes.
@@ -56,7 +51,7 @@ func outcomeOf(t *testing.T, dir string, res *deploy.Result) deployOutcome {
 		out.cells = append(out.cells, b)
 	}
 	for i := range res.Cells {
-		b, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("trace%d.jsonl", i)))
+		b, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("trace.cell%d.jsonl", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +149,7 @@ func TestDeployResumeEquivalence(t *testing.T) {
 }
 
 // TestDeployCrashRecovery is the scripted-crash acceptance gate: a
-// fault.WorkerCrash event kills one cell mid-deployment at an instant
+// scripted Crash kills one cell mid-deployment at an instant
 // that is not a checkpoint barrier; the runtime restores it from its
 // latest checkpoint and replays the lost segment. The deployment
 // summary and every trace must be byte-identical to the crash-free
@@ -169,11 +164,7 @@ func TestDeployCrashRecovery(t *testing.T) {
 
 	dirB := t.TempDir()
 	cfgB := checkpointedDeployment(dirB, 2)
-	cfgB.Crashes = []fault.Event{{
-		Kind:  fault.WorkerCrash,
-		UE:    1, // cell index
-		Start: 420 * sim.Millisecond,
-	}}
+	cfgB.Crashes = []deploy.Crash{{Cell: 1, At: 420 * sim.Millisecond}}
 	resB, err := deploy.Run(cfgB)
 	if err != nil {
 		t.Fatal(err)
@@ -290,8 +281,8 @@ func TestCheckpointRetentionAcrossResume(t *testing.T) {
 // TestCheckpointValidation covers the checkpoint/crash configuration
 // error paths.
 func TestCheckpointValidation(t *testing.T) {
-	crash := func(cell int, at sim.Time) []fault.Event {
-		return []fault.Event{{Kind: fault.WorkerCrash, UE: cell, Start: at}}
+	crash := func(cell int, at sim.Time) []deploy.Crash {
+		return []deploy.Crash{{Cell: cell, At: at}}
 	}
 	cases := []struct {
 		name string
@@ -299,11 +290,8 @@ func TestCheckpointValidation(t *testing.T) {
 	}{
 		{"crash without checkpointing", func(c *deploy.Config) {
 			c.Checkpoint = deploy.CheckpointConfig{}
-			c.TracePathFor = nil
+			c.TracePath = ""
 			c.Crashes = crash(0, 400*sim.Millisecond)
-		}},
-		{"crash with wrong kind", func(c *deploy.Config) {
-			c.Crashes = []fault.Event{{Kind: fault.DeepFade, UE: 0, Start: 400 * sim.Millisecond}}
 		}},
 		{"crash cell out of range", func(c *deploy.Config) {
 			c.Crashes = crash(7, 400*sim.Millisecond)
@@ -436,16 +424,56 @@ func TestTraceFlushErrorFailsRun(t *testing.T) {
 	} else {
 		f.Close()
 	}
-	cfg := smallDeployment(1)
-	cfg.TracePathFor = func(cell int) string {
-		if cell == 2 {
-			return full
-		}
-		return ""
+	dir := t.TempDir()
+	if err := os.Symlink(full, filepath.Join(dir, "t.cell2.jsonl")); err != nil {
+		t.Fatal(err)
 	}
+	cfg := smallDeployment(1)
+	cfg.TracePath = filepath.Join(dir, "t.jsonl")
 	if _, err := deploy.Run(cfg); err == nil {
 		t.Fatal("deploy.Run succeeded although cell 2's trace could not be written")
 	} else if !strings.Contains(err.Error(), "cell 2 trace") {
 		t.Fatalf("error does not name the failed trace: %v", err)
 	}
+}
+
+// TestFreshRunDropsEarlierCheckpoints: a fresh Run owns none of the
+// checkpoints an earlier run left in its directory. Before, it counted
+// them as its own lineage, and a later Resume restored from the other
+// run's newer file and returned its results as this run's. A Resume
+// whose newest shared checkpoint is at or past its horizon — resuming
+// with a shorter run than the original — is refused.
+func TestFreshRunDropsEarlierCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	long := checkpointedDeployment(dir, 100)
+	long.Drain = 2 * sim.Second // checkpoints to 2.25 s
+	if _, err := deploy.Run(long); err != nil {
+		t.Fatal(err)
+	}
+	short := checkpointedDeployment(dir, 100) // horizon 700 ms
+	if _, err := deploy.Resume(short); err == nil {
+		t.Fatal("Resume from checkpoints past the horizon succeeded")
+	}
+
+	res, err := deploy.Run(short)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := outcomeOf(t, dir, res)
+	for cell := 0; cell < short.Cells; cell++ {
+		files := mustCheckpointFiles(t, short.Checkpoint.Dir, cell)
+		for at := range files {
+			if at >= 700*sim.Millisecond {
+				t.Errorf("cell %d keeps the earlier run's checkpoint at %v", cell, at)
+			}
+		}
+		if len(files) != 4 {
+			t.Errorf("cell %d has %d checkpoints, want the run's own 4", cell, len(files))
+		}
+	}
+	resumed, err := deploy.Resume(short)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareOutcomes(t, want, outcomeOf(t, dir, resumed), "resume after a fresh run")
 }

@@ -23,7 +23,7 @@
 // Checkpointing extends the same barrier structure: with
 // Config.Checkpoint set, every cell snapshots at each checkpoint
 // instant (atomic rename-into-place, newest Retain files kept). A
-// killed run resumes with Resume; a scripted fault.WorkerCrash kills
+// killed run resumes with Resume; a scripted Crash kills
 // one cell mid-run and the runtime restores it from its latest
 // checkpoint and replays — in both cases the per-cell summaries and
 // traces are byte-identical to an uninterrupted run, because cell
@@ -33,9 +33,10 @@ package deploy
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 
-	"outran/internal/fault"
 	"outran/internal/metrics"
 	"outran/internal/obs"
 	"outran/internal/pdcp"
@@ -61,7 +62,17 @@ type Handover struct {
 	ContinueBytes int64
 }
 
-// Config describes one deployment run.
+// Crash scripts one worker crash: cell Cell's in-memory state at At is
+// discarded, restored from its latest checkpoint, and replayed —
+// results stay byte-identical to a crash-free run.
+type Crash struct {
+	Cell int
+	At   sim.Time
+}
+
+// Config describes one deployment run. It is plain data: the runtime
+// derives every per-cell choice (seed, FCT recorder, file names) from
+// it by fixed rules, so a run description can be printed and compared.
 type Config struct {
 	// Cells is the number of cells (default 1).
 	Cells int
@@ -69,67 +80,52 @@ type Config struct {
 	// GOMAXPROCS. The worker count never changes results.
 	Workers int
 	// Cell is the per-cell base configuration; each cell gets a copy
-	// with its own derived seed. Its Workload spec declares the traffic
-	// every cell offers (use PerCell for heterogeneous workloads).
+	// with its own seed. Its Workload spec declares the traffic every
+	// cell offers; a replayed Workload.TraceFile is per cell like the
+	// output paths below. A deployment of two or more cells always
+	// streams FCTs (~20 KB per cell regardless of flow count, which is
+	// what makes city-scale cell counts fit in memory); one cell keeps
+	// Cell.StreamFCT.
 	Cell ran.Config
 	// Warmup/Window/Tail/Drain is the shared measurement methodology
 	// (ran.Harness fields of the same names).
 	Warmup, Window, Tail, Drain sim.Time
-	// Seed is the deployment master seed; per-cell seeds derive from
-	// it in cell order. 0 falls back to Cell.Seed, then to 1.
+	// Seed is the deployment seed; 0 falls back to Cell.Seed. One cell
+	// runs on it itself; N cells run on draws from a master stream
+	// seeded with it (1 if it is 0), in cell order.
 	Seed uint64
 	// Handovers scripts inter-cell UE migrations, applied in script
 	// order at each shared instant.
 	Handovers []Handover
-	// TracePathFor, when non-nil, gives each cell a runtime-owned
-	// JSONL trace file ("" = no trace for that cell), installed before
-	// the cell's first event. The runtime owns the file so that on crash
-	// or resume it can truncate it back to the checkpoint's offset and
-	// let the replay append the exact suffix an uninterrupted run would
-	// have written.
-	TracePathFor func(cell int) string
+	// TracePath, when non-empty, gives each cell a runtime-owned JSONL
+	// trace file, installed before the cell's first event: one cell
+	// writes the path as given, N cells name.cellN.ext. The runtime
+	// owns the file so that on crash or resume it can truncate it back
+	// to the checkpoint's offset and let the replay append the exact
+	// suffix an uninterrupted run would have written.
+	TracePath string
 	// Profile installs a wall-clock phase profiler on every cell, on
 	// build and on every restore. Host timing: it fills
 	// RunSummary.Phases and touches no trace, KPI record or checkpoint.
 	Profile bool
-	// PerCell, when non-nil, may adjust each cell's derived config
-	// (heterogeneous deployments). It must be deterministic in the
-	// cell index.
-	PerCell func(cell int, cfg ran.Config) ran.Config
-	// WorkloadTracePathFor, when non-nil, gives each cell a workload
-	// trace file ("" = none): the exact flow schedule the cell offered,
-	// written during build as a versioned JSONL trace
-	// (workload.TraceWriter). Replaying a cell's trace via
-	// Workload.TraceFile reproduces its run byte-identically. It must
-	// be deterministic in the cell index.
-	WorkloadTracePathFor func(cell int) string
+	// WorkloadTracePath, when non-empty, writes each cell's workload
+	// trace (per-cell names as for TracePath): the exact flow schedule
+	// the cell offered, written during build as a versioned JSONL trace
+	// (workload.TraceWriter). Replaying it via Cell.Workload.TraceFile
+	// reproduces the run byte-identically.
+	WorkloadTracePath string
 	// KPIPath, when non-empty, writes the live KPI stream to this JSONL
 	// file: one record per cell per sampling instant (in cell order)
 	// followed, when Cells > 1, by one deployment roll-up record
-	// (Cell == -1). Requires
-	// Cell.KPIEvery > 0; the base Cell config fixes the cadence (a
-	// PerCell hook must not change KPIEvery). The stream derives only
-	// from simulation state, so same-seed runs produce byte-identical
-	// files for any worker count, and kill-and-resume or scripted
-	// crashes re-emit the exact suffix.
+	// (Cell == -1). Requires Cell.KPIEvery > 0, the cadence. The
+	// stream derives only from simulation state, so same-seed runs
+	// produce byte-identical files for any worker count, and
+	// kill-and-resume or scripted crashes re-emit the exact suffix.
 	KPIPath string
-	// ExactFCT opts into the exact per-flow FCT recorder for every
-	// cell. Deployment runs default to the streaming recorder
-	// (ran.Config.StreamFCT is forced on): ~20 KB per cell regardless
-	// of flow count, which is what makes city-scale cell counts fit in
-	// memory. The exact path retains every FCTSample and is capped at
-	// metrics.DefaultExactCap samples per cell — past the cap the
-	// recorder folds into a streaming accumulator and the run carries
-	// on (finish() notes the degradation on stderr).
-	ExactFCT bool
 	// Checkpoint enables periodic checkpointing (see CheckpointConfig).
 	Checkpoint CheckpointConfig
-	// Crashes scripts worker crashes: each event must have Kind
-	// fault.WorkerCrash, UE holding the CELL index, and Start the
-	// crash instant. The cell's in-memory state at Start is discarded,
-	// restored from its latest checkpoint, and replayed — results stay
-	// byte-identical to a crash-free run. Requires Checkpoint.
-	Crashes []fault.Event
+	// Crashes scripts worker crashes. Requires Checkpoint.
+	Crashes []Crash
 }
 
 // CellResult is one cell's contribution to the deployment result.
@@ -205,7 +201,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	if rs.cfg.KPIPath != "" {
-		rs.kpiFile, err = openKPIFile(rs.cfg.KPIPath, rs.cfg.Cell.KPIEvery)
+		rs.kpiFile, err = openKPIFile(rs.cfg.KPIPath, false, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -241,7 +237,7 @@ func Resume(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	if rs.cfg.KPIPath != "" {
-		rs.kpiFile, err = resumeKPIFile(rs.cfg.KPIPath, rs.cfg.Cell.KPIEvery, kpiOff)
+		rs.kpiFile, err = openKPIFile(rs.cfg.KPIPath, true, kpiOff)
 		if err != nil {
 			return nil, err
 		}
@@ -264,9 +260,6 @@ func prepare(cfg Config) (*runState, error) {
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = cfg.Cell.Seed
-	}
-	if seed == 0 {
-		seed = 1
 	}
 	cfg.Checkpoint = cfg.Checkpoint.WithDefaults()
 	total := cfg.Warmup + cfg.Window + cfg.Tail + cfg.Drain
@@ -298,36 +291,41 @@ func prepare(cfg Config) (*runState, error) {
 			return nil, fmt.Errorf("deploy: handover %d: ContinueBytes needs a persistent connection, which checkpointing cannot serialise", i)
 		}
 	}
-	for i, ev := range cfg.Crashes {
+	for i, cr := range cfg.Crashes {
 		switch {
 		case !ckOn:
 			return nil, fmt.Errorf("deploy: crash %d: Crashes require Checkpoint.Dir", i)
-		case ev.Kind != fault.WorkerCrash:
-			return nil, fmt.Errorf("deploy: crash %d: kind %v, want %v", i, ev.Kind, fault.WorkerCrash)
-		case ev.UE < 0 || ev.UE >= n:
-			return nil, fmt.Errorf("deploy: crash %d: cell %d outside [0,%d)", i, ev.UE, n)
-		case ev.Start <= cfg.Checkpoint.Every || ev.Start >= total:
+		case cr.Cell < 0 || cr.Cell >= n:
+			return nil, fmt.Errorf("deploy: crash %d: cell %d outside [0,%d)", i, cr.Cell, n)
+		case cr.At <= cfg.Checkpoint.Every || cr.At >= total:
 			return nil, fmt.Errorf("deploy: crash %d: time %v outside (%v,%v) — a crash needs a checkpoint before it",
-				i, ev.Start, cfg.Checkpoint.Every, total)
+				i, cr.At, cfg.Checkpoint.Every, total)
 		}
 		// The replay window (last checkpoint, crash] must not contain a
 		// handover touching the crashed cell: replaying the segment
 		// cannot re-apply a deployment-level transfer.
-		lastCk := (ev.Start - 1) / cfg.Checkpoint.Every * cfg.Checkpoint.Every
+		lastCk := (cr.At - 1) / cfg.Checkpoint.Every * cfg.Checkpoint.Every
 		for j, h := range cfg.Handovers {
-			if (h.From == ev.UE || h.To == ev.UE) && h.At > lastCk && h.At <= ev.Start {
+			if (h.From == cr.Cell || h.To == cr.Cell) && h.At > lastCk && h.At <= cr.At {
 				return nil, fmt.Errorf("deploy: crash %d at %v: handover %d at %v touches cell %d inside the replay window (after checkpoint %v)",
-					i, ev.Start, j, h.At, ev.UE, lastCk)
+					i, cr.At, j, h.At, cr.Cell, lastCk)
 			}
 		}
 	}
 
-	// Derive per-cell seeds from one master stream, in cell order,
-	// before any parallel work: the worker count cannot perturb them.
-	master := rng.New(seed)
-	seeds := make([]uint64, n)
-	for i := range seeds {
-		seeds[i] = master.Uint64()
+	// One cell runs on the deployment seed itself. N cells draw theirs
+	// from one master stream, in cell order, before any parallel work:
+	// the worker count cannot perturb them.
+	seeds := []uint64{seed}
+	if n > 1 {
+		if seed == 0 {
+			seed = 1
+		}
+		master := rng.New(seed)
+		seeds = make([]uint64, n)
+		for i := range seeds {
+			seeds[i] = master.Uint64()
+		}
 	}
 	rs := &runState{
 		cfg:    cfg,
@@ -357,19 +355,27 @@ func prepare(cfg Config) (*runState, error) {
 	return rs, nil
 }
 
-// cellConfig derives cell i's effective configuration. Streaming FCT
-// is the deployment default — Config.ExactFCT is the explicit opt-in
-// for per-flow retention — and the same derivation runs on build and
+// cellConfig derives cell i's effective configuration: its seed, its
+// replayed workload trace, and the streaming FCT recorder every cell of
+// a multi-cell deployment uses. The same derivation runs on build and
 // restore, so checkpoint fingerprints agree.
 func (rs *runState) cellConfig(i int) ran.Config {
 	ccfg := rs.cfg.Cell.WithSeed(rs.seeds[i])
-	if !rs.cfg.ExactFCT {
+	ccfg.Workload.TraceFile = rs.cellPath(ccfg.Workload.TraceFile, i)
+	if rs.n > 1 {
 		ccfg.StreamFCT = true
 	}
-	if rs.cfg.PerCell != nil {
-		ccfg = rs.cfg.PerCell(i, ccfg)
-	}
 	return ccfg
+}
+
+// cellPath names cell i's file of a per-cell path: one cell uses the
+// path as given, N cells name.cellN.ext ("" stays "").
+func (rs *runState) cellPath(path string, i int) string {
+	if path == "" || rs.n == 1 {
+		return path
+	}
+	ext := filepath.Ext(path)
+	return fmt.Sprintf("%s.cell%d%s", strings.TrimSuffix(path, ext), i, ext)
 }
 
 // build constructs every cell from scratch (cell construction is
@@ -384,30 +390,26 @@ func (rs *runState) build() error {
 			Tail:   rs.cfg.Tail,
 			Drain:  rs.cfg.Drain,
 		}
-		if rs.cfg.TracePathFor != nil {
-			if path := rs.cfg.TracePathFor(i); path != "" {
-				tf, err := openTraceFile(path)
-				if err != nil {
-					return err
-				}
-				rs.traces[i] = tf
-				h.Tracer = tf.Tracer()
+		if path := rs.cellPath(rs.cfg.TracePath, i); path != "" {
+			tf, err := openTraceFile(path, false, 0)
+			if err != nil {
+				return err
 			}
+			rs.traces[i] = tf
+			h.Tracer = tf.Tracer()
 		}
 		// The workload trace is fully written during Build (the harness
 		// walks the whole schedule into it before the cell pulls its
 		// first flow), so the file closes here — no lifetime to manage
 		// across the run.
 		var wt *os.File
-		if rs.cfg.WorkloadTracePathFor != nil {
-			if path := rs.cfg.WorkloadTracePathFor(i); path != "" {
-				f, err := os.Create(path)
-				if err != nil {
-					return fmt.Errorf("workload trace: %w", err)
-				}
-				wt = f
-				h.WorkloadTrace = f
+		if path := rs.cellPath(rs.cfg.WorkloadTracePath, i); path != "" {
+			f, err := os.Create(path)
+			if err != nil {
+				return fmt.Errorf("workload trace: %w", err)
 			}
+			wt = f
+			h.WorkloadTrace = f
 		}
 		cell, err := h.Build()
 		if wt != nil {
@@ -428,7 +430,9 @@ func (rs *runState) build() error {
 			if rs.traces[i] != nil {
 				off = rs.traces[i].Offset
 			}
-			if err := ck.attach(cell, off); err != nil {
+			// A fresh run owns no earlier checkpoints: -1 removes any an
+			// earlier run left for this cell before the first write.
+			if err := ck.attach(cell, off, -1); err != nil {
 				return err
 			}
 			rs.cks[i] = ck
@@ -458,6 +462,9 @@ func (rs *runState) restore() (sim.Time, int64, error) {
 			from = at
 		}
 	}
+	if from >= rs.total {
+		return 0, -1, fmt.Errorf("deploy: newest shared checkpoint at %v is not before the run's horizon %v (resuming with a shorter run than the original?)", from, rs.total)
+	}
 	kpiOff := int64(-1)
 	err := ForEach(rs.n, rs.cfg.Workers, func(i int) error {
 		meta, err := rs.restoreCell(i, from)
@@ -483,10 +490,6 @@ func (rs *runState) restore() (sim.Time, int64, error) {
 // restoreCell rebuilds cell i from its checkpoint at the given
 // instant and resumes its trace file.
 func (rs *runState) restoreCell(i int, at sim.Time) (CheckpointMeta, error) {
-	var tracePath string
-	if rs.cfg.TracePathFor != nil {
-		tracePath = rs.cfg.TracePathFor(i)
-	}
 	if tf := rs.traces[i]; tf != nil {
 		// A crashed cell's trace is about to be truncated back to the
 		// checkpoint offset, but a failed flush still means the disk
@@ -497,7 +500,7 @@ func (rs *runState) restoreCell(i int, at sim.Time) (CheckpointMeta, error) {
 		}
 	}
 	ck := newCheckpointer(rs.cfg.Checkpoint, i)
-	cell, tf, meta, err := ck.restore(rs.cellConfig(i), at, tracePath)
+	cell, tf, meta, err := ck.restore(rs.cellConfig(i), at, rs.cellPath(rs.cfg.TracePath, i))
 	rs.traces[i] = tf
 	if err != nil {
 		return CheckpointMeta{}, err
@@ -522,9 +525,9 @@ func (rs *runState) loop(from sim.Time) error {
 		if err := runAll(rs.cells, rs.cfg.Workers, t); err != nil {
 			return err
 		}
-		for _, ev := range rs.cfg.Crashes {
-			if ev.Start == t && ev.Start > from {
-				if err := rs.handleCrash(ev.UE, t); err != nil {
+		for _, cr := range rs.cfg.Crashes {
+			if cr.At == t && cr.At > from {
+				if err := rs.handleCrash(cr.Cell, t); err != nil {
 					return err
 				}
 			}
@@ -628,8 +631,8 @@ func (rs *runState) barriers(from sim.Time) []sim.Time {
 	for _, h := range rs.cfg.Handovers {
 		set[h.At] = true
 	}
-	for _, ev := range rs.cfg.Crashes {
-		set[ev.Start] = true
+	for _, cr := range rs.cfg.Crashes {
+		set[cr.At] = true
 	}
 	// Order-free: set union; the result is sorted below
 	for t := range rs.ckAt {
@@ -689,39 +692,30 @@ func (rs *runState) handleCrash(i int, t sim.Time) error {
 }
 
 // finish folds the per-cell results in cell order: identical for any
-// worker count. Cells on the streaming FCT path contribute their
-// histograms via Merge (no per-flow samples exist to re-record);
-// exact-path cells contribute samples. A mixed deployment merges both
-// into one streaming aggregate.
+// worker count. One cell reports its own FCT recorder, exact or
+// streaming as Cell.StreamFCT chose; the cells of a deployment all
+// stream, and their histograms merge.
 func (rs *runState) finish() (*Result, error) {
 	rs.res.Live = rs.cells
-	agg := &metrics.FCTRecorder{}
-	for _, c := range rs.cells {
-		if c.FCT.Stream() != nil {
-			agg = metrics.NewStreamingFCTRecorder()
-			break
-		}
-	}
 	for i, c := range rs.cells {
 		rs.res.Cells = append(rs.res.Cells, CellResult{Cell: i, Summary: c.Summary()})
-		if c.FCT.Degraded() {
-			// Only possible on ExactFCT runs: the cell outgrew the
-			// sample cap and folded into streaming mid-run. The results
-			// are still correct (streaming quantiles), but the caller
-			// asked for exact samples and should know they are partial.
-			fmt.Fprintf(os.Stderr, "deploy: cell %d exact FCT recorder hit its sample cap and degraded to streaming\n", i)
-		}
-		if s := c.FCT.Stream(); s != nil {
+	}
+	agg := rs.cells[0].FCT
+	if rs.n > 1 {
+		agg = metrics.NewStreamingFCTRecorder()
+		for i, c := range rs.cells {
 			// All streams share one fixed bucket layout; Merge cannot
 			// fail, but surface a defect loudly rather than dropping data.
-			if err := agg.Stream().Merge(s); err != nil {
+			if err := agg.Stream().Merge(c.FCT.Stream()); err != nil {
 				return nil, fmt.Errorf("deploy: merging cell %d FCT stream: %w", i, err)
 			}
-			continue
 		}
-		for _, s := range c.FCT.Samples() {
-			agg.Record(s)
-		}
+	} else if agg.Degraded() {
+		// The exact recorder outgrew its sample cap and folded into
+		// streaming mid-run. The results are still correct (streaming
+		// quantiles), but the caller asked for exact samples and should
+		// know they are partial.
+		fmt.Fprintln(os.Stderr, "deploy: the cell's exact FCT recorder hit its sample cap and degraded to streaming")
 	}
 	rs.res.Aggregate.Cells = rs.n
 	rs.res.Aggregate.Seed = rs.seed
@@ -826,20 +820,7 @@ func aggregateCounters(cells []CellResult) metrics.RunCounters {
 	var se, fair float64
 	for _, c := range cells {
 		st := c.Summary.Counters
-		out.BufferDrops += st.BufferDrops
-		out.BufferEvictions += st.BufferEvictions
-		out.DecipherFailures += st.DecipherFailures
-		out.ReassemblyDrops += st.ReassemblyDrops
-		out.HARQFailures += st.HARQFailures
-		out.AMAbandoned += st.AMAbandoned
-		out.AMRetxBytes += st.AMRetxBytes
-		out.FlowsStarted += st.FlowsStarted
-		out.FlowsCompleted += st.FlowsCompleted
-		out.TTIs += st.TTIs
-		out.AMDeliveryFailures += st.AMDeliveryFailures
-		out.HARQFeedbackErrors += st.HARQFeedbackErrors
-		out.BackhaulDrops += st.BackhaulDrops
-		out.Reestablishments += st.Reestablishments
+		out.Add(st)
 		srtt += st.MeanSRTT
 		se += st.MeanSpectralEff
 		fair += st.MeanFairnessIndex

@@ -1,10 +1,15 @@
 package deploy_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"outran/internal/deploy"
 	"outran/internal/ran"
+	"outran/internal/rng"
 	"outran/internal/sim"
 	"outran/internal/workload"
 )
@@ -40,7 +45,7 @@ func TestParallelSerialEquivalence(t *testing.T) {
 	run := func(workers int) deployOutcome {
 		dir := t.TempDir()
 		cfg := smallDeployment(workers)
-		cfg.TracePathFor = tracePathIn(dir)
+		cfg.TracePath = tracePathIn(dir)
 		res, err := deploy.Run(cfg)
 		if err != nil {
 			t.Fatalf("deploy.Run(workers=%d): %v", workers, err)
@@ -118,10 +123,10 @@ func TestDeploymentValidation(t *testing.T) {
 	}
 }
 
-// TestStreamingFCTDefault pins the city-scale memory contract:
-// deployment runs record FCTs into bounded streaming accumulators
-// unless the caller opts back into exact per-flow retention with
-// Config.ExactFCT — and both modes agree on the aggregate counts.
+// TestStreamingFCTDefault pins the city-scale memory contract: a
+// deployment of two or more cells records FCTs into bounded streaming
+// accumulators although Cell.StreamFCT is off, while one cell keeps the
+// recorder its config chose — and both recorders agree on the counts.
 func TestStreamingFCTDefault(t *testing.T) {
 	cfg := smallDeployment(0)
 	res, err := deploy.Run(cfg)
@@ -130,37 +135,120 @@ func TestStreamingFCTDefault(t *testing.T) {
 	}
 	for i, c := range res.Live {
 		if c.FCT.Stream() == nil {
-			t.Errorf("cell %d retains exact samples; deployments must stream by default", i)
+			t.Errorf("cell %d retains exact samples; deployments must stream", i)
 		}
 		if got := len(c.FCT.Samples()); got != 0 {
-			t.Errorf("cell %d: %d exact samples under streaming default, want 0", i, got)
+			t.Errorf("cell %d: %d exact samples in a deployment, want 0", i, got)
 		}
 	}
 
-	exact := smallDeployment(0)
-	exact.ExactFCT = true
-	eres, err := deploy.Run(exact)
+	one := smallDeployment(0)
+	one.Cells, one.Handovers = 1, nil
+	eres, err := deploy.Run(one)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var samples int
-	for i, c := range eres.Live {
-		if c.FCT.Stream() != nil {
-			t.Errorf("cell %d streams despite ExactFCT", i)
-		}
-		samples += len(c.FCT.Samples())
+	if c := eres.Live[0]; c.FCT.Stream() != nil || len(c.FCT.Samples()) == 0 {
+		t.Fatalf("one cell without Cell.StreamFCT: streams %v, %d exact samples", c.FCT.Stream() != nil, len(c.FCT.Samples()))
 	}
-	if samples == 0 {
-		t.Fatal("ExactFCT run retained no samples")
+	one.Cell.StreamFCT = true
+	sres, err := deploy.Run(one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sres.Live[0].FCT.Stream() == nil {
+		t.Fatal("one cell with Cell.StreamFCT retains exact samples")
 	}
 	// Same seed, same horizon: the recorder mode never changes what is
 	// simulated, only how completions are summarised.
-	if res.Aggregate.FCTOverall.Count != eres.Aggregate.FCTOverall.Count {
+	if sres.Aggregate.FCTOverall.Count != eres.Aggregate.FCTOverall.Count {
 		t.Fatalf("FCT count differs by recorder mode: streaming %d, exact %d",
-			res.Aggregate.FCTOverall.Count, eres.Aggregate.FCTOverall.Count)
+			sres.Aggregate.FCTOverall.Count, eres.Aggregate.FCTOverall.Count)
 	}
-	if res.Aggregate.Counters.FlowsCompleted != eres.Aggregate.Counters.FlowsCompleted {
+	if sres.Aggregate.Counters.FlowsCompleted != eres.Aggregate.Counters.FlowsCompleted {
 		t.Fatalf("FlowsCompleted differs by recorder mode: streaming %d, exact %d",
-			res.Aggregate.Counters.FlowsCompleted, eres.Aggregate.Counters.FlowsCompleted)
+			sres.Aggregate.Counters.FlowsCompleted, eres.Aggregate.Counters.FlowsCompleted)
+	}
+}
+
+// TestCellSeeds: one cell runs on the deployment seed itself (Cell.Seed
+// when Seed is 0); N cells run on the master stream's draws, in cell
+// order.
+func TestCellSeeds(t *testing.T) {
+	cfg := smallDeployment(0)
+	cfg.Handovers = nil
+	res, err := deploy.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	master := rng.New(cfg.Seed)
+	for i, c := range res.Cells {
+		if want := master.Uint64(); c.Summary.Seed != want {
+			t.Errorf("cell %d seed %d, want master draw %d", i, c.Summary.Seed, want)
+		}
+	}
+
+	cfg.Cells = 1
+	for _, tc := range []struct{ seed, cellSeed, want uint64 }{{42, 5, 42}, {0, 9, 9}} {
+		cfg.Seed, cfg.Cell.Seed = tc.seed, tc.cellSeed
+		res, err := deploy.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Cells[0].Summary.Seed; got != tc.want {
+			t.Errorf("one cell with Seed %d, Cell.Seed %d: runs on %d, want %d", tc.seed, tc.cellSeed, got, tc.want)
+		}
+	}
+}
+
+// TestPerCellPaths: one cell uses TracePath, WorkloadTracePath and a
+// replayed Workload.TraceFile as given; N cells use name.cellN.ext for
+// each, and each cell replays the workload trace it wrote.
+func TestPerCellPaths(t *testing.T) {
+	dir := t.TempDir()
+	in := func(name string) string { return filepath.Join(dir, name) }
+	for _, tc := range []struct {
+		cells int
+		name  string
+		files []string
+	}{
+		{1, "one", []string{"one.jsonl", "one-w.jsonl"}},
+		{2, "two", []string{"two.cell0.jsonl", "two.cell1.jsonl", "two-w.cell0.jsonl", "two-w.cell1.jsonl"}},
+	} {
+		cfg := smallDeployment(0)
+		cfg.Cells, cfg.Handovers = tc.cells, nil
+		cfg.TracePath, cfg.WorkloadTracePath = in(tc.name+".jsonl"), in(tc.name+"-w.jsonl")
+		emit, err := deploy.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range tc.files {
+			if st, err := os.Stat(in(f)); err != nil || st.Size() == 0 {
+				t.Errorf("%d cell(s): %s not written: %v", tc.cells, f, err)
+			}
+		}
+
+		cfg.TracePath, cfg.WorkloadTracePath = "", ""
+		cfg.Cell = cfg.Cell.WithWorkload(workload.ReplaySpec(in(tc.name + "-w.jsonl")))
+		replay, err := deploy.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range emit.Cells {
+			a, err := json.Marshal(emit.Cells[i].Summary)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := json.Marshal(replay.Cells[i].Summary)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				t.Errorf("%d cell(s): cell %d replay differs from the run that wrote its trace", tc.cells, i)
+			}
+		}
+	}
+	if _, err := os.Stat(in("two.jsonl")); !os.IsNotExist(err) {
+		t.Errorf("a deployment wrote the unsuffixed trace path: %v", err)
 	}
 }

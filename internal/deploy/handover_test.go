@@ -1,6 +1,9 @@
 package deploy_test
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"outran/internal/deploy"
@@ -111,28 +114,52 @@ func TestHandoverPreservesFlowState(t *testing.T) {
 // TestDeploymentHandover drives the same §7 transfer through the
 // deployment runtime's scripted path: a single long flow on cell 0's
 // UE 0, a handover to cell 1 mid-run, and a recorded continuation flow
-// at the target.
+// at the target. The cells replay per-cell workload traces
+// (w.cell0.jsonl holds the flow, w.cell1.jsonl none), so the target
+// holds no flow of its own on the migrated five-tuple.
 func TestDeploymentHandover(t *testing.T) {
+	dir := t.TempDir()
+	for i, flows := range [][]workload.FlowSpec{
+		{{Start: 10 * sim.Millisecond, UE: 0, Size: 1 << 20}},
+		nil,
+	} {
+		f, err := os.Create(filepath.Join(dir, fmt.Sprintf("w.cell%d.jsonl", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := workload.WriteTrace(f, flows); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const at = 200 * sim.Millisecond
 	cfg := deploy.Config{
 		Cells: 2,
 		Cell: ran.DefaultLTEConfig().
 			WithTopology(2, 25).
-			ForScheduler(ran.SchedOutRAN),
+			ForScheduler(ran.SchedOutRAN).
+			WithWorkload(workload.ReplaySpec(filepath.Join(dir, "w.jsonl"))),
 		Window: 300 * sim.Millisecond,
 		Drain:  5 * sim.Second,
 		Seed:   11,
-		PerCell: func(cell int, cfg ran.Config) ran.Config {
-			if cell != 0 {
-				return cfg
-			}
-			return cfg.WithWorkload(workload.Spec{
-				Extra: []workload.FlowSpec{{Start: 10 * sim.Millisecond, UE: 0, Size: 1 << 20}},
-			})
-		},
-		Handovers: []deploy.Handover{{
-			At: 200 * sim.Millisecond, UE: 0, From: 0, To: 1, ContinueBytes: 64 << 10,
-		}},
 	}
+	base, err := deploy.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The same deployment stopped at the handover instant: its source
+	// holds the sent-bytes the handover exports.
+	probe := cfg
+	probe.Window, probe.Drain = at, 0
+	upTo, err := deploy.Run(probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Handovers = []deploy.Handover{{
+		At: at, UE: 0, From: 0, To: 1, ContinueBytes: 64 << 10,
+	}}
 	res, err := deploy.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -143,13 +170,16 @@ func TestDeploymentHandover(t *testing.T) {
 	if res.Aggregate.FlowsTransferred != 1 {
 		t.Fatalf("flows transferred = %d, want 1", res.Aggregate.FlowsTransferred)
 	}
-	// The target cell ran the recorded continuation flow.
-	target := res.Cells[1].Summary.Counters
-	if target.FlowsStarted != 1 || target.FlowsCompleted != 1 {
-		t.Fatalf("target cell flows = %d started / %d completed, want 1/1",
-			target.FlowsStarted, target.FlowsCompleted)
+	// The target cell ran exactly one flow more than without the
+	// handover: the recorded continuation.
+	target, alone := res.Cells[1].Summary.Counters, base.Cells[1].Summary.Counters
+	if target.FlowsStarted != alone.FlowsStarted+1 || target.FlowsCompleted != alone.FlowsCompleted+1 {
+		t.Fatalf("target cell flows = %d started / %d completed, want %d/%d",
+			target.FlowsStarted, target.FlowsCompleted, alone.FlowsStarted+1, alone.FlowsCompleted+1)
 	}
-	// And it sees the source's sent-bytes for the migrated tuple.
+	// And it sees the source's sent-bytes for the migrated tuple: the
+	// imported count plus the completed continuation, on a tuple it
+	// held nothing on without the handover.
 	tuples, err := res.Live[0].UEFlows(0)
 	if err != nil {
 		t.Fatal(err)
@@ -157,11 +187,22 @@ func TestDeploymentHandover(t *testing.T) {
 	if len(tuples) != 1 {
 		t.Fatalf("source tracks %d flows, want 1", len(tuples))
 	}
+	if own, err := base.Live[1].FlowSentBytes(0, tuples[0]); err != nil || own != 0 {
+		t.Fatalf("target holds %d sent bytes on the tuple without a handover (%v), want 0", own, err)
+	}
+	exported, err := upTo.Live[0].FlowSentBytes(0, tuples[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exported <= 0 {
+		t.Fatalf("source sent nothing on the tuple by %v, test can't bite", at)
+	}
 	got, err := res.Live[1].FlowSentBytes(0, tuples[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got <= 0 {
-		t.Fatalf("target has no imported sent-bytes for the migrated flow")
+	if want := exported + cfg.Handovers[0].ContinueBytes; got != want {
+		t.Fatalf("target has %d sent bytes for the migrated flow, want %d (%d imported + %d continued)",
+			got, want, exported, cfg.Handovers[0].ContinueBytes)
 	}
 }

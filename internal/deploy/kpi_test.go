@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"outran/internal/deploy"
-	"outran/internal/fault"
 	"outran/internal/obs"
 	"outran/internal/sim"
 	"outran/internal/snapshot"
@@ -187,11 +186,7 @@ func TestKPICrashReplayByteIdentity(t *testing.T) {
 
 	dirB := t.TempDir()
 	cfgB := kpiCheckpointedDeployment(dirB, 2)
-	cfgB.Crashes = []fault.Event{{
-		Kind:  fault.WorkerCrash,
-		UE:    1, // cell index
-		Start: 420 * sim.Millisecond,
-	}}
+	cfgB.Crashes = []deploy.Crash{{Cell: 1, At: 420 * sim.Millisecond}}
 	res, err := deploy.Run(cfgB)
 	if err != nil {
 		t.Fatal(err)

@@ -239,17 +239,8 @@ func fold(runs []runResult) *runResult {
 		agg.SESamples = append(agg.SESamples, r.SESamples...)
 		agg.ActiveSamples = append(agg.ActiveSamples, r.ActiveSamples...)
 		agg.FairSamples = append(agg.FairSamples, r.FairSamples...)
-		st := r.Stats
-		agg.Stats.BufferDrops += st.BufferDrops
-		agg.Stats.DecipherFailures += st.DecipherFailures
-		agg.Stats.ReassemblyDrops += st.ReassemblyDrops
-		agg.Stats.HARQFailures += st.HARQFailures
-		agg.Stats.AMAbandoned += st.AMAbandoned
-		agg.Stats.AMRetxBytes += st.AMRetxBytes
-		agg.Stats.FlowsStarted += st.FlowsStarted
-		agg.Stats.FlowsCompleted += st.FlowsCompleted
-		agg.Stats.TTIs += st.TTIs
-		srttSum += st.MeanSRTT
+		agg.Stats.Add(r.Stats)
+		srttSum += r.Stats.MeanSRTT
 		delaySum += r.DelayMean
 		delayShortSum += r.DelayShort
 	}

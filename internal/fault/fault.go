@@ -46,13 +46,6 @@ const (
 	// ForceRLF triggers an immediate radio-link failure and RRC
 	// re-establishment for one UE (Duration and Magnitude unused).
 	ForceRLF
-	// WorkerCrash is a deployment-level directive, not a sim event: the
-	// worker running this cell dies at Start and the deployment runtime
-	// must restore the cell from its latest checkpoint and replay. The
-	// injector ignores it (UE, Duration and Magnitude unused); plans
-	// never generate it — it is scripted by crash-recovery tests and
-	// the deployment runtime's chaos mode.
-	WorkerCrash
 
 	numKinds
 )
@@ -75,8 +68,6 @@ func (k Kind) String() string {
 		return "backhaul-outage"
 	case ForceRLF:
 		return "force-rlf"
-	case WorkerCrash:
-		return "worker-crash"
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
 }
@@ -123,7 +114,6 @@ var kindRates = [numKinds]float64{
 	BackhaulDegrade: 0.5,
 	BackhaulOutage:  0.3,
 	ForceRLF:        0.2,
-	WorkerCrash:     0, // never generated; scripted only (Poisson(0) draws nothing, so existing seeds keep their plans)
 }
 
 // NewPlan draws a randomized fault schedule from the seed. Identical

@@ -84,14 +84,10 @@ const (
 
 // Schedule installs the plan's apply/revert transitions on the cell's
 // engine, with the injector as the cell's external-event handler. Call
-// before the first Run. WorkerCrash events are deployment-level
-// directives and are not scheduled on the engine.
+// before the first Run.
 func (in *Injector) Schedule(plan Plan) {
 	in.PrepareResume(plan)
 	for i, ev := range plan {
-		if ev.Kind == WorkerCrash {
-			continue
-		}
 		in.cell.ScheduleExternal(ev.Start, uint64(i)<<1|phaseApply)
 		if ev.Kind != ForceRLF {
 			in.cell.ScheduleExternal(ev.End(), uint64(i)<<1|phaseRevert)

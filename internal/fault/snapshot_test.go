@@ -126,7 +126,7 @@ func TestChaosArchiveGolden(t *testing.T) {
 	p.cell.Run(mid)
 	pending := 0
 	for _, ev := range p.Plan {
-		if ev.Kind != WorkerCrash && (ev.Start > mid || (ev.Kind != ForceRLF && ev.End() > mid)) {
+		if ev.Start > mid || (ev.Kind != ForceRLF && ev.End() > mid) {
 			pending++
 		}
 	}

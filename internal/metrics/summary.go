@@ -29,6 +29,26 @@ type RunCounters struct {
 	Reestablishments   uint64 `json:"reestablishments"`     // RRC re-establishments performed
 }
 
+// Add sums o's countable fields into c. The means (MeanSRTT,
+// MeanSpectralEff, MeanFairnessIndex) are left to the caller, which
+// knows how to weigh them.
+func (c *RunCounters) Add(o RunCounters) {
+	c.BufferDrops += o.BufferDrops
+	c.BufferEvictions += o.BufferEvictions
+	c.DecipherFailures += o.DecipherFailures
+	c.ReassemblyDrops += o.ReassemblyDrops
+	c.HARQFailures += o.HARQFailures
+	c.AMAbandoned += o.AMAbandoned
+	c.AMRetxBytes += o.AMRetxBytes
+	c.FlowsStarted += o.FlowsStarted
+	c.FlowsCompleted += o.FlowsCompleted
+	c.TTIs += o.TTIs
+	c.AMDeliveryFailures += o.AMDeliveryFailures
+	c.HARQFeedbackErrors += o.HARQFeedbackErrors
+	c.BackhaulDrops += o.BackhaulDrops
+	c.Reestablishments += o.Reestablishments
+}
+
 // RunSummary is the complete JSON-exportable summary of one run: the
 // configuration line, the counter schema, and the FCT distribution per
 // size class. outran-sim -json emits it; the

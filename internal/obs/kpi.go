@@ -142,46 +142,28 @@ func AggregateKPI(t sim.Time, samples []KPISample) KPIRecord {
 	return out
 }
 
-// KPISampler owns a KPI JSONL stream: the sampling cadence and the
-// offset-tracked writer. Sampling itself is driven externally by the
-// run loop (the deploy runtime's barriers) so the instants are
-// identical across worker counts and across a checkpoint/restore
-// boundary.
+// KPISampler owns a KPI JSONL stream: the offset-tracked writer.
+// Sampling itself is driven externally by the run loop (the deploy
+// runtime's barriers) so the instants are identical across worker
+// counts and across a checkpoint/restore boundary.
 type KPISampler struct {
-	every sim.Time
-	w     *bufio.Writer
-	cw    *countingWriter
-	c     io.Closer
-	enc   *json.Encoder
-	err   error
+	w   *bufio.Writer
+	cw  *countingWriter
+	c   io.Closer
+	enc *json.Encoder
+	err error
 }
 
 // NewKPISampler wraps a writer (closed by Close when it is an
-// io.Closer) with the given sampling interval.
-func NewKPISampler(w io.Writer, every sim.Time) *KPISampler {
-	if every <= 0 {
-		panic("obs: non-positive KPI interval")
-	}
+// io.Closer).
+func NewKPISampler(w io.Writer) *KPISampler {
 	cw := &countingWriter{w: w}
 	bw := bufio.NewWriterSize(cw, 1<<16)
-	s := &KPISampler{every: every, w: bw, cw: cw, enc: json.NewEncoder(bw)}
+	s := &KPISampler{w: bw, cw: cw, enc: json.NewEncoder(bw)}
 	if c, ok := w.(io.Closer); ok {
 		s.c = c
 	}
 	return s
-}
-
-// Every returns the sampling interval.
-func (s *KPISampler) Every() sim.Time { return s.every }
-
-// Times returns the sampling instants for a run of the given length:
-// every, 2·every, … ≤ total.
-func (s *KPISampler) Times(total sim.Time) []sim.Time {
-	var out []sim.Time
-	for t := s.every; t <= total; t += s.every {
-		out = append(out, t)
-	}
-	return out
 }
 
 // Emit appends one record to the stream. The first error sticks.

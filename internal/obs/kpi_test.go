@@ -21,7 +21,7 @@ func kpiHist(vals ...float64) *Histogram {
 // Offset must track the exact byte position after each flush.
 func TestKPISamplerRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	s := NewKPISampler(&buf, 100*sim.Millisecond)
+	s := NewKPISampler(&buf)
 	recs := []KPIRecord{
 		{V: KPISchemaVersion, T: 100 * sim.Millisecond, Cell: 0, WinFlows: 3, WinP50Ms: 12.5, QueueBytes: []int64{10, 0, 4, 0}},
 		{V: KPISchemaVersion, T: 100 * sim.Millisecond, Cell: RollupCell, WinFlows: 3, Fairness: 1},
@@ -57,21 +57,6 @@ func TestKPISamplerRoundTrip(t *testing.T) {
 func TestReadKPIRejectsSchemaDrift(t *testing.T) {
 	if _, err := ReadKPI(bytes.NewReader([]byte(`{"v":99,"t":1,"cell":0}` + "\n"))); err == nil {
 		t.Error("ReadKPI accepted schema v99")
-	}
-}
-
-// TestKPISamplerTimes: instants are every, 2·every, … ≤ total —
-// including one exactly at the horizon.
-func TestKPISamplerTimes(t *testing.T) {
-	s := NewKPISampler(&bytes.Buffer{}, 100*sim.Millisecond)
-	got := s.Times(250 * sim.Millisecond)
-	want := []sim.Time{100 * sim.Millisecond, 200 * sim.Millisecond}
-	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-		t.Errorf("Times(250ms) = %v, want %v", got, want)
-	}
-	got = s.Times(200 * sim.Millisecond)
-	if len(got) != 2 || got[1] != 200*sim.Millisecond {
-		t.Errorf("Times(200ms) = %v, want the horizon instant included", got)
 	}
 }
 

@@ -50,7 +50,7 @@ func FuzzReadTrace(f *testing.F) {
 // that reads back to equal records without error.
 func FuzzReadKPI(f *testing.F) {
 	var valid bytes.Buffer
-	s := NewKPISampler(&valid, 100*sim.Millisecond)
+	s := NewKPISampler(&valid)
 	s.Emit(&KPIRecord{V: KPISchemaVersion, T: 100 * sim.Millisecond, WinFlows: 3, WinP50Ms: 12.5, QueueBytes: []int64{10, 0, 4}})
 	s.Emit(&KPIRecord{V: KPISchemaVersion, T: 100 * sim.Millisecond, Cell: RollupCell, Fairness: 1, QueueBytes: []int64{}})
 	if err := s.Close(); err != nil {
@@ -64,7 +64,7 @@ func FuzzReadKPI(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, _ := ReadKPI(bytes.NewReader(data))
 		var buf bytes.Buffer
-		s := NewKPISampler(&buf, sim.Millisecond)
+		s := NewKPISampler(&buf)
 		for i := range recs {
 			s.Emit(&recs[i])
 		}
