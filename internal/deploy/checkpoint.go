@@ -372,7 +372,8 @@ func openTraceFile(path string, resume bool, off int64) (*traceFile, error) {
 // ran.Harness.Tracer or ran.Cell.SetTracerResumed).
 func (tf *traceFile) Tracer() *obs.Tracer { return tf.tracer }
 
-// Offset returns the absolute trace size in bytes (flushes first).
+// Offset returns the absolute trace size in bytes (drains the encoder
+// and flushes first).
 func (tf *traceFile) Offset() int64 { return tf.base + tf.sink.BytesWritten() }
 
 // Close flushes and closes the file.

@@ -267,29 +267,43 @@ func FuzzEventEncoding(f *testing.F) {
 
 // streamOracle is what a JSONLSink must write for evs: appendEvent's
 // lines up to the first event JSON cannot carry, and for that event the
-// library's error.
-func streamOracle(evs []Event) (want []byte, wantErr error) {
+// library's error. ends[i] is len(want) once evs[:i+1] are through.
+func streamOracle(evs []Event) (want []byte, ends []int, wantErr error) {
+	ends = make([]int, len(evs))
 	for i := range evs {
-		line, ok := appendEvent(nil, &evs[i])
-		if !ok {
-			_, err := json.Marshal(&evs[i])
-			return want, err
+		if wantErr == nil {
+			line, ok := appendEvent(nil, &evs[i])
+			if ok {
+				want = append(want, line...)
+			} else {
+				_, wantErr = json.Marshal(&evs[i])
+			}
 		}
-		want = append(want, line...)
+		ends[i] = len(want)
 	}
-	return want, nil
+	return want, ends, wantErr
 }
 
 // checkStream feeds evs through one JSONLSink, behind a Tracer as in a
 // run (so the sink sees one reused *Event), and compares its bytes and
-// its Close error with streamOracle's.
-func checkStream(t testing.TB, evs []Event) {
+// its Close error with streamOracle's. After each event whose index is
+// in drains it calls BytesWritten, which must count the oracle's bytes
+// so far.
+func checkStream(t testing.TB, evs []Event, drains ...int) {
 	t.Helper()
-	want, wantErr := streamOracle(evs)
+	want, ends, wantErr := streamOracle(evs)
 	var buf bytes.Buffer
-	tr := NewTracer(NewJSONLSink(&buf))
-	for _, ev := range evs {
+	sink := NewJSONLSink(&buf)
+	tr := NewTracer(sink)
+	for i, ev := range evs {
 		tr.Emit(ev)
+		if len(drains) > 0 && drains[0] == i {
+			drains = drains[1:]
+			if n := sink.BytesWritten(); n != int64(ends[i]) {
+				tr.Close()
+				t.Fatalf("BytesWritten after event %d of %d = %d, want %d", i, len(evs), n, ends[i])
+			}
+		}
 	}
 	err := tr.Close()
 	if (err == nil) != (wantErr == nil) || err != nil && (reflect.TypeOf(err) != reflect.TypeOf(wantErr) || err.Error() != wantErr.Error()) {
@@ -320,16 +334,20 @@ var (
 // step either emits the current event or sets one of its fields (picked
 // by reflection, so a new Event field is covered) to a palette value;
 // value bytes 254 and 255 give a float field NaN and +Inf, which end
-// the stream's output. The stream starts from a decision, so a run of
-// steps that set only rb is a decision run.
-func streamFrom(data []byte) []Event {
+// the stream's output. An emit step whose value byte is 7 mod 8 also
+// drains the sink after its event: drains holds those events' indices.
+// The stream starts from a decision, so a run of steps that set only rb
+// is a decision run.
+func streamFrom(data []byte) (out []Event, drains []int) {
 	ev := Event{T: 1, Type: EvDecision}
 	v := reflect.ValueOf(&ev).Elem()
-	var out []Event
 	for ; len(data) >= 2; data = data[2:] {
 		k, x := int(data[0])%(v.NumField()+1), int(data[1])
 		if k == v.NumField() {
 			out = append(out, ev)
+			if x%8 == 7 {
+				drains = append(drains, len(out)-1)
+			}
 			continue
 		}
 		f := streamFloats[x%len(streamFloats)]
@@ -342,7 +360,7 @@ func streamFrom(data []byte) []Event {
 		setByKind(v.Field(k), streamInts[x%len(streamInts)], streamUints[x%len(streamUints)],
 			f, streamStrings[x%len(streamStrings)], x%2 == 1)
 	}
-	return out
+	return out, drains
 }
 
 // TestJSONLSinkStreamMatchesAppendEvent is the oracle for the sink's
@@ -415,22 +433,23 @@ func TestJSONLSinkStreamMatchesAppendEvent(t *testing.T) {
 		evict = append(evict, evict[i])
 	}
 	cases["float memo eviction"] = evict
-	// Random streams from the fuzz generator.
-	r := rand.New(rand.NewSource(1))
-	for n := 0; n < 20; n++ {
-		data := make([]byte, 2000)
-		r.Read(data)
-		cases[fmt.Sprint("random ", n)] = streamFrom(data)
-	}
-
 	for name, evs := range cases {
 		evs := evs
 		t.Run(strings.ReplaceAll(name, " ", "_"), func(t *testing.T) { checkStream(t, evs) })
 	}
+	// Random streams from the fuzz generator, drained where it says.
+	r := rand.New(rand.NewSource(1))
+	for n := 0; n < 20; n++ {
+		data := make([]byte, 2000)
+		r.Read(data)
+		evs, drains := streamFrom(data)
+		t.Run(fmt.Sprint("random_", n), func(t *testing.T) { checkStream(t, evs, drains...) })
+	}
 }
 
-// FuzzJSONLSinkStream lets the fuzzer write the event stream (see
-// streamFrom) and holds the sink to appendEvent's lines.
+// FuzzJSONLSinkStream lets the fuzzer write the event stream and choose
+// where to drain the sink (see streamFrom), and holds the sink to
+// appendEvent's lines.
 func FuzzJSONLSinkStream(f *testing.F) {
 	typ := reflect.TypeOf(Event{})
 	emit := []byte{byte(typ.NumField()), 0}
@@ -445,11 +464,14 @@ func FuzzJSONLSinkStream(f *testing.F) {
 	for _, x := range []byte{1, 2, 3} { // one t, three types
 		types = append(append(types, set("Type", x)...), emit...)
 	}
+	drained := append(append([]byte{}, run...), byte(typ.NumField()), 7)
 	f.Add(run)
 	f.Add(types)
+	f.Add(drained)
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkStream(t, streamFrom(data))
+		evs, drains := streamFrom(data)
+		checkStream(t, evs, drains...)
 	})
 }
 
@@ -469,20 +491,25 @@ var hotEvents = []Event{
 // JSONLSink allocates nothing, whatever the event type, whether the
 // sink's memos hit (one event again and again) or miss (a new t and new
 // numbers on every line); nor does Emit on a nil tracer or one without
-// a sink, the untraced run's path. The probe registry is keyed by
-// //outran:allocfree annotation (probetest.Run enforces the match).
+// a sink, the untraced run's path. Each measurement emits more than two
+// chunks, so it takes in Emit's handoffs to the encoder and the
+// encoder's own work (AllocsPerRun counts every goroutine's mallocs).
+// The probe registry is keyed by //outran:allocfree annotation
+// (probetest.Run enforces the match).
 func TestEmitAllocFree(t *testing.T) {
-	emit := func(t *testing.T, emit func(Event), close func() error) {
+	const runs = 3 * chunkEvents // per event type; the miss pass emits len(hotEvents) per run
+	emit := func(t *testing.T, emit func(Event), drain func(), close func() error) {
 		for _, ev := range hotEvents {
 			emit(ev)
 		}
+		drain() // the encoder has sized its buffers
 		for _, ev := range hotEvents {
-			if n := testing.AllocsPerRun(200, func() { emit(ev) }); n != 0 {
+			if n := testing.AllocsPerRun(runs, func() { emit(ev) }); n != 0 {
 				t.Errorf("%s: Emit allocates %v times per event, want 0", ev.Type, n)
 			}
 		}
 		step := 0
-		if n := testing.AllocsPerRun(200, func() {
+		if n := testing.AllocsPerRun(runs, func() {
 			step++
 			for _, ev := range hotEvents {
 				ev.T += sim.Time(step)
@@ -498,14 +525,17 @@ func TestEmitAllocFree(t *testing.T) {
 	}
 	probetest.Run(t, ".", map[string]func(t *testing.T){
 		"(*Tracer).Emit": func(t *testing.T) {
-			for _, tr := range []*Tracer{NewTracer(NewJSONLSink(io.Discard)), nil, NewTracer(nil)} {
-				emit(t, tr.Emit, tr.Close)
+			sink := NewJSONLSink(io.Discard)
+			tr := NewTracer(sink)
+			emit(t, tr.Emit, func() { sink.BytesWritten() }, tr.Close)
+			for _, tr := range []*Tracer{nil, NewTracer(nil)} {
+				emit(t, tr.Emit, func() {}, tr.Close)
 			}
 		},
 		"(*JSONLSink).Emit": func(t *testing.T) {
 			sink := NewJSONLSink(io.Discard)
 			var scratch Event // as Tracer does: the sink's argument stays off the heap
-			emit(t, func(ev Event) { scratch = ev; sink.Emit(&scratch) }, sink.Close)
+			emit(t, func(ev Event) { scratch = ev; sink.Emit(&scratch) }, func() { sink.BytesWritten() }, sink.Close)
 		},
 	})
 }
@@ -540,10 +570,13 @@ func TestTracerScratchNotAliased(t *testing.T) {
 	}
 }
 
-// BenchmarkJSONLSinkEmit prices one traced event, tracer front end
-// included: ns/op is ns/event, and B/event is what reaches the writer.
-// It re-emits one event, so past the first it times the sink's memo
-// hits; BenchmarkTraceReplay in internal/ran prices a real run's mix.
+// BenchmarkJSONLSinkEmit prices one traced event, tracer front end and
+// encoder included: ns/op is ns/event, and B/event is what reaches the
+// writer. The timed region ends with BytesWritten, which waits for the
+// encoder goroutine to write every event, so ns/op is the slower of
+// the two sides and not the enqueue alone. It re-emits one event, so
+// past the first it times the sink's memo hits; BenchmarkTraceReplay
+// in internal/ran prices a real run's mix.
 func BenchmarkJSONLSinkEmit(b *testing.B) {
 	for _, ev := range hotEvents {
 		switch ev.Type {
@@ -560,8 +593,9 @@ func BenchmarkJSONLSinkEmit(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				tr.Emit(ev)
 			}
+			written := sink.BytesWritten()
 			b.StopTimer()
-			b.ReportMetric(float64(sink.BytesWritten())/float64(b.N), "B/event")
+			b.ReportMetric(float64(written)/float64(b.N), "B/event")
 			if err := tr.Close(); err != nil {
 				b.Fatal(err)
 			}

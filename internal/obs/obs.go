@@ -221,11 +221,51 @@ func (r *RingSink) Dropped() uint64 { return r.dropped }
 // bytes built through a lineMemo. Field order is fixed by the Event
 // struct and all values derive from simulation state, so same-seed runs
 // write byte-identical files.
+//
+// The encoding runs on one goroutine of the sink's own. Emit copies the
+// event into a chunk of chunkEvents events and, when the chunk is full,
+// hands it to the encoder and takes an encoded one back. A sink owns
+// sinkChunks chunks (about 300 KB), allocated by NewJSONLSink and
+// released by Close: the queue is bounded by them, and Emit blocks when
+// it needs a chunk and all of them are with the encoder. BytesWritten
+// and Close are the only sync points: each hands over the partial chunk
+// and returns once the encoder has written and flushed every event
+// emitted before it. A sink is used from one goroutine; Emit,
+// BytesWritten and Close keep the semantics of an encoder that ran
+// inside Emit.
 type JSONLSink struct {
+	cur    *chunk        // the chunk Emit fills; nil once closed
+	full   chan *chunk   // chunks to encode, in emission order
+	free   chan *chunk   // encoded chunks, back from the encoder
+	synced chan *chunk   // a sync chunk, back once written and flushed
+	done   chan struct{} // closed when the encoder goroutine returns
+	c      io.Closer     // closed by Close when the writer is also a closer
+	enc    *jsonlEncoder
+}
+
+// chunkEvents is the number of events Emit copies into a chunk before
+// it hands the chunk to the encoder; sinkChunks is the number of chunks
+// a sink owns.
+const (
+	chunkEvents = 256
+	sinkChunks  = 4
+)
+
+// chunk is a run of copied events on its way to the encoder.
+type chunk struct {
+	n    int  // evs[:n] are the events to encode
+	sync bool // flush after encoding, and hand the chunk back on synced
+	evs  [chunkEvents]Event
+}
+
+// jsonlEncoder is the half of a JSONLSink its goroutine owns: the line
+// memo, the buffered writer and the sticky error. The sink reads the
+// byte count and the error only after a sync or once the goroutine has
+// returned.
+type jsonlEncoder struct {
 	w    *bufio.Writer
 	cw   *countingWriter
-	c    io.Closer // closed by Close when the writer is also a closer
-	memo lineMemo  // the line buffers and what they already hold
+	memo lineMemo // the line buffers and what they already hold
 	err  error
 }
 
@@ -243,57 +283,119 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// NewJSONLSink wraps a writer. If w is an io.Closer, Close closes it.
+// NewJSONLSink wraps a writer and starts the sink's encoder goroutine,
+// which Close stops. If w is an io.Closer, Close closes it.
 func NewJSONLSink(w io.Writer) *JSONLSink {
 	cw := &countingWriter{w: w}
-	bw := bufio.NewWriterSize(cw, 1<<16)
-	s := &JSONLSink{w: bw, cw: cw}
+	s := &JSONLSink{
+		full:   make(chan *chunk, sinkChunks),
+		free:   make(chan *chunk, sinkChunks),
+		synced: make(chan *chunk),
+		done:   make(chan struct{}),
+		enc:    &jsonlEncoder{w: bufio.NewWriterSize(cw, 1<<16), cw: cw},
+	}
 	if c, ok := w.(io.Closer); ok {
 		s.c = c
 	}
+	chunks := make([]chunk, sinkChunks)
+	s.cur = &chunks[0]
+	for i := 1; i < sinkChunks; i++ {
+		s.free <- &chunks[i]
+	}
+	go s.enc.run(s.full, s.free, s.synced, s.done)
 	return s
 }
 
-// BytesWritten flushes buffered lines and returns the total bytes
-// emitted to the underlying writer so far. The checkpoint layer
-// records this alongside each snapshot; a resumed run truncates the
-// trace file to it so the continuation appends the exact suffix the
-// uninterrupted run would have written.
+// BytesWritten waits until the encoder has written and flushed every
+// event emitted so far, and returns the total bytes emitted to the
+// underlying writer. The checkpoint layer records this alongside each
+// snapshot; a resumed run truncates the trace file to it so the
+// continuation appends the exact suffix the uninterrupted run would
+// have written.
 func (s *JSONLSink) BytesWritten() int64 {
-	if ferr := s.w.Flush(); s.err == nil {
-		s.err = ferr
+	if s.cur != nil {
+		s.sync()
 	}
-	return s.cw.n
+	return s.enc.cw.n
+}
+
+// sync hands the encoder the partial chunk and waits for it back.
+func (s *JSONLSink) sync() {
+	s.cur.sync = true
+	s.full <- s.cur
+	s.cur = <-s.synced
 }
 
 // Emit implements Sink. The first encode or write error sticks and is
 // reported by Close; an event that cannot be encoded (a NaN or an
-// infinity in a float field) writes nothing.
+// infinity in a float field) writes nothing, and neither does any
+// event after it. Emit after Close does nothing.
 //
 //outran:allocfree
 func (s *JSONLSink) Emit(ev *Event) {
-	if s.err != nil {
+	c := s.cur
+	if c == nil {
 		return
 	}
-	line, ok := s.memo.line(ev)
-	if !ok {
-		_, s.err = json.Marshal(ev) // the library's error for this event
-		return
+	c.evs[c.n] = *ev
+	c.n++
+	if c.n == chunkEvents {
+		s.full <- c
+		s.cur = <-s.free
 	}
-	_, s.err = s.w.Write(line)
 }
 
-// Close flushes buffered lines and reports the first error seen.
+// Close writes and flushes every event emitted, stops the encoder,
+// closes the writer when it is a closer, and reports the first error
+// seen. A second Close returns the same error.
 func (s *JSONLSink) Close() error {
-	if ferr := s.w.Flush(); s.err == nil {
-		s.err = ferr
+	if s.cur == nil {
+		return s.enc.err
 	}
+	s.sync()
+	close(s.full)
+	<-s.done
+	s.cur, s.full, s.free, s.synced = nil, nil, nil, nil // release the chunks
 	if s.c != nil {
-		if cerr := s.c.Close(); s.err == nil {
-			s.err = cerr
+		if cerr := s.c.Close(); s.enc.err == nil {
+			s.enc.err = cerr
 		}
 	}
-	return s.err
+	return s.enc.err
+}
+
+// run is the encoder goroutine: it encodes each chunk's events in
+// order, flushes after a sync chunk, and hands every chunk back.
+func (e *jsonlEncoder) run(full <-chan *chunk, free, synced chan<- *chunk, done chan<- struct{}) {
+	defer close(done)
+	for c := range full {
+		for i := range c.evs[:c.n] {
+			e.write(&c.evs[i])
+		}
+		c.n = 0
+		if !c.sync {
+			free <- c
+			continue
+		}
+		c.sync = false
+		if ferr := e.w.Flush(); e.err == nil {
+			e.err = ferr
+		}
+		synced <- c
+	}
+}
+
+// write encodes one event; after the first error it writes nothing.
+func (e *jsonlEncoder) write(ev *Event) {
+	if e.err != nil {
+		return
+	}
+	line, ok := e.memo.line(ev)
+	if !ok {
+		_, e.err = json.Marshal(ev) // the library's error for this event
+		return
+	}
+	_, e.err = e.w.Write(line)
 }
 
 // ReadTrace decodes a JSONL trace back into events.

@@ -2,8 +2,13 @@ package obs
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"math"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"outran/internal/sim"
 )
@@ -104,6 +109,154 @@ func TestJSONLDeterministicBytes(t *testing.T) {
 	}
 	if !bytes.Equal(write(), write()) {
 		t.Fatal("identical event streams serialized differently")
+	}
+}
+
+// tracedStream is n finite events cycling through hotEvents, with t,
+// rb and best_m moving so that the sink's memos both hit and miss.
+func tracedStream(n int) []Event {
+	evs := make([]Event, n)
+	for i := range evs {
+		ev := hotEvents[i%len(hotEvents)]
+		ev.T += sim.Time(i / 50)
+		ev.RB = i % 25
+		ev.BestM += float64(i % 3)
+		evs[i] = ev
+	}
+	return evs
+}
+
+// every returns the indices k-1, 2k-1, ... below n.
+func every(k, n int) []int {
+	var out []int
+	for i := k - 1; i < n; i += k {
+		out = append(out, i)
+	}
+	return out
+}
+
+// TestJSONLSinkChunkBoundaries: the encoder goroutine takes the stream
+// chunkEvents events at a time, and neither the bytes nor BytesWritten
+// show where one chunk ends and the next begins.
+func TestJSONLSinkChunkBoundaries(t *testing.T) {
+	for _, n := range []int{0, 1, chunkEvents - 1, chunkEvents, chunkEvents + 1, 1000} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) { checkStream(t, tracedStream(n)) })
+	}
+	// BytesWritten after every k-th event, mid-chunk and on chunk ends,
+	// counts exactly the stateless lines emitted so far.
+	for _, k := range []int{1, 7, 100, chunkEvents - 1, chunkEvents, chunkEvents + 1} {
+		t.Run(fmt.Sprint("drain_every_", k), func(t *testing.T) { checkStream(t, tracedStream(1000), every(k, 1000)...) })
+	}
+}
+
+// TestJSONLSinkNonFiniteAcrossChunks: a NaN at the first, a middle and
+// the last slot of a chunk ends the output at the event before it, with
+// the library's error, whether or not the sink was drained around it.
+func TestJSONLSinkNonFiniteAcrossChunks(t *testing.T) {
+	for _, at := range []int{0, chunkEvents - 1, chunkEvents, chunkEvents + 100, 2*chunkEvents - 1} {
+		evs := tracedStream(1000)
+		evs[at].SE = math.NaN()
+		t.Run(fmt.Sprint(at), func(t *testing.T) {
+			checkStream(t, evs)
+			checkStream(t, evs, every(chunkEvents/2, len(evs))...)
+		})
+	}
+}
+
+// failingWriter accepts limit bytes, then fails every write.
+type failingWriter struct{ limit int }
+
+var errWriterFull = errors.New("writer full")
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if len(p) <= w.limit {
+		w.limit -= len(p)
+		return len(p), nil
+	}
+	n := w.limit
+	w.limit = 0
+	return n, errWriterFull
+}
+
+// TestJSONLSinkWriteError: a writer that fails, at a sync point's flush
+// or while the encoder writes a full buffer, stops the sink's output at
+// the bytes it took; BytesWritten counts those and stays there, and
+// Close reports the writer's error.
+func TestJSONLSinkWriteError(t *testing.T) {
+	const limit = 1000
+	for _, n := range []int{50, 3000} { // under and over the 64 KB buffer
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			s := NewJSONLSink(&failingWriter{limit: limit})
+			evs := tracedStream(n)
+			for i := range evs {
+				s.Emit(&evs[i])
+			}
+			if got := s.BytesWritten(); got != limit {
+				s.Close()
+				t.Fatalf("BytesWritten = %d, want the writer's %d", got, limit)
+			}
+			s.Emit(&evs[0])
+			if got := s.BytesWritten(); got != limit {
+				s.Close()
+				t.Fatalf("BytesWritten after the error = %d, want %d", got, limit)
+			}
+			if err := s.Close(); !errors.Is(err, errWriterFull) {
+				t.Fatalf("Close() = %v, want %v", err, errWriterFull)
+			}
+		})
+	}
+}
+
+// TestJSONLSinkCloseStopsEncoder: Close leaves no goroutine behind, and
+// a second Close neither blocks nor panics and repeats the first's
+// result; BytesWritten and Emit after Close are harmless.
+func TestJSONLSinkCloseStopsEncoder(t *testing.T) {
+	base := runtime.NumGoroutine()
+	evs := tracedStream(600)
+	sinks := make([]*JSONLSink, 8)
+	var bufs [8]bytes.Buffer
+	for i := range sinks {
+		sinks[i] = NewJSONLSink(&bufs[i])
+		for j := range evs[:i*70] {
+			sinks[i].Emit(&evs[j])
+		}
+	}
+	for _, s := range sinks {
+		if err := s.Close(); err != nil {
+			t.Error(err)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after closing every sink, %d before opening them", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	s := sinks[len(sinks)-1]
+	n := s.BytesWritten()
+	done := make(chan error)
+	go func() {
+		s.Emit(&evs[0])
+		done <- s.Close()
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("second Close() = %v, want the first's nil", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("second Close blocks")
+	}
+	if s.BytesWritten() != n || int64(bufs[len(sinks)-1].Len()) != n {
+		t.Fatalf("after Close: BytesWritten %d, buffer %d bytes, want both %d", s.BytesWritten(), bufs[len(sinks)-1].Len(), n)
+	}
+
+	bad := NewJSONLSink(&failingWriter{})
+	bad.Emit(&evs[0])
+	first := bad.Close()
+	if second := bad.Close(); first == nil || second != first {
+		t.Fatalf("Close() = %v, then %v: want the writer's error twice", first, second)
 	}
 }
 

@@ -15,6 +15,9 @@ import (
 // times only hits). It records 200 ms of the benchmark's cell-traced
 // cell (12 UEs x 25 RBs, the mixed scenario at load 0.7), from 5 s in,
 // then replays those events through a fresh JSONLSink per iteration.
+// Each iteration ends with BytesWritten and Close inside the timed
+// region, so ns/event covers the sink's encoder goroutine as well as
+// Emit, and B/op includes each fresh sink's chunks.
 func BenchmarkTraceReplay(b *testing.B) {
 	mixed, ok := workload.Scenario("mixed", "lte", 0.7)
 	if !ok {

@@ -97,13 +97,17 @@ func (r *Receiver) insert(v interval) {
 	r.ooo = out
 }
 
-// advance slides cumAck over now-contiguous intervals.
+// advance slides cumAck over now-contiguous intervals and drops them.
+// It compacts ooo in place: reslicing past the dropped intervals would
+// shed the array's capacity, and insert would grow it back.
 func (r *Receiver) advance() {
-	for len(r.ooo) > 0 && r.ooo[0].lo <= r.cumAck {
-		if r.ooo[0].hi > r.cumAck {
-			r.cumAck = r.ooo[0].hi
-		}
-		r.ooo = r.ooo[1:]
+	k := 0
+	for k < len(r.ooo) && r.ooo[k].lo <= r.cumAck {
+		r.cumAck = max(r.cumAck, r.ooo[k].hi)
+		k++
+	}
+	if k > 0 {
+		r.ooo = r.ooo[:copy(r.ooo, r.ooo[k:])]
 	}
 }
 

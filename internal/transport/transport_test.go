@@ -250,6 +250,35 @@ func TestReceiverOverlap(t *testing.T) {
 	}
 }
 
+// TestReceiverSteadyStateAllocFree: once its two interval buffers have
+// grown, the receiver allocates nothing per segment: not for an
+// in-order stream, not for a hole and the segment that fills it, not
+// for a duplicate.
+func TestReceiverSteadyStateAllocFree(t *testing.T) {
+	const mss = 1400
+	r := &Receiver{SendAck: func(int64) {}, OnDeliver: func(int64) {}}
+	var next int64
+	steps := []struct {
+		name string
+		step func()
+	}{
+		{"in order", func() { r.OnData(next, mss, 0); next += mss }},
+		{"hole then fill", func() { r.OnData(next+mss, mss, 0); r.OnData(next, mss, 0); next += 2 * mss }},
+		{"duplicate", func() { r.OnData(next-mss, mss, 0) }},
+	}
+	for _, s := range steps {
+		s.step()
+	}
+	for _, s := range steps {
+		if n := testing.AllocsPerRun(100, s.step); n != 0 {
+			t.Errorf("%s: OnData allocates %v times per step, want 0", s.name, n)
+		}
+	}
+	if r.CumAck() != next || r.Gaps() != 0 {
+		t.Fatalf("cumAck %d, gaps %d after the steps; want %d, 0", r.CumAck(), r.Gaps(), next)
+	}
+}
+
 // Property: for any arrival order of the segments of a flow, the
 // receiver ends with cumAck == flow size and no residual gaps.
 func TestReceiverPermutationProperty(t *testing.T) {
