@@ -10,8 +10,8 @@
 // fig12, fig13, fig14, fig15, fig16, fig17, fig18a-d, fig19, fig20,
 // table1, table2). See DESIGN.md for the per-experiment index. `chaos`
 // is the fault-injection sweep; a monitor violation makes it exit 1.
-// A negative -seeds, -ues, -rbs, -dur or -scale is a usage error (exit
-// 2). The simulator's own speed is measured by benchmark/ (bash
+// A negative -seeds, -ues, -rbs, -dur, -scale or -parallel is a usage
+// error (exit 2). The simulator's own speed is measured by benchmark/ (bash
 // benchmark/run.sh), not here.
 package main
 
@@ -61,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		return fmt.Errorf("%w: %v", cli.ErrUsage, err)
 	}
 	// A negative size would make a sweep run nothing and report it clean.
-	for _, name := range []string{"seeds", "ues", "rbs", "dur", "scale"} {
+	for _, name := range []string{"seeds", "ues", "rbs", "dur", "scale", "parallel"} {
 		if v := fs.Lookup(name).Value.String(); strings.HasPrefix(v, "-") {
 			return fmt.Errorf("%w: -%s %s is negative", cli.ErrUsage, name, v)
 		}

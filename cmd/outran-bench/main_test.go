@@ -97,7 +97,8 @@ func TestProfilesFlushedOnError(t *testing.T) {
 }
 
 // TestNegativeSizes: a negative size flag is a usage error (exit
-// status 2); before, -seeds -1 made chaos run nothing and report clean.
+// status 2); before, -seeds -1 made chaos run nothing and report clean,
+// and -parallel -2 ran on GOMAXPROCS.
 func TestNegativeSizes(t *testing.T) {
 	for _, neg := range [][]string{
 		{"-seeds", "-1"},
@@ -105,6 +106,7 @@ func TestNegativeSizes(t *testing.T) {
 		{"-rbs", "-25"},
 		{"-dur", "-1s"},
 		{"-scale", "-0.5"},
+		{"-parallel", "-2"},
 	} {
 		args := append(neg, "chaos")
 		if err := run(args, io.Discard, io.Discard); !errors.Is(err, cli.ErrUsage) || !strings.Contains(err.Error(), neg[0]+" "+neg[1]) {

@@ -155,7 +155,7 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 		return options{}, fmt.Errorf("%w: %v", cli.ErrUsage, err)
 	}
 	// A negative size or instant would be silently replaced or ignored.
-	for _, name := range []string{"ues", "rbs", "dur", "cells", "handover", "checkpoint-every"} {
+	for _, name := range []string{"ues", "rbs", "dur", "cells", "parallel", "handover", "kpi-every", "checkpoint-every"} {
 		if v := fs.Lookup(name).Value.String(); strings.HasPrefix(v, "-") {
 			return options{}, fmt.Errorf("%w: -%s %s is negative", cli.ErrUsage, name, v)
 		}

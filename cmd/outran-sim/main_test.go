@@ -41,8 +41,8 @@ func TestFlagMapping(t *testing.T) {
 				t.Errorf("StreamFCT %v Profile %v KPIPath %q trace %q workload trace %q",
 					d.Cell.StreamFCT, d.Profile, d.KPIPath, d.TracePath, d.WorkloadTracePath)
 			}
-			if d.Checkpoint.Enabled() || len(d.Handovers) != 0 || len(d.Crashes) != 0 || o.resume || o.jsonOut {
-				t.Errorf("checkpoint %+v handovers %v crashes %v resume %v json %v", d.Checkpoint, d.Handovers, d.Crashes, o.resume, o.jsonOut)
+			if d.Checkpoint.Enabled() || len(d.Handovers) != 0 || o.resume || o.jsonOut {
+				t.Errorf("checkpoint %+v handovers %v resume %v json %v", d.Checkpoint, d.Handovers, o.resume, o.jsonOut)
 			}
 			if d.Cell.Scheduler != ran.SchedOutRAN || d.Cell.NumUEs != 20 || d.Cell.Grid.NumRB != 50 || d.Cell.RLC != ran.UM {
 				t.Errorf("cell config %v/%d/%d/%v", d.Cell.Scheduler, d.Cell.NumUEs, d.Cell.Grid.NumRB, d.Cell.RLC)
@@ -442,15 +442,18 @@ func TestNonFiniteFlags(t *testing.T) {
 // TestNegativeSizes: a negative size or instant is a usage error (exit
 // status 2). Before, each of these ran and exited 0: -ues -3 ran 1 UE,
 // -rbs -15 ran 100 RBs, -dur -1s ran 8 s, -cells -2 ran one cell,
-// -handover -1s applied no handover and -checkpoint-every -1s wrote no
-// checkpoint.
+// -handover -1s applied no handover, -checkpoint-every -1s wrote no
+// checkpoint and -parallel -3 ran on GOMAXPROCS; -kpi-every -1s failed
+// config validation with exit status 1.
 func TestNegativeSizes(t *testing.T) {
 	for _, neg := range [][]string{
 		{"-ues", "-3"},
 		{"-rbs", "-15"},
 		{"-dur", "-1s"},
 		{"-cells", "-2"},
+		{"-parallel", "-3"},
 		{"-handover", "-1s", "-cells", "2"},
+		{"-kpi-every", "-1s"},
 		{"-checkpoint-every", "-1s"},
 	} {
 		var stdout bytes.Buffer

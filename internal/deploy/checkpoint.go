@@ -16,8 +16,7 @@ import (
 // Every of simulation time, each cell's complete state is written
 // atomically (temp file + rename) to Dir, and only the newest Retain
 // files per cell are kept. A checkpointed run can be killed and
-// resumed (Resume, outran-sim -resume) or survive scripted worker
-// crashes (Config.Crashes) with byte-identical results.
+// resumed (Resume, outran-sim -resume) with byte-identical results.
 type CheckpointConfig struct {
 	// Dir is the checkpoint directory; empty disables checkpointing.
 	Dir string
@@ -350,8 +349,8 @@ func openOutput(what, path string, resume bool, off int64, missing string) (*os.
 }
 
 // traceFile is a runtime-owned JSONL trace file — the form of tracing
-// that supports crash recovery, because the runtime can truncate the
-// file back to a checkpoint's offset and append the replayed suffix.
+// that supports resume, because the runtime can truncate the file back
+// to a checkpoint's offset and append the continuation.
 type traceFile struct {
 	sink   *obs.JSONLSink
 	tracer *obs.Tracer

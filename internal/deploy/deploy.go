@@ -23,11 +23,11 @@
 // Checkpointing extends the same barrier structure: with
 // Config.Checkpoint set, every cell snapshots at each checkpoint
 // instant (atomic rename-into-place, newest Retain files kept). A
-// killed run resumes with Resume; a scripted Crash kills
-// one cell mid-run and the runtime restores it from its latest
-// checkpoint and replays — in both cases the per-cell summaries and
-// traces are byte-identical to an uninterrupted run, because cell
-// restoration is byte-exact (see ran.Cell.RestoreSnapshot).
+// killed run resumes with Resume, and the per-cell summaries and traces
+// are byte-identical to an uninterrupted run's, because cell
+// restoration is byte-exact (see ran.Cell.RestoreSnapshot). Resume is
+// the only recovery: an unrecovered panic in any cell's goroutine ends
+// the whole process, so no cell can fail while the others run on.
 package deploy
 
 import (
@@ -62,14 +62,6 @@ type Handover struct {
 	ContinueBytes int64
 }
 
-// Crash scripts one worker crash: cell Cell's in-memory state at At is
-// discarded, restored from its latest checkpoint, and replayed —
-// results stay byte-identical to a crash-free run.
-type Crash struct {
-	Cell int
-	At   sim.Time
-}
-
 // Config describes one deployment run. It is plain data: the runtime
 // derives every per-cell choice (seed, FCT recorder, file names) from
 // it by fixed rules, so a run description can be printed and compared.
@@ -100,8 +92,8 @@ type Config struct {
 	// TracePath, when non-empty, gives each cell a runtime-owned JSONL
 	// trace file, installed before the cell's first event: one cell
 	// writes the path as given, N cells name.cellN.ext. The runtime
-	// owns the file so that on crash or resume it can truncate it back
-	// to the checkpoint's offset and let the replay append the exact
+	// owns the file so that on resume it can truncate it back to the
+	// checkpoint's offset and let the continuation append the exact
 	// suffix an uninterrupted run would have written.
 	TracePath string
 	// Profile installs a wall-clock phase profiler on every cell, on
@@ -120,12 +112,10 @@ type Config struct {
 	// (Cell == -1). Requires Cell.KPIEvery > 0, the cadence. The
 	// stream derives only from simulation state, so same-seed runs
 	// produce byte-identical files for any worker count, and
-	// kill-and-resume or scripted crashes re-emit the exact suffix.
+	// kill-and-resume re-emits the exact suffix.
 	KPIPath string
 	// Checkpoint enables periodic checkpointing (see CheckpointConfig).
 	Checkpoint CheckpointConfig
-	// Crashes scripts worker crashes. Requires Checkpoint.
-	Crashes []Crash
 }
 
 // CellResult is one cell's contribution to the deployment result.
@@ -154,10 +144,10 @@ type Result struct {
 	Cells     []CellResult `json:"cells"`
 	Aggregate Summary      `json:"aggregate"`
 
-	// Restores counts checkpoint restorations performed during the
-	// run (crash recovery and Resume). Deliberately NOT part of the
-	// aggregate Summary or any cell's RunSummary: a recovered run's
-	// summaries must be byte-identical to an uninterrupted run's.
+	// Restores counts the cells Resume restored from checkpoints (0 for
+	// Run). Deliberately NOT part of the aggregate Summary or any cell's
+	// RunSummary: a resumed run's summaries must be byte-identical to an
+	// uninterrupted run's.
 	Restores int `json:"restores"`
 
 	// Live exposes the finished cells (tests, ad-hoc inspection).
@@ -181,10 +171,9 @@ type runState struct {
 	// including the horizon) and the deployment-level output stream
 	// (nil when KPIPath is empty — the cells are still sampled so the
 	// windowed state evolves identically with or without a file).
-	kpiTimes []sim.Time
-	kpiAt    map[sim.Time]bool
-	kpiFile  *kpiFile
-	kpiBuf   []obs.KPISample // per-barrier scratch, cell order
+	kpiAt   map[sim.Time]bool
+	kpiFile *kpiFile
+	kpiBuf  []obs.KPISample // per-barrier scratch, cell order
 
 	res *Result
 }
@@ -291,27 +280,6 @@ func prepare(cfg Config) (*runState, error) {
 			return nil, fmt.Errorf("deploy: handover %d: ContinueBytes needs a persistent connection, which checkpointing cannot serialise", i)
 		}
 	}
-	for i, cr := range cfg.Crashes {
-		switch {
-		case !ckOn:
-			return nil, fmt.Errorf("deploy: crash %d: Crashes require Checkpoint.Dir", i)
-		case cr.Cell < 0 || cr.Cell >= n:
-			return nil, fmt.Errorf("deploy: crash %d: cell %d outside [0,%d)", i, cr.Cell, n)
-		case cr.At <= cfg.Checkpoint.Every || cr.At >= total:
-			return nil, fmt.Errorf("deploy: crash %d: time %v outside (%v,%v) — a crash needs a checkpoint before it",
-				i, cr.At, cfg.Checkpoint.Every, total)
-		}
-		// The replay window (last checkpoint, crash] must not contain a
-		// handover touching the crashed cell: replaying the segment
-		// cannot re-apply a deployment-level transfer.
-		lastCk := (cr.At - 1) / cfg.Checkpoint.Every * cfg.Checkpoint.Every
-		for j, h := range cfg.Handovers {
-			if (h.From == cr.Cell || h.To == cr.Cell) && h.At > lastCk && h.At <= cr.At {
-				return nil, fmt.Errorf("deploy: crash %d at %v: handover %d at %v touches cell %d inside the replay window (after checkpoint %v)",
-					i, cr.At, j, h.At, cr.Cell, lastCk)
-			}
-		}
-	}
 
 	// One cell runs on the deployment seed itself. N cells draw theirs
 	// from one master stream, in cell order, before any parallel work:
@@ -347,7 +315,6 @@ func prepare(cfg Config) (*runState, error) {
 	if every := cfg.Cell.KPIEvery; every > 0 {
 		rs.kpiAt = make(map[sim.Time]bool)
 		for t := every; t <= total; t += every {
-			rs.kpiTimes = append(rs.kpiTimes, t)
 			rs.kpiAt[t] = true
 		}
 		rs.kpiBuf = make([]obs.KPISample, 0, n)
@@ -490,15 +457,6 @@ func (rs *runState) restore() (sim.Time, int64, error) {
 // restoreCell rebuilds cell i from its checkpoint at the given
 // instant and resumes its trace file.
 func (rs *runState) restoreCell(i int, at sim.Time) (CheckpointMeta, error) {
-	if tf := rs.traces[i]; tf != nil {
-		// A crashed cell's trace is about to be truncated back to the
-		// checkpoint offset, but a failed flush still means the disk
-		// cannot take the replayed suffix either.
-		rs.traces[i] = nil
-		if err := tf.Close(); err != nil {
-			return CheckpointMeta{}, fmt.Errorf("trace: %w", err)
-		}
-	}
 	ck := newCheckpointer(rs.cfg.Checkpoint, i)
 	cell, tf, meta, err := ck.restore(rs.cellConfig(i), at, rs.cellPath(rs.cfg.TracePath, i))
 	rs.traces[i] = tf
@@ -515,22 +473,14 @@ func (rs *runState) restoreCell(i int, at sim.Time) (CheckpointMeta, error) {
 
 // loop drives all cells from the given instant to the horizon through
 // the barrier sequence: advance everyone to each barrier, then — in
-// this order — recover scripted crashes, apply handovers, sample KPIs,
-// write checkpoints. The order is what keeps recovery byte-exact: a
-// crash at t discards state that has NOT yet seen t's handovers, KPI
-// sample, or checkpoint, exactly like the crash-free schedule — and a
-// checkpoint's KPI offset therefore includes its own barrier's records.
+// this order — apply handovers, sample KPIs, write checkpoints. A
+// checkpoint therefore holds state that has seen its own barrier's
+// handovers and KPI sample, and its KPI offset includes that barrier's
+// records, so a resumed run continues with the next barrier.
 func (rs *runState) loop(from sim.Time) error {
 	for _, t := range rs.barriers(from) {
 		if err := runAll(rs.cells, rs.cfg.Workers, t); err != nil {
 			return err
-		}
-		for _, cr := range rs.cfg.Crashes {
-			if cr.At == t && cr.At > from {
-				if err := rs.handleCrash(cr.Cell, t); err != nil {
-					return err
-				}
-			}
 		}
 		for _, h := range rs.cfg.Handovers {
 			if h.At != t {
@@ -623,16 +573,13 @@ func (rs *runState) closeOutputs() error {
 }
 
 // barriers returns the distinct pause instants in (from, total),
-// ascending: handovers, scripted crashes, KPI samples, checkpoints.
+// ascending: handovers, KPI samples, checkpoints.
 // A KPI instant landing exactly on the horizon is handled after the
 // final advance instead (loop).
 func (rs *runState) barriers(from sim.Time) []sim.Time {
 	set := make(map[sim.Time]bool)
 	for _, h := range rs.cfg.Handovers {
 		set[h.At] = true
-	}
-	for _, cr := range rs.cfg.Crashes {
-		set[cr.At] = true
 	}
 	// Order-free: set union; the result is sorted below
 	for t := range rs.ckAt {
@@ -651,44 +598,6 @@ func (rs *runState) barriers(from sim.Time) []sim.Time {
 	}
 	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
 	return times
-}
-
-// handleCrash simulates cell i's worker dying at t: its in-memory
-// state is discarded, the cell restores from its latest checkpoint,
-// the trace file rolls back to the checkpoint's offset, and the lost
-// segment replays. Byte-exact restoration makes the recovered cell
-// indistinguishable from one that never crashed.
-func (rs *runState) handleCrash(i int, t sim.Time) error {
-	_, at, err := LatestCheckpoint(rs.cfg.Checkpoint.Dir, i)
-	if err != nil {
-		return fmt.Errorf("deploy: recovering cell %d crash at %v: %w", i, t, err)
-	}
-	if _, err := rs.restoreCell(i, at); err != nil {
-		return fmt.Errorf("deploy: recovering cell %d crash at %v: %w", i, t, err)
-	}
-	rs.res.Restores++
-	// Replay the lost segment. KPI sampling instants strictly inside
-	// (checkpoint, crash) must be re-stepped — SampleKPI is part of the
-	// cell's deterministic state evolution — with the records discarded:
-	// the stream already holds them from before the crash, and byte-
-	// exact restoration regenerates identical values. The checkpoint
-	// instant itself is excluded (its sample preceded the write) and so
-	// is the crash instant (the main loop samples it after this call).
-	cell := rs.cells[i]
-	if cell.KPIEnabled() {
-		for _, s := range rs.kpiTimes {
-			if s <= at {
-				continue
-			}
-			if s >= t {
-				break
-			}
-			cell.Run(s)
-			cell.SampleKPI(s)
-		}
-	}
-	cell.Run(t)
-	return nil
 }
 
 // finish folds the per-cell results in cell order: identical for any

@@ -172,34 +172,6 @@ func TestKPIResumeByteIdentity(t *testing.T) {
 	}
 }
 
-// TestKPICrashReplayByteIdentity: a scripted worker crash at an
-// instant that is not a KPI barrier restores the cell from its latest
-// checkpoint and must replay the lost KPI windows without duplicating
-// or skewing any record — the stream stays byte-identical to the
-// crash-free run.
-func TestKPICrashReplayByteIdentity(t *testing.T) {
-	dirA := t.TempDir()
-	if _, err := deploy.Run(kpiCheckpointedDeployment(dirA, 2)); err != nil {
-		t.Fatal(err)
-	}
-	ref, _ := readKPIFile(t, filepath.Join(dirA, "kpi.jsonl"))
-
-	dirB := t.TempDir()
-	cfgB := kpiCheckpointedDeployment(dirB, 2)
-	cfgB.Crashes = []deploy.Crash{{Cell: 1, At: 420 * sim.Millisecond}}
-	res, err := deploy.Run(cfgB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Restores != 1 {
-		t.Errorf("crash run performed %d restores, want 1", res.Restores)
-	}
-	got, _ := readKPIFile(t, cfgB.KPIPath)
-	if !bytes.Equal(ref, got) {
-		t.Fatalf("crash-recovered KPI stream differs from crash-free run (%d vs %d bytes)", len(ref), len(got))
-	}
-}
-
 // TestKPIValidation: a KPI path without a sampling cadence must be
 // rejected up front.
 func TestKPIValidation(t *testing.T) {

@@ -74,7 +74,6 @@ const DefaultExactCap = 1 << 20
 type FCTRecorder struct {
 	samples  []FCTSample
 	started  int
-	limit    int        // retained-sample cap; 0 = DefaultExactCap, < 0 = unbounded
 	degraded bool       // exact path hit its cap and fell back to streaming
 	stream   *FCTStream // non-nil selects the streaming path
 }
@@ -89,21 +88,6 @@ func NewStreamingFCTRecorder() *FCTRecorder {
 // FlowStarted counts an admitted flow (for completion-rate checks).
 func (r *FCTRecorder) FlowStarted() { r.started++ }
 
-// SetExactCap overrides the exact path's retained-sample cap: n > 0
-// caps retention at n samples, n < 0 removes the cap (explicit
-// opt-out for tooling that must see every sample), n = 0 restores
-// DefaultExactCap. No effect on the streaming path.
-func (r *FCTRecorder) SetExactCap(n int) { r.limit = n }
-
-// exactCap resolves the effective retained-sample cap (< 0 means
-// unbounded).
-func (r *FCTRecorder) exactCap() int {
-	if r.limit == 0 {
-		return DefaultExactCap
-	}
-	return r.limit
-}
-
 // Record adds a completed flow. On the exact path, hitting the
 // retained-sample cap degrades the recorder to the streaming path —
 // every retained sample is folded into a fresh FCTStream, retention
@@ -111,10 +95,8 @@ func (r *FCTRecorder) exactCap() int {
 // it — rather than letting a metro-scale run grow memory without
 // bound.
 func (r *FCTRecorder) Record(s FCTSample) {
-	if r.stream == nil {
-		if lim := r.exactCap(); lim > 0 && len(r.samples) >= lim {
-			r.degrade()
-		}
+	if r.stream == nil && len(r.samples) >= DefaultExactCap {
+		r.degrade()
 	}
 	if r.stream != nil {
 		r.stream.Record(s)

@@ -13,16 +13,12 @@ import (
 // accumulator and keep answering — with no per-flow retention from
 // that point on — instead of growing without bound.
 func TestExactRecorderCapDegrades(t *testing.T) {
-	const cap = 100
-	samples := paperSamples(5000, 11)
-
-	exact := &FCTRecorder{}
-	exact.SetExactCap(-1) // reference: unbounded exact estimator
+	samples := paperSamples(DefaultExactCap+1, 11)
 	capped := &FCTRecorder{}
-	capped.SetExactCap(cap)
-	for _, s := range samples {
-		exact.Record(s)
+	fcts := make([]sim.Time, len(samples)) // reference: the exact estimator over every sample
+	for i, s := range samples {
 		capped.Record(s)
+		fcts[i] = s.FCT
 	}
 
 	if !capped.Degraded() {
@@ -41,7 +37,7 @@ func TestExactRecorderCapDegrades(t *testing.T) {
 	// Every sample — retained before the cap and recorded after — must
 	// be in the stream: count and max exact, mean within float noise,
 	// quantiles within the streaming path's documented error budget.
-	got, want := capped.Overall(), exact.Overall()
+	got, want := capped.Overall(), ComputeStats(fcts)
 	if got.Count != want.Count || got.Max != want.Max {
 		t.Errorf("degraded stats %+v vs exact %+v", got, want)
 	}
@@ -53,37 +49,25 @@ func TestExactRecorderCapDegrades(t *testing.T) {
 	}
 }
 
-// TestExactRecorderCapBoundary: the recorder retains exactly cap
-// samples before degrading, and the default cap applies when none is
-// set.
+// TestExactRecorderCapBoundary: the recorder retains exactly
+// DefaultExactCap samples before degrading.
 func TestExactRecorderCapBoundary(t *testing.T) {
-	r := &FCTRecorder{}
-	r.SetExactCap(10)
-	for i := 0; i < 10; i++ {
+	var r FCTRecorder
+	for i := 0; i < DefaultExactCap; i++ {
 		r.Record(FCTSample{Size: 100, FCT: sim.Millisecond})
 	}
 	if r.Degraded() {
 		t.Fatal("recorder degraded at the cap, want at cap+1")
 	}
-	if len(r.Samples()) != 10 {
-		t.Fatalf("retained %d samples, want 10", len(r.Samples()))
+	if len(r.Samples()) != DefaultExactCap {
+		t.Fatalf("retained %d samples, want %d", len(r.Samples()), DefaultExactCap)
 	}
 	r.Record(FCTSample{Size: 100, FCT: sim.Millisecond})
 	if !r.Degraded() {
 		t.Fatal("recorder past cap did not degrade")
 	}
-	if r.Completed() != 11 {
-		t.Fatalf("completed %d, want 11", r.Completed())
-	}
-
-	var def FCTRecorder
-	if got := def.exactCap(); got != DefaultExactCap {
-		t.Fatalf("default cap %d, want %d", got, DefaultExactCap)
-	}
-	unbounded := &FCTRecorder{}
-	unbounded.SetExactCap(-1)
-	if got := unbounded.exactCap(); got >= 0 {
-		t.Fatalf("unbounded cap resolves to %d, want negative", got)
+	if r.Completed() != DefaultExactCap+1 {
+		t.Fatalf("completed %d, want %d", r.Completed(), DefaultExactCap+1)
 	}
 }
 
@@ -93,15 +77,13 @@ func TestExactRecorderCapBoundary(t *testing.T) {
 // continues byte-identically.
 func TestDegradedRecorderSnapshotRoundTrip(t *testing.T) {
 	r := &FCTRecorder{}
-	r.SetExactCap(50)
-	for _, s := range paperSamples(120, 13) {
+	for _, s := range paperSamples(DefaultExactCap+1, 13) {
 		r.Record(s)
 	}
 	if !r.Degraded() {
 		t.Fatal("setup: recorder did not degrade")
 	}
 	restored := &FCTRecorder{} // exact-constructed, as the config would build it
-	restored.SetExactCap(50)
 	snapshottest.RoundTrip(t, r.Walk, restored.Walk)
 	if !restored.Degraded() {
 		t.Fatal("restored recorder lost the degraded flag")

@@ -14,8 +14,7 @@ import (
 // error of the exact per-sample estimator.
 func TestStreamMergeManyCells(t *testing.T) {
 	const cells = 128
-	exact := &FCTRecorder{}
-	exact.SetExactCap(-1)
+	exact := &FCTRecorder{} // ~31 k samples: far below DefaultExactCap, so it stays exact
 	union := NewFCTStream()
 	agg := NewFCTStream()
 	for cell := 0; cell < cells; cell++ {

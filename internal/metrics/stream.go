@@ -34,12 +34,6 @@ const (
 // histogram (values in nanoseconds).
 var streamBounds = obs.ExpBuckets(streamStart, streamFactor, streamBuckets)
 
-// StreamBounds returns the streaming FCT bucket layout (ns upper
-// bounds), for consumers that build mergeable histograms of their own.
-func StreamBounds() []float64 {
-	return append([]float64(nil), streamBounds...)
-}
-
 // tagStream is the structural sentinel for an FCTStream snapshot.
 const tagStream = 0x4e04
 

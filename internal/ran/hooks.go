@@ -70,7 +70,9 @@ func (c *Cell) Reestablishments() uint64 { return c.ctrReestablish.Value() }
 //
 // Do not call from inside an RLC pull/receive path (e.g. directly
 // from an OnDeliveryFail hook): the entities being replaced are still
-// on the stack there. Defer with Eng.After(0, ...) instead.
+// on the stack there. Defer it as an event of the cell's
+// ExternalHandler with ScheduleExternal(Eng.Now(), key), as the fault
+// injector does: a pending Eng.After closure would make SnapshotTo fail.
 func (c *Cell) ReestablishUE(id int) error {
 	if id < 0 || id >= len(c.ues) {
 		return fmt.Errorf("ran: no UE %d", id)

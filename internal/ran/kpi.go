@@ -57,9 +57,8 @@ func (c *Cell) KPIEnabled() bool { return c.kpi != nil }
 // field is 0 — deployment callers overwrite it with the cell index.
 //
 // Calling SampleKPI is part of the cell's deterministic state
-// evolution: a restored cell must replay the same sampling instants
-// (discarding the output) to stay byte-identical with a crash-free
-// run.
+// evolution: a run stays byte-identical with another only if both
+// sample at the same instants, whether or not the records are kept.
 func (c *Cell) SampleKPI(now sim.Time) obs.KPISample {
 	k := c.kpi
 	if k == nil {

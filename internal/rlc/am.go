@@ -233,9 +233,6 @@ func (t *AMTx) Status(now sim.Time) mac.BufferStatus {
 // QueuedSDUs returns the buffered (new-data) SDU count.
 func (t *AMTx) QueuedSDUs() int { return t.buf.count }
 
-// BufferLimit returns the configured SDU capacity of the tx buffer.
-func (t *AMTx) BufferLimit() int { return t.buf.cfg.LimitSDUs }
-
 // Close cancels the entity's timers. Call when tearing the entity
 // down (e.g. RRC re-establishment) so orphaned callbacks stop
 // re-arming on the engine.

@@ -99,7 +99,7 @@ type UMRx struct {
 
 	delivered uint64
 	discarded uint64
-	skipped   uint64 // PDUs given up on (gap expiry)
+	skipped   uint64 // PDUs given up on (gap expiry); kept for the checkpoint layout
 	gapTimer  *sim.Timer
 	sduTimer  *sim.Timer
 }
@@ -236,9 +236,6 @@ func (r *UMRx) Delivered() uint64 { return r.delivered }
 
 // Discarded returns the count of SDUs dropped by reassembly expiry.
 func (r *UMRx) Discarded() uint64 { return r.discarded }
-
-// SkippedPDUs returns the count of PDUs abandoned at gap expiry.
-func (r *UMRx) SkippedPDUs() uint64 { return r.skipped }
 
 // PendingPartials returns the number of incomplete SDUs being held.
 func (r *UMRx) PendingPartials() int { return len(r.partials) }

@@ -15,7 +15,7 @@ type FlowSpec struct {
 	Start sim.Time
 	UE    int
 	Size  int64
-	// Incast marks flows from the incast class/generator (§6.3).
+	// Incast marks flows from the incast class (§6.3).
 	Incast bool
 }
 
@@ -147,49 +147,6 @@ func Poisson(cfg PoissonConfig, r *rng.Source) (Source, error) {
 		flows = flows[:cfg.MaxFlows]
 	}
 	sortByStart(flows, nil)
-	return SliceSource(flows), nil
-}
-
-// IncastConfig reproduces the §6.3 worst case: bursts of simultaneous
-// fixed-size short flows layered on the base workload, taking a given
-// fraction of the traffic volume.
-type IncastConfig struct {
-	FlowSize       int64   // 8 KB in the paper
-	VolumeFraction float64 // 0.1 in the paper
-	BurstSize      int     // simultaneous flows per burst
-	BaseLoadBps    float64 // bytes-domain base offered load (bits/s)
-	NumUEs         int
-	Duration       sim.Time
-}
-
-// Incast generates periodic synchronized bursts of short flows as a
-// sorted Source.
-func Incast(cfg IncastConfig, r *rng.Source) (Source, error) {
-	if cfg.FlowSize <= 0 || cfg.BurstSize <= 0 || cfg.VolumeFraction <= 0 {
-		return nil, fmt.Errorf("workload: invalid incast config %+v", cfg)
-	}
-	// UE assignment draws r.Intn(NumUEs), which panics on a
-	// non-positive argument — validate it like Poisson does.
-	if cfg.NumUEs <= 0 || cfg.Duration <= 0 {
-		return nil, fmt.Errorf("workload: invalid incast config %+v", cfg)
-	}
-	incastBps := cfg.BaseLoadBps * cfg.VolumeFraction
-	bytesPerBurst := cfg.FlowSize * int64(cfg.BurstSize)
-	period := sim.Time(float64(bytesPerBurst*8) / incastBps * float64(sim.Second))
-	if period <= 0 {
-		return nil, fmt.Errorf("workload: degenerate incast period")
-	}
-	flows := make([]FlowSpec, 0, steps(period, cfg.Duration, period)*cfg.BurstSize)
-	for t := period; t < cfg.Duration; t += period {
-		for i := 0; i < cfg.BurstSize; i++ {
-			flows = append(flows, FlowSpec{
-				Start:  t,
-				UE:     r.Intn(cfg.NumUEs),
-				Size:   cfg.FlowSize,
-				Incast: true,
-			})
-		}
-	}
 	return SliceSource(flows), nil
 }
 

@@ -188,76 +188,6 @@ func TestPoissonDeterministic(t *testing.T) {
 	}
 }
 
-func TestIncastBursts(t *testing.T) {
-	cfg := IncastConfig{
-		FlowSize:       8 * KB,
-		VolumeFraction: 0.1,
-		BurstSize:      16,
-		BaseLoadBps:    20e6,
-		NumUEs:         10,
-		Duration:       10 * sim.Second,
-	}
-	src, err := Incast(cfg, rng.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	flows := Collect(src)
-	if len(flows) == 0 {
-		t.Fatal("no incast flows")
-	}
-	// Flows come in bursts of exactly BurstSize at the same instant.
-	counts := map[sim.Time]int{}
-	for _, f := range flows {
-		if !f.Incast || f.Size != 8*KB {
-			t.Fatalf("bad incast flow %+v", f)
-		}
-		counts[f.Start]++
-	}
-	for at, n := range counts {
-		if n != 16 {
-			t.Fatalf("burst at %v has %d flows", at, n)
-		}
-	}
-	// Volume matches the requested fraction of base load.
-	vol := float64(TotalBytes(flows)) * 8 / 10
-	want := 0.1 * 20e6
-	if math.Abs(vol-want)/want > 0.25 {
-		t.Fatalf("incast volume %g, want %g", vol, want)
-	}
-}
-
-func TestIncastValidation(t *testing.T) {
-	if _, err := Incast(IncastConfig{}, rng.New(1)); err == nil {
-		t.Fatal("zero config accepted")
-	}
-}
-
-// TestIncastRejectsNonPositiveUEs is the regression test for the
-// former panic: UE assignment calls r.Intn(NumUEs), so a config with
-// NumUEs <= 0 must be rejected up front, not blow up mid-generation.
-func TestIncastRejectsNonPositiveUEs(t *testing.T) {
-	cfg := IncastConfig{
-		FlowSize:       8 * KB,
-		VolumeFraction: 0.1,
-		BurstSize:      4,
-		BaseLoadBps:    20e6,
-		Duration:       5 * sim.Second,
-		// NumUEs left 0.
-	}
-	if _, err := Incast(cfg, rng.New(1)); err == nil {
-		t.Fatal("NumUEs = 0 accepted")
-	}
-	cfg.NumUEs = -3
-	if _, err := Incast(cfg, rng.New(1)); err == nil {
-		t.Fatal("negative NumUEs accepted")
-	}
-	cfg.NumUEs = 4
-	cfg.Duration = 0
-	if _, err := Incast(cfg, rng.New(1)); err == nil {
-		t.Fatal("zero duration accepted")
-	}
-}
-
 func TestMerge(t *testing.T) {
 	a := []FlowSpec{{Start: 1}, {Start: 5}}
 	b := []FlowSpec{{Start: 2}, {Start: 3}, {Start: 9}}
