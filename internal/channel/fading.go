@@ -23,11 +23,14 @@ const speedOfLight = 299792458.0
 // with inline arrays so a Model holds all its oscillators in one
 // allocation.
 type jakes struct {
-	static   bool    // zero Doppler: the gain is the constant staticDB
-	staticDB float64 // mild static multipath offset in [-3, +3] dB
+	static bool // zero Doppler: the gain is the constant staticDB
+	// staticDB is the mild static multipath offset in [-3, +3] dB of a
+	// static oscillator; a moving one leaves it zero.
+	staticDB float64
 	// omega[n] = 2π·f_d·cos(arrival angle n), the oscillator's angular
-	// Doppler frequency. It is stored as that left-to-right product so
-	// omega[n]*ts is the double the unhoisted expression produces.
+	// Doppler frequency, set only when moving. It is stored as that
+	// left-to-right product so omega[n]*ts is the double the unhoisted
+	// expression produces.
 	omega   [numOscillators]float64
 	phasesI [numOscillators]float64
 	phasesQ [numOscillators]float64
@@ -35,20 +38,30 @@ type jakes struct {
 
 const numOscillators = 8
 
+// newJakes draws three values per oscillator in the same order in
+// either mode, so the rng stream does not depend on the Doppler, but
+// evaluates only the cosines gainDB reads: the Doppler terms when
+// moving, the phase sum when static.
 func newJakes(dopplerHz float64, r *rng.Source) jakes {
 	j := jakes{static: dopplerHz <= 0}
-	sum := 0.0
 	for n := 0; n < numOscillators; n++ {
 		j.phasesI[n] = 2 * math.Pi * r.Float64()
 		j.phasesQ[n] = 2 * math.Pi * r.Float64()
 		// Random arrival angles give a smoother Doppler spectrum
 		// than the classic deterministic spacing.
 		angle := 2 * math.Pi * r.Float64()
-		j.omega[n] = 2 * math.Pi * dopplerHz * math.Cos(angle)
-		sum += math.Cos(j.phasesI[n]) + math.Cos(j.phasesQ[n])
+		if !j.static {
+			j.omega[n] = 2 * math.Pi * dopplerHz * cos(angle)
+		}
 	}
-	// Static channel: fixed draw baked into phase 0.
-	j.staticDB = 3 * math.Tanh(sum/4)
+	if j.static {
+		// Static channel: fixed draw baked into the phases.
+		sum := 0.0
+		for n := 0; n < numOscillators; n++ {
+			sum += cos(j.phasesI[n]) + cos(j.phasesQ[n])
+		}
+		j.staticDB = 3 * math.Tanh(sum/4)
+	}
 	return j
 }
 

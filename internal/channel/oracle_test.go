@@ -218,3 +218,62 @@ func checkBitIdenticalToPerSubbandFormula(t *testing.T) {
 		})
 	}
 }
+
+// refNewJakes is a frozen copy of newJakes as it was when every
+// oscillator evaluated all 24 cosines with math.Cos, whichever mode
+// read them.
+func refNewJakes(dopplerHz float64, r *rng.Source) jakes {
+	j := jakes{static: dopplerHz <= 0}
+	sum := 0.0
+	for n := 0; n < numOscillators; n++ {
+		j.phasesI[n] = 2 * math.Pi * r.Float64()
+		j.phasesQ[n] = 2 * math.Pi * r.Float64()
+		angle := 2 * math.Pi * r.Float64()
+		j.omega[n] = 2 * math.Pi * dopplerHz * math.Cos(angle)
+		sum += math.Cos(j.phasesI[n]) + math.Cos(j.phasesQ[n])
+	}
+	j.staticDB = 3 * math.Tanh(sum/4)
+	return j
+}
+
+// TestNewJakesMatchesFrozen builds oscillators with newJakes and with
+// the frozen copy from equal seeds, static and moving, and requires
+// the same phases, the same Doppler terms when moving, the same
+// staticDB when static, the same rng position after construction, and
+// the same gainDB bits over a time grid.
+func TestNewJakesMatchesFrozen(t *testing.T) {
+	dopplers := []float64{0, -3, math.Copysign(0, -1), 1e-3, 4.67, 12.5, 130.7, 1e3}
+	times := []float64{0, 1e-3, 0.5, 1, 7.25, 60, 599.999, 3600, 1e5}
+	for i := 0; i < 200; i++ {
+		times = append(times, float64(i*i)*3e-3)
+	}
+	bits := math.Float64bits
+	for _, fd := range dopplers {
+		for seed := uint64(1); seed <= 500; seed++ {
+			r, ref := rng.New(seed), rng.New(seed)
+			got, want := newJakes(fd, r), refNewJakes(fd, ref)
+			if got.static != want.static {
+				t.Fatalf("fd=%v seed %d: static %v, frozen %v", fd, seed, got.static, want.static)
+			}
+			for n := 0; n < numOscillators; n++ {
+				if bits(got.phasesI[n]) != bits(want.phasesI[n]) || bits(got.phasesQ[n]) != bits(want.phasesQ[n]) {
+					t.Fatalf("fd=%v seed %d: oscillator %d phases differ", fd, seed, n)
+				}
+				if !got.static && bits(got.omega[n]) != bits(want.omega[n]) {
+					t.Fatalf("fd=%v seed %d: omega[%d] = %v, frozen %v", fd, seed, n, got.omega[n], want.omega[n])
+				}
+			}
+			if got.static && bits(got.staticDB) != bits(want.staticDB) {
+				t.Fatalf("fd=%v seed %d: staticDB = %v, frozen %v", fd, seed, got.staticDB, want.staticDB)
+			}
+			if a, b := r.Uint64(), ref.Uint64(); a != b {
+				t.Fatalf("fd=%v seed %d: next draw %#x, frozen %#x", fd, seed, a, b)
+			}
+			for _, ts := range times {
+				if a, b := got.gainDB(ts), want.gainDB(ts); bits(a) != bits(b) {
+					t.Fatalf("fd=%v seed %d: gainDB(%v) = %v, frozen %v", fd, seed, ts, a, b)
+				}
+			}
+		}
+	}
+}

@@ -114,7 +114,8 @@ type Cell struct {
 	cfg  Config
 	grid phy.Grid
 	// fingerprint is configFingerprint(cfg), the checkpoint's config
-	// section, rendered once.
+	// section, rendered by the first checkpoint or restore; nil until
+	// then.
 	fingerprint []byte
 
 	sched    mac.Scheduler
@@ -242,7 +243,6 @@ func NewCell(cfg Config) (*Cell, error) {
 		r:        rng.New(cfg.Seed),
 		nextPort: 10000,
 	}
-	c.fingerprint = configFingerprint(cfg)
 	if cfg.KPIEvery > 0 {
 		c.kpi = newKPIState()
 	}

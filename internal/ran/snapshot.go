@@ -34,7 +34,9 @@ func (c *Cell) EnableSnapshots() {}
 // a canonical string. Every field is plain data — no maps, pointers or
 // function values — so the rendering is byte-stable across processes;
 // restore compares it wholesale rather than diffing field by field.
-// NewCell renders it once: the configuration never changes after.
+// A cell renders it once, at its first checkpoint or restore
+// (walkConfig): the configuration never changes after NewCell, and a
+// run that never checkpoints never needs it.
 func configFingerprint(cfg Config) []byte {
 	return []byte(fmt.Sprintf("%+v", cfg))
 }
@@ -197,6 +199,9 @@ func (c *Cell) RestoreSnapshot(a *snapshot.Archive) error {
 // configuration, which a restore target must share.
 func (c *Cell) walkConfig(w *snapshot.Walker) {
 	w.Mark(tagConfig)
+	if c.fingerprint == nil {
+		c.fingerprint = configFingerprint(c.cfg)
+	}
 	want := c.fingerprint
 	fp := want
 	w.Bytes(&fp)

@@ -176,7 +176,9 @@ func TestResumeEquivalence(t *testing.T) {
 }
 
 // TestRestoreRejectsConfigMismatch: a snapshot restores only into a
-// cell built from the identical effective configuration.
+// cell built from the identical effective configuration. Neither cell
+// has rendered its configuration fingerprint before: the writer renders
+// it in Snapshot, the target in RestoreSnapshot.
 func TestRestoreRejectsConfigMismatch(t *testing.T) {
 	h := resumeScenario(SchedPF, UM)
 	cell, err := h.Build()
@@ -198,8 +200,12 @@ func TestRestoreRejectsConfigMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cellB.RestoreSnapshot(a); err == nil {
+	err = cellB.RestoreSnapshot(a)
+	if err == nil {
 		t.Fatal("restore into a different configuration succeeded; want error")
+	}
+	if !strings.Contains(err.Error(), "snapshot was taken under a different configuration") {
+		t.Fatalf("restore error %q does not name the configuration mismatch", err)
 	}
 }
 

@@ -17,17 +17,23 @@ type CDFPoint struct {
 // sizes spanning five decades) are usually digitised.
 type EmpiricalCDF struct {
 	points []CDFPoint
-	mean   float64
+	// logs[i] is math.Log(points[i].Value): every interpolation reads
+	// two knot logarithms, so they are taken once here.
+	logs []float64
+	mean float64
 }
 
-// NewEmpiricalCDF validates the knots and precomputes the mean.
-// Knots must have strictly increasing positive values and
-// non-decreasing probabilities ending at 1.
+// NewEmpiricalCDF validates the knots and precomputes the knot
+// logarithms and the mean. Knots must have finite, strictly increasing
+// positive values and finite, non-decreasing probabilities ending at 1.
 func NewEmpiricalCDF(points []CDFPoint) (*EmpiricalCDF, error) {
 	if len(points) < 2 {
 		return nil, fmt.Errorf("rng: CDF needs at least 2 points, got %d", len(points))
 	}
 	for i, p := range points {
+		if !finite(p.Value) || !finite(p.Prob) {
+			return nil, fmt.Errorf("rng: CDF point %d (value %g, probability %g) is not finite", i, p.Value, p.Prob)
+		}
 		if p.Value <= 0 {
 			return nil, fmt.Errorf("rng: CDF point %d has non-positive value %g", i, p.Value)
 		}
@@ -46,10 +52,18 @@ func NewEmpiricalCDF(points []CDFPoint) (*EmpiricalCDF, error) {
 	if points[len(points)-1].Prob != 1 {
 		return nil, fmt.Errorf("rng: CDF must end at probability 1, got %g", points[len(points)-1].Prob)
 	}
-	c := &EmpiricalCDF{points: append([]CDFPoint(nil), points...)}
+	c := &EmpiricalCDF{
+		points: append([]CDFPoint(nil), points...),
+		logs:   make([]float64, len(points)),
+	}
+	for i, p := range points {
+		c.logs[i] = math.Log(p.Value)
+	}
 	c.mean = c.computeMean()
 	return c, nil
 }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // MustCDF is NewEmpiricalCDF that panics on error, for package-level
 // distribution tables.
@@ -76,7 +90,7 @@ func (c *EmpiricalCDF) quantile(u float64) float64 {
 		return hi.Value
 	}
 	frac := (u - lo.Prob) / (hi.Prob - lo.Prob)
-	return math.Exp(math.Log(lo.Value) + frac*(math.Log(hi.Value)-math.Log(lo.Value)))
+	return math.Exp(c.logs[i-1] + frac*(c.logs[i]-c.logs[i-1]))
 }
 
 // Sample draws one variate.
@@ -107,7 +121,7 @@ func (c *EmpiricalCDF) Prob(v float64) float64 {
 	}
 	i := sort.Search(len(pts), func(i int) bool { return pts[i].Value >= v })
 	lo, hi := pts[i-1], pts[i]
-	frac := (math.Log(v) - math.Log(lo.Value)) / (math.Log(hi.Value) - math.Log(lo.Value))
+	frac := (math.Log(v) - c.logs[i-1]) / (c.logs[i] - c.logs[i-1])
 	return lo.Prob + frac*(hi.Prob-lo.Prob)
 }
 

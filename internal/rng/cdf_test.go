@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -15,20 +16,35 @@ func testCDF() *EmpiricalCDF {
 }
 
 func TestCDFValidation(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
 	cases := []struct {
 		name string
 		pts  []CDFPoint
+		want string // a substring of the error; "" accepts any error
 	}{
-		{"too few", []CDFPoint{{Value: 1, Prob: 1}}},
-		{"non-positive value", []CDFPoint{{Value: 0, Prob: 0.5}, {Value: 2, Prob: 1}}},
-		{"decreasing values", []CDFPoint{{Value: 5, Prob: 0.5}, {Value: 2, Prob: 1}}},
-		{"decreasing probs", []CDFPoint{{Value: 1, Prob: 0.9}, {Value: 2, Prob: 0.5}}},
-		{"not ending at 1", []CDFPoint{{Value: 1, Prob: 0.5}, {Value: 2, Prob: 0.9}}},
-		{"prob above 1", []CDFPoint{{Value: 1, Prob: 0.5}, {Value: 2, Prob: 1.5}}},
+		{"too few", []CDFPoint{{Value: 1, Prob: 1}}, ""},
+		{"non-positive value", []CDFPoint{{Value: 0, Prob: 0.5}, {Value: 2, Prob: 1}}, ""},
+		{"decreasing values", []CDFPoint{{Value: 5, Prob: 0.5}, {Value: 2, Prob: 1}}, ""},
+		{"decreasing probs", []CDFPoint{{Value: 1, Prob: 0.9}, {Value: 2, Prob: 0.5}}, ""},
+		{"not ending at 1", []CDFPoint{{Value: 1, Prob: 0.5}, {Value: 2, Prob: 0.9}}, ""},
+		{"prob above 1", []CDFPoint{{Value: 1, Prob: 0.5}, {Value: 2, Prob: 1.5}}, ""},
+		// Every ordering check is false for NaN, so these used to pass
+		// with a NaN or infinite mean.
+		{"NaN prob", []CDFPoint{{Value: 1, Prob: 0.1}, {Value: 2, Prob: nan}, {Value: 3, Prob: 1}}, "point 1 "},
+		{"NaN first prob", []CDFPoint{{Value: 1, Prob: nan}, {Value: 2, Prob: 1}}, "point 0 "},
+		{"+Inf last value", []CDFPoint{{Value: 1, Prob: 0.1}, {Value: inf, Prob: 1}}, "point 1 "},
+		{"NaN last value", []CDFPoint{{Value: 1, Prob: 0.1}, {Value: 2, Prob: 0.5}, {Value: nan, Prob: 1}}, "point 2 "},
+		{"NaN middle value", []CDFPoint{{Value: 1, Prob: 0.1}, {Value: nan, Prob: 0.5}, {Value: 3, Prob: 1}}, "point 1 "},
+		{"-Inf prob", []CDFPoint{{Value: 1, Prob: math.Inf(-1)}, {Value: 2, Prob: 1}}, "point 0 "},
 	}
 	for _, c := range cases {
-		if _, err := NewEmpiricalCDF(c.pts); err == nil {
-			t.Errorf("%s: no error", c.name)
+		cdf, err := NewEmpiricalCDF(c.pts)
+		if err == nil {
+			t.Errorf("%s: no error (mean %g)", c.name, cdf.Mean())
+			continue
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not name %q", c.name, err, c.want)
 		}
 	}
 }
