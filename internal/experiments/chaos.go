@@ -44,17 +44,13 @@ func Chaos(opt Options) ([]Table, error) {
 		sched, intensity, seed := chaosJob(opt, i)
 		cfg := baseLTE(opt, sched)
 		cfg.RLC = ran.AM
-		h, ch := fault.RunConfig{
+		var err error
+		res[i], err = fault.RunConfig{
 			Cell:     cfg.WithWorkload(workload.PoissonSpec("lte", 0.6)),
 			Duration: opt.Duration, Drain: opt.Drain,
 			Intensity: intensity, Seed: seed,
-		}.Harness()
-		cell, err := h.Run()
-		if err != nil {
-			return err
-		}
-		res[i] = ch.Result(cell)
-		return nil
+		}.Run()
+		return err
 	})
 	if err != nil {
 		return nil, err

@@ -1,7 +1,9 @@
 package fault
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"outran/internal/ran"
@@ -24,15 +26,14 @@ func chaosCell(sched ran.SchedulerKind, mode ran.RLCMode) ran.Config {
 	return smallCell(sched, mode).WithWorkload(workload.PoissonSpec("lte", 0.6))
 }
 
-// runChaos runs rc through its harness to the end and collects it.
+// runChaos runs rc to the end and collects it.
 func runChaos(t *testing.T, rc RunConfig) Result {
 	t.Helper()
-	h, ch := rc.Harness()
-	cell, err := h.Run()
+	res, err := rc.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ch.Result(cell)
+	return res
 }
 
 func TestPlanDeterminism(t *testing.T) {
@@ -228,7 +229,7 @@ func TestNaturalRLFFromPDULoss(t *testing.T) {
 	inj := NewInjector(cell, 3)
 	// One abandonment takes ~8 poll-retransmit cycles, so a 1.5 s burst
 	// yields only a couple; declare RLF on the first.
-	inj.RLFThreshold = 1
+	inj.rlfThreshold = 1
 	plan := Plan{{Kind: PDULoss, UE: 0, Start: 20 * sim.Millisecond,
 		Duration: 1500 * sim.Millisecond, Magnitude: 1.0}}
 	Attach(cell, plan, inj, mon)
@@ -258,5 +259,42 @@ func TestNaturalRLFFromPDULoss(t *testing.T) {
 	}
 	if rep := mon.Finalize(); !rep.Clean() {
 		t.Fatalf("invariant violations: %v", rep.Violations)
+	}
+}
+
+// TestChaosCellRefusesSnapshot: a cell run to mid-plan still holds the
+// injector's pending transitions. They are the injector's events, not
+// the cell's, so a checkpoint would drop them: Snapshot refuses,
+// counting them.
+func TestChaosCellRefusesSnapshot(t *testing.T) {
+	cfg := smallCell(ran.SchedOutRAN, ran.AM)
+	cell, err := ran.NewCell(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := NewPlan(42, PlanConfig{NumUEs: cfg.NumUEs, Horizon: sim.Second, Intensity: 1})
+	Attach(cell, plan, NewInjector(cell, 7), NewMonitor(cell))
+	const mid = 850 * sim.Millisecond // two CQI blackouts active, six transitions ahead
+	cell.Run(mid)
+	transitions, pending := 0, 0
+	for _, ev := range plan {
+		at := []sim.Time{ev.Start}
+		if ev.Kind != ForceRLF {
+			at = append(at, ev.End())
+		}
+		for _, a := range at {
+			transitions++
+			if a > mid {
+				pending++
+			}
+		}
+	}
+	if pending == 0 || pending == transitions {
+		t.Fatalf("%d of the plan's %d transitions pending at %v; the cell is not mid-plan", pending, transitions, mid)
+	}
+	_, err = cell.Snapshot()
+	want := fmt.Sprintf("%d pending events of handlers other than the cell", pending)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("snapshot error = %v, want one holding %q", err, want)
 	}
 }

@@ -7,11 +7,11 @@ import (
 	"outran/internal/sim"
 )
 
-// DefaultRLFThreshold is how many AM delivery failures (PDUs abandoned
+// defaultRLFThreshold is how many AM delivery failures (PDUs abandoned
 // past maxRetx) a UE accumulates before the injector declares a
 // radio-link failure and re-establishes it — the natural RLF path, as
 // opposed to a ForceRLF plan event.
-const DefaultRLFThreshold = 4
+const defaultRLFThreshold = 4
 
 // InjectorStats counts what the injector actually did — useful both
 // for reports and for the determinism gates (same seed, same counts).
@@ -26,17 +26,17 @@ type InjectorStats struct {
 
 // Injector owns the mutable fault state: which plan events are active
 // right now, folded into per-UE accumulators the hooks read. All
-// mutation happens on the event loop via scheduled apply/revert
-// events, so hook reads never race and runs reproduce exactly.
+// mutation happens on the event loop, in apply and revert events the
+// injector schedules and handles itself, so hook reads never race and
+// runs reproduce exactly.
 type Injector struct {
 	cell *ran.Cell
 	r    *rng.Source
 
-	// RLFThreshold overrides DefaultRLFThreshold when > 0.
-	RLFThreshold int
+	// rlfThreshold overrides defaultRLFThreshold when > 0.
+	rlfThreshold int
 
-	// plan is the schedule the pending apply/revert events index into
-	// by key, in this run or in one restored from a checkpoint.
+	// plan is the schedule the pending apply/revert events index into.
 	plan Plan
 
 	fadeDB    []float64 // per-UE sum of active fade magnitudes (dB)
@@ -72,57 +72,36 @@ func NewInjector(cell *ran.Cell, seed uint64) *Injector {
 // Stats returns what the injector has done so far.
 func (in *Injector) Stats() InjectorStats { return in.stats }
 
-// External-event key space: plan transitions are keyed by
-// (plan index << 1 | phase) and deferred RLF re-establishments by
-// (rlfKeyBit | ue). The cell hands the key back through FireExternal
-// when the event fires, also after a checkpoint restore.
+// The injector's event kinds (sim.Event.Kind). Idx is the plan index
+// of an apply or revert, the UE of a re-establishment.
 const (
-	phaseApply  = 0
-	phaseRevert = 1
-	rlfKeyBit   = uint64(1) << 63
+	evApply uint8 = iota + 1
+	evRevert
+	evReestablish
 )
 
 // Schedule installs the plan's apply/revert transitions on the cell's
-// engine, with the injector as the cell's external-event handler. Call
-// before the first Run.
+// engine, with the injector as their handler. Call before the first
+// Run.
 func (in *Injector) Schedule(plan Plan) {
-	in.PrepareResume(plan)
+	in.plan = plan
 	for i, ev := range plan {
-		in.cell.ScheduleExternal(ev.Start, uint64(i)<<1|phaseApply)
+		in.cell.Eng.Schedule(ev.Start, in, sim.Event{Kind: evApply, Idx: int32(i)})
 		if ev.Kind != ForceRLF {
-			in.cell.ScheduleExternal(ev.End(), uint64(i)<<1|phaseRevert)
+			in.cell.Eng.Schedule(ev.End(), in, sim.Event{Kind: evRevert, Idx: int32(i)})
 		}
 	}
 }
 
-// PrepareResume installs the plan and attaches the injector as the
-// cell's external-event handler WITHOUT scheduling anything — the
-// restore path, where the pending transitions come back from the
-// snapshot. The plan must be the original run's (re-derive it from the
-// same seed).
-func (in *Injector) PrepareResume(plan Plan) {
-	in.plan = plan
-	in.cell.SetExternalHandler(in)
-}
-
-// HasExternal reports whether key is inside the injector's key space.
-func (in *Injector) HasExternal(key uint64) bool {
-	if key&rlfKeyBit != 0 {
-		return key&^rlfKeyBit < uint64(len(in.rlfPending))
-	}
-	return key>>1 < uint64(len(in.plan))
-}
-
-// FireExternal runs the pending transition or re-establishment that
-// was scheduled under key.
-func (in *Injector) FireExternal(key uint64) {
-	switch {
-	case key&rlfKeyBit != 0:
-		in.reestablish(int(key &^ rlfKeyBit))
-	case key&1 == phaseRevert:
-		in.revert(in.plan[key>>1])
-	default:
-		in.apply(in.plan[key>>1])
+// Fire runs a pending transition or re-establishment.
+func (in *Injector) Fire(ev sim.Event) {
+	switch ev.Kind {
+	case evApply:
+		in.apply(in.plan[ev.Idx])
+	case evRevert:
+		in.revert(in.plan[ev.Idx])
+	case evReestablish:
+		in.reestablish(int(ev.Idx))
 	}
 }
 
@@ -165,13 +144,13 @@ func (in *Injector) revert(ev Event) {
 
 // triggerRLF schedules a deferred re-establishment (ReestablishUE must
 // not run inside an RLC pull path; see its doc). The rlfPending guard
-// keeps the per-UE key unique among pending events.
+// keeps at most one pending per UE.
 func (in *Injector) triggerRLF(ue int) {
 	if in.rlfPending[ue] {
 		return
 	}
 	in.rlfPending[ue] = true
-	in.cell.ScheduleExternal(in.cell.Eng.Now(), rlfKeyBit|uint64(ue))
+	in.cell.Eng.Schedule(in.cell.Eng.Now(), in, sim.Event{Kind: evReestablish, Idx: int32(ue)})
 }
 
 func (in *Injector) reestablish(ue int) {
@@ -189,9 +168,9 @@ func (in *Injector) onDeliveryFail(ue int, _ uint32) {
 		return
 	}
 	in.failStreak[ue]++
-	th := in.RLFThreshold
+	th := in.rlfThreshold
 	if th <= 0 {
-		th = DefaultRLFThreshold
+		th = defaultRLFThreshold
 	}
 	if in.failStreak[ue] >= th {
 		in.stats.RLFs++

@@ -139,7 +139,6 @@ func TestCellZeroAllocs(t *testing.T) {
 		},
 		"(*Cell).ScheduleTrackerReset":  scheduleProbe(func(c *Cell) { c.ScheduleTrackerReset(c.Eng.Now()) }),
 		"(*Cell).ScheduleTrackerFreeze": scheduleProbe(func(c *Cell) { c.ScheduleTrackerFreeze(c.Eng.Now()) }),
-		"(*Cell).ScheduleExternal":      scheduleProbe(func(c *Cell) { c.ScheduleExternal(c.Eng.Now(), 1<<63|7) }),
 		"(*Cell).rbStats": func(t *testing.T) {
 			cell := backloggedCell(t)
 			alloc := mac.NewAllocation(cell.grid.NumRB)

@@ -193,12 +193,10 @@ type Cell struct {
 	graveHead int
 
 	// The construction-time periodics, held so a checkpoint can record
-	// and re-arm their pending ticks (see snapshot.go), and the handler
-	// of the cell's external events (see events.go).
+	// and re-arm their pending ticks (see snapshot.go).
 	tickTTI   *sim.Periodic
 	tickCQI   *sim.Periodic
 	tickReset *sim.Periodic
-	ext       ExternalHandler
 	restored  bool
 
 	// cursors are the workload sources feeding the cell, in the order

@@ -22,7 +22,6 @@ import (
 //	evAMStatus       UE      -      -       *rlc.StatusPDU
 //	evTrackerReset   -       -      -       -
 //	evTrackerFreeze  -       -      -       -
-//	evExternal       -       key    -       -
 const (
 	// evArrival is a workload flow arrival (ScheduleSource). A
 	// checkpoint records it through its cursor, not as an entry.
@@ -44,9 +43,6 @@ const (
 	// boundaries.
 	evTrackerReset
 	evTrackerFreeze
-	// evExternal is an opaque event owned by the attached
-	// ExternalHandler (fault injection), identified by its key.
-	evExternal
 )
 
 // evArrival option bits (Event.Idx).
@@ -64,21 +60,6 @@ func arrivalFlags(incast, skip bool) (flags int32) {
 	}
 	return flags
 }
-
-// ExternalHandler is the subsystem behind the cell's external events:
-// it schedules them through ScheduleExternal under keys of its own
-// choosing and the cell hands each key back when the event fires —
-// in the run that scheduled it or in one restored from a checkpoint.
-type ExternalHandler interface {
-	FireExternal(key uint64)
-	// HasExternal reports whether key names an event the handler can
-	// fire; a restore rejects a checkpoint holding any other key.
-	HasExternal(key uint64) bool
-}
-
-// SetExternalHandler attaches the external-event handler. Attach it
-// before scheduling external events and before RestoreSnapshot.
-func (c *Cell) SetExternalHandler(h ExternalHandler) { c.ext = h }
 
 // Fire dispatches one of the cell's scheduled events.
 func (c *Cell) Fire(ev sim.Event) {
@@ -107,8 +88,6 @@ func (c *Cell) Fire(ev sim.Event) {
 		c.Tracker.Reset()
 	case evTrackerFreeze:
 		c.Tracker.Freeze()
-	case evExternal:
-		c.ext.FireExternal(uint64(ev.A))
 	}
 }
 
@@ -129,12 +108,4 @@ func (c *Cell) ScheduleTrackerReset(at sim.Time) {
 //outran:allocfree
 func (c *Cell) ScheduleTrackerFreeze(at sim.Time) {
 	c.Eng.Schedule(at, c, sim.Event{Kind: evTrackerFreeze})
-}
-
-// ScheduleExternal schedules an event of the attached ExternalHandler
-// at an absolute time, under the handler's opaque key.
-//
-//outran:allocfree
-func (c *Cell) ScheduleExternal(at sim.Time, key uint64) {
-	c.Eng.Schedule(at, c, sim.Event{Kind: evExternal, A: int64(key)})
 }

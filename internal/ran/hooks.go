@@ -70,9 +70,10 @@ func (c *Cell) Reestablishments() uint64 { return c.ctrReestablish.Value() }
 //
 // Do not call from inside an RLC pull/receive path (e.g. directly
 // from an OnDeliveryFail hook): the entities being replaced are still
-// on the stack there. Defer it as an event of the cell's
-// ExternalHandler with ScheduleExternal(Eng.Now(), key), as the fault
-// injector does: a pending Eng.After closure would make SnapshotTo fail.
+// on the stack there. Defer it: schedule an event at Eng.Now() on a
+// sim.Handler of the caller's own, as the fault injector does. Like any
+// pending event the cell does not handle, it makes SnapshotTo fail
+// until it has fired.
 func (c *Cell) ReestablishUE(id int) error {
 	if id < 0 || id >= len(c.ues) {
 		return fmt.Errorf("ran: no UE %d", id)

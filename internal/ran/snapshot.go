@@ -47,15 +47,15 @@ func configFingerprint(cfg Config) []byte {
 // state and goes in that UE's section, everything else in the pending
 // section. Timers and periodics are recorded by the layer that owns
 // them (a timer's one queued entry is its arm, which Timer.Walk
-// carries), and workload arrivals by their cursors. Any other entry is
-// a plain func scheduled with Engine.At/After: a checkpoint cannot
-// serialise it and would silently drop it, so their presence is an
-// error.
+// carries), and workload arrivals by their cursors. Any other entry
+// belongs to another handler — a func scheduled with Engine.At/After,
+// a fault injector's plan transition: a checkpoint cannot serialise it
+// and would silently drop it, so its presence is an error.
 func (c *Cell) cellEvents() (perUE [][]sim.Entry, rest []sim.Entry, err error) {
 	perUE = make([][]sim.Entry, len(c.ues))
 	entries := c.Eng.Entries()
 	rest = entries[:0] // filtered in place: the write index never passes the read index
-	funcs := 0
+	foreign := 0
 	for _, en := range entries {
 		switch en.H.(type) {
 		case *Cell:
@@ -68,11 +68,11 @@ func (c *Cell) cellEvents() (perUE [][]sim.Entry, rest []sim.Entry, err error) {
 			}
 		case *sim.Timer, *sim.Periodic:
 		default:
-			funcs++
+			foreign++
 		}
 	}
-	if funcs > 0 {
-		return nil, nil, fmt.Errorf("ran: %d pending Engine.At/After funcs cannot be checkpointed and would be dropped; schedule checkpointable work as cell events", funcs)
+	if foreign > 0 {
+		return nil, nil, fmt.Errorf("ran: %d pending events of handlers other than the cell and its timers cannot be checkpointed and would be dropped; schedule checkpointable work as cell events", foreign)
 	}
 	return perUE, rest, nil
 }
@@ -127,9 +127,10 @@ func (c *Cell) sections(ueEvents [][]sim.Entry, rest []sim.Entry) []section {
 // as the sections config/engine/cell/metrics/ue<i>/pending. Flows
 // started with persistent-connection or completion-callback options
 // cannot be serialised and make the whole snapshot fail (checkpointed
-// runs use the plain workload path), as do any pending Engine.At/After
-// func and flows still to come from a source the caller scheduled with
-// ScheduleSource.
+// runs use the plain workload path), as do pending events of any
+// handler other than the cell and its timers (Engine.At/After funcs, a
+// fault injector's transitions) and flows still to come from a source
+// the caller scheduled with ScheduleSource.
 func (c *Cell) SnapshotTo(b *snapshot.Builder) error {
 	for _, cur := range c.cursors {
 		if err := cur.checkpointable(); err != nil {
@@ -175,10 +176,8 @@ func (c *Cell) Snapshot() ([]byte, error) {
 //
 // The target must come straight from NewCell — same Config, clock still
 // at zero, nothing scheduled beyond the construction tickers. Tracers
-// (SetTracerResumed) and fault plumbing (SetFaultHooks,
-// SetExternalHandler plus the injector's own restore) are re-attached
-// by the caller first; external events fail the restore if no handler
-// is attached.
+// (SetTracerResumed) and fault hooks (SetFaultHooks) are re-attached by
+// the caller first.
 func (c *Cell) RestoreSnapshot(a *snapshot.Archive) error {
 	if c.restored {
 		return fmt.Errorf("ran: cell already restored from a snapshot once")
@@ -419,11 +418,6 @@ func (c *Cell) walkPending(w *snapshot.Walker, events []sim.Entry) {
 			}
 			ev.Ptr = fr
 		case evTrackerReset, evTrackerFreeze:
-		case evExternal:
-			w.I64(&ev.A)
-			if w.Decoding() && w.Err() == nil && (c.ext == nil || !c.ext.HasExternal(uint64(ev.A))) {
-				w.Fail(fmt.Errorf("%w: external event %#x has no handler (SetExternalHandler before RestoreSnapshot)", snapshot.ErrCorrupt, uint64(ev.A)))
-			}
 		default:
 			w.Fail(fmt.Errorf("%w: unknown pending kind %d", snapshot.ErrCorrupt, ev.Kind))
 		}

@@ -110,8 +110,12 @@ func (c *EmpiricalCDF) Quantile(u float64) float64 {
 	return c.quantile(u)
 }
 
-// Prob returns P(X <= v), the forward CDF, log-linearly interpolated.
+// Prob returns P(X <= v), the forward CDF, log-linearly interpolated;
+// NaN for NaN.
 func (c *EmpiricalCDF) Prob(v float64) float64 {
+	if math.IsNaN(v) {
+		return math.NaN()
+	}
 	pts := c.points
 	if v <= pts[0].Value {
 		return pts[0].Prob

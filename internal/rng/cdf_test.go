@@ -105,6 +105,9 @@ func TestProbBounds(t *testing.T) {
 	if c.Prob(2e6) != 1 {
 		t.Fatal("Prob above support != 1")
 	}
+	if p := c.Prob(math.NaN()); !math.IsNaN(p) {
+		t.Fatalf("Prob(NaN) = %g, want NaN", p)
+	}
 }
 
 func TestSampleWithinSupport(t *testing.T) {
