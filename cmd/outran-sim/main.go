@@ -154,11 +154,15 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 		}
 		return options{}, fmt.Errorf("%w: %v", cli.ErrUsage, err)
 	}
-	// A negative size or instant would be silently replaced or ignored.
-	for _, name := range []string{"ues", "rbs", "dur", "cells", "parallel", "handover", "kpi-every", "checkpoint-every"} {
+	// A negative size or instant would be silently replaced or ignored,
+	// and so would a cell of no UEs.
+	for _, name := range []string{"ues", "rbs", "dur", "numerology", "cells", "parallel", "handover", "kpi-every", "checkpoint-every"} {
 		if v := fs.Lookup(name).Value.String(); strings.HasPrefix(v, "-") {
 			return options{}, fmt.Errorf("%w: -%s %s is negative", cli.ErrUsage, name, v)
 		}
+	}
+	if *ues == 0 {
+		return options{}, fmt.Errorf("%w: -ues 0: a cell needs at least one UE", cli.ErrUsage)
 	}
 
 	if _, ok := workload.ByName(*distName); !ok {

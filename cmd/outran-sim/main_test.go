@@ -439,15 +439,18 @@ func TestNonFiniteFlags(t *testing.T) {
 	}
 }
 
-// TestNegativeSizes: a negative size or instant is a usage error (exit
-// status 2). Before, each of these ran and exited 0: -ues -3 ran 1 UE,
-// -rbs -15 ran 100 RBs, -dur -1s ran 8 s, -cells -2 ran one cell,
+// TestNegativeSizes: a negative size or instant, and a cell of no UEs,
+// is a usage error (exit status 2). Before, each of these ran and exited
+// 0: -ues -3 and -ues 0 ran 1 UE, -rbs -15 ran 100 RBs, -dur -1s ran
+// 8 s, -numerology -1 ran the LTE grid, -cells -2 ran one cell,
 // -handover -1s applied no handover, -checkpoint-every -1s wrote no
 // checkpoint and -parallel -3 ran on GOMAXPROCS; -kpi-every -1s failed
 // config validation with exit status 1.
 func TestNegativeSizes(t *testing.T) {
 	for _, neg := range [][]string{
 		{"-ues", "-3"},
+		{"-ues", "0"},
+		{"-numerology", "-1"},
 		{"-rbs", "-15"},
 		{"-dur", "-1s"},
 		{"-cells", "-2"},

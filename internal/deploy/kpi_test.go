@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"outran/internal/deploy"
@@ -220,8 +221,8 @@ func TestCheckpointFileGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if meta.At != 300*sim.Millisecond || meta.TraceOffset <= 0 || meta.KPIOffset <= 0 || !a.Has("kpi") {
-			t.Fatalf("cell %d: meta %+v, kpi section %v; the file would pin nothing", cell, meta, a.Has("kpi"))
+		if meta.At != 300*sim.Millisecond || meta.TraceOffset <= 0 || meta.KPIOffset <= 0 || !slices.Contains(a.Names(), "kpi") {
+			t.Fatalf("cell %d: meta %+v, sections %v; the file would pin nothing", cell, meta, a.Names())
 		}
 		if runtime.GOARCH != "amd64" {
 			continue

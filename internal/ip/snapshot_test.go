@@ -3,7 +3,6 @@ package ip
 import (
 	"testing"
 
-	"outran/internal/snapshot"
 	"outran/internal/snapshot/snapshottest"
 )
 
@@ -12,9 +11,7 @@ import (
 func TestPacketFieldsWalked(t *testing.T) {
 	snapshottest.Fields(t, (*Packet).Walk, nil)
 	snapshottest.Fields(t, (*FiveTuple).Walk, nil)
-	var e snapshot.Encoder
-	(&FiveTuple{}).Walk(snapshot.EncodeWalker(&e))
-	if e.Len() != TupleBytes {
-		t.Fatalf("a five-tuple encodes to %d bytes, TupleBytes says %d", e.Len(), TupleBytes)
+	if n := len(snapshottest.Encode((&FiveTuple{}).Walk)); n != TupleBytes {
+		t.Fatalf("a five-tuple encodes to %d bytes, TupleBytes says %d", n, TupleBytes)
 	}
 }

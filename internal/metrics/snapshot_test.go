@@ -39,16 +39,13 @@ func TestSampleFieldsWalked(t *testing.T) {
 // bytes long that claims the maximum number of samples fails before
 // anything is sized from the claim.
 func TestTrackerRejectsCountBeyondInput(t *testing.T) {
-	var e snapshot.Encoder
-	e.Mark(tagTracker)
-	e.Int(0)
-	e.I64(0)
-	e.I64(0)
-	e.I64(0)
-	e.I64(0)
-	e.U32(1 << 28)
 	var b snapshot.Builder
-	b.Add("tracker", &e)
+	b.Walk("tracker", func(w *snapshot.Walker) {
+		w.Mark(tagTracker)
+		w.Raw(make([]byte, 8+4*8)) // an int and four int64s, all zero
+		n := uint32(1 << 28)
+		w.U32(&n)
+	})
 	a, err := snapshot.Open(b.Bytes())
 	if err != nil {
 		t.Fatal(err)

@@ -13,6 +13,7 @@ import (
 	"outran/internal/ip"
 	"outran/internal/sim"
 	"outran/internal/snapshot"
+	"outran/internal/snapshot/snapshottest"
 )
 
 // refTable is the flow table as it was before it became a sorted slice,
@@ -115,20 +116,22 @@ func (r *refTable) importBlob(data []byte, now sim.Time) error {
 // walk is Tx.Walk's layout for a delayed-SN entity that has numbered
 // nothing and inspected every packet cleanly.
 func (r *refTable) walk() []byte {
-	var e snapshot.Encoder
-	e.Mark(tagTx)
-	e.U32(0)
-	e.U32(uint32(len(r.flows)))
-	for _, k := range r.sorted() {
-		fe := r.flows[k]
-		k.Walk(snapshot.EncodeWalker(&e))
-		e.I64(fe.sentBytes)
-		e.I64(int64(fe.lastSeen))
-		e.Int(fe.prio)
-	}
-	e.U64(r.submitted)
-	e.U64(0)
-	return e.Bytes()
+	return snapshottest.Encode(func(w *snapshot.Walker) {
+		nextSN, n, inspectErr := uint32(0), uint32(len(r.flows)), uint64(0)
+		w.Mark(tagTx)
+		w.U32(&nextSN)
+		w.U32(&n)
+		for _, k := range r.sorted() {
+			fe := r.flows[k]
+			lastSeen := int64(fe.lastSeen)
+			k.Walk(w)
+			w.I64(&fe.sentBytes)
+			w.I64(&lastSeen)
+			w.Int(&fe.prio)
+		}
+		w.U64(&r.submitted)
+		w.U64(&inspectErr)
+	})
 }
 
 // flowTableRun drives a Tx and the reference through one program.
@@ -250,9 +253,7 @@ func (r *flowTableRun) check(after string) {
 	if got, want := r.tx.ExportFlowState(), r.ref.export(); !bytes.Equal(got, want) {
 		r.t.Fatalf("after %s: ExportFlowState differs from the reference (%d vs %d bytes)", after, len(got), len(want))
 	}
-	var e snapshot.Encoder
-	r.tx.Walk(snapshot.EncodeWalker(&e))
-	if got, want := e.Bytes(), r.ref.walk(); !bytes.Equal(got, want) {
+	if got, want := snapshottest.Encode(r.tx.Walk), r.ref.walk(); !bytes.Equal(got, want) {
 		r.t.Fatalf("after %s: Walk differs from the reference (%d vs %d bytes)", after, len(got), len(want))
 	}
 	if !reflect.DeepEqual(r.levels, r.ref.levels) {

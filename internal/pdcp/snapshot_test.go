@@ -27,9 +27,8 @@ func TestWalkRoundTrip(t *testing.T) {
 	img := snapshottest.RoundTrip(t, tx.Walk, tx2.Walk)
 	snapshottest.RoundTrip(t, rx.Walk, rx2.Walk)
 
-	w := snapshot.DecodeWalker(snapshot.NewDecoder(img))
-	if tx2.Walk(w); !errors.Is(w.Err(), errAlreadyImported) {
-		t.Fatalf("second decode into the same Tx: %v, want errAlreadyImported", w.Err())
+	if err := snapshottest.Decode(img, tx2.Walk); !errors.Is(err, errAlreadyImported) {
+		t.Fatalf("second decode into the same Tx: %v, want errAlreadyImported", err)
 	}
 }
 
@@ -42,9 +41,7 @@ func TestWalkRejectsUnsortedFlowTable(t *testing.T) {
 	for port := uint16(5000); port < 5003; port++ {
 		tx.Submit(testPkt(port, 0, 1400), FlowMeta{})
 	}
-	var e snapshot.Encoder
-	tx.Walk(snapshot.EncodeWalker(&e))
-	img := e.Bytes()
+	img := snapshottest.Encode(tx.Walk)
 	const at, rec = 4 + 4 + 4, ip.TupleBytes + 24 // after the tag, nextSN and the count
 	entry := func(b []byte, i int) []byte { return b[at+i*rec : at+(i+1)*rec] }
 	swapped := bytes.Clone(img)
@@ -54,15 +51,13 @@ func TestWalkRejectsUnsortedFlowTable(t *testing.T) {
 	copy(entry(repeated, 1), entry(img, 0))
 	for name, bad := range map[string][]byte{"swapped": swapped, "repeated": repeated} {
 		_, fresh, _, _ := newPair(t, defaultCfg(), nil)
-		w := snapshot.DecodeWalker(snapshot.NewDecoder(bad))
-		if fresh.Walk(w); !errors.Is(w.Err(), snapshot.ErrCorrupt) {
-			t.Errorf("%s entries: decode error %v, want snapshot.ErrCorrupt", name, w.Err())
+		if err := snapshottest.Decode(bad, fresh.Walk); !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Errorf("%s entries: decode error %v, want snapshot.ErrCorrupt", name, err)
 		}
 	}
 	_, fresh, _, _ := newPair(t, defaultCfg(), nil)
-	w := snapshot.DecodeWalker(snapshot.NewDecoder(img))
-	if fresh.Walk(w); w.Err() != nil || fresh.FlowCount() != 3 {
-		t.Fatalf("the intact image: error %v, %d flows", w.Err(), fresh.FlowCount())
+	if err := snapshottest.Decode(img, fresh.Walk); err != nil || fresh.FlowCount() != 3 {
+		t.Fatalf("the intact image: error %v, %d flows", err, fresh.FlowCount())
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"outran/internal/ip"
 	"outran/internal/snapshot"
+	"outran/internal/snapshot/snapshottest"
 	"outran/internal/workload"
 )
 
@@ -103,11 +104,9 @@ func unsortedFlowTable(t testing.TB, c *Cell) (section string, payload []byte) {
 		if ue.pdcpTx.FlowCount() < 2 {
 			continue
 		}
-		var e snapshot.Encoder
-		ue.pdcpTx.Walk(snapshot.EncodeWalker(&e))
 		section = fmt.Sprintf("ue%d", i)
 		payload = bytes.Clone(sections[section])
-		at := bytes.Index(payload, e.Bytes())
+		at := bytes.Index(payload, snapshottest.Encode(ue.pdcpTx.Walk))
 		if at < 0 {
 			t.Fatalf("UE %d's PDCP walk is not in its section", i)
 		}

@@ -298,18 +298,14 @@ type AMRx struct {
 	// cell through the uplink delay).
 	SendStatus func(*StatusPDU)
 
-	partials map[uint64]*partialSDU
-	held     map[uint32]*PDU // received, waiting for in-order processing
-	floor    uint32          // next SN to process
-	highest  uint32          // highest SN received + 1
-	nackTry  map[uint32]int
-	prohibit *sim.Timer
-	gapTimer *sim.Timer // re-sends status while a gap persists
-	sduTimer *sim.Timer // reaps partials orphaned by abandoned PDUs
-	pending  bool       // status wanted while prohibited
-
-	delivered uint64
-	discarded uint64
+	reassembly                 // sweeps partials orphaned by abandoned PDUs
+	held       map[uint32]*PDU // received, waiting for in-order processing
+	floor      uint32          // next SN to process
+	highest    uint32          // highest SN received + 1
+	nackTry    map[uint32]int
+	prohibit   *sim.Timer
+	gapTimer   *sim.Timer // re-sends status while a gap persists
+	pending    bool       // status wanted while prohibited
 }
 
 // gapStatusPeriod is how often the receiver re-reports a persistent
@@ -332,13 +328,13 @@ func NewAMRx(eng *sim.Engine, deliver func(*SDU), sendStatus func(*StatusPDU)) *
 		eng:        eng,
 		Deliver:    deliver,
 		SendStatus: sendStatus,
-		partials:   make(map[uint64]*partialSDU),
+		reassembly: reassembly{partials: make(map[uint64]*partialSDU)},
 		held:       make(map[uint32]*PDU),
 		nackTry:    make(map[uint32]int),
 	}
 	rx.prohibit = sim.NewTimer(eng, rx.onProhibitExpiry)
 	rx.gapTimer = sim.NewTimer(eng, rx.onGapTimer)
-	rx.sduTimer = sim.NewTimer(eng, rx.onSDUExpiry)
+	rx.sduTimer = sim.NewTimer(eng, func() { rx.expire(rx.eng.Now(), amPartialAge) })
 	return rx
 }
 
@@ -381,7 +377,7 @@ func (r *AMRx) drain() {
 			delete(r.held, r.floor)
 			delete(r.nackTry, r.floor)
 			r.floor++
-			r.processPDU(pdu)
+			r.fold(pdu, r.eng.Now(), amPartialAge, r.Deliver)
 			continue
 		}
 		if r.nackTry[r.floor] >= maxNackReports {
@@ -390,45 +386,6 @@ func (r *AMRx) drain() {
 			continue
 		}
 		break
-	}
-}
-
-func (r *AMRx) processPDU(pdu *PDU) {
-	now := r.eng.Now()
-	for _, seg := range pdu.Segments {
-		p := r.partials[seg.SDU.ID]
-		if p == nil {
-			p = &partialSDU{sdu: seg.SDU}
-			r.partials[seg.SDU.ID] = p
-		}
-		p.received += seg.Len
-		p.lastSeen = now
-		if p.received >= p.sdu.Size {
-			delete(r.partials, seg.SDU.ID)
-			r.delivered++
-			if r.Deliver != nil {
-				r.Deliver(p.sdu)
-			}
-		}
-	}
-	if len(r.partials) > 0 && !r.sduTimer.Running() {
-		r.sduTimer.Start(amPartialAge)
-	}
-}
-
-// onSDUExpiry reaps partials whose missing bytes were in PDUs the
-// receiver has permanently given up on. The reassembly drain walks in
-// SDU-id order so the discard sequence is stable across same-seed runs.
-func (r *AMRx) onSDUExpiry() {
-	now := r.eng.Now()
-	for _, id := range sortedPartialIDs(r.partials) {
-		if now-r.partials[id].lastSeen >= amPartialAge {
-			delete(r.partials, id)
-			r.discarded++
-		}
-	}
-	if len(r.partials) > 0 {
-		r.sduTimer.Start(amPartialAge)
 	}
 }
 

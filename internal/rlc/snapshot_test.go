@@ -50,9 +50,8 @@ func TestAMWalkRoundTrip(t *testing.T) {
 	if shared == 0 {
 		t.Fatal("no PDU is shared between the two entities; the identity tables are not exercised")
 	}
-	w := snapshot.DecodeWalker(snapshot.NewDecoder(img))
-	if both(fresh)(w); !errors.Is(w.Err(), errDoubleRestore) {
-		t.Fatalf("second decode into the same bearer: %v, want errDoubleRestore", w.Err())
+	if err := snapshottest.Decode(img, both(fresh)); !errors.Is(err, errDoubleRestore) {
+		t.Fatalf("second decode into the same bearer: %v, want errDoubleRestore", err)
 	}
 }
 
@@ -101,10 +100,10 @@ func TestRefsRejectHostileReferences(t *testing.T) {
 		"nil reference":          {refNil},
 		"unknown marker":         {9},
 	} {
-		w := snapshot.DecodeWalker(snapshot.NewDecoder(payload))
 		var s *SDU
-		if NewRefs(w).SDU(&s); !errors.Is(w.Err(), snapshot.ErrCorrupt) || s != nil {
-			t.Errorf("%s: decode error %v (SDU %v), want snapshot.ErrCorrupt and nil", name, w.Err(), s)
+		err := snapshottest.Decode(payload, func(w *snapshot.Walker) { NewRefs(w).SDU(&s) })
+		if !errors.Is(err, snapshot.ErrCorrupt) || s != nil {
+			t.Errorf("%s: decode error %v (SDU %v), want snapshot.ErrCorrupt and nil", name, err, s)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 package rlc
 
 import (
-	"sort"
+	"slices"
 
 	"outran/internal/mac"
 	"outran/internal/sim"
@@ -66,16 +66,60 @@ type partialSDU struct {
 	lastSeen sim.Time
 }
 
-// sortedPartialIDs returns the reassembly table's SDU ids in ascending
-// order — the deterministic walk order for drains whose effects are
-// order-sensitive (shared by the UM and AM receivers).
-func sortedPartialIDs(partials map[uint64]*partialSDU) []uint64 {
-	ids := make([]uint64, 0, len(partials))
-	for id := range partials {
+// reassembly folds in-order PDUs' segments back into SDUs and discards
+// the partial SDUs whose remaining bytes stop arriving. The UM and AM
+// receivers each embed one; they differ only in the age at which a
+// partial SDU is given up (UM's t-Reassembly, AM's amPartialAge).
+type reassembly struct {
+	partials  map[uint64]*partialSDU
+	sduTimer  *sim.Timer // runs expire while partial SDUs are held
+	delivered uint64
+	discarded uint64
+}
+
+// fold accounts one in-order PDU's segments at now, hands each SDU it
+// completes to deliver (when set), and arms the expiry sweep at age
+// while partial SDUs remain.
+func (r *reassembly) fold(pdu *PDU, now, age sim.Time, deliver func(*SDU)) {
+	for _, seg := range pdu.Segments {
+		p := r.partials[seg.SDU.ID]
+		if p == nil {
+			p = &partialSDU{sdu: seg.SDU}
+			r.partials[seg.SDU.ID] = p
+		}
+		p.received += seg.Len
+		p.lastSeen = now
+		if p.received >= p.sdu.Size {
+			delete(r.partials, seg.SDU.ID)
+			r.delivered++
+			if deliver != nil {
+				deliver(p.sdu)
+			}
+		}
+	}
+	if len(r.partials) > 0 && !r.sduTimer.Running() {
+		r.sduTimer.Start(age)
+	}
+}
+
+// expire discards the partial SDUs that have seen no segment for age,
+// walking in SDU-id order so the discard sequence is stable across
+// same-seed runs, and re-arms while any remain.
+func (r *reassembly) expire(now, age sim.Time) {
+	ids := make([]uint64, 0, len(r.partials))
+	for id := range r.partials {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	slices.Sort(ids)
+	for _, id := range ids {
+		if now-r.partials[id].lastSeen >= age {
+			delete(r.partials, id)
+			r.discarded++
+		}
+	}
+	if len(r.partials) > 0 {
+		r.sduTimer.Start(age)
+	}
 }
 
 // maxHeldPDUs bounds the reordering buffer (half the 13-bit UM SN
@@ -95,13 +139,10 @@ type UMRx struct {
 
 	expected uint32          // next SN to process (VR(UR))
 	held     map[uint32]*PDU // received, waiting for in-order processing
-	partials map[uint64]*partialSDU
+	reassembly
 
-	delivered uint64
-	discarded uint64
-	skipped   uint64 // PDUs given up on (gap expiry); kept for the checkpoint layout
-	gapTimer  *sim.Timer
-	sduTimer  *sim.Timer
+	skipped  uint64 // PDUs given up on (gap expiry); kept for the checkpoint layout
+	gapTimer *sim.Timer
 }
 
 // NewUMRx builds a UM receiver.
@@ -111,10 +152,10 @@ func NewUMRx(eng *sim.Engine, deliver func(*SDU)) *UMRx {
 		TReassembly: DefaultTReassembly,
 		Deliver:     deliver,
 		held:        make(map[uint32]*PDU),
-		partials:    make(map[uint64]*partialSDU),
+		reassembly:  reassembly{partials: make(map[uint64]*partialSDU)},
 	}
 	rx.gapTimer = sim.NewTimer(eng, rx.onGapExpiry)
-	rx.sduTimer = sim.NewTimer(eng, rx.onSDUExpiry)
+	rx.sduTimer = sim.NewTimer(eng, func() { rx.expire(rx.eng.Now(), rx.TReassembly) })
 	return rx
 }
 
@@ -157,7 +198,7 @@ func (r *UMRx) drain() {
 		}
 		delete(r.held, r.expected)
 		r.expected++
-		r.processPDU(pdu)
+		r.fold(pdu, r.eng.Now(), r.TReassembly, r.Deliver)
 	}
 }
 
@@ -187,47 +228,6 @@ func (r *UMRx) onGapExpiry() {
 	}
 	if len(r.held) > 0 {
 		r.gapTimer.Start(r.TReassembly)
-	}
-}
-
-// processPDU accounts one in-order PDU's segments and delivers
-// completed SDUs.
-func (r *UMRx) processPDU(pdu *PDU) {
-	now := r.eng.Now()
-	for _, seg := range pdu.Segments {
-		p := r.partials[seg.SDU.ID]
-		if p == nil {
-			p = &partialSDU{sdu: seg.SDU}
-			r.partials[seg.SDU.ID] = p
-		}
-		p.received += seg.Len
-		p.lastSeen = now
-		if p.received >= p.sdu.Size {
-			delete(r.partials, seg.SDU.ID)
-			r.delivered++
-			if r.Deliver != nil {
-				r.Deliver(p.sdu)
-			}
-		}
-	}
-	if len(r.partials) > 0 && !r.sduTimer.Running() {
-		r.sduTimer.Start(r.TReassembly)
-	}
-}
-
-// onSDUExpiry discards SDUs whose remaining segments have not arrived
-// within the reassembly window. The reassembly drain walks in SDU-id
-// order so the discard sequence is stable across same-seed runs.
-func (r *UMRx) onSDUExpiry() {
-	now := r.eng.Now()
-	for _, id := range sortedPartialIDs(r.partials) {
-		if now-r.partials[id].lastSeen >= r.TReassembly {
-			delete(r.partials, id)
-			r.discarded++
-		}
-	}
-	if len(r.partials) > 0 {
-		r.sduTimer.Start(r.TReassembly)
 	}
 }
 

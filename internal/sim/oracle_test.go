@@ -9,6 +9,7 @@ import (
 
 	"outran/internal/rng"
 	"outran/internal/snapshot"
+	"outran/internal/snapshot/snapshottest"
 )
 
 // The differential oracle: a frozen copy of the engine as it stood
@@ -495,9 +496,7 @@ func driveEngines(t testing.TB, program []byte) (n, mixed int) {
 			}
 			arms := make([]arm, numTimers)
 			for i, tm := range liveTimers {
-				var enc snapshot.Encoder
-				tm.Walk(snapshot.EncodeWalker(&enc))
-				arms[i] = arm{tm.Running(), tm.expires, tm.armSeq, enc.Bytes()}
+				arms[i] = arm{tm.Running(), tm.expires, tm.armSeq, snapshottest.Encode(tm.Walk)}
 			}
 			for _, s := range sides {
 				s.e.DropPending()
@@ -507,12 +506,11 @@ func driveEngines(t testing.TB, program []byte) (n, mixed int) {
 				if ops.next()%2 == 0 {
 					continue // dropped and not restored: the live timer is stopped, the oracle's a zombie
 				}
-				dec := snapshot.DecodeWalker(snapshot.NewDecoder(a.img))
-				liveTimers[i].Walk(dec)
+				err := snapshottest.Decode(a.img, liveTimers[i].Walk)
 				// A Stop event cuts RunUntil short and still moves the clock to
 				// the deadline, so an arm can lie behind it: corrupt input.
-				if late := a.running && a.expires < le.Now(); late != errors.Is(dec.Err(), snapshot.ErrCorrupt) {
-					t.Fatalf("op %d: restoring timer %d armed at %v, clock at %v: error %v", n, i, a.expires, le.Now(), dec.Err())
+				if late := a.running && a.expires < le.Now(); late != errors.Is(err, snapshot.ErrCorrupt) {
+					t.Fatalf("op %d: restoring timer %d armed at %v, clock at %v: error %v", n, i, a.expires, le.Now(), err)
 				} else if !late {
 					refTimers[i].restore(a.running, a.expires, a.seq)
 				}

@@ -6,39 +6,24 @@ import (
 	"outran/internal/probetest"
 )
 
-// TestZeroAllocs pins every //outran:allocfree helper — the encoder's,
-// and the walker's fixed-width methods in both directions — with an
+// TestZeroAllocs pins every //outran:allocfree method — the walker's
+// fixed-width primitives, each in both directions — with an
 // AllocsPerRun probe; probetest.Run fails when the probe registry and
 // the annotations drift apart. Each encode probe reuses one pre-sized
-// encoder and truncates between runs, so the encoder's amortized append
-// growth never fires during measurement; each decode probe rewinds one
-// decoder over what the encode wrote.
+// walker and truncates between runs, so the buffer's growth never fires
+// during measurement; each decode probe rewinds one walker over what the
+// encode wrote.
 func TestZeroAllocs(t *testing.T) {
-	fixed := func(f func(e *Encoder)) func(t *testing.T) {
-		return func(t *testing.T) {
-			e := &Encoder{buf: make([]byte, 0, 1024)}
-			allocs := testing.AllocsPerRun(100, func() {
-				e.buf = e.buf[:0]
-				f(e)
-			})
-			if allocs != 0 {
-				t.Errorf("%.1f allocs/call, want 0", allocs)
-			}
-		}
-	}
 	walked := func(f func(w *Walker)) func(t *testing.T) {
 		return func(t *testing.T) {
-			fixed(func(e *Encoder) { f(&Walker{enc: e}) })(t)
-			e := &Encoder{}
-			f(&Walker{enc: e})
-			d := NewDecoder(e.buf)
-			w := &Walker{dec: d}
-			allocs := testing.AllocsPerRun(100, func() {
-				d.off = 0
-				f(w)
-			})
-			if allocs != 0 || d.Err() != nil || d.Remaining() != 0 {
-				t.Errorf("decode: %.1f allocs/call, error %v, %d bytes left; want 0, nil, 0", allocs, d.Err(), d.Remaining())
+			enc := &Walker{buf: make([]byte, 0, 1024)}
+			if allocs := testing.AllocsPerRun(100, func() { enc.buf = enc.buf[:0]; f(enc) }); allocs != 0 {
+				t.Errorf("encode: %.1f allocs/call, want 0", allocs)
+			}
+			dec := &Walker{buf: enc.buf, decoding: true}
+			allocs := testing.AllocsPerRun(100, func() { dec.off = 0; f(dec) })
+			if allocs != 0 || dec.Err() != nil || dec.off != len(dec.buf) {
+				t.Errorf("decode: %.1f allocs/call, error %v, %d bytes left; want 0, nil, 0", allocs, dec.Err(), len(dec.buf)-dec.off)
 			}
 		}
 	}
@@ -62,15 +47,24 @@ func TestZeroAllocs(t *testing.T) {
 		"(*Walker).Int":  walked(func(w *Walker) { w.Int(&i) }),
 		"(*Walker).F64":  walked(func(w *Walker) { w.F64(&f64) }),
 		"(*Walker).Mark": walked(func(w *Walker) { w.Mark(0x4d01) }),
-
-		"(*Encoder).U8":   fixed(func(e *Encoder) { e.U8(0x7f) }),
-		"(*Encoder).Bool": fixed(func(e *Encoder) { e.Bool(true); e.Bool(false) }),
-		"(*Encoder).U16":  fixed(func(e *Encoder) { e.U16(0xbeef) }),
-		"(*Encoder).U32":  fixed(func(e *Encoder) { e.U32(0xdeadbeef) }),
-		"(*Encoder).U64":  fixed(func(e *Encoder) { e.U64(1 << 60) }),
-		"(*Encoder).I64":  fixed(func(e *Encoder) { e.I64(-42) }),
-		"(*Encoder).Int":  fixed(func(e *Encoder) { e.Int(7) }),
-		"(*Encoder).F64":  fixed(func(e *Encoder) { e.F64(3.14159) }),
-		"(*Encoder).Mark": fixed(func(e *Encoder) { e.Mark(0x4d01) }),
 	})
+}
+
+// TestBuilderWalkAllocs: a section walked into a kept builder allocates
+// nothing once the buffer has grown — the walker is the builder's own.
+func TestBuilderWalkAllocs(t *testing.T) {
+	var b Builder
+	v := uint64(7)
+	walk := func(w *Walker) { w.U64(&v) }
+	build := func() {
+		b.Reset()
+		for range 4 {
+			b.Walk("section", walk)
+		}
+		b.Bytes()
+	}
+	build()
+	if allocs := testing.AllocsPerRun(100, build); allocs != 0 {
+		t.Errorf("%.1f allocs per four-section file, want 0", allocs)
+	}
 }

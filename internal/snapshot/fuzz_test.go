@@ -10,12 +10,9 @@ import (
 // losslessly — and it must never panic.
 func FuzzOpen(f *testing.F) {
 	var b Builder
-	var s1, s2 Encoder
-	s1.U64(42)
-	s1.F64(3.5)
-	s2.String("state")
-	b.Add("meta", &s1)
-	b.Add("cell0", &s2)
+	u, x, s := uint64(42), 3.5, "state"
+	b.Walk("meta", func(w *Walker) { w.U64(&u); w.F64(&x) })
+	b.Walk("cell0", func(w *Walker) { w.String(&s) })
 	f.Add(b.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte("OSNP"))
@@ -30,13 +27,7 @@ func FuzzOpen(f *testing.F) {
 		// sections and reparse to the same content.
 		var rb Builder
 		for _, name := range a.Names() {
-			d, err := a.Section(name)
-			if err != nil {
-				t.Fatalf("listed section %q unreadable: %v", name, err)
-			}
-			var e Encoder
-			e.Raw(d.take(d.Remaining()))
-			rb.Add(name, &e)
+			rb.Walk(name, func(w *Walker) { w.Raw(a.sections[name]) })
 		}
 		a2, err := Open(rb.Bytes())
 		if err != nil {
@@ -46,45 +37,81 @@ func FuzzOpen(f *testing.F) {
 			t.Fatalf("section count changed: %d -> %d", len(a.Names()), len(a2.Names()))
 		}
 		for _, name := range a.Names() {
-			d1, _ := a.Section(name)
-			d2, err := a2.Section(name)
-			if err != nil {
-				t.Fatalf("section %q lost: %v", name, err)
-			}
-			b1 := d1.take(d1.Remaining())
-			b2 := d2.take(d2.Remaining())
-			if !bytes.Equal(b1, b2) {
+			if !bytes.Equal(a.sections[name], a2.sections[name]) {
 				t.Fatalf("section %q payload changed", name)
 			}
 		}
 	})
 }
 
-// FuzzDecoder drives the primitive readers over arbitrary input; the
-// sticky-error contract means no sequence of reads may panic.
+// FuzzDecoder drives a decoding Walker through every primitive, Len,
+// Bytes and String over arbitrary input, past its end: no sequence of
+// reads may panic, and the first error must stick.
 func FuzzDecoder(f *testing.F) {
-	var e Encoder
-	e.U8(1)
-	e.U64(2)
-	e.String("x")
-	f.Add(e.Bytes())
+	f.Add(encode(func(w *Walker) {
+		u8, u64, s := uint8(1), uint64(2), "x"
+		w.U8(&u8)
+		w.U64(&u64)
+		w.String(&s)
+	}))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d := NewDecoder(data)
-		for d.Err() == nil && d.Remaining() > 0 {
-			switch d.Offset() % 5 {
+		w := decoder(data)
+		var (
+			u8    uint8
+			b     bool
+			u16   uint16
+			u32   uint32
+			u64   uint64
+			i64   int64
+			i     int
+			f64   float64
+			raw   [3]byte
+			bytes []byte
+			s     string
+			first error
+		)
+		const ops = 13
+		// Every op reads at least a byte, so the walk fails within
+		// len(data)+1 steps and then runs every op at least once more.
+		for step := 0; step < len(data)+1+2*ops; step++ {
+			switch (step + w.off) % ops {
 			case 0:
-				d.U8()
+				w.U8(&u8)
 			case 1:
-				d.U16()
+				w.Bool(&b)
 			case 2:
-				d.U64()
+				w.U16(&u16)
 			case 3:
-				d.Bytes32()
+				w.U32(&u32)
+			case 4:
+				w.U64(&u64)
+			case 5:
+				w.I64(&i64)
+			case 6:
+				w.Int(&i)
+			case 7:
+				w.F64(&f64)
+			case 8:
+				w.Mark(uint32(step))
+			case 9:
+				w.Raw(raw[:])
+			case 10:
+				w.Bytes(&bytes)
+			case 11:
+				w.String(&s)
 			default:
-				d.Count(1 << 16)
+				w.Len(0, 1<<16, 1)
 			}
+			if first == nil {
+				first = w.Err()
+			} else if w.Err() != first {
+				t.Fatalf("step %d: error %v replaced the first, %v", step, w.Err(), first)
+			}
+		}
+		if first == nil {
+			t.Fatalf("%d steps over %d bytes never failed", len(data)+1+2*ops, len(data))
 		}
 	})
 }

@@ -2,150 +2,178 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
-func TestPrimitiveRoundTrip(t *testing.T) {
-	var e Encoder
-	e.U8(0xab)
-	e.Bool(true)
-	e.Bool(false)
-	e.U16(0xbeef)
-	e.U32(0xdeadbeef)
-	e.U64(0x0123456789abcdef)
-	e.I64(-42)
-	e.Int(1 << 40)
-	e.F64(math.Pi)
-	e.F64(math.Inf(-1))
-	e.F64(math.Float64frombits(0x7ff8000000000001)) // a specific NaN payload
-	e.Bytes32([]byte{1, 2, 3})
-	e.String("hello")
-	e.Mark(7)
+// encode runs walk through a fresh encoding Walker and returns what it
+// wrote.
+func encode(walk func(*Walker)) []byte {
+	var w Walker
+	walk(&w)
+	return w.buf
+}
 
-	d := NewDecoder(e.Bytes())
-	if got := d.U8(); got != 0xab {
-		t.Fatalf("U8 = %#x", got)
+// decoder returns a decoding Walker over b.
+func decoder(b []byte) *Walker { return &Walker{buf: b, decoding: true} }
+
+func TestPrimitiveRoundTrip(t *testing.T) {
+	type prims struct {
+		u8           uint8
+		yes, no      bool
+		u16          uint16
+		u32          uint32
+		u64          uint64
+		i64          int64
+		i, n         int
+		pi, inf, nan float64
+		raw          [3]byte
+		blob         []byte
+		s            string
 	}
-	if !d.Bool() || d.Bool() {
-		t.Fatal("Bool round-trip")
+	walk := func(p *prims) func(*Walker) {
+		return func(w *Walker) {
+			w.U8(&p.u8)
+			w.Bool(&p.yes)
+			w.Bool(&p.no)
+			w.U16(&p.u16)
+			w.U32(&p.u32)
+			w.U64(&p.u64)
+			w.I64(&p.i64)
+			w.Int(&p.i)
+			w.F64(&p.pi)
+			w.F64(&p.inf)
+			w.F64(&p.nan)
+			w.Raw(p.raw[:])
+			w.Bytes(&p.blob)
+			w.String(&p.s)
+			p.n = w.Len(p.n, 10, 0)
+			w.Mark(7)
+		}
 	}
-	if got := d.U16(); got != 0xbeef {
-		t.Fatalf("U16 = %#x", got)
+	src := prims{u8: 0xab, yes: true, u16: 0xbeef, u32: 0xdeadbeef, u64: 0x0123456789abcdef, i64: -42, i: 1 << 40,
+		pi: math.Pi, inf: math.Inf(-1), nan: math.Float64frombits(0x7ff8000000000001), // a specific NaN payload
+		raw: [3]byte{1, 2, 3}, blob: []byte{4, 5}, s: "hello", n: 10}
+	var dst prims
+	w := decoder(encode(walk(&src)))
+	if walk(&dst)(w); w.Err() != nil || w.off != len(w.buf) {
+		t.Fatalf("decode error %v, %d bytes left over", w.Err(), len(w.buf)-w.off)
 	}
-	if got := d.U32(); got != 0xdeadbeef {
-		t.Fatalf("U32 = %#x", got)
-	}
-	if got := d.U64(); got != 0x0123456789abcdef {
-		t.Fatalf("U64 = %#x", got)
-	}
-	if got := d.I64(); got != -42 {
-		t.Fatalf("I64 = %d", got)
-	}
-	if got := d.Int(); got != 1<<40 {
-		t.Fatalf("Int = %d", got)
-	}
-	if got := d.F64(); got != math.Pi {
-		t.Fatalf("F64 = %v", got)
-	}
-	if got := d.F64(); !math.IsInf(got, -1) {
-		t.Fatalf("F64 inf = %v", got)
-	}
-	if got := math.Float64bits(d.F64()); got != 0x7ff8000000000001 {
+	if got := math.Float64bits(dst.nan); got != 0x7ff8000000000001 {
 		t.Fatalf("NaN payload not bit-exact: %#x", got)
 	}
-	if got := d.Bytes32(); len(got) != 3 || got[0] != 1 || got[2] != 3 {
-		t.Fatalf("Bytes32 = %v", got)
-	}
-	if got := d.String(); got != "hello" {
-		t.Fatalf("String = %q", got)
-	}
-	d.Expect(7)
-	if err := d.Err(); err != nil {
-		t.Fatalf("decode error: %v", err)
-	}
-	if d.Remaining() != 0 {
-		t.Fatalf("%d bytes left over", d.Remaining())
+	src.nan, dst.nan = 0, 0
+	if !reflect.DeepEqual(src, dst) {
+		t.Fatalf("decoded\n %+v\nwant\n %+v", dst, src)
 	}
 }
 
 func TestDecoderTruncationSticksNeverPanics(t *testing.T) {
-	var e Encoder
-	e.U64(1)
-	full := e.Bytes()
+	v := uint64(1)
+	full := encode(func(w *Walker) { w.U64(&v) })
 	for cut := 0; cut < len(full); cut++ {
-		d := NewDecoder(full[:cut])
-		_ = d.U64()
-		if !errors.Is(d.Err(), ErrTruncated) {
-			t.Fatalf("cut=%d: err = %v, want ErrTruncated", cut, d.Err())
+		w := decoder(full[:cut])
+		if w.U64(&v); v != 0 || !errors.Is(w.Err(), ErrTruncated) {
+			t.Fatalf("cut=%d: read %d, err = %v, want 0 and ErrTruncated", cut, v, w.Err())
 		}
 		// Sticky: later reads keep the original error and zero values.
-		if v := d.U32(); v != 0 {
-			t.Fatalf("cut=%d: post-error read = %d", cut, v)
+		first, u := w.Err(), uint32(7)
+		if w.U32(&u); u != 0 || w.Err() != first {
+			t.Fatalf("cut=%d: post-error read %d, error %v", cut, u, w.Err())
 		}
-		if !errors.Is(d.Err(), ErrTruncated) {
-			t.Fatalf("cut=%d: error not sticky", cut)
+	}
+}
+
+// TestFailedDecodeLeavesZeroValues: once a decode has failed — here by
+// a read past the input, with bytes still left — every primitive leaves
+// its zero value behind, whatever its target held, and the first error
+// stands.
+func TestFailedDecodeLeavesZeroValues(t *testing.T) {
+	for name, zeroed := range map[string]func(w *Walker) bool{
+		"U8":   func(w *Walker) bool { v := uint8(7); w.U8(&v); return v == 0 },
+		"Bool": func(w *Walker) bool { v := true; w.Bool(&v); return !v },
+		"U16":  func(w *Walker) bool { v := uint16(7); w.U16(&v); return v == 0 },
+		"U32":  func(w *Walker) bool { v := uint32(7); w.U32(&v); return v == 0 },
+		"U64":  func(w *Walker) bool { v := uint64(7); w.U64(&v); return v == 0 },
+		"I64":  func(w *Walker) bool { v := int64(-7); w.I64(&v); return v == 0 },
+		"Int":  func(w *Walker) bool { v := 7; w.Int(&v); return v == 0 },
+		"F64":  func(w *Walker) bool { v := 0.5; w.F64(&v); return math.Float64bits(v) == 0 },
+		"Mark": func(w *Walker) bool { w.Mark(7); return true },
+		"Raw":  func(w *Walker) bool { b := []byte{1, 2, 3}; w.Raw(b); return bytes.Equal(b, make([]byte, 3)) },
+		"Raw/16": func(w *Walker) bool {
+			b := bytes.Repeat([]byte{1}, 16)
+			w.Raw(b)
+			return bytes.Equal(b, make([]byte, 16))
+		},
+		"Bytes":  func(w *Walker) bool { b := []byte{1}; w.Bytes(&b); return b == nil },
+		"String": func(w *Walker) bool { s := "x"; w.String(&s); return s == "" },
+		"Len":    func(w *Walker) bool { return w.Len(5, 10, 0) == 0 },
+	} {
+		w := decoder(bytes.Repeat([]byte{0xff}, 32))
+		w.Raw(make([]byte, 33))
+		first := w.Err()
+		if !errors.Is(first, ErrTruncated) {
+			t.Fatalf("%s: forcing the failure: %v", name, first)
+		}
+		if !zeroed(w) {
+			t.Errorf("%s after a failed decode left a non-zero value", name)
+		}
+		if w.Err() != first {
+			t.Errorf("%s after a failed decode: error %v, want the first, %v", name, w.Err(), first)
 		}
 	}
 }
 
 func TestSentinelMismatch(t *testing.T) {
-	var e Encoder
-	e.Mark(1)
-	d := NewDecoder(e.Bytes())
-	d.Expect(2)
-	if !errors.Is(d.Err(), ErrCorrupt) {
-		t.Fatalf("err = %v, want ErrCorrupt", d.Err())
+	w := decoder(encode(func(w *Walker) { w.Mark(1) }))
+	if w.Mark(2); !errors.Is(w.Err(), ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", w.Err())
 	}
 }
 
 func TestCountLimit(t *testing.T) {
-	var e Encoder
-	e.U32(1 << 30)
-	d := NewDecoder(e.Bytes())
-	if n := d.Count(100); n != 0 {
-		t.Fatalf("Count returned %d despite limit", n)
+	n := uint32(1 << 30)
+	w := decoder(encode(func(w *Walker) { w.U32(&n) }))
+	if got := w.Len(0, 100, 0); got != 0 {
+		t.Fatalf("Len returned %d despite limit", got)
 	}
-	if !errors.Is(d.Err(), ErrCorrupt) {
-		t.Fatalf("err = %v, want ErrCorrupt", d.Err())
+	if !errors.Is(w.Err(), ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", w.Err())
 	}
 }
 
 func buildArchive(t *testing.T) []byte {
 	t.Helper()
 	var b Builder
-	var s1, s2 Encoder
-	s1.U64(123)
-	s2.String("cell")
-	b.Add("meta", &s1)
-	b.Add("cell0", &s2)
+	v, s := uint64(123), "cell"
+	b.Walk("meta", func(w *Walker) { w.U64(&v) })
+	b.Walk("cell0", func(w *Walker) { w.String(&s) })
 	return b.Bytes()
 }
 
-// assemble is the file layout Builder writes, assembled the way it was
-// before sections were encoded in place: every payload encoded on its
-// own, then copied behind the header, then the CRC.
+// assemble is the file layout, written out byte by byte: magic,
+// version, section count, each section's name and payload behind u32
+// lengths, then the CRC.
 func assemble(names []string, payloads [][]byte) []byte {
-	var e Encoder
-	e.Raw(magic[:])
-	e.U16(Version)
-	e.U32(uint32(len(names)))
+	le := binary.LittleEndian
+	f := le.AppendUint32(le.AppendUint16(append([]byte(nil), magic[:]...), Version), uint32(len(names)))
 	for i, name := range names {
-		e.String(name)
-		e.Bytes32(payloads[i])
+		f = append(le.AppendUint32(f, uint32(len(name))), name...)
+		f = append(le.AppendUint32(f, uint32(len(payloads[i]))), payloads[i]...)
 	}
-	e.U32(crc32.ChecksumIEEE(e.Bytes()))
-	return e.Bytes()
+	return le.AppendUint32(f, crc32.ChecksumIEEE(f))
 }
 
-// TestBuilderMatchesAssembledFile: sections walked or added in place,
-// into a fresh builder or one reset after an earlier file, come out as
-// the separately assembled file — also with no sections, and when Bytes
+// TestBuilderMatchesAssembledFile: sections walked in place, into a
+// fresh builder or one reset after an earlier file, come out as the
+// file written out byte by byte — also with no sections, and when Bytes
 // is asked twice.
 func TestBuilderMatchesAssembledFile(t *testing.T) {
 	var b Builder
@@ -158,16 +186,20 @@ func TestBuilderMatchesAssembledFile(t *testing.T) {
 		var payloads [][]byte
 		for i := 0; i <= round*4; i++ {
 			name := fmt.Sprintf("s%d", i)
-			var e Encoder
-			for j := 0; j < i*i*37; j++ {
-				e.U8(byte(j))
+			payload := make([]byte, i*i*37)
+			for j := range payload {
+				payload[j] = byte(j)
 			}
-			if i%2 == 0 {
-				b.Walk(name, func(w *Walker) { w.Raw(e.Bytes()) })
-			} else {
-				b.Add(name, &e)
-			}
-			names, payloads = append(names, name), append(payloads, e.Bytes())
+			b.Walk(name, func(w *Walker) {
+				if i%2 == 0 {
+					w.Raw(payload)
+					return
+				}
+				for j := range payload {
+					w.U8(&payload[j])
+				}
+			})
+			names, payloads = append(names, name), append(payloads, payload)
 		}
 		want := assemble(names, payloads)
 		if got := b.Bytes(); !bytes.Equal(got, want) {
@@ -188,14 +220,11 @@ func TestArchiveRoundTrip(t *testing.T) {
 	if n := a.Names(); len(n) != 2 || n[0] != "meta" || n[1] != "cell0" {
 		t.Fatalf("names = %v", n)
 	}
-	d, err := a.Section("meta")
-	if err != nil {
-		t.Fatal(err)
+	var got uint64
+	if err := a.Walk("meta", func(w *Walker) { w.U64(&got) }); err != nil || got != 123 {
+		t.Fatalf("meta payload = %d, err %v", got, err)
 	}
-	if got := d.U64(); got != 123 {
-		t.Fatalf("meta payload = %d", got)
-	}
-	if _, err := a.Section("nope"); !errors.Is(err, ErrNoSection) {
+	if err := a.Walk("nope", func(*Walker) {}); !errors.Is(err, ErrNoSection) {
 		t.Fatalf("missing section err = %v", err)
 	}
 }
@@ -238,9 +267,8 @@ func TestOpenRejectsTruncation(t *testing.T) {
 
 func TestOpenRejectsCorruptSectionLength(t *testing.T) {
 	var b Builder
-	var s Encoder
-	s.U64(9)
-	b.Add("only", &s)
+	v := uint64(9)
+	b.Walk("only", func(w *Walker) { w.U64(&v) })
 	data := b.Bytes()
 	// The section payload length prefix sits after magic(4) + ver(2) +
 	// count(4) + namelen(4) + name(4). Blow it up and re-checksum so
@@ -256,10 +284,28 @@ func TestOpenRejectsCorruptSectionLength(t *testing.T) {
 
 func fixCRC(data []byte) []byte {
 	body := data[:len(data)-4]
-	var e Encoder
-	e.Raw(body)
-	e.U32(crc32.ChecksumIEEE(body))
-	return e.Bytes()
+	return binary.LittleEndian.AppendUint32(bytes.Clone(body), crc32.ChecksumIEEE(body))
+}
+
+// TestOpenRejectsCorruptTable: a section table that cannot be right —
+// a name twice, a count over the limit or beyond the sections there,
+// bytes after the last section — is refused even under a valid CRC.
+func TestOpenRejectsCorruptTable(t *testing.T) {
+	two := assemble([]string{"a", "b"}, [][]byte{{1}, {2}})
+	const count = len(magic) + 2 // the section count's offset
+	for name, tc := range map[string]struct {
+		edit func([]byte) []byte
+		want error
+	}{
+		"duplicate name":    {func(f []byte) []byte { f[count+4+14] = 'a'; return f }, ErrCorrupt},
+		"count over limit":  {func(f []byte) []byte { binary.LittleEndian.PutUint32(f[count:], 1<<20+1); return f }, ErrCorrupt},
+		"count beyond file": {func(f []byte) []byte { f[count] = 3; return f }, ErrTruncated},
+		"trailing bytes":    {func(f []byte) []byte { return append(f[:len(f)-4], 0, 0, 0, 0, 0) }, ErrCorrupt},
+	} {
+		if _, err := Open(fixCRC(tc.edit(bytes.Clone(two)))); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", name, err, tc.want)
+		}
+	}
 }
 
 func TestWriteFileAtomic(t *testing.T) {

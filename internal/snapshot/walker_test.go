@@ -1,6 +1,8 @@
 package snapshot
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"reflect"
@@ -60,9 +62,9 @@ func (r *record) walk(w *Walker) {
 	})
 }
 
-// TestWalkerRoundTrip: one walk, run as an encoder, writes exactly what
-// the Encoder calls it stands for write, and run as a decoder reads it
-// all back — maps in key order, empty slices as nil.
+// TestWalkerRoundTrip: one walk, run as an encoder, writes exactly the
+// layout its calls stand for, and run as a decoder reads it all back —
+// maps in key order, empty slices as nil.
 func TestWalkerRoundTrip(t *testing.T) {
 	src := record{
 		u8: 0xab, b: true, u16: 0xbeef, u32: 0xdeadbeef, u64: 1 << 60, i64: -42, i: 1 << 40,
@@ -70,47 +72,34 @@ func TestWalkerRoundTrip(t *testing.T) {
 		empty: []byte{}, s: "hello", when: -7, list: []int{3, 1, 2}, fixed: []uint32{5, 6},
 		table: map[string]float64{"b": 2, "a": 1, "c": 3},
 	}
-	var e Encoder
-	src.walk(EncodeWalker(&e))
+	img := encode(src.walk)
 
-	var want Encoder
-	want.Mark(0x77)
-	want.Int(2)
-	want.U8(0xab)
-	want.Bool(true)
-	want.U16(0xbeef)
-	want.U32(0xdeadbeef)
-	want.U64(1 << 60)
-	want.I64(-42)
-	want.Int(1 << 40)
-	want.F64(src.f)
-	want.Raw([]byte{1, 2, 3})
-	want.Bytes32([]byte{9, 8})
-	want.Bytes32(nil)
-	want.String("hello")
-	want.I64(-7)
-	want.U32(3)
-	want.Int(3)
-	want.Int(1)
-	want.Int(2)
-	want.U32(0)
-	want.U32(2)
-	want.U32(5)
-	want.U32(6)
-	want.U32(3)
+	le := binary.LittleEndian
+	u64 := func(b []byte, v uint64) []byte { return le.AppendUint64(b, v) }
+	str := func(b []byte, s string) []byte { return append(le.AppendUint32(b, uint32(len(s))), s...) }
+	want := le.AppendUint32(nil, 0x77^0x5eed5eed) // the Mark
+	want = u64(want, 2)                           // Same: len(fixed)
+	want = le.AppendUint16(append(want, 0xab, 1), 0xbeef)
+	want = le.AppendUint32(want, 0xdeadbeef)
+	want = u64(u64(u64(u64(want, 1<<60), uint64(1<<64-42)), 1<<40), math.Float64bits(src.f))
+	want = append(want, 1, 2, 3)                        // Raw
+	want = str(str(str(want, "\x09\x08"), ""), "hello") // blob, empty, s
+	want = u64(want, uint64(1<<64-7))                   // when
+	want = u64(u64(u64(le.AppendUint32(want, 3), 3), 1), 2)
+	want = le.AppendUint32(want, 0) // none
+	want = le.AppendUint32(le.AppendUint32(le.AppendUint32(want, 2), 5), 6)
+	want = le.AppendUint32(want, 3)
 	for _, k := range []string{"a", "b", "c"} {
-		want.String(k)
-		want.F64(src.table[k])
+		want = u64(str(want, k), math.Float64bits(src.table[k]))
 	}
-	if !reflect.DeepEqual(e.Bytes(), want.Bytes()) {
-		t.Fatalf("walk encoded\n % x\nthe Encoder calls it stands for write\n % x", e.Bytes(), want.Bytes())
+	if !bytes.Equal(img, want) {
+		t.Fatalf("walk encoded\n % x\nthe layout its calls stand for is\n % x", img, want)
 	}
 
 	dst := record{fixed: make([]uint32, 2), table: map[string]float64{}}
-	d := NewDecoder(e.Bytes())
-	w := DecodeWalker(d)
-	if dst.walk(w); w.Err() != nil || d.Remaining() != 0 {
-		t.Fatalf("decode: err %v, %d bytes left", w.Err(), d.Remaining())
+	w := decoder(img)
+	if dst.walk(w); w.Err() != nil || w.off != len(img) {
+		t.Fatalf("decode: err %v, %d bytes left", w.Err(), len(img)-w.off)
 	}
 	if math.Float64bits(dst.f) != math.Float64bits(src.f) {
 		t.Fatalf("NaN payload not bit-exact: %#x", math.Float64bits(dst.f))
@@ -123,7 +112,7 @@ func TestWalkerRoundTrip(t *testing.T) {
 
 	// The same bytes into a target of another geometry.
 	other := record{fixed: make([]uint32, 3), table: map[string]float64{}}
-	w = DecodeWalker(NewDecoder(e.Bytes()))
+	w = decoder(img)
 	if other.walk(w); !errors.Is(w.Err(), ErrCorrupt) {
 		t.Fatalf("fixed-length mismatch: err %v, want ErrCorrupt", w.Err())
 	}
@@ -142,18 +131,14 @@ func TestLenBoundedByInput(t *testing.T) {
 		"beyond the input":  {count: 1 << 10, tail: 8<<10 - 1, want: ErrTruncated},
 		"exactly the input": {count: 1 << 10, tail: 8 << 10},
 	} {
-		var e Encoder
-		e.U32(tc.count)
-		e.Raw(make([]byte, tc.tail))
-		w := DecodeWalker(NewDecoder(e.Bytes()))
+		w := decoder(binary.LittleEndian.AppendUint32(nil, tc.count))
+		w.buf = append(w.buf, make([]byte, tc.tail)...)
 		n := w.Len(0, 1<<10, 8)
 		if !errors.Is(w.Err(), tc.want) || (tc.want != nil && n != 0) || (tc.want == nil && n != 1<<10) {
 			t.Errorf("%s: Len = %d, err %v; want err %v", name, n, w.Err(), tc.want)
 		}
 	}
-	var e Encoder
-	e.U32(1 << 20)
-	w := DecodeWalker(NewDecoder(e.Bytes()))
+	w := decoder(binary.LittleEndian.AppendUint32(nil, 1<<20))
 	var s []float64
 	calls := 0
 	Slice(w, &s, 1<<28, 8, func(*float64) { calls++ })

@@ -34,11 +34,12 @@ func TestWalkRoundTrip(t *testing.T) {
 // long that claims the maximum number of reassembly ranges fails before
 // anything is sized from the claim.
 func TestReceiverRejectsCountBeyondInput(t *testing.T) {
-	var e snapshot.Encoder
-	e.Mark(tagReceiver)
-	e.U32(1 << 24)
 	var b snapshot.Builder
-	b.Add("receiver", &e)
+	b.Walk("receiver", func(w *snapshot.Walker) {
+		w.Mark(tagReceiver)
+		n := uint32(1 << 24)
+		w.U32(&n)
+	})
 	a, err := snapshot.Open(b.Bytes())
 	if err != nil {
 		t.Fatal(err)
