@@ -133,20 +133,10 @@ func (s *InterUser) Allocate(now sim.Time, users []*mac.User, grid phy.Grid) mac
 	bounds := s.runs.Of(users, grid.NumRB)
 	for i := 1; i < len(bounds); i++ {
 		lo, hi := bounds[i-1], bounds[i]
-		// First iteration: the legacy selection (lines 4-8).
-		best := -1
-		mMax := 0.0
-		for _, ui := range s.active {
-			u := users[ui]
-			m := s.Inner(u, u.CQIForRB(lo, grid.NumRB), grid, now)
-			metrics[ui] = m
-			if m <= 0 {
-				continue
-			}
-			if best == -1 || m > mMax {
-				best, mMax = ui, m
-			}
-		}
+		// First iteration: the legacy selection (lines 4-8), by the
+		// allocation rule every scheduler shares; it also fills the
+		// metric vector the second iteration reads.
+		best, mMax := mac.Owner(s.Inner, nil, users, s.active, lo, grid, now, metrics)
 		if best == -1 {
 			continue
 		}

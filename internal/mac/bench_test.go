@@ -59,13 +59,13 @@ func BenchmarkMTAllocate20x50(b *testing.B) {
 }
 
 func BenchmarkSRJFAllocate20x50(b *testing.B) {
-	benchAllocate(b, &SRJF{}, benchUsers(20, 13), lteGrid(50))
+	benchAllocate(b, NewSRJF(), benchUsers(20, 13), lteGrid(50))
 }
 
 func BenchmarkPSSAllocate20x50(b *testing.B) {
-	benchAllocate(b, &PSS{}, benchUsers(20, 13), lteGrid(50))
+	benchAllocate(b, NewPSS(), benchUsers(20, 13), lteGrid(50))
 }
 
 func BenchmarkCQAAllocate20x50(b *testing.B) {
-	benchAllocate(b, &CQA{}, benchUsers(20, 13), lteGrid(50))
+	benchAllocate(b, NewCQA(), benchUsers(20, 13), lteGrid(50))
 }

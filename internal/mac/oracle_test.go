@@ -9,7 +9,9 @@ import (
 )
 
 // The differential oracle: frozen copies of the per-RB allocators as
-// they stood before the schedulers walked subband runs. They evaluate
+// they stood before the schedulers walked subband runs, under the idle
+// rule (an RB no backlogged user scores above 0 stays unassigned), and
+// of SRJF as it stood before it scored through Owner. They evaluate
 // every metric on every RB through their own RB→subband mapping and
 // share no code with the run walk, so an error in the run boundaries,
 // in SubbandOfRB or in what a run hoists shows as a differing RBOwner.
@@ -56,25 +58,17 @@ func perRBMetricAllocate(metric perRBMetric, now sim.Time, users []*User, grid p
 	for b := 0; b < grid.NumRB; b++ {
 		best := -1
 		bestM := 0.0
-		fallback := -1
-		fallbackM := 0.0
 		for ui, u := range users {
 			if !u.Buffer.Backlogged() {
 				continue
 			}
 			m := metric(u, b, grid, now)
-			if fallback == -1 || m > fallbackM {
-				fallback, fallbackM = ui, m
-			}
 			if m <= 0 {
 				continue
 			}
 			if best == -1 || m > bestM {
 				best, bestM = ui, m
 			}
-		}
-		if best == -1 {
-			best = fallback
 		}
 		owner[b] = best
 	}
@@ -108,11 +102,37 @@ func perRBPSSAllocate(now sim.Time, users []*User, grid phy.Grid) []int {
 	return owner
 }
 
+func perRBSRJFAllocate(now sim.Time, users []*User, grid phy.Grid) []int {
+	owner := make([]int, grid.NumRB)
+	best := -1
+	var bestRem int64
+	for ui, u := range users {
+		if !u.Buffer.Backlogged() {
+			continue
+		}
+		rem := u.Buffer.OracleMinRemaining
+		if rem < 0 {
+			rem = 1 << 62
+		}
+		if best == -1 || rem < bestRem {
+			best, bestRem = ui, rem
+		}
+	}
+	for b := range owner {
+		owner[b] = -1
+		if best != -1 && perRBCQI(users[best], b, grid.NumRB) != 0 {
+			owner[b] = best
+		}
+	}
+	return owner
+}
+
 // oracleCase draws one scheduling problem: a grid from the shipped
 // widths plus a narrow one, and users whose subband counts are mixed in
 // a fifth of the cases (0, 1, fewer or more than the grid has RBs),
-// with CQI-0 subbands, idle users, QoS traffic, and now and then every
-// backlogged user in a deep fade (the all-zero-metric fallback).
+// with CQI-0 subbands, idle users, QoS traffic, known and unknown
+// remaining flow sizes, and now and then every backlogged user in a
+// deep fade (every run idle).
 func oracleCase(r *rng.Source) (sim.Time, []*User, phy.Grid) {
 	grid := phy.Grid{Numerology: phy.Mu0, CarrierHz: 2.68e9}
 	grid.NumRB = []int{6, 25, 50, 100, 273}[r.Intn(5)]
@@ -151,6 +171,7 @@ func oracleCase(r *rng.Source) (sim.Time, []*User, phy.Grid) {
 			u.Buffer.QoSDelayBudget = 50 * sim.Millisecond
 			u.Buffer.QoSHOLArrival = now - sim.Time(r.Intn(120))*sim.Millisecond
 		}
+		u.Buffer.OracleMinRemaining = int64(r.Intn(5000)) - 1 // -1: unknown
 		users[i] = u
 	}
 	return now, users, grid
@@ -210,9 +231,9 @@ func TestRunWalkMatchesPerRBOracle(t *testing.T) {
 		s      Scheduler
 		oracle perRBMetric
 	}{
-		{NewPF(), perRBPF}, {NewMT(), perRBMT}, {NewRR(), perRBRR}, {&CQA{}, perRBCQA},
+		{NewPF(), perRBPF}, {NewMT(), perRBMT}, {NewRR(), perRBRR}, {NewCQA(), perRBCQA},
 	}
-	pss := &PSS{}
+	pss, srjf := NewPSS(), NewSRJF()
 	r := rng.New(20260928)
 	checkCase := func(c int, now sim.Time, users []*User, grid phy.Grid) {
 		t.Helper()
@@ -232,6 +253,7 @@ func TestRunWalkMatchesPerRBOracle(t *testing.T) {
 			check(m.s.Name(), m.s.Allocate(now, users, grid), perRBMetricAllocate(m.oracle, now, users, grid))
 		}
 		check("PSS", pss.Allocate(now, users, grid), perRBPSSAllocate(now, users, grid))
+		check("SRJF", srjf.Allocate(now, users, grid), perRBSRJFAllocate(now, users, grid))
 	}
 	for c := 0; c < 2500; c++ {
 		now, users, grid := oracleCase(r)

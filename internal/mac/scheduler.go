@@ -33,13 +33,6 @@ func (a *Allocation) Reset(numRB int) {
 	}
 }
 
-// Clone returns an independent copy. Callers that retain an
-// allocation past the owning scheduler's next Allocate must clone it
-// (see the Scheduler ownership contract).
-func (a Allocation) Clone() Allocation {
-	return Allocation{RBOwner: append([]int(nil), a.RBOwner...)}
-}
-
 // Allocated returns the number of RBs assigned to any user.
 func (a Allocation) Allocated() int {
 	n := 0
@@ -51,23 +44,13 @@ func (a Allocation) Allocated() int {
 	return n
 }
 
-// RBCount returns the number of RBs assigned to user index ui.
-func (a Allocation) RBCount(ui int) int {
-	n := 0
-	for _, o := range a.RBOwner {
-		if o == ui {
-			n++
-		}
-	}
-	return n
-}
-
 // Scheduler allocates the grid's RBs to backlogged users each TTI.
 //
 // Ownership contract: the Allocation returned by Allocate aliases
 // scratch owned by the scheduler and is valid only until the next
 // Allocate call on the same scheduler — exactly one TTI, the lifetime
-// the MAC needs. Callers that retain it longer must Clone it. One
+// the MAC needs. Callers that retain it longer must copy
+// RBOwner. One
 // scheduler instance serves one cell; concurrent Allocate calls on a
 // shared instance are not supported.
 type Scheduler interface {
@@ -85,13 +68,52 @@ type Scheduler interface {
 // schedulers evaluate it once per run (see SubbandRuns).
 type MetricFunc func(u *User, cqi phy.CQI, grid phy.Grid, now sim.Time) float64
 
+// Owner is the one allocation rule every scheduler applies to the
+// subband run that starts at RB lo: the run goes to the backlogged user
+// (active, ascending, as BackloggedUsers returns it) with the highest
+// class, then the highest metric > 0, ties to the lowest index. A run no
+// backlogged user scores above 0 stays idle, owner -1. Every metric in
+// this package is 0 at CQI 0, where an RB carries no bits: granting it
+// would only put CQI 0's −Inf decode floor into the owner's transport
+// block, which would then decode for free.
+//
+// A nil class puts every user in one class. When scores is non-nil,
+// scores[ui] receives the metric of every backlogged user ui; the
+// metric is evaluated once per user and run either way.
+func Owner(metric MetricFunc, class func(*User) int, users []*User, active []int,
+	lo int, grid phy.Grid, now sim.Time, scores []float64) (owner int, best float64) {
+	owner = -1
+	bestClass := 0
+	for _, ui := range active {
+		u := users[ui]
+		m := metric(u, u.CQIForRB(lo, grid.NumRB), grid, now)
+		if scores != nil {
+			scores[ui] = m
+		}
+		if m <= 0 {
+			continue
+		}
+		c := 0
+		if class != nil {
+			c = class(u)
+		}
+		if owner == -1 || c > bestClass || (c == bestClass && m > best) {
+			owner, best, bestClass = ui, m, c
+		}
+	}
+	return owner, best
+}
+
 // MetricScheduler is the standard sub-optimal allocator of §4.1: every
-// RB goes to the backlogged user with the best metric on it,
-// independently of other RBs. The decision is made once per subband
-// run, O(|backlogged U|·runs), and written to each RB of the run.
+// RB goes to the owner Owner picks for it, independently of other RBs.
+// The decision is made once per subband run, O(|backlogged U|·runs),
+// and written to each RB of the run. PF, MT, RR, CQA and PSS are
+// MetricSchedulers and SRJF wraps one: they differ only in scoring.
 type MetricScheduler struct {
 	SchedName string
 	Metric    MetricFunc
+	// class is Owner's first key; nil for all but PSS.
+	class func(*User) int
 
 	// scratch is the reusable allocation returned by Allocate; see the
 	// Scheduler ownership contract.
@@ -103,10 +125,7 @@ type MetricScheduler struct {
 // Name implements Scheduler.
 func (s *MetricScheduler) Name() string { return s.SchedName }
 
-// Allocate implements Scheduler. A run whose metrics are all <= 0 but
-// that has backlogged users falls back to the best backlogged user
-// (ties to the lowest index) instead of idling: a deep fade must
-// degrade a user's rate, not strand queued data on free capacity.
+// Allocate implements Scheduler.
 //
 //outran:allocfree
 func (s *MetricScheduler) Allocate(now sim.Time, users []*User, grid phy.Grid) Allocation {
@@ -118,28 +137,9 @@ func (s *MetricScheduler) Allocate(now sim.Time, users []*User, grid phy.Grid) A
 	bounds := s.runs.Of(users, grid.NumRB)
 	for i := 1; i < len(bounds); i++ {
 		lo, hi := bounds[i-1], bounds[i]
-		best := -1
-		bestM := 0.0
-		fallback := -1
-		fallbackM := 0.0
-		for _, ui := range s.active {
-			u := users[ui]
-			m := s.Metric(u, u.CQIForRB(lo, grid.NumRB), grid, now)
-			if fallback == -1 || m > fallbackM {
-				fallback, fallbackM = ui, m
-			}
-			if m <= 0 {
-				continue
-			}
-			if best == -1 || m > bestM {
-				best, bestM = ui, m
-			}
-		}
-		if best == -1 {
-			best = fallback
-		}
+		owner, _ := Owner(s.Metric, s.class, users, s.active, lo, grid, now, nil)
 		for b := lo; b < hi; b++ {
-			s.scratch.RBOwner[b] = best
+			s.scratch.RBOwner[b] = owner
 		}
 	}
 	return s.scratch

@@ -12,23 +12,33 @@ import (
 // a fixed-rate link and, as the paper shows, disastrous for spectral
 // efficiency and fairness over a wireless one.
 type SRJF struct {
-	// scratch is the reusable allocation returned by Allocate; see the
-	// Scheduler ownership contract.
-	scratch Allocation
+	ms     MetricScheduler
+	winner *User // this TTI's shortest-remaining user, the only one that scores
+}
+
+// NewSRJF returns the SRJF scheduler.
+func NewSRJF() *SRJF {
+	s := &SRJF{}
+	s.ms = MetricScheduler{SchedName: "SRJF", Metric: func(u *User, cqi phy.CQI, _ phy.Grid, _ sim.Time) float64 {
+		if u != s.winner || cqi == 0 {
+			return 0
+		}
+		return 1
+	}}
+	return s
 }
 
 // Name implements Scheduler.
 func (*SRJF) Name() string { return "SRJF" }
 
-// Allocate implements Scheduler.
+// Allocate implements Scheduler: it picks the winner, and the shared
+// allocation rule gives it every run on which it can decode at all.
 //
 //outran:allocfree
 func (s *SRJF) Allocate(now sim.Time, users []*User, grid phy.Grid) Allocation {
-	s.scratch.Reset(grid.NumRB)
-	alloc := s.scratch
-	best := -1
+	s.winner = nil
 	var bestRem int64
-	for ui, u := range users {
+	for _, u := range users {
 		if !u.Buffer.Backlogged() {
 			continue
 		}
@@ -37,19 +47,9 @@ func (s *SRJF) Allocate(now sim.Time, users []*User, grid phy.Grid) Allocation {
 			// Unknown size sorts last, after any known size.
 			rem = 1 << 62
 		}
-		if best == -1 || rem < bestRem {
-			best, bestRem = ui, rem
+		if s.winner == nil || rem < bestRem {
+			s.winner, bestRem = u, rem
 		}
 	}
-	if best == -1 {
-		return alloc
-	}
-	for b := range alloc.RBOwner {
-		// Skip RBs the winner cannot decode at all.
-		if users[best].CQIForRB(b, grid.NumRB) == 0 {
-			continue
-		}
-		alloc.RBOwner[b] = best
-	}
-	return alloc
+	return s.ms.Allocate(now, users, grid)
 }

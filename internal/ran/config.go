@@ -265,11 +265,11 @@ func (c *Config) buildScheduler() (mac.Scheduler, error) {
 	case SchedRR:
 		return mac.NewRR(), nil
 	case SchedSRJF:
-		return &mac.SRJF{}, nil
+		return mac.NewSRJF(), nil
 	case SchedPSS:
-		return &mac.PSS{}, nil
+		return mac.NewPSS(), nil
 	case SchedCQA:
-		return &mac.CQA{}, nil
+		return mac.NewCQA(), nil
 	case SchedStrictMLFQ:
 		return core.StrictMLFQ(), nil
 	case SchedOutRAN:
