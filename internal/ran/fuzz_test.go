@@ -2,6 +2,7 @@ package ran
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -41,8 +42,10 @@ func FuzzRestoreSnapshot(f *testing.F) {
 			f.Add(uint8(i), uint8(j), payloads[name])
 		}
 	}
-	section, payload := unsortedFlowTable(f, archiveShapes[0].build(f))
-	f.Add(uint8(0), uint8(slices.Index(shapes[0].names, section)), payload)
+	for _, edit := range []func(testing.TB, *Cell) (string, []byte){unsortedFlowTable, descendingKarn} {
+		section, payload := edit(f, archiveShapes[0].build(f))
+		f.Add(uint8(0), uint8(slices.Index(shapes[0].names, section)), payload)
+	}
 	// A cell replaying a trace file, and its cursor's hostile edits.
 	trace := traceShape(f, f.TempDir())
 	img, err := trace.Snapshot()
@@ -121,6 +124,63 @@ func unsortedFlowTable(t testing.TB, c *Cell) (section string, payload []byte) {
 	}
 	t.Fatal("no UE tracks two PDCP flows")
 	return "", nil
+}
+
+// descendingKarn snapshots c and returns the section of the first UE
+// whose first flow in tuple order has a sender holding two or more Karn
+// send times, with its first two swapped: a descending pair, which a
+// restore must reject.
+func descendingKarn(t testing.TB, c *Cell) (section string, payload []byte) {
+	t.Helper()
+	img, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := sectionBytes(t, img)
+	mss := int64(c.cfg.Transport.MSS)
+	if mss == 0 {
+		mss = 1400
+	}
+	for i, ue := range c.ues {
+		tuples := make([]ip.FiveTuple, 0, len(ue.flows))
+		for tuple := range ue.flows {
+			tuples = append(tuples, tuple)
+		}
+		ip.SortTuples(tuples)
+		for _, tuple := range tuples {
+			walked := snapshottest.Encode(ue.flows[tuple].sender.Walk)
+			// The send times end where the completed flag and three
+			// counters begin: a count n, then n (seq, at) pairs whose seqs
+			// step by the MSS.
+			end := len(walked) - (1 + 3*8)
+			for n := 2; 16*n+4 <= end; n++ {
+				times := walked[end-16*n : end]
+				if binary.LittleEndian.Uint32(walked[end-16*n-4:]) != uint32(n) || !mssSteps(times, mss) {
+					continue
+				}
+				section = fmt.Sprintf("ue%d", i)
+				payload = bytes.Clone(sections[section])
+				at := bytes.Index(payload, walked) + end - 16*n
+				first := bytes.Clone(payload[at : at+16])
+				copy(payload[at:], payload[at+16:at+32])
+				copy(payload[at+16:], first)
+				return section, payload
+			}
+		}
+	}
+	t.Fatal("no sender holds two Karn send times")
+	return "", nil
+}
+
+// mssSteps reports whether the seqs of the 16-byte (seq, at) pairs in
+// times step by mss.
+func mssSteps(times []byte, mss int64) bool {
+	for i := 16; i < len(times); i += 16 {
+		if int64(binary.LittleEndian.Uint64(times[i:]))-int64(binary.LittleEndian.Uint64(times[i-16:])) != mss {
+			return false
+		}
+	}
+	return true
 }
 
 // traceShape is the PF-UM-LTE shape replaying its own workload from a

@@ -528,13 +528,25 @@ func TestRestoreRejectsCorruptSections(t *testing.T) {
 // flow table has two entries out of key order fails the restore with
 // ErrCorrupt (FuzzRestoreSnapshot carries the same archive as a seed).
 func TestRestoreRejectsUnsortedFlowTable(t *testing.T) {
+	restoreRejectsEdit(t, unsortedFlowTable, "in key order")
+}
+
+// TestRestoreRejectsDescendingKarn: the same for a sender whose first
+// two Karn send times are swapped.
+func TestRestoreRejectsDescendingKarn(t *testing.T) {
+	restoreRejectsEdit(t, descendingKarn, "Karn send time")
+}
+
+// restoreRejectsEdit restores the first archive shape with one section
+// replaced by edit's and requires ErrCorrupt from the check named by want.
+func restoreRejectsEdit(t *testing.T, edit func(testing.TB, *Cell) (string, []byte), want string) {
 	s := archiveShapes[0]
 	c := s.build(t)
 	img, err := c.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	victim, payload := unsortedFlowTable(t, c)
+	victim, payload := edit(t, c)
 	bad, err := snapshot.Open(reseal(t, img, func(name string, raw []byte) []byte {
 		if name == victim {
 			return payload
@@ -548,8 +560,8 @@ func TestRestoreRejectsUnsortedFlowTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fresh.RestoreSnapshot(bad); !errors.Is(err, snapshot.ErrCorrupt) {
-		t.Fatalf("restore error = %v, want snapshot.ErrCorrupt", err)
+	if err := fresh.RestoreSnapshot(bad); !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(fmt.Sprint(err), want) {
+		t.Fatalf("restore error = %v, want snapshot.ErrCorrupt naming %q", err, want)
 	}
 }
 

@@ -69,6 +69,30 @@ func TestZeroAllocs(t *testing.T) {
 				t.Errorf("AM Status: %.1f allocs/call, want 0", allocs)
 			}
 		},
+		"(*reassembly).fold": func(t *testing.T) {
+			// An older SDU half sent while a newer one completes and the
+			// next one starts: once the table has grown, partial SDUs are
+			// inserted and completed in place.
+			var eng sim.Engine
+			r := &reassembly{sduTimer: sim.NewTimer(&eng, func() {})}
+			old, done, next := mkSDU(300, 1, 1), mkSDU(100, 0, 2), mkSDU(200, 0, 3)
+			pdus := []*PDU{
+				{Segments: []Segment{{SDU: old, Len: 100}}},
+				{Segments: []Segment{{SDU: done, Len: 100, Last: true}, {SDU: next, Len: 100}}},
+				{Segments: []Segment{{SDU: old, Offset: 100, Len: 100}, {SDU: next, Offset: 100, Len: 100, Last: true}}},
+				{Segments: []Segment{{SDU: old, Offset: 200, Len: 100, Last: true}}},
+			}
+			delivered := 0
+			deliver := func(*SDU) { delivered++ }
+			allocs := testing.AllocsPerRun(100, func() {
+				for _, pdu := range pdus {
+					r.fold(pdu, 0, DefaultTReassembly, deliver)
+				}
+			})
+			if allocs != 0 || delivered != 3*101 || len(r.partials) != 0 {
+				t.Errorf("fold: %.1f allocs per four PDUs, %d SDUs delivered, %d partial; want 0, %d, 0", allocs, delivered, len(r.partials), 3*101)
+			}
+		},
 		"(*PDU).AppendWireHeader": func(t *testing.T) {
 			p := &PDU{SN: 42, Segments: []Segment{
 				{Offset: 10, Len: 100},

@@ -328,7 +328,6 @@ func NewAMRx(eng *sim.Engine, deliver func(*SDU), sendStatus func(*StatusPDU)) *
 		eng:        eng,
 		Deliver:    deliver,
 		SendStatus: sendStatus,
-		reassembly: reassembly{partials: make(map[uint64]*partialSDU)},
 		held:       make(map[uint32]*PDU),
 		nackTry:    make(map[uint32]int),
 	}

@@ -173,18 +173,38 @@ func (c *Refs) held(m map[uint32]*PDU) {
 	})
 }
 
-// partials walks a receiver's reassembly table in SDU-id order.
-func (c *Refs) partials(m map[uint64]*partialSDU) {
+// partials walks a receiver's reassembly table in SDU-id order: a count,
+// then per partial SDU its id, the SDU and its progress. Decoding, into
+// a fresh receiver, requires ascending ids, each its SDU's own.
+func (c *Refs) partials(ps *[]partialSDU) {
 	w := c.W
-	snapshot.Map(w, m, 1<<24, partialBytes, slices.Sort, func(id *uint64, p **partialSDU) {
-		w.U64(id)
-		if w.Decoding() {
-			*p = &partialSDU{}
+	if !w.Decoding() {
+		w.Len(len(*ps), 1<<24, partialBytes)
+		for i := range *ps {
+			id := (*ps)[i].sdu.ID
+			c.partial(&id, &(*ps)[i])
 		}
-		c.SDU(&(*p).sdu)
-		w.Int(&(*p).received)
-		snapshot.I64(w, &(*p).lastSeen)
-	})
+		return
+	}
+	for n := w.Len(0, 1<<24, partialBytes); n > 0 && w.Err() == nil; n-- {
+		var id uint64
+		var p partialSDU
+		if c.partial(&id, &p); w.Err() != nil {
+			break
+		}
+		if p.sdu.ID != id || len(*ps) > 0 && (*ps)[len(*ps)-1].sdu.ID >= id {
+			w.Fail(fmt.Errorf("%w: partial SDU id %d (its SDU's is %d) out of ascending order", snapshot.ErrCorrupt, id, p.sdu.ID))
+			break
+		}
+		*ps = append(*ps, p)
+	}
+}
+
+func (c *Refs) partial(id *uint64, p *partialSDU) {
+	c.W.U64(id)
+	c.SDU(&p.sdu)
+	c.W.Int(&p.received)
+	snapshot.I64(c.W, &p.lastSeen)
 }
 
 // counts walks a per-SN counter table in SN order.
@@ -253,7 +273,7 @@ func (r *UMRx) Walk(c *Refs) {
 	snapshot.I64(w, &r.TReassembly)
 	w.U32(&r.expected)
 	c.held(r.held)
-	c.partials(r.partials)
+	c.partials(&r.partials)
 	w.U64(&r.delivered)
 	w.U64(&r.discarded)
 	w.U64(&r.skipped)
@@ -301,7 +321,7 @@ func (r *AMRx) Walk(c *Refs) {
 		return
 	}
 	w.Mark(tagAMRx)
-	c.partials(r.partials)
+	c.partials(&r.partials)
 	c.held(r.held)
 	w.U32(&r.floor)
 	w.U32(&r.highest)

@@ -2,6 +2,9 @@ package rlc
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
 	"outran/internal/sim"
@@ -56,18 +59,24 @@ func TestAMWalkRoundTrip(t *testing.T) {
 }
 
 // TestUMWalkRoundTrip is the UM counterpart: a queue with a partly sent
-// SDU at its head, a PDU held behind a gap, a half-reassembled SDU.
+// SDU at its head, a PDU held behind a gap, and two half-reassembled
+// SDUs whose first segments came in the opposite order to their ids (a
+// demoted SDU half sent, then an older one that outranks it).
 func TestUMWalkRoundTrip(t *testing.T) {
 	build := func() (*UMTx, *UMRx) {
 		return NewUMTx(TxBufConfig{Queues: 2, LimitSDUs: 10}), NewUMRx(&sim.Engine{}, func(*SDU) {})
 	}
 	tx, rx := build()
-	tx.Enqueue(mkSDU(900, 0, 1))
-	tx.Enqueue(mkSDU(900, 1, 2))
-	first, _, third := tx.Pull(400), tx.Pull(400), tx.Pull(400)
+	older, newer := mkSDU(900, 0, 1), mkSDU(900, 1, 2)
+	tx.Enqueue(newer)
+	first := tx.Pull(400)
+	tx.Enqueue(older)
+	second, _, fourth := tx.Pull(400), tx.Pull(400), tx.Pull(400)
 	rx.Receive(first)
-	rx.Receive(third) // the second is lost: a gap
-	if len(rx.held) == 0 || len(rx.partials) == 0 || tx.buf.count == 0 || !rx.gapTimer.Running() {
+	rx.Receive(second)
+	rx.Receive(fourth) // the third is lost: a gap
+	if len(rx.held) == 0 || tx.buf.count == 0 || !rx.gapTimer.Running() ||
+		len(rx.partials) != 2 || rx.partials[0].sdu != older || rx.partials[1].sdu != newer {
 		t.Fatalf("%d held, %d partials, %d queued, gap timer %v; the round trip would cover nothing",
 			len(rx.held), len(rx.partials), tx.buf.count, rx.gapTimer.Running())
 	}
@@ -75,6 +84,49 @@ func TestUMWalkRoundTrip(t *testing.T) {
 	snapshottest.RoundTrip(t,
 		func(w *snapshot.Walker) { refs := NewRefs(w); tx.Walk(refs); rx.Walk(refs) },
 		func(w *snapshot.Walker) { refs := NewRefs(w); tx2.Walk(refs); rx2.Walk(refs) })
+}
+
+// TestReassemblyRejectsDisorderedPartials: a reassembly table whose ids
+// descend or repeat, whose id is not its SDU's, or whose SDU is nil is
+// corrupt input, and fails before anything is sized from it.
+func TestReassemblyRejectsDisorderedPartials(t *testing.T) {
+	sdu := func(id uint64) *SDU { return &SDU{ID: id, Size: 500} }
+	same := sdu(10)
+	type entry struct {
+		id  uint64
+		sdu *SDU
+	}
+	for _, c := range []struct {
+		name    string
+		entries []entry
+		want    string
+	}{
+		{"descending id", []entry{{20, sdu(20)}, {10, sdu(10)}}, "partial SDU id 10 "},
+		{"repeated id", []entry{{10, same}, {10, same}}, "partial SDU id 10 "},
+		{"id not its SDU's", []entry{{10, sdu(10)}, {12, sdu(11)}}, "partial SDU id 12 "},
+		{"nil SDU", []entry{{10, sdu(10)}, {11, nil}}, "nil SDU reference"},
+	} {
+		payload := snapshottest.Encode(func(w *snapshot.Walker) {
+			refs := NewRefs(w)
+			n := uint32(len(c.entries))
+			w.U32(&n)
+			for _, e := range c.entries {
+				p := partialSDU{sdu: e.sdu, received: 100}
+				refs.partial(&e.id, &p)
+			}
+		})
+		var r reassembly
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := snapshottest.Decode(payload, func(w *snapshot.Walker) { NewRefs(w).partials(&r.partials) })
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(fmt.Sprint(err), c.want) {
+			t.Errorf("%s: decode error %v, want snapshot.ErrCorrupt naming %q", c.name, err, c.want)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Errorf("%s: decode allocated %d bytes on the way to failing, want < 1 MiB", c.name, n)
+		}
+	}
 }
 
 // TestLeafFieldsWalked: every field of an SDU, a PDU with its segments,

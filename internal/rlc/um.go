@@ -71,29 +71,38 @@ type partialSDU struct {
 // receivers each embed one; they differ only in the age at which a
 // partial SDU is given up (UM's t-Reassembly, AM's amPartialAge).
 type reassembly struct {
-	partials  map[uint64]*partialSDU
-	sduTimer  *sim.Timer // runs expire while partial SDUs are held
+	partials  []partialSDU // in ascending SDU id
+	sduTimer  *sim.Timer   // runs expire while partial SDUs are held
 	delivered uint64
 	discarded uint64
 }
 
 // fold accounts one in-order PDU's segments at now, hands each SDU it
 // completes to deliver (when set), and arms the expiry sweep at age
-// while partial SDUs remain.
+// while partial SDUs remain. A segment's SDU is looked up from the back:
+// segments of the newest SDU come last.
+//
+//outran:allocfree
 func (r *reassembly) fold(pdu *PDU, now, age sim.Time, deliver func(*SDU)) {
 	for _, seg := range pdu.Segments {
-		p := r.partials[seg.SDU.ID]
-		if p == nil {
-			p = &partialSDU{sdu: seg.SDU}
-			r.partials[seg.SDU.ID] = p
+		id := seg.SDU.ID
+		i := len(r.partials)
+		for i > 0 && r.partials[i-1].sdu.ID > id {
+			i--
 		}
+		if i == 0 || r.partials[i-1].sdu.ID != id {
+			r.partials = slices.Insert(r.partials, i, partialSDU{sdu: seg.SDU})
+			i++
+		}
+		p := &r.partials[i-1]
 		p.received += seg.Len
 		p.lastSeen = now
 		if p.received >= p.sdu.Size {
-			delete(r.partials, seg.SDU.ID)
+			sdu := p.sdu
+			r.partials = slices.Delete(r.partials, i-1, i)
 			r.delivered++
 			if deliver != nil {
-				deliver(p.sdu)
+				deliver(sdu)
 			}
 		}
 	}
@@ -103,20 +112,11 @@ func (r *reassembly) fold(pdu *PDU, now, age sim.Time, deliver func(*SDU)) {
 }
 
 // expire discards the partial SDUs that have seen no segment for age,
-// walking in SDU-id order so the discard sequence is stable across
-// same-seed runs, and re-arms while any remain.
+// and re-arms while any remain.
 func (r *reassembly) expire(now, age sim.Time) {
-	ids := make([]uint64, 0, len(r.partials))
-	for id := range r.partials {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		if now-r.partials[id].lastSeen >= age {
-			delete(r.partials, id)
-			r.discarded++
-		}
-	}
+	n := len(r.partials)
+	r.partials = slices.DeleteFunc(r.partials, func(p partialSDU) bool { return now-p.lastSeen >= age })
+	r.discarded += uint64(n - len(r.partials))
 	if len(r.partials) > 0 {
 		r.sduTimer.Start(age)
 	}
@@ -152,7 +152,6 @@ func NewUMRx(eng *sim.Engine, deliver func(*SDU)) *UMRx {
 		TReassembly: DefaultTReassembly,
 		Deliver:     deliver,
 		held:        make(map[uint32]*PDU),
-		reassembly:  reassembly{partials: make(map[uint64]*partialSDU)},
 	}
 	rx.gapTimer = sim.NewTimer(eng, rx.onGapExpiry)
 	rx.sduTimer = sim.NewTimer(eng, func() { rx.expire(rx.eng.Now(), rx.TReassembly) })

@@ -68,3 +68,30 @@ func TestBuilderWalkAllocs(t *testing.T) {
 		t.Errorf("%.1f allocs per four-section file, want 0", allocs)
 	}
 }
+
+// TestArchiveWalkAllocs: decoding a section allocates nothing — the
+// walker is the archive's own.
+func TestArchiveWalkAllocs(t *testing.T) {
+	names := []string{"a", "b", "c", "d"}
+	var b Builder
+	for i, name := range names {
+		v := uint64(i)
+		b.Walk(name, func(w *Walker) { w.U64(&v) })
+	}
+	a, err := Open(b.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, sum uint64
+	walk := func(w *Walker) { w.U64(&got); sum += got }
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, name := range names {
+			if err := a.Walk(name, walk); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 || sum != 101*(0+1+2+3) {
+		t.Errorf("%.1f allocs per four-section read, sum %d; want 0, %d", allocs, sum, 101*6)
+	}
+}

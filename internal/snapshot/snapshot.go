@@ -91,10 +91,13 @@ func (b *Builder) Bytes() []byte {
 // Reset empties the builder for the next file, keeping its buffer.
 func (b *Builder) Reset() { b.w.buf, b.sections = b.w.buf[:0], 0 }
 
-// Archive is a parsed, checksum-verified snapshot file.
+// Archive is a parsed, checksum-verified snapshot file. Its sections
+// are decoded by one walker it keeps, so an Archive is walked by one
+// goroutine at a time.
 type Archive struct {
 	sections map[string][]byte
 	names    []string
+	w        Walker // decoding: the section being walked
 }
 
 // Open parses data, rejecting bad magic, version mismatch, checksum
@@ -153,7 +156,8 @@ func (a *Archive) Walk(name string, walk func(*Walker)) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoSection, name)
 	}
-	w := &Walker{buf: payload, decoding: true}
+	a.w = Walker{buf: payload, decoding: true}
+	w := &a.w
 	walk(w)
 	if left := len(payload) - w.off; w.err == nil && left != 0 {
 		w.err = fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, left)

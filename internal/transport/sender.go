@@ -73,7 +73,13 @@ type Sender struct {
 	srtt, rttvar sim.Time
 	rto          sim.Time
 	rtoTimer     *sim.Timer
-	sentAt       map[int64]sim.Time // segment seq -> first send time (Karn)
+	// Karn send times: sent[sentHead+i] is the first send time of the
+	// segment at sentFirst + i·MSS, or −1 once it has been retransmitted.
+	// The live slots cover the segments in [sentFirst, nextSeq); an ACK
+	// moves sentHead past the acked ones, and completion drops the array.
+	sent      []sim.Time
+	sentHead  int
+	sentFirst int64
 
 	completed   bool
 	retransmits int
@@ -92,7 +98,6 @@ func NewSender(eng *sim.Engine, cfg Config, tuple ip.FiveTuple, size int64) *Sen
 		cwnd:     cfg.InitCwnd,
 		ssthresh: 1 << 30,
 		rto:      cfg.InitialRTO,
-		sentAt:   make(map[int64]sim.Time),
 	}
 	s.rtoTimer = sim.NewTimer(eng, s.onRTO)
 	return s
@@ -102,7 +107,7 @@ func NewSender(eng *sim.Engine, cfg Config, tuple ip.FiveTuple, size int64) *Sen
 func (s *Sender) Start() { s.trySend() }
 
 // Reset re-arms a completed sender for a new flow, reusing the engine
-// binding, config, RTO timer and the send-time map. The caller must
+// binding, config and RTO timer. The caller must
 // guarantee no scheduled callback still references the sender — the
 // ran layer's flow graveyard holds retired senders past the uplink
 // delay for exactly this reason. After Reset the sender's state is
@@ -125,7 +130,7 @@ func (s *Sender) Reset(tuple ip.FiveTuple, size int64) {
 	s.srtt = 0
 	s.rttvar = 0
 	s.rto = s.cfg.InitialRTO
-	clear(s.sentAt)
+	s.sent, s.sentHead, s.sentFirst = nil, 0, 0
 	s.completed = false
 	s.retransmits = 0
 	s.timeouts = 0
@@ -158,9 +163,11 @@ func (s *Sender) sendSegment(seq int64, isRetx bool) {
 	}
 	if isRetx {
 		s.retransmits++
-		delete(s.sentAt, seq) // Karn: never sample retransmitted
-	} else if _, dup := s.sentAt[seq]; !dup {
-		s.sentAt[seq] = s.eng.Now()
+		if i, ok := s.slot(seq); ok {
+			s.sent[i] = -1 // Karn: never sample retransmitted
+		}
+	} else {
+		s.stampFirst(seq)
 	}
 	s.segsSent++
 	if s.Send != nil {
@@ -169,6 +176,31 @@ func (s *Sender) sendSegment(seq int64, isRetx bool) {
 	if !s.rtoTimer.Running() {
 		s.rtoTimer.Start(s.rto)
 	}
+}
+
+// slot returns the index in sent of the live segment starting at seq.
+func (s *Sender) slot(seq int64) (int, bool) {
+	mss := int64(s.cfg.MSS)
+	if seq < s.sentFirst || (seq-s.sentFirst)%mss != 0 {
+		return 0, false
+	}
+	i := (seq - s.sentFirst) / mss
+	return s.sentHead + int(i), i < int64(len(s.sent)-s.sentHead)
+}
+
+// stampFirst appends the send time of a first transmission, which is
+// always of the segment at nextSeq: the next slot. A full array whose
+// acked front is at least half of it slides the live slots back to its
+// start instead of growing, so a steady window reuses one array.
+func (s *Sender) stampFirst(seq int64) {
+	switch live := len(s.sent) - s.sentHead; {
+	case live == 0:
+		s.sent, s.sentHead, s.sentFirst = s.sent[:0], 0, seq
+	case len(s.sent) == cap(s.sent) && s.sentHead >= live:
+		s.sent = s.sent[:copy(s.sent, s.sent[s.sentHead:])]
+		s.sentHead = 0
+	}
+	s.sent = append(s.sent, s.eng.Now())
 }
 
 func (s *Sender) trySend() {
@@ -183,6 +215,8 @@ func (s *Sender) trySend() {
 }
 
 // OnAck processes a cumulative acknowledgment up to ackSeq bytes.
+//
+//outran:allocfree
 func (s *Sender) OnAck(ackSeq int64) {
 	if s.completed {
 		return
@@ -190,16 +224,15 @@ func (s *Sender) OnAck(ackSeq int64) {
 	now := s.eng.Now()
 	if ackSeq > s.highestAcked {
 		// RTT sample from the first newly acked segment, if eligible.
-		if t0, ok := s.sentAt[s.highestAcked]; ok {
-			s.sampleRTT(now - t0)
+		if i, ok := s.slot(s.highestAcked); ok && s.sent[i] >= 0 {
+			s.sampleRTT(now - s.sent[i])
 		}
-		// Forget the send times below ackSeq. First transmissions
-		// happen only at nextSeq, which strides by the MSS from 0, so
-		// every key is a multiple of the MSS in [highestAcked, nextSeq):
-		// walk that range instead of sweeping the whole map.
-		mss := int64(s.cfg.MSS)
-		for seq := (s.highestAcked + mss - 1) / mss * mss; seq < min(ackSeq, s.nextSeq); seq += mss {
-			delete(s.sentAt, seq)
+		// Forget the send times of every segment below ackSeq.
+		if bound := min(ackSeq, s.nextSeq); bound > s.sentFirst {
+			mss := int64(s.cfg.MSS)
+			k := int(min((bound-s.sentFirst+mss-1)/mss, int64(len(s.sent)-s.sentHead)))
+			s.sentHead += k
+			s.sentFirst += int64(k) * mss
 		}
 		s.highestAcked = ackSeq
 		s.dupAcks = 0
@@ -228,6 +261,7 @@ func (s *Sender) OnAck(ackSeq int64) {
 		}
 		if s.highestAcked >= s.size {
 			s.completed = true
+			s.sent, s.sentHead, s.sentFirst = nil, 0, 0
 			s.rtoTimer.Stop()
 			if s.OnComplete != nil {
 				s.OnComplete()

@@ -5,7 +5,6 @@ import (
 	"testing/quick"
 
 	"outran/internal/ip"
-	"outran/internal/rng"
 	"outran/internal/sim"
 )
 
@@ -438,88 +437,5 @@ func TestTimeoutRepairFillsBurstHole(t *testing.T) {
 	// RTO (~1 s): far under two RTO backoffs.
 	if doneAt > 10*sim.Second {
 		t.Fatalf("burst-hole repair took %v — stalled in RTO-per-segment mode", doneAt)
-	}
-}
-
-// TestSentAtMatchesFullSweep drives senders through random data loss,
-// ACK loss and blackouts (fast recovery, partial ACKs, RTO go-back-N)
-// and, after every ACK, compares the send-time map with a mirror kept
-// by the rule OnAck used to apply: on a new cumulative ACK, sweep the
-// whole map and drop every key below it. The mirror is rebuilt from
-// the wire alone — a segment at or past the highest sequence seen is a
-// first transmission, anything below is a retransmission (Karn).
-func TestSentAtMatchesFullSweep(t *testing.T) {
-	var acks, retransmits, timeouts int
-	for seed := uint64(1); seed <= 12; seed++ {
-		r := rng.New(seed)
-		cfg := Config{MSS: []int{1400, 536, 1}[seed%3]}
-		size := int64(cfg.MSS)*int64(100+r.Intn(900)) + int64(r.Intn(cfg.MSS))
-		p := newPipe(t, size, cfg)
-
-		// Loss comes in phases so every recovery path is visited.
-		lossP, phaseEnd := 0.0, sim.Time(0)
-		lost := func() bool {
-			if now := p.eng.Now(); now >= phaseEnd {
-				lossP = []float64{0, 0.02, 0.1, 0.4, 1}[r.Intn(5)]
-				phaseEnd = now + sim.Time(5+r.Intn(100))*sim.Millisecond
-			}
-			return r.Float64() < lossP
-		}
-
-		mirror := map[int64]sim.Time{}
-		var wireNext, acked int64
-		p.s.Send = func(pkt ip.Packet) {
-			seq, ln := int64(pkt.Seq), pkt.PayloadLen
-			if seq >= wireNext {
-				mirror[seq] = p.eng.Now()
-				wireNext = seq + int64(ln)
-			} else {
-				delete(mirror, seq)
-			}
-			if !lost() {
-				p.eng.After(p.delay, func() { p.r.OnData(seq, ln, p.eng.Now()) })
-			}
-		}
-		p.r.SendAck = func(ack int64) {
-			if lost() {
-				return
-			}
-			p.eng.After(p.delay, func() {
-				if p.s.Completed() {
-					return
-				}
-				if ack > acked {
-					for seq := range mirror {
-						if seq < ack {
-							delete(mirror, seq)
-						}
-					}
-					acked = ack
-				}
-				p.s.OnAck(ack)
-				acks++
-				if len(p.s.sentAt) != len(mirror) {
-					t.Fatalf("seed %d, ack %d at %v: %d send times kept, full sweep keeps %d",
-						seed, ack, p.eng.Now(), len(p.s.sentAt), len(mirror))
-				}
-				for seq, at := range mirror {
-					if got, ok := p.s.sentAt[seq]; !ok || got != at {
-						t.Fatalf("seed %d, ack %d: sentAt[%d] = %v, %v; full sweep has %v",
-							seed, ack, seq, got, ok, at)
-					}
-				}
-			})
-		}
-		p.s.Start()
-		p.eng.RunUntil(600 * sim.Second)
-		if !p.s.Completed() {
-			t.Fatalf("seed %d: %d-byte flow did not complete (cumAck %d)", seed, size, p.r.CumAck())
-		}
-		retransmits += p.s.Retransmits()
-		timeouts += p.s.Timeouts()
-	}
-	if acks < 1000 || retransmits < 100 || timeouts < 10 {
-		t.Fatalf("%d acks checked over %d retransmits and %d timeouts; the patterns exercise too little",
-			acks, retransmits, timeouts)
 	}
 }
