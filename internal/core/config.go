@@ -57,6 +57,9 @@ func (c Config) Validate() error {
 	if c.Queues < 2 {
 		return fmt.Errorf("core: need at least 2 MLFQ queues, got %d", c.Queues)
 	}
+	if c.Queues > 1<<16 { // PDCP's flow table keeps a priority in 16 bits
+		return fmt.Errorf("core: %d MLFQ queues, at most %d", c.Queues, 1<<16)
+	}
 	if c.Thresholds != nil && len(c.Thresholds) != c.Queues-1 {
 		return fmt.Errorf("core: %d queues need %d thresholds, got %d",
 			c.Queues, c.Queues-1, len(c.Thresholds))

@@ -149,6 +149,14 @@ func TestConfigValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Error("single queue accepted")
 	}
+	bad.Queues = 1<<16 + 1 // past the 16 bits PDCP keeps a priority in
+	if bad.Validate() == nil {
+		t.Error("2^16+1 queues accepted")
+	}
+	bad.Queues = 1 << 16
+	if err := bad.Validate(); err != nil {
+		t.Errorf("2^16 queues: %v", err)
+	}
 	bad = good
 	bad.Thresholds = []int64{1, 2} // wrong count for 4 queues
 	if bad.Validate() == nil {

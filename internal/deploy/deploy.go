@@ -75,7 +75,7 @@ type Config struct {
 	// with its own seed. Its Workload spec declares the traffic every
 	// cell offers; a replayed Workload.TraceFile is per cell like the
 	// output paths below. A deployment of two or more cells always
-	// streams FCTs (~20 KB per cell regardless of flow count, which is
+	// streams FCTs (~16 KB per cell regardless of flow count, which is
 	// what makes city-scale cell counts fit in memory); one cell keeps
 	// Cell.StreamFCT.
 	Cell ran.Config

@@ -5,6 +5,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"sort"
 
@@ -60,11 +61,52 @@ type FCTSample struct {
 	Incast bool
 }
 
-// DefaultExactCap bounds the exact recorder's retained samples. An
-// FCTSample is 32 bytes, so the default caps per-flow retention at
-// ~32 MB per recorder; past it the recorder auto-degrades to the
-// streaming path (see Record) instead of growing without bound.
+// DefaultExactCap bounds the exact recorder's retained samples. A
+// retained sample is 16 bytes (fctRec), so the default caps per-flow
+// retention at ~16 MB per recorder; past it the recorder auto-degrades
+// to the streaming path (see Record) instead of growing without bound.
 const DefaultExactCap = 1 << 20
+
+// SizeLimit and UELimit bound what a retained sample can hold: flow
+// sizes below 2^40 and UE indices below 2^23. ran.StartFlow and
+// ran.Config.Validate keep larger values from reaching Record.
+const (
+	SizeLimit = 1 << sizeBits
+	UELimit   = 1 << ueBits
+)
+
+// fctRec is one retained sample, 16 bytes: the FCT, and meta =
+// Size | UE<<40 | Incast<<63.
+type fctRec struct {
+	fct  sim.Time
+	meta uint64
+}
+
+// The split of fctRec.meta.
+const (
+	sizeBits  = 40
+	ueBits    = 23
+	incastBit = sizeBits + ueBits
+)
+
+// packFCT packs s, reporting false when its size or UE does not fit.
+func packFCT(s FCTSample) (fctRec, bool) {
+	if uint64(s.Size) >= SizeLimit || uint(s.UE) >= UELimit {
+		return fctRec{}, false
+	}
+	meta := uint64(s.Size) | uint64(s.UE)<<sizeBits
+	if s.Incast {
+		meta |= 1 << incastBit
+	}
+	return fctRec{fct: s.FCT, meta: meta}, true
+}
+
+func (rec fctRec) size() int64  { return int64(rec.meta & (SizeLimit - 1)) }
+func (rec fctRec) incast() bool { return rec.meta>>incastBit != 0 }
+
+func (rec fctRec) sample() FCTSample {
+	return FCTSample{Size: rec.size(), FCT: rec.fct, UE: int(rec.meta >> sizeBits & (UELimit - 1)), Incast: rec.incast()}
+}
 
 // FCTRecorder accumulates flow completion times. The zero value is
 // the exact recorder, retaining every sample up to a hard cap;
@@ -72,7 +114,7 @@ const DefaultExactCap = 1 << 20
 // counts completions into fixed-layout histograms instead (see
 // FCTStream).
 type FCTRecorder struct {
-	samples  []FCTSample
+	samples  []fctRec
 	started  int
 	degraded bool       // exact path hit its cap and fell back to streaming
 	stream   *FCTStream // non-nil selects the streaming path
@@ -93,7 +135,8 @@ func (r *FCTRecorder) FlowStarted() { r.started++ }
 // every retained sample is folded into a fresh FCTStream, retention
 // stops, and Degraded() reports the fallback so callers can surface
 // it — rather than letting a metro-scale run grow memory without
-// bound.
+// bound. A sample whose size or UE is outside SizeLimit / UELimit is
+// a wiring bug, and Record panics on it.
 func (r *FCTRecorder) Record(s FCTSample) {
 	if r.stream == nil && len(r.samples) >= DefaultExactCap {
 		r.degrade()
@@ -102,7 +145,11 @@ func (r *FCTRecorder) Record(s FCTSample) {
 		r.stream.Record(s)
 		return
 	}
-	r.samples = append(r.samples, s)
+	rec, ok := packFCT(s)
+	if !ok {
+		panic(fmt.Sprintf("metrics: FCT sample of %d bytes for UE %d outside [0, 2^40) x [0, 2^23)", s.Size, s.UE))
+	}
+	r.samples = append(r.samples, rec)
 }
 
 // degrade folds the retained samples into a streaming accumulator and
@@ -111,8 +158,8 @@ func (r *FCTRecorder) Record(s FCTSample) {
 // same completion.
 func (r *FCTRecorder) degrade() {
 	s := NewFCTStream()
-	for _, sample := range r.samples {
-		s.Record(sample)
+	for _, rec := range r.samples {
+		s.Record(rec.sample())
 	}
 	r.samples = nil
 	r.stream = s
@@ -134,10 +181,19 @@ func (r *FCTRecorder) Completed() int {
 	return len(r.samples)
 }
 
-// Samples returns the raw samples. The streaming path retains none
-// and returns nil — callers needing per-flow records must use the
-// exact recorder.
-func (r *FCTRecorder) Samples() []FCTSample { return r.samples }
+// Samples returns a fresh copy of the retained samples, in completion
+// order. The streaming path retains none and returns nil — callers
+// needing per-flow records must use the exact recorder.
+func (r *FCTRecorder) Samples() []FCTSample {
+	if len(r.samples) == 0 {
+		return nil
+	}
+	out := make([]FCTSample, len(r.samples))
+	for i, rec := range r.samples {
+		out[i] = rec.sample()
+	}
+	return out
+}
 
 // Stream returns the streaming accumulator, nil on the exact path.
 func (r *FCTRecorder) Stream() *FCTStream { return r.stream }
@@ -145,14 +201,14 @@ func (r *FCTRecorder) Stream() *FCTStream { return r.stream }
 // fctsOf filters by class; class < 0 selects everything.
 func (r *FCTRecorder) fctsOf(class SizeClass, incastOnly bool) []sim.Time {
 	out := make([]sim.Time, 0, len(r.samples))
-	for _, s := range r.samples {
-		if class >= 0 && ClassOf(s.Size) != class {
+	for _, rec := range r.samples {
+		if class >= 0 && ClassOf(rec.size()) != class {
 			continue
 		}
-		if incastOnly && !s.Incast {
+		if incastOnly && !rec.incast() {
 			continue
 		}
-		out = append(out, s.FCT)
+		out = append(out, rec.fct)
 	}
 	return out
 }
@@ -241,9 +297,9 @@ func (r *FCTRecorder) NonIncastByClass(c SizeClass) Stats {
 		return r.stream.NonIncastByClass(c)
 	}
 	out := make([]sim.Time, 0, len(r.samples))
-	for _, s := range r.samples {
-		if !s.Incast && ClassOf(s.Size) == c {
-			out = append(out, s.FCT)
+	for _, rec := range r.samples {
+		if !rec.incast() && ClassOf(rec.size()) == c {
+			out = append(out, rec.fct)
 		}
 	}
 	return ComputeStats(out)

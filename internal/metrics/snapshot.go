@@ -78,16 +78,28 @@ func (r *FCTRecorder) Walk(w *snapshot.Walker) {
 	if streaming {
 		r.stream.Walk(w)
 	} else {
-		snapshot.Slice(w, &r.samples, 1<<28, 8+8+8+1, func(s *FCTSample) { s.walk(w) })
+		snapshot.Slice(w, &r.samples, 1<<28, 8+8+8+1, func(rec *fctRec) { rec.walk(w) })
 	}
 	w.Int(&r.started)
 }
 
-func (s *FCTSample) walk(w *snapshot.Walker) {
+// walk writes the sample unpacked: size, FCT, UE, incast. Decoding
+// rejects a size or UE the packed record cannot hold.
+func (rec *fctRec) walk(w *snapshot.Walker) {
+	s := rec.sample()
 	w.I64(&s.Size)
 	snapshot.I64(w, &s.FCT)
 	w.Int(&s.UE)
 	w.Bool(&s.Incast)
+	if !w.Decoding() || w.Err() != nil {
+		return
+	}
+	packed, ok := packFCT(s)
+	if !ok {
+		w.Fail(fmt.Errorf("%w: FCT sample of %d bytes for UE %d outside [0, 2^40) x [0, 2^23)", snapshot.ErrCorrupt, s.Size, s.UE))
+		return
+	}
+	*rec = packed
 }
 
 // Walk is the checkpoint layout of the delay accumulators.

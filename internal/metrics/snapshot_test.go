@@ -29,10 +29,10 @@ func TestWalkRoundTrip(t *testing.T) {
 	snapshottest.RoundTrip(t, d.Walk, new(DelayTracker).Walk)
 }
 
-// TestSampleFieldsWalked: every field of an FCT sample is checkpoint
-// state.
+// TestSampleFieldsWalked: every field of a retained FCT sample is
+// checkpoint state.
 func TestSampleFieldsWalked(t *testing.T) {
-	snapshottest.Fields(t, (*FCTSample).walk, nil)
+	snapshottest.Fields(t, (*fctRec).walk, nil)
 }
 
 // TestTrackerRejectsCountBeyondInput: a CRC-valid section a few dozen

@@ -19,8 +19,8 @@ import (
 // 2^(1/16) ≈ 1.0443, any value is at most ~4.43% away from its bucket
 // edges, so interpolated p50/p99 stay within the 5% relative-error
 // budget of the exact estimator (mean and max are exact — tracked sum
-// and max). Memory is fixed: 6 histograms × 341 buckets ≈ 20 KB per
-// cell regardless of flow count.
+// and max). Memory is fixed: 6 histograms × 341 counts ≈ 16 KB per
+// cell regardless of flow count, the bounds being one shared layout.
 const (
 	// streamFactor is 2^(1/16).
 	streamFactor = 1.0442737824274138

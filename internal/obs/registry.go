@@ -64,8 +64,10 @@ type Histogram struct {
 }
 
 // NewHistogram returns a standalone histogram with the given fixed
-// bucket layout; bounds must be ascending. Use Registry.Histogram for
-// named, exported instruments.
+// bucket layout; bounds must be ascending. The histogram keeps bounds
+// rather than a copy, so histograms built over one layout share it;
+// the caller must not modify the slice afterwards. Use
+// Registry.Histogram for named, exported instruments.
 func NewHistogram(bounds []float64) *Histogram {
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] <= bounds[i-1] {
@@ -73,7 +75,7 @@ func NewHistogram(bounds []float64) *Histogram {
 		}
 	}
 	return &Histogram{
-		bounds: append([]float64(nil), bounds...),
+		bounds: bounds,
 		counts: make([]uint64, len(bounds)+1),
 	}
 }
@@ -246,7 +248,8 @@ func (r *Registry) Gauge(name string) *Gauge {
 
 // Histogram returns (registering if needed) the named histogram with
 // the given fixed bucket layout. An existing histogram keeps its
-// original layout; bounds must be ascending.
+// original layout; bounds must be ascending and, as for NewHistogram,
+// not modified afterwards.
 func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	h := r.histograms[name]
 	if h != nil {

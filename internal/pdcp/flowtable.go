@@ -7,13 +7,27 @@ import (
 	"outran/internal/sim"
 )
 
-// flowEntry is one flow's row of the sent-bytes table.
+// flowEntry is one flow's row of the sent-bytes table, 32 bytes. sent
+// packs the flow's sent bytes above its last classified priority (kept
+// for level-change tracing): sentBytes<<prioBits | prio. A classifier's
+// priorities fit in prioBits (core.Config.Validate caps the queue
+// count), and a flow would have to send 256 TiB to carry out of the
+// byte half.
 type flowEntry struct {
-	key       ip.TupleKey
-	sentBytes int64
-	lastSeen  sim.Time
-	prio      int // last classified priority, for level-change tracing
+	key      ip.TupleKey
+	lastSeen sim.Time
+	sent     uint64
 }
+
+// The split of flowEntry.sent.
+const (
+	prioBits     = 16
+	prioMask     = 1<<prioBits - 1
+	maxSentBytes = 1<<(64-prioBits) - 1
+)
+
+func (fe *flowEntry) sentBytes() int64 { return int64(fe.sent >> prioBits) }
+func (fe *flowEntry) prio() int        { return int(fe.sent & prioMask) }
 
 // maxFlowEntries bounds the flow table; beyond it, entries idle for
 // more than flowIdleEviction are swept.

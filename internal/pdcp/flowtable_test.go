@@ -16,9 +16,10 @@ import (
 	"outran/internal/snapshot/snapshottest"
 )
 
-// refTable is the flow table as it was before it became a sorted slice,
-// frozen as the oracle: a map of heap entries, walked in the order
-// ip.SortTuples gives its keys. Together with the counters Tx.Walk
+// refTable is the flow table as it was before it became a sorted slice
+// of packed entries, frozen as the oracle: a map of heap entries with
+// the byte count and the priority in fields of their own, walked in the
+// order ip.SortTuples gives its keys. Together with the counters Tx.Walk
 // carries, it writes what Tx wrote.
 type refTable struct {
 	cls       Classifier
@@ -27,6 +28,12 @@ type refTable struct {
 	submitted uint64
 	imported  bool
 	levels    []levelChange
+	// What the program reached: the highest priority and byte count a
+	// flow held, and how many imported records replaced an entry at a
+	// non-zero priority.
+	maxPrio      int
+	maxSent      int64
+	importedOver int
 }
 
 type refEntry struct {
@@ -76,6 +83,7 @@ func (r *refTable) submit(tuple ip.FiveTuple, payload int, now sim.Time) int {
 	fe.sentBytes += int64(payload)
 	fe.lastSeen = now
 	r.submitted++
+	r.maxPrio, r.maxSent = max(r.maxPrio, prio), max(r.maxSent, fe.sentBytes)
 	return prio
 }
 
@@ -107,6 +115,9 @@ func (r *refTable) importBlob(data []byte, now sim.Time) error {
 		k.SrcPort = binary.BigEndian.Uint16(rec[8:10])
 		k.DstPort = binary.BigEndian.Uint16(rec[10:12])
 		k.Proto = rec[12]
+		if fe := r.flows[k]; fe != nil && fe.prio != 0 {
+			r.importedOver++
+		}
 		r.flows[k] = &refEntry{sentBytes: int64(binary.BigEndian.Uint32(rec[37:41])), lastSeen: now}
 	}
 	r.keys = nil
@@ -142,13 +153,29 @@ type flowTableRun struct {
 	ref    *refTable
 	levels []levelChange
 	port   uint16
+	scale  int // payload multiplier
 	// swept counts operations after which the table held fewer flows
 	// without a reset: the idle sweep at the cap ran.
 	swept int
 }
 
-func newFlowTableRun(t testing.TB) *flowTableRun {
-	cls := mlfqCls{core.MustMLFQ([]int64{3000, 60000})}
+// wideCls is a 65 536-queue MLFQ with a threshold every 64 KiB, the
+// most queues core.Config admits: its priorities fill the 16 bits a
+// flow entry keeps them in.
+type wideCls struct{}
+
+func (wideCls) Classify(sent int64, _ FlowMeta) int { return int(min(sent>>16, 1<<16-1)) }
+
+// newFlowTableRun starts a run under a three-queue MLFQ with the
+// program's payloads as given or, wide, under wideCls with every
+// payload 2^20 times larger, so a flow's sent bytes pass 2^32 within a
+// few packets.
+func newFlowTableRun(t testing.TB, wide bool) *flowTableRun {
+	var cls Classifier = mlfqCls{core.MustMLFQ([]int64{3000, 60000})}
+	scale := 1
+	if wide {
+		cls, scale = wideCls{}, 1<<20
+	}
 	eng := &sim.Engine{}
 	var seq uint64
 	tx, err := NewTx(eng, TxConfig{SNBits: 12, DelayedSN: true}, cls, &seq)
@@ -156,7 +183,7 @@ func newFlowTableRun(t testing.TB) *flowTableRun {
 		t.Fatal(err)
 	}
 	r := &flowTableRun{t: t, eng: eng, tx: tx, ref: &refTable{cls: cls, flows: map[ip.FiveTuple]*refEntry{}},
-		port: 65535 - 3000} // the counter wraps within the first few bursts
+		port: 65535 - 3000, scale: scale} // the counter wraps within the first few bursts
 	tx.OnLevelChange = func(flow ip.FiveTuple, level int, sent int64) {
 		r.levels = append(r.levels, levelChange{flow, level, sent})
 	}
@@ -178,6 +205,7 @@ func (r *flowTableRun) nextPort() uint16 {
 
 func (r *flowTableRun) submit(ft ip.FiveTuple, payload int) {
 	r.t.Helper()
+	payload *= r.scale
 	sdu := r.tx.Submit(ip.Packet{Tuple: ft, PayloadLen: payload}, FlowMeta{FlowSize: -1})
 	want := r.ref.submit(ft, payload, r.eng.Now())
 	if sdu == nil || sdu.Priority != want {
@@ -286,15 +314,18 @@ var sweepProgram = []byte{
 	4, 7, 77, 5, 0, 0, 0, 1, 2, 1, 4, 4,
 }
 
+// importProgram raises a flow to priority 1 (to a high one under the
+// wide classifier) and imports a record over it, which resets its
+// priority to 0.
+var importProgram = []byte{1, 0, 0, 0, 0, 254, 0, 0, 0, 4, 0, 0, 0, 0, 0}
+
 // TestFlowTableMatchesReference runs the sweep program and seeded random
-// programs against the reference table.
+// programs against the reference table, each under both classifiers.
+// The wide runs must fill the priority's 16 bits, push a flow's sent
+// bytes past 2^32, and import over an entry at a non-zero priority.
 func TestFlowTableMatchesReference(t *testing.T) {
-	r := newFlowTableRun(t)
-	r.run(sweepProgram)
-	if r.swept == 0 {
-		t.Fatal("the idle sweep at the cap never ran")
-	}
 	g := rand.New(rand.NewSource(27))
+	progs := [][]byte{sweepProgram, importProgram}
 	for i := 0; i < 20; i++ {
 		prog := make([]byte, 3*100)
 		g.Read(prog)
@@ -303,22 +334,47 @@ func TestFlowTableMatchesReference(t *testing.T) {
 				prog[j+1] %= 8 // bursts of up to 256 flows: the table stays under the cap
 			}
 		}
-		newFlowTableRun(t).run(prog)
+		progs = append(progs, prog)
+	}
+	for _, wide := range []bool{false, true} {
+		runs := progs
+		if wide {
+			runs = progs[:2+5] // the two fixed programs and a quarter of the random ones
+		}
+		maxPrio, maxSent, importedOver := 0, int64(0), 0
+		for i, prog := range runs {
+			r := newFlowTableRun(t, wide)
+			r.run(prog)
+			if i == 0 && r.swept == 0 {
+				t.Fatalf("wide=%v: the idle sweep at the cap never ran", wide)
+			}
+			maxPrio, maxSent = max(maxPrio, r.ref.maxPrio), max(maxSent, r.ref.maxSent)
+			importedOver += r.ref.importedOver
+		}
+		if importedOver == 0 {
+			t.Errorf("wide=%v: no import replaced an entry at a non-zero priority", wide)
+		}
+		if wide && (maxPrio != 1<<16-1 || maxSent <= 1<<32) {
+			t.Errorf("wide runs reached priority %d and %d sent bytes, want 2^16-1 and past 2^32", maxPrio, maxSent)
+		}
 	}
 }
 
-// FuzzFlowTable drives the flow table and the frozen map-and-sort
+// FuzzFlowTable drives the packed flow table and the frozen map-and-sort
 // reference through the same Submit, ImportFlowState, ResetFlowStates,
 // clock and idle-sweep operations, and requires FlowTuples, SentBytes,
-// the ExportFlowState blob and the Walk bytes to agree after each one.
+// the level changes, the ExportFlowState blob and the Walk bytes to
+// agree after each one. Each program runs under both classifiers.
 func FuzzFlowTable(f *testing.F) {
 	f.Add(sweepProgram)
+	f.Add(importProgram)
 	f.Add([]byte{1, 0, 0, 1, 1, 0, 0, 0, 0, 4, 3, 3, 0, 1, 1, 5, 0, 0, 0, 2, 2})
 	f.Add([]byte{2, 95, 0, 0, 7, 7, 3, 0, 101, 2, 160, 3, 0, 200, 200})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 3*128 {
 			prog = prog[:3*128]
 		}
-		newFlowTableRun(t).run(prog)
+		newFlowTableRun(t, false).run(prog)
+		newFlowTableRun(t, true).run(prog)
 	})
 }

@@ -51,11 +51,7 @@ func (t *Tx) ExportFlowState() []byte {
 		binary.BigEndian.PutUint16(rec[8:10], tuple.SrcPort)
 		binary.BigEndian.PutUint16(rec[10:12], tuple.DstPort)
 		rec[12] = tuple.Proto
-		sent := fe.sentBytes
-		if sent > 0xffffffff {
-			sent = 0xffffffff
-		}
-		binary.BigEndian.PutUint32(rec[37:41], uint32(sent))
+		binary.BigEndian.PutUint32(rec[37:41], uint32(min(fe.sentBytes(), 0xffffffff)))
 		out = append(out, rec[:]...)
 	})
 	return out
@@ -87,7 +83,7 @@ func (t *Tx) ImportFlowState(data []byte) error {
 		if fe == nil {
 			fe = t.flows.insert(at, key)
 		}
-		*fe = flowEntry{key: key, sentBytes: int64(binary.BigEndian.Uint32(rec[37:41])), lastSeen: now}
+		*fe = flowEntry{key: key, lastSeen: now, sent: uint64(binary.BigEndian.Uint32(rec[37:41])) << prioBits}
 	}
 	return nil
 }

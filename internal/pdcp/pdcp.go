@@ -19,7 +19,8 @@ import (
 	"outran/internal/sim"
 )
 
-// Classifier assigns each ingress packet an intra-user queue priority.
+// Classifier assigns each ingress packet an intra-user queue priority,
+// in [0, 2^16).
 // OutRAN's classifier uses only sentBytes (information-agnostic MLFQ);
 // the oracle baselines (SRJF/PSS/CQA intra-user flow ordering) read
 // the flow metadata instead. A nil Classifier tags everything priority
@@ -182,17 +183,17 @@ func (t *Tx) Submit(pkt ip.Packet, meta FlowMeta) *rlc.SDU {
 		}
 		fe = t.flows.insert(at, key)
 	}
-	prio := 0
+	sent, prio := fe.sentBytes(), 0
 	if t.classifier != nil {
-		prio = t.classifier.Classify(fe.sentBytes, meta)
+		prio = t.classifier.Classify(sent, meta)
 	}
-	if prio != fe.prio {
-		if t.OnLevelChange != nil {
-			t.OnLevelChange(tuple, prio, fe.sentBytes)
-		}
-		fe.prio = prio
+	if uint(prio) > prioMask {
+		panic(fmt.Sprintf("pdcp: classifier returned priority %d outside [0, %d]", prio, prioMask))
 	}
-	fe.sentBytes += int64(pkt.PayloadLen)
+	if prio != fe.prio() && t.OnLevelChange != nil {
+		t.OnLevelChange(tuple, prio, sent)
+	}
+	fe.sent = uint64(sent+int64(pkt.PayloadLen))<<prioBits | uint64(prio)
 	fe.lastSeen = now
 
 	*t.sduSeq++
@@ -241,7 +242,7 @@ func (t *Tx) applyKeystream(count uint32, data []byte) {
 // ResetFlowStates zeroes every flow's sent-bytes, boosting all flows
 // back to the top MLFQ priority (§6.3 "priority reset").
 func (t *Tx) ResetFlowStates() {
-	t.flows.each(func(fe *flowEntry) { fe.sentBytes = 0 })
+	t.flows.each(func(fe *flowEntry) { fe.sent &= prioMask })
 }
 
 // FlowCount returns the number of tracked flows.
@@ -258,7 +259,7 @@ func (t *Tx) FlowTuples() []ip.FiveTuple {
 // SentBytes returns the tracked sent-bytes of a flow (testing/metrics).
 func (t *Tx) SentBytes(tuple ip.FiveTuple) int64 {
 	if fe, _ := t.flows.find(tuple.Key()); fe != nil {
-		return fe.sentBytes
+		return fe.sentBytes()
 	}
 	return 0
 }

@@ -53,13 +53,25 @@ func (ft *flowTable) walk(w *snapshot.Walker) {
 	*ft = flowTable{a: a, lo: n, hi: n}
 }
 
+// walk writes the entry unpacked: tuple, sent bytes, last-seen time,
+// priority. Decoding rejects a byte count or a priority its half of
+// sent cannot hold.
 func (fe *flowEntry) walk(w *snapshot.Walker) {
 	tuple := fe.key.Tuple()
 	tuple.Walk(w)
 	fe.key = tuple.Key()
-	w.I64(&fe.sentBytes)
+	sentBytes, prio := fe.sentBytes(), fe.prio()
+	w.I64(&sentBytes)
 	snapshot.I64(w, &fe.lastSeen)
-	w.Int(&fe.prio)
+	w.Int(&prio)
+	if !w.Decoding() || w.Err() != nil {
+		return
+	}
+	if sentBytes < 0 || sentBytes > maxSentBytes || prio < 0 || prio > prioMask {
+		w.Fail(fmt.Errorf("%w: PDCP flow %v has %d sent bytes at priority %d, outside [0, 2^48) x [0, 2^16)", snapshot.ErrCorrupt, tuple, sentBytes, prio))
+		return
+	}
+	fe.sent = uint64(sentBytes)<<prioBits | uint64(prio)
 }
 
 // Walk is the receiving entity's checkpoint layout: the expected COUNT

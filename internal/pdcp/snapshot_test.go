@@ -3,7 +3,9 @@ package pdcp
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"outran/internal/ip"
 	"outran/internal/snapshot"
@@ -65,4 +67,66 @@ func TestWalkRejectsUnsortedFlowTable(t *testing.T) {
 // checkpoint state.
 func TestFlowEntryFieldsWalked(t *testing.T) {
 	snapshottest.Fields(t, (*flowEntry).walk, nil)
+}
+
+// TestRestoreRejectsUnpackableFlowEntry: a flow entry keeps its sent
+// bytes in 48 bits and its priority in 16, so a checkpoint entry with a
+// byte count or a priority outside them is corrupt input. Each fails
+// with snapshot.ErrCorrupt, allocating next to nothing, and the largest
+// values that fit restore.
+func TestRestoreRejectsUnpackableFlowEntry(t *testing.T) {
+	image := func(sentBytes int64, prio int) []byte {
+		return snapshottest.Encode(func(w *snapshot.Walker) {
+			nextSN, n, counter, lastSeen := uint32(0), uint32(1), uint64(0), int64(0)
+			tuple := testPkt(5000, 0, 0).Tuple
+			w.Mark(tagTx)
+			w.U32(&nextSN)
+			w.U32(&n)
+			tuple.Walk(w)
+			w.I64(&sentBytes)
+			w.I64(&lastSeen)
+			w.Int(&prio)
+			w.U64(&counter)
+			w.U64(&counter)
+		})
+	}
+	for _, tc := range []struct {
+		name      string
+		sentBytes int64
+		prio      int
+	}{
+		{"negative sent bytes", -1, 0},
+		{"sent bytes 2^48", 1 << 48, 0},
+		{"priority 2^16", 0, 1 << 16},
+		{"negative priority", 0, -1},
+	} {
+		img := image(tc.sentBytes, tc.prio)
+		_, tx, _, _ := newPair(t, defaultCfg(), nil)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := snapshottest.Decode(img, tx.Walk)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Errorf("%s: restore error = %v, want snapshot.ErrCorrupt", tc.name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("%s: restore allocated %d bytes on the way to failing, want < 1 MiB", tc.name, got)
+		}
+	}
+	_, tx, _, _ := newPair(t, defaultCfg(), nil)
+	if err := snapshottest.Decode(image(1<<48-1, 1<<16-1), tx.Walk); err != nil {
+		t.Fatalf("restoring 2^48-1 sent bytes at priority 2^16-1: %v", err)
+	}
+	if fe := tx.flows.at(0); fe.sentBytes() != 1<<48-1 || fe.prio() != 1<<16-1 {
+		t.Fatalf("restored entry holds %d sent bytes at priority %d", fe.sentBytes(), fe.prio())
+	}
+}
+
+// TestRecordSizes pins the per-flow record at 32 bytes: with the FCT
+// sample's 16, the 48 bytes a served flow keeps, on which the flow-churn
+// live-heap figure rests. A field added here must answer for that.
+func TestRecordSizes(t *testing.T) {
+	if got := unsafe.Sizeof(flowEntry{}); got != 32 {
+		t.Fatalf("flowEntry is %d bytes, want 32: a served flow keeps one per cell, and flow-churn's live heap was sized at 32", got)
+	}
 }

@@ -12,6 +12,7 @@ import (
 	"outran/internal/cn"
 	"outran/internal/core"
 	"outran/internal/mac"
+	"outran/internal/metrics"
 	"outran/internal/phy"
 	"outran/internal/sim"
 	"outran/internal/transport"
@@ -177,8 +178,8 @@ var knownSchedulers = map[SchedulerKind]bool{
 // offending field. It expects a defaulted configuration (WithDefaults);
 // NewCell applies both and returns Validate's error wrapped.
 func (c *Config) Validate() error {
-	if c.NumUEs <= 0 {
-		return fmt.Errorf("ran: Config.NumUEs = %d, want > 0", c.NumUEs)
+	if c.NumUEs <= 0 || c.NumUEs > metrics.UELimit {
+		return fmt.Errorf("ran: Config.NumUEs = %d, want in [1, %d]", c.NumUEs, metrics.UELimit)
 	}
 	if err := c.Grid.Validate(); err != nil {
 		return fmt.Errorf("ran: Config.Grid: %w", err)

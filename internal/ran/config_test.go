@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"outran/internal/metrics"
 	"outran/internal/sim"
 )
 
@@ -48,6 +49,7 @@ func TestValidateNamesOffendingField(t *testing.T) {
 		want string // substring of the error
 	}{
 		{"ues", func(c *Config) { c.NumUEs = -1 }, "NumUEs"},
+		{"ues past the FCT sample's UE field", func(c *Config) { c.NumUEs = metrics.UELimit + 1 }, "NumUEs"},
 		{"scheduler", func(c *Config) { c.Scheduler = "bogus" }, "Scheduler"},
 		{"inner", func(c *Config) { c.Scheduler = SchedOutRAN; c.InnerScheduler = SchedRR }, "InnerScheduler"},
 		{"rlc", func(c *Config) { c.RLC = RLCMode(9) }, "RLC"},
@@ -69,6 +71,16 @@ func TestValidateNamesOffendingField(t *testing.T) {
 				t.Fatalf("error %q does not name %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestValidateAdmitsUELimit: the FCT sample's UE field holds indices
+// below metrics.UELimit, so a cell of exactly that many UEs is valid.
+func TestValidateAdmitsUELimit(t *testing.T) {
+	c := DefaultLTEConfig()
+	c.NumUEs = metrics.UELimit
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -101,6 +101,9 @@ func (c *Cell) StartFlow(ue int, size int64, opt FlowOptions) error {
 	if size <= 0 {
 		return fmt.Errorf("ran: non-positive flow size %d", size)
 	}
+	if size >= metrics.SizeLimit {
+		return fmt.Errorf("ran: flow size %d not below %d, the FCT recorder's limit", size, int64(metrics.SizeLimit))
+	}
 	ueCtx := c.ues[ue]
 	var tuple ip.FiveTuple
 	var seqBase int64

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"outran/internal/ip"
+	"outran/internal/metrics"
 	"outran/internal/snapshot"
 	"outran/internal/snapshot/snapshottest"
 	"outran/internal/workload"
@@ -42,7 +43,7 @@ func FuzzRestoreSnapshot(f *testing.F) {
 			f.Add(uint8(i), uint8(j), payloads[name])
 		}
 	}
-	for _, edit := range []func(testing.TB, *Cell) (string, []byte){unsortedFlowTable, descendingKarn} {
+	for _, edit := range []func(testing.TB, *Cell) (string, []byte){unsortedFlowTable, descendingKarn, oversizedFlow} {
 		section, payload := edit(f, archiveShapes[0].build(f))
 		f.Add(uint8(0), uint8(slices.Index(shapes[0].names, section)), payload)
 	}
@@ -123,6 +124,42 @@ func unsortedFlowTable(t testing.TB, c *Cell) (section string, payload []byte) {
 		return section, payload
 	}
 	t.Fatal("no UE tracks two PDCP flows")
+	return "", nil
+}
+
+// oversizedFlow snapshots c and returns the section of the first UE with
+// a live flow, that flow's size raised to 2^40: a flow StartFlow cannot
+// have started, whose completion the FCT recorder could not keep.
+func oversizedFlow(t testing.TB, c *Cell) (section string, payload []byte) {
+	t.Helper()
+	img, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := sectionBytes(t, img)
+	for i, ue := range c.ues {
+		tuples := make([]ip.FiveTuple, 0, len(ue.flows))
+		for tuple := range ue.flows {
+			tuples = append(tuples, tuple)
+		}
+		ip.SortTuples(tuples)
+		for _, tuple := range tuples {
+			head := snapshottest.Encode(func(w *snapshot.Walker) {
+				w.Mark(tagFlow)
+				tuple.Walk(w)
+				w.I64(&ue.flows[tuple].size)
+			})
+			section = fmt.Sprintf("ue%d", i)
+			payload = bytes.Clone(sections[section])
+			at := bytes.Index(payload, head)
+			if at < 0 {
+				t.Fatalf("UE %d's flow %v is not in its section", i, tuple)
+			}
+			binary.LittleEndian.PutUint64(payload[at+len(head)-8:], metrics.SizeLimit)
+			return section, payload
+		}
+	}
+	t.Fatal("no UE has a live flow")
 	return "", nil
 }
 

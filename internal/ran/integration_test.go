@@ -106,6 +106,12 @@ func TestStartFlowValidation(t *testing.T) {
 	if err := cell.StartFlow(0, 0, FlowOptions{}); err == nil {
 		t.Fatal("zero size accepted")
 	}
+	if err := cell.StartFlow(0, metrics.SizeLimit, FlowOptions{}); err == nil {
+		t.Fatal("a 2^40-byte flow accepted: its FCT sample would not pack")
+	}
+	if err := cell.StartFlow(0, metrics.SizeLimit-1, FlowOptions{}); err != nil {
+		t.Fatalf("a flow of 2^40-1 bytes: %v", err)
+	}
 }
 
 // TestDelayedSNAblation reproduces the §4.4 failure mode at system

@@ -27,12 +27,14 @@ type kpiState struct {
 	lastSacSum    float64
 }
 
+// kpiBounds is the bucket layout every cell's KPI histograms share.
+var kpiBounds = obs.KPIBuckets()
+
 func newKPIState() *kpiState {
-	b := obs.KPIBuckets()
 	return &kpiState{
-		win:     obs.NewHistogram(b),
-		winDone: obs.NewHistogram(b),
-		cum:     obs.NewHistogram(b),
+		win:     obs.NewHistogram(kpiBounds),
+		winDone: obs.NewHistogram(kpiBounds),
+		cum:     obs.NewHistogram(kpiBounds),
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"outran/internal/core"
 	"outran/internal/ip"
+	"outran/internal/metrics"
 	"outran/internal/rlc"
 	"outran/internal/sim"
 	"outran/internal/snapshot"
@@ -309,6 +310,10 @@ func (c *Cell) walkUE(w *snapshot.Walker, ue *ueCtx, events []sim.Entry) {
 		w.Bool(&fr.incast)
 		w.Bool(&fr.record)
 		if w.Decoding() {
+			if w.Err() == nil && (fr.size <= 0 || fr.size >= metrics.SizeLimit) {
+				// StartFlow's bounds: past them the completion would panic in Record.
+				w.Fail(fmt.Errorf("%w: flow %v of %d bytes, outside [1, 2^40)", snapshot.ErrCorrupt, *tuple, fr.size))
+			}
 			if w.Err() != nil {
 				return
 			}

@@ -537,6 +537,12 @@ func TestRestoreRejectsDescendingKarn(t *testing.T) {
 	restoreRejectsEdit(t, descendingKarn, "Karn send time")
 }
 
+// TestRestoreRejectsOversizedFlow: the same for a live flow of 2^40
+// bytes, past StartFlow's bound.
+func TestRestoreRejectsOversizedFlow(t *testing.T) {
+	restoreRejectsEdit(t, oversizedFlow, "outside [1, 2^40)")
+}
+
 // restoreRejectsEdit restores the first archive shape with one section
 // replaced by edit's and requires ErrCorrupt from the check named by want.
 func restoreRejectsEdit(t *testing.T, edit func(testing.TB, *Cell) (string, []byte), want string) {
