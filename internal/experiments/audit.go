@@ -26,11 +26,12 @@ func init() {
 // from a trace file written by `outran-sim -trace`.
 func AuditExperiment(opt Options) ([]Table, error) {
 	opt = opt.withDefaults()
-	ring := obs.NewRingSink(0)
+	// The trace is folded as it is emitted, never held.
+	var a obs.Audit
 	// The arrivals come from a Poisson source scheduled by hand over the
 	// whole span, every flow recorded, not from a workload spec.
 	h := harness(baseLTE(opt, ran.SchedOutRAN), workload.Spec{}, opt)
-	h.Tracer = obs.NewTracer(ring)
+	h.Tracer = obs.NewTracer(&a)
 	span := h.Warmup + h.Window + h.Tail
 	h.Setup = func(cell *ran.Cell) error {
 		src, err := workload.Poisson(workload.PoissonConfig{
@@ -55,8 +56,6 @@ func AuditExperiment(opt Options) ([]Table, error) {
 	}
 
 	st := cell.CollectStats()
-	events := ring.Events()
-	a := obs.ComputeAudit(events)
 
 	check := Table{
 		Title:  "Trace audit: replayed aggregates vs live run",
@@ -75,7 +74,7 @@ func AuditExperiment(opt Options) ([]Table, error) {
 	row("mean_fairness", a.MeanFairness, st.MeanFairnessIndex)
 	row("mean_active_se", a.MeanActiveSE, cell.Tracker.MeanActiveSE())
 	row("ttis", float64(a.TTIs), float64(st.TTIs))
-	row("flows_completed", float64(completedIn(events)), float64(st.FlowsCompleted))
+	row("flows_completed", float64(a.FlowsCompleted), float64(st.FlowsCompleted))
 
 	overrideRate := 0.0
 	if a.Decisions > 0 {
@@ -94,17 +93,6 @@ func AuditExperiment(opt Options) ([]Table, error) {
 		},
 	}
 	return []Table{check, dec}, nil
-}
-
-// completedIn counts completed flow spans in a trace.
-func completedIn(events []obs.Event) int {
-	n := 0
-	for _, f := range obs.Timelines(events) {
-		if f.End >= 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // fctSamples extracts the recorded FCTs as float64 nanoseconds.

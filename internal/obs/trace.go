@@ -104,7 +104,9 @@ func Timelines(events []Event) []*FlowTimeline {
 
 // Audit aggregates the per-TTI scheduler decision records and the
 // tracker samples of one trace — the trace-derived counterpart of the
-// end-of-run Stats.
+// end-of-run Stats. It is a fold: as a Sink it takes the events of a
+// live run one at a time and keeps only its sums, so auditing a run
+// costs no memory per event; Close finishes the means.
 type Audit struct {
 	Meta Event // the trace's meta event (zero when absent)
 
@@ -137,6 +139,18 @@ type Audit struct {
 	MeanFairness float64
 	MeanActiveSE float64
 	Samples      int
+
+	// FlowsCompleted counts the flows with an EvFlowEnd, each flow id
+	// once, as Timelines groups them.
+	FlowsCompleted int
+
+	// The fold's running state: sums in event order, so the means have
+	// the bits of a mean over the kept samples.
+	candSum                   int64
+	seSum, fairSum, activeSum float64
+	activeN                   int
+	frozen                    bool
+	ended                     map[string]struct{}
 }
 
 // ComputeAudit replays a trace's scheduler records. The EvSESample
@@ -144,71 +158,88 @@ type Audit struct {
 // measurement-window freezes reproduce exactly.
 func ComputeAudit(events []Event) Audit {
 	var a Audit
-	var se, fair, active []float64
-	var candSum int64
-	frozen := false
 	for i := range events {
-		ev := &events[i]
-		switch ev.Type {
-		case EvMeta:
-			a.Meta = *ev
-		case EvTTI:
-			a.TTIs++
-			a.AllocRBs += int64(ev.AllocRBs)
-			a.UsedRBs += int64(ev.UsedRBs)
-			a.ServedBits += int64(ev.ServedBits)
-		case EvDecision:
-			a.Decisions++
-			candSum += int64(ev.Cands)
-			if ev.Sel != ev.Best {
-				a.Overrides++
-				if ev.BestM > 0 {
-					a.SacrificeSum += (ev.BestM - ev.SelM) / ev.BestM
-				}
-				lv := ev.Level
-				if lv >= len(a.OverridesByLevel) {
-					lv = len(a.OverridesByLevel) - 1
-				}
-				if lv >= 0 {
-					a.OverridesByLevel[lv]++
-				}
-			}
-		case EvTrackerReset:
-			se, fair, active = nil, nil, nil
-			frozen = false
-		case EvTrackerFreeze:
-			frozen = true
-		case EvSESample:
-			if frozen {
-				continue
-			}
-			se = append(se, ev.SE)
-			fair = append(fair, ev.Fairness)
-			if ev.ActiveSE >= 0 {
-				active = append(active, ev.ActiveSE)
-			}
-		}
+		a.Emit(&events[i])
 	}
-	if a.Decisions > 0 {
-		a.SacrificeMean = a.SacrificeSum / float64(a.Decisions)
-		a.CandMean = float64(candSum) / float64(a.Decisions)
-	}
-	a.MeanSE = meanFloat(se)
-	a.MeanFairness = meanFloat(fair)
-	a.MeanActiveSE = meanFloat(active)
-	a.Samples = len(se)
+	a.Close()
 	return a
 }
 
-func meanFloat(v []float64) float64 {
-	if len(v) == 0 {
+// Emit implements Sink: it folds one event into the audit.
+func (a *Audit) Emit(ev *Event) {
+	switch ev.Type {
+	case EvMeta:
+		a.Meta = *ev
+	case EvTTI:
+		a.TTIs++
+		a.AllocRBs += int64(ev.AllocRBs)
+		a.UsedRBs += int64(ev.UsedRBs)
+		a.ServedBits += int64(ev.ServedBits)
+	case EvDecision:
+		a.Decisions++
+		a.candSum += int64(ev.Cands)
+		if ev.Sel != ev.Best {
+			a.Overrides++
+			if ev.BestM > 0 {
+				a.SacrificeSum += (ev.BestM - ev.SelM) / ev.BestM
+			}
+			lv := ev.Level
+			if lv >= len(a.OverridesByLevel) {
+				lv = len(a.OverridesByLevel) - 1
+			}
+			if lv >= 0 {
+				a.OverridesByLevel[lv]++
+			}
+		}
+	case EvTrackerReset:
+		a.seSum, a.fairSum, a.activeSum = 0, 0, 0
+		a.Samples, a.activeN = 0, 0
+		a.frozen = false
+	case EvTrackerFreeze:
+		a.frozen = true
+	case EvSESample:
+		if a.frozen {
+			return
+		}
+		a.seSum += ev.SE
+		a.fairSum += ev.Fairness
+		a.Samples++
+		if ev.ActiveSE >= 0 {
+			a.activeSum += ev.ActiveSE
+			a.activeN++
+		}
+	case EvFlowEnd:
+		if ev.Flow == "" {
+			return
+		}
+		if a.ended == nil {
+			a.ended = make(map[string]struct{})
+		}
+		if _, ok := a.ended[ev.Flow]; !ok {
+			a.ended[ev.Flow] = struct{}{}
+			a.FlowsCompleted++
+		}
+	}
+}
+
+// Close implements Sink: it finishes the means over what was folded.
+// It may be called again after more events.
+func (a *Audit) Close() error {
+	if a.Decisions > 0 {
+		a.SacrificeMean = a.SacrificeSum / float64(a.Decisions)
+		a.CandMean = float64(a.candSum) / float64(a.Decisions)
+	}
+	a.MeanSE = mean(a.seSum, a.Samples)
+	a.MeanFairness = mean(a.fairSum, a.Samples)
+	a.MeanActiveSE = mean(a.activeSum, a.activeN)
+	return nil
+}
+
+func mean(sum float64, n int) float64 {
+	if n == 0 {
 		return 0
 	}
-	s := 0.0
-	for _, x := range v {
-		s += x
-	}
-	return s / float64(len(v))
+	return sum / float64(n)
 }
 
 // SlowestFlows returns the n completed flows with the largest FCT,

@@ -161,3 +161,25 @@ func TestCountByTypeAndFindMeta(t *testing.T) {
 		t.Fatal("missing meta not reported")
 	}
 }
+
+// TestAuditCountsCompletedFlows: the fold counts completed flows as
+// Timelines groups them — each flow id once, untagged events skipped.
+func TestAuditCountsCompletedFlows(t *testing.T) {
+	evs := []Event{
+		{T: 0, Type: EvFlowStart, Flow: "a", Size: 10},
+		{T: 1, Type: EvFlowStart, Flow: "b", Size: 10},
+		{T: 2, Type: EvFlowEnd, Flow: "a", FCT: 2},
+		{T: 3, Type: EvFlowEnd, Flow: "a", FCT: 3},
+		{T: 4, Type: EvFlowEnd},
+		{T: 5, Type: EvFlowEnd, Flow: "c", FCT: 5},
+	}
+	want := 0
+	for _, f := range Timelines(evs) {
+		if f.End >= 0 {
+			want++
+		}
+	}
+	if got := ComputeAudit(evs).FlowsCompleted; got != want || got != 2 {
+		t.Fatalf("audit counted %d completed flows, Timelines %d, want 2", got, want)
+	}
+}
