@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	outran-bench [-scale 0.5] [-seed 1] [-ues 30] [-rbs 50] [-dur 6s] <id>...
+//	outran-bench [-scale 0.5] [-seed 1] [-ues 30] [-rbs 50] [-flows 2000] <id>...
 //	outran-bench list
 //	outran-bench all
 //
@@ -10,7 +10,10 @@
 // fig12, fig13, fig14, fig15, fig16, fig17, fig18a-d, fig19, fig20,
 // table1, table2). See DESIGN.md for the per-experiment index. `chaos`
 // is the fault-injection sweep; a monitor violation makes it exit 1.
-// A negative -seeds, -ues, -rbs, -dur, -scale or -parallel is a usage
+// Every data point pools -flows flows (default 10 000, the paper's
+// sample) over its seeds, and each run's arrival window is sized to
+// offer its share at the point's load.
+// A negative -seeds, -ues, -rbs, -flows, -scale or -parallel is a usage
 // error (exit 2). The simulator's own speed is measured by benchmark/ (bash
 // benchmark/run.sh), not here.
 package main
@@ -29,7 +32,6 @@ import (
 
 	"outran/internal/cli"
 	"outran/internal/experiments"
-	"outran/internal/sim"
 )
 
 func main() { cli.Main(run) }
@@ -40,13 +42,13 @@ func main() { cli.Main(run) }
 func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("outran-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	scale := fs.Float64("scale", 1, "scale factor for UEs and duration (benches use <1)")
+	scale := fs.Float64("scale", 1, "scale factor for UEs and flows (benches use <1)")
 	seed := fs.Uint64("seed", 1, "simulation seed")
 	seeds := fs.Int("seeds", 0, "repetitions aggregated per data point, honoured at any -scale (0 = 2, or 1 below -scale 1)")
 	csvDir := fs.String("csv", "", "also write each table as CSV into this directory")
 	ues := fs.Int("ues", 0, "override UE count (0 = experiment default)")
 	rbs := fs.Int("rbs", 0, "override resource blocks (0 = experiment default)")
-	dur := fs.Duration("dur", 0, "override arrival window (0 = experiment default)")
+	flows := fs.Int("flows", 0, "flows pooled per data point, before -scale (0 = 10000)")
 	parallel := fs.Int("parallel", 0, "max runs executing concurrently (0 = GOMAXPROCS); never changes results")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file")
@@ -61,7 +63,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		return fmt.Errorf("%w: %v", cli.ErrUsage, err)
 	}
 	// A negative size would make a sweep run nothing and report it clean.
-	for _, name := range []string{"seeds", "ues", "rbs", "dur", "scale", "parallel"} {
+	for _, name := range []string{"seeds", "ues", "rbs", "flows", "scale", "parallel"} {
 		if v := fs.Lookup(name).Value.String(); strings.HasPrefix(v, "-") {
 			return fmt.Errorf("%w: -%s %s is negative", cli.ErrUsage, name, v)
 		}
@@ -93,12 +95,10 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		UEs:     *ues,
 		RBs:     *rbs,
 		Seed:    *seed,
+		Flows:   *flows,
 		Seeds:   *seeds,
 		Scale:   *scale,
 		Workers: *parallel,
-	}
-	if *dur > 0 {
-		opt.Duration = sim.Time(*dur)
 	}
 	switch ids[0] {
 	case "list":

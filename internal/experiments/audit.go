@@ -29,15 +29,22 @@ func AuditExperiment(opt Options) ([]Table, error) {
 	// The trace is folded as it is emitted, never held.
 	var a obs.Audit
 	// The arrivals come from a Poisson source scheduled by hand over the
-	// whole span, every flow recorded, not from a workload spec.
-	h := harness(baseLTE(opt, ran.SchedOutRAN), workload.Spec{}, opt)
+	// whole span, every flow recorded, not from a workload spec; the
+	// window is the one the source's spec would get.
+	const load = 0.7
+	cfg := baseLTE(opt, ran.SchedOutRAN)
+	win, err := window(cfg, workload.PoissonSpec("lte", load), opt.Flows)
+	if err != nil {
+		return nil, err
+	}
+	h := harness(cfg, workload.Spec{}, opt, win)
 	h.Tracer = obs.NewTracer(&a)
 	span := h.Warmup + h.Window + h.Tail
 	h.Setup = func(cell *ran.Cell) error {
 		src, err := workload.Poisson(workload.PoissonConfig{
 			Dist:            workload.LTECellular(),
 			NumUEs:          cell.Config().NumUEs,
-			Load:            0.7,
+			Load:            load,
 			CellCapacityBps: cell.EffectiveCapacityBps(),
 			Duration:        span,
 		}, rng.New(opt.Seed+7919))

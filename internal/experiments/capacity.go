@@ -28,12 +28,14 @@ const CapacitySLO = 250 * sim.Millisecond
 // per-cell topology, and an offered load, run through the deployment
 // runtime with the streaming FCT recorder (the deployment default —
 // capacity runs are exactly the scale exact recording cannot afford).
+// Flows is each cell's flow target: the arrival window is sized to
+// offer it at the spec's load.
 type CapacitySpec struct {
 	Cells      int
 	UEsPerCell int
 	RBs        int
 	Load       float64
-	Window     sim.Time
+	Flows      int
 	Drain      sim.Time
 	Workers    int               // <= 0: GOMAXPROCS
 	Sched      ran.SchedulerKind // "" : SchedOutRAN
@@ -84,18 +86,23 @@ func MeasureDeployment(spec CapacitySpec) (CapacityPoint, error) {
 	if sched == "" {
 		sched = ran.SchedOutRAN
 	}
+	wl := workload.PoissonSpec("lte", spec.Load)
 	cfg := ran.DefaultLTEConfig().
 		WithTopology(spec.UEsPerCell, spec.RBs).
 		ForScheduler(sched).
 		WithSeed(spec.Seed).
-		WithWorkload(workload.PoissonSpec("lte", spec.Load))
+		WithWorkload(wl)
+	win, err := window(cfg, wl, spec.Flows)
+	if err != nil {
+		return CapacityPoint{}, fmt.Errorf("capacity: %d cells at load %.2f: %w", spec.Cells, spec.Load, err)
+	}
 	const capWarmup = 500 * sim.Millisecond
 	dcfg := deploy.Config{
 		Cells:   spec.Cells,
 		Workers: spec.Workers,
 		Cell:    cfg,
 		Warmup:  capWarmup,
-		Window:  spec.Window,
+		Window:  win,
 		Drain:   spec.Drain,
 		Seed:    spec.Seed,
 	}
@@ -108,7 +115,7 @@ func MeasureDeployment(spec CapacitySpec) (CapacityPoint, error) {
 	// Wall clock: measures deployment throughput (cells/core); never enters simulated results
 	wall := time.Since(start).Seconds()
 	workers := spec.effectiveWorkers()
-	simSec := (capWarmup + spec.Window + spec.Drain).Seconds()
+	simSec := (capWarmup + win + spec.Drain).Seconds()
 	pt := CapacityPoint{
 		Cells:       spec.Cells,
 		UEs:         spec.Cells * spec.UEsPerCell,
@@ -188,10 +195,6 @@ func Capacity(opt Options) ([]Table, error) {
 	if opt.Scale > 0 && opt.Scale < 1 {
 		counts = []int{2, 4}
 	}
-	window := opt.Duration
-	if window > 6*sim.Second {
-		window = 6 * sim.Second
-	}
 	drain := opt.Drain
 	if drain > 6*sim.Second {
 		drain = 6 * sim.Second
@@ -207,7 +210,7 @@ func Capacity(opt Options) ([]Table, error) {
 				Cells:      cells,
 				UEsPerCell: opt.UEs,
 				RBs:        opt.RBs,
-				Window:     window,
+				Flows:      share(opt.Flows, cells),
 				Drain:      drain,
 				Workers:    opt.Workers,
 				Sched:      sched,

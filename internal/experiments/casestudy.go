@@ -61,7 +61,7 @@ func Fig18b(opt Options) ([]Table, error) {
 	spec := workload.PoissonSpec("lte", 0.6)
 	t := Table{
 		Title:  "Fig 18(b): ablation — normalized avg FCT (legacy / +intra-user / full OutRAN)",
-		Header: []string{"T_f", "legacy_ms", "intra_ms", "outran_ms", "intra_norm", "outran_norm"},
+		Header: []string{"T_f", "legacy_ms", "intra_ms", "outran_ms", "intra_norm", "outran_norm", "legacy_n", "intra_n", "outran_n"},
 	}
 	// Each row is three points: legacy, + intra-user only (eps=0), and
 	// full OutRAN configured by set — PF at every fairness window, then
@@ -88,8 +88,9 @@ func Fig18b(opt Options) ([]Table, error) {
 		return nil, err
 	}
 	for i, label := range labels {
-		l, in, f := res[3*i].FCT.Overall().Mean, res[3*i+1].FCT.Overall().Mean, res[3*i+2].FCT.Overall().Mean
-		t.Rows = append(t.Rows, []string{label, ms(l), ms(in), ms(f), ratio(in, l), ratio(f, l)})
+		l, in, f := res[3*i].FCT.Overall(), res[3*i+1].FCT.Overall(), res[3*i+2].FCT.Overall()
+		t.Rows = append(t.Rows, []string{label, ms(l.Mean), ms(in.Mean), ms(f.Mean), ratio(in.Mean, l.Mean), ratio(f.Mean, l.Mean),
+			sample(l), sample(in), sample(f)})
 	}
 	return []Table{t}, nil
 }
@@ -101,7 +102,7 @@ func Fig18c(opt Options) ([]Table, error) {
 	spec := workload.PoissonSpec("lte", 0.6)
 	t := Table{
 		Title:  "Fig 18(c): RLC AM vs UM mode, PF vs OutRAN",
-		Header: []string{"mode+sched", "S_mean_ms", "S_p95_ms", "S_p99_ms", "SE", "fairness", "retx_KB"},
+		Header: []string{"mode+sched", "S_mean_ms", "S_p95_ms", "S_p99_ms", "SE", "fairness", "retx_KB", "S_n"},
 	}
 	variants := []struct {
 		name  string
@@ -128,7 +129,7 @@ func Fig18c(opt Options) ([]Table, error) {
 		t.Rows = append(t.Rows, []string{
 			variants[i].name, ms(s.Mean), ms(s.P95), ms(s.P99),
 			f3(r.Stats.MeanSpectralEff), f3(r.Stats.MeanFairnessIndex),
-			fmt.Sprintf("%d", r.Stats.AMRetxBytes/1024),
+			fmt.Sprintf("%d", r.Stats.AMRetxBytes/1024), sample(s),
 		})
 	}
 	return []Table{t}, nil
@@ -142,7 +143,7 @@ func Fig18d(opt Options) ([]Table, error) {
 	opt = opt.withDefaults()
 	t := Table{
 		Title:  "Fig 18(d): priority reset period vs FCT (normalized to PF)",
-		Header: []string{"reset", "S_avg_norm", "L_avg_norm", "S_avg_ms", "L_avg_ms", "S_p95_ms"},
+		Header: []string{"reset", "S_avg_norm", "L_avg_norm", "S_avg_ms", "L_avg_ms", "S_p95_ms", "S_n", "L_n"},
 	}
 
 	// The base workload takes 90% of the volume; the incast class the
@@ -175,17 +176,15 @@ func Fig18d(opt Options) ([]Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	pf := res[0]
-	pfS := pf.FCT.ByClass(metrics.Short).Mean
-	pfL := pf.FCT.ByClass(metrics.Long).Mean
+	pfS := res[0].FCT.ByClass(metrics.Short)
+	pfL := res[0].FCT.ByClass(metrics.Long)
 	for i, rs := range resets {
 		s := res[1+i].FCT.ByClass(metrics.Short)
 		l := res[1+i].FCT.ByClass(metrics.Long)
 		t.Rows = append(t.Rows, []string{
-			rs.label, ratio(s.Mean, pfS), ratio(l.Mean, pfL), ms(s.Mean), ms(l.Mean), ms(s.P95),
+			rs.label, ratio(s.Mean, pfS.Mean), ratio(l.Mean, pfL.Mean), ms(s.Mean), ms(l.Mean), ms(s.P95), sample(s), sample(l),
 		})
 	}
-	t.Rows = append(t.Rows, []string{"PF", "1.000", "1.000", ms(pfS), ms(pfL),
-		ms(pf.FCT.ByClass(metrics.Short).P95)})
+	t.Rows = append(t.Rows, []string{"PF", "1.000", "1.000", ms(pfS.Mean), ms(pfL.Mean), ms(pfS.P95), sample(pfS), sample(pfL)})
 	return []Table{t}, nil
 }

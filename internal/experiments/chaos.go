@@ -39,15 +39,20 @@ func chaosJob(opt Options, i int) (ran.SchedulerKind, float64, uint64) {
 func Chaos(opt Options) ([]Table, error) {
 	opt = opt.withDefaults()
 	opt.Seeds = max(opt.Seeds, 1)
+	spec := workload.PoissonSpec("lte", 0.6)
+	win, err := window(baseLTE(opt, chaosScheds[0]), spec, share(opt.Flows, opt.Seeds))
+	if err != nil {
+		return nil, err
+	}
 	res := make([]fault.Result, len(chaosScheds)*len(chaosIntensities)*opt.Seeds)
-	err := deploy.ForEach(len(res), opt.Workers, func(i int) error {
+	err = deploy.ForEach(len(res), opt.Workers, func(i int) error {
 		sched, intensity, seed := chaosJob(opt, i)
 		cfg := baseLTE(opt, sched)
 		cfg.RLC = ran.AM
 		var err error
 		res[i], err = fault.RunConfig{
-			Cell:     cfg.WithWorkload(workload.PoissonSpec("lte", 0.6)),
-			Duration: opt.Duration, Drain: opt.Drain,
+			Cell:     cfg.WithWorkload(spec),
+			Duration: win, Drain: opt.Drain,
 			Intensity: intensity, Seed: seed,
 		}.Run()
 		return err

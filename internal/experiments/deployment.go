@@ -25,18 +25,25 @@ func Deployment(opt Options) ([]Table, error) {
 		Header: []string{"scheduler", "cell", "flows done", "FCT mean (ms)",
 			"FCT p95 (ms)", "short p95 (ms)", "SE (b/s/Hz)", "fairness", "flows moved"},
 	}
+	// The two cells pool into the "all" row, so each offers half of it.
+	const cells = 2
+	spec := workload.PoissonSpec("lte", 0.6)
+	win, err := window(baseLTE(opt, ran.SchedPF), spec, share(opt.Flows, cells))
+	if err != nil {
+		return nil, err
+	}
 	for _, sched := range []ran.SchedulerKind{ran.SchedPF, ran.SchedOutRAN} {
 		res, err := deploy.Run(deploy.Config{
-			Cells:   2,
+			Cells:   cells,
 			Workers: opt.Workers,
-			Cell:    baseLTE(opt, sched).WithWorkload(workload.PoissonSpec("lte", 0.6)),
+			Cell:    baseLTE(opt, sched).WithWorkload(spec),
 			Warmup:  warmup,
-			Window:  opt.Duration,
+			Window:  win,
 			Tail:    pressureTail,
 			Drain:   opt.Drain,
 			Seed:    opt.Seed,
 			Handovers: []deploy.Handover{{
-				At:            warmup + opt.Duration/2,
+				At:            warmup + win/2,
 				UE:            0,
 				From:          0,
 				To:            1,

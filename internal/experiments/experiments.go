@@ -20,18 +20,22 @@ import (
 	"outran/internal/workload"
 )
 
-// Options scales the experiments. The defaults reproduce the paper's
-// shapes in seconds per run; Full approaches the paper's scale.
+// Options scales the experiments. The defaults take the paper's sample
+// of 10 000 flows per data point.
 type Options struct {
-	UEs      int
-	RBs      int
-	Duration sim.Time
-	Drain    sim.Time
-	Seed     uint64
+	UEs int
+	RBs int
+	// Flows is the pooled sample of one data point: the flows its runs
+	// offer in their recorded windows. Each of the point's Seeds runs
+	// offers Flows/Seeds, a row that pools several cells divides it
+	// among them, and window sizes each run's window to offer its share.
+	Flows int
+	Drain sim.Time
+	Seed  uint64
 	// Seeds is the number of independent repetitions aggregated per
 	// data point (heavy-tailed workloads make single runs noisy).
 	Seeds int
-	// Scale multiplies UEs and Duration; used by the benches to run
+	// Scale multiplies UEs and Flows; used by the benches to run
 	// reduced but shape-preserving versions.
 	Scale float64
 	// Workers bounds how many independent runs (seeds, deployment
@@ -49,8 +53,8 @@ func (o Options) withDefaults() Options {
 	if o.RBs == 0 {
 		o.RBs = 50
 	}
-	if o.Duration == 0 {
-		o.Duration = 20 * sim.Second
+	if o.Flows == 0 {
+		o.Flows = 10000
 	}
 	if o.Drain == 0 {
 		o.Drain = 15 * sim.Second
@@ -66,7 +70,7 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Scale > 0 && o.Scale != 1 {
 		o.UEs = max(2, int(float64(o.UEs)*o.Scale))
-		o.Duration = sim.Time(float64(o.Duration) * o.Scale)
+		o.Flows = max(1, int(float64(o.Flows)*o.Scale))
 	}
 	return o
 }
@@ -178,7 +182,7 @@ const (
 )
 
 // point is one data point of a figure: the cell, its workload, and
-// the options whose Seed, Duration and Drain its runs take.
+// the options whose Seed, Flows and Drain its runs take.
 type point struct {
 	cfg  ran.Config
 	spec workload.Spec
@@ -188,16 +192,26 @@ type point struct {
 // runPoints runs opt.Seeds repetitions of every point, all (point,
 // seed) jobs on one worker pool, and folds each point's seeds in seed
 // order after the pool drains, so the worker count never changes a
-// result. A job reduces its cell to that seed's runResult before it
-// returns, so at most opt.Workers cells are alive at once.
+// result. Each point's window is sized once, before the pool starts,
+// for its seeds' share of its flows. A job reduces its cell to that
+// seed's runResult before it returns, so at most opt.Workers cells are
+// alive at once.
 func runPoints(opt Options, pts []point) ([]*runResult, error) {
 	n := max(opt.Seeds, 1)
+	windows := make([]sim.Time, len(pts))
+	for i, p := range pts {
+		w, err := window(p.cfg.WithSeed(p.opt.Seed), p.spec, share(p.opt.Flows, n))
+		if err != nil {
+			return nil, err
+		}
+		windows[i] = w
+	}
 	runs := make([]runResult, len(pts)*n)
 	err := deploy.ForEach(len(runs), opt.Workers, func(j int) error {
 		p := pts[j/n]
 		o := p.opt
 		o.Seed = p.opt.Seed + uint64(j%n)*1009
-		cell, err := harness(p.cfg.WithSeed(o.Seed), p.spec, o).Run()
+		cell, err := harness(p.cfg.WithSeed(o.Seed), p.spec, o, windows[j/n]).Run()
 		if err != nil {
 			return err
 		}
@@ -254,14 +268,14 @@ func fold(runs []runResult) *runResult {
 	return agg
 }
 
-// harness builds one run under the shared method: warmup, opt.Duration
-// recorded, pressure tail, then opt.Drain, with the workload seeded
+// harness builds one run under the shared method: warmup, the window
+// win recorded, pressure tail, then opt.Drain, with the workload seeded
 // from opt.Seed.
-func harness(cfg ran.Config, spec workload.Spec, opt Options) ran.Harness {
+func harness(cfg ran.Config, spec workload.Spec, opt Options, win sim.Time) ran.Harness {
 	return ran.Harness{
 		Config:       cfg.WithWorkload(spec),
 		Warmup:       warmup,
-		Window:       opt.Duration,
+		Window:       win,
 		Tail:         pressureTail,
 		Drain:        opt.Drain,
 		WorkloadSeed: opt.Seed + 7919,
@@ -318,26 +332,36 @@ func IDs() []string {
 	return ids
 }
 
-// shortP95 is a convenience accessor used by several harnesses.
-func shortP95(r *runResult) sim.Time {
-	return r.FCT.ByClass(metrics.Short).P95
+// sample formats the flow count behind an FCT statistic: the sample a
+// reader needs to judge a percentile by.
+func sample(s metrics.Stats) string { return fmt.Sprint(s.Count) }
+
+// window is the one sizing rule of every experiment: the arrival
+// window in which a run of cfg's cell offers flows flows of spec, at
+// the spec's load of the cell's capacity, the capacity taken from a
+// probe cell built at cfg's seed.
+func window(cfg ran.Config, spec workload.Spec, flows int) (sim.Time, error) {
+	probe, err := ran.NewCell(cfg)
+	if err != nil {
+		return 0, err
+	}
+	return durationForFlows(flows, spec.Load, probe.EffectiveCapacityBps(), spec.MeanFlowBytes())
 }
 
-// durationForFlows returns the arrival window needed for roughly
-// target flows at the given load — used by the 5G experiments, where
-// the much larger capacity means a short window already yields good
-// statistics.
-func durationForFlows(target int, load, capacityBps, meanFlowBytes float64) sim.Time {
-	if load <= 0 || capacityBps <= 0 || meanFlowBytes <= 0 {
-		return sim.Second
+// share divides a flow target among n runs, rounding up, so that the
+// runs together offer at least the target.
+func share(flows, n int) int { return (flows + n - 1) / n }
+
+// durationForFlows returns the arrival window in which target flows of
+// the given mean size arrive at the given load of a cell of the given
+// capacity, and at least 2 s, so that a small target still spans many
+// TTIs. It refuses what it cannot size: a target, load, capacity or
+// mean flow size that is not positive.
+func durationForFlows(target int, load, capacityBps, meanFlowBytes float64) (sim.Time, error) {
+	if !(target > 0 && load > 0 && capacityBps > 0 && meanFlowBytes > 0) {
+		return 0, fmt.Errorf("experiments: cannot size a window for %d flows at load %g of %g bit/s with a mean flow of %g bytes",
+			target, load, capacityBps, meanFlowBytes)
 	}
 	rate := load * capacityBps / 8 / meanFlowBytes // flows per second
-	d := sim.Time(float64(target) / rate * float64(sim.Second))
-	if d < 2*sim.Second {
-		d = 2 * sim.Second
-	}
-	if d > 60*sim.Second {
-		d = 60 * sim.Second
-	}
-	return d
+	return max(sim.Time(float64(target)/rate*float64(sim.Second)), 2*sim.Second), nil
 }

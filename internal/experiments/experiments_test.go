@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"outran/internal/fault"
 	"outran/internal/ran"
 	"outran/internal/sim"
+	"outran/internal/workload"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -58,15 +60,15 @@ func TestTablePrinting(t *testing.T) {
 
 func TestOptionsDefaultsAndScaling(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.UEs != 30 || o.RBs != 50 || o.Seeds != 2 || o.Seed != 1 {
+	if o.UEs != 30 || o.RBs != 50 || o.Flows != 10000 || o.Seeds != 2 || o.Seed != 1 {
 		t.Fatalf("defaults %+v", o)
 	}
 	s := Options{Scale: 0.5}.withDefaults()
 	if s.UEs != 15 {
 		t.Fatalf("scaled UEs %d", s.UEs)
 	}
-	if s.Duration != o.Duration/2 {
-		t.Fatalf("scaled duration %v", s.Duration)
+	if s.Flows != o.Flows/2 {
+		t.Fatalf("scaled flows %d", s.Flows)
 	}
 	if s.Seeds != 1 {
 		t.Fatal("reduced scale should run a single seed")
@@ -81,18 +83,23 @@ func TestOptionsDefaultsAndScaling(t *testing.T) {
 }
 
 func TestDurationForFlows(t *testing.T) {
-	d := durationForFlows(300, 0.6, 100e6, 30e3)
-	// rate = 0.6*100e6/8/30e3 = 250 flows/s -> 1.2 s, clamped to 2 s.
-	if d != 2*sim.Second {
-		t.Fatalf("duration %v", d)
+	// rate = 0.6*100e6/8/30e3 = 250 flows/s -> 1.2 s, raised to 2 s.
+	if d, err := durationForFlows(300, 0.6, 100e6, 30e3); err != nil || d != 2*sim.Second {
+		t.Fatalf("duration %v, %v", d, err)
 	}
-	d = durationForFlows(300, 0.1, 10e6, 120e3)
-	// rate ~1.04 flows/s -> ~288 s, clamped to 60 s.
-	if d != 60*sim.Second {
-		t.Fatalf("duration %v", d)
+	// rate ~1.04 flows/s -> 288 s: no upper clamp.
+	if d, err := durationForFlows(300, 0.1, 10e6, 120e3); err != nil || d < 288*sim.Second-sim.Millisecond || d > 288*sim.Second+sim.Millisecond {
+		t.Fatalf("duration %v, %v", d, err)
 	}
-	if durationForFlows(10, 0, 0, 0) != sim.Second {
-		t.Fatal("degenerate input")
+	for _, bad := range [][4]float64{{0, 0.6, 1e6, 1e3}, {10, 0, 1e6, 1e3}, {10, 0.6, 0, 1e3}, {10, 0.6, 1e6, 0}, {10, math.NaN(), 1e6, 1e3}} {
+		if d, err := durationForFlows(int(bad[0]), bad[1], bad[2], bad[3]); err == nil {
+			t.Errorf("durationForFlows%v = %v, want an error", bad, d)
+		}
+	}
+	// A spec that generates nothing (audit's hand-built source) has no
+	// load or mean flow size to size a window by.
+	if d, err := window(ran.DefaultLTEConfig(), workload.Spec{}, 100); err == nil {
+		t.Errorf("window for an empty spec = %v, want an error", d)
 	}
 }
 
@@ -135,7 +142,7 @@ func TestTinySimExperiment(t *testing.T) {
 		t.Skip("runs a simulation")
 	}
 	f, _ := Lookup("fig7")
-	tables, err := f(Options{Scale: 0.1, Duration: 2 * sim.Second, Drain: 6 * sim.Second})
+	tables, err := f(Options{Scale: 0.1, Flows: 100, Drain: 6 * sim.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +188,7 @@ func TestMeasureDeployment(t *testing.T) {
 		UEsPerCell: 3,
 		RBs:        15,
 		Load:       0.5,
-		Window:     sim.Second,
+		Flows:      20,
 		Drain:      2 * sim.Second,
 		Seed:       1,
 	})
@@ -209,7 +216,7 @@ func TestFig19CellsAreIndependent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a simulation")
 	}
-	opt := Options{Duration: sim.Second, Drain: 4 * sim.Second, Seeds: 1}.withDefaults()
+	opt := Options{Flows: 40, Drain: 4 * sim.Second, Seeds: 1}.withDefaults()
 	cell := func(idx int) point { return fig19Point(opt, channel.ColosseumRome(), 0.4, ran.SchedPF, idx) }
 	res, err := runPoints(opt, []point{cell(0), cell(1), cell(0)})
 	if err != nil {
@@ -239,7 +246,7 @@ func TestRunPointsWorkers(t *testing.T) {
 		t.Skip("runs a simulation")
 	}
 	figure := func(workers int) string {
-		tables, err := Fig18c(Options{UEs: 4, RBs: 15, Duration: 500 * sim.Millisecond, Drain: 2 * sim.Second, Seeds: 2, Workers: workers})
+		tables, err := Fig18c(Options{UEs: 4, RBs: 15, Flows: 20, Drain: 2 * sim.Second, Seeds: 2, Workers: workers})
 		if err != nil {
 			t.Fatalf("workers %d: %v", workers, err)
 		}
@@ -265,7 +272,7 @@ func TestChaosWorkers(t *testing.T) {
 		t.Skip("runs a simulation")
 	}
 	sweep := func(workers int) string {
-		tables, err := Chaos(Options{UEs: 4, RBs: 25, Duration: sim.Second, Drain: 2 * sim.Second, Seeds: 2, Workers: workers})
+		tables, err := Chaos(Options{UEs: 4, RBs: 25, Flows: 20, Drain: 2 * sim.Second, Seeds: 2, Workers: workers})
 		if err != nil {
 			t.Fatalf("workers %d: %v", workers, err)
 		}

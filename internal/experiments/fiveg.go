@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"outran/internal/metrics"
 	"outran/internal/phy"
 	"outran/internal/ran"
 	"outran/internal/sim"
@@ -25,7 +26,7 @@ func Fig17(opt Options) ([]Table, error) {
 		Title: "Fig 17: impact of OutRAN in 5G RAN (PF vs OutRAN)",
 		Header: []string{"server", "mu/slot_us", "load",
 			"RTT_PF_ms", "RTT_OR_ms", "Qdelay_PF_ms", "Qdelay_OR_ms",
-			"S_Qdelay_PF_ms", "S_Qdelay_OR_ms", "S_p95_PF_ms", "S_p95_OR_ms"},
+			"S_Qdelay_PF_ms", "S_Qdelay_OR_ms", "S_p95_PF_ms", "S_p95_OR_ms", "S_n_PF", "S_n_OR"},
 	}
 	servers := []struct {
 		name  string
@@ -46,11 +47,7 @@ func Fig17(opt Options) ([]Table, error) {
 					cfg.Scheduler = sched
 					cfg.Path.WiredDelay = srv.delay
 					cfg.Path.UplinkDelay = srv.delay + 4*sim.Millisecond
-					p, err := fiveGPoint(opt, cfg, load)
-					if err != nil {
-						return nil, err
-					}
-					pts = append(pts, p)
+					pts = append(pts, fiveGPoint(opt, cfg, load))
 				}
 			}
 		}
@@ -61,32 +58,26 @@ func Fig17(opt Options) ([]Table, error) {
 	}
 	for i, row := range rows {
 		pf, or := res[2*i], res[2*i+1]
+		pfS, orS := pf.FCT.ByClass(metrics.Short), or.FCT.ByClass(metrics.Short)
 		t.Rows = append(t.Rows, append(row,
 			ms(pf.Stats.MeanSRTT), ms(or.Stats.MeanSRTT),
 			ms(pf.DelayMean), ms(or.DelayMean),
 			ms(pf.DelayShort), ms(or.DelayShort),
-			ms(shortP95(pf)), ms(shortP95(or)),
+			ms(pfS.P95), ms(orS.P95), sample(pfS), sample(orS),
 		))
 	}
 	return []Table{t}, nil
 }
 
 // fiveGPoint completes a 5G point: a UE count and RB width scaled from
-// the options, and — 5G capacity being large — an arrival window sized
-// for ~300 flows at the load instead of opt.Duration.
-func fiveGPoint(opt Options, cfg ran.Config, load float64) (point, error) {
+// the options, the MIRAGE workload at the load, and a shorter drain.
+func fiveGPoint(opt Options, cfg ran.Config, load float64) point {
 	cfg.NumUEs = max(4, opt.UEs*2/3)
-	cfg.Seed = opt.Seed // the probe below sizes the window on it; runPoints reseeds the runs
 	// Scale RB count with the option's RB fraction to keep runtimes
 	// bounded.
 	cfg.Grid.NumRB = max(10, cfg.Grid.NumRB*opt.RBs/100)
-	probe, err := ran.NewCell(cfg)
-	if err != nil {
-		return point{}, err
-	}
-	opt.Duration = durationForFlows(300, load, probe.EffectiveCapacityBps(), workload.Mirage().Mean())
 	opt.Drain = 8 * sim.Second
-	return point{cfg, workload.PoissonSpec("mirage", load), opt}, nil
+	return point{cfg, workload.PoissonSpec("mirage", load), opt}
 }
 
 // Fig20 reproduces the 5G FCT-vs-load curves and the SE/fairness
@@ -104,16 +95,15 @@ func Fig20(opt Options) ([]Table, error) {
 	for _, s := range scheds {
 		fct.Header = append(fct.Header, string(s))
 	}
+	for _, s := range scheds {
+		fct.Header = append(fct.Header, "n_"+string(s))
+	}
 	var pts []point
 	for _, s := range scheds {
 		for _, load := range loads {
 			cfg := ran.Default5GConfig(phy.Mu1)
 			cfg.Scheduler = s
-			p, err := fiveGPoint(opt, cfg, load)
-			if err != nil {
-				return nil, err
-			}
-			pts = append(pts, p)
+			pts = append(pts, fiveGPoint(opt, cfg, load))
 		}
 	}
 	res, err := runPoints(opt, pts)
@@ -122,10 +112,13 @@ func Fig20(opt Options) ([]Table, error) {
 	}
 	for j, load := range loads {
 		row := []string{f2(load)}
+		var counts []string
 		for i := range scheds {
-			row = append(row, ms(res[i*len(loads)+j].FCT.Overall().Mean))
+			all := res[i*len(loads)+j].FCT.Overall()
+			row = append(row, ms(all.Mean))
+			counts = append(counts, sample(all))
 		}
-		fct.Rows = append(fct.Rows, row)
+		fct.Rows = append(fct.Rows, append(row, counts...))
 	}
 	for i, s := range scheds {
 		for j, load := range loads {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"outran/internal/metrics"
 	"outran/internal/ran"
+	"outran/internal/sim"
 	"outran/internal/workload"
 )
 
@@ -52,33 +53,38 @@ func Fig15(opt Options) ([]Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	mk := func(title string, get func(*runResult) string) Table {
+	// mk tabulates one statistic of one flow class per scheduler and
+	// load, then the flow count behind each.
+	mk := func(title string, class func(*metrics.FCTRecorder) metrics.Stats, stat func(metrics.Stats) sim.Time) Table {
 		t := Table{Title: title, Header: []string{"load"}}
 		for _, s := range lteSchedulers {
 			t.Header = append(t.Header, string(s))
 		}
+		for _, s := range lteSchedulers {
+			t.Header = append(t.Header, "n_"+string(s))
+		}
 		for j, load := range lteLoads {
 			row := []string{f2(load)}
+			var counts []string
 			for i := range lteSchedulers {
-				row = append(row, get(sweep[i*len(lteLoads)+j]))
+				st := class(sweep[i*len(lteLoads)+j].FCT)
+				row = append(row, ms(stat(st)))
+				counts = append(counts, sample(st))
 			}
-			t.Rows = append(t.Rows, row)
+			t.Rows = append(t.Rows, append(row, counts...))
 		}
 		return t
 	}
+	byClass := func(c metrics.SizeClass) func(*metrics.FCTRecorder) metrics.Stats {
+		return func(r *metrics.FCTRecorder) metrics.Stats { return r.ByClass(c) }
+	}
+	mean := func(s metrics.Stats) sim.Time { return s.Mean }
 	return []Table{
-		mk("Fig 15(a): overall average FCT (ms) vs cell load", func(r *runResult) string {
-			return ms(r.FCT.Overall().Mean)
-		}),
-		mk("Fig 15(b): short (0,10KB] 95%-ile FCT (ms) vs cell load", func(r *runResult) string {
-			return ms(r.FCT.ByClass(metrics.Short).P95)
-		}),
-		mk("Fig 15(c): medium (10KB,0.1MB] average FCT (ms) vs cell load", func(r *runResult) string {
-			return ms(r.FCT.ByClass(metrics.Medium).Mean)
-		}),
-		mk("Fig 15(d): long (0.1MB,inf) average FCT (ms) vs cell load", func(r *runResult) string {
-			return ms(r.FCT.ByClass(metrics.Long).Mean)
-		}),
+		mk("Fig 15(a): overall average FCT (ms) vs cell load", (*metrics.FCTRecorder).Overall, mean),
+		mk("Fig 15(b): short (0,10KB] 95%-ile FCT (ms) vs cell load", byClass(metrics.Short),
+			func(s metrics.Stats) sim.Time { return s.P95 }),
+		mk("Fig 15(c): medium (10KB,0.1MB] average FCT (ms) vs cell load", byClass(metrics.Medium), mean),
+		mk("Fig 15(d): long (0.1MB,inf) average FCT (ms) vs cell load", byClass(metrics.Long), mean),
 	}, nil
 }
 

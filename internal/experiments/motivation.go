@@ -36,25 +36,25 @@ func Fig3(opt Options) ([]Table, error) {
 
 	a := Table{
 		Title:  "Fig 3(a): short flow (<10KB) FCT, SRJF vs PF (normalized to PF)",
-		Header: []string{"scheduler", "avg_ms", "p99_ms", "avg_norm", "p99_norm"},
+		Header: []string{"scheduler", "avg_ms", "p99_ms", "avg_norm", "p99_norm", "n"},
 	}
 	pfS := pf1.FCT.ByClass(metrics.Short)
 	srjfS := srjf1.FCT.ByClass(metrics.Short)
 	a.Rows = append(a.Rows,
 		[]string{"SRJF", ms(srjfS.Mean), ms(srjfS.P99),
-			ratio(srjfS.Mean, pfS.Mean), ratio(srjfS.P99, pfS.P99)},
-		[]string{"PF", ms(pfS.Mean), ms(pfS.P99), "1.000", "1.000"},
+			ratio(srjfS.Mean, pfS.Mean), ratio(srjfS.P99, pfS.P99), sample(srjfS)},
+		[]string{"PF", ms(pfS.Mean), ms(pfS.P99), "1.000", "1.000", sample(pfS)},
 	)
 
 	b := Table{
 		Title:  "Fig 3(b): short flow FCT vs per-user buffer size (normalized to PF x1)",
-		Header: []string{"buffer", "SRJF_avg_ms", "PF_avg_ms", "SRJF_norm", "PF_norm"},
+		Header: []string{"buffer", "SRJF_avg_ms", "PF_avg_ms", "SRJF_norm", "PF_norm", "SRJF_n", "PF_n"},
 	}
 	s5 := srjf5.FCT.ByClass(metrics.Short)
 	p5 := pf5.FCT.ByClass(metrics.Short)
 	b.Rows = append(b.Rows,
-		[]string{"x1", ms(srjfS.Mean), ms(pfS.Mean), ratio(srjfS.Mean, pfS.Mean), "1.000"},
-		[]string{"x5", ms(s5.Mean), ms(p5.Mean), ratio(s5.Mean, pfS.Mean), ratio(p5.Mean, pfS.Mean)},
+		[]string{"x1", ms(srjfS.Mean), ms(pfS.Mean), ratio(srjfS.Mean, pfS.Mean), "1.000", sample(srjfS), sample(pfS)},
+		[]string{"x5", ms(s5.Mean), ms(p5.Mean), ratio(s5.Mean, pfS.Mean), ratio(p5.Mean, pfS.Mean), sample(s5), sample(p5)},
 	)
 	return []Table{a, b}, nil
 }

@@ -47,13 +47,13 @@ func Fig7(opt Options) ([]Table, error) {
 
 	fct := Table{
 		Title:  "Fig 7(c): FCT distribution, short (<10KB) and long (>0.1MB) flows",
-		Header: []string{"scheduler", "S_mean_ms", "S_p95_ms", "S_p99_ms", "L_mean_ms", "L_p99_ms"},
+		Header: []string{"scheduler", "S_mean_ms", "S_p95_ms", "S_p99_ms", "L_mean_ms", "L_p99_ms", "S_n", "L_n"},
 	}
 	for i, r := range res {
 		s := r.FCT.ByClass(metrics.Short)
 		l := r.FCT.ByClass(metrics.Long)
 		fct.Rows = append(fct.Rows, []string{
-			names[i], ms(s.Mean), ms(s.P95), ms(s.P99), ms(l.Mean), ms(l.P99),
+			names[i], ms(s.Mean), ms(s.P95), ms(s.P99), ms(l.Mean), ms(l.P99), sample(s), sample(l),
 		})
 	}
 	return []Table{sys, fct}, nil
@@ -87,26 +87,26 @@ func Fig8(opt Options) ([]Table, error) {
 
 	t := Table{
 		Title:  "Fig 8: OutRAN sensitivity to eps (PF baseline at eps=0)",
-		Header: []string{"eps", "SE_bit/s/Hz", "SE_active", "fairness", "S_mean_ms", "S_p95_ms"},
+		Header: []string{"eps", "SE_bit/s/Hz", "SE_active", "fairness", "S_mean_ms", "S_p95_ms", "S_n"},
 	}
 	for i, eps := range epsilons {
 		r := res[i]
 		s := r.FCT.ByClass(metrics.Short)
 		t.Rows = append(t.Rows, []string{
 			f2(eps), f3(r.Stats.MeanSpectralEff), f3(r.ActiveSE), f3(r.Stats.MeanFairnessIndex),
-			ms(s.Mean), ms(s.P95),
+			ms(s.Mean), ms(s.P95), sample(s),
 		})
 	}
 
 	topk := Table{
 		Title:  "Fig 8 ablation: eps relaxation vs top-K candidate set",
-		Header: []string{"variant", "SE_bit/s/Hz", "fairness", "S_mean_ms"},
+		Header: []string{"variant", "SE_bit/s/Hz", "fairness", "S_mean_ms", "S_n"},
 	}
 	for i, k := range topKs {
 		r := res[len(epsilons)+i]
 		s := r.FCT.ByClass(metrics.Short)
 		topk.Rows = append(topk.Rows, []string{
-			fmt.Sprintf("topK=%d", k), f3(r.Stats.MeanSpectralEff), f3(r.Stats.MeanFairnessIndex), ms(s.Mean),
+			fmt.Sprintf("topK=%d", k), f3(r.Stats.MeanSpectralEff), f3(r.Stats.MeanFairnessIndex), ms(s.Mean), sample(s),
 		})
 	}
 	return []Table{t, topk}, nil

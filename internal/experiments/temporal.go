@@ -26,21 +26,22 @@ func init() {
 func Diurnal(opt Options) ([]Table, error) {
 	opt = opt.withDefaults()
 	spec, _ := workload.Scenario("diurnal", "lte", 0.7)
-
-	// Sample the KPI stream ~12 times across the recorded window.
-	every := opt.Duration / 12
-	if every < 500*sim.Millisecond {
-		every = 500 * sim.Millisecond
+	scheds := []ran.SchedulerKind{ran.SchedPF, ran.SchedOutRAN}
+	win, err := window(baseLTE(opt, scheds[0]), spec, opt.Flows)
+	if err != nil {
+		return nil, err
 	}
 
+	// Sample the KPI stream ~12 times across the recorded window.
+	every := max(win/12, 500*sim.Millisecond)
+
 	// PF and OutRAN run on the worker pool, each into its own slot.
-	scheds := []ran.SchedulerKind{ran.SchedPF, ran.SchedOutRAN}
 	samples := make([][]obs.KPIRecord, len(scheds))
 	cells := make([]*ran.Cell, len(scheds))
-	err := deploy.ForEach(len(scheds), opt.Workers, func(i int) error {
+	err = deploy.ForEach(len(scheds), opt.Workers, func(i int) error {
 		cfg := baseLTE(opt, scheds[i])
 		cfg.KPIEvery = every
-		h := harness(cfg, spec, opt)
+		h := harness(cfg, spec, opt, win)
 		cell, err := h.Build()
 		if err != nil {
 			return err
@@ -48,7 +49,7 @@ func Diurnal(opt Options) ([]Table, error) {
 		// Drive the cell in KPI segments through the recorded window
 		// (the envelope warps arrivals over the whole warmup+window+tail
 		// span; sampling windows cut the recorded part of the swing).
-		for t := warmup + every; t <= warmup+opt.Duration; t += every {
+		for t := warmup + every; t <= warmup+win; t += every {
 			cell.Run(t)
 			samples[i] = append(samples[i], cell.SampleKPI(t).Rec)
 		}

@@ -28,8 +28,13 @@ func WarmStart(opt Options) ([]Table, error) {
 	// One warmed-up cell, snapshotted at the end of the transient. The
 	// workload spec lives on the config so the probe forks rebuild an
 	// identical cell: snapshot restore demands a matching fingerprint.
-	h := harness(baseLTE(opt, ran.SchedOutRAN), workload.PoissonSpec("lte", 0.6), opt)
-	cfg := h.Config
+	cfg, spec := baseLTE(opt, ran.SchedOutRAN), workload.PoissonSpec("lte", 0.6)
+	win, err := window(cfg, spec, opt.Flows)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: warmstart: %w", err)
+	}
+	h := harness(cfg, spec, opt, win)
+	cfg = h.Config
 	base, err := h.Build()
 	if err != nil {
 		return nil, fmt.Errorf("experiments: warmstart: %w", err)

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -626,6 +627,45 @@ func drawPoisson(dist *rng.EmpiricalCDF, numUEs int, targetVol int64, begin, end
 // class drawing from the named preset at the given load.
 func PoissonSpec(dist string, load float64) Spec {
 	return Spec{Load: load, Classes: []ClassSpec{{Kind: ClassWeb, Dist: dist}}}
+}
+
+// MeanFlowBytes is the mean size of the flows the spec generates: a
+// class offers share/mean flows per byte of volume, so the classes'
+// means (a web or bulk preset's mean, another kind's unit size)
+// combine as their share-weighted harmonic mean. It is 0 for a spec
+// that generates nothing, or names an unknown preset.
+func (s Spec) MeanFlowBytes() float64 {
+	var perByte float64
+	for i, share := range normalizeShares(s.Classes) {
+		c := s.Classes[i]
+		var mean float64
+		switch c.Kind {
+		case ClassWeb, ClassBulk:
+			name := cmp.Or(c.Dist, "lte")
+			if c.Kind == ClassBulk {
+				name = cmp.Or(c.Dist, "websearch")
+			}
+			if dist, ok := ByName(name); ok {
+				mean = dist.Mean()
+			}
+		case ClassVideo:
+			mean = float64(cmp.Or(c.Size, defaultVideoSegment))
+		case ClassIoT:
+			mean = float64(cmp.Or(c.Size, defaultIoTSize))
+		case ClassVoice:
+			mean = float64(cmp.Or(c.Size, defaultVoiceSize))
+		case ClassIncast:
+			mean = float64(cmp.Or(c.Size, defaultIncastSize))
+		}
+		if mean <= 0 {
+			return 0
+		}
+		perByte += share / mean
+	}
+	if perByte == 0 {
+		return 0
+	}
+	return 1 / perByte
 }
 
 // ReplaySpec replays a recorded workload trace file.

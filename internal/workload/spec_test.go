@@ -406,3 +406,33 @@ func TestNormalizeShares(t *testing.T) {
 		}
 	}
 }
+
+// TestMeanFlowBytes: a one-class spec's mean is its preset's or unit's;
+// a mixed spec's is the share-weighted harmonic mean, so the volume it
+// offers divided by that mean predicts the flows it generates.
+func TestMeanFlowBytes(t *testing.T) {
+	if got, want := PoissonSpec("lte", 0.6).MeanFlowBytes(), LTECellular().Mean(); math.Abs(got-want) > 1e-9*want {
+		t.Errorf("lte spec mean %g, want the preset's %g", got, want)
+	}
+	if got := (Spec{Load: 0.5, Classes: []ClassSpec{{Kind: ClassIoT}}}).MeanFlowBytes(); got != defaultIoTSize {
+		t.Errorf("iot spec mean %g, want %d", got, defaultIoTSize)
+	}
+	for _, s := range []Spec{{}, ReplaySpec("w.jsonl"), PoissonSpec("nosuch", 0.5)} {
+		if got := s.MeanFlowBytes(); got != 0 {
+			t.Errorf("%+v: mean %g, want 0", s, got)
+		}
+	}
+	mixed := Spec{Load: 0.8, Classes: []ClassSpec{
+		{Kind: ClassWeb, Share: 0.9},
+		{Kind: ClassIncast, Share: 0.1, Size: 8 * KB, Burst: 12},
+	}}
+	want := 1 / (0.9/LTECellular().Mean() + 0.1/(8*KB))
+	if got := mixed.MeanFlowBytes(); math.Abs(got-want) > 1e-9*want {
+		t.Fatalf("mixed spec mean %g, want %g", got, want)
+	}
+	env := Env{NumUEs: 8, CapacityBps: 40e6, Span: 400 * sim.Second}
+	expect := mixed.Load * env.CapacityBps / 8 * env.Span.Seconds() / mixed.MeanFlowBytes()
+	if n := float64(len(buildFlows(t, mixed, env, 3))); math.Abs(n-expect) > 0.1*expect {
+		t.Errorf("mixed spec generated %.0f flows, its mean predicts %.0f", n, expect)
+	}
+}
