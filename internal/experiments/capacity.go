@@ -71,10 +71,7 @@ func (s CapacitySpec) effectiveWorkers() int {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if w > s.Cells {
-		w = s.Cells
-	}
-	return w
+	return min(w, s.Cells)
 }
 
 // MeasureDeployment runs one fixed-load deployment and returns the
@@ -195,10 +192,7 @@ func Capacity(opt Options) ([]Table, error) {
 	if opt.Scale > 0 && opt.Scale < 1 {
 		counts = []int{2, 4}
 	}
-	drain := opt.Drain
-	if drain > 6*sim.Second {
-		drain = 6 * sim.Second
-	}
+	drain := min(opt.Drain, 6*sim.Second)
 	t := Table{
 		Title: fmt.Sprintf("Capacity: max offered load per cell before short-flow FCT p99 breaks the %v SLO", CapacitySLO),
 		Header: []string{"sched", "cells", "UEs", "workers", "load*", "short p99 (ms)", "flows",

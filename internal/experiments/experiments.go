@@ -115,10 +115,7 @@ func (t Table) Slug() string {
 		}
 	}
 	out := strings.Trim(b.String(), "-")
-	if len(out) > 60 {
-		out = out[:60]
-	}
-	return out
+	return out[:min(len(out), 60)]
 }
 
 // Fprint renders the table with aligned columns.

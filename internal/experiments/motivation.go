@@ -86,30 +86,17 @@ func Fig4(opt Options) ([]Table, error) {
 		Title:  "Fig 4 time series: SE and fairness per 50-TTI block",
 		Header: []string{"t_s", "PF_SE", "SRJF_SE", "PF_fair", "SRJF_fair"},
 	}
-	pfSE := pf.SESamples
-	sjSE := srjf.SESamples
-	pfF := pf.FairSamples
-	sjF := srjf.FairSamples
-	times := pf.SampleTimes
-	step := len(times) / 20
-	if step < 1 {
-		step = 1
+	// SRJF's i-th sample, or "-" past its series.
+	sj := func(v []float64, i int) string {
+		if i < len(v) {
+			return f2(v[i])
+		}
+		return "-"
 	}
-	for i := 0; i < len(times); i += step {
-		row := []string{f2(times[i].Seconds())}
-		row = append(row, f2(pfSE[i]))
-		if i < len(sjSE) {
-			row = append(row, f2(sjSE[i]))
-		} else {
-			row = append(row, "-")
-		}
-		row = append(row, f2(pfF[i]))
-		if i < len(sjF) {
-			row = append(row, f2(sjF[i]))
-		} else {
-			row = append(row, "-")
-		}
-		series.Rows = append(series.Rows, row)
+	times := pf.SampleTimes
+	for i := 0; i < len(times); i += max(1, len(times)/20) {
+		series.Rows = append(series.Rows, []string{f2(times[i].Seconds()),
+			f2(pf.SESamples[i]), sj(srjf.SESamples, i), f2(pf.FairSamples[i]), sj(srjf.FairSamples, i)})
 	}
 	return []Table{summary, series}, nil
 }

@@ -92,10 +92,7 @@ func measureInspect(nFlows int) (nsPerSDU float64, tableKB int, err error) {
 	}
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&m1)
-	heap := int64(m1.HeapAlloc) - int64(m0.HeapAlloc)
-	if heap < 0 {
-		heap = 0
-	}
+	heap := max(0, int64(m1.HeapAlloc)-int64(m0.HeapAlloc))
 	return float64(elapsed.Nanoseconds()) / float64(n), int(heap / 1024), nil
 }
 
