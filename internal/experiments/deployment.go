@@ -25,16 +25,15 @@ func Deployment(opt Options) ([]Table, error) {
 		Header: []string{"scheduler", "cell", "flows done", "FCT mean (ms)",
 			"FCT p95 (ms)", "short p95 (ms)", "SE (b/s/Hz)", "fairness", "flows moved"},
 	}
-	// The two cells pool into the "all" row, so each offers half of it.
-	const cells = 2
 	spec := workload.PoissonSpec("lte", 0.6)
-	win, err := window(baseLTE(opt, ran.SchedPF), spec, share(opt.Flows, cells))
+	// The two cells pool into the "all" row, so each offers half of it.
+	win, err := window(baseLTE(opt, ran.SchedPF), spec, share(opt.Flows, 2))
 	if err != nil {
 		return nil, err
 	}
 	for _, sched := range []ran.SchedulerKind{ran.SchedPF, ran.SchedOutRAN} {
 		res, err := deploy.Run(deploy.Config{
-			Cells:   cells,
+			Cells:   2,
 			Workers: opt.Workers,
 			Cell:    baseLTE(opt, sched).WithWorkload(spec),
 			Warmup:  warmup,

@@ -25,10 +25,9 @@ import (
 type Options struct {
 	UEs int
 	RBs int
-	// Flows is the pooled sample of one data point: the flows its runs
-	// offer in their recorded windows. Each of the point's Seeds runs
-	// offers Flows/Seeds, a row that pools several cells divides it
-	// among them, and window sizes each run's window to offer its share.
+	// Flows is the pooled sample of one data point. Each of its Seeds
+	// runs offers Flows/Seeds in a window sized to offer it (window); a
+	// row that pools several cells divides Flows among them.
 	Flows int
 	Drain sim.Time
 	Seed  uint64
@@ -333,10 +332,9 @@ func IDs() []string {
 // reader needs to judge a percentile by.
 func sample(s metrics.Stats) string { return fmt.Sprint(s.Count) }
 
-// window is the one sizing rule of every experiment: the arrival
-// window in which a run of cfg's cell offers flows flows of spec, at
-// the spec's load of the cell's capacity, the capacity taken from a
-// probe cell built at cfg's seed.
+// window is every experiment's sizing rule: the arrival window in which
+// a run of cfg's cell offers flows flows of spec at the spec's load, on
+// the capacity of a probe cell built at cfg's seed.
 func window(cfg ran.Config, spec workload.Spec, flows int) (sim.Time, error) {
 	probe, err := ran.NewCell(cfg)
 	if err != nil {
@@ -349,11 +347,10 @@ func window(cfg ran.Config, spec workload.Spec, flows int) (sim.Time, error) {
 // runs together offer at least the target.
 func share(flows, n int) int { return (flows + n - 1) / n }
 
-// durationForFlows returns the arrival window in which target flows of
-// the given mean size arrive at the given load of a cell of the given
-// capacity, and at least 2 s, so that a small target still spans many
-// TTIs. It refuses what it cannot size: a target, load, capacity or
-// mean flow size that is not positive.
+// durationForFlows returns the window in which target flows of the mean
+// size arrive at the load of a cell of the capacity, and at least 2 s,
+// so that a small target still spans many TTIs. It refuses a target,
+// load, capacity or mean flow size that is not positive.
 func durationForFlows(target int, load, capacityBps, meanFlowBytes float64) (sim.Time, error) {
 	if !(target > 0 && load > 0 && capacityBps > 0 && meanFlowBytes > 0) {
 		return 0, fmt.Errorf("experiments: cannot size a window for %d flows at load %g of %g bit/s with a mean flow of %g bytes",

@@ -70,11 +70,10 @@ func Fig17(opt Options) ([]Table, error) {
 }
 
 // fiveGPoint completes a 5G point: a UE count and RB width scaled from
-// the options, the MIRAGE workload at the load, and a shorter drain.
+// the options (the RBs as a fraction of 100, to keep runtimes bounded),
+// the MIRAGE workload at the load, and a shorter drain.
 func fiveGPoint(opt Options, cfg ran.Config, load float64) point {
 	cfg.NumUEs = max(4, opt.UEs*2/3)
-	// Scale RB count with the option's RB fraction to keep runtimes
-	// bounded.
 	cfg.Grid.NumRB = max(10, cfg.Grid.NumRB*opt.RBs/100)
 	opt.Drain = 8 * sim.Second
 	return point{cfg, workload.PoissonSpec("mirage", load), opt}
