@@ -37,15 +37,13 @@ func tables(out []byte) []byte {
 }
 
 // TestGolden pins the tables of every deterministic id, each section at
-// one worker and at the default. scale025.golden holds the bytes the
-// binary printed before it took the run() shape; the other sections
-// were recorded on the harnesses as they stood before the figures moved
-// onto one run pool. The flag sets are the cheapest that keep each
-// harness doing its real work: -rbs 15 shrinks the LTE cells, the 5G
-// figures size their windows by flow count and so ignore it, and the
-// multi-seed section is the one that exercises the seed fold. fig13,
-// fig14 and capacity print wall-clock measurements and are left out.
-// amd64 only: other targets may fuse float operations differently.
+// one worker and at the default. The flag sets are the cheapest that
+// keep each harness doing its real work: -flows shrinks every data
+// point's sample (and -scale shrinks it again), so most windows sit at
+// the 2 s floor of the sizing rule; -rbs 15 shrinks the LTE cells; and
+// the multi-seed section is the one that exercises the seed fold.
+// fig13, fig14 and capacity print wall-clock measurements and are left
+// out. amd64 only: other targets may fuse float operations differently.
 func TestGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden recorded on amd64, running on %s", runtime.GOARCH)
@@ -54,11 +52,11 @@ func TestGolden(t *testing.T) {
 		golden string
 		args   []string
 	}{
-		{"scale025.golden", []string{"-scale", "0.25", "table1", "fig3", "fig7", "fig18c", "diurnal", "warmstart", "chaos"}},
-		{"scale01.golden", []string{"-scale", "0.1", "-rbs", "15", "audit", "deployment", "fig4", "fig8", "fig12",
+		{"scale025.golden", []string{"-scale", "0.25", "-flows", "360", "table1", "fig3", "fig7", "fig18c", "diurnal", "warmstart", "chaos"}},
+		{"scale01.golden", []string{"-scale", "0.1", "-rbs", "15", "-flows", "100", "audit", "deployment", "fig4", "fig8", "fig12",
 			"fig15", "fig16", "fig18a", "fig18b", "fig18d", "table2"}},
-		{"scale01-5g.golden", []string{"-scale", "0.1", "fig17", "fig20"}},
-		{"seeds2.golden", []string{"-ues", "6", "-rbs", "25", "-dur", "1s", "-seeds", "2", "fig7", "fig18c", "fig19"}},
+		{"scale01-5g.golden", []string{"-scale", "0.1", "-flows", "500", "fig17", "fig20"}},
+		{"seeds2.golden", []string{"-ues", "6", "-rbs", "25", "-flows", "20", "-seeds", "2", "fig7", "fig18c", "fig19"}},
 	} {
 		want, err := os.ReadFile(filepath.Join("testdata", sec.golden))
 		if err != nil {
@@ -104,7 +102,7 @@ func TestNegativeSizes(t *testing.T) {
 		{"-seeds", "-1"},
 		{"-ues", "-4"},
 		{"-rbs", "-25"},
-		{"-dur", "-1s"},
+		{"-flows", "-100"},
 		{"-scale", "-0.5"},
 		{"-parallel", "-2"},
 	} {
