@@ -9,7 +9,7 @@
 // Each id is a table/figure from the paper (fig3, fig4, fig7, fig8,
 // fig12, fig13, fig14, fig15, fig16, fig17, fig18a-d, fig19, fig20,
 // table1, table2). See DESIGN.md for the per-experiment index. `chaos`
-// is the fault-injection sweep; a monitor violation makes it exit 1.
+// is the fault-injection sweep; an invariant violation makes it exit 1.
 // Every data point pools -flows flows (default 10 000, the paper's
 // sample) over its seeds, and each run's arrival window is sized to
 // offer its share at the point's load.

@@ -291,19 +291,30 @@ func TestChaosWorkers(t *testing.T) {
 	}
 }
 
-// TestChaosTableViolation: the chaos fold turns a monitor violation
+// checkedResults is a sweep's worth of results whose checker swept
+// TTIs and saw deliveries without a violation.
+func checkedResults(opt Options) []fault.Result {
+	res := make([]fault.Result, len(chaosScheds)*len(chaosIntensities)*opt.Seeds)
+	for i := range res {
+		res[i].Invariants = ran.InvariantReport{Checks: 1000, Deliveries: 100}
+	}
+	return res
+}
+
+// TestChaosTableViolation: the chaos fold turns a checker violation
 // into an error that names the run's scheduler, intensity and seed and
 // its violations, and is not a usage error (outran-bench exits 1).
 func TestChaosTableViolation(t *testing.T) {
 	opt := Options{Seed: 5, Seeds: 2}
-	res := make([]fault.Result, len(chaosScheds)*len(chaosIntensities)*opt.Seeds)
+	res := checkedResults(opt)
 	// Job 9: OutRAN (jobs 6..11), intensity 0.30 (jobs 8, 9), seed 5+1.
-	res[9].Monitor = fault.Report{Violated: 1, Violations: []fault.Violation{{At: sim.Second, Rule: "rb-grid", Detail: "RB 3 owned twice"}}}
+	res[9].Invariants.Violated = 1
+	res[9].Invariants.Violations = []ran.Violation{{At: sim.Second, Rule: "rb-owner-range", Detail: "RB 3 owned by 6, want [-1,6)"}}
 	tb, err := chaosTable(opt, res)
 	if err == nil {
 		t.Fatal("violation folded into no error")
 	}
-	for _, want := range []string{"OutRAN intensity 0.30 seed 6: 1 violation(s)", "[rb-grid] RB 3 owned twice"} {
+	for _, want := range []string{"OutRAN intensity 0.30 seed 6: 1 violation(s)", "[rb-owner-range] RB 3 owned by 6, want [-1,6)"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error lacks %q:\n%v", want, err)
 		}
@@ -314,8 +325,30 @@ func TestChaosTableViolation(t *testing.T) {
 	if got := tb.Rows[4][len(tb.Header)-1]; got != "1 VIOLATED" {
 		t.Errorf("OutRAN 0.30 verdict %q, want 1 VIOLATED", got)
 	}
-	res[9].Monitor = fault.Report{}
-	if _, err := chaosTable(opt, res); err != nil {
+	if _, err := chaosTable(opt, checkedResults(opt)); err != nil {
 		t.Errorf("clean results: %v", err)
+	}
+}
+
+// TestChaosTableEmptyVerdict: a run whose checker never ran (no TTI
+// swept, no delivery seen) reports no violation, and the fold must not
+// print it as clean: it is an error naming the run.
+func TestChaosTableEmptyVerdict(t *testing.T) {
+	opt := Options{Seed: 5, Seeds: 2}
+	res := checkedResults(opt)
+	// Job 3: PF (jobs 0..5), intensity 0.30 (jobs 2, 3), seed 5+1.
+	res[3].Invariants = ran.InvariantReport{}
+	tb, err := chaosTable(opt, res)
+	if err == nil {
+		t.Fatal("an unchecked run folded into no error")
+	}
+	if want := "PF intensity 0.30 seed 6: empty verdict (0 TTI checks, 0 deliveries)"; !strings.Contains(err.Error(), want) {
+		t.Errorf("error lacks %q:\n%v", want, err)
+	}
+	if errors.Is(err, cli.ErrUsage) {
+		t.Errorf("empty verdict is a usage error: %v", err)
+	}
+	if got := tb.Rows[1][len(tb.Header)-1]; got != "1 UNCHECKED" {
+		t.Errorf("PF 0.30 verdict %q, want 1 UNCHECKED", got)
 	}
 }

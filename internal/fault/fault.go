@@ -1,14 +1,13 @@
 // Package fault is the deterministic chaos layer of the simulator: a
-// seed-driven fault-injection framework plus a runtime invariant
-// monitor. A Plan is a reproducible schedule of fault events (deep
-// fades, CQI blackouts, HARQ feedback corruption, RLC PDU loss,
-// backhaul degradation, forced radio-link failures); an Injector
-// translates the active events into ran.FaultHooks perturbations; a
-// Monitor rides the same hooks to assert cross-layer invariants every
-// TTI and at teardown. Everything draws from its own rng.Source and
-// runs on the single-threaded event loop, so a chaos run with the same
-// seed reproduces bit-for-bit — the property the determinism gates
-// check.
+// seed-driven fault-injection framework. A Plan is a reproducible
+// schedule of fault events (deep fades, CQI blackouts, HARQ feedback
+// corruption, RLC PDU loss, backhaul degradation, forced radio-link
+// failures); an Injector translates the active events into
+// ran.FaultHooks perturbations; RunConfig runs a cell with both and
+// with the cell's own invariant checker (ran.Cell.InstallChecker)
+// installed. Everything draws from its own rng.Source and runs on the
+// single-threaded event loop, so a chaos run with the same seed
+// reproduces bit-for-bit — the property the determinism gates check.
 package fault
 
 import (

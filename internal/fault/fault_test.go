@@ -61,7 +61,7 @@ func TestPlanDeterminism(t *testing.T) {
 
 // TestChaosDeterminism is satellite 4: the PR 1 same-seed gates
 // extended to chaos runs. Identical fault schedule + seed must yield
-// identical FCT traces, stats, monitor reports, and injector stats.
+// identical FCT traces, stats, invariant reports, and injector stats.
 func TestChaosDeterminism(t *testing.T) {
 	for _, sched := range []ran.SchedulerKind{ran.SchedPF, ran.SchedOutRAN} {
 		sched := sched
@@ -96,17 +96,17 @@ func TestChaosDeterminism(t *testing.T) {
 			if r1.Injector != r2.Injector {
 				t.Fatalf("injector stats differ:\n run 1: %+v\n run 2: %+v", r1.Injector, r2.Injector)
 			}
-			m1, m2 := r1.Monitor, r2.Monitor
+			m1, m2 := r1.Invariants, r2.Invariants
 			if m1.Checks != m2.Checks || m1.Deliveries != m2.Deliveries || m1.Violated != m2.Violated {
-				t.Fatalf("monitor reports differ:\n run 1: %+v\n run 2: %+v", m1, m2)
+				t.Fatalf("invariant reports differ:\n run 1: %+v\n run 2: %+v", m1, m2)
 			}
 		})
 	}
 }
 
-// TestMonitorCleanBaseline runs the monitor with no injection over
-// both RLC modes and both schedulers: a fault-free simulation must not
-// trip a single invariant.
+// TestMonitorCleanBaseline runs the cell's invariant checker with no
+// injection over both RLC modes and both schedulers: a fault-free
+// simulation must not trip a single invariant.
 func TestMonitorCleanBaseline(t *testing.T) {
 	for _, mode := range []ran.RLCMode{ran.UM, ran.AM} {
 		for _, sched := range []ran.SchedulerKind{ran.SchedPF, ran.SchedOutRAN} {
@@ -118,11 +118,11 @@ func TestMonitorCleanBaseline(t *testing.T) {
 					Drain:    4 * sim.Second,
 					Seed:     7,
 				})
-				if !res.Monitor.Clean() {
-					t.Fatalf("baseline run violated invariants: %v", res.Monitor.Violations)
+				if !res.Invariants.Clean() {
+					t.Fatalf("baseline run violated invariants: %v", res.Invariants.Violations)
 				}
-				if res.Monitor.Checks == 0 || res.Monitor.Deliveries == 0 {
-					t.Fatalf("monitor observed nothing: %+v", res.Monitor)
+				if res.Invariants.Checks == 0 || res.Invariants.Deliveries == 0 {
+					t.Fatalf("checker observed nothing: %+v", res.Invariants)
 				}
 				if res.Stats.Reestablishments != 0 || res.Injector != (InjectorStats{}) {
 					t.Fatalf("baseline run injected faults: %+v %+v", res.Stats, res.Injector)
@@ -134,7 +134,7 @@ func TestMonitorCleanBaseline(t *testing.T) {
 
 // TestChaosSweepNoViolations is the multi-seed acceptance gate in
 // miniature: randomized fault schedules across seeds and schedulers,
-// AM mode, with the monitor on — zero invariant violations, and the
+// AM mode, with the checker on — zero invariant violations, and the
 // faults must demonstrably bite (injections observed, RLFs performed).
 func TestChaosSweepNoViolations(t *testing.T) {
 	if testing.Short() {
@@ -154,8 +154,8 @@ func TestChaosSweepNoViolations(t *testing.T) {
 				Intensity: 1.5,
 				Seed:      seed,
 			})
-			if !res.Monitor.Clean() {
-				t.Fatalf("%s seed %d: invariant violations: %v", sched, seed, res.Monitor.Violations)
+			if !res.Invariants.Clean() {
+				t.Fatalf("%s seed %d: invariant violations: %v", sched, seed, res.Invariants.Violations)
 			}
 			agg.CQIDropped += res.Injector.CQIDropped
 			agg.HARQFlipped += res.Injector.HARQFlipped
@@ -176,7 +176,7 @@ func TestChaosSweepNoViolations(t *testing.T) {
 
 // TestForceRLFReestablish pins the re-establishment path directly: a
 // single ForceRLF event mid-run must re-anchor the UE (entities
-// rebuilt, flow-state preserved) with the monitor staying clean and
+// rebuilt, flow-state preserved) with the checker staying clean and
 // traffic still completing.
 func TestForceRLFReestablish(t *testing.T) {
 	cfg := smallCell(ran.SchedOutRAN, ran.AM)
@@ -184,10 +184,10 @@ func TestForceRLFReestablish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon := NewMonitor(cell)
+	cell.InstallChecker()
 	inj := NewInjector(cell, 5)
 	plan := Plan{{Kind: ForceRLF, UE: 0, Start: 100 * sim.Millisecond}}
-	Attach(cell, plan, inj, mon)
+	Attach(cell, plan, inj)
 
 	done := 0
 	for i := 0; i < 4; i++ {
@@ -208,8 +208,8 @@ func TestForceRLFReestablish(t *testing.T) {
 	if done != 4 {
 		t.Fatalf("only %d/4 flows completed after re-establishment", done)
 	}
-	if rep := mon.Finalize(); !rep.Clean() {
-		t.Fatalf("monitor violations after re-establishment: %v", rep.Violations)
+	if rep := cell.InvariantReport(); !rep.Clean() {
+		t.Fatalf("invariant violations after re-establishment: %v", rep.Violations)
 	}
 }
 
@@ -218,21 +218,21 @@ func TestForceRLFReestablish(t *testing.T) {
 // transmitter exhaust maxRetx, every abandonment is surfaced in
 // ran.Stats (AMDeliveryFailures), the failure streak trips a natural
 // radio-link failure, and after the burst lifts traffic completes with
-// the monitor clean.
+// the checker clean.
 func TestNaturalRLFFromPDULoss(t *testing.T) {
 	cfg := smallCell(ran.SchedPF, ran.AM)
 	cell, err := ran.NewCell(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon := NewMonitor(cell)
+	cell.InstallChecker()
 	inj := NewInjector(cell, 3)
 	// One abandonment takes ~8 poll-retransmit cycles, so a 1.5 s burst
 	// yields only a couple; declare RLF on the first.
 	inj.rlfThreshold = 1
 	plan := Plan{{Kind: PDULoss, UE: 0, Start: 20 * sim.Millisecond,
 		Duration: 1500 * sim.Millisecond, Magnitude: 1.0}}
-	Attach(cell, plan, inj, mon)
+	Attach(cell, plan, inj)
 
 	done := 0
 	if err := cell.StartFlow(0, 300_000, ran.FlowOptions{
@@ -257,7 +257,7 @@ func TestNaturalRLFFromPDULoss(t *testing.T) {
 	if done != 1 {
 		t.Fatal("flow never completed after the loss burst lifted")
 	}
-	if rep := mon.Finalize(); !rep.Clean() {
+	if rep := cell.InvariantReport(); !rep.Clean() {
 		t.Fatalf("invariant violations: %v", rep.Violations)
 	}
 }
@@ -273,7 +273,8 @@ func TestChaosCellRefusesSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := NewPlan(42, PlanConfig{NumUEs: cfg.NumUEs, Horizon: sim.Second, Intensity: 1})
-	Attach(cell, plan, NewInjector(cell, 7), NewMonitor(cell))
+	cell.InstallChecker()
+	Attach(cell, plan, NewInjector(cell, 7))
 	const mid = 850 * sim.Millisecond // two CQI blackouts active, six transitions ahead
 	cell.Run(mid)
 	transitions, pending := 0, 0

@@ -220,3 +220,10 @@ func (in *Injector) hooks() ran.FaultHooks {
 		OnDeliveryFail: in.onDeliveryFail,
 	}
 }
+
+// Attach schedules the plan's transitions on the injector and installs
+// its hooks on the cell. Call once, before the first Run.
+func Attach(cell *ran.Cell, plan Plan, inj *Injector) {
+	inj.Schedule(plan)
+	cell.SetFaultHooks(inj.hooks())
+}

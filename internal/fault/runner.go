@@ -7,40 +7,40 @@ import (
 	"outran/internal/sim"
 )
 
-// RunConfig describes one monitored (and optionally chaos-injected)
-// simulation run. The single Seed deterministically derives the cell,
-// workload, plan, and injector streams, so a (config, seed) pair fully
-// pins the run.
+// RunConfig describes one invariant-checked (and optionally
+// chaos-injected) simulation run. The single Seed deterministically
+// derives the cell, workload, plan, and injector streams, so a (config,
+// seed) pair fully pins the run.
 type RunConfig struct {
 	Cell     ran.Config // the cell, with its workload declared on it
 	Duration sim.Time   // workload arrival window
 	Drain    sim.Time   // extra run time after the last arrival
 	// Intensity scales the fault plan; 0 disables injection entirely
-	// (monitor-only baseline).
+	// (checked fault-free baseline).
 	Intensity float64
 	Seed      uint64
 }
 
 // Result bundles everything a chaos run produces.
 type Result struct {
-	Samples  []metrics.FCTSample
-	Stats    ran.Stats
-	Monitor  Report
-	Injector InjectorStats
-	Plan     Plan
+	Samples    []metrics.FCTSample
+	Stats      ran.Stats
+	Invariants ran.InvariantReport
+	Injector   InjectorStats
+	Plan       Plan
 }
 
 // Run assembles the run as a ran.Harness and runs it to the end: the
 // cell and the workload take the first two seeds derived from rc.Seed,
-// and the harness's Setup attaches the invariant monitor (always) and
-// the fault plan and injector (when Intensity > 0) on the next two.
+// and the harness's Setup installs the cell's invariant checker
+// (always) and attaches the fault plan and injector (when Intensity >
+// 0) on the next two.
 func (rc RunConfig) Run() (Result, error) {
 	master := rng.New(rc.Seed)
 	cellSeed := master.Uint64()
 	wlSeed := master.Uint64()
 	planSeed, injSeed := master.Uint64(), master.Uint64()
 	var (
-		mon  *Monitor
 		inj  *Injector
 		plan Plan
 	)
@@ -52,7 +52,7 @@ func (rc RunConfig) Run() (Result, error) {
 		// Setup runs before the workload is scheduled, so plan events
 		// keep their historical ordering against same-time arrivals.
 		Setup: func(c *ran.Cell) error {
-			mon = NewMonitor(c)
+			c.InstallChecker()
 			if rc.Intensity > 0 {
 				plan = NewPlan(planSeed, PlanConfig{
 					NumUEs:    c.Config().NumUEs,
@@ -60,8 +60,8 @@ func (rc RunConfig) Run() (Result, error) {
 					Intensity: rc.Intensity,
 				})
 				inj = NewInjector(c, injSeed)
+				Attach(c, plan, inj)
 			}
-			Attach(c, plan, inj, mon)
 			return nil
 		},
 	}.Run()
@@ -69,10 +69,10 @@ func (rc RunConfig) Run() (Result, error) {
 		return Result{}, err
 	}
 	res := Result{
-		Samples: cell.FCT.Samples(),
-		Stats:   cell.CollectStats(),
-		Monitor: mon.Finalize(),
-		Plan:    plan,
+		Samples:    cell.FCT.Samples(),
+		Stats:      cell.CollectStats(),
+		Invariants: cell.InvariantReport(),
+		Plan:       plan,
 	}
 	if inj != nil {
 		res.Injector = inj.Stats()

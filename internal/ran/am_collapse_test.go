@@ -12,7 +12,8 @@ import (
 // amCollapseRun runs benchmark/'s flow-churn shape — 12 UEs x 100 RBs,
 // the voice / IoT / web mix at load 0.25, OutRAN, cell seed 1, 0.5 s
 // warm-up + 50 s window + 8 s drain — at one traffic seed, with the RLC
-// in the given mode.
+// in the given mode and the invariant checker installed: the collapse
+// breaks no checked invariant.
 func amCollapseRun(t *testing.T, mode RLCMode, trafficSeed uint64) metrics.RunSummary {
 	t.Helper()
 	cfg := DefaultLTEConfig().WithTopology(12, 100).WithWorkload(workload.Spec{
@@ -27,10 +28,12 @@ func amCollapseRun(t *testing.T, mode RLCMode, trafficSeed uint64) metrics.RunSu
 	cell, err := Harness{
 		Config: cfg, WorkloadSeed: trafficSeed,
 		Warmup: 500 * sim.Millisecond, Window: 50 * sim.Second, Drain: 8 * sim.Second,
+		Setup: installChecker,
 	}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireClean(t, cell)
 	return cell.Summary()
 }
 

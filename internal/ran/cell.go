@@ -133,6 +133,9 @@ type Cell struct {
 	// tracer emits structured trace events; nil (the default) and a
 	// nil-sink tracer are both inert. Installed by SetTracer.
 	tracer *obs.Tracer
+	// checker asserts the runtime invariants every TTI, delivery and
+	// re-establishment; nil (the default) is inert. See InstallChecker.
+	checker *checker
 
 	r        *rng.Source
 	sduSeq   uint64
@@ -154,8 +157,9 @@ type Cell struct {
 	// is fully inert — one pointer check per site. See SetPhaseProfiler.
 	prof *obs.PhaseProfiler
 
-	// Fault-injection plumbing (internal/fault). hooks is the zero
-	// value — i.e. fully inert — unless SetFaultHooks was called.
+	// Fault-injection plumbing (internal/fault). hooks perturbs the
+	// layers and is the zero value — i.e. fully inert — unless
+	// SetFaultHooks was called.
 	hooks               FaultHooks
 	ctrAMDeliveryFails  *obs.Counter
 	ctrHARQFeedbackErrs *obs.Counter
@@ -368,8 +372,8 @@ func (c *Cell) wireBearer(ue *ueCtx) error {
 				UE: ue.id, Flow: s.Flow.String(), SN: int64(s.PDCPSN),
 			})
 		}
-		if h := c.hooks.OnDeliver; h != nil {
-			h(ue.id, s)
+		if k := c.checker; k != nil {
+			k.deliver(c.Eng.Now(), ue.id, s)
 		}
 		ue.pdcpRx.OnSDU(s)
 	}
@@ -515,8 +519,8 @@ func (c *Cell) onTTI() {
 			ServedBits: totalBits, UsedRBs: totalUsedRBs, AllocRBs: alloc.Allocated(),
 		})
 	}
-	if h := c.hooks.OnTTI; h != nil {
-		h(now, alloc)
+	if k := c.checker; k != nil {
+		k.tti(now, alloc, c.AuditInvariants())
 	}
 	if c.blockTTIs >= c.Tracker.SamplePeriod {
 		c.blockTTIs = 0

@@ -4,7 +4,6 @@ import (
 	"slices"
 	"testing"
 
-	"outran/internal/mac"
 	"outran/internal/obs"
 	"outran/internal/phy"
 	"outran/internal/sim"
@@ -235,7 +234,8 @@ func TestStaleReportAcrossBlackout(t *testing.T) {
 	}
 
 	inBlackout, after := 0, 0
-	hooks.OnTTI = func(now sim.Time, _ mac.Allocation) {
+	// check looks at UE 0 right after the TTI at now.
+	check := func(now sim.Time) {
 		if !cell.macUsers[0].Buffer.Backlogged() {
 			return
 		}
@@ -270,7 +270,11 @@ func TestStaleReportAcrossBlackout(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	cell.Run(80 * ms)
+	tti := cfg.Grid.TTI()
+	for now := tti; now <= 80*ms; now += tti {
+		cell.Run(now)
+		check(now)
+	}
 	if inBlackout == 0 || after == 0 {
 		t.Fatalf("UE 0 backlogged in %d blackout TTIs and %d later ones; want both", inBlackout, after)
 	}

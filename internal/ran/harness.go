@@ -56,7 +56,7 @@ type Harness struct {
 
 	// Setup, when non-nil, runs after the cell is built and before any
 	// workload is scheduled — the attachment point for fault injection,
-	// invariant monitors and custom hooks.
+	// the invariant checker (Cell.InstallChecker) and custom hooks.
 	Setup func(*Cell) error
 
 	// Deprecated: ignored — every cell is checkpointable. Kept only

@@ -3,17 +3,16 @@ package ran
 import (
 	"fmt"
 
-	"outran/internal/mac"
 	"outran/internal/rlc"
 	"outran/internal/sim"
 )
 
-// FaultHooks lets an external fault-injection framework and runtime
-// invariant monitor (internal/fault) perturb and observe the cell's
-// layers without reaching into its internals. Every field is optional;
-// nil means "no effect". Hooks run on the single-threaded event loop,
-// so implementations must be deterministic (own rng.Source, no wall
-// clock) for same-seed chaos runs to reproduce bit-for-bit.
+// FaultHooks lets an external fault-injection framework
+// (internal/fault) perturb the cell's layers without reaching into its
+// internals. Every field is optional; nil means "no effect". Hooks run
+// on the single-threaded event loop, so implementations must be
+// deterministic (own rng.Source, no wall clock) for same-seed chaos
+// runs to reproduce bit-for-bit.
 type FaultHooks struct {
 	// SINROffsetDB returns an extra SINR offset in dB (usually
 	// negative) applied to UE ue's channel at time now — deep fades
@@ -40,14 +39,6 @@ type FaultHooks struct {
 	// OnDeliveryFail fires when UE ue's AM transmitter abandons a PDU
 	// after maxRetx — the radio-link-failure trigger.
 	OnDeliveryFail func(ue int, sn uint32)
-	// OnDeliver fires for every SDU the RLC hands up to UE ue's PDCP.
-	OnDeliver func(ue int, sdu *rlc.SDU)
-	// OnTTI fires at the end of every scheduling interval with the
-	// TTI's resource-block allocation.
-	OnTTI func(now sim.Time, alloc mac.Allocation)
-	// OnReestablish fires after UE ue's RLC/PDCP entities have been
-	// rebuilt by ReestablishUE.
-	OnReestablish func(ue int, now sim.Time)
 }
 
 // SetFaultHooks installs the hooks. Call after NewCell and before the
@@ -102,8 +93,8 @@ func (c *Cell) ReestablishUE(id int) error {
 		return err
 	}
 	c.ctrReestablish.Inc()
-	if h := c.hooks.OnReestablish; h != nil {
-		h(id, c.Eng.Now())
+	if k := c.checker; k != nil {
+		k.reestablish(id)
 	}
 	return nil
 }
@@ -112,8 +103,8 @@ func (c *Cell) ReestablishUE(id int) error {
 // invariants: RLC AM transmitter/receiver consistency, bounded tx
 // queue growth, and HARQ retransmission bookkeeping. It returns the
 // first violation found (deterministically chosen — see the fold
-// style in rlc.AMTx.Audit) or nil. The runtime invariant monitor
-// calls this every TTI and at teardown.
+// style in rlc.AMTx.Audit) or nil. The cell's invariant checker
+// (InstallChecker) calls this every TTI and at teardown.
 func (c *Cell) AuditInvariants() error {
 	for _, ue := range c.ues {
 		if ue.amTx != nil {

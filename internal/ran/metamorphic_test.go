@@ -36,10 +36,12 @@ func TestSchedulerIdentities(t *testing.T) {
 		cell, err := Harness{
 			Config: cfg,
 			Warmup: 500 * sim.Millisecond, Window: 8 * sim.Second, Drain: 4 * sim.Second,
+			Setup: installChecker,
 		}.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
+		requireClean(t, cell)
 		return cell.FCT.Samples()
 	}
 	same := func(t *testing.T, name string, got, want []metrics.FCTSample) {

@@ -239,9 +239,9 @@ func (t *AMTx) QueuedSDUs() int { return t.buf.count }
 func (t *AMTx) Close() { t.tPollRetx.Stop() }
 
 // Audit verifies the transmitter's structural invariants — the
-// per-TTI probe of the runtime invariant monitor (internal/fault).
+// per-TTI probe of the cell's runtime invariant checker (ran).
 // Map-backed checks are written as commutative folds so the error
-// reported (and therefore the monitor's report) is identical across
+// reported (and therefore the checker's report) is identical across
 // same-seed runs regardless of map iteration order.
 func (t *AMTx) Audit() error {
 	if t.buf.count > t.buf.cfg.LimitSDUs {
