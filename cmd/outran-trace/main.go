@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"strconv"
 
 	"outran/internal/cli"
@@ -74,36 +75,27 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	defer f.Close()
-	// The KPI stream is its own JSONL schema, not an event trace —
-	// branch before the trace decoder sees it.
-	if cmd == "kpi" {
+	switch cmd {
+	case "kpi": // its own JSONL schema, not an event trace
 		recs, err := obs.ReadKPI(f)
 		if err != nil {
 			return err
 		}
 		kpi(stdout, recs)
 		return nil
-	}
-	events, err := obs.ReadTrace(f)
-	if err != nil {
-		return err
-	}
-	switch cmd {
 	case "summary":
-		summary(stdout, events)
+		return summary(stdout, f)
 	case "audit":
-		audit(stdout, events)
+		return audit(stdout, f)
 	case "flow":
-		return flow(stdout, events, args[1])
-	case "slow":
-		slow(stdout, events, n)
+		return flow(stdout, f, args[1])
+	default:
+		return slow(stdout, f, n)
 	}
-	return nil
 }
 
-func printMeta(w io.Writer, events []obs.Event) {
-	meta, err := obs.FindMeta(events)
-	if err != nil {
+func printMeta(w io.Writer, meta *obs.Event) {
+	if meta.Type == "" {
 		fmt.Fprintln(w, "run            (no meta event in trace)")
 		return
 	}
@@ -111,13 +103,45 @@ func printMeta(w io.Writer, events []obs.Event) {
 		meta.Sched, meta.UEs, meta.RBs, meta.Seed, meta.TTINanos, meta.SamplePeriod)
 }
 
-func summary(w io.Writer, events []obs.Event) {
-	printMeta(w, events)
-	tl := obs.Timelines(events)
+// sinkFunc is a fold written as one function.
+type sinkFunc func(ev *obs.Event)
+
+func (f sinkFunc) Emit(ev *obs.Event) { f(ev) }
+func (sinkFunc) Close() error         { return nil }
+
+// summary folds the first meta event, the flow spans, the count of each
+// event type and the checkpoint writes: the highest write count, the
+// last snapshot's size, and the first and last write times.
+func summary(w io.Writer, r io.Reader) error {
+	var flows obs.Flows
+	var meta obs.Event
+	counts := make(map[string]int)
+	var ckN, ckSize int64
+	var ckFirst, ckLast sim.Time
+	err := obs.ReadTrace(r, sinkFunc(func(ev *obs.Event) {
+		flows.Emit(ev)
+		counts[ev.Type]++
+		switch ev.Type {
+		case obs.EvMeta:
+			if meta.Type == "" {
+				meta = *ev
+			}
+		case obs.EvCheckpoint:
+			ckN, ckSize = max(ckN, ev.Sent), ev.Size
+			if ckFirst == 0 {
+				ckFirst = ev.T
+			}
+			ckLast = ev.T
+		}
+	}))
+	if err != nil {
+		return err
+	}
+	printMeta(w, &meta)
 	completed := 0
 	var res obs.Residency
 	withRes := 0
-	for _, f := range tl {
+	for _, f := range flows.List {
 		if f.End >= 0 {
 			completed++
 		}
@@ -128,51 +152,38 @@ func summary(w io.Writer, events []obs.Event) {
 			withRes++
 		}
 	}
-	fmt.Fprintf(w, "flows          %d seen, %d completed\n", len(tl), completed)
-	printCheckpoints(w, events)
+	fmt.Fprintf(w, "flows          %d seen, %d completed\n", len(flows.List), completed)
+	if ckN > 0 {
+		cadence := ckFirst
+		if ckN > 1 {
+			cadence = (ckLast - ckFirst) / sim.Time(ckN-1)
+		}
+		fmt.Fprintf(w, "checkpoints    %d written, every %v, last snapshot %d bytes\n", ckN, cadence, ckSize)
+	}
 	if withRes > 0 {
 		n := sim.Time(withRes)
 		fmt.Fprintf(w, "residency      ingress %v  air %v  drain %v (mean over %d flows)\n",
 			res.Ingress/n, res.Air/n, res.Drain/n, withRes)
 	}
 	fmt.Fprintln(w, "events:")
-	for _, tc := range obs.CountByType(events) {
-		fmt.Fprintf(w, "  %-14s %d\n", tc.Type, tc.Count)
+	types := make([]string, 0, len(counts))
+	// Order-free: types are sorted before use
+	for typ := range counts {
+		types = append(types, typ)
 	}
+	sort.Strings(types)
+	for _, typ := range types {
+		fmt.Fprintf(w, "  %-14s %d\n", typ, counts[typ])
+	}
+	return nil
 }
 
-// printCheckpoints summarises the run's checkpoint writes: cadence,
-// final write count and last snapshot size (written by the deploy runtime).
-func printCheckpoints(w io.Writer, events []obs.Event) {
-	var n int64
-	var lastSize int64
-	var firstT, lastT sim.Time
-	for _, ev := range events {
-		if ev.Type != obs.EvCheckpoint {
-			continue
-		}
-		if ev.Sent > n {
-			n = ev.Sent
-		}
-		lastSize = ev.Size
-		if firstT == 0 {
-			firstT = ev.T
-		}
-		lastT = ev.T
+func audit(w io.Writer, r io.Reader) error {
+	var a obs.Audit
+	if err := obs.ReadTrace(r, &a); err != nil {
+		return err
 	}
-	if n == 0 {
-		return
-	}
-	cadence := firstT
-	if n > 1 {
-		cadence = (lastT - firstT) / sim.Time(n-1)
-	}
-	fmt.Fprintf(w, "checkpoints    %d written, every %v, last snapshot %d bytes\n", n, cadence, lastSize)
-}
-
-func audit(w io.Writer, events []obs.Event) {
-	printMeta(w, events)
-	a := obs.ComputeAudit(events)
+	printMeta(w, &a.Meta)
 	fmt.Fprintf(w, "ttis           %d (%d RB allocations, %d used RB-TTIs, %d served bits)\n",
 		a.TTIs, a.AllocRBs, a.UsedRBs, a.ServedBits)
 	if a.Decisions == 0 {
@@ -189,45 +200,60 @@ func audit(w io.Writer, events []obs.Event) {
 	if a.MeanActiveSE > 0 {
 		fmt.Fprintf(w, "active SE      %.6f bit/s/Hz over used RBs\n", a.MeanActiveSE)
 	}
+	return nil
 }
 
-func flow(w io.Writer, events []obs.Event, id string) error {
-	for _, f := range obs.Timelines(events) {
-		if f.Flow != id {
-			continue
+// flow folds the named flow's span and keeps its events.
+func flow(w io.Writer, r io.Reader, id string) error {
+	var span obs.Flows
+	events := obs.NewRingSink(0)
+	err := obs.ReadTrace(r, sinkFunc(func(ev *obs.Event) {
+		if ev.Flow != "" && ev.Flow == id {
+			span.Emit(ev)
+			events.Emit(ev)
 		}
-		fmt.Fprintf(w, "flow %s  ue=%d size=%d\n", f.Flow, f.UE, f.Size)
-		if f.End >= 0 {
-			fmt.Fprintf(w, "  completed in %v", f.FCT)
-			if r, ok := f.Residency(); ok {
-				fmt.Fprintf(w, "  (ingress %v, air %v, drain %v)", r.Ingress, r.Air, r.Drain)
-			}
-			fmt.Fprintln(w)
-		} else {
-			fmt.Fprintln(w, "  incomplete within trace")
-		}
-		for _, ev := range f.Events {
-			fmt.Fprintf(w, "  %12v  %-10s", ev.T, ev.Type)
-			switch ev.Type {
-			case obs.EvMLFQ:
-				fmt.Fprintf(w, " level=%d sent=%d threshold=%d", ev.Level, ev.Sent, ev.Threshold)
-			case obs.EvPDCPSN, obs.EvDeliver:
-				fmt.Fprintf(w, " sn=%d", ev.SN)
-			case obs.EvFlowEnd:
-				fmt.Fprintf(w, " fct=%v", ev.FCT)
-			}
-			fmt.Fprintln(w)
-		}
-		return nil
+	}))
+	if err != nil {
+		return err
 	}
-	return fmt.Errorf("flow %q not in trace", id)
+	if len(span.List) == 0 {
+		return fmt.Errorf("flow %q not in trace", id)
+	}
+	f := span.List[0]
+	fmt.Fprintf(w, "flow %s  ue=%d size=%d\n", f.Flow, f.UE, f.Size)
+	if f.End >= 0 {
+		fmt.Fprintf(w, "  completed in %v", f.FCT)
+		if r, ok := f.Residency(); ok {
+			fmt.Fprintf(w, "  (ingress %v, air %v, drain %v)", r.Ingress, r.Air, r.Drain)
+		}
+		fmt.Fprintln(w)
+	} else {
+		fmt.Fprintln(w, "  incomplete within trace")
+	}
+	for _, ev := range events.Events() {
+		fmt.Fprintf(w, "  %12v  %-10s", ev.T, ev.Type)
+		switch ev.Type {
+		case obs.EvMLFQ:
+			fmt.Fprintf(w, " level=%d sent=%d threshold=%d", ev.Level, ev.Sent, ev.Threshold)
+		case obs.EvPDCPSN, obs.EvDeliver:
+			fmt.Fprintf(w, " sn=%d", ev.SN)
+		case obs.EvFlowEnd:
+			fmt.Fprintf(w, " fct=%v", ev.FCT)
+		}
+		fmt.Fprintln(w)
+	}
+	return nil
 }
 
-func slow(w io.Writer, events []obs.Event, n int) {
-	tl := obs.SlowestFlows(obs.Timelines(events), n)
+func slow(w io.Writer, r io.Reader, n int) error {
+	var fl obs.Flows
+	if err := obs.ReadTrace(r, &fl); err != nil {
+		return err
+	}
+	tl := obs.SlowestFlows(fl.List, n)
 	if len(tl) == 0 {
 		fmt.Fprintln(w, "no completed flows in trace")
-		return
+		return nil
 	}
 	fmt.Fprintf(w, "%-40s %6s %12s %12s %12s %12s %5s\n",
 		"flow", "ue", "fct", "ingress", "air", "drain", "level")
@@ -241,4 +267,5 @@ func slow(w io.Writer, events []obs.Event, n int) {
 		fmt.Fprintf(w, "%-40s %6d %12v %12v %12v %12v %5d\n",
 			f.Flow, f.UE, f.FCT, r.Ingress, r.Air, r.Drain, f.FinalLevel)
 	}
+	return nil
 }

@@ -200,7 +200,11 @@ func TestSlowCount(t *testing.T) {
 		{T: 30, Type: obs.EvFlowEnd, Flow: "a", FCT: 30},
 		{T: 50, Type: obs.EvFlowEnd, Flow: "b", FCT: 50},
 	}
-	if got := obs.SlowestFlows(obs.Timelines(events), -1); len(got) != 0 {
+	var flows obs.Flows
+	for i := range events {
+		flows.Emit(&events[i])
+	}
+	if got := obs.SlowestFlows(flows.List, -1); len(got) != 0 {
 		t.Errorf("SlowestFlows(n = -1) returned %d flows, want 0", len(got))
 	}
 

@@ -7,6 +7,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -87,12 +88,42 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadTrace(&buf)
-	if err != nil {
+	out := NewRingSink(0)
+	if err := ReadTrace(&buf, out); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("round trip changed events:\n in:  %+v\n out: %+v", in, out)
+	if !reflect.DeepEqual(in, out.Events()) {
+		t.Fatalf("round trip changed events:\n in:  %+v\n out: %+v", in, out.Events())
+	}
+}
+
+// closeCounter collects events and counts Close calls.
+type closeCounter struct {
+	RingSink
+	closes int
+}
+
+func (c *closeCounter) Close() error { c.closes++; return nil }
+
+// TestReadTraceErrorLine: a read error names the trace's own line,
+// blank lines counted, after the sink took every event before it and
+// was closed.
+func TestReadTraceErrorLine(t *testing.T) {
+	var trace []byte
+	for i := range 2 {
+		line, _ := appendEvent(nil, &hotEvents[i])
+		trace = append(trace, line...)
+	}
+	cut, _ := appendEvent(nil, &hotEvents[2])
+	trace = append(trace, '\n')
+	trace = append(trace, cut[:len(cut)/2]...)
+	s := &closeCounter{}
+	err := ReadTrace(bytes.NewReader(trace), s)
+	if err == nil || !strings.HasPrefix(err.Error(), "obs: trace line 4: ") {
+		t.Errorf("err = %v, want one naming line 4", err)
+	}
+	if got := len(s.Events()); got != 2 || s.closes != 1 {
+		t.Errorf("sink took %d events and %d closes, want 2 and 1", got, s.closes)
 	}
 }
 

@@ -8,10 +8,11 @@ import (
 	"outran/internal/sim"
 )
 
-// FuzzReadTrace feeds ReadTrace arbitrary bytes. It must never panic,
-// and the events it accepts — all of them, or those before the line it
-// rejects — re-encode through a JSONLSink into a trace that reads back
-// to equal events without error.
+// FuzzReadTrace streams arbitrary bytes through ReadTrace into a
+// collecting sink. It must never panic, and the events it accepts — all
+// of them, or those before the line it rejects — re-encode through a
+// JSONLSink into a trace that streams back to equal events without
+// error.
 func FuzzReadTrace(f *testing.F) {
 	var valid []byte
 	for i := range hotEvents {
@@ -26,7 +27,9 @@ func FuzzReadTrace(f *testing.F) {
 	f.Add([]byte(`{"T":2,"TYPE":"tti","se":1e400}`))
 	f.Add([]byte("\xff{["))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		evs, _ := ReadTrace(bytes.NewReader(data))
+		accepted := NewRingSink(0)
+		ReadTrace(bytes.NewReader(data), accepted)
+		evs := accepted.Events()
 		var buf bytes.Buffer
 		s := NewJSONLSink(&buf)
 		for i := range evs {
@@ -35,11 +38,11 @@ func FuzzReadTrace(f *testing.F) {
 		if err := s.Close(); err != nil {
 			t.Fatalf("re-encoding %d accepted events: %v", len(evs), err)
 		}
-		back, err := ReadTrace(&buf)
-		if err != nil {
+		streamed := NewRingSink(0)
+		if err := ReadTrace(&buf, streamed); err != nil {
 			t.Fatalf("reading the re-encoded trace: %v\n%s", err, buf.Bytes())
 		}
-		if !reflect.DeepEqual(back, evs) {
+		if back := streamed.Events(); !reflect.DeepEqual(back, evs) {
 			t.Fatalf("re-encoded trace reads back differently:\n accepted %+v\n back     %+v", evs, back)
 		}
 	})

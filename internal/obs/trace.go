@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"sort"
 
 	"outran/internal/sim"
@@ -25,10 +24,6 @@ type FlowTimeline struct {
 	FirstDeliver sim.Time
 	// FinalLevel is the lowest MLFQ level the flow reached.
 	FinalLevel int
-	// Demotions lists the MLFQ transitions in order.
-	Demotions []Event
-	// Events holds every event tagged with this flow, in trace order.
-	Events []Event
 }
 
 // Residency is the per-layer queue-residency breakdown of a completed
@@ -58,57 +53,59 @@ func (f *FlowTimeline) Residency() (Residency, bool) {
 	}, true
 }
 
-// Timelines reconstructs the flow-lifecycle spans from a trace, in
-// flow-start order. Events for flows whose start fell outside the
-// trace are grouped under a span with Start < 0.
-func Timelines(events []Event) []*FlowTimeline {
-	byFlow := make(map[string]*FlowTimeline)
-	var order []*FlowTimeline
-	get := func(flow string) *FlowTimeline {
-		f := byFlow[flow]
-		if f == nil {
-			f = &FlowTimeline{Flow: flow, Start: -1, End: -1, FirstTx: -1, FirstDeliver: -1}
-			byFlow[flow] = f
-			order = append(order, f)
-		}
-		return f
-	}
-	for _, ev := range events {
-		if ev.Flow == "" {
-			continue
-		}
-		f := get(ev.Flow)
-		f.Events = append(f.Events, ev)
-		switch ev.Type {
-		case EvFlowStart:
-			f.UE, f.Size, f.Start = ev.UE, ev.Size, ev.T
-		case EvFlowEnd:
-			f.End, f.FCT = ev.T, ev.FCT
-		case EvPDCPSN:
-			if f.FirstTx < 0 {
-				f.FirstTx = ev.T
-			}
-		case EvDeliver:
-			if f.FirstDeliver < 0 {
-				f.FirstDeliver = ev.T
-			}
-		case EvMLFQ:
-			f.Demotions = append(f.Demotions, ev)
-			if ev.Level > f.FinalLevel {
-				f.FinalLevel = ev.Level
-			}
-		}
-	}
-	return order
+// Flows folds a trace into one lifecycle span per flow, in the order
+// the flows first appear; a flow whose start fell outside the trace
+// keeps Start < 0. As a Sink it keeps the spans and no events, so
+// folding a trace costs memory per flow, not per event.
+type Flows struct {
+	List   []*FlowTimeline
+	byFlow map[string]*FlowTimeline
 }
+
+// Emit implements Sink: it folds one event into its flow's span.
+// Events without a flow tag are skipped.
+func (fl *Flows) Emit(ev *Event) {
+	if ev.Flow == "" {
+		return
+	}
+	f := fl.byFlow[ev.Flow]
+	if f == nil {
+		if fl.byFlow == nil {
+			fl.byFlow = make(map[string]*FlowTimeline)
+		}
+		f = &FlowTimeline{Flow: ev.Flow, Start: -1, End: -1, FirstTx: -1, FirstDeliver: -1}
+		fl.byFlow[ev.Flow] = f
+		fl.List = append(fl.List, f)
+	}
+	switch ev.Type {
+	case EvFlowStart:
+		f.UE, f.Size, f.Start = ev.UE, ev.Size, ev.T
+	case EvFlowEnd:
+		f.End, f.FCT = ev.T, ev.FCT
+	case EvPDCPSN:
+		if f.FirstTx < 0 {
+			f.FirstTx = ev.T
+		}
+	case EvDeliver:
+		if f.FirstDeliver < 0 {
+			f.FirstDeliver = ev.T
+		}
+	case EvMLFQ:
+		f.FinalLevel = max(f.FinalLevel, ev.Level)
+	}
+}
+
+// Close implements Sink.
+func (fl *Flows) Close() error { return nil }
 
 // Audit aggregates the per-TTI scheduler decision records and the
 // tracker samples of one trace — the trace-derived counterpart of the
 // end-of-run Stats. It is a fold: as a Sink it takes the events of a
-// live run one at a time and keeps only its sums, so auditing a run
-// costs no memory per event; Close finishes the means.
+// live run, or of a trace file through ReadTrace, one at a time and
+// keeps only its sums, so auditing a run costs no memory per event;
+// Close finishes the means.
 type Audit struct {
-	Meta Event // the trace's meta event (zero when absent)
+	Meta Event // the trace's first meta event (zero when absent)
 
 	TTIs       int
 	AllocRBs   int64 // RB allocations across all TTIs
@@ -141,7 +138,7 @@ type Audit struct {
 	Samples      int
 
 	// FlowsCompleted counts the flows with an EvFlowEnd, each flow id
-	// once, as Timelines groups them.
+	// once, as Flows groups them.
 	FlowsCompleted int
 
 	// The fold's running state: sums in event order, so the means have
@@ -153,23 +150,13 @@ type Audit struct {
 	ended                     map[string]struct{}
 }
 
-// ComputeAudit replays a trace's scheduler records. The EvSESample
-// replay honors EvTrackerReset/EvTrackerFreeze so warmup cuts and
-// measurement-window freezes reproduce exactly.
-func ComputeAudit(events []Event) Audit {
-	var a Audit
-	for i := range events {
-		a.Emit(&events[i])
-	}
-	a.Close()
-	return a
-}
-
 // Emit implements Sink: it folds one event into the audit.
 func (a *Audit) Emit(ev *Event) {
 	switch ev.Type {
 	case EvMeta:
-		a.Meta = *ev
+		if a.Meta.Type == "" {
+			a.Meta = *ev
+		}
 	case EvTTI:
 		a.TTIs++
 		a.AllocRBs += int64(ev.AllocRBs)
@@ -259,40 +246,4 @@ func SlowestFlows(timelines []*FlowTimeline, n int) []*FlowTimeline {
 		return done[i].Flow < done[j].Flow
 	})
 	return done[:max(0, min(n, len(done)))]
-}
-
-// CountByType tallies a trace's events per type, returned as sorted
-// (type, count) pairs.
-func CountByType(events []Event) []struct {
-	Type  string
-	Count int
-} {
-	m := make(map[string]int)
-	for i := range events {
-		m[events[i].Type]++
-	}
-	keys := make([]string, 0, len(m))
-	// Order-free: keys are sorted before use
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]struct {
-		Type  string
-		Count int
-	}, len(keys))
-	for i, k := range keys {
-		out[i].Type, out[i].Count = k, m[k]
-	}
-	return out
-}
-
-// FindMeta returns the trace's meta event, or an error when missing.
-func FindMeta(events []Event) (Event, error) {
-	for i := range events {
-		if events[i].Type == EvMeta {
-			return events[i], nil
-		}
-	}
-	return Event{}, fmt.Errorf("obs: trace has no meta event")
 }

@@ -9,6 +9,15 @@ import (
 
 const testFlow = "10.0.0.1:443>10.1.0.2:10001/6"
 
+// fold emits evs into s and closes it.
+func fold[S Sink](s S, evs []Event) S {
+	for i := range evs {
+		s.Emit(&evs[i])
+	}
+	s.Close()
+	return s
+}
+
 func syntheticFlow() []Event {
 	return []Event{
 		{T: 0, Type: EvMeta, Sched: "OutRAN(PF,eps=0.2)", UEs: 2, RBs: 10, Seed: 1},
@@ -22,7 +31,7 @@ func syntheticFlow() []Event {
 }
 
 func TestTimelines(t *testing.T) {
-	tl := Timelines(syntheticFlow())
+	tl := fold(&Flows{}, syntheticFlow()).List
 	if len(tl) != 1 {
 		t.Fatalf("got %d timelines, want 1", len(tl))
 	}
@@ -36,8 +45,8 @@ func TestTimelines(t *testing.T) {
 	if f.FirstTx != 150 || f.FirstDeliver != 200 {
 		t.Fatalf("first tx/deliver wrong: %v / %v", f.FirstTx, f.FirstDeliver)
 	}
-	if f.FinalLevel != 1 || len(f.Demotions) != 1 || f.Demotions[0].Threshold != 10000 {
-		t.Fatalf("demotion tracking wrong: level=%d demotions=%+v", f.FinalLevel, f.Demotions)
+	if f.FinalLevel != 1 {
+		t.Fatalf("demotion tracking wrong: level=%d", f.FinalLevel)
 	}
 	r, ok := f.Residency()
 	if !ok {
@@ -54,7 +63,7 @@ func TestTimelines(t *testing.T) {
 
 func TestTimelinesIncomplete(t *testing.T) {
 	evs := syntheticFlow()[:3] // start + first SN only
-	f := Timelines(evs)[0]
+	f := fold(&Flows{}, evs).List[0]
 	if f.End >= 0 {
 		t.Fatal("incomplete flow has an end")
 	}
@@ -63,7 +72,7 @@ func TestTimelinesIncomplete(t *testing.T) {
 	}
 }
 
-func TestComputeAuditDecisions(t *testing.T) {
+func TestAuditDecisions(t *testing.T) {
 	evs := []Event{
 		{T: 1, Type: EvTTI, ServedBits: 100, UsedRBs: 2, AllocRBs: 3},
 		{T: 1, Type: EvDecision, RB: 0, Best: 0, Sel: 0, BestM: 2, SelM: 2, Cands: 1},
@@ -71,7 +80,7 @@ func TestComputeAuditDecisions(t *testing.T) {
 		{T: 2, Type: EvTTI, ServedBits: 50, UsedRBs: 1, AllocRBs: 1},
 		{T: 2, Type: EvDecision, RB: 0, Best: 1, Sel: 2, BestM: 4, SelM: 3, Level: 0, Cands: 2},
 	}
-	a := ComputeAudit(evs)
+	a := fold(&Audit{}, evs)
 	if a.TTIs != 2 || a.ServedBits != 150 || a.UsedRBs != 3 || a.AllocRBs != 4 {
 		t.Fatalf("TTI aggregates wrong: %+v", a)
 	}
@@ -94,7 +103,7 @@ func TestComputeAuditDecisions(t *testing.T) {
 	}
 }
 
-func TestComputeAuditResetAndFreeze(t *testing.T) {
+func TestAuditResetAndFreeze(t *testing.T) {
 	evs := []Event{
 		{T: 1, Type: EvSESample, SE: 100, Fairness: 0.1, ActiveSE: -1}, // warmup, discarded
 		{T: 2, Type: EvTrackerReset},
@@ -103,7 +112,7 @@ func TestComputeAuditResetAndFreeze(t *testing.T) {
 		{T: 5, Type: EvTrackerFreeze},
 		{T: 6, Type: EvSESample, SE: 999, Fairness: 0.9, ActiveSE: 4}, // after freeze, ignored
 	}
-	a := ComputeAudit(evs)
+	a := fold(&Audit{}, evs)
 	if a.Samples != 2 {
 		t.Fatalf("kept %d samples, want 2", a.Samples)
 	}
@@ -130,7 +139,7 @@ func TestSlowestFlows(t *testing.T) {
 	evs = append(evs, mk("b", 10)...)
 	evs = append(evs, mk("c", 30)...)
 	evs = append(evs, Event{T: 5, Type: EvFlowStart, Flow: "d", Size: 9}) // incomplete
-	top := SlowestFlows(Timelines(evs), 2)
+	top := SlowestFlows(fold(&Flows{}, evs).List, 2)
 	if len(top) != 2 {
 		t.Fatalf("got %d flows, want 2", len(top))
 	}
@@ -140,30 +149,21 @@ func TestSlowestFlows(t *testing.T) {
 	}
 }
 
-func TestCountByTypeAndFindMeta(t *testing.T) {
+// TestAuditMeta: the audit keeps the trace's first meta event, and a
+// trace without one leaves Meta zero.
+func TestAuditMeta(t *testing.T) {
 	evs := syntheticFlow()
-	counts := CountByType(evs)
-	if counts[0].Type >= counts[len(counts)-1].Type {
-		t.Fatal("counts not sorted by type")
+	second := Event{T: 9, Type: EvMeta, Sched: "PF"}
+	if meta := fold(&Audit{}, append(evs, second)).Meta; meta != evs[0] {
+		t.Fatalf("meta = %+v, want the first %+v", meta, evs[0])
 	}
-	total := 0
-	for _, tc := range counts {
-		total += tc.Count
-	}
-	if total != len(evs) {
-		t.Fatalf("counts cover %d events, trace has %d", total, len(evs))
-	}
-	meta, err := FindMeta(evs)
-	if err != nil || meta.Sched != "OutRAN(PF,eps=0.2)" {
-		t.Fatalf("meta lookup failed: %v %+v", err, meta)
-	}
-	if _, err := FindMeta(evs[1:]); err == nil {
-		t.Fatal("missing meta not reported")
+	if meta := fold(&Audit{}, evs[1:]).Meta; meta != (Event{}) {
+		t.Fatalf("trace without meta: Meta = %+v, want zero", meta)
 	}
 }
 
 // TestAuditCountsCompletedFlows: the fold counts completed flows as
-// Timelines groups them — each flow id once, untagged events skipped.
+// Flows groups them — each flow id once, untagged events skipped.
 func TestAuditCountsCompletedFlows(t *testing.T) {
 	evs := []Event{
 		{T: 0, Type: EvFlowStart, Flow: "a", Size: 10},
@@ -174,12 +174,12 @@ func TestAuditCountsCompletedFlows(t *testing.T) {
 		{T: 5, Type: EvFlowEnd, Flow: "c", FCT: 5},
 	}
 	want := 0
-	for _, f := range Timelines(evs) {
+	for _, f := range fold(&Flows{}, evs).List {
 		if f.End >= 0 {
 			want++
 		}
 	}
-	if got := ComputeAudit(evs).FlowsCompleted; got != want || got != 2 {
-		t.Fatalf("audit counted %d completed flows, Timelines %d, want 2", got, want)
+	if got := fold(&Audit{}, evs).FlowsCompleted; got != want || got != 2 {
+		t.Fatalf("audit counted %d completed flows, Flows %d, want 2", got, want)
 	}
 }

@@ -97,8 +97,13 @@ func TestAuditMatchesLiveStats(t *testing.T) {
 	ring := obs.NewRingSink(0)
 	cell := runTraced(t, smallConfig(SchedOutRAN), ring)
 	st := cell.CollectStats()
-	events := ring.Events()
-	a := obs.ComputeAudit(events)
+	var a obs.Audit
+	var flows obs.Flows
+	for _, ev := range ring.Events() {
+		a.Emit(&ev)
+		flows.Emit(&ev)
+	}
+	a.Close()
 
 	const tol = 1e-12
 	if math.Abs(a.MeanSE-st.MeanSpectralEff) > tol {
@@ -129,9 +134,8 @@ func TestAuditMatchesLiveStats(t *testing.T) {
 		t.Fatalf("mean candidate set %g below 1", a.CandMean)
 	}
 
-	timelines := obs.Timelines(events)
 	completed := 0
-	for _, f := range timelines {
+	for _, f := range flows.List {
 		if f.End < 0 {
 			continue
 		}
