@@ -190,10 +190,11 @@ func TestKPIValidation(t *testing.T) {
 // entry: only its engine section's processed count moved. Both were
 // re-recorded for snapshot version 2: the version and the pending
 // section moved, and with the files' sizes the checkpoint_bytes gauge
-// in the metrics section.
+// in the metrics section; and for version 3, when the open fairness
+// block moved from the cell section into the metrics section.
 var checkpointGoldenSHA256 = [2]string{
-	"5d92a210160690c4881728fcec29ce9dba861ea569befcf93be10e40ef325a25",
-	"581158c99395aedd8e11e37951f58eb507a9b4367d33fb6fae9d51cce4fe17dc",
+	"8538488f533c937e855c9b1c8c57cb4094b51145168cdd8cf338f262b239a87a",
+	"fb06e27c26cba58491ad614c34073c831bee358994199440a00a9befdac86b08",
 }
 
 // TestCheckpointFileGolden pins the bytes of a deployment checkpoint

@@ -272,7 +272,10 @@ func TestParentEquivalentNRTrace(t *testing.T) {
 // differential test in internal/obs proves the encoder equals the
 // library on arbitrary events; this proves it on the events real runs
 // produce, in the order they produce them. The PF row was re-recorded
-// when PF stopped granting runs at CQI 0.
+// when PF stopped granting runs at CQI 0. All three were re-recorded
+// when the tracker took over the fairness block: only the fairness of
+// the one sample folded before the 100 ms warmup reset moved, from a
+// block the cell had counted from t = 0 to the tracker's 50 TTIs.
 func TestParentEquivalentJSONLTrace(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("goldens recorded on amd64; other targets may fuse multiply-adds in math-heavy code")
@@ -304,12 +307,12 @@ func TestParentEquivalentJSONLTrace(t *testing.T) {
 		sha256 string
 		types  []string // event types the trace must contain
 	}{
-		{"OutRAN", SchedOutRAN, false, 8460381, "a69d85181ce6832f82c5bef1151b84aa7930f9783ecc67a24c9ed4f8d71375e2",
+		{"OutRAN", SchedOutRAN, false, 8460396, "d9861fa47a0fb04d10aa01b288ccac0f676f62243a5c618dbc06a788ec6c44a0",
 			[]string{obs.EvMeta, obs.EvFlowStart, obs.EvFlowEnd, obs.EvPDCPSN, obs.EvMLFQ, obs.EvRLCTx, obs.EvHARQ,
 				obs.EvDeliver, obs.EvTTI, obs.EvDecision, obs.EvSESample, obs.EvTrackerReset, obs.EvTrackerFreeze}},
-		{"PF", SchedPF, false, 758960, "ae4846ac630c1035c36f1ccd444901ff69d217d09c86ef4023ce6b9bf81c7389",
+		{"PF", SchedPF, false, 758975, "c2d352d54891d6edf2a7fc7329a0d9ff35edfd1495c7754b92c5b3cf9e9bfac6",
 			[]string{obs.EvMeta, obs.EvFlowStart, obs.EvFlowEnd, obs.EvPDCPSN, obs.EvRLCTx, obs.EvHARQ, obs.EvDeliver, obs.EvTTI}},
-		{"OutRAN-AM-faulted", SchedOutRAN, true, 8615012, "788514796a073d4e077713503c1451db53b72337420a1368f5967a9bc6d4679d",
+		{"OutRAN-AM-faulted", SchedOutRAN, true, 8615030, "948e5791e0638d9ad6f56245c810a5573869edaf9d5e909800738152affba4e2",
 			[]string{obs.EvMeta, obs.EvMLFQ, obs.EvRLCRetx, obs.EvHARQ, obs.EvDecision, obs.EvSESample,
 				obs.EvTrackerReset, obs.EvTrackerFreeze}},
 	}

@@ -27,7 +27,10 @@ type archiveShape struct {
 	// were re-recorded once when each armed timer came to own one queue
 	// entry: only the engine section's processed count moved. All three
 	// were re-recorded once more for snapshot version 2, when arrivals
-	// became cursors: only the version and the pending section moved.
+	// became cursors: only the version and the pending section moved;
+	// and for version 3, when the open fairness block moved from the
+	// cell section into the tracker's: only the version, the cell
+	// section and the metrics section moved.
 	sha256 string
 }
 
@@ -72,7 +75,7 @@ var archiveShapes = []archiveShape{
 				t.Fatal("no live flows at the snapshot instant")
 			}
 		},
-		sha256: "1c793161bde4dde9b77754a78e89f5da684afb394282a9cfbd6723de9d551a15",
+		sha256: "6caa1a6a80e26040718680df36a63d848de38fb713145d5394f5d161956dc9f6",
 	},
 	{
 		name:    "OutRAN-AM-NR",
@@ -103,7 +106,7 @@ var archiveShapes = []archiveShape{
 				t.Fatalf("HARQ retransmissions %d, AM statuses in flight %d, transport blocks on the air %d, AM retransmitted bytes %d; all must be non-zero", retx, status, onAir, amRetx)
 			}
 		},
-		sha256: "45dde6af14a8204a6ffcb11bdc5658095e3050e36ec4ca6f15b6836af526d8bf",
+		sha256: "94e5f512bf07584da1ccbfde703262e0f3513ca92779aa5974f6d79369f539b9",
 	},
 	{
 		name:    "OutRAN-AM-KPI-stream",
@@ -114,7 +117,7 @@ var archiveShapes = []archiveShape{
 				t.Fatal("no KPI or streaming-FCT state at the snapshot instant")
 			}
 		},
-		sha256: "8e4c8d2eb7659d36ed96876f4ff1a1d73b383beb7d9e8742d3960cc1ed86b5a5",
+		sha256: "95746bb9bd025f0a335cb076b1ab7f5fcb289a88399af026697c03a87e8e9e42",
 	},
 }
 
@@ -160,17 +163,19 @@ func cityOpsShape() Harness {
 // tracked. Recorded on the commit before the PDCP flow table became a
 // sorted slice (amd64); the archives were re-recorded once when each
 // armed timer came to own one queue entry, which moved only the engine
-// section's processed count, and once for snapshot version 2, which
-// moved only the version and the pending section.
+// section's processed count, once for snapshot version 2, which moved
+// only the version and the pending section, and once for version 3,
+// which moved the open fairness block from the cell section into the
+// metrics section.
 var cityOpsGoldens = []struct {
 	at              sim.Time
 	archive, export string
 }{
 	{2 * sim.Second,
-		"395d45a9372d9c86ed8c981f3ed2fd72dbb451223c5fb7fe6b97aa5f9e80727c",
+		"6089f5ce20cad7c3e9f66b0629fa6879f87cfff52cf5cd42a02363aabfcee57e",
 		"9a0d7ef4116b7c917395613d90ca12ef950be45398091198c7e6f1008e836705"},
 	{4 * sim.Second,
-		"0e660676ec657c95eb22891f2391e340ca8dbf0c773a015d1642bc724c7bae19",
+		"7be1f8b74e2314ff460c3f1587bee0fcbd2e92b419d19af77806a3eb8b3b53b5",
 		"4159e10ef6ff658bfb277aceb82945a72593ae274055a7d8904d5b5dd177bc27"},
 }
 

@@ -237,15 +237,6 @@ func (c *Cell) walkCell(w *snapshot.Walker) {
 	w.U64(&c.retired.reassemblyDrops)
 	w.U64(&c.retired.amAbandoned)
 	w.U64(&c.retired.amRetxBytes)
-	if w.FixedLen(len(c.blockBits), 1<<20, "UEs of block accounting") {
-		for i := range c.blockBits {
-			w.I64(&c.blockBits[i])
-		}
-		for i := range c.blockActive {
-			w.Bool(&c.blockActive[i])
-		}
-	}
-	w.Int(&c.blockTTIs)
 	// Scheduler audit counters — zeros when the scheduler is not an
 	// InterUser (or is wrapped by one that isn't, as test harnesses
 	// do), so the layout never depends on a runtime type assertion.

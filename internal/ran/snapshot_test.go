@@ -575,9 +575,10 @@ func restoreRejectsEdit(t *testing.T, edit func(testing.TB, *Cell) (string, []by
 // takes, recorded from the commit before CQI reports became
 // demand-driven (amd64). Re-recorded once when each armed timer came to
 // own one queue entry: only the engine section's processed count moved;
-// and once for snapshot version 2: only the version and the pending
-// section moved.
-const midCQIGoldenSHA256 = "54af265a0ccbeebe1899595ae6dd29fe5b59cf3faee7748838e89baf330a03da"
+// once for snapshot version 2: only the version and the pending
+// section moved; and once for version 3: the open fairness block moved
+// from the cell section into the metrics section.
+const midCQIGoldenSHA256 = "41f951ec1478a60c6d7bcbc0b5cfbbd56ef43b6e81d484858e2030591707fc04"
 
 // TestSnapshotMidCQIPeriod checkpoints between two CQI ticks, when most
 // UEs are idle and hold a report nobody has read yet. SnapshotTo

@@ -27,8 +27,10 @@ import (
 // break byte-identical continuation). Version 2 records a cell's
 // workload arrivals as one cursor per source — its place in a schedule
 // a restore rebuilds — where version 1 listed every future arrival.
+// Version 3 moves the open fairness block's per-UE shares from the
+// cell section into the tracker's.
 const (
-	Version = 2
+	Version = 3
 )
 
 // magic identifies a snapshot file ("OutRAN SNaPshot").
