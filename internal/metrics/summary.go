@@ -8,9 +8,12 @@ import "outran/internal/sim"
 // schema so traces, summaries and the chaos/bench tooling share field
 // names.
 type RunCounters struct {
-	BufferDrops       int      `json:"buffer_drops"`
-	BufferEvictions   int      `json:"buffer_evictions"`
-	DecipherFailures  uint64   `json:"decipher_failures"`
+	BufferDrops      int    `json:"buffer_drops"`
+	BufferEvictions  int    `json:"buffer_evictions"`
+	DecipherFailures uint64 `json:"decipher_failures"`
+	// ReassemblyDrops counts SDUs a receiver discarded half-reassembled:
+	// under UM those whose t-Reassembly expired with segments missing,
+	// under AM those whose missing bytes were in PDUs given up on.
 	ReassemblyDrops   uint64   `json:"reassembly_drops"`
 	HARQFailures      uint64   `json:"harq_failures"`
 	AMAbandoned       uint64   `json:"am_abandoned"`

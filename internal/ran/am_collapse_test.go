@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"outran/internal/metrics"
+	"outran/internal/rlc"
+	"outran/internal/rng"
 	"outran/internal/sim"
 	"outran/internal/workload"
 )
@@ -69,5 +71,39 @@ func TestRLCAMCollapse(t *testing.T) {
 				t.Errorf("seed %d: AM buffer drops %d are under 15x UM's %d: the collapse no longer reproduces", seed, amDrops, umDrops)
 			}
 		})
+	}
+}
+
+// TestAMReassemblyDropsCounted: an AM run's ReassemblyDrops is the sum
+// of its receivers' discards, the receivers a re-establishment tore
+// down included. A third of the RLC PDUs are lost on top of the BLER
+// model, so the transmitters give PDUs up and the receivers discard
+// the SDUs those PDUs held, before and after every UE re-establishes
+// at 1.5 s.
+func TestAMReassemblyDropsCounted(t *testing.T) {
+	h := resumeScenario(SchedPF, AM)
+	c, err := h.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(5)
+	c.SetFaultHooks(FaultHooks{DropRLCPDU: func(int, sim.Time, *rlc.PDU) bool { return r.Float64() < 0.3 }})
+	c.Run(1500 * sim.Millisecond)
+	var torn, live uint64
+	for i, ue := range c.ues {
+		torn += ue.amRx.Discarded()
+		if err := c.ReestablishUE(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Run(h.Total())
+	for _, ue := range c.ues {
+		live += ue.amRx.Discarded()
+	}
+	if torn == 0 || live == 0 {
+		t.Fatalf("receivers discarded %d SDUs before the re-establishment and %d after; the test needs both", torn, live)
+	}
+	if got := c.CollectStats().ReassemblyDrops; got != torn+live {
+		t.Fatalf("ReassemblyDrops %d, want the receivers' %d + %d discards", got, torn, live)
 	}
 }

@@ -80,6 +80,7 @@ func (c *Cell) ReestablishUE(id int) error {
 		ue.umRx.Close()
 	} else {
 		c.retired.evictions += ue.amTx.Evictions()
+		c.retired.reassemblyDrops += ue.amRx.Discarded()
 		c.retired.amAbandoned += ue.amTx.Abandoned()
 		c.retired.amRetxBytes += ue.amTx.RetxBytes()
 		ue.amTx.Close()
