@@ -197,20 +197,22 @@ func (s *KPISampler) Close() error {
 	return s.err
 }
 
-// ReadKPI decodes a KPI JSONL stream.
+// ReadKPI decodes a KPI JSONL stream one line at a time, skipping blank
+// lines. A line that does not decode to one record of the current
+// schema stops the read: the records before it come back with an error
+// that names the line.
 func ReadKPI(r io.Reader) ([]KPIRecord, error) {
-	dec := json.NewDecoder(bufio.NewReaderSize(r, 1<<16))
 	var out []KPIRecord
-	for {
+	err := readLines(r, "kpi", func(line []byte) error {
 		var rec KPIRecord
-		if err := dec.Decode(&rec); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return out, fmt.Errorf("obs: kpi line %d: %w", len(out)+1, err)
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return err
 		}
 		if rec.V != KPISchemaVersion {
-			return out, fmt.Errorf("obs: kpi line %d: schema v%d, want v%d", len(out)+1, rec.V, KPISchemaVersion)
+			return fmt.Errorf("schema v%d, want v%d", rec.V, KPISchemaVersion)
 		}
 		out = append(out, rec)
-	}
+		return nil
+	})
+	return out, err
 }

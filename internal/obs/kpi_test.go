@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -49,6 +51,33 @@ func TestKPISamplerRoundTrip(t *testing.T) {
 			got[i].WinP50Ms != recs[i].WinP50Ms || got[i].Sacrifice != recs[i].Sacrifice {
 			t.Errorf("record %d round-trip mismatch:\n  want %+v\n  got  %+v", i, recs[i], got[i])
 		}
+	}
+}
+
+// TestReadKPIErrorLine: a read error names the stream's own line,
+// blank lines counted, and the records before it come back with it. A
+// line that holds two records is an error too.
+func TestReadKPIErrorLine(t *testing.T) {
+	var buf bytes.Buffer
+	s := NewKPISampler(&buf)
+	for i := range 3 {
+		s.Emit(&KPIRecord{V: KPISchemaVersion, T: sim.Time(i+1) * 100 * sim.Millisecond, QueueBytes: []int64{int64(i)}})
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(buf.Bytes(), []byte("\n"))
+	stream := slices.Concat(lines[0], lines[1], []byte("\n"), lines[2][:len(lines[2])/2])
+	got, err := ReadKPI(bytes.NewReader(stream))
+	if err == nil || !strings.HasPrefix(err.Error(), "obs: kpi line 4: ") {
+		t.Errorf("err = %v, want one naming line 4", err)
+	}
+	if len(got) != 2 || got[1].T != 200*sim.Millisecond {
+		t.Errorf("got %d records before the error, want the first 2: %+v", len(got), got)
+	}
+	twice := slices.Concat(lines[0], bytes.TrimSuffix(lines[1], []byte("\n")), lines[2])
+	if got, err := ReadKPI(bytes.NewReader(twice)); err == nil || !strings.HasPrefix(err.Error(), "obs: kpi line 2: ") || len(got) != 1 {
+		t.Errorf("two records on line 2: %d records, err %v; want 1 and an error naming line 2", len(got), err)
 	}
 }
 

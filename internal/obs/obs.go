@@ -407,24 +407,39 @@ func (e *jsonlEncoder) write(ev *Event) {
 // the read: s has taken every event before it, and the error names the
 // line. The error is the read's, else the one Close returns.
 func ReadTrace(r io.Reader, s Sink) error {
-	br := bufio.NewReaderSize(r, 1<<16)
 	var ev Event
+	err := readLines(r, "trace", func(line []byte) error {
+		ev = Event{}
+		if err := json.Unmarshal(line, &ev); err != nil {
+			return err
+		}
+		s.Emit(&ev)
+		return nil
+	})
+	if cerr := s.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// readLines hands each non-blank line of a JSONL stream to fn, in
+// order. The first error fn returns stops the read and comes back
+// naming the stream's own line, blank lines counted: "obs: <what> line
+// <n>: <err>". fn must not keep line past its call.
+func readLines(r io.Reader, what string, fn func(line []byte) error) error {
+	br := bufio.NewReaderSize(r, 1<<16)
 	for n := 1; ; n++ {
 		line, err := br.ReadBytes('\n')
 		if err != nil && err != io.EOF {
-			s.Close()
 			return err
 		}
 		if len(bytes.Trim(line, " \t\r\n")) > 0 {
-			ev = Event{}
-			if err := json.Unmarshal(line, &ev); err != nil {
-				s.Close()
-				return fmt.Errorf("obs: trace line %d: %w", n, err)
+			if err := fn(line); err != nil {
+				return fmt.Errorf("obs: %s line %d: %w", what, n, err)
 			}
-			s.Emit(&ev)
 		}
 		if err == io.EOF {
-			return s.Close()
+			return nil
 		}
 	}
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -48,9 +49,10 @@ func FuzzReadTrace(f *testing.F) {
 	})
 }
 
-// FuzzReadKPI feeds ReadKPI arbitrary bytes. It must never panic, and
-// the records it accepts re-encode through a KPISampler into a stream
-// that reads back to equal records without error.
+// FuzzReadKPI feeds ReadKPI arbitrary bytes. It must never panic, an
+// error must name a non-blank line of the input, and the records it
+// accepts re-encode through a KPISampler into a stream that reads back
+// to equal records without error.
 func FuzzReadKPI(f *testing.F) {
 	var valid bytes.Buffer
 	s := NewKPISampler(&valid)
@@ -65,7 +67,14 @@ func FuzzReadKPI(f *testing.F) {
 	f.Add([]byte(`{"v":1,"queue_bytes":[1e3]}`))
 	f.Add([]byte("null\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, _ := ReadKPI(bytes.NewReader(data))
+		recs, err := ReadKPI(bytes.NewReader(data))
+		if err != nil {
+			lines := bytes.Split(data, []byte("\n"))
+			var n int
+			if _, serr := fmt.Sscanf(err.Error(), "obs: kpi line %d:", &n); serr != nil || n < 1 || n > len(lines) || len(bytes.Trim(lines[n-1], " \t\r\n")) == 0 {
+				t.Fatalf("error %q names no non-blank line of the %d-line input", err, len(lines))
+			}
+		}
 		var buf bytes.Buffer
 		s := NewKPISampler(&buf)
 		for i := range recs {
