@@ -22,6 +22,9 @@ import (
 //	evAMStatus       UE      -      -       *rlc.StatusPDU
 //	evTrackerReset   -       -      -       -
 //	evTrackerFreeze  -       -      -       -
+//	evTTI            -       -      -       -
+//	evCQI            -       -      -       -
+//	evFlowReset      -       -      -       -
 const (
 	// evArrival is a workload flow arrival (ScheduleSource). A
 	// checkpoint records it through its cursor, not as an entry.
@@ -43,6 +46,15 @@ const (
 	// boundaries.
 	evTrackerReset
 	evTrackerFreeze
+	_ // 8 was a fault injector's keyed event: it stays unknown
+	// evTTI, evCQI and evFlowReset are the cell's clocks: Algorithm 1's
+	// per-TTI run (§4.3), the UEs' CQI reports and the §6.3 MLFQ reset.
+	// A tick runs its work, then queues the next tick one period on, so
+	// the work's own events take the earlier seqs. NewCell queues the
+	// first of each, in this order.
+	evTTI
+	evCQI
+	evFlowReset
 )
 
 // evArrival option bits (Event.Idx).
@@ -88,6 +100,15 @@ func (c *Cell) Fire(ev sim.Event) {
 		c.Tracker.Reset()
 	case evTrackerFreeze:
 		c.Tracker.Freeze()
+	case evTTI:
+		c.onTTI()
+		c.after(c.grid.TTI(), ev)
+	case evCQI:
+		c.reportCQIAt(c.Eng.Now())
+		c.after(c.cfg.CQIPeriod, ev)
+	case evFlowReset:
+		c.resetFlowStates()
+		c.after(c.cfg.OutRAN.ResetPeriod, ev)
 	}
 }
 

@@ -83,7 +83,8 @@ func BenchmarkTimerRestart(b *testing.B) {
 		ts[i].Start(rto)
 	}
 	next, armed := 0, 0
-	NewPeriodic(&e, Millisecond, func() {
+	var tick func()
+	tick = func() {
 		for k := 0; k < perTTI && armed < b.N; k++ {
 			ts[next].Start(rto + Time(next%7)*Microsecond)
 			next = (next + 1) % timers
@@ -92,7 +93,9 @@ func BenchmarkTimerRestart(b *testing.B) {
 		if armed == b.N {
 			e.Stop()
 		}
-	})
+		e.After(Millisecond, tick)
+	}
+	e.After(Millisecond, tick)
 	b.ReportAllocs()
 	b.ResetTimer()
 	e.Run()

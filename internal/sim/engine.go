@@ -4,6 +4,9 @@
 // Events scheduled for the same instant fire in the order they were
 // scheduled, which makes every run with the same inputs bit-for-bit
 // reproducible.
+//
+// The queue is the only record of scheduled work: recurring work is a
+// handler that queues its own next entry when it fires.
 package sim
 
 import (

@@ -105,78 +105,6 @@ func TestStop(t *testing.T) {
 	}
 }
 
-// TestTicker pins sim.Periodic: fn runs before the next tick is armed
-// (so events fn schedules take earlier seqs than the re-arm), Stop
-// turns the queued tick into a no-op, and an encode/decode round trip
-// of the walk into a fresh engine continues with the same (at, seq).
-func TestTicker(t *testing.T) {
-	var e Engine
-	var ticks []Time
-	var inner []uint64 // seq of the event each tick's fn scheduled
-	var p *Periodic
-	p = NewPeriodic(&e, 10, func() {
-		ticks = append(ticks, e.Now())
-		inner = append(inner, e.Schedule(e.Now(), funcHandler(func() {}), Event{}))
-	})
-	e.At(35, func() { p.Stop() })
-	for e.Pending() > 0 {
-		n := len(inner)
-		stepNext(&e)
-		if len(inner) == n {
-			continue // not a tick
-		}
-		if seq := p.seq; seq != inner[n]+1 {
-			t.Fatalf("tick %d: fn scheduled seq %d, re-arm took %d; want fn first, re-arm right after", n, inner[n], seq)
-		}
-	}
-	if len(ticks) != 3 {
-		t.Fatalf("got %d ticks %v, want 3", len(ticks), ticks)
-	}
-	for i, tm := range ticks {
-		if tm != Time(10*(i+1)) {
-			t.Fatalf("tick %d at %v", i, tm)
-		}
-	}
-	if e.Pending() != 0 {
-		t.Fatalf("%d events left after Stop; the stopped tick must pop as a no-op and not re-arm", e.Pending())
-	}
-
-	// Round trip: a periodic snapshotted mid-run and re-armed on a fresh
-	// engine fires at the same instants with the same seqs.
-	var a Engine
-	var gotA []Time
-	pa := NewPeriodic(&a, 10, func() { gotA = append(gotA, a.Now()) })
-	a.RunUntil(25)
-	stopped, nextAt, seq := pa.stopped, pa.nextAt, pa.seq
-	if stopped || nextAt != 30 {
-		t.Fatalf("pending tick (%v, %v, %d), want running with the next tick at 30", stopped, nextAt, seq)
-	}
-	img := snapshottest.Encode(func(w *snapshot.Walker) { a.Walk(w); pa.Walk(w) })
-	var b Engine
-	var gotB []Time
-	pb := NewPeriodic(&b, 10, func() { gotB = append(gotB, b.Now()) })
-	if err := snapshottest.Decode(img, func(w *snapshot.Walker) { b.Walk(w); pb.Walk(w) }); err != nil {
-		t.Fatal(err)
-	}
-	if en := b.Entries(); len(en) != 1 || en[0].At != nextAt || en[0].Seq != seq || en[0].H != Handler(pb) {
-		t.Fatalf("restored queue %+v, want one tick at (%v, %d)", en, nextAt, seq)
-	}
-	gotA = gotA[:0]
-	a.RunUntil(55)
-	b.RunUntil(55)
-	if len(gotB) != 3 || len(gotA) != 3 {
-		t.Fatalf("after restore: live ticks %v, restored ticks %v, want 3 each", gotA, gotB)
-	}
-	for i := range gotA {
-		if gotA[i] != gotB[i] {
-			t.Fatalf("restored periodic ticks at %v, live at %v", gotB, gotA)
-		}
-	}
-	if seqA, seqB := pa.seq, pb.seq; seqA != seqB {
-		t.Fatalf("pending tick seq %d live vs %d restored", seqA, seqB)
-	}
-}
-
 func TestTimerRestart(t *testing.T) {
 	var e Engine
 	fired := 0
@@ -321,12 +249,6 @@ func TestEventOrderProperty(t *testing.T) {
 	}
 }
 
-// stepNext fires the earliest pending entry.
-func stepNext(e *Engine) {
-	_, q := e.next()
-	e.step(q)
-}
-
 // TestHeapShrinksAfterDrain is the regression test for the event queue
 // pinning its peak capacity: after a large burst of events drains, the
 // backing array must be compacted instead of holding the high-water
@@ -403,10 +325,10 @@ func TestHeapPushZeroAlloc(t *testing.T) {
 		},
 		"(*Engine).Schedule": func(t *testing.T) {
 			var e Engine
-			var p Periodic // any pointer-shaped handler
-			ev := Event{Kind: 1, Idx: 2, A: 3, B: 4, Ptr: &p}
+			var tm Timer // any pointer-shaped handler
+			ev := Event{Kind: 1, Idx: 2, A: 3, B: 4, Ptr: &tm}
 			allocs := testing.AllocsPerRun(1000, func() {
-				e.Schedule(e.Now(), &p, ev)
+				e.Schedule(e.Now(), &tm, ev)
 				e.pq.pop()
 			})
 			if allocs != 0 {
@@ -423,17 +345,6 @@ func TestHeapPushZeroAlloc(t *testing.T) {
 			if allocs != 0 {
 				t.Fatalf("timer arm+fire allocates %.1f/op, want 0", allocs)
 			}
-		},
-		"(*Periodic).arm": func(t *testing.T) {
-			var e Engine
-			p := NewPeriodic(&e, 10, func() {})
-			allocs := testing.AllocsPerRun(1000, func() {
-				stepNext(&e) // tick: fn, then re-arm
-			})
-			if allocs != 0 {
-				t.Fatalf("periodic tick+re-arm allocates %.1f/op, want 0", allocs)
-			}
-			p.Stop()
 		},
 		"(*eventHeap).push": func(t *testing.T) {
 			var h eventHeap
