@@ -275,9 +275,6 @@ func (t *AMTx) Audit() error {
 	return nil
 }
 
-// Drops returns dropped-arrival count.
-func (t *AMTx) Drops() int { return t.buf.dropCount() }
-
 // Evictions returns queued SDUs pushed out by higher-priority arrivals.
 func (t *AMTx) Evictions() int { return t.buf.evictionCount() }
 

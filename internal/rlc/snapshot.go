@@ -235,7 +235,6 @@ func (b *txBuf) walk(c *Refs) {
 		}
 		(*fa).walk(w)
 	})
-	w.Int(&b.drops)
 	w.Int(&b.evictions)
 	w.Int(&b.qosBytes)
 	c.deque(&b.qosList)

@@ -34,7 +34,7 @@ type flowAgg struct {
 }
 
 // txBuf is the shared tx-queue machinery of the UM and AM entities:
-// priority queues, drop accounting, per-flow aggregates for the BSR
+// priority queues, eviction accounting, per-flow aggregates for the BSR
 // and the oracle baselines, and PDU building with segmentation.
 type txBuf struct {
 	cfg       TxBufConfig
@@ -43,7 +43,6 @@ type txBuf struct {
 	bytes     int
 	prioBytes []int
 	flows     map[ip.FiveTuple]*flowAgg
-	drops     int
 	evictions int
 
 	qosBytes int
@@ -70,7 +69,8 @@ func newTxBuf(cfg TxBufConfig) *txBuf {
 	}
 }
 
-// enqueue adds an SDU, returning false when dropped. A full buffer
+// enqueue adds an SDU, returning false when dropped; counting drops is
+// the caller's. A full buffer
 // prefers pushing out the newest SDU of a lower-priority queue over
 // dropping a higher-priority arrival: with MLFQ, plain tail drop
 // inverts priorities — the buffer fills with demoted long-flow bytes
@@ -79,7 +79,6 @@ func newTxBuf(cfg TxBufConfig) *txBuf {
 func (b *txBuf) enqueue(s *SDU) bool {
 	if b.count >= b.cfg.LimitSDUs {
 		if !b.pushOut(s.Priority) {
-			b.drops++
 			return false
 		}
 	}
@@ -304,9 +303,6 @@ func (b *txBuf) status(now sim.Time) mac.BufferStatus {
 	_ = now
 	return st
 }
-
-// Drops returns the arrival-drop count.
-func (b *txBuf) dropCount() int { return b.drops }
 
 // evictionCount returns how many queued SDUs were pushed out by
 // higher-priority arrivals.

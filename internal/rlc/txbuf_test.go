@@ -32,8 +32,8 @@ func TestEnqueueTailDrop(t *testing.T) {
 	if b.enqueue(mkSDU(100, 0, 1)) {
 		t.Fatal("over-capacity enqueue accepted")
 	}
-	if b.dropCount() != 1 {
-		t.Fatalf("drops %d", b.dropCount())
+	if b.count != 3 {
+		t.Fatalf("count %d after a drop, want 3", b.count)
 	}
 }
 
@@ -362,8 +362,8 @@ func TestPushOutPriorityInversionAvoided(t *testing.T) {
 	if b.enqueue(lo) {
 		t.Fatal("low-priority arrival must not evict anything")
 	}
-	if b.dropCount() != 1 {
-		t.Fatalf("drops %d", b.dropCount())
+	if b.evictionCount() != 1 || b.count != 3 || b.bytes != 300 {
+		t.Fatalf("a tail drop changed the buffer: evictions=%d count=%d bytes=%d", b.evictionCount(), b.count, b.bytes)
 	}
 }
 

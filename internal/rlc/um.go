@@ -52,9 +52,6 @@ func (t *UMTx) QueuedSDUs() int { return t.buf.count }
 // QueuedBytes returns the buffered byte count.
 func (t *UMTx) QueuedBytes() int { return t.buf.bytes }
 
-// Drops returns the number of dropped arrivals.
-func (t *UMTx) Drops() int { return t.buf.dropCount() }
-
 // Evictions returns the number of queued SDUs pushed out by
 // higher-priority arrivals.
 func (t *UMTx) Evictions() int { return t.buf.evictionCount() }

@@ -127,10 +127,11 @@ func TestUMLostPDUDiscardsOnlyItsSDUs(t *testing.T) {
 
 func TestUMDropsCounter(t *testing.T) {
 	tx := NewUMTx(TxBufConfig{Queues: 1, LimitSDUs: 1})
-	tx.Enqueue(mkSDU(100, 0, 1))
-	tx.Enqueue(mkSDU(100, 0, 1))
-	if tx.Drops() != 1 {
-		t.Fatalf("drops %d", tx.Drops())
+	if !tx.Enqueue(mkSDU(100, 0, 1)) {
+		t.Fatal("first SDU dropped from an empty buffer")
+	}
+	if tx.Enqueue(mkSDU(100, 0, 1)) {
+		t.Fatal("over-capacity enqueue accepted")
 	}
 	if tx.QueuedSDUs() != 1 || tx.QueuedBytes() != 100 {
 		t.Fatalf("queued %d/%d", tx.QueuedSDUs(), tx.QueuedBytes())
