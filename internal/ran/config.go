@@ -256,6 +256,12 @@ func (c *Config) usesMLFQ() bool {
 	return c.Scheduler == SchedOutRAN || c.Scheduler == SchedStrictMLFQ
 }
 
+// resetsMLFQ reports whether the cell runs the §6.3 priority-reset
+// clock: an MLFQ scheduler with a positive reset period.
+func (c *Config) resetsMLFQ() bool {
+	return c.usesMLFQ() && c.OutRAN.ResetPeriod > 0
+}
+
 // buildScheduler constructs the MAC scheduler.
 func (c *Config) buildScheduler() (mac.Scheduler, error) {
 	switch c.Scheduler {

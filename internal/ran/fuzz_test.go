@@ -13,6 +13,7 @@ import (
 
 	"outran/internal/ip"
 	"outran/internal/metrics"
+	"outran/internal/sim"
 	"outran/internal/snapshot"
 	"outran/internal/snapshot/snapshottest"
 	"outran/internal/workload"
@@ -90,6 +91,8 @@ func FuzzRestoreSnapshot(f *testing.F) {
 			if _, err := fresh.Snapshot(); err != nil {
 				t.Fatalf("restored cell does not snapshot: %v", err)
 			}
+			// A restored cell runs on: its clocks move the engine forward.
+			fresh.Run(fresh.Eng.Now() + 10*sim.Millisecond)
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package rlc
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -35,20 +34,6 @@ const (
 // MinGrant is the smallest MAC grant that can carry any payload.
 const MinGrant = pduFixedHeader + minUsefulPayload
 
-// wireHeader is the on-the-wire UM PDU header used by the
-// encode/decode round-trip (tests exercise it; the simulator data path
-// carries the struct). Layout:
-//
-//	byte 0: FI (2 bits) | E (1) | SN high 5 bits
-//	byte 1: SN low 8 bits  (13-bit SN variant)
-//	then per segment: 2-byte length
-type wireHeader struct {
-	FirstIsContinuation bool // first segment continues an SDU
-	LastIsPartial       bool // last segment does not end its SDU
-	SN                  uint32
-	SegLens             []int
-}
-
 const maxWireSN = 1<<13 - 1
 
 // MaxSegmentLen is the largest SDU segment one PDU can carry: the wire
@@ -58,25 +43,14 @@ const maxWireSN = 1<<13 - 1
 // to its low 16 bits.
 const MaxSegmentLen = 0xffff
 
-var errBadPDU = errors.New("rlc: malformed PDU header")
-
-func (h *wireHeader) encode() ([]byte, error) {
-	if len(h.SegLens) == 0 {
-		return nil, errors.New("rlc: PDU with no segments")
-	}
-	buf := make([]byte, 0, 2+2*len(h.SegLens))
-	buf, err := appendWireHeader(buf, h.SN, h.FirstIsContinuation, h.LastIsPartial, len(h.SegLens),
-		func(i int) int { return h.SegLens[i] })
-	if err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
 // appendWireHeader is the shared allocation-free encoder: it appends
 // the header for nSeg segments (lengths via segLen) to dst and returns
 // the extended slice. dst's backing array is reused when capacity
-// allows; callers own dst before and after.
+// allows; callers own dst before and after. Layout:
+//
+//	byte 0: FI (2 bits) | E (1) | SN high 5 bits
+//	byte 1: SN low 8 bits  (13-bit SN variant)
+//	then per segment: 2-byte length
 func appendWireHeader(dst []byte, sn uint32, firstCont, lastPartial bool, nSeg int, segLen func(int) int) ([]byte, error) {
 	if sn > maxWireSN {
 		// Not a steady-state allocation: cold error path; the encode loop never runs after it
@@ -101,25 +75,6 @@ func appendWireHeader(dst []byte, sn uint32, firstCont, lastPartial bool, nSeg i
 		dst = append(dst, byte(l>>8), byte(l))
 	}
 	return dst, nil
-}
-
-func decodeWireHeader(buf []byte) (*wireHeader, error) {
-	if len(buf) < 4 || len(buf)%2 != 0 {
-		return nil, errBadPDU
-	}
-	h := &wireHeader{
-		FirstIsContinuation: buf[0]&0x80 != 0,
-		LastIsPartial:       buf[0]&0x40 != 0,
-		SN:                  uint32(buf[0]&0x1f)<<8 | uint32(buf[1]),
-	}
-	for i := 2; i < len(buf); i += 2 {
-		l := int(binary.BigEndian.Uint16(buf[i:]))
-		if l == 0 {
-			return nil, errBadPDU
-		}
-		h.SegLens = append(h.SegLens, l)
-	}
-	return h, nil
 }
 
 // AppendWireHeader serialises the PDU's header exactly as it would go

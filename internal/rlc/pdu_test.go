@@ -1,9 +1,55 @@
 package rlc
 
 import (
+	"encoding/binary"
+	"errors"
 	"testing"
 	"testing/quick"
 )
+
+// wireHeader is the decoded form of the UM PDU header appendWireHeader
+// writes, for the encode/decode round-trip; the simulator's data path
+// carries the PDU struct and never decodes a header.
+type wireHeader struct {
+	FirstIsContinuation bool // first segment continues an SDU
+	LastIsPartial       bool // last segment does not end its SDU
+	SN                  uint32
+	SegLens             []int
+}
+
+var errBadPDU = errors.New("rlc: malformed PDU header")
+
+func (h *wireHeader) encode() ([]byte, error) {
+	if len(h.SegLens) == 0 {
+		return nil, errors.New("rlc: PDU with no segments")
+	}
+	buf := make([]byte, 0, 2+2*len(h.SegLens))
+	buf, err := appendWireHeader(buf, h.SN, h.FirstIsContinuation, h.LastIsPartial, len(h.SegLens),
+		func(i int) int { return h.SegLens[i] })
+	if err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+func decodeWireHeader(buf []byte) (*wireHeader, error) {
+	if len(buf) < 4 || len(buf)%2 != 0 {
+		return nil, errBadPDU
+	}
+	h := &wireHeader{
+		FirstIsContinuation: buf[0]&0x80 != 0,
+		LastIsPartial:       buf[0]&0x40 != 0,
+		SN:                  uint32(buf[0]&0x1f)<<8 | uint32(buf[1]),
+	}
+	for i := 2; i < len(buf); i += 2 {
+		l := int(binary.BigEndian.Uint16(buf[i:]))
+		if l == 0 {
+			return nil, errBadPDU
+		}
+		h.SegLens = append(h.SegLens, l)
+	}
+	return h, nil
+}
 
 func TestWireHeaderRoundTrip(t *testing.T) {
 	h := wireHeader{
