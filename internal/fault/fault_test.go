@@ -199,7 +199,7 @@ func TestForceRLFReestablish(t *testing.T) {
 	}
 	cell.Run(10 * sim.Second)
 
-	if got := cell.Reestablishments(); got != 1 {
+	if got := cell.CollectStats().Reestablishments; got != 1 {
 		t.Fatalf("reestablishments = %d, want 1", got)
 	}
 	if inj.Stats().ForcedRLFs != 1 {

@@ -261,7 +261,7 @@ func (c *Cell) deliverToXNB(ue *ueCtx, pkt ip.Packet) {
 	if sdu == nil {
 		return
 	}
-	if !ue.enqueue(sdu) {
+	if !ue.tx.Enqueue(sdu) {
 		ue.enqueueDrops++
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"outran/internal/phy"
+	"outran/internal/rlc"
 	"outran/internal/sim"
 	"outran/internal/snapshot"
 	"outran/internal/workload"
@@ -67,7 +68,7 @@ var archiveShapes = []archiveShape{
 		harness: func() Harness { return resumeScenario(SchedPF, UM) },
 		mid:     433*sim.Millisecond + 137*sim.Microsecond,
 		check: func(t *testing.T, c *Cell) {
-			if c.ues[0].umTx == nil {
+			if _, um := c.ues[0].tx.(*rlc.UMTx); !um {
 				t.Fatal("not a UM cell")
 			}
 			flows := 0
@@ -89,7 +90,7 @@ var archiveShapes = []archiveShape{
 			var amRetx uint64
 			for _, ue := range c.ues {
 				retx += len(ue.harqPending)
-				amRetx += ue.amTx.RetxBytes()
+				amRetx += ue.tx.RetxBytes()
 			}
 			for _, en := range c.Eng.Entries() {
 				if _, ok := en.H.(*Cell); !ok {

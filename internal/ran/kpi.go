@@ -2,7 +2,6 @@ package ran
 
 import (
 	"outran/internal/core"
-	"outran/internal/mac"
 	"outran/internal/obs"
 	"outran/internal/sim"
 	"outran/internal/snapshot"
@@ -107,13 +106,7 @@ func (c *Cell) SampleKPI(now sim.Time) obs.KPISample {
 	// the record's own slice immediately.
 	for _, ue := range c.ues {
 		rec.ActiveFlows += len(ue.flows)
-		var st mac.BufferStatus
-		if ue.umTx != nil {
-			st = ue.umTx.Status(now)
-		} else {
-			st = ue.amTx.Status(now)
-		}
-		for i, b := range st.PerPriority {
+		for i, b := range ue.tx.Status(now).PerPriority {
 			if i >= len(rec.QueueBytes) {
 				rec.QueueBytes = append(rec.QueueBytes, 0)
 			}

@@ -5,6 +5,7 @@ import (
 	"outran/internal/ip"
 	"outran/internal/metrics"
 	"outran/internal/obs"
+	"outran/internal/rlc"
 	"outran/internal/sim"
 )
 
@@ -50,8 +51,8 @@ func (c *Cell) installTracer(t *obs.Tracer, emitMeta bool) {
 		for _, ue := range c.ues {
 			ue.pdcpTx.OnSNAssign = nil
 			ue.pdcpTx.OnLevelChange = nil
-			if ue.amTx != nil {
-				ue.amTx.OnRetx = nil
+			if am, ok := ue.tx.(*rlc.AMTx); ok {
+				am.OnRetx = nil
 			}
 		}
 		return
@@ -116,8 +117,8 @@ func (c *Cell) wireTraceHooks(ue *ueCtx) {
 			UE: id, Flow: flow.String(), Level: level, Sent: sent, Threshold: thr,
 		})
 	}
-	if ue.amTx != nil {
-		ue.amTx.OnRetx = func(sn uint32, bytes, attempt int) {
+	if am, ok := ue.tx.(*rlc.AMTx); ok {
+		am.OnRetx = func(sn uint32, bytes, attempt int) {
 			c.tracer.Emit(obs.Event{
 				T: c.Eng.Now(), Type: obs.EvRLCRetx,
 				UE: id, SN: int64(sn), Bytes: bytes, Attempts: attempt, Retx: true,

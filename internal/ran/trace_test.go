@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"outran/internal/obs"
+	"outran/internal/rlc"
 	"outran/internal/rng"
 	"outran/internal/sim"
 	"outran/internal/workload"
@@ -186,7 +187,7 @@ func TestTraceHooksSurviveReestablish(t *testing.T) {
 	if ue.pdcpTx.OnSNAssign == nil || ue.pdcpTx.OnLevelChange == nil {
 		t.Fatal("PDCP trace hooks dropped by re-establishment")
 	}
-	if ue.amTx.OnRetx == nil {
+	if ue.tx.(*rlc.AMTx).OnRetx == nil {
 		t.Fatal("AM retx trace hook dropped by re-establishment")
 	}
 	after := 0

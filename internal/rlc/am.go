@@ -79,20 +79,11 @@ func NewAMTx(eng *sim.Engine, cfg TxBufConfig) *AMTx {
 // Enqueue queues an SDU; false means tail-dropped.
 func (t *AMTx) Enqueue(s *SDU) bool { return t.buf.enqueue(s) }
 
-// EnqueueStatus queues a status PDU for the reverse direction (the
-// peer's receiver status destined to the peer transmitter). Used by
-// the cell to model the UE->eNB status path.
-func (t *AMTx) EnqueueStatus(st *StatusPDU) { t.ctrlQ = append(t.ctrlQ, st) }
-
-// Pull builds the transmissions for a MAC grant: control first, then
-// retransmissions, then new data within the leftover opportunity.
-// It can return multiple PDUs (retx PDUs keep their original SN).
-func (t *AMTx) Pull(grant int) []*PDU { return t.PullAppend(nil, grant) }
-
-// PullAppend is Pull appending into out, so a caller recycling
-// transport-block storage (the ran arena) reuses slice capacity
-// instead of paying one slice allocation per served grant. Ownership
-// of the returned slice transfers to the caller either way.
+// PullAppend appends to out the transmissions for a MAC grant: control
+// first, then retransmissions, then new data within the leftover
+// opportunity. It can append several PDUs (retx PDUs keep their
+// original SN). Appending lets a caller recycling transport-block
+// storage (the ran arena) reuse slice capacity.
 func (t *AMTx) PullAppend(out []*PDU, grant int) []*PDU {
 	// 1. Control queue.
 	for len(t.ctrlQ) > 0 {
@@ -244,8 +235,8 @@ func (t *AMTx) Close() { t.tPollRetx.Stop() }
 // reported (and therefore the checker's report) is identical across
 // same-seed runs regardless of map iteration order.
 func (t *AMTx) Audit() error {
-	if t.buf.count > t.buf.cfg.LimitSDUs {
-		return fmt.Errorf("rlc: AM tx buffer holds %d SDUs, limit %d", t.buf.count, t.buf.cfg.LimitSDUs)
+	if err := t.buf.audit(); err != nil {
+		return err
 	}
 	for i := 1; i < len(t.retxQ); i++ {
 		if t.retxQ[i-1] >= t.retxQ[i] {
@@ -422,9 +413,6 @@ func (r *AMRx) onProhibitExpiry() {
 		r.prohibit.Start(DefaultTStatusProhibit)
 	}
 }
-
-// Delivered returns SDUs delivered upward.
-func (r *AMRx) Delivered() uint64 { return r.delivered }
 
 // Discarded returns SDUs dropped because their missing bytes were in
 // permanently given-up PDUs.

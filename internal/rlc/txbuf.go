@@ -1,6 +1,8 @@
 package rlc
 
 import (
+	"fmt"
+
 	"outran/internal/ip"
 	"outran/internal/mac"
 	"outran/internal/sim"
@@ -307,3 +309,11 @@ func (b *txBuf) status(now sim.Time) mac.BufferStatus {
 // evictionCount returns how many queued SDUs were pushed out by
 // higher-priority arrivals.
 func (b *txBuf) evictionCount() int { return b.evictions }
+
+// audit checks that the buffer holds no more SDUs than its limit.
+func (b *txBuf) audit() error {
+	if b.count > b.cfg.LimitSDUs {
+		return fmt.Errorf("rlc: tx buffer holds %d SDUs, limit %d", b.count, b.cfg.LimitSDUs)
+	}
+	return nil
+}

@@ -1,6 +1,7 @@
 package rlc
 
 import (
+	"fmt"
 	"slices"
 
 	"outran/internal/mac"
@@ -39,6 +40,14 @@ func (t *UMTx) Pull(grant int) *PDU {
 	return pdu
 }
 
+// PullAppend is Pull appending into out, the shape of AMTx.PullAppend.
+func (t *UMTx) PullAppend(out []*PDU, grant int) []*PDU {
+	if pdu := t.Pull(grant); pdu != nil {
+		out = append(out, pdu)
+	}
+	return out
+}
+
 // Status reports the buffer state for the MAC BSR. The returned
 // PerPriority slice aliases entity-owned scratch and is valid only
 // until the next Status call; copy to retain.
@@ -49,12 +58,20 @@ func (t *UMTx) Status(now sim.Time) mac.BufferStatus { return t.buf.status(now) 
 // QueuedSDUs returns the buffered SDU count.
 func (t *UMTx) QueuedSDUs() int { return t.buf.count }
 
-// QueuedBytes returns the buffered byte count.
-func (t *UMTx) QueuedBytes() int { return t.buf.bytes }
-
 // Evictions returns the number of queued SDUs pushed out by
 // higher-priority arrivals.
 func (t *UMTx) Evictions() int { return t.buf.evictionCount() }
+
+// Abandoned and RetxBytes are AMTx's retransmission counters: UM never
+// retransmits, so both are 0.
+func (t *UMTx) Abandoned() uint64 { return 0 }
+func (t *UMTx) RetxBytes() uint64 { return 0 }
+
+// Audit verifies the transmitter's structural invariants (AMTx.Audit).
+func (t *UMTx) Audit() error { return t.buf.audit() }
+
+// Close is AMTx.Close: a UM transmitter holds no timer to cancel.
+func (t *UMTx) Close() {}
 
 // partialSDU tracks reassembly progress of one SDU at the receiver.
 type partialSDU struct {
@@ -227,11 +244,17 @@ func (r *UMRx) onGapExpiry() {
 	}
 }
 
+// Audit verifies the receiver's structural invariants: Receive skips
+// a gap before the held PDUs outgrow their bound.
+func (r *UMRx) Audit() error {
+	if len(r.held) > maxHeldPDUs {
+		return fmt.Errorf("rlc: UM rx holds %d PDUs, limit %d", len(r.held), maxHeldPDUs)
+	}
+	return nil
+}
+
 // Delivered returns the count of SDUs delivered upward.
 func (r *UMRx) Delivered() uint64 { return r.delivered }
 
 // Discarded returns the count of SDUs dropped by reassembly expiry.
 func (r *UMRx) Discarded() uint64 { return r.discarded }
-
-// PendingPartials returns the number of incomplete SDUs being held.
-func (r *UMRx) PendingPartials() int { return len(r.partials) }
