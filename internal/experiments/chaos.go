@@ -40,22 +40,13 @@ func chaosJob(opt Options, i int) (ran.SchedulerKind, float64, uint64) {
 func Chaos(opt Options) ([]Table, error) {
 	opt = opt.withDefaults()
 	opt.Seeds = max(opt.Seeds, 1)
-	spec := workload.PoissonSpec("lte", 0.6)
-	win, err := window(baseLTE(opt, chaosScheds[0]), spec, share(opt.Flows, opt.Seeds))
+	run, err := chaosRunner(opt)
 	if err != nil {
 		return nil, err
 	}
 	res := make([]fault.Result, len(chaosScheds)*len(chaosIntensities)*opt.Seeds)
-	err = deploy.ForEach(len(res), opt.Workers, func(i int) error {
-		sched, intensity, seed := chaosJob(opt, i)
-		cfg := baseLTE(opt, sched)
-		cfg.RLC = ran.AM
-		var err error
-		res[i], err = fault.RunConfig{
-			Cell:     cfg.WithWorkload(spec),
-			Duration: win, Drain: opt.Drain,
-			Intensity: intensity, Seed: seed,
-		}.Run()
+	err = deploy.ForEach(len(res), opt.Workers, func(i int) (err error) {
+		res[i], err = run(i)
 		return err
 	})
 	if err != nil {
@@ -63,6 +54,27 @@ func Chaos(opt Options) ([]Table, error) {
 	}
 	t, err := chaosTable(opt, res)
 	return []Table{t}, err
+}
+
+// chaosRunner sizes the sweep's arrival window for the defaulted opt
+// and returns the body of its job i: one AM cell of the job's
+// scheduler under the fault plan of the job's intensity and seed.
+func chaosRunner(opt Options) (func(i int) (fault.Result, error), error) {
+	spec := workload.PoissonSpec("lte", 0.6)
+	win, err := window(baseLTE(opt, chaosScheds[0]), spec, share(opt.Flows, opt.Seeds))
+	if err != nil {
+		return nil, err
+	}
+	return func(i int) (fault.Result, error) {
+		sched, intensity, seed := chaosJob(opt, i)
+		cfg := baseLTE(opt, sched)
+		cfg.RLC = ran.AM
+		return fault.RunConfig{
+			Cell:     cfg.WithWorkload(spec),
+			Duration: win, Drain: opt.Drain,
+			Intensity: intensity, Seed: seed,
+		}.Run()
+	}, nil
 }
 
 // chaosTable folds the sweep's results, numbered as chaosJob numbers

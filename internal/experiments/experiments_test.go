@@ -291,6 +291,42 @@ func TestChaosWorkers(t *testing.T) {
 	}
 }
 
+// TestChaosReestablishInOrder reruns the two jobs of `outran-bench
+// -seeds 10 chaos` whose checker saw a UE's PDCP SNs go backwards: a
+// transport block of the RLC entities a re-establishment tore down
+// reached their replacements. Each run must re-establish a UE and
+// show its invariants clean.
+func TestChaosReestablishInOrder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs two simulations")
+	}
+	opt := Options{Seeds: 10}.withDefaults()
+	run, err := chaosRunner(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range len(chaosScheds) * len(chaosIntensities) * opt.Seeds {
+		sched, intensity, seed := chaosJob(opt, i)
+		if !(sched == ran.SchedPF && intensity == 0.3 && seed == 6) && !(sched == ran.SchedOutRAN && intensity == 0.7 && seed == 8) {
+			continue
+		}
+		t.Run(fmt.Sprintf("%s-%s-seed%d", sched, f2(intensity), seed), func(t *testing.T) {
+			t.Parallel()
+			r, err := run(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := r.Invariants
+			if r.Stats.Reestablishments == 0 || rep.Checks == 0 || rep.Deliveries == 0 {
+				t.Fatalf("%d re-establishments, %d TTI checks, %d deliveries: the run shows nothing", r.Stats.Reestablishments, rep.Checks, rep.Deliveries)
+			}
+			if !rep.Clean() {
+				t.Fatalf("%d violation(s), first %v", rep.Violated, rep.Violations[0])
+			}
+		})
+	}
+}
+
 // checkedResults is a sweep's worth of results whose checker swept
 // TTIs and saw deliveries without a violation.
 func checkedResults(opt Options) []fault.Result {

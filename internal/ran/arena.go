@@ -121,9 +121,3 @@ func (c *Cell) reclaimFlow() *flowRuntime {
 	}
 	return d.fr
 }
-
-// ArenaStats reports the current free-list populations (testing and
-// memory accounting).
-func (c *Cell) ArenaStats() (freeTBs, deadFlows int) {
-	return len(c.tbFree), len(c.flowGrave) - c.graveHead
-}
