@@ -81,3 +81,24 @@ func TestTraceGolden(t *testing.T) {
 		t.Errorf("flow nope: err = %v, want %q", err, want)
 	}
 }
+
+// TestKPIGolden pins the bytes kpi prints for a 1-cell and a 2-cell
+// KPI stream. amd64 only, as TestTraceGolden.
+func TestKPIGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("goldens recorded on amd64, running on %s", runtime.GOARCH)
+	}
+	for cells, golden := range map[int]string{1: "kpi1.golden", 2: "kpi2.golden"} {
+		var stdout bytes.Buffer
+		if err := run([]string{"kpi", writeKPI(t, cells)}, &stdout, io.Discard); err != nil {
+			t.Fatalf("%d cells: %v", cells, err)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(stdout.Bytes(), want) {
+			t.Errorf("%d cells: output differs from testdata/%s:\n%s", cells, golden, stdout.Bytes())
+		}
+	}
+}

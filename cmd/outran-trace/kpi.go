@@ -3,54 +3,100 @@ package main
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"outran/internal/obs"
+	"outran/internal/sim"
 )
 
-// kpi renders the KPI time-series report: the final per-cell state,
-// the deployment (or single-cell) series over time, and the worst
-// cells ranked by cumulative tail FCT. The stream interleaves cells at
-// each instant, so the records are first split by cell index.
-func kpi(w io.Writer, recs []obs.KPIRecord) {
-	if len(recs) == 0 {
-		fmt.Fprintln(w, "kpi stream: no records")
+// kpiReport is the KPI time-series report, folded from the stream one
+// record at a time: the final per-cell state, the deployment (or
+// single-cell) series over time, and the worst cells ranked by
+// cumulative tail FCT. It keeps each cell's last record and the one
+// series it prints, never the whole stream.
+type kpiReport struct {
+	recs        int
+	first, last sim.Time
+	final       map[int]obs.KPIRecord // each cell's last record
+	rollup      []obs.KPIRecord
+	// low is the lowest cell index seen and lowRecs its record count,
+	// the report's instants. Its records are the series while the
+	// stream has no roll-up.
+	low       int
+	lowRecs   int
+	lowSeries []obs.KPIRecord
+}
+
+// kpi reads a KPI stream and prints its report. It prints nothing when
+// the stream fails to decode.
+func kpi(w io.Writer, r io.Reader) error {
+	k := kpiReport{final: map[int]obs.KPIRecord{}}
+	if err := obs.ScanKPI(r, k.fold); err != nil {
+		return err
+	}
+	k.print(w)
+	return nil
+}
+
+func (k *kpiReport) fold(r obs.KPIRecord) {
+	if k.recs == 0 {
+		k.first = r.T
+	}
+	k.recs++
+	k.last = r.T
+	if r.Cell == obs.RollupCell {
+		k.rollup = append(k.rollup, r)
+		k.lowSeries = nil
 		return
 	}
-	byCell := map[int][]obs.KPIRecord{}
-	for _, r := range recs {
-		byCell[r.Cell] = append(byCell[r.Cell], r)
+	if _, seen := k.final[r.Cell]; !seen && (len(k.final) == 0 || r.Cell < k.low) {
+		k.low, k.lowRecs, k.lowSeries = r.Cell, 0, nil
 	}
-	rollup := byCell[obs.RollupCell]
-	delete(byCell, obs.RollupCell)
-	cells := make([]int, 0, len(byCell))
-	for c := range byCell {
+	k.final[r.Cell] = r
+	if r.Cell == k.low {
+		k.lowRecs++
+		if len(k.rollup) == 0 {
+			k.lowSeries = append(k.lowSeries, r)
+		}
+	}
+}
+
+func (k *kpiReport) print(w io.Writer) {
+	switch {
+	case k.recs == 0:
+		fmt.Fprintln(w, "kpi stream: no records")
+		return
+	case len(k.final) == 0:
+		fmt.Fprintf(w, "kpi stream: %d roll-up records, no cell records\n", k.recs)
+		return
+	}
+	cells := make([]int, 0, len(k.final))
+	for c := range k.final {
 		cells = append(cells, c)
 	}
-	sort.Ints(cells)
+	slices.Sort(cells)
 
-	first, last := recs[0].T, recs[len(recs)-1].T
 	fmt.Fprintf(w, "kpi stream     %d records, %d cells, %d instants, %.1fs..%.1fs\n",
-		len(recs), len(cells), len(byCell[cells[0]]), first.Seconds(), last.Seconds())
+		k.recs, len(cells), k.lowRecs, k.first.Seconds(), k.last.Seconds())
 
 	fmt.Fprintln(w, "\nfinal state (cumulative over the run)")
 	fmt.Fprintf(w, "  %4s %9s %11s %11s %7s %7s %7s %9s %6s %9s\n",
 		"cell", "flows", "p50 ms", "p99 ms", "se", "fair", "active", "queue B", "retx", "sacrifice")
 	for _, c := range cells {
-		s := byCell[c]
-		r := s[len(s)-1]
+		r := k.final[c]
 		fmt.Fprintf(w, "  %4d %9d %11.2f %11.2f %7.3f %7.3f %7d %9d %5.1f%% %9.5f\n",
 			c, r.CumFlows, r.CumP50Ms, r.CumP99Ms, r.SE, r.Fairness,
 			r.ActiveFlows, sumQueue(r), 100*r.HARQRetxRate, r.Sacrifice)
 	}
 
 	// The over-time series: the deployment roll-up when present, else
-	// the single cell's own records.
-	series := rollup
+	// the lowest cell's own records.
+	series := k.rollup
 	label := "deployment roll-up"
 	if len(series) == 0 {
-		series = byCell[cells[0]]
-		label = fmt.Sprintf("cell %d", cells[0])
+		series = k.lowSeries
+		label = fmt.Sprintf("cell %d", k.low)
 	}
 	fmt.Fprintf(w, "\nwindow series (%s)\n", label)
 	fmt.Fprintf(w, "  %8s %9s %11s %11s %7s %7s %7s %9s %6s\n",
@@ -65,8 +111,7 @@ func kpi(w io.Writer, recs []obs.KPIRecord) {
 		fmt.Fprintln(w, "\nworst cells by cumulative p99 FCT")
 		rank := make([]obs.KPIRecord, 0, len(cells))
 		for _, c := range cells {
-			s := byCell[c]
-			rank = append(rank, s[len(s)-1])
+			rank = append(rank, k.final[c])
 		}
 		sort.Slice(rank, func(i, j int) bool {
 			if rank[i].CumP99Ms != rank[j].CumP99Ms {
@@ -74,12 +119,7 @@ func kpi(w io.Writer, recs []obs.KPIRecord) {
 			}
 			return rank[i].Cell < rank[j].Cell
 		})
-		n := len(rank)
-		if n > 5 {
-			n = 5
-		}
-		for i := 0; i < n; i++ {
-			r := rank[i]
+		for i, r := range rank[:min(5, len(rank))] {
 			fmt.Fprintf(w, "  #%d cell %-3d p99 %9.2fms  p50 %9.2fms  fair %.3f  retx %.1f%%\n",
 				i+1, r.Cell, r.CumP99Ms, r.CumP50Ms, r.Fairness, 100*r.HARQRetxRate)
 		}

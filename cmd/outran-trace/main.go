@@ -77,12 +77,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	defer f.Close()
 	switch cmd {
 	case "kpi": // its own JSONL schema, not an event trace
-		recs, err := obs.ReadKPI(f)
-		if err != nil {
-			return err
-		}
-		kpi(stdout, recs)
-		return nil
+		return kpi(stdout, f)
 	case "summary":
 		return summary(stdout, f)
 	case "audit":

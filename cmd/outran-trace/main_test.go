@@ -18,10 +18,11 @@ import (
 	"outran/internal/workload"
 )
 
-// writeKPI runs a 2-cell deployment that samples KPIs every 250 ms of
-// a 2 s run and returns the path of the stream it wrote: 8 instants x
-// (2 cells + roll-up) = 24 records.
-func writeKPI(t *testing.T) string {
+// writeKPI runs a deployment of the given number of cells that samples
+// KPIs every 250 ms of a 2 s run and returns the path of the stream it
+// wrote: 8 instants x (2 cells + roll-up) = 24 records for two cells,
+// 8 records for one (a single cell writes no roll-up).
+func writeKPI(t *testing.T, cells int) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "kpi.jsonl")
 	cell := ran.DefaultLTEConfig().
@@ -30,7 +31,7 @@ func writeKPI(t *testing.T) string {
 		WithWorkload(workload.PoissonSpec("lte", 0.6))
 	cell.KPIEvery = 250 * sim.Millisecond
 	_, err := deploy.Run(deploy.Config{
-		Cells:   2,
+		Cells:   cells,
 		Cell:    cell,
 		Window:  sim.Second,
 		Drain:   sim.Second,
@@ -47,7 +48,7 @@ func writeKPI(t *testing.T) string {
 // step: outran-trace kpi reads a stream a deployment just wrote and
 // reports both cells and their roll-up.
 func TestKPIReport(t *testing.T) {
-	path := writeKPI(t)
+	path := writeKPI(t, 2)
 	var stdout bytes.Buffer
 	if err := run([]string{"kpi", path}, &stdout, io.Discard); err != nil {
 		t.Fatal(err)
@@ -67,12 +68,31 @@ func TestKPIReport(t *testing.T) {
 	}
 }
 
+// TestKPIFoldKeepsPrintedSeries: kpi folds a 2-cell stream into each
+// cell's last record and the roll-up series it prints, and keeps no
+// cell's own series.
+func TestKPIFoldKeepsPrintedSeries(t *testing.T) {
+	f, err := os.Open(writeKPI(t, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	k := kpiReport{final: map[int]obs.KPIRecord{}}
+	if err := obs.ScanKPI(f, k.fold); err != nil {
+		t.Fatal(err)
+	}
+	if k.recs != 24 || len(k.final) != 2 || len(k.rollup) != 8 || k.lowRecs != 8 || k.lowSeries != nil {
+		t.Fatalf("folded %d records into %d cells' last records, a %d-record roll-up, %d instants and %d cell-series records; want 24, 2, 8, 8, 0",
+			k.recs, len(k.final), len(k.rollup), k.lowRecs, len(k.lowSeries))
+	}
+}
+
 // TestTop: outran-trace top -once renders a stream a 2-cell deployment
 // just wrote, one row per cell and one for the roll-up. It folds only
 // complete lines, rebuilds its view when the file is truncated, and
 // rejects what kpi rejects.
 func TestTop(t *testing.T) {
-	path := writeKPI(t)
+	path := writeKPI(t, 2)
 	stream, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -92,23 +92,33 @@ func (v *viewer) poll() error {
 	if st.Size() < v.off {
 		v.off, v.cells, v.recs = 0, map[int]*cellView{}, 0
 	}
-	if _, err := f.Seek(v.off, io.SeekStart); err != nil {
-		return err
-	}
-	buf, err := io.ReadAll(f)
+	end, err := linesEnd(f, v.off, st.Size())
 	if err != nil {
 		return err
 	}
-	buf = buf[:bytes.LastIndexByte(buf, '\n')+1]
-	v.off += int64(len(buf))
-	recs, err := obs.ReadKPI(bytes.NewReader(buf))
-	if err != nil {
-		return err
+	lines := io.NewSectionReader(f, v.off, end-v.off)
+	v.off = end
+	return obs.ScanKPI(lines, v.fold)
+}
+
+// linesEnd returns the offset just past the last newline in f's bytes
+// [off, size), or off when they hold none: the end of the complete
+// lines. It reads backwards from size, so a torn trailing line costs
+// one short read.
+func linesEnd(f *os.File, off, size int64) (int64, error) {
+	buf := make([]byte, 4096)
+	for end := size; end > off; {
+		start := max(off, end-int64(len(buf)))
+		n, err := f.ReadAt(buf[:end-start], start)
+		if err != nil && err != io.EOF {
+			return 0, err
+		}
+		if i := bytes.LastIndexByte(buf[:n], '\n'); i >= 0 {
+			return start + int64(i) + 1, nil
+		}
+		end = start
 	}
-	for _, rec := range recs {
-		v.fold(rec)
-	}
-	return nil
+	return off, nil
 }
 
 func (v *viewer) fold(rec obs.KPIRecord) {

@@ -197,13 +197,20 @@ func (s *KPISampler) Close() error {
 	return s.err
 }
 
-// ReadKPI decodes a KPI JSONL stream one line at a time, skipping blank
-// lines. A line that does not decode to one record of the current
-// schema stops the read: the records before it come back with an error
-// that names the line.
+// ReadKPI decodes a KPI JSONL stream into its records (ScanKPI). On an
+// error the records before the failing line come back with it.
 func ReadKPI(r io.Reader) ([]KPIRecord, error) {
 	var out []KPIRecord
-	err := readLines(r, "kpi", func(line []byte) error {
+	err := ScanKPI(r, func(rec KPIRecord) { out = append(out, rec) })
+	return out, err
+}
+
+// ScanKPI decodes a KPI JSONL stream one line at a time, skipping blank
+// lines, and hands each record to fn in order. A line that does not
+// decode to one record of the current schema stops the read with an
+// error that names the line.
+func ScanKPI(r io.Reader, fn func(KPIRecord)) error {
+	return readLines(r, "kpi", func(line []byte) error {
 		var rec KPIRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
 			return err
@@ -211,8 +218,7 @@ func ReadKPI(r io.Reader) ([]KPIRecord, error) {
 		if rec.V != KPISchemaVersion {
 			return fmt.Errorf("schema v%d, want v%d", rec.V, KPISchemaVersion)
 		}
-		out = append(out, rec)
+		fn(rec)
 		return nil
 	})
-	return out, err
 }
