@@ -57,7 +57,7 @@ func TestZeroAllocs(t *testing.T) {
 				am.Enqueue(mkSDU(500, i, uint16(i)))
 			}
 			// Build one PDU so txed bookkeeping is live.
-			if pdus := am.Pull(256); len(pdus) == 0 {
+			if pdus := am.PullAppend(nil, 256); len(pdus) == 0 {
 				t.Fatal("no PDU built")
 			}
 			allocs := testing.AllocsPerRun(100, func() {
