@@ -306,8 +306,8 @@ func printSummary(w io.Writer, cell *ran.Cell, o options) {
 	fmt.Fprintf(w, "queue delay    %.2fms avg, %.2fms short flows\n",
 		cell.Delay.Mean().Milliseconds(), cell.Delay.MeanShort().Milliseconds())
 	fmt.Fprintf(w, "mean SRTT      %.1fms\n", st.MeanSRTT.Milliseconds())
-	fmt.Fprintf(w, "losses         %d buffer drops, %d HARQ failures, %d reassembly discards, %d decipher failures\n",
-		st.BufferDrops, st.HARQFailures, st.ReassemblyDrops, st.DecipherFailures)
+	fmt.Fprintf(w, "losses         %d buffer drops, %d HARQ failures, %d reassembly discards, %d RLC PDUs skipped, %d decipher failures\n",
+		st.BufferDrops, st.HARQFailures, st.ReassemblyDrops, st.SkippedPDUs, st.DecipherFailures)
 	if phases := cell.PhaseProfiler().NsPerTTI(); len(phases) > 0 {
 		names := make([]string, 0, len(phases))
 		for name := range phases {

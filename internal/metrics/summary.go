@@ -11,10 +11,12 @@ type RunCounters struct {
 	BufferDrops      int    `json:"buffer_drops"`
 	BufferEvictions  int    `json:"buffer_evictions"`
 	DecipherFailures uint64 `json:"decipher_failures"`
-	// ReassemblyDrops counts SDUs a receiver discarded half-reassembled:
-	// under UM those whose t-Reassembly expired with segments missing,
-	// under AM those whose missing bytes were in PDUs given up on.
-	ReassemblyDrops   uint64   `json:"reassembly_drops"`
+	// ReassemblyDrops counts SDUs a receiver discarded: under UM partial
+	// SDUs overtaken for t-Reassembly or continued past a skipped gap,
+	// under AM the SDUs PDUs abandoned at maxRetx carried.
+	ReassemblyDrops uint64 `json:"reassembly_drops"`
+	// SkippedPDUs counts the PDUs UM receivers gave up on at an SN gap.
+	SkippedPDUs       uint64   `json:"skipped_pdus"`
 	HARQFailures      uint64   `json:"harq_failures"`
 	AMAbandoned       uint64   `json:"am_abandoned"`
 	AMRetxBytes       uint64   `json:"am_retx_bytes"`
@@ -40,6 +42,7 @@ func (c *RunCounters) Add(o RunCounters) {
 	c.BufferEvictions += o.BufferEvictions
 	c.DecipherFailures += o.DecipherFailures
 	c.ReassemblyDrops += o.ReassemblyDrops
+	c.SkippedPDUs += o.SkippedPDUs
 	c.HARQFailures += o.HARQFailures
 	c.AMAbandoned += o.AMAbandoned
 	c.AMRetxBytes += o.AMRetxBytes

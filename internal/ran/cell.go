@@ -99,6 +99,7 @@ type rlcTx interface {
 type rlcRx interface {
 	Receive(*rlc.PDU)
 	Discarded() uint64
+	Skipped() uint64
 	Audit() error
 	Close()
 	Walk(*rlc.Refs)
@@ -133,6 +134,7 @@ func (u *ueCtx) addLosses(st *Stats) {
 	st.BufferEvictions += u.tx.Evictions()
 	st.DecipherFailures += u.pdcpRx.DecipherFailures()
 	st.ReassemblyDrops += u.rx.Discarded()
+	st.SkippedPDUs += u.rx.Skipped()
 	st.AMAbandoned += u.tx.Abandoned()
 	st.AMRetxBytes += u.tx.RetxBytes()
 }
@@ -387,15 +389,17 @@ func (c *Cell) wireBearer(ue *ueCtx) error {
 	} else {
 		tx := rlc.NewAMTx(c.Eng, bufCfg)
 		tx.AssignSN = ue.pdcpTx.AssignSN
-		tx.OnDeliveryFail = func(sn uint32, _ *rlc.PDU) {
+		rx := rlc.NewAMRx(c.Eng, deliver, func(st *rlc.StatusPDU) {
+			c.after(statusUplinkDelay, sim.Event{Kind: evAMStatus, Idx: int32(ue.id), Ptr: st})
+		})
+		tx.OnDeliveryFail = func(sn uint32, pdu *rlc.PDU) {
+			rx.Abandon(sn, pdu)
 			c.ctrAMDeliveryFails.Inc()
 			if h := c.hooks.OnDeliveryFail; h != nil {
 				h(ue.id, sn)
 			}
 		}
-		ue.tx, ue.rx = tx, rlc.NewAMRx(c.Eng, deliver, func(st *rlc.StatusPDU) {
-			c.after(statusUplinkDelay, sim.Event{Kind: evAMStatus, Idx: int32(ue.id), Ptr: st})
-		})
+		ue.tx, ue.rx = tx, rx
 	}
 	// Re-establishment rebuilds the entities above, so the trace hooks
 	// must be re-attached here rather than only in SetTracer.

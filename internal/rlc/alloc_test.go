@@ -73,8 +73,7 @@ func TestZeroAllocs(t *testing.T) {
 			// An older SDU half sent while a newer one completes and the
 			// next one starts: once the table has grown, partial SDUs are
 			// inserted and completed in place.
-			var eng sim.Engine
-			r := &reassembly{sduTimer: sim.NewTimer(&eng, func() {})}
+			r := &reassembly{}
 			old, done, next := mkSDU(300, 1, 1), mkSDU(100, 0, 2), mkSDU(200, 0, 3)
 			pdus := []*PDU{
 				{Segments: []Segment{{SDU: old, Len: 100}}},
@@ -86,7 +85,7 @@ func TestZeroAllocs(t *testing.T) {
 			deliver := func(*SDU) { delivered++ }
 			allocs := testing.AllocsPerRun(100, func() {
 				for _, pdu := range pdus {
-					r.fold(pdu, 0, DefaultTReassembly, deliver)
+					r.fold(pdu, 0, deliver)
 				}
 			})
 			if allocs != 0 || delivered != 3*101 || len(r.partials) != 0 {

@@ -31,9 +31,14 @@ import (
 // cell section into the tracker's. Version 4 moves a cell's TTI, CQI
 // and MLFQ-reset ticks from the engine section into the pending
 // section, as payload-free cell events, and drops the RLC tx buffer's
-// drop counter, which the cell's own count duplicated.
+// drop counter, which the cell's own count duplicated. Version 5 gives
+// up on received RLC data only on 3GPP's triggers: a UM partial SDU
+// records when it was overtaken, an AM receiver the SNs its transmitter
+// abandoned, and the cell the UM PDUs skipped at a gap; the AM
+// receiver's NACK counts and expiry timer, the AM transmitter's control
+// queue and the UM receiver's t-Reassembly field are gone.
 const (
-	Version = 4
+	Version = 5
 )
 
 // magic identifies a snapshot file ("OutRAN SNaPshot").
