@@ -46,7 +46,7 @@ func TestParentEquivalentCQIFaults(t *testing.T) {
 		fctHash      uint64
 		harqFailures uint64
 	}
-	golden := outcome{218, 12006, 0x884c7e1203cc86fe, 22, 0x9db2ab79e344a40e, 3}
+	golden := outcome{218, 12034, 0x207a119b9c7870d8, 22, 0x52b9800908d98c58, 0}
 
 	var inj *Injector
 	calls, callHash := 0, fnv.New64a()

@@ -86,7 +86,7 @@ func (c *Cell) retireFlow(fr *flowRuntime) {
 	fr.onComplete = nil
 	fr.sender.Send = nil
 	fr.sender.OnComplete = nil
-	fr.receiver.SendAck = nil
+	fr.receiver.SendSACK = nil
 	fr.receiver.OnDeliver = nil
 	c.flowGrave = append(c.flowGrave, deadFlow{fr: fr, retiredAt: c.Eng.Now()})
 }

@@ -90,7 +90,7 @@ func (c *Cell) Fire(ev sim.Event) {
 		// A restored ACK whose flow was already torn down carries a
 		// runtime with no sender: a counted no-op.
 		if fr := ev.Ptr.(*flowRuntime); fr.sender != nil {
-			fr.sender.OnAck(ev.A)
+			fr.sender.OnAckSACK(ev.A, ev.A+ev.B>>32, ev.A+ev.B&(1<<32-1))
 		}
 	case evTB:
 		c.tbArrive(c.ues[ev.Idx], ev.Ptr.(*harqTB))

@@ -190,6 +190,16 @@ func (c *Cell) flowMeta(size int64) pdcp.FlowMeta {
 	return m
 }
 
+// packSACK packs a SACK block into an ACK event's B: its two ends as
+// 32-bit offsets above the acknowledged byte, or 0 for none (or one too
+// far above it to pack, which the sender then does without).
+func packSACK(ack, lo, hi int64) int64 {
+	if lo <= ack || hi-ack >= 1<<31 {
+		return 0
+	}
+	return (lo-ack)<<32 | (hi - ack)
+}
+
 // wireFlow attaches the transport callbacks (downlink send, uplink
 // ack, completion) to a flow runtime. StartFlow calls it for new flows
 // and the restore path for resumed ones; everything the callbacks need
@@ -210,12 +220,12 @@ func (c *Cell) wireFlow(u *ueCtx, fr *flowRuntime) {
 		}
 		c.after(delay, sim.Event{Kind: evPacket, Idx: int32(fr.ue), Ptr: &pkt})
 	}
-	recv.SendAck = func(ack int64) {
+	recv.SendSACK = func(ack, lo, hi int64) {
 		rel := ack - seqBase
 		if rel <= 0 {
 			return
 		}
-		c.after(c.cfg.Path.UplinkDelay, sim.Event{Kind: evAck, A: rel, Ptr: fr})
+		c.after(c.cfg.Path.UplinkDelay, sim.Event{Kind: evAck, A: rel, B: packSACK(ack, lo, hi), Ptr: fr})
 	}
 	sender.OnComplete = func() {
 		fct := c.Eng.Now() - fr.start

@@ -21,6 +21,10 @@ type PDU struct {
 	Bytes    int  // wire size including RLC headers
 	Poll     bool // AM: status report requested
 	Retx     bool // AM: this is a retransmission
+	// SO and Whole mark an AM retransmission re-segmented to fit a grant
+	// (TS 38.322 §5.3.2): it carries the original PDU's payload from
+	// byte SO on, of Whole bytes in all. Whole is 0 on a whole PDU.
+	SO, Whole int
 }
 
 // RLC header cost model: fixed header plus a length indicator per
@@ -29,6 +33,7 @@ const (
 	pduFixedHeader   = 2
 	perExtraSegment  = 2
 	minUsefulPayload = 4
+	soHeader         = 2 // a re-segmented retransmission's segment offset
 )
 
 // MinGrant is the smallest MAC grant that can carry any payload.

@@ -62,6 +62,13 @@ type Sender struct {
 	dupAcks      int
 	inRecovery   bool
 	recoverSeq   int64
+	// sacked is the SACK scoreboard: the ranges above highestAcked the
+	// receiver reported holding. During recovery highRxt is the end of
+	// the last hole retransmitted (RFC 6675's HighRxt): the holes below
+	// the highest SACKed byte and above it are the ones deemed lost and
+	// not yet repaired.
+	sacked  rangeSet
+	highRxt int64
 	// rtoRecover is the pre-timeout send point. While acks are below
 	// it, every unacked segment up there was (potentially) lost, so
 	// each new ack retransmits the next hole instead of waiting for
@@ -126,6 +133,8 @@ func (s *Sender) Reset(tuple ip.FiveTuple, size int64) {
 	s.dupAcks = 0
 	s.inRecovery = false
 	s.recoverSeq = 0
+	s.sacked.ivs = s.sacked.ivs[:0]
+	s.highRxt = 0
 	s.rtoRecover = 0
 	s.srtt = 0
 	s.rttvar = 0
@@ -203,15 +212,48 @@ func (s *Sender) stampFirst(seq int64) {
 	s.sent = append(s.sent, s.eng.Now())
 }
 
+// trySend sends while the window allows: new data, and in recovery
+// first the holes the SACK scoreboard shows lost, with the window
+// measured against pipe instead of everything unacknowledged.
 func (s *Sender) trySend() {
 	if s.completed {
 		return
 	}
 	windowBytes := int64(s.cwnd * float64(s.cfg.MSS))
-	for s.nextSeq < s.size && s.inflight() < windowBytes {
+	for {
+		inflight := s.inflight()
+		if s.inRecovery {
+			inflight = s.pipe()
+		}
+		if inflight >= windowBytes {
+			return
+		}
+		if seq, lost := s.nextHole(); s.inRecovery && lost {
+			s.retransmitHole(seq)
+			continue
+		}
+		if s.nextSeq >= s.size {
+			return
+		}
 		s.sendSegment(s.nextSeq, false)
 		s.nextSeq += min(int64(s.cfg.MSS), s.size-s.nextSeq)
 	}
+}
+
+// OnAckSACK processes an acknowledgment carrying the SACK block [lo,
+// hi), or none when lo == hi. A duplicate ACK without a block was
+// triggered by a duplicate segment, not by data above a hole, and says
+// nothing of a loss (RFC 6675 counts only duplicate ACKs that SACK
+// data): it is ignored. Without this, spurious retransmissions would
+// raise the duplicate ACKs that start the next spurious recovery.
+func (s *Sender) OnAckSACK(ackSeq, lo, hi int64) {
+	if lo >= hi && ackSeq <= s.highestAcked {
+		return
+	}
+	if !s.completed && s.highestAcked < lo && lo < hi && hi <= s.nextSeq {
+		s.sacked.insert(interval{lo, hi})
+	}
+	s.OnAck(ackSeq)
 }
 
 // OnAck processes a cumulative acknowledgment up to ackSeq bytes.
@@ -235,13 +277,17 @@ func (s *Sender) OnAck(ackSeq int64) {
 			s.sentFirst += int64(k) * mss
 		}
 		s.highestAcked = ackSeq
+		s.sacked.cut(ackSeq)
 		s.dupAcks = 0
 		if s.inRecovery && ackSeq >= s.recoverSeq {
 			s.inRecovery = false
 			s.cwnd = s.ssthresh
 		} else if s.inRecovery {
-			// Partial ack: the next segment is missing too.
-			s.sendSegment(ackSeq, true)
+			// Partial ack: the next segment is missing too, whether or
+			// not anything above it was SACKed (NewReno).
+			if s.highRxt <= ackSeq {
+				s.retransmitHole(ackSeq)
+			}
 		} else if s.rtoRecover > 0 {
 			if ackSeq < s.rtoRecover {
 				// Timeout repair (go-back-N): keep retransmitting the
@@ -277,9 +323,6 @@ func (s *Sender) OnAck(ackSeq int64) {
 	if !s.inRecovery && s.dupAcks >= s.cfg.DupAckThresh {
 		s.enterRecovery(now)
 	} else if s.inRecovery {
-		// Inflate by one segment per extra dupack (NewReno-style),
-		// letting new data flow during recovery.
-		s.cwnd += 1
 		s.trySend()
 	}
 }
@@ -289,7 +332,42 @@ func (s *Sender) enterRecovery(now sim.Time) {
 	s.recoverSeq = s.nextSeq
 	s.cwnd = s.cubic.onLoss(s.cwnd)
 	s.ssthresh = s.cwnd
-	s.sendSegment(s.highestAcked, true)
+	s.highRxt = s.highestAcked
+	s.retransmitHole(s.highestAcked)
+}
+
+// retransmitHole retransmits the segment at seq as the repair of a hole.
+func (s *Sender) retransmitHole(seq int64) {
+	s.sendSegment(seq, true)
+	s.highRxt = seq + min(int64(s.cfg.MSS), s.size-seq)
+}
+
+// nextHole returns the start of the lowest hole at or above highRxt that
+// lies below a SACKed range: lost, and not yet retransmitted.
+func (s *Sender) nextHole() (int64, bool) {
+	at := max(s.highRxt, s.highestAcked)
+	for _, iv := range s.sacked.ivs {
+		if at < iv.lo {
+			return at, true
+		}
+		at = max(at, iv.hi)
+	}
+	return 0, false
+}
+
+// pipe is RFC 6675's estimate of the bytes in the network during
+// recovery: those sent and not cumulatively acknowledged, less the
+// SACKed ranges and the holes below them not yet retransmitted.
+func (s *Sender) pipe() int64 {
+	p, at := s.nextSeq-s.highestAcked, max(s.highRxt, s.highestAcked)
+	for _, iv := range s.sacked.ivs {
+		p -= iv.hi - iv.lo
+		if at < iv.lo {
+			p -= iv.lo - at
+		}
+		at = max(at, iv.hi)
+	}
+	return p
 }
 
 func (s *Sender) onRTO() {
@@ -301,6 +379,7 @@ func (s *Sender) onRTO() {
 	s.cwnd = 1
 	s.cubic.reset()
 	s.inRecovery = false
+	s.sacked.ivs = s.sacked.ivs[:0]
 	s.dupAcks = 0
 	s.rtoRecover = s.nextSeq
 	s.rto *= 2

@@ -439,3 +439,70 @@ func TestTimeoutRepairFillsBurstHole(t *testing.T) {
 		t.Fatalf("burst-hole repair took %v — stalled in RTO-per-segment mode", doneAt)
 	}
 }
+
+// TestSACKRepairsBurstInOneRoundTrip: eight consecutive segments lost
+// once. With SACK blocks the sender retransmits every hole in the
+// recovery's first round trip, each once, where cumulative ACKs alone
+// (NewReno's partial ACKs) find one hole per round trip.
+func TestSACKRepairsBurstInOneRoundTrip(t *testing.T) {
+	const burst, first = 8, 100 * 1400
+	repaired := func(sack bool) (sim.Time, int) {
+		p := newPipe(t, 1024*1024, Config{})
+		lost := map[int64]bool{}
+		p.drop = func(seq int64) bool {
+			if seq >= first && seq < first+burst*1400 && !lost[seq] {
+				lost[seq] = true
+				return true
+			}
+			return false
+		}
+		if sack {
+			p.r.SendAck = nil
+			p.r.SendSACK = func(ack, lo, hi int64) {
+				p.eng.After(p.delay, func() { p.s.OnAckSACK(ack, lo, hi) })
+			}
+		}
+		var at sim.Time
+		p.r.OnDeliver = func(cum int64) {
+			if at == 0 && cum >= first+burst*1400 {
+				at = p.eng.Now()
+			}
+		}
+		p.s.Start()
+		p.eng.RunUntil(60 * sim.Second)
+		if !p.s.Completed() || p.s.Timeouts() != 0 {
+			t.Fatalf("SACK %v: completed %v after %d timeouts", sack, p.s.Completed(), p.s.Timeouts())
+		}
+		return at, p.s.Retransmits()
+	}
+	sackAt, sackRetx := repaired(true)
+	cumAt, _ := repaired(false)
+	rtt := 20 * sim.Millisecond
+	if sackRetx != burst || sackAt+4*rtt > cumAt {
+		t.Fatalf("burst repaired at %v with SACK (%d retransmissions), at %v with cumulative ACKs; want %d retransmissions, 4 round trips sooner",
+			sackAt, sackRetx, cumAt, burst)
+	}
+	t.Logf("burst repaired at %v with SACK, %v with cumulative ACKs", sackAt, cumAt)
+}
+
+// TestDuplicateSegmentACKsIgnored: duplicate ACKs that SACK nothing —
+// what duplicate segments raise — start no recovery; three that SACK
+// data above the hole do.
+func TestDuplicateSegmentACKsIgnored(t *testing.T) {
+	eng := &sim.Engine{}
+	s := NewSender(eng, Config{}, ip.FiveTuple{SrcPort: 443, Proto: ip.ProtoTCP}, 1<<20)
+	s.Start()
+	s.OnAckSACK(1400, 0, 0)
+	for range 3 {
+		s.OnAckSACK(1400, 0, 0)
+	}
+	if s.Retransmits() != 0 || s.inRecovery {
+		t.Fatalf("after three duplicate ACKs with no SACK block: %d retransmissions, recovery %v; want none", s.Retransmits(), s.inRecovery)
+	}
+	for hi := int64(4200); hi <= 7000; hi += 1400 {
+		s.OnAckSACK(1400, 2800, hi)
+	}
+	if s.Retransmits() != 1 || !s.inRecovery {
+		t.Fatalf("after three SACKing duplicate ACKs: %d retransmissions, recovery %v; want the hole at 1400 resent", s.Retransmits(), s.inRecovery)
+	}
+}
