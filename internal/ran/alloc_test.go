@@ -1,6 +1,7 @@
 package ran
 
 import (
+	"slices"
 	"testing"
 
 	"outran/internal/mac"
@@ -139,6 +140,44 @@ func TestCellZeroAllocs(t *testing.T) {
 		},
 		"(*Cell).ScheduleTrackerReset":  scheduleProbe(func(c *Cell) { c.ScheduleTrackerReset(c.Eng.Now()) }),
 		"(*Cell).ScheduleTrackerFreeze": scheduleProbe(func(c *Cell) { c.ScheduleTrackerFreeze(c.Eng.Now()) }),
+		"(*Cell).wake": func(t *testing.T) {
+			cell := backloggedCell(t)
+			ue := cell.ues[len(cell.ues)-1]
+			if ue.listed {
+				t.Fatal("last UE still listed; probe would be vacuous")
+			}
+			allocs := testing.AllocsPerRun(100, func() {
+				ue.listed, cell.woken = false, cell.woken[:0]
+				cell.wake(ue)
+			})
+			if allocs != 0 || !slices.Equal(cell.woken, []int{ue.id}) {
+				t.Errorf("wake: %.1f allocs/call, woken %v; want 0, [%d]", allocs, cell.woken, ue.id)
+			}
+		},
+		"(*Cell).admitWoken": func(t *testing.T) {
+			cell := backloggedCell(t)
+			// Woken out of order around an awake UE: the sort and both
+			// sides of the merge run.
+			allocs := testing.AllocsPerRun(100, func() {
+				cell.awake = append(cell.awake[:0], 2)
+				cell.woken = append(cell.woken[:0], 3, 0, 1)
+				cell.admitWoken()
+			})
+			if allocs != 0 || !slices.Equal(cell.awake, []int{0, 1, 2, 3}) || len(cell.woken) != 0 {
+				t.Errorf("admitWoken: %.1f allocs/call, awake %v, woken %v; want 0, [0 1 2 3], []", allocs, cell.awake, cell.woken)
+			}
+		},
+		"(*Cell).catchUpAvg": func(t *testing.T) {
+			cell := backloggedCell(t)
+			ue := cell.ues[1]
+			allocs := testing.AllocsPerRun(100, func() {
+				ue.macUser.AvgTputBps, ue.avgAt = 1e6, cell.ttis-10
+				cell.catchUpAvg(ue)
+			})
+			if allocs != 0 || ue.avgAt != cell.ttis || !(ue.macUser.AvgTputBps < 1e6) {
+				t.Errorf("catchUpAvg: %.1f allocs/call, average %g at TTI %d of %d; want 0, decayed, caught up", allocs, ue.macUser.AvgTputBps, ue.avgAt, cell.ttis)
+			}
+		},
 		"(*Cell).rbStats": func(t *testing.T) {
 			cell := backloggedCell(t)
 			alloc := mac.NewAllocation(cell.grid.NumRB)

@@ -3,6 +3,7 @@ package ran
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"outran/internal/channel"
 	"outran/internal/core"
@@ -80,6 +81,13 @@ type ueCtx struct {
 	cqiDue bool
 	cqiAt  sim.Time
 	cqiOff float64
+
+	// listed is set while the UE is on the cell's awake list or waiting
+	// to join it (Cell.wake). avgAt counts the TTIs whose PF decay
+	// macUser.AvgTputBps holds; it trails the cell's count only while
+	// the UE is off the awake list (Cell.catchUpAvg).
+	listed bool
+	avgAt  uint64
 }
 
 // rlcTx is a bearer's transmitting RLC entity: *rlc.UMTx or *rlc.AMTx.
@@ -87,6 +95,7 @@ type rlcTx interface {
 	Enqueue(*rlc.SDU) bool
 	PullAppend(out []*rlc.PDU, grant int) []*rlc.PDU
 	Status(now sim.Time) mac.BufferStatus
+	QueuedBytes() int
 	Evictions() int
 	Abandoned() uint64
 	RetxBytes() uint64
@@ -205,6 +214,15 @@ type Cell struct {
 	// a list outlives the TTI. runs is rbStats' subband-run scratch.
 	grants []ueGrant
 	runs   mac.SubbandRuns
+	// awake lists, in ascending index order, the UEs the TTI walks:
+	// every UE that may have something to send. woken holds the UEs
+	// woken since the last TTI, which joins them to awake. ttis counts
+	// the TTIs run, for the lazy PF decay of the UEs off the list. All
+	// three are derived state, never checkpointed: a restored cell
+	// starts with every UE woken. See "An idle UE costs nothing per
+	// TTI" in DESIGN.md.
+	awake, woken []int
+	ttis         uint64
 	// sinrScratch receives one UE's per-subband SINRs inside
 	// measureCQI; sized once in NewCell to the widest UE channel.
 	sinrScratch []float64
@@ -252,6 +270,8 @@ func NewCell(cfg Config) (*Cell, error) {
 		Reg:      obs.NewRegistry(),
 		r:        rng.New(cfg.Seed),
 		nextPort: 10000,
+		awake:    make([]int, 0, cfg.NumUEs),
+		woken:    make([]int, 0, cfg.NumUEs),
 	}
 	if cfg.KPIEvery > 0 {
 		c.kpi = newKPIState()
@@ -331,8 +351,9 @@ func (c *Cell) newUE(id int) (*ueCtx, error) {
 // once at cell construction and again on RRC re-establishment, which
 // is why it is separate from newUE: the channel, MAC user state, key
 // and flow table survive a re-establishment, the bearer state does
-// not.
+// not. It wakes the UE, so the next TTI reads the new entities' status.
 func (c *Cell) wireBearer(ue *ueCtx) error {
+	c.wake(ue)
 	classifier, queues := c.cfg.intraQueueing(c.policy)
 	delayedSN := false
 	promote := false
@@ -389,6 +410,7 @@ func (c *Cell) wireBearer(ue *ueCtx) error {
 	} else {
 		tx := rlc.NewAMTx(c.Eng, bufCfg)
 		tx.AssignSN = ue.pdcpTx.AssignSN
+		tx.Wake = func() { c.wake(ue) }
 		rx := rlc.NewAMRx(c.Eng, deliver, func(st *rlc.StatusPDU) {
 			c.after(statusUplinkDelay, sim.Event{Kind: evAMStatus, Idx: int32(ue.id), Ptr: st})
 		})
@@ -454,28 +476,97 @@ func (c *Cell) measureAllCQI() {
 	}
 }
 
-// onTTI runs one scheduling interval.
+// wake puts the UE on the awake list from the next TTI on. It is
+// called wherever a UE off the list can gain bytes to send: RLC
+// enqueue, a HARQ NACK's re-queue, an AM status report, AM's
+// t-PollRetransmit, and wireBearer. Waking a UE that has nothing to
+// send costs one TTI's walk and changes nothing else.
+//
+//outran:allocfree
+func (c *Cell) wake(ue *ueCtx) {
+	if !ue.listed {
+		ue.listed = true
+		// Not a steady-state allocation: bounded by the capacity NewCell gave the list: one entry per UE, each at most once
+		c.woken = append(c.woken, ue.id)
+	}
+}
+
+// admitWoken merges the UEs woken since the last TTI into the awake
+// list, keeping it in index order, so the TTI serves the UEs in the
+// order a walk over every UE would. Each joins with its PF average
+// caught up.
+//
+//outran:allocfree
+func (c *Cell) admitWoken() {
+	if len(c.woken) == 0 {
+		return
+	}
+	for _, i := range c.woken {
+		c.catchUpAvg(c.ues[i])
+	}
+	slices.Sort(c.woken)
+	// Merge from the back, in place: a woken UE is never already awake.
+	a, w := len(c.awake)-1, len(c.woken)-1
+	c.awake = c.awake[:len(c.awake)+len(c.woken)]
+	for k := len(c.awake) - 1; w >= 0; k-- {
+		if a >= 0 && c.awake[a] > c.woken[w] {
+			c.awake[k], a = c.awake[a], a-1
+		} else {
+			c.awake[k], w = c.woken[w], w-1
+		}
+	}
+	c.woken = c.woken[:0]
+}
+
+// catchUpAvg applies the PF decays a UE missed off the awake list: one
+// UpdateAvgTput with nothing served per TTI, the very arithmetic the
+// TTI would have done, so the average keeps every bit (a closed form
+// through math.Pow would not). A zero average stays zero.
+//
+//outran:allocfree
+func (c *Cell) catchUpAvg(ue *ueCtx) {
+	u, tti := ue.macUser, c.grid.TTI()
+	for ; ue.avgAt < c.ttis && u.AvgTputBps != 0; ue.avgAt++ {
+		u.UpdateAvgTput(0, tti, c.cfg.FairnessWindow)
+	}
+	ue.avgAt = c.ttis
+}
+
+// catchUpAvgs brings every UE's PF average current, for the points
+// where AvgTputBps leaves the cell: KPI samples, checkpoints, Users.
+func (c *Cell) catchUpAvgs() {
+	for _, ue := range c.ues {
+		c.catchUpAvg(ue)
+	}
+}
+
+// onTTI runs one scheduling interval. Every per-UE step walks the awake
+// list, not every attached UE: a UE off the list has nothing to send,
+// so its status is empty, it gets no grant and is served nothing.
 func (c *Cell) onTTI() {
 	now := c.Eng.Now()
 	c.ctrTTIs.Inc()
 	tti := c.grid.TTI()
 	// Buffer aliases RLC-entity scratch (valid until that entity's next
-	// Status call — i.e. this UE's next TTI) and alloc aliases
-	// scheduler-owned scratch (valid until the next Allocate); both are
-	// consumed within this TTI.
+	// Status call) and alloc aliases scheduler-owned scratch (valid
+	// until the next Allocate); both are consumed within this TTI. An
+	// off-list UE's Buffer still aliases the scratch of its last Status
+	// call, which found the buffer empty; with nothing queued since, a
+	// fresh call would report the same.
 	tMac := c.prof.Begin()
-	for i, ue := range c.ues {
+	c.admitWoken()
+	for _, i := range c.awake {
 		// Retaining scratch is safe: consumed within this TTI and overwritten here before the entity's next Status call
-		c.macUsers[i].Buffer = ue.txStatus(now)
+		c.macUsers[i].Buffer = c.ues[i].txStatus(now)
 	}
 	c.prof.End(obs.PhaseMac, tMac)
 	// The scheduler and rbStats read the CQI of backlogged users only
 	// (pending HARQ bytes count as backlog), so only their outstanding
 	// reports are measured.
 	tPhy := c.prof.Begin()
-	for i, ue := range c.ues {
+	for _, i := range c.awake {
 		if c.macUsers[i].Buffer.Backlogged() {
-			c.measureCQI(ue)
+			c.measureCQI(c.ues[i])
 		}
 	}
 	c.prof.End(obs.PhasePhy, tPhy)
@@ -486,24 +577,36 @@ func (c *Cell) onTTI() {
 	totalBits := 0
 	totalUsedRBs := 0
 	c.rbStats(alloc)
-	for i, ue := range c.ues {
-		g := &c.grants[i]
+	// A UE whose status was empty this TTI leaves the list; only a wake
+	// brings it back.
+	stay := c.awake[:0]
+	for _, i := range c.awake {
+		ue, u, g := c.ues[i], c.macUsers[i], &c.grants[i]
 		var used int
 		if g.bits > 0 {
 			reqSINR := g.sinrReqSum / float64(g.numRB)
 			used = c.serveUE(ue, g.bits, reqSINR, g.sbs)
 			if used > 0 {
-				c.macUsers[i].LastServed = now
+				u.LastServed = now
 				// Count the RBs that actually carried data (partially
 				// filled grants count their filled share).
 				frac := float64(used) / float64(g.bits)
 				totalUsedRBs += int(frac*float64(g.numRB) + 0.999)
 			}
 		}
-		c.macUsers[i].UpdateAvgTput(used, tti, c.cfg.FairnessWindow)
-		c.Tracker.OnUE(i, used, used > 0 || c.macUsers[i].Buffer.Backlogged())
+		u.UpdateAvgTput(used, tti, c.cfg.FairnessWindow)
+		ue.avgAt = c.ttis + 1
+		backlogged := u.Buffer.Backlogged()
+		c.Tracker.OnUE(i, used, used > 0 || backlogged)
 		totalBits += used
+		if backlogged {
+			stay = append(stay, i)
+		} else {
+			ue.listed = false
+		}
 	}
+	c.awake = stay
+	c.ttis++
 	c.prof.End(obs.PhaseRlc, tRlc)
 	tObs := c.prof.Begin()
 	c.Tracker.OnTTIUsed(now, totalBits, totalUsedRBs)
@@ -530,14 +633,15 @@ type ueGrant struct {
 }
 
 // rbStats folds one TTI's allocation into c.grants in a single pass
-// over the RBs. RBs are visited in ascending order, so each UE's
+// over the RBs, after zeroing the grants of the awake UEs: only those
+// can hold one. RBs are visited in ascending order, so each UE's
 // sinrReqSum adds its terms in the order a per-UE scan would, and
 // keeps its bits. Within a subband run an owner's subband and CQI are
 // fixed; they are looked up when the owner changes, not per RB.
 //
 //outran:allocfree
 func (c *Cell) rbStats(alloc mac.Allocation) {
-	for i := range c.grants {
+	for _, i := range c.awake {
 		g := &c.grants[i]
 		g.bits, g.numRB, g.sinrReqSum, g.sbs = 0, 0, 0, g.sbs[:0]
 	}
@@ -709,6 +813,7 @@ func (c *Cell) tbArrive(ue *ueCtx, tb *harqTB) {
 	}
 	tb.readyAt = now + harqRTT(c.grid.TTI())
 	ue.harqPending = append(ue.harqPending, tb)
+	c.wake(ue)
 }
 
 // sinrOver is the instantaneous SINR averaged over the given subbands
@@ -754,10 +859,13 @@ func (c *Cell) SetPhaseProfiler(p *obs.PhaseProfiler) { c.prof = p }
 func (c *Cell) PhaseProfiler() *obs.PhaseProfiler { return c.prof }
 
 // Users exposes the MAC user states (read-only use). It first brings
-// every UE's SubbandCQI current with its latest received report; between
-// calls only backlogged UEs are kept current (see reportCQIAt).
+// every UE's SubbandCQI current with its latest received report and
+// its AvgTputBps with the TTIs it spent off the awake list; between
+// calls only backlogged UEs are kept current (see reportCQIAt and
+// catchUpAvg).
 func (c *Cell) Users() []*mac.User {
 	c.measureAllCQI()
+	c.catchUpAvgs()
 	return c.macUsers
 }
 

@@ -95,7 +95,9 @@ func (c *Cell) Fire(ev sim.Event) {
 	case evTB:
 		c.tbArrive(c.ues[ev.Idx], ev.Ptr.(*harqTB))
 	case evAMStatus:
-		c.ues[ev.Idx].tx.(*rlc.AMTx).OnStatus(ev.Ptr.(*rlc.StatusPDU))
+		ue := c.ues[ev.Idx]
+		ue.tx.(*rlc.AMTx).OnStatus(ev.Ptr.(*rlc.StatusPDU))
+		c.wake(ue) // its NACKs queue retransmissions
 	case evTrackerReset:
 		c.Tracker.Reset()
 	case evTrackerFreeze:

@@ -273,7 +273,9 @@ func (c *Cell) deliverToXNB(ue *ueCtx, pkt ip.Packet) {
 	}
 	if !ue.tx.Enqueue(sdu) {
 		ue.enqueueDrops++
+		return
 	}
+	c.wake(ue)
 }
 
 // Run advances the simulation to the given time.

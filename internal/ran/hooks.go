@@ -110,7 +110,11 @@ func (c *Cell) flushBearer(ue *ueCtx) {
 
 // AuditInvariants verifies the cell's cross-layer structural
 // invariants: each RLC entity's own audit (bounded tx queue growth
-// among them) and HARQ retransmission bookkeeping. It returns the
+// among them), HARQ retransmission bookkeeping, and that a UE off the
+// awake list (see Cell.wake) has nothing to send: no byte queued, new
+// or for retransmission, no HARQ TB pending and no grant. The queue is
+// read from the entity's counters, never from Status, whose pops of the
+// QoS head-of-line list are checkpoint state. It returns the
 // first violation found (deterministically chosen — see the fold
 // style in rlc.AMTx.Audit) or nil. The cell's invariant checker
 // (InstallChecker) calls this every TTI and at teardown.
@@ -129,6 +133,18 @@ func (c *Cell) AuditInvariants() error {
 			if tb.bits <= 0 {
 				return fmt.Errorf("ue %d: pending HARQ TB with %d bits", ue.id, tb.bits)
 			}
+		}
+		if ue.listed {
+			continue
+		}
+		if n := ue.tx.QueuedBytes(); n > 0 {
+			return fmt.Errorf("ue %d: off the awake list with %d bytes queued", ue.id, n)
+		}
+		if n := len(ue.harqPending); n > 0 {
+			return fmt.Errorf("ue %d: off the awake list with %d HARQ TBs pending", ue.id, n)
+		}
+		if g := c.grants[ue.id]; g.bits > 0 {
+			return fmt.Errorf("ue %d: off the awake list with a %d-bit grant", ue.id, g.bits)
 		}
 	}
 	return nil

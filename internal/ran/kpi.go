@@ -87,6 +87,7 @@ func (c *Cell) SampleKPI(now sim.Time) obs.KPISample {
 
 	// Jain fairness over the users' long-term average throughputs,
 	// with the raw moments retained for cross-cell aggregation.
+	c.catchUpAvgs()
 	var fairSum, fairSumSq float64
 	for _, u := range c.macUsers {
 		t := u.AvgTputBps

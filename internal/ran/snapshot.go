@@ -153,8 +153,11 @@ func (c *Cell) SnapshotTo(b *snapshot.Builder) error {
 	}
 	// An outstanding CQI report is not checkpoint state: measuring it
 	// now writes the SubbandCQI the restored cell would otherwise have
-	// to derive, and keeps the file layout free of it.
+	// to derive, and keeps the file layout free of it. Likewise the PF
+	// decays an idle UE has not yet applied (catchUpAvg): the restored
+	// cell starts with every UE woken and every average current.
 	c.measureAllCQI()
+	c.catchUpAvgs()
 	for _, s := range c.sections(ueEvents, rest) {
 		b.Walk(s.name, s.walk)
 	}

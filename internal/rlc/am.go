@@ -49,6 +49,10 @@ type AMTx struct {
 	// on the air: the PDU's SN, its wire size, and how many times it
 	// has now been retransmitted (the tracing layer's rlc_retx event).
 	OnRetx func(sn uint32, bytes, attempt int)
+	// Wake, when set, fires when t-PollRetransmit queues a
+	// retransmission: the one way an idle entity gains bytes to send on
+	// its own clock.
+	Wake func()
 
 	sn        uint32
 	txed      map[uint32]*PDU // sent, unacknowledged
@@ -236,6 +240,9 @@ func (t *AMTx) onPollRetransmit() {
 	}
 	t.queueRetx(t.pollSN, 0) // re-request status by retransmitting the polled PDU
 	t.tPollRetx.Start(DefaultTPollRetransmit)
+	if t.Wake != nil {
+		t.Wake()
+	}
 }
 
 // Status reports buffer state for the MAC BSR; retx backlog counts
@@ -246,16 +253,28 @@ func (t *AMTx) onPollRetransmit() {
 //outran:allocfree
 func (t *AMTx) Status(now sim.Time) mac.BufferStatus {
 	st := t.buf.status(now)
+	st.TotalBytes += t.retxBytes()
+	return st
+}
+
+// retxBytes is the retransmission backlog: the bytes of every queued
+// SN still unacknowledged.
+func (t *AMTx) retxBytes() (n int) {
 	for _, q := range t.retxQ {
 		if p := t.txed[q.sn]; p != nil {
-			st.TotalBytes += p.Bytes
+			n += p.Bytes
 		}
 	}
-	return st
+	return n
 }
 
 // QueuedSDUs returns the buffered (new-data) SDU count.
 func (t *AMTx) QueuedSDUs() int { return t.buf.count }
+
+// QueuedBytes returns the bytes waiting to be sent, new data and
+// retransmissions, from the entity's counters: unlike Status it changes
+// no state.
+func (t *AMTx) QueuedBytes() int { return t.buf.bytes + t.retxBytes() }
 
 // Close cancels the entity's timers. Call when tearing the entity
 // down (e.g. RRC re-establishment) so orphaned callbacks stop

@@ -58,6 +58,10 @@ func (t *UMTx) Status(now sim.Time) mac.BufferStatus { return t.buf.status(now) 
 // QueuedSDUs returns the buffered SDU count.
 func (t *UMTx) QueuedSDUs() int { return t.buf.count }
 
+// QueuedBytes returns the bytes waiting to be sent, from the buffer's
+// counters: unlike Status it changes no state.
+func (t *UMTx) QueuedBytes() int { return t.buf.bytes }
+
 // Evictions returns the number of queued SDUs pushed out by
 // higher-priority arrivals.
 func (t *UMTx) Evictions() int { return t.buf.evictionCount() }
