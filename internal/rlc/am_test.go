@@ -362,3 +362,88 @@ func TestAMResegmentsRetransmission(t *testing.T) {
 			p.delivered, len(p.rx.pieces), p.rx.floor, p.rx.Discarded())
 	}
 }
+
+// TestAMRxWaitsOutHARQReordering: a gap that a HARQ retransmission fills
+// within t-Reassembly is never NACKed. The poll that arrived above the
+// gap is answered once the gap fills, acknowledging everything.
+func TestAMRxWaitsOutHARQReordering(t *testing.T) {
+	var eng sim.Engine
+	var reports []*StatusPDU
+	rx := NewAMRx(&eng, func(*SDU) {}, func(st *StatusPDU) { reports = append(reports, st) })
+	pdus := make([]*PDU, 3)
+	for i := range pdus {
+		pdus[i] = &PDU{SN: uint32(i), Bytes: 102, Segments: []Segment{{SDU: mkSDU(100, 0, 1), Len: 100, Last: true}}}
+	}
+	pdus[2].Poll = true
+	rx.Receive(pdus[0])
+	rx.Receive(pdus[2])
+	eng.After(DefaultTReassembly/2, func() { rx.Receive(pdus[1]) })
+	eng.RunUntil(sim.Second)
+	if len(reports) != 1 || reports[0].AckSN != 3 || len(reports[0].Nacks) != 0 {
+		t.Fatalf("status reports %+v; want one, acknowledging SN 0–2 and NACKing nothing", reports)
+	}
+}
+
+// TestAMLostRetransmissionReNACKedThroughPoll: the first NACK of a gap
+// waits out t-Reassembly; when the NACKed PDU's retransmission is lost
+// too, the receiver stays silent, with no clock of its own, until the
+// transmitter's next poll, whose answer NACKs the gap again.
+func TestAMLostRetransmissionReNACKedThroughPoll(t *testing.T) {
+	var eng sim.Engine
+	p := newAMPair(&eng)
+	type report struct {
+		at    sim.Time
+		nacks []Nack
+	}
+	var reports []report
+	p.rx.SendStatus = func(st *StatusPDU) {
+		reports = append(reports, report{eng.Now(), st.Nacks})
+		eng.After(sim.Millisecond, func() { p.tx.OnStatus(st) })
+	}
+	var gapAt, pollAt []sim.Time // arrivals above the gap; polled PDUs
+	drops := 0
+	for i := 0; i < 5; i++ {
+		p.tx.Enqueue(mkSDU(500, 0, 1))
+	}
+	eng.After(60*sim.Millisecond, func() {
+		p.tx.Enqueue(mkSDU(500, 0, 1))
+		p.tx.Enqueue(mkSDU(500, 0, 1))
+	})
+	for i := 0; i < 300; i++ {
+		eng.After(sim.Time(i)*sim.Millisecond, func() {
+			for _, pdu := range p.tx.PullAppend(nil, 502) {
+				if pdu.SN == 1 && drops < 2 {
+					drops++ // the first transmission and the first retransmission
+					continue
+				}
+				eng.After(sim.Millisecond, func() {
+					if pdu.SN > 1 && len(gapAt) == 0 {
+						gapAt = append(gapAt, eng.Now())
+					}
+					if pdu.Poll {
+						pollAt = append(pollAt, eng.Now())
+					}
+					p.rx.Receive(pdu)
+				})
+			}
+		})
+	}
+	eng.RunUntil(sim.Second)
+	if len(p.delivered) != 7 || p.tx.Abandoned() != 0 || drops != 2 {
+		t.Fatalf("delivered %d of 7 SDUs, %d abandoned, %d drops", len(p.delivered), p.tx.Abandoned(), drops)
+	}
+	var nacked []sim.Time
+	for _, r := range reports {
+		if len(r.nacks) > 0 {
+			nacked = append(nacked, r.at)
+		}
+	}
+	if len(nacked) != 2 || nacked[0] < gapAt[0]+DefaultTReassembly || !slices.Contains(pollAt, nacked[1]) {
+		t.Fatalf("SN 1 NACKed at %v, the gap seen at %v, polls at %v; want twice: t-Reassembly after the gap, then on a poll", nacked, gapAt, pollAt)
+	}
+	for _, r := range reports {
+		if r.at > nacked[0] && r.at < nacked[1] {
+			t.Fatalf("status at %v between the two NACKs (%v): the receiver reported on a clock of its own", r.at, nacked)
+		}
+	}
+}

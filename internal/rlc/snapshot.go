@@ -296,7 +296,7 @@ func (t *AMTx) Walk(c *Refs) {
 	w.Int(&t.pollPDU)
 	w.Int(&t.sincePoll)
 	w.U32(&t.pollSN)
-	w.Bool(&t.pollOut)
+	w.Bool(&t.pollNext)
 	t.tPollRetx.Walk(w)
 	w.Int(&t.maxRetx)
 	w.U64(&t.abandoned)
@@ -304,7 +304,8 @@ func (t *AMTx) Walk(c *Refs) {
 }
 
 // Walk is the AM receiver's checkpoint layout: reassembly table,
-// window with the abandoned SNs in it, and the two timer arms.
+// window with the abandoned SNs in it, status state, and the two timer
+// arms.
 func (r *AMRx) Walk(c *Refs) {
 	w := c.W
 	if w.Decoding() && (r.floor != 0 || r.highest != 0 || len(r.held) != 0 || len(r.abandoned) != 0 || len(r.pieces) != 0) {
@@ -322,8 +323,11 @@ func (r *AMRx) Walk(c *Refs) {
 	})
 	w.U32(&r.floor)
 	w.U32(&r.highest)
+	w.U32(&r.highestStatus)
+	w.U32(&r.trigger)
+	w.U32(&r.pollUntil)
 	r.prohibit.Walk(w)
-	r.gapTimer.Walk(w)
+	r.tReassembly.Walk(w)
 	w.Bool(&r.pending)
 	w.U64(&r.delivered)
 	w.U64(&r.discarded)

@@ -37,9 +37,9 @@ func TestAMWalkRoundTrip(t *testing.T) {
 		p.rx.Receive(re)
 	}
 	if len(p.tx.txed) == 0 || len(p.rx.abandoned) == 0 || len(p.rx.held) == 0 || len(p.rx.pieces) == 0 || p.tx.retxQ[0].so == 0 ||
-		len(p.rx.partials) == 0 || p.tx.buf.count == 0 || !p.rx.gapTimer.Running() {
-		t.Fatalf("%d unacked, %d held, %d abandoned, %d in pieces, re-segmented to %d, %d partials, %d queued, gap timer %v; the round trip would cover nothing",
-			len(p.tx.txed), len(p.rx.held), len(p.rx.abandoned), len(p.rx.pieces), p.tx.retxQ[0].so, len(p.rx.partials), p.tx.buf.count, p.rx.gapTimer.Running())
+		len(p.rx.partials) == 0 || p.tx.buf.count == 0 || !p.rx.tReassembly.Running() {
+		t.Fatalf("%d unacked, %d held, %d abandoned, %d in pieces, re-segmented to %d, %d partials, %d queued, t-Reassembly %v; the round trip would cover nothing",
+			len(p.tx.txed), len(p.rx.held), len(p.rx.abandoned), len(p.rx.pieces), p.tx.retxQ[0].so, len(p.rx.partials), p.tx.buf.count, p.rx.tReassembly.Running())
 	}
 	var eng2 sim.Engine
 	fresh := newAMPair(&eng2)

@@ -8,9 +8,10 @@ import (
 	"outran/internal/sim"
 )
 
-// DefaultTReassembly is the UM receiver's t-Reassembly (TS 38.322
-// §5.2.2.2): how long a sequence gap, or a partial SDU that a newer SDU
-// has overtaken, is waited out before the receiver gives up on it.
+// DefaultTReassembly is t-Reassembly (TS 38.322 §5.2.2.2, §5.2.3.2):
+// how long a UM receiver waits out a sequence gap, or a partial SDU that
+// a newer SDU has overtaken, before it gives up on it, and how long an
+// AM receiver waits out a gap before it NACKs it.
 const DefaultTReassembly = 40 * sim.Millisecond
 
 // UMTx is the transmitting RLC Unacknowledged Mode entity of one UE's

